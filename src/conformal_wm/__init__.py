@@ -10,6 +10,10 @@ minority subgroups; a simulation harness measures their error rates and
 detection power end to end on synthetic scores.
 """
 
+# Set before the submodules load: io reads it for run manifests, and
+# pyproject.toml reads it as the package version.
+__version__ = "0.1.0"
+
 from .bleu import BleuScore, TokenizedText, bleu, bleu_of_texts, tokenize
 from .conformal import (
     CalibrationSet,
@@ -37,10 +41,7 @@ from .evaluation import (
     AggregateRow,
     CellResult,
     MetricsReport,
-    NoOutliersError,
     aggregate,
-    compute_fpr,
-    compute_power,
     is_excluded,
 )
 from .labeling import EditRecord, ViolationLabel, bleu_quantile_threshold, classify
@@ -52,8 +53,6 @@ from .simulate import (
     run_scenario,
 )
 
-__version__ = "0.1.0"
-
 __all__ = [
     "BleuScore", "TokenizedText", "bleu", "bleu_of_texts", "tokenize",
     "CalibrationSet", "Decision", "GroupedCalibrationSet", "WatermarkScore",
@@ -62,8 +61,7 @@ __all__ = [
     "DensityModel", "DensityUnderflowError", "ShiftEstimate", "WeightVector",
     "compute_weights", "empirical_quantile", "fit_kde", "mean_shift",
     "quantile_shift",
-    "AggregateRow", "CellResult", "MetricsReport", "NoOutliersError", "aggregate",
-    "compute_fpr", "compute_power", "is_excluded",
+    "AggregateRow", "CellResult", "MetricsReport", "aggregate", "is_excluded",
     "EditRecord", "ViolationLabel", "bleu_quantile_threshold", "classify",
     "ExperimentConfig", "ScoreDistribution", "default_config", "generate_scores",
     "run_scenario",

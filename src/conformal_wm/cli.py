@@ -12,18 +12,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import io as io_mod
 from . import simulate as sim_mod
 from .bleu import bleu_of_texts
-from .conformal import (
-    CalibrationSet,
-    GroupedCalibrationSet,
-    WatermarkScore,
-    hierarchical_decision,
-    standard_decision,
-    weighted_conformal_decision,
-)
-from .density import compute_weights, fit_kde, mean_shift, quantile_shift
+from .conformal import hierarchical_p_values, standard_p_values, weighted_p_values
+from .density import density_ratios, fit_kde, mean_shift, quantile_shift
 from .io import ScoreRow, ScoreTable, ValidationError
 
 
@@ -82,10 +77,6 @@ def _require_role(table: ScoreTable, role: str, path: str) -> list[ScoreRow]:
     return table.rows
 
 
-def _scores(rows: list[ScoreRow]) -> list[WatermarkScore]:
-    return [WatermarkScore(essay_id=r.essay_id, value=r.score) for r in rows]
-
-
 def cmd_detect(args) -> int:
     cal_rows = _require_role(io_mod.ingest(args.cal_path), "calibration", args.cal_path)
     test_rows = _require_role(io_mod.ingest(args.test_path), "test", args.test_path)
@@ -95,30 +86,24 @@ def cmd_detect(args) -> int:
                               field_name="alpha")
     use_log = args.log_scale == "on"
     extra: dict = {"method": args.method, "alpha": alpha}
+    cal = np.array([r.score for r in cal_rows])
+    tests = np.array([r.score for r in test_rows])
 
-    decisions = []
     if args.method == "standard":
-        cal = CalibrationSet(scores=tuple(_scores(cal_rows)), provenance=args.cal_path)
-        for row in test_rows:
-            s = WatermarkScore(row.essay_id, row.score)
-            decisions.append((row.essay_id, standard_decision(cal, s, alpha)))
+        p = standard_p_values(cal, tests)
+        flagged = p <= alpha
 
     elif args.method == "hierarchical":
-        by_group: dict[str, list[WatermarkScore]] = {}
+        by_group: dict[str, list[int]] = {}
         for i, row in enumerate(cal_rows, start=1):
             if row.group_id is None:
                 raise ValidationError("missing_group_id",
                                       detail=f"calibration essay {row.essay_id!r}",
                                       line=i, field_name="group_id")
-            by_group.setdefault(row.group_id, []).append(
-                WatermarkScore(row.essay_id, row.score))
-        grouped = GroupedCalibrationSet(groups=tuple(
-            CalibrationSet(scores=tuple(scores), provenance=group_id)
-            for group_id, scores in by_group.items()))
-        extra["n_groups"] = len(grouped)
-        for row in test_rows:
-            s = WatermarkScore(row.essay_id, row.score)
-            decisions.append((row.essay_id, hierarchical_decision(grouped, s, alpha)))
+            by_group.setdefault(row.group_id, []).append(i - 1)
+        extra["n_groups"] = len(by_group)
+        p = hierarchical_p_values([cal[idx] for idx in by_group.values()], tests)
+        flagged = p <= alpha
 
     else:  # weighted
         for i, row in enumerate(cal_rows, start=1):
@@ -126,23 +111,21 @@ def cmd_detect(args) -> int:
                 raise ValidationError("missing_population",
                                       detail=f"calibration essay {row.essay_id!r}",
                                       line=i, field_name="population")
-        minority = [r for r in cal_rows if r.population == "minority"]
-        if not minority:
+        minority = np.array([r.population == "minority" for r in cal_rows])
+        if not minority.any():
             raise ValidationError("no_minority_rows", detail=args.cal_path)
-        cal = CalibrationSet(scores=tuple(_scores(cal_rows)), provenance=args.cal_path)
-        to_eval = (lambda s: s.log_value) if use_log else (lambda s: s.value)
-        cal_logs = [to_eval(s) for s in cal.scores]
-        minority_logs = [to_eval(WatermarkScore(r.essay_id, r.score)) for r in minority]
-        model_p = fit_kde(cal_logs, args.bandwidth)
+        to_eval = np.log10 if use_log else np.asarray
+        cal_eval = to_eval(cal)
+        model_p = fit_kde(cal_eval, args.bandwidth)
         if args.shift == "mean":
-            model_q = mean_shift(cal_logs, minority_logs, args.bandwidth)
+            model_q = mean_shift(cal_eval, cal_eval[minority], args.bandwidth)
         else:
-            model_q = quantile_shift(cal_logs, minority_logs, args.bandwidth, alpha)
+            model_q = quantile_shift(cal_eval, cal_eval[minority], args.bandwidth, alpha)
         est = model_q.shift
         extra["shift"] = {
             "method": est.method,
             "branch": est.branch,
-            "minority_size": len(minority),
+            "minority_size": int(minority.sum()),
             "q_anchor": est.q_anchor,
             "p_anchor": est.p_anchor,
             "sigma_p": est.sigma_p,
@@ -150,16 +133,16 @@ def cmd_detect(args) -> int:
             "bandwidth": args.bandwidth,
             "log_scale": use_log,
         }
-        for row in test_rows:
-            s = WatermarkScore(row.essay_id, row.score)
-            weights = compute_weights(model_p, model_q, cal_logs, to_eval(s))
-            decisions.append(
-                (row.essay_id, weighted_conformal_decision(cal, s, weights, alpha)))
+        p = weighted_p_values(cal, density_ratios(model_p, model_q, cal_eval),
+                              tests, density_ratios(model_p, model_q, to_eval(tests)))
+        flagged = p < alpha
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     decisions_path = out_dir / "decisions.csv"
-    io_mod.write_decisions_csv(decisions_path, decisions)
+    io_mod.write_decisions_csv(
+        decisions_path,
+        zip([r.essay_id for r in test_rows], p.tolist(), flagged.tolist()))
     manifest = io_mod.build_manifest(
         command="detect",
         params={"method": args.method, "alpha": alpha, "shift": args.shift,

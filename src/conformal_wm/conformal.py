@@ -8,9 +8,21 @@ Three decision rules over watermark detector scores, all distribution-free:
   past assignment) and each group contributes its within-group fraction of
   scores at or below the test score,
   ``(1 + sum_k count_k/n_k) / (K + 1)``;
-* weighted: calibration points carry normalized importance weights to
-  absorb a known covariate shift; the test essay is flagged when the
-  weighted mass at or below its score falls strictly under alpha.
+* weighted: calibration points carry importance ratios to absorb a known
+  covariate shift; the test essay is flagged when the normalized weighted
+  mass at or below its score falls strictly under alpha.
+
+All three are one kernel. With ``j = #{s_i <= s}`` (a ``searchsorted`` on
+the sorted calibration scores), each p-value is
+``min((w_test + mass[j]) / (w_test + mass[n]), 1)``, where ``mass[j]`` is
+the calibration weight carried by the j smallest scores. The rules differ
+only in that table: ``mass[j] = j`` with ``w_test = 1`` (standard); the
+exactly rounded sum ``fsum_k(count_k(j)/n_k)`` with ``w_test = 1``
+(hierarchical), so group order never changes a bit and singleton groups
+reproduce the standard p-value exactly; the prefix sums of the raw ratios
+with ``w_test`` the test point's own ratio (weighted). The scalar
+operations on :class:`CalibrationSet` are thin wrappers over the batch
+functions.
 
 Flag inequalities differ on purpose: standard and hierarchical flag on
 ``p <= alpha`` while the weighted rule flags on ``weighted mass < alpha``.
@@ -74,9 +86,6 @@ class CalibrationSet:
     def values(self) -> np.ndarray:
         return np.array([s.value for s in self.scores], dtype=float)
 
-    def log_values(self) -> np.ndarray:
-        return np.array([s.log_value for s in self.scores], dtype=float)
-
     @classmethod
     def from_values(cls, values: Iterable[float], provenance: str = "") -> "CalibrationSet":
         scores = tuple(
@@ -98,10 +107,6 @@ class GroupedCalibrationSet:
 
     def __len__(self) -> int:
         return len(self.groups)
-
-    def flatten(self) -> CalibrationSet:
-        scores = tuple(s for g in self.groups for s in g.scores)
-        return CalibrationSet(scores=scores, provenance="flattened")
 
 
 @dataclass(frozen=True)
@@ -139,8 +144,7 @@ class Decision:
 
 def standard_conformal_p(cal: CalibrationSet, s: WatermarkScore) -> float:
     """p-value (1 + #{s_i <= s}) / (n + 1); lies on the grid k/(n+1), k=1..n+1."""
-    count = sum(1 for t in cal.scores if t.value <= s.value)
-    return (1 + count) / (len(cal) + 1)
+    return float(standard_p_values(cal.values(), s.value))
 
 
 def hierarchical_conformal_p(cal: GroupedCalibrationSet, s: WatermarkScore) -> float:
@@ -149,17 +153,9 @@ def hierarchical_conformal_p(cal: GroupedCalibrationSet, s: WatermarkScore) -> f
     Each group contributes its within-group fraction of scores <= s, so a
     group of 3 essays carries the same total weight as a group of 300.
     With all groups singletons this reduces exactly (bit for bit) to
-    :func:`standard_conformal_p` on the flattened set.
+    :func:`standard_conformal_p` on the pooled scores.
     """
-    fracs = []
-    for k, group in enumerate(cal.groups, start=1):
-        if len(group) == 0:  # unreachable through the constructor, kept as a guard
-            raise ValueError(f"empty_group({k})")
-        count = sum(1 for t in group.scores if t.value <= s.value)
-        fracs.append(count / len(group))
-    # fsum keeps the sum independent of group order, so permuting groups
-    # leaves the p-value bit-identical.
-    return (1.0 + math.fsum(fracs)) / (len(cal) + 1)
+    return float(hierarchical_p_values([g.values() for g in cal.groups], s.value))
 
 
 def standard_decision(cal: CalibrationSet, s: WatermarkScore, alpha: float) -> Decision:
@@ -185,36 +181,35 @@ def weighted_conformal_decision(
     """Weighted decision: flag when weighted mass at or below s is strictly < alpha.
 
     ``weights`` must hold one weight per calibration score plus one for the
-    test point (validated for length here; nonnegativity and normalization
-    are enforced by :class:`~conformal_wm.density.WeightVector` itself).
+    test point (validated for length by :func:`weighted_p_values`;
+    nonnegativity and normalization are enforced by
+    :class:`~conformal_wm.density.WeightVector` itself).
     """
-    if weights.n != len(cal):
-        raise ValueError(
-            f"weight_length_mismatch: {weights.n} calibration weights for "
-            f"{len(cal)} calibration scores"
-        )
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha_out_of_range: {alpha}")
-    mass = math.fsum(
-        w for t, w in zip(cal.scores, weights.calibration_weights) if t.value <= s.value
-    )
-    p = min(mass + weights.test_weight, 1.0)
+    p = float(weighted_p_values(cal.values(), weights.calibration_weights, s.value,
+                                weights.test_weight))
     return Decision(conformal_p=p, flagged=p < alpha, alpha=alpha, method=METHOD_WEIGHTED)
 
 
 # ---------------------------------------------------------------------------
-# Vectorized kernels. Same arithmetic as the scalar operations, applied to
-# whole batches; the simulation harness and the acceptance suite run on
-# these. ``standard_p_batch`` matches the scalar op bit for bit.
+# Batch p-values: one calibration set, many test scores, one rank kernel.
 # ---------------------------------------------------------------------------
+
+
+def _rank_p_values(sorted_cal: np.ndarray, mass: np.ndarray, test_values,
+                   w_test=1.0) -> np.ndarray:
+    """``min((w_test + mass[j]) / (w_test + mass[n]), 1)`` with ``j = #{s_i <= s}``.
+
+    ``mass[j]`` is the calibration weight of the j smallest scores, so
+    ``mass[0] == 0`` and ``mass`` has one entry more than ``sorted_cal``.
+    """
+    j = np.searchsorted(sorted_cal, np.asarray(test_values, dtype=float), side="right")
+    return np.minimum((w_test + mass[j]) / (w_test + mass[-1]), 1.0)
 
 
 def standard_p_values(cal_values: np.ndarray, test_values: np.ndarray) -> np.ndarray:
     """Standard p-values of many test scores against one calibration set."""
     cal = np.sort(np.asarray(cal_values, dtype=float))
-    tests = np.asarray(test_values, dtype=float)
-    counts = np.searchsorted(cal, tests, side="right")
-    return (1.0 + counts) / (cal.size + 1.0)
+    return _rank_p_values(cal, np.arange(cal.size + 1.0), test_values)
 
 
 def standard_p_batch(cal_rows: np.ndarray, test_values: np.ndarray) -> np.ndarray:
@@ -228,15 +223,25 @@ def standard_p_batch(cal_rows: np.ndarray, test_values: np.ndarray) -> np.ndarra
 def hierarchical_p_values(
     groups: Sequence[np.ndarray], test_values: np.ndarray
 ) -> np.ndarray:
-    """Hierarchical p-values of many test scores against one grouped calibration."""
-    tests = np.asarray(test_values, dtype=float)
-    total = np.zeros_like(tests)
-    for g in groups:
-        arr = np.sort(np.asarray(g, dtype=float))
-        if arr.size == 0:
-            raise ValueError("empty_group")
-        total += np.searchsorted(arr, tests, side="right") / arr.size
-    return (1.0 + total) / (len(groups) + 1.0)
+    """Hierarchical p-values of many test scores against one grouped calibration.
+
+    Walking up the pooled scores in sorted order, one group's count grows at
+    each step, and ``mass[j]`` is ``fsum_k(count_k/n_k)`` after j steps; so
+    every p-value equals ``(1 + fsum_k(count_k/n_k)) / (K + 1)`` bit for bit.
+    """
+    sizes = [np.size(g) for g in groups]
+    if 0 in sizes:
+        raise ValueError("empty_group")
+    cal = np.concatenate([np.asarray(g, dtype=float).ravel() for g in groups])
+    order = np.argsort(cal, kind="stable")
+    counts = [0] * len(sizes)
+    fracs = [0.0] * len(sizes)
+    mass = [0.0]
+    for k in np.repeat(np.arange(len(sizes)), sizes)[order].tolist():
+        counts[k] += 1
+        fracs[k] = counts[k] / sizes[k]
+        mass.append(math.fsum(fracs))
+    return _rank_p_values(cal[order], np.array(mass), test_values)
 
 
 def hierarchical_p_batch(
@@ -264,21 +269,21 @@ def weighted_p_values(
     """Weighted masses for many test points sharing one calibration set.
 
     ``cal_ratios``/``test_ratios`` are the raw (unnormalized) density ratios;
-    normalization happens per test point, since the test point's own ratio
-    enters its denominator.
+    ``mass`` holds their prefix sums in sorted order, and the test point's
+    own ratio enters its denominator through ``w_test``.
     """
     cal = np.asarray(cal_values, dtype=float)
     r_cal = np.asarray(cal_ratios, dtype=float)
-    tests = np.asarray(test_values, dtype=float)
     r_test = np.asarray(test_ratios, dtype=float)
+    if r_cal.shape != cal.shape:
+        raise ValueError(
+            f"weight_length_mismatch: {r_cal.size} calibration weights for "
+            f"{cal.size} calibration scores"
+        )
     if not (np.isfinite(r_cal).all() and np.isfinite(r_test).all()):
         raise ValueError("density_underflow: non-finite importance ratio")
     order = np.argsort(cal, kind="stable")
-    cal_sorted = cal[order]
-    prefix = np.concatenate([[0.0], np.cumsum(r_cal[order])])
-    idx = np.searchsorted(cal_sorted, tests, side="right")
-    mass = prefix[idx] + r_test
-    denom = prefix[-1] + r_test
-    if (denom <= 0.0).any():
+    mass = np.concatenate([[0.0], np.cumsum(r_cal[order])])
+    if (mass[-1] + r_test <= 0.0).any():
         raise ValueError("density_underflow: importance ratios sum to zero")
-    return np.minimum(mass / denom, 1.0)
+    return _rank_p_values(cal[order], mass, test_values, r_test)

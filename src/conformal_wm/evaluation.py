@@ -20,36 +20,11 @@ from dataclasses import dataclass, field
 from statistics import fmean
 from typing import Iterable, Sequence
 
-from .conformal import Decision
-
 MIN_OUTLIER_PROPORTION = 0.05
 MIN_OUTLIER_COUNT = 30
 
+# How seed-level metrics fold prompt cells; recorded in metrics.json.
 AGG_PER_PROMPT_MEAN = "per_prompt_mean"
-AGG_POOLED = "pooled"
-
-
-class NoOutliersError(ValueError):
-    def __init__(self):
-        super().__init__("no_outliers")
-
-
-def compute_fpr(decisions: Sequence[Decision]) -> float:
-    """Share of guideline-following essays that got flagged."""
-    if len(decisions) == 0:
-        raise ValueError("empty_decisions")
-    return sum(1 for d in decisions if d.flagged) / len(decisions)
-
-
-def compute_power(decisions: Sequence[Decision]) -> float:
-    """Share of labeled outliers that got flagged.
-
-    Raises :class:`NoOutliersError` on an empty list; the caller marks the
-    cell excluded instead of reporting a power.
-    """
-    if len(decisions) == 0:
-        raise NoOutliersError()
-    return sum(1 for d in decisions if d.flagged) / len(decisions)
 
 
 def is_excluded(
@@ -77,7 +52,7 @@ class CellResult:
     seed: int = 0
     prompt: int = 1  # writing-prompt replicate, not the edit level
     method: str = "standard"
-    n_tests: int = 0  # null-edit test count behind fpr (pooled aggregation weight)
+    n_tests: int = 0  # null-edit test count behind fpr
     suspect_flag_rate: float | None = None  # diagnostic only
 
     def __post_init__(self):
@@ -118,7 +93,6 @@ class OmittedPair:
 class MetricsReport:
     cells: list[CellResult]
     seeds: list[int]
-    aggregation: str
     rows: list[AggregateRow] = field(default_factory=list)
     omitted: list[OmittedPair] = field(default_factory=list)
 
@@ -131,14 +105,12 @@ def aggregate(
     cells: Iterable[CellResult],
     over_prompts: Sequence[int] | None = None,
     over_seeds: Sequence[int] | None = None,
-    aggregation: str = AGG_PER_PROMPT_MEAN,
 ) -> MetricsReport:
     """Fold cells into per-condition means.
 
     Exclusion happens first: excluded cells contribute to no mean. For each
     (method, null, alt, cal_size): per seed, average the surviving prompt
-    cells (unweighted under ``per_prompt_mean``; weighted by test counts
-    under ``pooled``), then average the per-seed values. Conditions whose
+    cells unweighted, then average the per-seed values. Conditions whose
     cells are all excluded are omitted with reason ``negligible_violation``.
     """
     cells = sorted(cells, key=_cell_sort_key)
@@ -150,8 +122,6 @@ def aggregate(
     if over_seeds is not None:
         wanted_seeds = set(over_seeds)
         cells_in = [c for c in cells_in if c.seed in wanted_seeds]
-    if aggregation not in (AGG_PER_PROMPT_MEAN, AGG_POOLED):
-        raise ValueError(f"unknown_aggregation: {aggregation}")
 
     groups: dict[tuple, list[CellResult]] = {}
     for c in cells_in:
@@ -169,14 +139,8 @@ def aggregate(
         power_by_seed: list[float] = []
         for seed in sorted({c.seed for c in kept}):
             seed_cells = [c for c in kept if c.seed == seed]
-            if aggregation == AGG_PER_PROMPT_MEAN:
-                fpr_by_seed.append(fmean(c.fpr for c in seed_cells))
-                power_by_seed.append(fmean(c.power for c in seed_cells))
-            else:
-                fpr_by_seed.append(_weighted_mean(
-                    [(c.fpr, c.n_tests) for c in seed_cells]))
-                power_by_seed.append(_weighted_mean(
-                    [(c.power, c.n_outliers) for c in seed_cells]))
+            fpr_by_seed.append(fmean(c.fpr for c in seed_cells))
+            power_by_seed.append(fmean(c.power for c in seed_cells))
         rows.append(
             AggregateRow(
                 method=method,
@@ -191,13 +155,4 @@ def aggregate(
         )
 
     seeds = sorted({c.seed for c in cells_in})
-    return MetricsReport(
-        cells=cells, seeds=seeds, aggregation=aggregation, rows=rows, omitted=omitted
-    )
-
-
-def _weighted_mean(pairs: list[tuple[float, int]]) -> float:
-    total = sum(w for _, w in pairs)
-    if total == 0:
-        return fmean(v for v, _ in pairs)
-    return sum(v * w for v, w in pairs) / total
+    return MetricsReport(cells=cells, seeds=seeds, rows=rows, omitted=omitted)

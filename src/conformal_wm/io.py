@@ -21,13 +21,12 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from statistics import fmean
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .conformal import Decision
-from .evaluation import MetricsReport
+from . import __version__ as TOOL_VERSION
+from .evaluation import AGG_PER_PROMPT_MEAN, MetricsReport
 
 TOOL_NAME = "conformal-wm"
-TOOL_VERSION = "0.1.0"
 
 VALID_ROLES = ("calibration", "test")
 VALID_POPULATIONS = ("majority", "minority")
@@ -220,13 +219,17 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_decisions_csv(path, decisions: Sequence[tuple[str, Decision]]) -> None:
+def write_decisions_csv(path, rows: Iterable[tuple[str, float, bool]]) -> None:
+    """Write ``(essay_id, conformal_p, flagged)`` rows.
+
+    p must be a Python float (``array.tolist()``): under numpy 2, ``repr``
+    of a numpy float64 is ``np.float64(...)``, not the plain decimal.
+    """
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["essay_id", "conformal_p", "flagged"])
-        for essay_id, d in decisions:
-            writer.writerow([essay_id, repr(d.conformal_p),
-                             "true" if d.flagged else "false"])
+        for essay_id, p, flagged in rows:
+            writer.writerow([essay_id, repr(p), "true" if flagged else "false"])
 
 
 def write_metrics_csv(path, report: MetricsReport, scenario: str) -> None:
@@ -277,7 +280,7 @@ def write_plot_csv(path, report: MetricsReport, scenario: str) -> None:
 def report_to_dict(report: MetricsReport, scenario: str) -> dict:
     return {
         "scenario": scenario,
-        "aggregation": report.aggregation,
+        "aggregation": AGG_PER_PROMPT_MEAN,
         "seeds": list(report.seeds),
         "rows": [
             {

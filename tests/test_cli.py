@@ -1,10 +1,13 @@
 """Ingestion, CLI commands, exit codes, and reproducible outputs."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+import conformal_wm
 from conformal_wm.cli import main
+from conformal_wm.density import DensityModel
 from conformal_wm.io import (
     ScoreRow,
     ScoreTable,
@@ -170,6 +173,47 @@ class TestDetectCommand:
         assert shift["method"] == "quantile"
         assert shift["branch"] == "min"
         assert shift["minority_size"] == 8
+
+    @pytest.mark.parametrize("n_tests", [1, 25])
+    def test_weighted_evaluates_each_kde_a_fixed_number_of_times(
+            self, tmp_path, monkeypatch, n_tests):
+        rows = ["essay_id,score,role,population"]
+        for i in range(40):
+            rows.append(f"maj{i},{0.1 + 0.02 * i:.6f},calibration,majority")
+        for i in range(12):
+            rows.append(f"min{i},{0.02 + 0.01 * i:.6f},calibration,minority")
+        cal = write(tmp_path, "cal.csv", "\n".join(rows) + "\n")
+        test = write(tmp_path, "test.csv", "essay_id,score,role\n" + "".join(
+            f"t{i},{0.01 + 0.03 * i:.6f},test\n" for i in range(n_tests)))
+        calls = []
+        evaluate = DensityModel.evaluate
+
+        def counting_evaluate(model, x):
+            calls.append(model)
+            return evaluate(model, x)
+
+        monkeypatch.setattr(DensityModel, "evaluate", counting_evaluate)
+        assert main(["detect", cal, test, "--method", "weighted",
+                     "--out", str(tmp_path / "out")]) == 0
+        # both KDEs, once at the calibration points and once at the test points
+        assert len(calls) == 4
+
+    def test_manifest_version_is_package_version(self, tmp_path):
+        cal = write(tmp_path, "cal.csv", CAL_CSV)
+        test = write(tmp_path, "test.csv", TEST_CSV)
+        out = tmp_path / "out"
+        assert main(["detect", cal, test, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["version"] == conformal_wm.__version__
+
+    def test_pyproject_reads_package_version(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        config = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+        assert "version" not in config["project"]
+        assert config["project"]["dynamic"] == ["version"]
+        assert config["tool"]["setuptools"]["dynamic"]["version"] == {
+            "attr": "conformal_wm.__version__"}
 
     def test_weighted_missing_population_exits_2(self, tmp_path, capsys):
         cal = write(tmp_path, "cal.csv", CAL_CSV)

@@ -250,6 +250,27 @@ class TestWeightedDecision:
             assert d.flagged == (p_std <= 0.05)
 
 
+tie_prone_score = st.sampled_from([0.1, 0.25, 0.5, 0.75, 1.0]) | score_strategy
+
+
+class TestHierarchicalKernel:
+    @given(groups=st.lists(st.lists(tie_prone_score, min_size=1, max_size=6),
+                           min_size=1, max_size=8),
+           extra_tests=st.lists(score_strategy, max_size=5),
+           seed=st.integers(0, 2**31))
+    def test_p_values_are_exact_fsum_and_order_free(self, groups, extra_tests, seed):
+        # every calibration score is also a test score, so ties are exact
+        tests = [v for g in groups for v in g] + extra_tests
+        oracle = [(1.0 + math.fsum(sum(v <= s for v in g) / len(g) for g in groups))
+                  / (len(groups) + 1) for s in tests]
+        p = hierarchical_p_values([np.array(g) for g in groups], np.array(tests))
+        assert p.tolist() == oracle
+
+        rng = np.random.default_rng(seed)
+        reordered = [rng.permutation(groups[k]) for k in rng.permutation(len(groups))]
+        assert hierarchical_p_values(reordered, np.array(tests)).tolist() == oracle
+
+
 class TestDecisionInvariants:
     def test_standard_flag_iff_p_at_most_alpha(self):
         cal = cal_of([0.1, 0.2, 0.3])
