@@ -133,8 +133,9 @@ def cmd_detect(args) -> int:
             "bandwidth": args.bandwidth,
             "log_scale": use_log,
         }
-        p = weighted_p_values(cal, density_ratios(model_p, model_q, cal_eval),
-                              tests, density_ratios(model_p, model_q, to_eval(tests)))
+        (r_cal,) = density_ratios(model_p, [model_q], cal_eval)
+        (r_test,) = density_ratios(model_p, [model_q], to_eval(tests))
+        p = weighted_p_values(cal, r_cal, tests, r_test)
         flagged = p < alpha
 
     out_dir = Path(args.out)

@@ -375,6 +375,17 @@ def _make_cell(config: ExperimentConfig, method: str, null: int, ctx: _AltContex
     )
 
 
+def _joined_test_sets(test_null: np.ndarray,
+                      contexts: list[_AltContext]) -> tuple[np.ndarray, np.ndarray]:
+    """The null and alternative test sets as one array, plus its split points.
+
+    Each calibration then makes one rank-kernel call, so its ``mass``
+    table is built once; p-values do not depend on the other test points.
+    """
+    sets = [test_null] + [ctx.test_values for ctx in contexts]
+    return np.concatenate(sets), np.cumsum([v.size for v in sets[:-1]])
+
+
 def _standard_cells(config: ExperimentConfig, seed: int, prompt: int) -> list[CellResult]:
     cells = []
     alpha = config.alpha
@@ -388,14 +399,16 @@ def _standard_cells(config: ExperimentConfig, seed: int, prompt: int) -> list[Ce
                                       config.n_test,
                                       _rng(seed, prompt, null, alt, 0, "alt_test"))
             contexts.append(_label_alt_set(config, seed, prompt, null, alt, test_alt))
+        tests, splits = _joined_test_sets(test_null, contexts)
         for size_idx, size in enumerate(config.cal_sizes):
             cal = _sample_values(null_dist, size,
                                  _rng(seed, prompt, null, 0, size_idx, "cal"))
-            fpr = float((standard_p_values(cal, test_null) <= alpha).mean())
-            for ctx in contexts:
-                alt_flags = standard_p_values(cal, ctx.test_values) <= alpha
+            null_flags, *alt_flags = np.split(standard_p_values(cal, tests) <= alpha,
+                                              splits)
+            fpr = float(null_flags.mean())
+            for ctx, flags in zip(contexts, alt_flags):
                 cells.append(_make_cell(config, "standard", null, ctx, size,
-                                        seed, prompt, fpr, alt_flags))
+                                        seed, prompt, fpr, flags))
     return cells
 
 
@@ -445,13 +458,15 @@ def _hierarchical_cells(config: ExperimentConfig, seed: int, prompt: int) -> lis
             test_alt = _hierarchical_test(config, seed, prompt, null, alt, alt,
                                           "alt_test", "alt_test_effects")
             contexts.append(_label_alt_set(config, seed, prompt, null, alt, test_alt))
+        tests, splits = _joined_test_sets(test_null, contexts)
         for size_idx, size in enumerate(config.cal_sizes):
             groups = _grouped_calibration(config, seed, prompt, null, size_idx, size)
-            fpr = float((hierarchical_p_values(groups, test_null) <= alpha).mean())
-            for ctx in contexts:
-                alt_flags = hierarchical_p_values(groups, ctx.test_values) <= alpha
+            null_flags, *alt_flags = np.split(
+                hierarchical_p_values(groups, tests) <= alpha, splits)
+            fpr = float(null_flags.mean())
+            for ctx, flags in zip(contexts, alt_flags):
                 cells.append(_make_cell(config, "hierarchical", null, ctx, size,
-                                        seed, prompt, fpr, alt_flags))
+                                        seed, prompt, fpr, flags))
     return cells
 
 
@@ -459,27 +474,40 @@ def _to_eval_scale(config: ExperimentConfig, values: np.ndarray) -> np.ndarray:
     return np.log10(values) if config.log_scale else np.asarray(values, dtype=float)
 
 
-def _weighted_variants(config: ExperimentConfig, pool: np.ndarray,
-                       minority: np.ndarray):
-    """Density-ratio evaluators for the two subgroup-shift estimators."""
+def _weighted_flagger(config: ExperimentConfig, pool: np.ndarray,
+                      minority_cal: np.ndarray):
+    """A function from a test set to the four methods' flags against one pool.
+
+    The pool density p is evaluated once per point set (the pool, then
+    each test set) and shared by both shift variants.
+    """
+    alpha = config.alpha
     pool_eval = _to_eval_scale(config, pool)
-    minority_eval = _to_eval_scale(config, minority)
+    minority_eval = _to_eval_scale(config, minority_cal)
     model_p = fit_kde(pool_eval, config.bandwidth)
     variants = {
         "weighted_mean": mean_shift(pool_eval, minority_eval, config.bandwidth),
         "weighted_quantile": quantile_shift(pool_eval, minority_eval,
-                                            config.bandwidth, config.alpha),
+                                            config.bandwidth, alpha),
     }
+    models_q = list(variants.values())
+    r_cal = density_ratios(model_p, models_q, pool_eval)
 
-    def ratios_for(model_q, values: np.ndarray) -> np.ndarray:
-        return density_ratios(model_p, model_q, _to_eval_scale(config, values))
+    def flags(values: np.ndarray) -> dict[str, np.ndarray]:
+        r_test = density_ratios(model_p, models_q, _to_eval_scale(config, values))
+        out = {
+            "in_dist": standard_p_values(minority_cal, values) <= alpha,
+            "combined_unweighted": standard_p_values(pool, values) <= alpha,
+        }
+        for name, rc, rt in zip(variants, r_cal, r_test):
+            out[name] = weighted_p_values(pool, rc, values, rt) < alpha
+        return out
 
-    return variants, ratios_for
+    return flags
 
 
 def _weighted_cells(config: ExperimentConfig, seed: int, prompt: int) -> list[CellResult]:
     cells = []
-    alpha = config.alpha
     for null in config.null_levels:
         majority_cal = _sample_values(config.distribution_for("majority", null),
                                       config.majority_cal_size,
@@ -498,28 +526,14 @@ def _weighted_cells(config: ExperimentConfig, seed: int, prompt: int) -> list[Ce
                                           m, _rng(seed, prompt, null, 0, m_idx,
                                                   "minority_cal"))
             pool = np.concatenate([majority_cal, minority_cal])
-            variants, ratios_for = _weighted_variants(config, pool, minority_cal)
-
-            flaggers = {
-                "in_dist":
-                    lambda v, cal=minority_cal: standard_p_values(cal, v) <= alpha,
-                "combined_unweighted":
-                    lambda v, cal=pool: standard_p_values(cal, v) <= alpha,
-            }
-            for name, model_q in variants.items():
-                r_cal = ratios_for(model_q, pool)
-
-                def weighted_flags(v, r_cal=r_cal, model_q=model_q):
-                    r_test = ratios_for(model_q, v)
-                    return weighted_p_values(pool, r_cal, v, r_test) < alpha
-
-                flaggers[name] = weighted_flags
-
-            for method, flagger in flaggers.items():
-                fpr = float(flagger(test_null).mean())
-                for ctx in contexts:
+            flags = _weighted_flagger(config, pool, minority_cal)
+            null_flags = flags(test_null)
+            alt_flags = [flags(ctx.test_values) for ctx in contexts]
+            for method, flagged in null_flags.items():
+                fpr = float(flagged.mean())
+                for ctx, by_method in zip(contexts, alt_flags):
                     cells.append(_make_cell(config, method, null, ctx, m, seed,
-                                            prompt, fpr, flagger(ctx.test_values)))
+                                            prompt, fpr, by_method[method]))
     return cells
 
 

@@ -1,12 +1,14 @@
 """KDE, shift estimators, quantiles, and importance weights."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conformal_wm import density
 from conformal_wm.density import (
     DensityModel,
     DensityUnderflowError,
@@ -231,7 +233,7 @@ class TestWeights:
     def test_floored_pool_density_keeps_ratio_finite(self):
         model_p = fit_kde([0.0], 0.5)
         model_q = DensityModel(support_points=(40.0,), bandwidth=0.5)
-        r = density_ratios(model_p, model_q, [40.0])
+        (r,) = density_ratios(model_p, [model_q], [40.0])
         assert np.isfinite(r).all() and r[0] > 0
 
     def test_weight_vector_validation(self):
@@ -251,3 +253,79 @@ class TestShiftEstimate:
         with pytest.raises(ValueError, match="sigma_not_positive"):
             ShiftEstimate(method="mean", q_anchor=0.0, p_anchor=0.0,
                           sigma_p=0.0, sigma_q=1.0)
+
+
+def dense_evaluate(model, x):
+    """One-shot T x N evaluation; the blocked kernel must match it bit for bit."""
+    arr = np.asarray(x, dtype=float)
+    query = model.scale * arr + model.offset
+    support = np.asarray(model.support_points, dtype=float)
+    z = (query[..., np.newaxis] - support) / model.bandwidth
+    dens = np.exp(-0.5 * z * z).sum(axis=-1)
+    dens /= support.size * model.bandwidth * math.sqrt(2.0 * math.pi)
+    if arr.ndim == 0:
+        return float(dens)
+    return dens
+
+
+B = density._BLOCK_ROWS
+POOL = tuple(np.random.default_rng(7).normal(-1.0, 0.8, 215).tolist())
+MODELS = (
+    DensityModel(support_points=POOL, bandwidth=0.5),
+    DensityModel(support_points=POOL, bandwidth=0.5, scale=0.37, offset=-1.25),
+    DensityModel(support_points=POOL, bandwidth=0.3, scale=2.5, offset=0.8),
+)
+
+
+class TestBlockedEvaluate:
+    def test_scalar_returns_identical_float(self):
+        model = MODELS[1]
+        got = model.evaluate(-0.7)
+        assert type(got) is float
+        assert got == dense_evaluate(model, -0.7)
+
+    def test_empty_array(self):
+        got = MODELS[0].evaluate(np.array([]))
+        assert got.shape == (0,)
+        assert np.array_equal(got, dense_evaluate(MODELS[0], np.array([])))
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("t", [1, B - 1, B, B + 1, 3 * B + 7])
+    def test_lengths_around_block_size(self, model, t):
+        x = np.random.default_rng(t).normal(-1.0, 2.0, t)
+        got = model.evaluate(x)
+        assert got.shape == (t,)
+        assert np.array_equal(got, dense_evaluate(model, x))
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_two_dimensional_input_keeps_shape(self, model):
+        x = np.random.default_rng(3).normal(-1.0, 2.0, (5, B // 2 + 3))
+        got = model.evaluate(x)
+        assert got.shape == x.shape
+        assert np.array_equal(got, dense_evaluate(model, x))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        support=st.lists(st.floats(-8.0, 2.0, allow_nan=False), min_size=1, max_size=60),
+        queries=st.lists(st.floats(-12.0, 6.0, allow_nan=False), max_size=3 * B),
+        bandwidth=st.floats(0.01, 3.0),
+        scale=st.floats(0.1, 10.0),
+        offset=st.floats(-5.0, 5.0),
+    )
+    def test_matches_dense_oracle(self, support, queries, bandwidth, scale, offset):
+        model = DensityModel(support_points=tuple(support), bandwidth=bandwidth,
+                             scale=scale, offset=offset)
+        assert np.array_equal(model.evaluate(queries), dense_evaluate(model, queries))
+
+    def test_memory_does_not_grow_with_queries(self):
+        # A dense 20,000 x 500 float64 temporary alone would take 80 MB.
+        model = fit_kde(np.linspace(-3.0, 1.0, 500), 0.5)
+        x = np.linspace(-6.0, 3.0, 20_000)
+        model.evaluate(x[:1])
+        tracemalloc.start()
+        try:
+            model.evaluate(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000

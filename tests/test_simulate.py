@@ -1,12 +1,15 @@
 """Synthetic generation and scenario driver: determinism, control, collapse."""
 
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conformal_wm.cli import main
 from conformal_wm.conformal import WatermarkScore
+from conformal_wm.density import DensityModel
 from conformal_wm.labeling import EditRecord, ViolationLabel, classify
 from conformal_wm.simulate import (
     ScoreDistribution,
@@ -140,6 +143,39 @@ class TestDeterminism:
         monkeypatch.setenv(THREADS_ENV_VAR, "3")
         via_env = cells_as_tuples(run_scenario(cfg))
         assert serial == threaded == via_env
+
+    def test_weighted_outputs_identical_across_thread_caps(self, tmp_path):
+        cfg = small_config(scenario="weighted", seeds=(1, 2), n_prompts=2, n_test=300,
+                           minority_sizes=(5, 15), max_level=4)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config_to_dict(cfg)), encoding="utf-8")
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            assert main(["simulate", str(path), "--threads", threads,
+                         "--out", str(out)]) == 0
+            outputs.append({f: (out / f).read_bytes()
+                            for f in ("metrics.csv", "metrics.json")})
+        assert outputs[0] == outputs[1]
+
+
+class TestWeightedDensityCalls:
+    def test_pool_density_evaluated_once_per_point_set(self, monkeypatch):
+        cfg = small_config(scenario="weighted", seeds=(1,), n_prompts=1, n_test=50,
+                           null_levels=(1, 4), max_level=6, minority_sizes=(5, 15),
+                           threads=1)
+        calls = []
+        evaluate = DensityModel.evaluate
+
+        def counting_evaluate(model, x):
+            calls.append(model)
+            return evaluate(model, x)
+
+        monkeypatch.setattr(DensityModel, "evaluate", counting_evaluate)
+        run_scenario(cfg)
+        # p and both q-models at the pool, then all three at each test set
+        per_null = [1 + 2 + 3 * (1 + len(cfg.alt_levels(null))) for null in cfg.null_levels]
+        assert len(calls) == len(cfg.minority_sizes) * sum(per_null)
 
 
 class TestScenarioBehavior:
