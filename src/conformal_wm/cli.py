@@ -19,7 +19,7 @@ from . import simulate as sim_mod
 from .bleu import bleu_of_texts
 from .conformal import hierarchical_p_values, standard_p_values, weighted_p_values
 from .density import density_ratios, fit_kde, mean_shift, quantile_shift
-from .io import ScoreRow, ScoreTable, ValidationError
+from .io import ScoreTable, ValidationError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,29 +65,40 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _require_role(table: ScoreTable, role: str, path: str) -> list[ScoreRow]:
-    for i, row in enumerate(table.rows, start=1):
-        if row.role != role:
-            raise ValidationError("role_mismatch",
-                                  detail=f"essay {row.essay_id!r} in {path} has role "
-                                         f"{row.role!r}, expected {role!r}",
-                                  line=i, field_name="role")
-    if not table.rows:
+def _require_role(table: ScoreTable, role: str, path: str) -> ScoreTable:
+    if table.role.count(role) != len(table):
+        i = next(i for i, r in enumerate(table.role) if r != role)
+        raise ValidationError("role_mismatch",
+                              detail=f"essay {table.essay_id[i]!r} in {path} has role "
+                                     f"{table.role[i]!r}, expected {role!r}",
+                              line=table.line[i], field_name="role")
+    if not len(table):
         raise ValidationError("empty_table", detail=path)
-    return table.rows
+    return table
+
+
+def _require_column(table: ScoreTable, name: str) -> tuple:
+    """The calibration column ``name``; raises ``missing_<name>`` at its first gap."""
+    column = getattr(table, name)
+    if None in column:
+        i = column.index(None)
+        raise ValidationError(f"missing_{name}",
+                              detail=f"calibration essay {table.essay_id[i]!r}",
+                              line=table.line[i], field_name=name)
+    return column
 
 
 def cmd_detect(args) -> int:
-    cal_rows = _require_role(io_mod.ingest(args.cal_path), "calibration", args.cal_path)
-    test_rows = _require_role(io_mod.ingest(args.test_path), "test", args.test_path)
+    cal_table = _require_role(io_mod.ingest(args.cal_path), "calibration", args.cal_path)
+    test_table = _require_role(io_mod.ingest(args.test_path), "test", args.test_path)
     alpha = args.alpha
     if not 0.0 < alpha < 1.0:
         raise ValidationError("alpha_out_of_range", detail=repr(alpha),
                               field_name="alpha")
     use_log = args.log_scale == "on"
     extra: dict = {"method": args.method, "alpha": alpha}
-    cal = np.array([r.score for r in cal_rows])
-    tests = np.array([r.score for r in test_rows])
+    cal = cal_table.score
+    tests = test_table.score
 
     if args.method == "standard":
         p = standard_p_values(cal, tests)
@@ -95,23 +106,15 @@ def cmd_detect(args) -> int:
 
     elif args.method == "hierarchical":
         by_group: dict[str, list[int]] = {}
-        for i, row in enumerate(cal_rows, start=1):
-            if row.group_id is None:
-                raise ValidationError("missing_group_id",
-                                      detail=f"calibration essay {row.essay_id!r}",
-                                      line=i, field_name="group_id")
-            by_group.setdefault(row.group_id, []).append(i - 1)
+        for i, group in enumerate(_require_column(cal_table, "group_id")):
+            by_group.setdefault(group, []).append(i)
         extra["n_groups"] = len(by_group)
         p = hierarchical_p_values([cal[idx] for idx in by_group.values()], tests)
         flagged = p <= alpha
 
     else:  # weighted
-        for i, row in enumerate(cal_rows, start=1):
-            if row.population is None:
-                raise ValidationError("missing_population",
-                                      detail=f"calibration essay {row.essay_id!r}",
-                                      line=i, field_name="population")
-        minority = np.array([r.population == "minority" for r in cal_rows])
+        minority = np.array(
+            [pop == "minority" for pop in _require_column(cal_table, "population")])
         if not minority.any():
             raise ValidationError("no_minority_rows", detail=args.cal_path)
         to_eval = np.log10 if use_log else np.asarray
@@ -143,7 +146,7 @@ def cmd_detect(args) -> int:
     decisions_path = out_dir / "decisions.csv"
     io_mod.write_decisions_csv(
         decisions_path,
-        zip([r.essay_id for r in test_rows], p.tolist(), flagged.tolist()))
+        zip(test_table.essay_id, p.tolist(), flagged.tolist()))
     manifest = io_mod.build_manifest(
         command="detect",
         params={"method": args.method, "alpha": alpha, "shift": args.shift,

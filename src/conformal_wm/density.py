@@ -52,21 +52,33 @@ def empirical_quantile(values: Sequence[float], level: float) -> float:
     clamping to the sample minimum/maximum outside that range. The same
     convention is shared by every quantile in this package so thresholds
     and shift anchors stay mutually consistent.
+
+    The order statistics come out as ``sorted()`` would place them and the
+    interpolation runs on Python floats, so the result has the bits of the
+    list-sorting formula. NaN or infinite values raise ``non_finite_values``.
     """
     if len(values) == 0:
         raise ValueError("empty_values: quantile of an empty sample")
     if not 0.0 <= level <= 1.0:
         raise ValueError(f"level_out_of_range: {level}")
-    xs = sorted(float(v) for v in values)
+    xs = np.sort(np.asarray(values, dtype=np.float64))
+    # Only -0.0 and 0.0 compare equal with different bits; with a -0.0
+    # present, sort stably so the zeros keep their input order as in sorted().
+    if np.signbit(xs[xs == 0.0]).any():
+        xs = np.sort(np.asarray(values, dtype=np.float64), kind="stable")
+    # NaN sorts last and -inf first, so the ends show any non-finite value
+    if not (math.isfinite(xs[0]) and math.isfinite(xs[-1])):
+        raise ValueError("non_finite_values: quantile of a sample with NaN or inf")
     m = len(xs)
     h = m * level + 0.5
     if h <= 1.0:
-        return xs[0]
+        return float(xs[0])
     if h >= m:
-        return xs[-1]
+        return float(xs[-1])
     j = int(math.floor(h))
     g = h - j
-    return xs[j - 1] + g * (xs[j] - xs[j - 1])
+    lo = float(xs[j - 1])
+    return lo + g * (float(xs[j]) - lo)
 
 
 @dataclass(frozen=True)

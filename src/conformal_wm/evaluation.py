@@ -78,6 +78,8 @@ class AggregateRow:
     power: float | None
     n_cells: int
     n_outliers_total: int
+    # (seed, fpr, power) per seed, before the across-seed average; plot data
+    by_seed: tuple[tuple[int, float, float], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -135,22 +137,22 @@ def aggregate(
         if not kept:
             omitted.append(OmittedPair(method, null_p, alt_p, size, "negligible_violation"))
             continue
-        fpr_by_seed: list[float] = []
-        power_by_seed: list[float] = []
+        by_seed = []
         for seed in sorted({c.seed for c in kept}):
             seed_cells = [c for c in kept if c.seed == seed]
-            fpr_by_seed.append(fmean(c.fpr for c in seed_cells))
-            power_by_seed.append(fmean(c.power for c in seed_cells))
+            by_seed.append((seed, fmean(c.fpr for c in seed_cells),
+                            fmean(c.power for c in seed_cells)))
         rows.append(
             AggregateRow(
                 method=method,
                 null_prompt=null_p,
                 alt_prompt=alt_p,
                 cal_size=size,
-                fpr=fmean(fpr_by_seed),
-                power=fmean(power_by_seed),
+                fpr=fmean(fpr for _, fpr, _ in by_seed),
+                power=fmean(power for _, _, power in by_seed),
                 n_cells=len(kept),
                 n_outliers_total=sum(c.n_outliers for c in kept),
+                by_seed=tuple(by_seed),
             )
         )
 

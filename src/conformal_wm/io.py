@@ -17,11 +17,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
+from operator import itemgetter
 from pathlib import Path
-from statistics import fmean
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from . import __version__ as TOOL_VERSION
 from .evaluation import AGG_PER_PROMPT_MEAN, MetricsReport
@@ -74,18 +76,56 @@ class ScoreRow:
     edit_intensity: int | None = None
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ScoreTable:
-    """Validated score rows, in file order."""
+    """Validated score table as columns, in file order.
 
-    rows: list[ScoreRow] = field(default_factory=list)
+    ``line`` is each row's source position: the physical file line the
+    record ends on for CSV (header = 1), the 1-based array index for JSON.
+    ``rows`` rebuilds one :class:`ScoreRow` per row for library callers;
+    the ``detect`` path reads the columns.
+    """
+
+    essay_id: tuple[str, ...]
+    score: np.ndarray  # float64
+    role: tuple[str, ...]
+    group_id: tuple[str | None, ...]
+    population: tuple[str | None, ...]
+    edit_intensity: tuple[int | None, ...]
+    line: tuple[int, ...]
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.essay_id)
+
+    @property
+    def rows(self) -> list[ScoreRow]:
+        return [ScoreRow(*values) for values in zip(
+            self.essay_id, self.score.tolist(), self.role, self.group_id,
+            self.population, self.edit_intensity)]
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[ScoreRow]) -> ScoreTable:
+        """Table of ``rows``, numbered 1..n like a JSON array."""
+        return cls._from_values(
+            [(r.essay_id, r.score, r.role, r.group_id, r.population, r.edit_intensity)
+             for r in rows], range(1, len(rows) + 1))
+
+    @classmethod
+    def _from_values(cls, values: list[tuple], lines: Iterable[int]) -> ScoreTable:
+        columns = list(zip(*values)) or [()] * len(_CSV_COLUMNS)
+        essay_id, score, role, group_id, population, intensity = columns
+        return cls(essay_id=essay_id, score=np.array(score, dtype=np.float64),
+                   role=role, group_id=group_id, population=population,
+                   edit_intensity=intensity, line=tuple(lines))
 
 
-def _validate_row(raw: dict, line: int, seen_ids: set) -> ScoreRow:
-    essay_id = str(raw.get("essay_id") or "").strip()
+def _validate_row(raw: tuple, line: int, seen_ids: set) -> tuple:
+    """Check one row's values, given in ``_CSV_COLUMNS`` order (None if absent).
+
+    Returns the cleaned values in the same order.
+    """
+    essay_id, raw_score, role, group_id, population, intensity_raw = raw
+    essay_id = str(essay_id or "").strip()
     if not essay_id:
         raise ValidationError("missing_essay_id", line=line, field_name="essay_id")
     if essay_id in seen_ids:
@@ -93,7 +133,6 @@ def _validate_row(raw: dict, line: int, seen_ids: set) -> ScoreRow:
                               field_name="essay_id")
     seen_ids.add(essay_id)
 
-    raw_score = raw.get("score")
     try:
         score = float(raw_score)
     except (TypeError, ValueError):
@@ -103,21 +142,18 @@ def _validate_row(raw: dict, line: int, seen_ids: set) -> ScoreRow:
         raise ValidationError("score_out_of_range", detail=repr(score), line=line,
                               field_name="score")
 
-    role = str(raw.get("role") or "").strip()
+    role = str(role or "").strip()
     if role not in VALID_ROLES:
         raise ValidationError("invalid_role", detail=repr(role), line=line,
                               field_name="role")
 
-    group_id = raw.get("group_id")
     group_id = str(group_id).strip() if group_id not in (None, "") else None
 
-    population = raw.get("population")
     population = str(population).strip() if population not in (None, "") else None
     if population is not None and population not in VALID_POPULATIONS:
         raise ValidationError("invalid_population", detail=repr(population),
                               line=line, field_name="population")
 
-    intensity_raw = raw.get("edit_intensity")
     intensity = None
     if intensity_raw not in (None, ""):
         try:
@@ -129,8 +165,7 @@ def _validate_row(raw: dict, line: int, seen_ids: set) -> ScoreRow:
             raise ValidationError("invalid_edit_intensity", detail=repr(intensity),
                                   line=line, field_name="edit_intensity")
 
-    return ScoreRow(essay_id=essay_id, score=score, role=role, group_id=group_id,
-                    population=population, edit_intensity=intensity)
+    return essay_id, score, role, group_id, population, intensity
 
 
 def _infer_format(path: Path, fmt: str | None) -> str:
@@ -142,40 +177,68 @@ def _infer_format(path: Path, fmt: str | None) -> str:
     return suffix if suffix in ("csv", "json") else "csv"
 
 
+def _csv_values(path: Path) -> Iterator[tuple[tuple, int]]:
+    """``(values, line)`` per non-blank CSV record, values in column order.
+
+    Reads like ``csv.DictReader``: the first record is the header, the last
+    of duplicate header names wins, unknown columns are ignored, a short
+    record reads its missing fields as None, and ``line`` is the physical
+    line the record ends on.
+    """
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValidationError("empty_file", detail=str(path))
+        index = {name: i for i, name in enumerate(header)}
+        for col in _REQUIRED_COLUMNS:
+            if col not in index:
+                raise ValidationError("missing_column", field_name=col, line=1)
+        width = len(header)
+        # absent columns read the None padded on at position ``width``; short
+        # records are padded with None up to that position too
+        pick = itemgetter(*(index.get(col, width) for col in _CSV_COLUMNS))
+        padding = [None] * (width + any(col not in index for col in _CSV_COLUMNS))
+        for record in reader:
+            if not record:
+                continue
+            n = len(record)
+            if n > width:
+                raise ValidationError("extra_fields", line=reader.line_num)
+            if n < len(padding):
+                record += padding[n:]
+            yield pick(record), reader.line_num
+
+
+def _json_values(path: Path) -> Iterator[tuple[tuple, int]]:
+    """``(values, index)`` per JSON array element, values in column order."""
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValidationError("parse_error", detail=str(exc),
+                              line=exc.lineno) from None
+    if not isinstance(payload, list):
+        raise ValidationError("schema_violation", detail="expected a JSON array")
+    for i, raw in enumerate(payload, start=1):
+        if not isinstance(raw, dict):
+            raise ValidationError("schema_violation", detail="row is not an object",
+                                  line=i)
+        yield tuple(raw.get(col) for col in _CSV_COLUMNS), i
+
+
 def ingest(path, fmt: str | None = None) -> ScoreTable:
     """Read and validate a score table from CSV or JSON (row order preserved)."""
     path = Path(path)
     if not path.exists():
         raise ValidationError("file_not_found", detail=str(path))
-    fmt = _infer_format(path, fmt)
+    records = _csv_values(path) if _infer_format(path, fmt) == "csv" else _json_values(path)
     seen: set = set()
-    rows: list[ScoreRow] = []
-    if fmt == "csv":
-        with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise ValidationError("empty_file", detail=str(path))
-            for col in _REQUIRED_COLUMNS:
-                if col not in reader.fieldnames:
-                    raise ValidationError("missing_column", field_name=col, line=1)
-            for raw in reader:
-                if raw.get(None):
-                    raise ValidationError("extra_fields", line=reader.line_num)
-                rows.append(_validate_row(raw, reader.line_num, seen))
-    else:
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ValidationError("parse_error", detail=str(exc),
-                                  line=exc.lineno) from None
-        if not isinstance(payload, list):
-            raise ValidationError("schema_violation", detail="expected a JSON array")
-        for i, raw in enumerate(payload, start=1):
-            if not isinstance(raw, dict):
-                raise ValidationError("schema_violation", detail="row is not an object",
-                                      line=i)
-            rows.append(_validate_row(raw, i, seen))
-    return ScoreTable(rows=rows)
+    values: list[tuple] = []
+    lines: list[int] = []
+    for raw, line in records:
+        values.append(_validate_row(raw, line, seen))
+        lines.append(line)
+    return ScoreTable._from_values(values, lines)
 
 
 def emit_score_table(table: ScoreTable, path, fmt: str | None = None) -> None:
@@ -228,8 +291,8 @@ def write_decisions_csv(path, rows: Iterable[tuple[str, float, bool]]) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["essay_id", "conformal_p", "flagged"])
-        for essay_id, p, flagged in rows:
-            writer.writerow([essay_id, repr(p), "true" if flagged else "false"])
+        writer.writerows((essay_id, repr(p), "true" if flagged else "false")
+                         for essay_id, p, flagged in rows)
 
 
 def write_metrics_csv(path, report: MetricsReport, scenario: str) -> None:
@@ -247,34 +310,17 @@ def write_metrics_csv(path, report: MetricsReport, scenario: str) -> None:
                              om.cal_size, "omitted", om.reason, "", "", "", ""])
 
 
-def seed_level_rows(report: MetricsReport) -> list[tuple]:
-    """(method, null, alt, cal_size, seed, metric, value) rows for plotting.
-
-    Values are per-seed means over the non-excluded prompt replicates, i.e.
-    one step short of the across-seed average in the aggregate rows.
-    """
-    buckets: dict[tuple, list] = {}
-    for c in report.cells:
-        if c.excluded:
-            continue
-        buckets.setdefault(
-            (c.method, c.null_prompt, c.alt_prompt, c.cal_size, c.seed), []).append(c)
-    out = []
-    for key in sorted(buckets):
-        cells = buckets[key]
-        out.append((*key, "fpr", fmean(c.fpr for c in cells)))
-        out.append((*key, "power", fmean(c.power for c in cells)))
-    return out
-
-
 def write_plot_csv(path, report: MetricsReport, scenario: str) -> None:
+    """Per-seed means (long format), one step short of the aggregate rows."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["scenario", "method", "null_prompt", "alt_prompt",
                          "cal_size", "seed", "metric", "value"])
-        for method, null_p, alt_p, size, seed, metric, value in seed_level_rows(report):
-            writer.writerow([scenario, method, null_p, alt_p, size, seed, metric,
-                             _fmt(value)])
+        for row in report.rows:
+            key = (scenario, row.method, row.null_prompt, row.alt_prompt, row.cal_size)
+            for seed, fpr, power in row.by_seed:
+                writer.writerow([*key, seed, "fpr", _fmt(fpr)])
+                writer.writerow([*key, seed, "power", _fmt(power)])
 
 
 def report_to_dict(report: MetricsReport, scenario: str) -> dict:

@@ -96,7 +96,7 @@ class TestIngest:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_round_trip_value_identical(self, tmp_path, fmt):
-        table = ScoreTable(rows=[
+        table = ScoreTable.from_rows([
             ScoreRow("e1", 0.1234567890123456, "calibration", group_id="g1"),
             ScoreRow("e2", 1.0, "test", population="minority", edit_intensity=7),
             ScoreRow("e3", 1e-12, "test"),
@@ -215,6 +215,18 @@ class TestDetectCommand:
         assert config["tool"]["setuptools"]["dynamic"]["version"] == {
             "attr": "conformal_wm.__version__"}
 
+    def test_ci_workflow_runs_tier1_command(self):
+        yaml = pytest.importorskip("yaml")
+        root = Path(__file__).resolve().parents[1]
+        workflow = yaml.safe_load(
+            (root / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8"))
+        steps = workflow["jobs"]["tier1"]["steps"]
+        runs = [step["run"] for step in steps if "run" in step]
+        assert runs[0] == "pip install -e .[test]"
+        tier1 = next(line for line in (root / "ROADMAP.md").read_text(
+            encoding="utf-8").splitlines() if line.startswith("**Tier-1 verify:**"))
+        assert f"`{runs[-1]}`" in tier1
+
     def test_weighted_missing_population_exits_2(self, tmp_path, capsys):
         cal = write(tmp_path, "cal.csv", CAL_CSV)
         test = write(tmp_path, "test.csv", TEST_CSV)
@@ -229,6 +241,64 @@ class TestDetectCommand:
         code = main(["detect", cal, cal, "--out", str(tmp_path / "out")])
         assert code == 2
         assert json.loads(capsys.readouterr().err.strip())["error"] == "role_mismatch"
+
+
+class TestDetectErrorLines:
+    """Errors raised in detect name the source line, as ingest errors do."""
+
+    def run_error(self, capsys, argv):
+        assert main(argv) == 2
+        return json.loads(capsys.readouterr().err.strip())
+
+    def test_role_mismatch_names_first_data_line(self, tmp_path, capsys):
+        test = write(tmp_path, "test.csv", TEST_CSV)
+        err = self.run_error(capsys, ["detect", test, test,
+                                      "--out", str(tmp_path / "out")])
+        assert (err["error"], err["line"], err["field"]) == ("role_mismatch", 2, "role")
+        assert "t1" in err["detail"]
+
+    def test_role_mismatch_in_test_table(self, tmp_path, capsys):
+        cal = write(tmp_path, "cal.csv", CAL_CSV)
+        test = write(tmp_path, "test.csv",
+                     "essay_id,score,role\nt1,0.05,test\n\nt2,0.1,calibration\n")
+        err = self.run_error(capsys, ["detect", cal, test,
+                                      "--out", str(tmp_path / "out")])
+        assert (err["error"], err["line"]) == ("role_mismatch", 4)
+
+    def test_missing_group_id_after_blank_line(self, tmp_path, capsys):
+        cal = write(tmp_path, "cal.csv",
+                    "essay_id,score,role,group_id\nc1,0.1,calibration,g1\n"
+                    "\nc2,0.2,calibration,\n")
+        test = write(tmp_path, "test.csv", TEST_CSV)
+        err = self.run_error(capsys, ["detect", cal, test, "--method", "hierarchical",
+                                      "--out", str(tmp_path / "out")])
+        assert (err["error"], err["line"], err["field"]) == \
+            ("missing_group_id", 4, "group_id")
+        assert "c2" in err["detail"]
+
+    def test_missing_population_names_json_index(self, tmp_path, capsys):
+        cal = write(tmp_path, "cal.json", json.dumps([
+            {"essay_id": "c1", "score": 0.1, "role": "calibration",
+             "population": "minority"},
+            {"essay_id": "c2", "score": 0.2, "role": "calibration",
+             "population": "majority"},
+            {"essay_id": "c3", "score": 0.3, "role": "calibration"},
+        ]))
+        test = write(tmp_path, "test.csv", TEST_CSV)
+        err = self.run_error(capsys, ["detect", cal, test, "--method", "weighted",
+                                      "--out", str(tmp_path / "out")])
+        assert (err["error"], err["line"], err["field"]) == \
+            ("missing_population", 3, "population")
+
+    def test_role_mismatch_names_json_index(self, tmp_path, capsys):
+        cal = write(tmp_path, "cal.csv", CAL_CSV)
+        test = write(tmp_path, "test.json", json.dumps([
+            {"essay_id": "t1", "score": 0.1, "role": "test"},
+            {"essay_id": "t2", "score": 0.2, "role": "calibration"},
+        ]))
+        err = self.run_error(capsys, ["detect", cal, test,
+                                      "--out", str(tmp_path / "out")])
+        assert (err["error"], err["line"]) == ("role_mismatch", 2)
 
 
 SMALL_CONFIG = {

@@ -105,6 +105,74 @@ class TestEmpiricalQuantile:
         with pytest.raises(ValueError, match="level_out_of_range"):
             empirical_quantile([1.0], 1.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    def test_rejects_non_finite_values(self, bad, where):
+        values = [0.3, 0.1, 0.5, 0.2, 0.4]
+        values[where] = bad
+        with pytest.raises(ValueError, match="non_finite_values"):
+            empirical_quantile(values, 0.5)
+        with pytest.raises(ValueError, match="non_finite_values"):
+            empirical_quantile(np.array(values), 0.05)
+
+
+def sorted_quantile(values, level):
+    """The list-sorting empirical_quantile, kept as the bit-identity oracle."""
+    xs = sorted(float(v) for v in values)
+    m = len(xs)
+    h = m * level + 0.5
+    if h <= 1.0:
+        return xs[0]
+    if h >= m:
+        return xs[-1]
+    j = int(math.floor(h))
+    g = h - j
+    return xs[j - 1] + g * (xs[j] - xs[j - 1])
+
+
+def same_bits(a, b):
+    return type(a) is float and np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+# small pools make ties (and signed-zero ties) frequent
+tie_prone = st.lists(
+    st.one_of(st.sampled_from([-0.0, 0.0, 0.25, -1.5, 1e-300, 0.1 + 0.2]),
+              st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)),
+    min_size=1, max_size=60)
+levels = st.one_of(st.sampled_from([0.0, 1.0, 0.05, 0.5, 1e-9, 1 - 1e-9]),
+                   st.floats(0.0, 1.0, allow_nan=False))
+
+
+class TestEmpiricalQuantileBits:
+    @settings(max_examples=400, deadline=None)
+    @given(values=tie_prone, level=levels, as_array=st.booleans())
+    def test_equals_sorted_formula_bit_for_bit(self, values, level, as_array):
+        data = np.array(values) if as_array else values
+        assert same_bits(empirical_quantile(data, level), sorted_quantile(values, level))
+
+    @pytest.mark.parametrize("level", [0.0, 0.3, 0.5, 0.7, 1.0])
+    def test_single_value(self, level):
+        assert same_bits(empirical_quantile([-0.0], level), -0.0)
+        assert same_bits(empirical_quantile(np.array([0.7]), level), 0.7)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 10, 20, 1000])
+    def test_clamp_boundaries(self, m):
+        rng = np.random.default_rng(m)
+        values = rng.normal(size=m)
+        # h = m*level + 0.5 lands exactly on 1 and on m at these levels
+        for level in (0.0, 0.5 / m, 1.0 - 0.5 / m, 1.0,
+                      np.nextafter(0.5 / m, 1.0), np.nextafter(1.0 - 0.5 / m, 0.0)):
+            assert same_bits(empirical_quantile(values, float(level)),
+                             sorted_quantile(values, float(level)))
+
+    def test_signed_zero_ties_keep_input_order(self):
+        values = [0.0, -0.0] * 40 + [1.0] * 20
+        for level in (0.0, 0.1, 0.5):
+            assert same_bits(empirical_quantile(values, level),
+                             sorted_quantile(values, level))
+            assert same_bits(empirical_quantile(values[::-1], level),
+                             sorted_quantile(values[::-1], level))
+
 
 class TestMeanShift:
     def test_identical_populations_give_identity_transform(self):

@@ -1,7 +1,7 @@
 """Golden snapshots: `simulate` and `detect` outputs pinned to committed files.
 
-Simulate metrics and standard/hierarchical decisions must match byte for
-byte. Weighted decisions must keep every flag, with p-values equal up to
+Simulate metrics, the standard config's plot data and standard/hierarchical
+decisions must match byte for byte. Weighted decisions must keep every flag, with p-values equal up to
 a relative 1e-12: normalizing the importance weights once per table
 instead of once per essay may move the last bits.
 
@@ -40,14 +40,18 @@ DETECT_CASES = {
 EXACT_DETECT = ("detect_standard", "detect_hierarchical")
 WEIGHTED_DETECT = ("detect_weighted_quantile", "detect_weighted_mean")
 
+# simulate cases whose plot_data.csv is pinned too, as <name>_plot_data.csv
+PLOT_CASES = ("simulate_standard",)
 
-def run_simulate(name: str, work: Path) -> bytes:
+
+def run_simulate(name: str, work: Path, output: str = "metrics.csv") -> bytes:
     config, extra = SIMULATE_CASES[name]
-    config_path = work / f"{name}.json"
-    config_path.write_text(json.dumps(config), encoding="utf-8")
     out = work / name
-    assert main(["simulate", str(config_path), *extra, "--out", str(out)]) == 0
-    return (out / "metrics.csv").read_bytes()
+    if not out.exists():
+        config_path = work / f"{name}.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["simulate", str(config_path), *extra, "--out", str(out)]) == 0
+    return (out / output).read_bytes()
 
 
 def run_detect(name: str, work: Path) -> bytes:
@@ -71,6 +75,12 @@ def test_simulate_metrics_byte_identical(tmp_path, name):
     assert run_simulate(name, tmp_path) == golden_bytes(name)
 
 
+@pytest.mark.parametrize("name", PLOT_CASES)
+def test_simulate_plot_data_byte_identical(tmp_path, name):
+    got = run_simulate(name, tmp_path, "plot_data.csv")
+    assert got == golden_bytes(f"{name}_plot_data")
+
+
 @pytest.mark.parametrize("name", EXACT_DETECT)
 def test_rank_detect_decisions_byte_identical(tmp_path, name):
     assert run_detect(name, tmp_path) == golden_bytes(name)
@@ -89,6 +99,9 @@ def test_weighted_detect_same_flags_last_bits_only(tmp_path, name):
 def regenerate(work: Path) -> None:
     for name in SIMULATE_CASES:
         (GOLDEN / f"{name}.csv").write_bytes(run_simulate(name, work))
+    for name in PLOT_CASES:
+        (GOLDEN / f"{name}_plot_data.csv").write_bytes(
+            run_simulate(name, work, "plot_data.csv"))
     for name in DETECT_CASES:
         (GOLDEN / f"{name}.csv").write_bytes(run_detect(name, work))
 
