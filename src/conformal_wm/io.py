@@ -17,11 +17,12 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -104,19 +105,33 @@ class ScoreTable:
             self.population, self.edit_intensity)]
 
     @classmethod
-    def from_rows(cls, rows: Sequence[ScoreRow]) -> ScoreTable:
+    def from_rows(cls, rows: Iterable[ScoreRow]) -> ScoreTable:
         """Table of ``rows``, numbered 1..n like a JSON array."""
-        return cls._from_values(
-            [(r.essay_id, r.score, r.role, r.group_id, r.population, r.edit_intensity)
-             for r in rows], range(1, len(rows) + 1))
+        return _collect(
+            ((r.essay_id, r.score, r.role, r.group_id, r.population, r.edit_intensity), i)
+            for i, r in enumerate(rows, start=1))
 
-    @classmethod
-    def _from_values(cls, values: list[tuple], lines: Iterable[int]) -> ScoreTable:
-        columns = list(zip(*values)) or [()] * len(_CSV_COLUMNS)
-        essay_id, score, role, group_id, population, intensity = columns
-        return cls(essay_id=essay_id, score=np.array(score, dtype=np.float64),
-                   role=role, group_id=group_id, population=population,
-                   edit_intensity=intensity, line=tuple(lines))
+
+def _collect(rows: Iterable[tuple[tuple, int]]) -> ScoreTable:
+    """Table of ``(values, line)`` pairs, values in ``_CSV_COLUMNS`` order.
+
+    Appends to one list per column instead of transposing a list of row
+    tuples, so no row tuple outlives its row and the peak stays near the
+    size of the columns.
+    """
+    ids, scores, roles, groups, populations, intensities, lines = ([] for _ in range(7))
+    for (essay_id, score, role, group_id, population, intensity), line in rows:
+        ids.append(essay_id)
+        scores.append(score)
+        roles.append(role)
+        groups.append(group_id)
+        populations.append(population)
+        intensities.append(intensity)
+        lines.append(line)
+    return ScoreTable(essay_id=tuple(ids), score=np.array(scores, dtype=np.float64),
+                      role=tuple(roles), group_id=tuple(groups),
+                      population=tuple(populations), edit_intensity=tuple(intensities),
+                      line=tuple(lines))
 
 
 def _validate_row(raw: tuple, line: int, seen_ids: set) -> tuple:
@@ -146,6 +161,7 @@ def _validate_row(raw: tuple, line: int, seen_ids: set) -> tuple:
     if role not in VALID_ROLES:
         raise ValidationError("invalid_role", detail=repr(role), line=line,
                               field_name="role")
+    role = sys.intern(role)  # one string per role, not one per row
 
     group_id = str(group_id).strip() if group_id not in (None, "") else None
 
@@ -233,12 +249,7 @@ def ingest(path, fmt: str | None = None) -> ScoreTable:
         raise ValidationError("file_not_found", detail=str(path))
     records = _csv_values(path) if _infer_format(path, fmt) == "csv" else _json_values(path)
     seen: set = set()
-    values: list[tuple] = []
-    lines: list[int] = []
-    for raw, line in records:
-        values.append(_validate_row(raw, line, seen))
-        lines.append(line)
-    return ScoreTable._from_values(values, lines)
+    return _collect((_validate_row(raw, line, seen), line) for raw, line in records)
 
 
 def emit_score_table(table: ScoreTable, path, fmt: str | None = None) -> None:
