@@ -28,10 +28,8 @@ from .conformal import (
 )
 from .density import (
     DensityModel,
-    DensityUnderflowError,
     ShiftEstimate,
-    WeightVector,
-    compute_weights,
+    density_ratios,
     empirical_quantile,
     fit_kde,
     mean_shift,
@@ -44,7 +42,7 @@ from .evaluation import (
     aggregate,
     is_excluded,
 )
-from .labeling import EditRecord, ViolationLabel, bleu_quantile_threshold, classify
+from .labeling import bleu_quantile_threshold, outlier_mask
 from .simulate import (
     ExperimentConfig,
     ScoreDistribution,
@@ -58,11 +56,10 @@ __all__ = [
     "CalibrationSet", "Decision", "GroupedCalibrationSet", "WatermarkScore",
     "hierarchical_conformal_p", "hierarchical_decision", "standard_conformal_p",
     "standard_decision", "weighted_conformal_decision",
-    "DensityModel", "DensityUnderflowError", "ShiftEstimate", "WeightVector",
-    "compute_weights", "empirical_quantile", "fit_kde", "mean_shift",
-    "quantile_shift",
+    "DensityModel", "ShiftEstimate", "density_ratios", "empirical_quantile",
+    "fit_kde", "mean_shift", "quantile_shift",
     "AggregateRow", "CellResult", "MetricsReport", "aggregate", "is_excluded",
-    "EditRecord", "ViolationLabel", "bleu_quantile_threshold", "classify",
+    "bleu_quantile_threshold", "outlier_mask",
     "ExperimentConfig", "ScoreDistribution", "default_config", "generate_scores",
     "run_scenario",
     "__version__",

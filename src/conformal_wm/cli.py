@@ -201,14 +201,17 @@ def cmd_simulate(args) -> int:
     io_mod.write_metrics_csv(metrics_csv, report, config.scenario)
     io_mod.write_metrics_json(metrics_json, report, config.scenario)
     io_mod.write_plot_csv(plot_csv, report, config.scenario)
+    # the thread cap never changes an output byte, so it stays out of the hash
+    params = sim_mod.config_to_dict(config)
+    threads = params.pop("threads")
     manifest = io_mod.build_manifest(
         command="simulate",
-        params=sim_mod.config_to_dict(config),
+        params=params,
         seeds=config.seeds,
         inputs=inputs,
         outputs={"metrics.csv": metrics_csv, "metrics.json": metrics_json,
                  "plot_data.csv": plot_csv},
-        extra={"scenario": config.scenario},
+        extra={"scenario": config.scenario, "threads": threads},
     )
     io_mod.write_manifest(manifest, out_dir / "manifest.json")
     return 0

@@ -20,9 +20,13 @@ only in that table: ``mass[j] = j`` with ``w_test = 1`` (standard); the
 exactly rounded sum ``fsum_k(count_k(j)/n_k)`` with ``w_test = 1``
 (hierarchical), so group order never changes a bit and singleton groups
 reproduce the standard p-value exactly; the prefix sums of the raw ratios
-with ``w_test`` the test point's own ratio (weighted). The scalar
-operations on :class:`CalibrationSet` are thin wrappers over the batch
-functions.
+with ``w_test`` the test point's own ratio (weighted). Each rule has one
+implementation, its batch function (``standard_p_values``,
+``hierarchical_p_values``, ``weighted_p_values``), which ``detect``,
+``simulate`` and the acceptance suite all call; the scalar operations on
+:class:`CalibrationSet` are thin wrappers over them, and the weighted
+wrapper takes the raw density ratios, on any common scale, as the batch
+function does.
 
 Flag inequalities differ on purpose: standard and hierarchical flag on
 ``p <= alpha`` while the weighted rule flags on ``weighted mass < alpha``.
@@ -42,8 +46,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-
-from .density import WeightVector
 
 METHOD_STANDARD = "standard"
 METHOD_HIERARCHICAL = "hierarchical"
@@ -175,18 +177,18 @@ def hierarchical_decision(
 def weighted_conformal_decision(
     cal: CalibrationSet,
     s: WatermarkScore,
-    weights: WeightVector,
+    cal_ratios: Sequence[float],
+    test_ratio: float,
     alpha: float,
 ) -> Decision:
     """Weighted decision: flag when weighted mass at or below s is strictly < alpha.
 
-    ``weights`` must hold one weight per calibration score plus one for the
-    test point (validated for length by :func:`weighted_p_values`;
-    nonnegativity and normalization are enforced by
-    :class:`~conformal_wm.density.WeightVector` itself).
+    ``cal_ratios`` holds one density ratio per calibration score and
+    ``test_ratio`` the test point's own, all on any common scale (for
+    example from :func:`~conformal_wm.density.density_ratios`); length,
+    sign and finiteness are checked by :func:`weighted_p_values`.
     """
-    p = float(weighted_p_values(cal.values(), weights.calibration_weights, s.value,
-                                weights.test_weight))
+    p = float(weighted_p_values(cal.values(), cal_ratios, s.value, test_ratio))
     return Decision(conformal_p=p, flagged=p < alpha, alpha=alpha, method=METHOD_WEIGHTED)
 
 
@@ -210,14 +212,6 @@ def standard_p_values(cal_values: np.ndarray, test_values: np.ndarray) -> np.nda
     """Standard p-values of many test scores against one calibration set."""
     cal = np.sort(np.asarray(cal_values, dtype=float))
     return _rank_p_values(cal, np.arange(cal.size + 1.0), test_values)
-
-
-def standard_p_batch(cal_rows: np.ndarray, test_values: np.ndarray) -> np.ndarray:
-    """Row i: p-value of test_values[i] against calibration row cal_rows[i]."""
-    cal = np.asarray(cal_rows, dtype=float)
-    tests = np.asarray(test_values, dtype=float)
-    counts = (cal <= tests[:, np.newaxis]).sum(axis=1)
-    return (1.0 + counts) / (cal.shape[1] + 1.0)
 
 
 def hierarchical_p_values(
@@ -244,22 +238,6 @@ def hierarchical_p_values(
     return _rank_p_values(cal[order], np.array(mass), test_values)
 
 
-def hierarchical_p_batch(
-    group_rows: Sequence[np.ndarray], test_values: np.ndarray
-) -> np.ndarray:
-    """Row-wise hierarchical p-values for per-trial grouped calibration data.
-
-    ``group_rows[k]`` is an (R, n_k) array: trial r of group k. Group sizes
-    may differ between groups but are fixed across trials.
-    """
-    tests = np.asarray(test_values, dtype=float)
-    total = np.zeros_like(tests)
-    for block in group_rows:
-        arr = np.asarray(block, dtype=float)
-        total += (arr <= tests[:, np.newaxis]).mean(axis=1)
-    return (1.0 + total) / (len(group_rows) + 1.0)
-
-
 def weighted_p_values(
     cal_values: np.ndarray,
     cal_ratios: np.ndarray,
@@ -270,7 +248,9 @@ def weighted_p_values(
 
     ``cal_ratios``/``test_ratios`` are the raw (unnormalized) density ratios;
     ``mass`` holds their prefix sums in sorted order, and the test point's
-    own ratio enters its denominator through ``w_test``.
+    own ratio enters its denominator through ``w_test``. A negative ratio
+    raises ``negative_weight``; a non-finite one, or a calibration total
+    that vanishes together with the test ratio, ``density_underflow``.
     """
     cal = np.asarray(cal_values, dtype=float)
     r_cal = np.asarray(cal_ratios, dtype=float)
@@ -282,6 +262,8 @@ def weighted_p_values(
         )
     if not (np.isfinite(r_cal).all() and np.isfinite(r_test).all()):
         raise ValueError("density_underflow: non-finite importance ratio")
+    if (r_cal < 0.0).any() or (r_test < 0.0).any():
+        raise ValueError("negative_weight: importance ratios must be nonnegative")
     order = np.argsort(cal, kind="stable")
     mass = np.concatenate([[0.0], np.cumsum(r_cal[order])])
     if (mass[-1] + r_test <= 0.0).any():

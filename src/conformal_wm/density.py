@@ -4,9 +4,11 @@ The pooled calibration density is a Gaussian kernel density estimate (KDE)
 over log10 watermark scores. The density of a small target subgroup is not
 re-estimated from its handful of points; instead the pool KDE is queried
 through an affine map whose anchors come either from sample means ("mean
-shift") or from robust lower quantiles ("quantile shift"). Normalized
-ratios of the two densities become the importance weights consumed by the
-weighted conformal decision rule.
+shift") or from robust lower quantiles ("quantile shift"). The raw ratios
+q/p of the two densities (:func:`density_ratios`) are the importance
+weights of the weighted conformal rule, which normalizes them itself
+(:func:`conformal_wm.conformal.weighted_p_values`), so their common scale
+never matters.
 """
 
 from __future__ import annotations
@@ -33,17 +35,6 @@ _GAUSS_NORM = math.sqrt(2.0 * math.pi)
 _BLOCK_ROWS = 128
 
 
-class DensityUnderflowError(ValueError):
-    """A density ratio became non-finite (or all ratios vanished)."""
-
-    def __init__(self, point: float, detail: str = ""):
-        self.point = point
-        msg = f"density_underflow at point {point!r}"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
-
-
 def empirical_quantile(values: Sequence[float], level: float) -> float:
     """Empirical quantile with midpoint plotting positions.
 
@@ -61,11 +52,15 @@ def empirical_quantile(values: Sequence[float], level: float) -> float:
         raise ValueError("empty_values: quantile of an empty sample")
     if not 0.0 <= level <= 1.0:
         raise ValueError(f"level_out_of_range: {level}")
-    xs = np.sort(np.asarray(values, dtype=np.float64))
-    # Only -0.0 and 0.0 compare equal with different bits; with a -0.0
-    # present, sort stably so the zeros keep their input order as in sorted().
-    if np.signbit(xs[xs == 0.0]).any():
-        xs = np.sort(np.asarray(values, dtype=np.float64), kind="stable")
+    arr = np.asarray(values, dtype=np.float64)
+    # Only -0.0 and 0.0 compare equal with different bits; with a -0.0 in the
+    # input, sort stably so the zeros keep their input order as in sorted().
+    # The input is checked, not the sorted copy: the default (SIMD) sort may
+    # write every zero back as +0.0.
+    if np.signbit(arr[arr == 0.0]).any():
+        xs = np.sort(arr, kind="stable")
+    else:
+        xs = np.sort(arr)
     # NaN sorts last and -inf first, so the ends show any non-finite value
     if not (math.isfinite(xs[0]) and math.isfinite(xs[-1])):
         raise ValueError("non_finite_values: quantile of a sample with NaN or inf")
@@ -127,10 +122,6 @@ class DensityModel:
     def _support(self) -> np.ndarray:
         return np.asarray(self.support_points, dtype=float)
 
-    @property
-    def is_identity(self) -> bool:
-        return self.scale == 1.0 and self.offset == 0.0
-
     def evaluate(self, x):
         """Density at ``x``: a float for a scalar, else an array of ``x``'s shape.
 
@@ -160,31 +151,6 @@ class DensityModel:
         if arr.ndim == 0:
             return float(dens[0])
         return dens.reshape(arr.shape)
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Normalized importance weights for n calibration points plus the test point."""
-
-    calibration_weights: tuple[float, ...]
-    test_weight: float
-
-    def __post_init__(self):
-        entries = (*self.calibration_weights, self.test_weight)
-        if any(w < 0 for w in entries):
-            raise ValueError("negative_weight")
-        total = math.fsum(entries)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"weights_not_normalized: sum={total!r}")
-
-    @property
-    def n(self) -> int:
-        return len(self.calibration_weights)
-
-    @classmethod
-    def uniform(cls, n: int) -> "WeightVector":
-        w = 1.0 / (n + 1)
-        return cls(calibration_weights=(w,) * n, test_weight=w)
 
 
 def fit_kde(log_scores: Sequence[float], bandwidth: float) -> DensityModel:
@@ -295,21 +261,6 @@ def _shifted_model(pool: np.ndarray, bandwidth: float, est: ShiftEstimate) -> De
     )
 
 
-def _normalize_ratios(ratios: np.ndarray, points: np.ndarray) -> WeightVector:
-    bad = ~np.isfinite(ratios)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise DensityUnderflowError(float(points[i]), "non-finite density ratio")
-    total = float(ratios.sum())
-    if not (math.isfinite(total) and total > 0.0):
-        raise DensityUnderflowError(float(points[-1]), "ratios sum to zero")
-    w = ratios / total
-    return WeightVector(
-        calibration_weights=tuple(float(v) for v in w[:-1]),
-        test_weight=float(w[-1]),
-    )
-
-
 def density_ratios(
     model_p: DensityModel,
     models_q: Sequence[DensityModel],
@@ -323,20 +274,3 @@ def density_ratios(
     pts = np.asarray(points, dtype=float)
     p = np.maximum(np.asarray(model_p.evaluate(pts), dtype=float), DENSITY_FLOOR)
     return [np.asarray(model_q.evaluate(pts), dtype=float) / p for model_q in models_q]
-
-
-def compute_weights(
-    model_p: DensityModel,
-    model_q: DensityModel,
-    cal_logs: Sequence[float],
-    test_log: float,
-) -> WeightVector:
-    """Normalized importance weights for the calibration points and the test point.
-
-    Each point x gets raw ratio q(x)/p(x); the vector of ratios over the n
-    calibration points plus the test point is normalized to sum to one.
-    Identical densities therefore give the uniform vector 1/(n+1).
-    """
-    points = np.append(np.asarray(cal_logs, dtype=float), float(test_log))
-    (ratios,) = density_ratios(model_p, [model_q], points)
-    return _normalize_ratios(ratios, points)

@@ -6,42 +6,23 @@ edit changed it substantially: its similarity to the original must be both
 (2) below a low quantile of the reference similarity population. Every
 other guideline-breaking essay is a *suspect*: a violation, but one whose
 text barely moved. Essays edited within the guideline are inliers and are
-tagged upstream; they never reach :func:`classify`.
+tagged upstream; they never reach :func:`outlier_mask`.
 
-Labels exist only so simulated false-positive rates and detection power
-can be measured against a defensible notion of "clear violation"; nothing
-here is computable for real submissions, where originals are unavailable.
+The rule has one implementation, :func:`outlier_mask`, which labels a
+whole array of violating edits at once; the threshold comes from
+:func:`bleu_quantile_threshold`. Labels exist only so simulated
+false-positive rates and detection power can be measured against a
+defensible notion of "clear violation"; nothing here is computable for
+real submissions, where originals are unavailable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
-from .conformal import WatermarkScore
+import numpy as np
+
 from .density import empirical_quantile
-
-
-class ViolationLabel(Enum):
-    INLIER = "inlier"
-    SUSPECT = "suspect"
-    OUTLIER = "outlier"
-
-
-@dataclass(frozen=True)
-class EditRecord:
-    """Similarities and score for one essay that received a violating edit."""
-
-    essay_id: str
-    bleu_null: float  # similarity of the permitted edit to the original
-    bleu_alt: float  # similarity of the violating edit to the original
-    score_alt: WatermarkScore
-
-    def __post_init__(self):
-        for name, v in (("bleu_null", self.bleu_null), ("bleu_alt", self.bleu_alt)):
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"bleu_out_of_range: {name}={v}")
 
 
 def bleu_quantile_threshold(bleu_values: Sequence[float], alpha: float) -> float:
@@ -58,12 +39,14 @@ def bleu_quantile_threshold(bleu_values: Sequence[float], alpha: float) -> float
     return empirical_quantile(bleu_values, alpha)
 
 
-def classify(record: EditRecord, threshold: float) -> ViolationLabel:
-    """Label one violating edit as OUTLIER or SUSPECT.
+def outlier_mask(bleu_null: np.ndarray, bleu_alt: np.ndarray,
+                 threshold: float) -> np.ndarray:
+    """True where a violating edit is an outlier, False where it is a suspect.
 
-    Both conditions are strict, so equality in either one falls back to
-    SUSPECT (fewer "clear violations", never more).
+    OUTLIER iff the permitted edit would have kept more of the text AND the
+    violating edit fell below the population threshold. Both conditions are
+    strict, so equality in either one falls back to suspect (fewer "clear
+    violations", never more).
     """
-    if record.bleu_null > record.bleu_alt and record.bleu_alt < threshold:
-        return ViolationLabel.OUTLIER
-    return ViolationLabel.SUSPECT
+    return (np.asarray(bleu_null) > np.asarray(bleu_alt)) & (
+        np.asarray(bleu_alt) < threshold)

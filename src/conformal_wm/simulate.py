@@ -38,7 +38,7 @@ from .conformal import (
 )
 from .density import density_ratios, fit_kde, mean_shift, quantile_shift
 from .evaluation import CellResult, MetricsReport, aggregate, is_excluded
-from .labeling import bleu_quantile_threshold
+from .labeling import bleu_quantile_threshold, outlier_mask
 
 THREADS_ENV_VAR = "CONFORMAL_WM_THREADS"
 
@@ -315,18 +315,6 @@ class _AltContext:
     outlier_mask: np.ndarray
     n_outliers: int
     outlier_proportion: float
-
-
-def outlier_mask(bleu_null: np.ndarray, bleu_alt: np.ndarray,
-                 threshold: float) -> np.ndarray:
-    """Vectorized form of labeling.classify: True where the edit is an outlier.
-
-    OUTLIER iff the permitted edit would have kept more of the text AND the
-    violating edit fell below the population threshold. Parity with
-    classify() is pinned by tests.
-    """
-    return (np.asarray(bleu_null) > np.asarray(bleu_alt)) & (
-        np.asarray(bleu_alt) < threshold)
 
 
 def _label_alt_set(config: ExperimentConfig, seed: int, prompt: int, null: int,

@@ -21,14 +21,13 @@ from conformal_wm.conformal import (
     GroupedCalibrationSet,
     WatermarkScore,
     hierarchical_conformal_p,
-    hierarchical_p_batch,
+    hierarchical_p_values,
     standard_conformal_p,
-    standard_decision,
-    standard_p_batch,
-    weighted_conformal_decision,
+    standard_p_values,
+    weighted_p_values,
 )
 from conformal_wm.bleu import TokenizedText, bleu
-from conformal_wm.density import compute_weights, fit_kde, quantile_shift
+from conformal_wm.density import density_ratios, fit_kde, quantile_shift
 from conformal_wm.evaluation import CellResult, is_excluded
 from conformal_wm.simulate import THREADS_ENV_VAR, default_config, run_scenario
 
@@ -60,7 +59,8 @@ def test_criterion_01_fpr_control_standard():
         for n_cal in (30, 50, 200):
             cal = rng.random((R, n_cal))
             tests = rng.random(R)
-            flags = standard_p_batch(cal, tests) <= ALPHA
+            p = np.array([standard_p_values(row, t) for row, t in zip(cal, tests)])
+            flags = p <= ALPHA
             observed[n_cal] = float(flags.mean())
         elapsed = time.perf_counter() - t0
         for n_cal, fpr in observed.items():
@@ -80,7 +80,9 @@ def test_criterion_02_fpr_control_hierarchical():
             blocks.append(_expit(theta + rng.normal(0.0, 1.0, (R, n_k))))
         theta_star = rng.normal(0.0, 1.0, R)
         tests = _expit(theta_star + rng.normal(0.0, 1.0, R))
-        flags = hierarchical_p_batch(blocks, tests) <= ALPHA
+        p = np.array([hierarchical_p_values([block[r] for block in blocks], tests[r])
+                      for r in range(R)])
+        flags = p <= ALPHA
         fpr = float(flags.mean())
         elapsed = time.perf_counter() - t0
         assert fpr <= FPR_BOUND, fpr
@@ -118,17 +120,15 @@ def test_criterion_04_weighted_reduction():
             n = int(rng.integers(1, 61))
             values = rng.random(n) * 0.999 + 1e-4
             s = float(rng.random() * 0.999 + 1e-4)
-            cal = CalibrationSet.from_values(values)
-            score = WatermarkScore("t", s)
             logs = np.log10(values)
             model = fit_kde(logs, 0.5)
-            weights = compute_weights(model, model, logs, math.log10(s))
-            wtd = weighted_conformal_decision(cal, score, weights, ALPHA)
-            std = standard_decision(cal, score, ALPHA)
-            if std.conformal_p == ALPHA:
-                disagreements += wtd.flagged != std.flagged
+            (ratios,) = density_ratios(model, [model], np.append(logs, math.log10(s)))
+            wtd_flag = weighted_p_values(values, ratios[:-1], s, ratios[-1]) < ALPHA
+            std_p = standard_p_values(values, s)
+            if std_p == ALPHA:
+                disagreements += wtd_flag != (std_p <= ALPHA)
             else:
-                assert wtd.flagged == std.flagged, (n, s, std.conformal_p)
+                assert wtd_flag == (std_p <= ALPHA), (n, s, std_p)
         elapsed = time.perf_counter() - t0
         assert elapsed < 1.0, f"runtime {elapsed:.2f}s"
 

@@ -325,6 +325,19 @@ class TestSimulateCommand:
         assert m1["run_hash"] == m2["run_hash"]
         assert m1["config_hash"] == m2["config_hash"]
 
+    def test_thread_flag_leaves_hashes_unchanged(self, tmp_path):
+        cfg = write(tmp_path, "config.json", json.dumps(SMALL_CONFIG))
+        manifests = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            assert main(["simulate", cfg, "--threads", threads, "--out", str(out)]) == 0
+            manifests.append(json.loads((out / "manifest.json").read_text()))
+        m1, m2 = manifests
+        assert m1["outputs"] == m2["outputs"]
+        assert m1["config_hash"] == m2["config_hash"]
+        assert m1["run_hash"] == m2["run_hash"]
+        assert (m1["extra"]["threads"], m2["extra"]["threads"]) == (1, 2)
+
     def test_seed_override_restricts_seed_column(self, tmp_path):
         cfg = write(tmp_path, "config.json", json.dumps(SMALL_CONFIG))
         out = tmp_path / "r"

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conformal_wm.conformal import (
@@ -15,16 +15,13 @@ from conformal_wm.conformal import (
     WatermarkScore,
     hierarchical_conformal_p,
     hierarchical_decision,
-    hierarchical_p_batch,
     hierarchical_p_values,
     standard_conformal_p,
     standard_decision,
-    standard_p_batch,
     standard_p_values,
     weighted_conformal_decision,
     weighted_p_values,
 )
-from conformal_wm.density import WeightVector
 
 scores_strategy = st.lists(
     st.floats(min_value=1e-6, max_value=1.0, allow_nan=False, allow_infinity=False),
@@ -124,7 +121,8 @@ class TestStandardConformal:
         trials, n = 4000, 20
         cal = rng.random((trials, n))
         tests = rng.random(trials)
-        fpr = float((standard_p_batch(cal, tests) <= 0.05).mean())
+        p = np.array([standard_p_values(row, t) for row, t in zip(cal, tests)])
+        fpr = float((p <= 0.05).mean())
         assert fpr <= 0.05 + 3.0 * math.sqrt(0.05 * 0.95 / trials)
 
 
@@ -176,21 +174,22 @@ class TestWeightedDecision:
         values = [0.1, 0.2, 0.3, 0.4]
         cal = cal_of(values)
         s = WatermarkScore("t", 0.25)
-        d = weighted_conformal_decision(cal, s, WeightVector.uniform(4), alpha=0.05)
+        d = weighted_conformal_decision(cal, s, [1.0] * 4, 1.0, alpha=0.05)
         assert d.conformal_p == pytest.approx(standard_conformal_p(cal, s), abs=1e-12)
         assert d.flagged == (d.conformal_p < 0.05)
 
     def test_hand_weighted_indicator_sum(self):
         cal = cal_of([0.1, 0.2])
-        w = WeightVector(calibration_weights=(0.5, 0.3), test_weight=0.2)
-        d = weighted_conformal_decision(cal, WatermarkScore("t", 0.15), w, alpha=0.05)
+        # raw ratios 5 : 3 : 2 normalize to 0.5, 0.3 and 0.2
+        d = weighted_conformal_decision(cal, WatermarkScore("t", 0.15), [5.0, 3.0], 2.0,
+                                        alpha=0.05)
         assert d.conformal_p == pytest.approx(0.7, abs=1e-12)
         assert not d.flagged
 
     def test_all_mass_on_test_point_never_flags(self):
         cal = cal_of([0.1, 0.2])
-        w = WeightVector(calibration_weights=(0.0, 0.0), test_weight=1.0)
-        d = weighted_conformal_decision(cal, WatermarkScore("t", 0.0001), w, alpha=0.4)
+        d = weighted_conformal_decision(cal, WatermarkScore("t", 0.0001), [0.0, 0.0], 1.0,
+                                        alpha=0.4)
         assert d.conformal_p == 1.0
         assert not d.flagged
 
@@ -198,14 +197,25 @@ class TestWeightedDecision:
         with pytest.raises(ValueError, match="weight_length_mismatch"):
             weighted_conformal_decision(
                 cal_of([0.1, 0.2, 0.3]), WatermarkScore("t", 0.2),
-                WeightVector.uniform(2), alpha=0.05)
+                [1.0, 1.0], 1.0, alpha=0.05)
+
+    def test_negative_ratio_rejected(self):
+        cal = cal_of([0.1, 0.2, 0.3])
+        s = WatermarkScore("t", 0.2)
+        with pytest.raises(ValueError, match="negative_weight"):
+            weighted_conformal_decision(cal, s, [1.0, -0.5, 1.0], 1.0, alpha=0.05)
+        with pytest.raises(ValueError, match="negative_weight"):
+            weighted_conformal_decision(cal, s, [1.0, 1.0, 1.0], -1e-300, alpha=0.05)
+        with pytest.raises(ValueError, match="negative_weight"):
+            weighted_p_values(cal.values(), np.ones(3), np.array([0.2, 0.4]),
+                              np.array([1.0, -1.0]))
 
     def test_strict_inequality_at_exact_alpha(self):
         # standard flags at p == alpha, the weighted rule does not
         cal = cal_of([0.1, 0.2, 0.3])
         s = WatermarkScore("t", 0.05)
         std = standard_decision(cal, s, alpha=0.25)
-        wtd = weighted_conformal_decision(cal, s, WeightVector.uniform(3), alpha=0.25)
+        wtd = weighted_conformal_decision(cal, s, [1.0] * 3, 1.0, alpha=0.25)
         assert std.conformal_p == wtd.conformal_p == 0.25
         assert std.flagged and not wtd.flagged
 
@@ -244,8 +254,7 @@ class TestWeightedDecision:
         cal = cal_of(values)
         score = WatermarkScore("t", s)
         p_std = standard_conformal_p(cal, score)
-        d = weighted_conformal_decision(cal, score, WeightVector.uniform(len(values)),
-                                        alpha=0.05)
+        d = weighted_conformal_decision(cal, score, [1.0] * len(values), 1.0, alpha=0.05)
         if p_std != 0.05:
             assert d.flagged == (p_std <= 0.05)
 
@@ -300,14 +309,6 @@ class TestBatchKernels:
         for t, p in zip(tests, batch):
             assert p == standard_conformal_p(cal, WatermarkScore("t", t))
 
-    def test_standard_p_batch_matches_rowwise(self):
-        rng = np.random.default_rng(3)
-        cal_rows = rng.random((50, 7))
-        tests = rng.random(50)
-        batch = standard_p_batch(cal_rows, tests)
-        for row, t, p in zip(cal_rows, tests, batch):
-            assert p == standard_conformal_p(cal_of(row), WatermarkScore("t", t))
-
     def test_hierarchical_p_values_matches_scalar_op(self):
         rng = np.random.default_rng(4)
         groups = [rng.random(rng.integers(1, 6)) for _ in range(5)]
@@ -317,19 +318,6 @@ class TestBatchKernels:
         for t, p in zip(tests, batch):
             assert p == pytest.approx(
                 hierarchical_conformal_p(g, WatermarkScore("t", t)), abs=1e-12)
-
-    def test_hierarchical_p_batch_matches_scalar_op(self):
-        rng = np.random.default_rng(5)
-        sizes = [1, 3, 2, 5]
-        trials = 30
-        blocks = [rng.random((trials, n)) for n in sizes]
-        tests = rng.random(trials)
-        batch = hierarchical_p_batch(blocks, tests)
-        for r in range(trials):
-            g = GroupedCalibrationSet(
-                groups=tuple(cal_of(block[r]) for block in blocks))
-            assert batch[r] == pytest.approx(
-                hierarchical_conformal_p(g, WatermarkScore("t", tests[r])), abs=1e-12)
 
     def test_weighted_p_values_matches_scalar_op(self):
         rng = np.random.default_rng(6)
@@ -341,8 +329,47 @@ class TestBatchKernels:
         batch = weighted_p_values(values, ratios, tests, r_tests)
         cal = cal_of(values)
         for t, rt, p in zip(tests, r_tests, batch):
-            total = ratios.sum() + rt
-            w = WeightVector(calibration_weights=tuple(ratios / total),
-                             test_weight=rt / total)
-            d = weighted_conformal_decision(cal, WatermarkScore("t", t), w, alpha=0.05)
-            assert p == pytest.approx(d.conformal_p, abs=1e-12)
+            d = weighted_conformal_decision(cal, WatermarkScore("t", t), ratios, rt,
+                                            alpha=0.05)
+            assert p == d.conformal_p
+
+
+def per_essay_weighted_p(cal_values, cal_ratios, t, test_ratio):
+    """The weighted p-value by its per-essay definition, summed exactly.
+
+    Each essay's weight is its ratio over the total of the calibration
+    ratios and the test point's own; the p-value is the weight at or below
+    ``t`` plus the test point's.
+    """
+    below = [r for v, r in zip(cal_values, cal_ratios) if v <= t]
+    return math.fsum([test_ratio, *below]) / math.fsum([test_ratio, *cal_ratios])
+
+
+ratio_strategy = st.just(0.0) | st.floats(min_value=1e-6, max_value=1e6)
+
+
+class TestWeightedOracle:
+    @given(cal=st.lists(st.tuples(tie_prone_score, ratio_strategy), min_size=1,
+                        max_size=30),
+           extra_tests=st.lists(st.tuples(score_strategy, ratio_strategy), max_size=5))
+    # ratios 1 : 3 are the weights 0.25 and 0.75
+    @example(cal=[(0.5, 1.0)], extra_tests=[(0.4, 3.0), (0.6, 3.0)])
+    # all the mass on the test point: p = 1 below every calibration score
+    @example(cal=[(0.1, 0.0), (0.2, 0.0)], extra_tests=[(0.0001, 1.0)])
+    # a zero test ratio below every calibration score: p = 0
+    @example(cal=[(0.1, 1.0), (0.2, 2.0)], extra_tests=[(0.05, 0.0)])
+    # every ratio zero: nothing to normalize by
+    @example(cal=[(0.5, 0.0)], extra_tests=[(0.7, 0.0)])
+    def test_matches_per_essay_definition(self, cal, extra_tests):
+        # every calibration score is also a test score, so ties are exact
+        tests = cal + extra_tests
+        values, ratios = (np.array(col) for col in zip(*cal))
+        t_values, t_ratios = (np.array(col) for col in zip(*tests))
+        if ratios.sum() == 0.0 and (t_ratios == 0.0).any():
+            with pytest.raises(ValueError, match="density_underflow"):
+                weighted_p_values(values, ratios, t_values, t_ratios)
+            return
+        p = weighted_p_values(values, ratios, t_values, t_ratios)
+        for got, (t, r_t) in zip(p, tests):
+            oracle = per_essay_weighted_p(values, ratios, t, r_t)
+            assert abs(got - oracle) <= 1e-12 * oracle, (t, r_t, got, oracle)

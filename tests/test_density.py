@@ -5,17 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conformal_wm import density
+from conformal_wm.conformal import standard_p_values, weighted_p_values
 from conformal_wm.density import (
     DensityModel,
-    DensityUnderflowError,
     ShiftEstimate,
-    WeightVector,
-    _normalize_ratios,
-    compute_weights,
     density_ratios,
     empirical_quantile,
     fit_kde,
@@ -74,7 +71,8 @@ class TestFitKde:
             fit_kde([0.0], bad)
 
     def test_identity_transform_flag(self):
-        assert fit_kde([0.0, 1.0], 0.5).is_identity
+        model = fit_kde([0.0, 1.0], 0.5)
+        assert (model.scale, model.offset) == (1.0, 0.0)
 
 
 class TestEmpiricalQuantile:
@@ -139,6 +137,8 @@ tie_prone = st.lists(
     st.one_of(st.sampled_from([-0.0, 0.0, 0.25, -1.5, 1e-300, 0.1 + 0.2]),
               st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)),
     min_size=1, max_size=60)
+# numpy's default (SIMD) float sort may hand these zeros back all as +0.0
+MANY_SIGNED_ZEROS = [-0.0, 0.25, 0.25, -0.0, -0.0, -0.0, -0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 0.0]
 levels = st.one_of(st.sampled_from([0.0, 1.0, 0.05, 0.5, 1e-9, 1 - 1e-9]),
                    st.floats(0.0, 1.0, allow_nan=False))
 
@@ -146,6 +146,8 @@ levels = st.one_of(st.sampled_from([0.0, 1.0, 0.05, 0.5, 1e-9, 1 - 1e-9]),
 class TestEmpiricalQuantileBits:
     @settings(max_examples=400, deadline=None)
     @given(values=tie_prone, level=levels, as_array=st.booleans())
+    @example(values=MANY_SIGNED_ZEROS, level=0.0, as_array=False)
+    @example(values=MANY_SIGNED_ZEROS, level=0.0, as_array=True)
     def test_equals_sorted_formula_bit_for_bit(self, values, level, as_array):
         data = np.array(values) if as_array else values
         assert same_bits(empirical_quantile(data, level), sorted_quantile(values, level))
@@ -259,61 +261,53 @@ class TestWeights:
     def test_identical_models_give_uniform_weights(self):
         logs = [-2.0, -1.5, -0.5, 0.0]
         model = fit_kde(logs, 0.5)
-        w = compute_weights(model, model, logs, -1.0)
-        n = len(logs)
-        for entry in (*w.calibration_weights, w.test_weight):
-            assert entry == pytest.approx(1 / (n + 1), abs=1e-9)
+        (r,) = density_ratios(model, [model], [*logs, -1.0])
+        assert r.tolist() == [1.0] * 5
+        assert weighted_p_values(logs, r[:-1], -1.0, r[-1]) == standard_p_values(logs, -1.0)
 
     def test_hand_normalized_pair(self):
-        w = _normalize_ratios(np.array([1.0, 3.0]), np.array([0.0, 0.0]))
-        assert w.calibration_weights == (0.25,)
-        assert w.test_weight == 0.75
+        # ratios 1 : 3 are the weights 0.25 (calibration) and 0.75 (test)
+        p = weighted_p_values([0.0], [1.0], [-1.0, 0.0], [3.0, 3.0])
+        assert p.tolist() == [0.75, 1.0]
 
     @given(ratios=st.lists(st.floats(1e-6, 1e6, allow_nan=False), min_size=2,
                            max_size=15),
            c=st.floats(1e-3, 1e3, allow_nan=False))
     def test_ratio_scale_invariance(self, ratios, c):
         r = np.array(ratios)
-        pts = np.zeros_like(r)
-        a = _normalize_ratios(r, pts)
-        b = _normalize_ratios(c * r, pts)
-        for x, y in zip((*a.calibration_weights, a.test_weight),
-                        (*b.calibration_weights, b.test_weight)):
-            assert x == pytest.approx(y, abs=1e-12)
+        values = np.arange(r.size - 1.0)
+        tests = np.arange(-0.5, r.size - 1.0)
+        a = weighted_p_values(values, r[:-1], tests, r[-1])
+        b = weighted_p_values(values, c * r[:-1], tests, c * r[-1])
+        assert a == pytest.approx(b, abs=1e-12)
 
     @given(ratios=st.lists(st.floats(1e-6, 1e6, allow_nan=False), min_size=1,
                            max_size=15))
     def test_normalization_and_nonnegativity(self, ratios):
         r = np.array(ratios)
-        w = _normalize_ratios(r, np.zeros_like(r))
-        total = sum(w.calibration_weights) + w.test_weight
-        assert total == pytest.approx(1.0, abs=1e-9)
-        assert all(x >= 0 for x in w.calibration_weights) and w.test_weight >= 0
+        values = np.arange(r.size - 1.0)
+        tests = np.arange(-0.5, r.size - 1.0)
+        p = weighted_p_values(values, r[:-1], tests, r[-1])
+        # below every score only the test point's own weight counts; at or
+        # above the largest, all of it
+        assert p[0] == pytest.approx(r[-1] / r.sum(), rel=1e-12)
+        assert p[-1] == 1.0
+        assert (np.diff(p) >= 0).all() and (p > 0).all()
 
     def test_all_zero_ratios_raise_underflow(self):
         # both densities vanish 50 bandwidths away from their support
         model_p = fit_kde([0.0], 0.5)
         model_q = fit_kde([0.0], 0.5)
-        with pytest.raises(DensityUnderflowError) as err:
-            compute_weights(model_p, model_q, [200.0], 201.0)
-        assert err.value.point in (200.0, 201.0)
+        (r,) = density_ratios(model_p, [model_q], [200.0, 201.0])
+        assert r.tolist() == [0.0, 0.0]
+        with pytest.raises(ValueError, match="density_underflow"):
+            weighted_p_values([200.0], r[:1], 201.0, r[1])
 
     def test_floored_pool_density_keeps_ratio_finite(self):
         model_p = fit_kde([0.0], 0.5)
         model_q = DensityModel(support_points=(40.0,), bandwidth=0.5)
         (r,) = density_ratios(model_p, [model_q], [40.0])
         assert np.isfinite(r).all() and r[0] > 0
-
-    def test_weight_vector_validation(self):
-        with pytest.raises(ValueError, match="negative_weight"):
-            WeightVector(calibration_weights=(-0.1, 0.6), test_weight=0.5)
-        with pytest.raises(ValueError, match="weights_not_normalized"):
-            WeightVector(calibration_weights=(0.2, 0.2), test_weight=0.2)
-
-    def test_uniform_constructor(self):
-        w = WeightVector.uniform(9)
-        assert w.n == 9
-        assert w.test_weight == 0.1
 
 
 class TestShiftEstimate:

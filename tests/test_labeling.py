@@ -2,23 +2,19 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conformal_wm.conformal import WatermarkScore
-from conformal_wm.labeling import (
-    EditRecord,
-    ViolationLabel,
-    bleu_quantile_threshold,
-    classify,
-)
+from conformal_wm.labeling import bleu_quantile_threshold, outlier_mask
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, allow_infinity=False)
+# a few shared values make equal similarities (the strict-inequality cases) common
+tie_prone_unit = st.sampled_from([0.0, 0.3, 0.5, 0.9, 1.0]) | unit
 
 
-def record(bleu_null, bleu_alt, essay_id="e"):
-    return EditRecord(essay_id=essay_id, bleu_null=bleu_null, bleu_alt=bleu_alt,
-                      score_alt=WatermarkScore(essay_id, 0.01))
+def is_outlier(bleu_null, bleu_alt, threshold):
+    """The outlier rule for one edit, as stated: the oracle for outlier_mask."""
+    return bleu_null > bleu_alt and bleu_alt < threshold
 
 
 class TestThreshold:
@@ -43,37 +39,45 @@ class TestThreshold:
 
 class TestClassify:
     def test_substantial_edit_below_threshold_is_outlier(self):
-        assert classify(record(0.9, 0.3), 0.5) is ViolationLabel.OUTLIER
+        assert outlier_mask(0.9, 0.3, 0.5)
 
     def test_violating_edit_more_similar_is_suspect(self):
-        assert classify(record(0.9, 0.95), 0.5) is ViolationLabel.SUSPECT
+        assert not outlier_mask(0.9, 0.95, 0.5)
 
     def test_above_threshold_is_suspect(self):
-        assert classify(record(0.9, 0.6), 0.5) is ViolationLabel.SUSPECT
+        assert not outlier_mask(0.9, 0.6, 0.5)
 
     def test_equality_falls_to_suspect(self):
-        assert classify(record(0.5, 0.5), 0.9) is ViolationLabel.SUSPECT
-        assert classify(record(0.9, 0.5), 0.5) is ViolationLabel.SUSPECT
+        assert not outlier_mask(0.5, 0.5, 0.9)
+        assert not outlier_mask(0.9, 0.5, 0.5)
 
-    @given(bleu_null=unit, bleu_alt=unit, threshold=unit)
-    def test_partition_never_inlier(self, bleu_null, bleu_alt, threshold):
-        label = classify(record(bleu_null, bleu_alt), threshold)
-        assert label in (ViolationLabel.OUTLIER, ViolationLabel.SUSPECT)
+    @given(pairs=st.lists(st.tuples(unit, unit), max_size=10), threshold=unit)
+    def test_partition_never_inlier(self, pairs, threshold):
+        # every violating edit gets exactly one of the two labels
+        mask = outlier_mask(np.array([n for n, _ in pairs]),
+                            np.array([a for _, a in pairs]), threshold)
+        assert mask.dtype == bool and mask.shape == (len(pairs),)
 
     @given(bleu_null=unit, bleu_alt=unit, t1=unit, t2=unit)
     def test_outlier_set_monotone_in_threshold(self, bleu_null, bleu_alt, t1, t2):
         lo, hi = min(t1, t2), max(t1, t2)
-        r = record(bleu_null, bleu_alt)
-        if classify(r, lo) is ViolationLabel.OUTLIER:
-            assert classify(r, hi) is ViolationLabel.OUTLIER
+        if outlier_mask(bleu_null, bleu_alt, lo):
+            assert outlier_mask(bleu_null, bleu_alt, hi)
 
     @given(bleu_null=unit, bleu_alt=unit, threshold=unit)
     def test_deterministic(self, bleu_null, bleu_alt, threshold):
-        r = record(bleu_null, bleu_alt)
-        assert classify(r, threshold) is classify(r, threshold)
+        assert outlier_mask(bleu_null, bleu_alt, threshold) == \
+            outlier_mask(bleu_null, bleu_alt, threshold)
 
-    def test_record_validation(self):
-        with pytest.raises(ValueError, match="bleu_out_of_range"):
-            record(1.2, 0.5)
-        with pytest.raises(ValueError, match="bleu_out_of_range"):
-            record(0.5, -0.1)
+    @given(pairs=st.lists(st.tuples(tie_prone_unit, tie_prone_unit), max_size=20),
+           threshold=tie_prone_unit)
+    @example(pairs=[(0.9, 0.3)], threshold=0.5)
+    @example(pairs=[(0.9, 0.95)], threshold=0.5)
+    @example(pairs=[(0.9, 0.6)], threshold=0.5)
+    @example(pairs=[(0.5, 0.5), (0.9, 0.5)], threshold=0.5)
+    @example(pairs=[(0.5, 0.5)], threshold=0.9)
+    def test_mask_matches_scalar_rule(self, pairs, threshold):
+        bleu_null = np.array([n for n, _ in pairs])
+        bleu_alt = np.array([a for _, a in pairs])
+        mask = outlier_mask(bleu_null, bleu_alt, threshold)
+        assert mask.tolist() == [is_outlier(n, a, threshold) for n, a in pairs]
