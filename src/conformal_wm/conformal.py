@@ -26,7 +26,10 @@ implementation, its batch function (``standard_p_values``,
 ``simulate`` and the acceptance suite all call; the scalar operations on
 :class:`CalibrationSet` are thin wrappers over them, and the weighted
 wrapper takes the raw density ratios, on any common scale, as the batch
-function does.
+function does. :func:`weighted_candidates` is not a second rule: it only
+marks the test points whose weighted mass could fall under alpha for some
+own ratio, so a caller that needs flags alone can skip computing the
+ratios of the others.
 
 Flag inequalities differ on purpose: standard and hierarchical flag on
 ``p <= alpha`` while the weighted rule flags on ``weighted mass < alpha``.
@@ -238,19 +241,14 @@ def hierarchical_p_values(
     return _rank_p_values(cal[order], np.array(mass), test_values)
 
 
-def weighted_p_values(
-    cal_values: np.ndarray,
-    cal_ratios: np.ndarray,
-    test_values: np.ndarray,
-    test_ratios: np.ndarray,
-) -> np.ndarray:
-    """Weighted masses for many test points sharing one calibration set.
+def _weighted_mass(cal_values, cal_ratios,
+                   test_ratios=()) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted calibration scores and the prefix sums of their ratios.
 
-    ``cal_ratios``/``test_ratios`` are the raw (unnormalized) density ratios;
-    ``mass`` holds their prefix sums in sorted order, and the test point's
-    own ratio enters its denominator through ``w_test``. A negative ratio
-    raises ``negative_weight``; a non-finite one, or a calibration total
-    that vanishes together with the test ratio, ``density_underflow``.
+    Checks the ratios first: a length that does not match the scores
+    raises ``weight_length_mismatch``, then a non-finite calibration or
+    test ratio ``density_underflow``, then a negative one
+    ``negative_weight``.
     """
     cal = np.asarray(cal_values, dtype=float)
     r_cal = np.asarray(cal_ratios, dtype=float)
@@ -265,7 +263,61 @@ def weighted_p_values(
     if (r_cal < 0.0).any() or (r_test < 0.0).any():
         raise ValueError("negative_weight: importance ratios must be nonnegative")
     order = np.argsort(cal, kind="stable")
-    mass = np.concatenate([[0.0], np.cumsum(r_cal[order])])
+    return cal[order], np.concatenate([[0.0], np.cumsum(r_cal[order])])
+
+
+def weighted_p_values(
+    cal_values: np.ndarray,
+    cal_ratios: np.ndarray,
+    test_values: np.ndarray,
+    test_ratios: np.ndarray,
+) -> np.ndarray:
+    """Weighted masses for many test points sharing one calibration set.
+
+    ``cal_ratios``/``test_ratios`` are the raw (unnormalized) density ratios;
+    ``mass`` holds their prefix sums in sorted order, and the test point's
+    own ratio enters its denominator through ``w_test``. A negative ratio
+    raises ``negative_weight``; a non-finite one, or a calibration total
+    that vanishes together with the test ratio, ``density_underflow``.
+    """
+    r_test = np.asarray(test_ratios, dtype=float)
+    sorted_cal, mass = _weighted_mass(cal_values, cal_ratios, r_test)
     if (mass[-1] + r_test <= 0.0).any():
         raise ValueError("density_underflow: importance ratios sum to zero")
-    return _rank_p_values(cal[order], mass, test_values, r_test)
+    return _rank_p_values(sorted_cal, mass, test_values, r_test)
+
+
+# Relative margin of the weighted screen; far above the 3 roundings in p.
+_SCREEN_SLACK = 1e-12
+
+
+def weighted_candidates(
+    cal_values: np.ndarray,
+    cal_ratios: np.ndarray,
+    test_values: np.ndarray,
+    alpha: float,
+) -> np.ndarray:
+    """Test points the weighted rule could flag for some nonnegative own ratio.
+
+    For a test ratio ``r >= 0`` the weighted mass is
+    ``(r + mass[j]) / (r + mass[n])``, which never falls below
+    ``mass[j] / mass[n]`` because ``mass[j] <= mass[n]``. A point with
+    ``mass[j] / mass[n] >= alpha`` is therefore never flagged, whatever its
+    density ratio, and its ratio need not be computed. The rule computes
+    the mass with three roundings (two sums and a quotient, each exact or
+    within a relative 2**-53), so the computed mass is at least
+    ``mass[j] / mass[n] * (1 - 3 * 2**-53)``; a point is kept when
+    ``mass[j] / mass[n] < alpha * (1 + 1e-12)``, a margin far above those
+    roundings and the screen's own two. The screen divides rather than
+    multiplying ``alpha * mass[n]``, which would lose its relative accuracy
+    for a subnormal total. The slack can only add candidates: flags still
+    come from :func:`weighted_p_values` alone. When ``mass[n]`` is not
+    positive every point is a candidate, so the rule still raises
+    ``density_underflow``. The calibration ratios are checked as in
+    :func:`weighted_p_values`.
+    """
+    sorted_cal, mass = _weighted_mass(cal_values, cal_ratios)
+    j = np.searchsorted(sorted_cal, np.asarray(test_values, dtype=float), side="right")
+    if not mass[-1] > 0.0:
+        return np.ones(j.shape, dtype=bool)
+    return mass[j] / mass[-1] < alpha * (1.0 + _SCREEN_SLACK)

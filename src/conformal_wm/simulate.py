@@ -34,6 +34,7 @@ from .conformal import (
     WatermarkScore,
     hierarchical_p_values,
     standard_p_values,
+    weighted_candidates,
     weighted_p_values,
 )
 from .density import density_ratios, fit_kde, mean_shift, quantile_shift
@@ -467,7 +468,10 @@ def _weighted_flagger(config: ExperimentConfig, pool: np.ndarray,
     """A function from a test set to the four methods' flags against one pool.
 
     The pool density p is evaluated once per point set (the pool, then
-    each test set) and shared by both shift variants.
+    each test set) and shared by both shift variants. At a test set, the
+    densities are evaluated only at the points that
+    :func:`weighted_candidates` keeps for either variant; every other point
+    is unflagged under both, whatever its ratio.
     """
     alpha = config.alpha
     pool_eval = _to_eval_scale(config, pool)
@@ -482,13 +486,22 @@ def _weighted_flagger(config: ExperimentConfig, pool: np.ndarray,
     r_cal = density_ratios(model_p, models_q, pool_eval)
 
     def flags(values: np.ndarray) -> dict[str, np.ndarray]:
-        r_test = density_ratios(model_p, models_q, _to_eval_scale(config, values))
+        # Skipping the other points cannot hide an error the rule would
+        # raise there: scores are clipped to [_TINY, 1], so every query is
+        # finite, and p is floored, so every ratio is finite and nonnegative.
+        cand = np.zeros(values.shape, dtype=bool)
+        for rc in r_cal:
+            cand |= weighted_candidates(pool, rc, values, alpha)
+        picked = values[cand]
+        r_test = density_ratios(model_p, models_q, _to_eval_scale(config, picked))
         out = {
             "in_dist": standard_p_values(minority_cal, values) <= alpha,
             "combined_unweighted": standard_p_values(pool, values) <= alpha,
         }
         for name, rc, rt in zip(variants, r_cal, r_test):
-            out[name] = weighted_p_values(pool, rc, values, rt) < alpha
+            flagged = np.zeros(values.shape, dtype=bool)
+            flagged[cand] = weighted_p_values(pool, rc, picked, rt) < alpha
+            out[name] = flagged
         return out
 
     return flags

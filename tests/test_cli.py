@@ -1,6 +1,9 @@
 """Ingestion, CLI commands, exit codes, and reproducible outputs."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -227,6 +230,18 @@ class TestDetectCommand:
             encoding="utf-8").splitlines() if line.startswith("**Tier-1 verify:**"))
         assert f"`{runs[-1]}`" in tier1
 
+    def test_ci_workflow_runs_each_benchmark_workload(self):
+        yaml = pytest.importorskip("yaml")
+        root = Path(__file__).resolve().parents[1]
+        workflow = yaml.safe_load(
+            (root / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8"))
+        runs = [step["run"] for step in workflow["jobs"]["bench-smoke"]["steps"]
+                if "run" in step]
+        bench = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+        for workload in bench["workloads"]:
+            assert any(run.startswith("python3 perfbench/run.py ")
+                       and f"--workload {workload['name']} " in run for run in runs)
+
     def test_weighted_missing_population_exits_2(self, tmp_path, capsys):
         cal = write(tmp_path, "cal.csv", CAL_CSV)
         test = write(tmp_path, "test.csv", TEST_CSV)
@@ -357,6 +372,21 @@ class TestSimulateCommand:
         cfg = write(tmp_path, "config.json", json.dumps({"n_tets": 5}))
         assert main(["simulate", cfg, "--out", str(tmp_path / "r")]) == 2
         assert "n_tets" in json.loads(capsys.readouterr().err.strip())["detail"]
+
+    def test_module_run_reports_missing_config(self, tmp_path):
+        # ``python -m conformal_wm.cli`` must run the command, not just import
+        src = Path(conformal_wm.__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")]))
+        out = tmp_path / "r"
+        proc = subprocess.run(
+            [sys.executable, "-m", "conformal_wm.cli", "simulate",
+             str(tmp_path / "missing.json"), "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert json.loads(proc.stderr.strip())["error"] == "file_not_found"
+        assert not out.exists()
 
     def test_plot_csv_schema(self, tmp_path):
         cfg = write(tmp_path, "config.json", json.dumps(SMALL_CONFIG))

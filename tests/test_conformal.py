@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conformal_wm.conformal import (
@@ -19,9 +19,11 @@ from conformal_wm.conformal import (
     standard_conformal_p,
     standard_decision,
     standard_p_values,
+    weighted_candidates,
     weighted_conformal_decision,
     weighted_p_values,
 )
+from conformal_wm.density import density_ratios, fit_kde, mean_shift
 
 scores_strategy = st.lists(
     st.floats(min_value=1e-6, max_value=1.0, allow_nan=False, allow_infinity=False),
@@ -279,6 +281,25 @@ class TestHierarchicalKernel:
         reordered = [rng.permutation(groups[k]) for k in rng.permutation(len(groups))]
         assert hierarchical_p_values(reordered, np.array(tests)).tolist() == oracle
 
+    @settings(max_examples=25, deadline=None)
+    @given(k=st.integers(1, 400), seed=st.integers(0, 2**31))
+    @example(k=300, seed=0)
+    def test_exact_fsum_over_hundreds_of_groups(self, k, seed):
+        # group sizes whose fractions are not dyadic, and half the scores on
+        # a few shared atoms so ties within and across groups are exact
+        rng = np.random.default_rng(seed)
+        sizes = rng.choice([1, 3, 5, 6, 7, 9, 11, 13], k)
+        atoms = rng.random(8)
+        pooled = np.where(rng.random(sizes.sum()) < 0.5,
+                          rng.choice(atoms, sizes.sum()), rng.random(sizes.sum()))
+        groups = np.split(pooled, np.cumsum(sizes)[:-1])
+        tests = np.concatenate([atoms, rng.choice(pooled, 30), rng.random(10), [0.0, 1.0]])
+        oracle = [(1.0 + math.fsum(int((g <= s).sum()) / g.size for g in groups))
+                  / (k + 1) for s in tests]
+        assert hierarchical_p_values(groups, tests).tolist() == oracle
+        reordered = [rng.permutation(groups[i]) for i in rng.permutation(k)]
+        assert hierarchical_p_values(reordered, tests).tolist() == oracle
+
 
 class TestDecisionInvariants:
     def test_standard_flag_iff_p_at_most_alpha(self):
@@ -373,3 +394,74 @@ class TestWeightedOracle:
         for got, (t, r_t) in zip(p, tests):
             oracle = per_essay_weighted_p(values, ratios, t, r_t)
             assert abs(got - oracle) <= 1e-12 * oracle, (t, r_t, got, oracle)
+
+
+huge_range_ratio = (st.just(0.0)
+                    | st.integers(-300, 300).map(lambda e: 10.0 ** e)
+                    | st.floats(min_value=1e-300, max_value=1e300))
+alpha_strategy = st.sampled_from([0.05, 0.1, 0.25, 0.5]) | st.floats(1e-6, 0.999)
+
+
+class TestWeightedScreen:
+    @given(cal=st.lists(st.tuples(tie_prone_score, huge_range_ratio), min_size=1,
+                        max_size=30),
+           extra_tests=st.lists(st.tuples(score_strategy, huge_range_ratio), max_size=5),
+           alpha=alpha_strategy)
+    def test_every_flag_is_a_candidate(self, cal, extra_tests, alpha):
+        # every calibration score is also a test score, so ties are exact
+        tests = cal + extra_tests
+        values, ratios = (np.array(col) for col in zip(*cal))
+        t_values, t_ratios = (np.array(col) for col in zip(*tests))
+        cand = weighted_candidates(values, ratios, t_values, alpha)
+        assert cand.dtype == bool and cand.shape == t_values.shape
+        if ratios.sum() == 0.0:
+            # nothing is screened out, so the rule itself decides to raise
+            assert cand.all()
+            return
+        flagged = weighted_p_values(values, ratios, t_values, t_ratios) < alpha
+        assert not (flagged & ~cand).any()
+
+    @pytest.mark.parametrize("test_ratio", [0.0, 1e-300])
+    def test_knife_edge_mass_equal_to_alpha(self, test_ratio):
+        # 20 equal ratios: one calibration score below gives mass[1]/mass[n]
+        # == 1/20 == alpha exactly, which the rule does not flag
+        values = np.arange(1, 21) / 20.0
+        ratios = np.full(20, 0.75)
+        tests = np.array([0.01, 0.05, 0.07, 0.1, 0.12])  # j = 0, 1, 1, 2, 2
+        p = weighted_p_values(values, ratios, tests, np.full(5, test_ratio))
+        assert p[1] == p[2] == 0.05
+        assert (p < 0.05).tolist() == [True, False, False, False, False]
+        cand = weighted_candidates(values, ratios, tests, 0.05)
+        # the slack keeps the knife edge in; only j = 0 can flag
+        assert cand.tolist() == [True, True, True, False, False]
+
+    def test_zero_calibration_ratios_keep_every_point_and_raise(self):
+        values = np.array([0.1, 0.2, 0.3])
+        tests = np.array([0.05, 0.25, 0.9])
+        cand = weighted_candidates(values, np.zeros(3), tests, 0.05)
+        assert cand.all()
+        with pytest.raises(ValueError, match="density_underflow"):
+            weighted_p_values(values, np.zeros(3), tests[cand], np.zeros(3))
+
+    def test_checks_calibration_ratios_in_order(self):
+        values = np.array([0.1, 0.2])
+        with pytest.raises(ValueError, match="weight_length_mismatch"):
+            weighted_candidates(values, [1.0], [0.5], 0.05)
+        with pytest.raises(ValueError, match="density_underflow"):
+            weighted_candidates(values, [-1.0, math.inf], [0.5], 0.05)
+        with pytest.raises(ValueError, match="negative_weight"):
+            weighted_candidates(values, [-1.0, 1.0], [0.5], 0.05)
+        # a non-finite test ratio is reported before a negative calibration one
+        with pytest.raises(ValueError, match="density_underflow"):
+            weighted_p_values(values, [-1.0, 1.0], [0.5], [math.nan])
+
+    def test_empty_test_set(self):
+        rng = np.random.default_rng(3)
+        pool = rng.normal(size=40)
+        model_p = fit_kde(pool, 0.5)
+        model_q = mean_shift(pool, pool[:8], 0.5)
+        r_cal, = density_ratios(model_p, [model_q], pool)
+        r_test, = density_ratios(model_p, [model_q], np.empty(0))
+        assert r_test.shape == (0,)
+        assert weighted_p_values(pool, r_cal, np.empty(0), r_test).shape == (0,)
+        assert weighted_candidates(pool, r_cal, np.empty(0), 0.05).shape == (0,)

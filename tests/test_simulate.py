@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conformal_wm import labeling
+from conformal_wm import labeling, simulate
 from conformal_wm.cli import main
 from conformal_wm.density import DensityModel
 from conformal_wm.simulate import (
@@ -175,6 +175,39 @@ class TestWeightedDensityCalls:
         # p and both q-models at the pool, then all three at each test set
         per_null = [1 + 2 + 3 * (1 + len(cfg.alt_levels(null))) for null in cfg.null_levels]
         assert len(calls) == len(cfg.minority_sizes) * sum(per_null)
+
+
+class TestWeightedScreen:
+    @pytest.mark.parametrize("log_scale", [True, False])
+    def test_outputs_equal_unscreened_run(self, tmp_path, monkeypatch, log_scale):
+        # m = 5, 15 and 30 take quantile_shift's min, 2alpha and alpha branches
+        cfg = small_config(scenario="weighted", seeds=(1,), n_prompts=2, n_test=300,
+                           minority_sizes=(5, 15, 30), null_levels=(1, 4),
+                           log_scale=log_scale, threads=1)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config_to_dict(cfg)), encoding="utf-8")
+        queried = []
+        evaluate = DensityModel.evaluate
+
+        def counting_evaluate(model, x):
+            queried.append(np.size(x))
+            return evaluate(model, x)
+
+        monkeypatch.setattr(DensityModel, "evaluate", counting_evaluate)
+        screen = simulate.weighted_candidates
+        outputs, points = [], []
+        for candidates in (screen, lambda cal, ratios, values, alpha:
+                           np.ones(np.shape(values), dtype=bool)):
+            monkeypatch.setattr(simulate, "weighted_candidates", candidates)
+            queried.clear()
+            out = tmp_path / f"run{len(outputs)}"
+            assert main(["simulate", str(path), "--out", str(out)]) == 0
+            outputs.append({f: (out / f).read_bytes()
+                            for f in ("metrics.csv", "metrics.json", "plot_data.csv")})
+            points.append(sum(queried))
+        assert outputs[0] == outputs[1]
+        # the screen skips density work, or it is not doing its job
+        assert points[0] < points[1]
 
 
 class TestScenarioBehavior:
