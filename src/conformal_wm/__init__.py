@@ -15,17 +15,7 @@ detection power end to end on synthetic scores.
 __version__ = "0.1.0"
 
 from .bleu import BleuScore, TokenizedText, bleu, bleu_of_texts, tokenize
-from .conformal import (
-    CalibrationSet,
-    Decision,
-    GroupedCalibrationSet,
-    WatermarkScore,
-    hierarchical_conformal_p,
-    hierarchical_decision,
-    standard_conformal_p,
-    standard_decision,
-    weighted_conformal_decision,
-)
+from .conformal import hierarchical_p_values, standard_p_values, weighted_p_values
 from .density import (
     DensityModel,
     ShiftEstimate,
@@ -47,20 +37,16 @@ from .simulate import (
     ExperimentConfig,
     ScoreDistribution,
     default_config,
-    generate_scores,
     run_scenario,
 )
 
 __all__ = [
     "BleuScore", "TokenizedText", "bleu", "bleu_of_texts", "tokenize",
-    "CalibrationSet", "Decision", "GroupedCalibrationSet", "WatermarkScore",
-    "hierarchical_conformal_p", "hierarchical_decision", "standard_conformal_p",
-    "standard_decision", "weighted_conformal_decision",
+    "hierarchical_p_values", "standard_p_values", "weighted_p_values",
     "DensityModel", "ShiftEstimate", "density_ratios", "empirical_quantile",
     "fit_kde", "mean_shift", "quantile_shift",
     "AggregateRow", "CellResult", "MetricsReport", "aggregate", "is_excluded",
     "bleu_quantile_threshold", "outlier_mask",
-    "ExperimentConfig", "ScoreDistribution", "default_config", "generate_scores",
-    "run_scenario",
+    "ExperimentConfig", "ScoreDistribution", "default_config", "run_scenario",
     "__version__",
 ]

@@ -23,13 +23,13 @@ reproduce the standard p-value exactly; the prefix sums of the raw ratios
 with ``w_test`` the test point's own ratio (weighted). Each rule has one
 implementation, its batch function (``standard_p_values``,
 ``hierarchical_p_values``, ``weighted_p_values``), which ``detect``,
-``simulate`` and the acceptance suite all call; the scalar operations on
-:class:`CalibrationSet` are thin wrappers over them, and the weighted
-wrapper takes the raw density ratios, on any common scale, as the batch
-function does. :func:`weighted_candidates` is not a second rule: it only
-marks the test points whose weighted mass could fall under alpha for some
-own ratio, so a caller that needs flags alone can skip computing the
-ratios of the others.
+``simulate`` and the acceptance suite all call; the weighted one takes the
+raw density ratios, on any common scale. An empty calibration raises
+``empty_calibration`` (``empty_group_collection`` for the hierarchical
+rule) instead of giving p = 1. :func:`weighted_candidates` is not a second
+rule: it only marks the test points whose weighted mass could fall under
+alpha for some own ratio, so a caller that needs flags alone can skip
+computing the ratios of the others.
 
 Flag inequalities differ on purpose: standard and hierarchical flag on
 ``p <= alpha`` while the weighted rule flags on ``weighted mass < alpha``.
@@ -45,155 +45,9 @@ every p-value untouched.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
-
-METHOD_STANDARD = "standard"
-METHOD_HIERARCHICAL = "hierarchical"
-METHOD_WEIGHTED = "weighted"
-
-
-@dataclass(frozen=True)
-class WatermarkScore:
-    """A watermark detector p-value for one essay, in (0, 1]."""
-
-    essay_id: str
-    value: float
-
-    def __post_init__(self):
-        if not 0.0 < self.value <= 1.0:
-            raise ValueError(
-                f"score_out_of_range: {self.value!r} for essay {self.essay_id!r}"
-            )
-
-    @property
-    def log_value(self) -> float:
-        """log10 of the score, recomputed on demand."""
-        return math.log10(self.value)
-
-
-@dataclass(frozen=True)
-class CalibrationSet:
-    """Scores of essays known to follow the permitted editing guideline."""
-
-    scores: tuple[WatermarkScore, ...]
-    provenance: str = ""
-
-    def __post_init__(self):
-        if len(self.scores) == 0:
-            raise ValueError("empty_calibration")
-
-    def __len__(self) -> int:
-        return len(self.scores)
-
-    def values(self) -> np.ndarray:
-        return np.array([s.value for s in self.scores], dtype=float)
-
-    @classmethod
-    def from_values(cls, values: Iterable[float], provenance: str = "") -> "CalibrationSet":
-        scores = tuple(
-            WatermarkScore(essay_id=f"{provenance or 'cal'}-{i}", value=float(v))
-            for i, v in enumerate(values)
-        )
-        return cls(scores=scores, provenance=provenance)
-
-
-@dataclass(frozen=True)
-class GroupedCalibrationSet:
-    """K nonempty calibration groups, exchangeable at the group level."""
-
-    groups: tuple[CalibrationSet, ...]
-
-    def __post_init__(self):
-        if len(self.groups) == 0:
-            raise ValueError("empty_group_collection")
-
-    def __len__(self) -> int:
-        return len(self.groups)
-
-
-@dataclass(frozen=True)
-class Decision:
-    """Outcome of one flagging decision.
-
-    The flag must match the method's rule: p <= alpha for standard and
-    hierarchical, strictly < alpha for weighted.
-    """
-
-    conformal_p: float
-    flagged: bool
-    alpha: float
-    method: str
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha_out_of_range: {self.alpha}")
-        if self.method in (METHOD_STANDARD, METHOD_HIERARCHICAL):
-            if not 0.0 < self.conformal_p <= 1.0:
-                raise ValueError(f"conformal_p_out_of_range: {self.conformal_p}")
-            expected = self.conformal_p <= self.alpha
-        elif self.method == METHOD_WEIGHTED:
-            # the weighted mass is a sum of nonnegative weights and can
-            # vanish outright when the test point sits below every
-            # calibration score with an underflowed density ratio
-            if not 0.0 <= self.conformal_p <= 1.0:
-                raise ValueError(f"conformal_p_out_of_range: {self.conformal_p}")
-            expected = self.conformal_p < self.alpha
-        else:
-            raise ValueError(f"unknown_method: {self.method}")
-        if self.flagged != expected:
-            raise ValueError("flag_rule_violation")
-
-
-def standard_conformal_p(cal: CalibrationSet, s: WatermarkScore) -> float:
-    """p-value (1 + #{s_i <= s}) / (n + 1); lies on the grid k/(n+1), k=1..n+1."""
-    return float(standard_p_values(cal.values(), s.value))
-
-
-def hierarchical_conformal_p(cal: GroupedCalibrationSet, s: WatermarkScore) -> float:
-    """p-value (1 + sum_k count_k/n_k) / (K + 1).
-
-    Each group contributes its within-group fraction of scores <= s, so a
-    group of 3 essays carries the same total weight as a group of 300.
-    With all groups singletons this reduces exactly (bit for bit) to
-    :func:`standard_conformal_p` on the pooled scores.
-    """
-    return float(hierarchical_p_values([g.values() for g in cal.groups], s.value))
-
-
-def standard_decision(cal: CalibrationSet, s: WatermarkScore, alpha: float) -> Decision:
-    p = standard_conformal_p(cal, s)
-    return Decision(conformal_p=p, flagged=p <= alpha, alpha=alpha, method=METHOD_STANDARD)
-
-
-def hierarchical_decision(
-    cal: GroupedCalibrationSet, s: WatermarkScore, alpha: float
-) -> Decision:
-    p = hierarchical_conformal_p(cal, s)
-    return Decision(
-        conformal_p=p, flagged=p <= alpha, alpha=alpha, method=METHOD_HIERARCHICAL
-    )
-
-
-def weighted_conformal_decision(
-    cal: CalibrationSet,
-    s: WatermarkScore,
-    cal_ratios: Sequence[float],
-    test_ratio: float,
-    alpha: float,
-) -> Decision:
-    """Weighted decision: flag when weighted mass at or below s is strictly < alpha.
-
-    ``cal_ratios`` holds one density ratio per calibration score and
-    ``test_ratio`` the test point's own, all on any common scale (for
-    example from :func:`~conformal_wm.density.density_ratios`); length,
-    sign and finiteness are checked by :func:`weighted_p_values`.
-    """
-    p = float(weighted_p_values(cal.values(), cal_ratios, s.value, test_ratio))
-    return Decision(conformal_p=p, flagged=p < alpha, alpha=alpha, method=METHOD_WEIGHTED)
-
 
 # ---------------------------------------------------------------------------
 # Batch p-values: one calibration set, many test scores, one rank kernel.
@@ -211,9 +65,17 @@ def _rank_p_values(sorted_cal: np.ndarray, mass: np.ndarray, test_values,
     return np.minimum((w_test + mass[j]) / (w_test + mass[-1]), 1.0)
 
 
+def _calibration(cal_values) -> np.ndarray:
+    """The calibration scores as floats; raises ``empty_calibration`` if there are none."""
+    cal = np.asarray(cal_values, dtype=float)
+    if cal.size == 0:
+        raise ValueError("empty_calibration")
+    return cal
+
+
 def standard_p_values(cal_values: np.ndarray, test_values: np.ndarray) -> np.ndarray:
     """Standard p-values of many test scores against one calibration set."""
-    cal = np.sort(np.asarray(cal_values, dtype=float))
+    cal = np.sort(_calibration(cal_values))
     return _rank_p_values(cal, np.arange(cal.size + 1.0), test_values)
 
 
@@ -227,6 +89,8 @@ def hierarchical_p_values(
     every p-value equals ``(1 + fsum_k(count_k/n_k)) / (K + 1)`` bit for bit.
     """
     sizes = [np.size(g) for g in groups]
+    if not sizes:
+        raise ValueError("empty_group_collection")
     if 0 in sizes:
         raise ValueError("empty_group")
     cal = np.concatenate([np.asarray(g, dtype=float).ravel() for g in groups])
@@ -245,12 +109,12 @@ def _weighted_mass(cal_values, cal_ratios,
                    test_ratios=()) -> tuple[np.ndarray, np.ndarray]:
     """Sorted calibration scores and the prefix sums of their ratios.
 
-    Checks the ratios first: a length that does not match the scores
-    raises ``weight_length_mismatch``, then a non-finite calibration or
-    test ratio ``density_underflow``, then a negative one
-    ``negative_weight``.
+    An empty calibration raises ``empty_calibration``. Then the ratios are
+    checked: a length that does not match the scores raises
+    ``weight_length_mismatch``, then a non-finite calibration or test ratio
+    ``density_underflow``, then a negative one ``negative_weight``.
     """
-    cal = np.asarray(cal_values, dtype=float)
+    cal = _calibration(cal_values)
     r_cal = np.asarray(cal_ratios, dtype=float)
     r_test = np.asarray(test_ratios, dtype=float)
     if r_cal.shape != cal.shape:
@@ -313,7 +177,7 @@ def weighted_candidates(
     for a subnormal total. The slack can only add candidates: flags still
     come from :func:`weighted_p_values` alone. When ``mass[n]`` is not
     positive every point is a candidate, so the rule still raises
-    ``density_underflow``. The calibration ratios are checked as in
+    ``density_underflow``. The calibration and its ratios are checked as in
     :func:`weighted_p_values`.
     """
     sorted_cal, mass = _weighted_mass(cal_values, cal_ratios)

@@ -67,24 +67,12 @@ class ValidationError(ValueError):
         return json.dumps(payload, sort_keys=True)
 
 
-@dataclass(frozen=True)
-class ScoreRow:
-    essay_id: str
-    score: float
-    role: str
-    group_id: str | None = None
-    population: str | None = None
-    edit_intensity: int | None = None
-
-
 @dataclass(frozen=True, eq=False)
 class ScoreTable:
     """Validated score table as columns, in file order.
 
     ``line`` is each row's source position: the physical file line the
     record ends on for CSV (header = 1), the 1-based array index for JSON.
-    ``rows`` rebuilds one :class:`ScoreRow` per row for library callers;
-    the ``detect`` path reads the columns.
     """
 
     essay_id: tuple[str, ...]
@@ -97,19 +85,6 @@ class ScoreTable:
 
     def __len__(self) -> int:
         return len(self.essay_id)
-
-    @property
-    def rows(self) -> list[ScoreRow]:
-        return [ScoreRow(*values) for values in zip(
-            self.essay_id, self.score.tolist(), self.role, self.group_id,
-            self.population, self.edit_intensity)]
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[ScoreRow]) -> ScoreTable:
-        """Table of ``rows``, numbered 1..n like a JSON array."""
-        return _collect(
-            ((r.essay_id, r.score, r.role, r.group_id, r.population, r.edit_intensity), i)
-            for i, r in enumerate(rows, start=1))
 
 
 def _collect(rows: Iterable[tuple[tuple, int]]) -> ScoreTable:
@@ -250,34 +225,6 @@ def ingest(path, fmt: str | None = None) -> ScoreTable:
     records = _csv_values(path) if _infer_format(path, fmt) == "csv" else _json_values(path)
     seen: set = set()
     return _collect((_validate_row(raw, line, seen), line) for raw, line in records)
-
-
-def emit_score_table(table: ScoreTable, path, fmt: str | None = None) -> None:
-    path = Path(path)
-    fmt = _infer_format(path, fmt)
-    if fmt == "csv":
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_CSV_COLUMNS)
-            for r in table.rows:
-                writer.writerow([
-                    r.essay_id,
-                    repr(r.score),
-                    r.role,
-                    r.group_id or "",
-                    r.population or "",
-                    "" if r.edit_intensity is None else r.edit_intensity,
-                ])
-    else:
-        payload = [
-            {k: v for k, v in (
-                ("essay_id", r.essay_id), ("score", r.score), ("role", r.role),
-                ("group_id", r.group_id), ("population", r.population),
-                ("edit_intensity", r.edit_intensity)) if v is not None}
-            for r in table.rows
-        ]
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from typing import Mapping
 import numpy as np
 
 from .conformal import (
-    WatermarkScore,
     hierarchical_p_values,
     standard_p_values,
     weighted_candidates,
@@ -145,17 +144,6 @@ def _sample_values(dist: ScoreDistribution, n: int, rng: np.random.Generator) ->
                 out[mask] = _sample_values(sub, int(mask.sum()), rng)
         return out
     raise ValueError(f"unknown_family: {fam}")
-
-
-def generate_scores(dist: ScoreDistribution, n: int, seed: int) -> list[WatermarkScore]:
-    """Deterministic synthetic scores: same (dist, n, seed) -> same values."""
-    rng = np.random.default_rng(np.random.SeedSequence([_ENTROPY_BASE, int(seed)]))
-    values = _sample_values(dist, n, rng)
-    return [
-        WatermarkScore(essay_id=f"sim-{dist.family}-i{dist.edit_intensity}-s{seed}-{i}",
-                       value=float(v))
-        for i, v in enumerate(values)
-    ]
 
 
 @dataclass(frozen=True)

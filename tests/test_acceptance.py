@@ -16,16 +16,7 @@ import numpy as np
 import pytest
 
 from conformal_wm.cli import main
-from conformal_wm.conformal import (
-    CalibrationSet,
-    GroupedCalibrationSet,
-    WatermarkScore,
-    hierarchical_conformal_p,
-    hierarchical_p_values,
-    standard_conformal_p,
-    standard_p_values,
-    weighted_p_values,
-)
+from conformal_wm.conformal import hierarchical_p_values, standard_p_values, weighted_p_values
 from conformal_wm.bleu import TokenizedText, bleu
 from conformal_wm.density import density_ratios, fit_kde, quantile_shift
 from conformal_wm.evaluation import CellResult, is_excluded
@@ -98,11 +89,8 @@ def test_criterion_03_singleton_collapse_bit_identical():
             n = int(rng.integers(1, 9))
             values = rng.random(n)
             s = float(rng.random())
-            score = WatermarkScore("t", s)
-            flat = standard_conformal_p(CalibrationSet.from_values(values), score)
-            grouped = GroupedCalibrationSet(groups=tuple(
-                CalibrationSet.from_values([v]) for v in values))
-            hier = hierarchical_conformal_p(grouped, score)
+            (flat,) = standard_p_values(values, [s]).tolist()
+            (hier,) = hierarchical_p_values([[v] for v in values], [s]).tolist()
             assert hier == flat
             oracle = Fraction(1 + sum(1 for v in values if v <= s), n + 1)
             assert flat == float(oracle)

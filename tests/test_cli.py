@@ -11,13 +11,7 @@ import pytest
 import conformal_wm
 from conformal_wm.cli import main
 from conformal_wm.density import DensityModel
-from conformal_wm.io import (
-    ScoreRow,
-    ScoreTable,
-    ValidationError,
-    emit_score_table,
-    ingest,
-)
+from conformal_wm.io import ValidationError, ingest
 
 CAL_CSV = """essay_id,score,role
 c1,0.1,calibration
@@ -42,7 +36,9 @@ class TestIngest:
         path = write(tmp_path, "one.csv", "essay_id,score,role\ne1,0.5,test\n")
         table = ingest(path)
         assert len(table) == 1
-        assert table.rows[0] == ScoreRow(essay_id="e1", score=0.5, role="test")
+        assert (table.essay_id, table.score.tolist(), table.role, table.group_id,
+                table.population, table.edit_intensity) == \
+            (("e1",), [0.5], ("test",), (None,), (None,), (None,))
 
     def test_score_zero_rejected(self, tmp_path):
         path = write(tmp_path, "bad.csv", "essay_id,score,role\ne1,0,calibration\n")
@@ -99,18 +95,16 @@ class TestIngest:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_round_trip_value_identical(self, tmp_path, fmt):
-        table = ScoreTable.from_rows([
-            ScoreRow("e1", 0.1234567890123456, "calibration", group_id="g1"),
-            ScoreRow("e2", 1.0, "test", population="minority", edit_intensity=7),
-            ScoreRow("e3", 1e-12, "test"),
-        ])
-        path = tmp_path / f"round.{fmt}"
-        emit_score_table(table, path)
-        again = ingest(path)
-        assert again.rows == table.rows
-        emit_score_table(again, tmp_path / f"second.{fmt}")
-        assert (tmp_path / f"round.{fmt}").read_bytes() == \
-            (tmp_path / f"second.{fmt}").read_bytes()
+        # scores written as repr text read back to the same doubles
+        values = [0.1234567890123456, 1e-12]
+        if fmt == "csv":
+            text = "essay_id,score,role\n" + "".join(
+                f"e{i},{v!r},test\n" for i, v in enumerate(values))
+        else:
+            text = json.dumps([{"essay_id": f"e{i}", "score": v, "role": "test"}
+                               for i, v in enumerate(values)])
+        assert "1e-12" in text
+        assert ingest(write(tmp_path, f"scores.{fmt}", text)).score.tolist() == values
 
 
 class TestDetectCommand:
@@ -133,6 +127,18 @@ class TestDetectCommand:
         out = tmp_path / "out"
         assert main(["detect", cal, test, "--alpha", "0.3", "--out", str(out)]) == 0
         assert "t1,0.2,true" in (out / "decisions.csv").read_text()
+
+    def test_flag_rule_and_alpha_validation(self, tmp_path, capsys):
+        cal = write(tmp_path, "cal.csv", CAL_CSV)
+        test = write(tmp_path, "test.csv", TEST_CSV)
+        out = tmp_path / "out"
+        # p = 1/5 equals alpha = 0.2 to the last bit, and standard flags on p <= alpha
+        assert main(["detect", cal, test, "--alpha", "0.2", "--out", str(out)]) == 0
+        assert (out / "decisions.csv").read_text().splitlines()[1] == "t1,0.2,true"
+        for alpha in ("0", "1", "1.5"):
+            assert main(["detect", cal, test, "--alpha", alpha, "--out", str(out)]) == 2
+            err = json.loads(capsys.readouterr().err.strip())
+            assert err["error"] == "alpha_out_of_range"
 
     def test_hierarchical_missing_group_id_exits_2(self, tmp_path, capsys):
         cal = write(tmp_path, "cal.csv",

@@ -1,4 +1,4 @@
-"""Rank-based p-values: worked examples, invariants, and batch-kernel parity."""
+"""Rank-based p-values: worked examples, invariants, and exact oracles."""
 
 import math
 from fractions import Fraction
@@ -9,18 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conformal_wm.conformal import (
-    CalibrationSet,
-    Decision,
-    GroupedCalibrationSet,
-    WatermarkScore,
-    hierarchical_conformal_p,
-    hierarchical_decision,
     hierarchical_p_values,
-    standard_conformal_p,
-    standard_decision,
     standard_p_values,
     weighted_candidates,
-    weighted_conformal_decision,
     weighted_p_values,
 )
 from conformal_wm.density import density_ratios, fit_kde, mean_shift
@@ -34,51 +25,30 @@ score_strategy = st.floats(min_value=1e-6, max_value=1.0, allow_nan=False,
                            allow_infinity=False)
 
 
-def cal_of(values):
-    return CalibrationSet.from_values(values)
-
-
 def rank_oracle(cal_values, s):
     """Exact-rational standard p-value, independent of the implementation."""
     count = sum(1 for v in cal_values if v <= s)
     return Fraction(1 + count, len(cal_values) + 1)
 
 
-class TestWatermarkScore:
-    def test_log_value_recomputed(self):
-        s = WatermarkScore("e1", 0.01)
-        assert s.log_value == math.log10(0.01)
-
-    @pytest.mark.parametrize("bad", [0.0, -0.2, 1.0000001, 2.0])
-    def test_rejects_out_of_range(self, bad):
-        with pytest.raises(ValueError, match="score_out_of_range"):
-            WatermarkScore("e1", bad)
-
-    def test_accepts_boundary_one(self):
-        assert WatermarkScore("e1", 1.0).value == 1.0
-
-
 class TestStandardConformal:
     def test_below_all_calibration(self):
         # count 0 is forced, so the p-value sits at its floor 1/(n+1)
-        p = standard_conformal_p(cal_of([0.1, 0.2, 0.3, 0.4]), WatermarkScore("t", 0.05))
-        assert p == 0.2
+        assert standard_p_values([0.1, 0.2, 0.3, 0.4], [0.05]).tolist() == [0.2]
 
     def test_hand_ranked_middle(self):
-        p = standard_conformal_p(cal_of([0.1, 0.2, 0.3, 0.4]), WatermarkScore("t", 0.25))
-        assert p == 0.6
+        assert standard_p_values([0.1, 0.2, 0.3, 0.4], [0.25]).tolist() == [0.6]
 
     def test_tie_counts_as_leq(self):
-        p = standard_conformal_p(cal_of([0.5]), WatermarkScore("t", 0.5))
-        assert p == 1.0
+        assert standard_p_values([0.5], [0.5]).tolist() == [1.0]
 
     def test_empty_calibration_rejected(self):
         with pytest.raises(ValueError, match="empty_calibration"):
-            CalibrationSet(scores=())
+            standard_p_values(np.empty(0), [0.5])
 
     @given(values=scores_strategy, s=score_strategy)
     def test_matches_exact_rank_oracle(self, values, s):
-        p = standard_conformal_p(cal_of(values), WatermarkScore("t", s))
+        (p,) = standard_p_values(values, [s])
         assert p == float(rank_oracle(values, s))
 
     @given(values=scores_strategy, s=score_strategy, seed=st.integers(0, 2**31))
@@ -86,37 +56,32 @@ class TestStandardConformal:
         rng = np.random.default_rng(seed)
         shuffled = list(values)
         rng.shuffle(shuffled)
-        a = standard_conformal_p(cal_of(values), WatermarkScore("t", s))
-        b = standard_conformal_p(cal_of(shuffled), WatermarkScore("t", s))
-        assert a == b
+        assert standard_p_values(values, [s]).tolist() == \
+            standard_p_values(shuffled, [s]).tolist()
 
     @given(values=scores_strategy, s=score_strategy)
     def test_rank_invariance_under_increasing_transform(self, values, s):
         # x**2 is strictly increasing on (0, 1], so ranks cannot move
-        a = standard_conformal_p(cal_of(values), WatermarkScore("t", s))
-        b = standard_conformal_p(cal_of([v * v for v in values]),
-                                 WatermarkScore("t", s * s))
-        assert a == b
+        a = standard_p_values(values, [s])
+        b = standard_p_values([v * v for v in values], [s * s])
+        assert a.tolist() == b.tolist()
 
     @given(values=scores_strategy, s1=score_strategy, s2=score_strategy)
     def test_monotone_in_test_score(self, values, s1, s2):
-        lo, hi = min(s1, s2), max(s1, s2)
-        cal = cal_of(values)
-        assert standard_conformal_p(cal, WatermarkScore("t", lo)) <= \
-            standard_conformal_p(cal, WatermarkScore("t", hi))
+        p_lo, p_hi = standard_p_values(values, [min(s1, s2), max(s1, s2)])
+        assert p_lo <= p_hi
 
     @given(values=scores_strategy, s=score_strategy)
     def test_range_is_rank_grid(self, values, s):
         n = len(values)
-        p = standard_conformal_p(cal_of(values), WatermarkScore("t", s))
+        (p,) = standard_p_values(values, [s])
         assert p in {(k + 1) / (n + 1) for k in range(n + 1)}
 
     def test_single_point_calibration_is_degenerate_not_an_error(self):
         # p can only be 1/2 or 1, so nothing is flaggable below alpha = 0.5
-        cal = cal_of([0.4])
-        assert standard_conformal_p(cal, WatermarkScore("t", 0.1)) == 0.5
-        assert standard_conformal_p(cal, WatermarkScore("t", 0.9)) == 1.0
-        assert not standard_decision(cal, WatermarkScore("t", 0.001), 0.05).flagged
+        p = standard_p_values([0.4], [0.1, 0.9, 0.001])
+        assert p.tolist() == [0.5, 1.0, 0.5]
+        assert not (p <= 0.05).any()
 
     def test_superuniform_under_iid_null(self):
         rng = np.random.default_rng(7)
@@ -130,96 +95,85 @@ class TestStandardConformal:
 
 class TestHierarchicalConformal:
     def test_hand_computed_group_fractions(self):
-        g = GroupedCalibrationSet(groups=(
-            cal_of([0.1, 0.3]), cal_of([0.2, 0.4])))
-        assert hierarchical_conformal_p(g, WatermarkScore("t", 0.25)) == 2 / 3
+        p = hierarchical_p_values([[0.1, 0.3], [0.2, 0.4]], [0.25])
+        assert p.tolist() == [2 / 3]
 
     @given(values=st.lists(score_strategy, min_size=1, max_size=8),
            s=score_strategy)
     def test_singleton_groups_collapse_to_standard(self, values, s):
-        flat = standard_conformal_p(cal_of(values), WatermarkScore("t", s))
-        g = GroupedCalibrationSet(groups=tuple(cal_of([v]) for v in values))
-        assert hierarchical_conformal_p(g, WatermarkScore("t", s)) == flat
+        flat = standard_p_values(values, [s])
+        assert hierarchical_p_values([[v] for v in values], [s]).tolist() == flat.tolist()
 
     def test_all_indicators_zero_gives_floor(self):
-        g = GroupedCalibrationSet(groups=(cal_of([0.5, 0.6]), cal_of([0.7])))
-        p = hierarchical_conformal_p(g, WatermarkScore("t", 0.1))
-        assert p == 1 / 3
+        assert hierarchical_p_values([[0.5, 0.6], [0.7]], [0.1]).tolist() == [1 / 3]
 
     @given(groups=st.lists(scores_strategy, min_size=1, max_size=6),
            s=score_strategy, seed=st.integers(0, 2**31))
     def test_group_order_permutation_bit_identical(self, groups, s, seed):
         rng = np.random.default_rng(seed)
         perm = rng.permutation(len(groups))
-        a = hierarchical_conformal_p(
-            GroupedCalibrationSet(groups=tuple(cal_of(g) for g in groups)),
-            WatermarkScore("t", s))
-        b = hierarchical_conformal_p(
-            GroupedCalibrationSet(groups=tuple(cal_of(groups[i]) for i in perm)),
-            WatermarkScore("t", s))
-        assert a == b
+        a = hierarchical_p_values(groups, [s])
+        b = hierarchical_p_values([groups[i] for i in perm], [s])
+        assert a.tolist() == b.tolist()
 
     @given(groups=st.lists(scores_strategy, min_size=1, max_size=6),
            s=score_strategy)
     def test_range(self, groups, s):
-        g = GroupedCalibrationSet(groups=tuple(cal_of(gr) for gr in groups))
-        p = hierarchical_conformal_p(g, WatermarkScore("t", s))
+        (p,) = hierarchical_p_values(groups, [s])
         assert 1 / (len(groups) + 1) <= p <= 1.0
 
     def test_empty_group_collection_rejected(self):
         with pytest.raises(ValueError, match="empty_group_collection"):
-            GroupedCalibrationSet(groups=())
+            hierarchical_p_values([], [0.5])
 
 
 class TestWeightedDecision:
     def test_uniform_weights_reduce_to_standard(self):
         values = [0.1, 0.2, 0.3, 0.4]
-        cal = cal_of(values)
-        s = WatermarkScore("t", 0.25)
-        d = weighted_conformal_decision(cal, s, [1.0] * 4, 1.0, alpha=0.05)
-        assert d.conformal_p == pytest.approx(standard_conformal_p(cal, s), abs=1e-12)
-        assert d.flagged == (d.conformal_p < 0.05)
+        (p,) = weighted_p_values(values, np.ones(4), [0.25], [1.0])
+        assert p == pytest.approx(standard_p_values(values, [0.25])[0], abs=1e-12)
 
     def test_hand_weighted_indicator_sum(self):
-        cal = cal_of([0.1, 0.2])
         # raw ratios 5 : 3 : 2 normalize to 0.5, 0.3 and 0.2
-        d = weighted_conformal_decision(cal, WatermarkScore("t", 0.15), [5.0, 3.0], 2.0,
-                                        alpha=0.05)
-        assert d.conformal_p == pytest.approx(0.7, abs=1e-12)
-        assert not d.flagged
+        (p,) = weighted_p_values([0.1, 0.2], [5.0, 3.0], [0.15], [2.0])
+        assert p == pytest.approx(0.7, abs=1e-12)
+        assert not p < 0.05
 
     def test_all_mass_on_test_point_never_flags(self):
-        cal = cal_of([0.1, 0.2])
-        d = weighted_conformal_decision(cal, WatermarkScore("t", 0.0001), [0.0, 0.0], 1.0,
-                                        alpha=0.4)
-        assert d.conformal_p == 1.0
-        assert not d.flagged
+        (p,) = weighted_p_values([0.1, 0.2], [0.0, 0.0], [0.0001], [1.0])
+        assert p == 1.0
+        assert not p < 0.4
 
     def test_weight_length_mismatch(self):
         with pytest.raises(ValueError, match="weight_length_mismatch"):
-            weighted_conformal_decision(
-                cal_of([0.1, 0.2, 0.3]), WatermarkScore("t", 0.2),
-                [1.0, 1.0], 1.0, alpha=0.05)
+            weighted_p_values([0.1, 0.2, 0.3], [1.0, 1.0], [0.2], [1.0])
 
     def test_negative_ratio_rejected(self):
-        cal = cal_of([0.1, 0.2, 0.3])
-        s = WatermarkScore("t", 0.2)
+        cal = np.array([0.1, 0.2, 0.3])
         with pytest.raises(ValueError, match="negative_weight"):
-            weighted_conformal_decision(cal, s, [1.0, -0.5, 1.0], 1.0, alpha=0.05)
+            weighted_p_values(cal, [1.0, -0.5, 1.0], [0.2], [1.0])
         with pytest.raises(ValueError, match="negative_weight"):
-            weighted_conformal_decision(cal, s, [1.0, 1.0, 1.0], -1e-300, alpha=0.05)
+            weighted_p_values(cal, np.ones(3), [0.2], [-1e-300])
         with pytest.raises(ValueError, match="negative_weight"):
-            weighted_p_values(cal.values(), np.ones(3), np.array([0.2, 0.4]),
+            weighted_p_values(cal, np.ones(3), np.array([0.2, 0.4]),
                               np.array([1.0, -1.0]))
+
+    @pytest.mark.parametrize("kernel", [
+        lambda: weighted_p_values(np.empty(0), np.empty(0), [0.5], [1.0]),
+        lambda: weighted_candidates([], [], [0.5], 0.05),
+    ], ids=["weighted_p_values", "weighted_candidates"])
+    def test_empty_calibration_rejected(self, kernel):
+        # with no calibration mass every p-value would read 1
+        with pytest.raises(ValueError, match="empty_calibration"):
+            kernel()
 
     def test_strict_inequality_at_exact_alpha(self):
         # standard flags at p == alpha, the weighted rule does not
-        cal = cal_of([0.1, 0.2, 0.3])
-        s = WatermarkScore("t", 0.05)
-        std = standard_decision(cal, s, alpha=0.25)
-        wtd = weighted_conformal_decision(cal, s, [1.0] * 3, 1.0, alpha=0.25)
-        assert std.conformal_p == wtd.conformal_p == 0.25
-        assert std.flagged and not wtd.flagged
+        cal = [0.1, 0.2, 0.3]
+        (std,) = standard_p_values(cal, [0.05])
+        (wtd,) = weighted_p_values(cal, np.ones(3), [0.05], [1.0])
+        assert std == wtd == 0.25
+        assert std <= 0.25 and not wtd < 0.25
 
     def test_weighted_superuniform_with_oracle_ratios(self):
         # calibration drawn i.i.d. from a two-component mixture, test point
@@ -253,12 +207,10 @@ class TestWeightedDecision:
 
     @given(values=scores_strategy, s=score_strategy)
     def test_uniform_reduction_agrees_except_exact_ties(self, values, s):
-        cal = cal_of(values)
-        score = WatermarkScore("t", s)
-        p_std = standard_conformal_p(cal, score)
-        d = weighted_conformal_decision(cal, score, [1.0] * len(values), 1.0, alpha=0.05)
+        (p_std,) = standard_p_values(values, [s])
+        (p_wtd,) = weighted_p_values(values, np.ones(len(values)), [s], [1.0])
         if p_std != 0.05:
-            assert d.flagged == (p_std <= 0.05)
+            assert (p_wtd < 0.05) == (p_std <= 0.05)
 
 
 tie_prone_score = st.sampled_from([0.1, 0.25, 0.5, 0.75, 1.0]) | score_strategy
@@ -303,56 +255,15 @@ class TestHierarchicalKernel:
 
 class TestDecisionInvariants:
     def test_standard_flag_iff_p_at_most_alpha(self):
-        cal = cal_of([0.1, 0.2, 0.3])
-        assert standard_decision(cal, WatermarkScore("t", 0.05), 0.25).flagged
-        assert not standard_decision(cal, WatermarkScore("t", 0.15), 0.25).flagged
+        # the first p-value equals alpha to the last bit and is flagged
+        p = standard_p_values([0.1, 0.2, 0.3], [0.05, 0.15])
+        assert p.tolist() == [0.25, 0.5]
+        assert (p <= 0.25).tolist() == [True, False]
 
     def test_hierarchical_flag_rule(self):
-        g = GroupedCalibrationSet(groups=tuple(cal_of([v]) for v in
-                                               np.linspace(0.05, 1.0, 39)))
-        d = hierarchical_decision(g, WatermarkScore("t", 0.01), alpha=0.05)
-        assert d.conformal_p == 1 / 40
-        assert d.flagged
-
-    def test_alpha_validation(self):
-        with pytest.raises(ValueError, match="alpha_out_of_range"):
-            Decision(conformal_p=0.5, flagged=False, alpha=1.5, method="standard")
-        with pytest.raises(ValueError, match="unknown_method"):
-            Decision(conformal_p=0.5, flagged=False, alpha=0.05, method="bayes")
-
-
-class TestBatchKernels:
-    @given(values=scores_strategy,
-           tests=st.lists(score_strategy, min_size=1, max_size=10))
-    def test_standard_p_values_matches_scalar_op(self, values, tests):
-        cal = cal_of(values)
-        batch = standard_p_values(np.array(values), np.array(tests))
-        for t, p in zip(tests, batch):
-            assert p == standard_conformal_p(cal, WatermarkScore("t", t))
-
-    def test_hierarchical_p_values_matches_scalar_op(self):
-        rng = np.random.default_rng(4)
-        groups = [rng.random(rng.integers(1, 6)) for _ in range(5)]
-        tests = rng.random(20)
-        g = GroupedCalibrationSet(groups=tuple(cal_of(gr) for gr in groups))
-        batch = hierarchical_p_values(groups, tests)
-        for t, p in zip(tests, batch):
-            assert p == pytest.approx(
-                hierarchical_conformal_p(g, WatermarkScore("t", t)), abs=1e-12)
-
-    def test_weighted_p_values_matches_scalar_op(self):
-        rng = np.random.default_rng(6)
-        n = 12
-        values = rng.random(n) * 0.9 + 0.05
-        ratios = rng.random(n) + 0.1
-        tests = rng.random(8) * 0.9 + 0.05
-        r_tests = rng.random(8) + 0.1
-        batch = weighted_p_values(values, ratios, tests, r_tests)
-        cal = cal_of(values)
-        for t, rt, p in zip(tests, r_tests, batch):
-            d = weighted_conformal_decision(cal, WatermarkScore("t", t), ratios, rt,
-                                            alpha=0.05)
-            assert p == d.conformal_p
+        (p,) = hierarchical_p_values([[v] for v in np.linspace(0.05, 1.0, 39)], [0.01])
+        assert p == 1 / 40
+        assert p <= 0.05
 
 
 def per_essay_weighted_p(cal_values, cal_ratios, t, test_ratio):

@@ -287,6 +287,11 @@ class TestWeights:
         r = np.array(ratios)
         values = np.arange(r.size - 1.0)
         tests = np.arange(-0.5, r.size - 1.0)
+        if r.size == 1:
+            # no calibration scores: no p-value, rather than p = 1
+            with pytest.raises(ValueError, match="empty_calibration"):
+                weighted_p_values(values, r[:-1], tests, r[-1])
+            return
         p = weighted_p_values(values, r[:-1], tests, r[-1])
         # below every score only the test point's own weight counts; at or
         # above the largest, all of it

@@ -1,9 +1,9 @@
 """Columnar ingest against the row-by-row ingest it replaced.
 
 The oracle below is the former ``io.ingest``: ``csv.DictReader`` plus a
-dict validator, one ``ScoreRow`` per row. The columnar ``ingest`` must
-give the same rows and source lines on every table, or fail with the same
-``(code, line, field, detail)``.
+dict validator, one tuple of column values per row. The columnar
+``ingest`` must give the same rows and source lines on every table, or fail
+with the same ``(code, line, field, detail)``.
 """
 
 import csv
@@ -17,15 +17,14 @@ from hypothesis import strategies as st
 
 from conformal_wm import cli
 from conformal_wm import io as io_mod
-from conformal_wm.cli import main
-from conformal_wm.io import ScoreRow, ScoreTable, ValidationError, ingest
+from conformal_wm.io import ValidationError, ingest
 
 # ---------------------------------------------------------------------------
 # Oracle: the row-by-row ingest, kept verbatim apart from returning lines
 # ---------------------------------------------------------------------------
 
 
-def _oracle_validate_row(raw: dict, line: int, seen_ids: set) -> ScoreRow:
+def _oracle_validate_row(raw: dict, line: int, seen_ids: set) -> tuple:
     essay_id = str(raw.get("essay_id") or "").strip()
     if not essay_id:
         raise ValidationError("missing_essay_id", line=line, field_name="essay_id")
@@ -70,8 +69,7 @@ def _oracle_validate_row(raw: dict, line: int, seen_ids: set) -> ScoreRow:
             raise ValidationError("invalid_edit_intensity", detail=repr(intensity),
                                   line=line, field_name="edit_intensity")
 
-    return ScoreRow(essay_id=essay_id, score=score, role=role, group_id=group_id,
-                    population=population, edit_intensity=intensity)
+    return essay_id, score, role, group_id, population, intensity
 
 
 def oracle_ingest(path, fmt):
@@ -119,11 +117,11 @@ def assert_parity(path, fmt):
         assert got[0] == "ok", got
         table = got[1]
         rows, lines = want[1]
-        assert table.rows == rows
+        assert list(zip(table.essay_id, table.score.tolist(), table.role, table.group_id,
+                        table.population, table.edit_intensity)) == rows
         assert list(table.line) == lines
         assert len(table) == len(rows)
         assert table.score.dtype == np.float64
-        assert table.score.tolist() == [r.score for r in rows]
     else:
         assert got == want
     return want
@@ -332,53 +330,6 @@ def test_generated_json_matches_oracle(tmp_path, payload):
     path = tmp_path / "table.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
     assert_parity(path, "json")
-
-
-# ---------------------------------------------------------------------------
-# The rank path builds no per-row objects
-# ---------------------------------------------------------------------------
-
-
-def count_score_rows(monkeypatch):
-    built = []
-    init = ScoreRow.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(ScoreRow, "__init__", counting_init)
-    return built
-
-
-@pytest.mark.parametrize("method", ["standard", "hierarchical", "weighted"])
-def test_ingest_and_detect_build_no_score_rows(tmp_path, monkeypatch, method):
-    cal = tmp_path / "cal.csv"
-    cal.write_text("essay_id,score,role,group_id,population\n" + "".join(
-        f"c{i},{(i + 1) / 1001!r},calibration,g{i % 40},"
-        f"{'minority' if i % 10 == 0 else 'majority'}\n" for i in range(1000)),
-        encoding="utf-8")
-    test = tmp_path / "test.csv"
-    test.write_text("essay_id,score,role\n" + "".join(
-        f"t{i},{(i + 0.5) / 1000!r},test\n" for i in range(1000)), encoding="utf-8")
-    built = count_score_rows(monkeypatch)
-    assert len(ingest(cal)) == 1000
-    assert main(["detect", str(cal), str(test), "--method", method,
-                 "--out", str(tmp_path / "out")]) == 0
-    assert built == []
-    # the guard counts: the library view does build rows
-    assert len(ingest(test).rows) == 1000
-    assert len(built) == 1000
-
-
-def test_from_rows_round_trips_columns():
-    rows = [ScoreRow("e1", 0.5, "calibration", group_id="g1"),
-            ScoreRow("e2", 1.0, "test", population="minority", edit_intensity=7)]
-    table = ScoreTable.from_rows(rows)
-    assert table.rows == rows
-    assert table.line == (1, 2)
-    assert table.score.tolist() == [0.5, 1.0]
-    assert len(ScoreTable.from_rows([])) == 0
 
 
 def test_detect_ingests_through_module_entry_point(tmp_path, monkeypatch):

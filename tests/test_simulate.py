@@ -16,7 +16,6 @@ from conformal_wm.simulate import (
     config_from_dict,
     config_to_dict,
     default_config,
-    generate_scores,
     logit_shift,
     outlier_mask,
     resolve_threads,
@@ -37,45 +36,42 @@ def cells_as_tuples(report):
              c.suspect_flag_rate) for c in report.cells]
 
 
+def sample(dist, n, seed):
+    return simulate._sample_values(dist, n, np.random.default_rng(seed))
+
+
 class TestGenerateScores:
     def test_deterministic_for_fixed_seed(self):
         dist = ScoreDistribution(family="logit_normal", params={"mu": -1, "sigma": 1})
-        a = generate_scores(dist, 50, seed=9)
-        b = generate_scores(dist, 50, seed=9)
-        assert [s.value for s in a] == [s.value for s in b]
-        assert [s.essay_id for s in a] == [s.essay_id for s in b]
+        assert sample(dist, 50, seed=9).tolist() == sample(dist, 50, seed=9).tolist()
 
     def test_uniform_mean_near_half(self):
-        dist = ScoreDistribution(family="uniform01")
-        values = [s.value for s in generate_scores(dist, 1000, seed=1)]
-        assert abs(sum(values) / len(values) - 0.5) < 0.05
+        values = sample(ScoreDistribution(family="uniform01"), 1000, seed=1)
+        assert abs(values.mean() - 0.5) < 0.05
 
     def test_values_in_unit_interval(self):
         for family, params in [("uniform01", {}),
                                ("logit_normal", {"mu": -8, "sigma": 3}),
                                ("beta", {"a": 0.4, "b": 3.0})]:
-            dist = ScoreDistribution(family=family, params=params)
-            assert all(0 < s.value <= 1 for s in generate_scores(dist, 500, seed=3))
+            values = sample(ScoreDistribution(family=family, params=params), 500, seed=3)
+            assert ((0 < values) & (values <= 1)).all()
 
     def test_lower_logit_mean_gives_smaller_median(self):
         hi = ScoreDistribution(family="logit_normal", params={"mu": 0.0, "sigma": 1.5})
         lo = ScoreDistribution(family="logit_normal", params={"mu": -2.0, "sigma": 1.5})
-        med_hi = np.median([s.value for s in generate_scores(hi, 10000, seed=4)])
-        med_lo = np.median([s.value for s in generate_scores(lo, 10000, seed=4)])
-        assert med_lo < med_hi
+        assert np.median(sample(lo, 10000, seed=4)) < np.median(sample(hi, 10000, seed=4))
 
     def test_mixture_family(self):
         dist = ScoreDistribution(family="mixture", params={"components": [
             {"weight": 0.5, "family": "uniform01", "params": {}},
             {"weight": 0.5, "family": "beta", "params": {"a": 2, "b": 5}},
         ]})
-        values = [s.value for s in generate_scores(dist, 400, seed=5)]
-        assert all(0 < v <= 1 for v in values)
+        values = sample(dist, 400, seed=5)
+        assert ((0 < values) & (values <= 1)).all()
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError, match="invalid_params"):
-            generate_scores(ScoreDistribution(family="beta",
-                                              params={"a": -1, "b": 2}), 10, seed=0)
+            sample(ScoreDistribution(family="beta", params={"a": -1, "b": 2}), 10, seed=0)
         with pytest.raises(ValueError, match="unknown_family"):
             ScoreDistribution(family="cauchy")
 
