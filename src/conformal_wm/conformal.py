@@ -20,11 +20,13 @@ only in that table: ``mass[j] = j`` with ``w_test = 1`` (standard); the
 exactly rounded sum ``fsum_k(count_k(j)/n_k)`` with ``w_test = 1``
 (hierarchical), so group order never changes a bit and singleton groups
 reproduce the standard p-value exactly; the prefix sums of the raw ratios
-with ``w_test`` the test point's own ratio (weighted). Each rule has one
-implementation, its batch function (``standard_p_values``,
-``hierarchical_p_values``, ``weighted_p_values``), which ``detect``,
-``simulate`` and the acceptance suite all call; the weighted one takes the
-raw density ratios, on any common scale. An empty calibration raises
+with ``w_test`` the test point's own ratio (weighted). Each rule builds its
+table once (a private ``_RankTable``: ranks, p-values and the weighted
+screen); its batch function (``standard_p_values``,
+``hierarchical_p_values``, ``weighted_p_values``) is a thin wrapper that
+``detect`` and the acceptance suite call, while ``simulate`` holds the
+tables of one weighted pool across its test sets. The weighted rule takes
+the raw density ratios, on any common scale. An empty calibration raises
 ``empty_calibration`` (``empty_group_collection`` for the hierarchical
 rule) instead of giving p = 1. :func:`weighted_candidates` is not a second
 rule: it only marks the test points whose weighted mass could fall under
@@ -44,25 +46,44 @@ every p-value untouched.
 
 from __future__ import annotations
 
-import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 # ---------------------------------------------------------------------------
-# Batch p-values: one calibration set, many test scores, one rank kernel.
+# Rank tables: one calibration set, many test scores, one rank kernel.
 # ---------------------------------------------------------------------------
 
+# Relative margin of the weighted screen; far above the 3 roundings in p.
+_SCREEN_SLACK = 1e-12
 
-def _rank_p_values(sorted_cal: np.ndarray, mass: np.ndarray, test_values,
-                   w_test=1.0) -> np.ndarray:
-    """``min((w_test + mass[j]) / (w_test + mass[n]), 1)`` with ``j = #{s_i <= s}``.
 
-    ``mass[j]`` is the calibration weight of the j smallest scores, so
-    ``mass[0] == 0`` and ``mass`` has one entry more than ``sorted_cal``.
+class _RankTable(NamedTuple):
+    """One calibration set: ``mass[j]`` is the weight of its j smallest scores.
+
+    So ``mass[0] == 0`` and ``mass`` has one entry more than ``sorted_cal``.
     """
-    j = np.searchsorted(sorted_cal, np.asarray(test_values, dtype=float), side="right")
-    return np.minimum((w_test + mass[j]) / (w_test + mass[-1]), 1.0)
+
+    sorted_cal: np.ndarray
+    mass: np.ndarray
+
+    def ranks(self, test_values) -> np.ndarray:
+        """``j = #{s_i <= s}`` for each test score."""
+        return np.searchsorted(self.sorted_cal, np.asarray(test_values, dtype=float),
+                               side="right")
+
+    def p_values(self, j: np.ndarray, w_test=1.0) -> np.ndarray:
+        """``min((w_test + mass[j]) / (w_test + mass[n]), 1)``; a zero total raises."""
+        den = w_test + self.mass[-1]
+        if np.any(den <= 0.0):
+            raise ValueError("density_underflow: importance ratios sum to zero")
+        return np.minimum((w_test + self.mass[j]) / den, 1.0)
+
+    def screen(self, j: np.ndarray, alpha: float) -> np.ndarray:
+        """Ranks whose mass could fall under alpha; see :func:`weighted_candidates`."""
+        if not self.mass[-1] > 0.0:
+            return np.ones(np.shape(j), dtype=bool)
+        return self.mass[j] / self.mass[-1] < alpha * (1.0 + _SCREEN_SLACK)
 
 
 def _calibration(cal_values) -> np.ndarray:
@@ -73,20 +94,18 @@ def _calibration(cal_values) -> np.ndarray:
     return cal
 
 
-def standard_p_values(cal_values: np.ndarray, test_values: np.ndarray) -> np.ndarray:
-    """Standard p-values of many test scores against one calibration set."""
+def _standard_table(cal_values) -> _RankTable:
     cal = np.sort(_calibration(cal_values))
-    return _rank_p_values(cal, np.arange(cal.size + 1.0), test_values)
+    return _RankTable(cal, np.arange(cal.size + 1.0))
 
 
-def hierarchical_p_values(
-    groups: Sequence[np.ndarray], test_values: np.ndarray
-) -> np.ndarray:
-    """Hierarchical p-values of many test scores against one grouped calibration.
+def _hierarchical_table(groups: Sequence[np.ndarray]) -> _RankTable:
+    """``mass[j] = fsum_k(count_k/n_k)`` after j steps up the sorted pooled scores.
 
-    Walking up the pooled scores in sorted order, one group's count grows at
-    each step, and ``mass[j]`` is ``fsum_k(count_k/n_k)`` after j steps; so
-    every p-value equals ``(1 + fsum_k(count_k/n_k)) / (K + 1)`` bit for bit.
+    A double ``count/n_k`` is 0 or at least ``2**-bitlen(n_k)``, so it is a
+    whole multiple of ``2**-S`` with ``S = 52 + max_k bitlen(n_k)``. The
+    total is kept exactly as an int at that scale, updated by ``new - old``
+    per step, and int/int true division rounds it as ``fsum`` does: O(n).
     """
     sizes = [np.size(g) for g in groups]
     if not sizes:
@@ -95,18 +114,20 @@ def hierarchical_p_values(
         raise ValueError("empty_group")
     cal = np.concatenate([np.asarray(g, dtype=float).ravel() for g in groups])
     order = np.argsort(cal, kind="stable")
-    counts = [0] * len(sizes)
-    fracs = [0.0] * len(sizes)
-    mass = [0.0]
+    shift = 52 + max(sizes).bit_length()
+    unit, scale = 2.0 ** shift, 1 << shift
+    counts, ticks = [0] * len(sizes), [0] * len(sizes)
+    total, mass = 0, [0.0]
     for k in np.repeat(np.arange(len(sizes)), sizes)[order].tolist():
         counts[k] += 1
-        fracs[k] = counts[k] / sizes[k]
-        mass.append(math.fsum(fracs))
-    return _rank_p_values(cal[order], np.array(mass), test_values)
+        tick = int(counts[k] / sizes[k] * unit)
+        total += tick - ticks[k]
+        ticks[k] = tick
+        mass.append(total / scale)
+    return _RankTable(cal[order], np.array(mass))
 
 
-def _weighted_mass(cal_values, cal_ratios,
-                   test_ratios=()) -> tuple[np.ndarray, np.ndarray]:
+def _weighted_table(cal_values, cal_ratios, test_ratios=()) -> _RankTable:
     """Sorted calibration scores and the prefix sums of their ratios.
 
     An empty calibration raises ``empty_calibration``. Then the ratios are
@@ -127,7 +148,21 @@ def _weighted_mass(cal_values, cal_ratios,
     if (r_cal < 0.0).any() or (r_test < 0.0).any():
         raise ValueError("negative_weight: importance ratios must be nonnegative")
     order = np.argsort(cal, kind="stable")
-    return cal[order], np.concatenate([[0.0], np.cumsum(r_cal[order])])
+    return _RankTable(cal[order], np.concatenate([[0.0], np.cumsum(r_cal[order])]))
+
+
+def standard_p_values(cal_values: np.ndarray, test_values: np.ndarray) -> np.ndarray:
+    """Standard p-values of many test scores against one calibration set."""
+    table = _standard_table(cal_values)
+    return table.p_values(table.ranks(test_values))
+
+
+def hierarchical_p_values(
+    groups: Sequence[np.ndarray], test_values: np.ndarray
+) -> np.ndarray:
+    """Hierarchical p-values, each ``(1 + fsum_k(count_k/n_k)) / (K + 1)`` bit for bit."""
+    table = _hierarchical_table(groups)
+    return table.p_values(table.ranks(test_values))
 
 
 def weighted_p_values(
@@ -145,14 +180,8 @@ def weighted_p_values(
     that vanishes together with the test ratio, ``density_underflow``.
     """
     r_test = np.asarray(test_ratios, dtype=float)
-    sorted_cal, mass = _weighted_mass(cal_values, cal_ratios, r_test)
-    if (mass[-1] + r_test <= 0.0).any():
-        raise ValueError("density_underflow: importance ratios sum to zero")
-    return _rank_p_values(sorted_cal, mass, test_values, r_test)
-
-
-# Relative margin of the weighted screen; far above the 3 roundings in p.
-_SCREEN_SLACK = 1e-12
+    table = _weighted_table(cal_values, cal_ratios, r_test)
+    return table.p_values(table.ranks(test_values), r_test)
 
 
 def weighted_candidates(
@@ -180,8 +209,5 @@ def weighted_candidates(
     ``density_underflow``. The calibration and its ratios are checked as in
     :func:`weighted_p_values`.
     """
-    sorted_cal, mass = _weighted_mass(cal_values, cal_ratios)
-    j = np.searchsorted(sorted_cal, np.asarray(test_values, dtype=float), side="right")
-    if not mass[-1] > 0.0:
-        return np.ones(j.shape, dtype=bool)
-    return mass[j] / mass[-1] < alpha * (1.0 + _SCREEN_SLACK)
+    table = _weighted_table(cal_values, cal_ratios)
+    return table.screen(table.ranks(test_values), alpha)

@@ -30,9 +30,14 @@ SIGMA_FLOOR = 1e-8
 
 _GAUSS_NORM = math.sqrt(2.0 * math.pi)
 
-# Query rows per block in DensityModel.evaluate: two (block, N) float64
-# buffers stay cache-sized for calibration pools of a few hundred points.
-_BLOCK_ROWS = 128
+# Bytes per (rows, N) buffer in DensityModel.evaluate: with its chunk header
+# under glibc's initial 128 KiB mmap threshold, so buffers reuse heap memory.
+_BLOCK_BYTES = 128 * 1024 - 64
+
+
+def _block_rows(n_support: int) -> int:
+    """Query rows per block for a support of ``n_support`` points (at least 1)."""
+    return max(1, _BLOCK_BYTES // (8 * n_support))
 
 
 def empirical_quantile(values: Sequence[float], level: float) -> float:
@@ -126,7 +131,8 @@ class DensityModel:
         """Density at ``x``: a float for a scalar, else an array of ``x``'s shape.
 
         The sum over support points is exact, not binned. Queries are taken
-        ``_BLOCK_ROWS`` at a time through two (block, N) buffers allocated
+        :func:`_block_rows` at a time through two (block, N) buffers of at
+        most ``_BLOCK_BYTES`` each (one row if a row is larger), allocated
         per call, so memory does not grow with the number of queries. Each
         row sees the same operations in the same order as the dense form
         ``exp(-0.5 * z * z).sum(axis=-1)``, and so gets the same bits.
@@ -135,7 +141,7 @@ class DensityModel:
         query = (self.scale * arr + self.offset).ravel()
         support = self._support
         dens = np.empty(query.size)
-        rows = max(1, min(_BLOCK_ROWS, query.size))
+        rows = max(1, min(_block_rows(support.size), query.size))
         z = np.empty((rows, support.size))
         kern = np.empty((rows, support.size))
         for start in range(0, query.size, rows):

@@ -318,11 +318,29 @@ def report_to_dict(report: MetricsReport, scenario: str) -> dict:
     }
 
 
+# Item separator of a flat dict three levels deep in an indent-2 document.
+_FLAT_ITEMS = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+
+
 def write_metrics_json(path, report: MetricsReport, scenario: str) -> None:
-    Path(path).write_text(
-        json.dumps(report_to_dict(report, scenario), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    """The bytes of ``json.dumps(report_to_dict(...), indent=2, sort_keys=True)``.
+
+    An indent would select json's pure-Python encoder; here the C encoder
+    writes each list item, and the two outer levels are assembled around them.
+    """
+    def list_item(value) -> str:
+        if isinstance(value, dict) and value:
+            return "{\n      " + _FLAT_ITEMS.encode(value)[1:-1] + "\n    }"
+        return json.dumps(value)
+
+    fields = []
+    for key, value in sorted(report_to_dict(report, scenario).items()):
+        if isinstance(value, list) and value:
+            text = "[\n    " + ",\n    ".join(map(list_item, value)) + "\n  ]"
+        else:
+            text = json.dumps(value)
+        fields.append(f"{json.dumps(key)}: {text}")
+    Path(path).write_text("{\n  " + ",\n  ".join(fields) + "\n}\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

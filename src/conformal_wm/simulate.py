@@ -31,10 +31,10 @@ from typing import Mapping
 import numpy as np
 
 from .conformal import (
+    _standard_table,
+    _weighted_table,
     hierarchical_p_values,
     standard_p_values,
-    weighted_candidates,
-    weighted_p_values,
 )
 from .density import density_ratios, fit_kde, mean_shift, quantile_shift
 from .evaluation import CellResult, MetricsReport, aggregate, is_excluded
@@ -78,13 +78,10 @@ class ScoreDistribution:
 
 
 def _expit(x: np.ndarray) -> np.ndarray:
-    # Stable logistic: never exponentiates a large positive argument.
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # Stable logistic: exp only sees -|x|, so it never overflows.
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def _logit(v: np.ndarray) -> np.ndarray:
@@ -275,9 +272,13 @@ def resolve_threads(config: ExperimentConfig) -> int:
 
 def _rng(seed: int, prompt: int, null: int, alt: int, size_idx: int,
          stream: str) -> np.random.Generator:
-    key = [_ENTROPY_BASE, int(seed), int(prompt), int(null), int(alt),
-           int(size_idx), _STREAMS[stream]]
-    return np.random.default_rng(np.random.SeedSequence(key))
+    # A list key's ints are read as 32-bit little-endian words (0 as one
+    # word); passing the words as one array skips the per-int coercion.
+    key = (_ENTROPY_BASE, int(seed), int(prompt), int(null), int(alt),
+           int(size_idx), _STREAMS[stream])
+    words = b"".join(v.to_bytes(4 * max(1, (v.bit_length() + 31) // 32), "little")
+                     for v in key)
+    return np.random.default_rng(np.random.SeedSequence(np.frombuffer(words, dtype="<u4")))
 
 
 def _bleu_params(config: ExperimentConfig, intensity: int) -> tuple[float, float]:
@@ -316,11 +317,13 @@ def _label_alt_set(config: ExperimentConfig, seed: int, prompt: int, null: int,
     else:
         threshold = bleu_quantile_threshold(bleu_alt, config.alpha)
     mask = outlier_mask(bleu_null, bleu_alt, threshold)
-    n_out = int(mask.sum())
+    n_out = int(np.count_nonzero(mask))
+    # cells only count flags, so order is free, and sorted keys rank faster
+    order = np.argsort(test_values)
     return _AltContext(
         alt=alt,
-        test_values=test_values,
-        outlier_mask=mask,
+        test_values=test_values[order],
+        outlier_mask=mask[order],
         n_outliers=n_out,
         outlier_proportion=n_out / n,
     )
@@ -329,12 +332,13 @@ def _label_alt_set(config: ExperimentConfig, seed: int, prompt: int, null: int,
 def _make_cell(config: ExperimentConfig, method: str, null: int, ctx: _AltContext,
                cal_size: int, seed: int, prompt: int, fpr: float,
                alt_flags: np.ndarray) -> CellResult:
+    # counts over sizes give the bits of the boolean arrays' means
     excluded = is_excluded(ctx.n_outliers, ctx.outlier_proportion)
-    power = None
-    if not excluded:
-        power = float(alt_flags[ctx.outlier_mask].mean())
-    suspects = ~ctx.outlier_mask
-    suspect_rate = float(alt_flags[suspects].mean()) if suspects.any() else None
+    hits = np.count_nonzero(alt_flags & ctx.outlier_mask)
+    power = None if excluded else hits / ctx.n_outliers
+    n_suspects = alt_flags.size - ctx.n_outliers
+    suspect_rate = ((np.count_nonzero(alt_flags) - hits) / n_suspects
+                    if n_suspects else None)
     return CellResult(
         null_prompt=null,
         alt_prompt=ctx.alt,
@@ -368,8 +372,8 @@ def _standard_cells(config: ExperimentConfig, seed: int, prompt: int) -> list[Ce
     alpha = config.alpha
     for null in config.null_levels:
         null_dist = config.distribution_for("majority", null)
-        test_null = _sample_values(null_dist, config.n_test,
-                                   _rng(seed, prompt, null, 0, 0, "null_test"))
+        test_null = np.sort(_sample_values(null_dist, config.n_test,
+                                           _rng(seed, prompt, null, 0, 0, "null_test")))
         contexts = []
         for alt in config.alt_levels(null):
             test_alt = _sample_values(config.distribution_for("majority", alt),
@@ -382,7 +386,7 @@ def _standard_cells(config: ExperimentConfig, seed: int, prompt: int) -> list[Ce
                                  _rng(seed, prompt, null, 0, size_idx, "cal"))
             null_flags, *alt_flags = np.split(standard_p_values(cal, tests) <= alpha,
                                               splits)
-            fpr = float(null_flags.mean())
+            fpr = np.count_nonzero(null_flags) / null_flags.size
             for ctx, flags in zip(contexts, alt_flags):
                 cells.append(_make_cell(config, "standard", null, ctx, size,
                                         seed, prompt, fpr, flags))
@@ -428,8 +432,8 @@ def _hierarchical_cells(config: ExperimentConfig, seed: int, prompt: int) -> lis
     cells = []
     alpha = config.alpha
     for null in config.null_levels:
-        test_null = _hierarchical_test(config, seed, prompt, null, 0, null,
-                                       "null_test", "null_test_effects")
+        test_null = np.sort(_hierarchical_test(config, seed, prompt, null, 0, null,
+                                               "null_test", "null_test_effects"))
         contexts = []
         for alt in config.alt_levels(null):
             test_alt = _hierarchical_test(config, seed, prompt, null, alt, alt,
@@ -440,7 +444,7 @@ def _hierarchical_cells(config: ExperimentConfig, seed: int, prompt: int) -> lis
             groups = _grouped_calibration(config, seed, prompt, null, size_idx, size)
             null_flags, *alt_flags = np.split(
                 hierarchical_p_values(groups, tests) <= alpha, splits)
-            fpr = float(null_flags.mean())
+            fpr = np.count_nonzero(null_flags) / null_flags.size
             for ctx, flags in zip(contexts, alt_flags):
                 cells.append(_make_cell(config, "hierarchical", null, ctx, size,
                                         seed, prompt, fpr, flags))
@@ -455,11 +459,12 @@ def _weighted_flagger(config: ExperimentConfig, pool: np.ndarray,
                       minority_cal: np.ndarray):
     """A function from a test set to the four methods' flags against one pool.
 
-    The pool density p is evaluated once per point set (the pool, then
-    each test set) and shared by both shift variants. At a test set, the
-    densities are evaluated only at the points that
-    :func:`weighted_candidates` keeps for either variant; every other point
-    is unflagged under both, whatever its ratio.
+    Every rank table is built once, and each test set is ranked once
+    against the pool for the unweighted rule, both screens and both
+    weighted rules. The pool density p is evaluated once per point set and
+    shared by both shift variants; at a test set, only at the points either
+    variant's screen keeps (as :func:`conformal.weighted_candidates` would);
+    every other point is unflagged under both, whatever its ratio.
     """
     alpha = config.alpha
     pool_eval = _to_eval_scale(config, pool)
@@ -472,23 +477,28 @@ def _weighted_flagger(config: ExperimentConfig, pool: np.ndarray,
     }
     models_q = list(variants.values())
     r_cal = density_ratios(model_p, models_q, pool_eval)
+    minority_table = _standard_table(minority_cal)
+    pool_table = _standard_table(pool)
+    weighted_tables = [_weighted_table(pool, rc) for rc in r_cal]
 
     def flags(values: np.ndarray) -> dict[str, np.ndarray]:
-        # Skipping the other points cannot hide an error the rule would
-        # raise there: scores are clipped to [_TINY, 1], so every query is
-        # finite, and p is floored, so every ratio is finite and nonnegative.
-        cand = np.zeros(values.shape, dtype=bool)
-        for rc in r_cal:
-            cand |= weighted_candidates(pool, rc, values, alpha)
-        picked = values[cand]
-        r_test = density_ratios(model_p, models_q, _to_eval_scale(config, picked))
+        # Every table holds the pool's scores in sorted order, so one rank
+        # serves them all. The test ratios are not checked: scores are
+        # clipped to [_TINY, 1], so every query is finite, and p is
+        # floored, so every ratio is finite and nonnegative.
+        j = pool_table.ranks(values)
+        cand = np.zeros(j.shape, dtype=bool)
+        for table in weighted_tables:
+            cand |= table.screen(j, alpha)
+        j_cand = j[cand]
+        r_test = density_ratios(model_p, models_q, _to_eval_scale(config, values[cand]))
         out = {
-            "in_dist": standard_p_values(minority_cal, values) <= alpha,
-            "combined_unweighted": standard_p_values(pool, values) <= alpha,
+            "in_dist": minority_table.p_values(minority_table.ranks(values)) <= alpha,
+            "combined_unweighted": pool_table.p_values(j) <= alpha,
         }
-        for name, rc, rt in zip(variants, r_cal, r_test):
-            flagged = np.zeros(values.shape, dtype=bool)
-            flagged[cand] = weighted_p_values(pool, rc, picked, rt) < alpha
+        for name, table, rt in zip(variants, weighted_tables, r_test):
+            flagged = np.zeros(j.shape, dtype=bool)
+            flagged[cand] = table.p_values(j_cand, rt) < alpha
             out[name] = flagged
         return out
 
@@ -501,9 +511,9 @@ def _weighted_cells(config: ExperimentConfig, seed: int, prompt: int) -> list[Ce
         majority_cal = _sample_values(config.distribution_for("majority", null),
                                       config.majority_cal_size,
                                       _rng(seed, prompt, null, 0, 0, "cal"))
-        test_null = _sample_values(config.distribution_for("minority", null),
-                                   config.n_test,
-                                   _rng(seed, prompt, null, 0, 0, "null_test"))
+        test_null = np.sort(_sample_values(config.distribution_for("minority", null),
+                                           config.n_test,
+                                           _rng(seed, prompt, null, 0, 0, "null_test")))
         contexts = []
         for alt in config.alt_levels(null):
             test_alt = _sample_values(config.distribution_for("minority", alt),
@@ -519,7 +529,7 @@ def _weighted_cells(config: ExperimentConfig, seed: int, prompt: int) -> list[Ce
             null_flags = flags(test_null)
             alt_flags = [flags(ctx.test_values) for ctx in contexts]
             for method, flagged in null_flags.items():
-                fpr = float(flagged.mean())
+                fpr = np.count_nonzero(flagged) / flagged.size
                 for ctx, by_method in zip(contexts, alt_flags):
                     cells.append(_make_cell(config, method, null, ctx, m, seed,
                                             prompt, fpr, by_method[method]))

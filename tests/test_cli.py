@@ -11,7 +11,10 @@ import pytest
 import conformal_wm
 from conformal_wm.cli import main
 from conformal_wm.density import DensityModel
+from conformal_wm import io as io_mod
+from conformal_wm.evaluation import CellResult, MetricsReport, aggregate
 from conformal_wm.io import ValidationError, ingest
+from conformal_wm.simulate import config_from_dict, run_scenario
 
 CAL_CSV = """essay_id,score,role
 c1,0.1,calibration
@@ -244,9 +247,13 @@ class TestDetectCommand:
         runs = [step["run"] for step in workflow["jobs"]["bench-smoke"]["steps"]
                 if "run" in step]
         bench = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+        # each workload runs untraced, and traced so that a tracer counter
+        # broken by a changed signature fails too
         for workload in bench["workloads"]:
-            assert any(run.startswith("python3 perfbench/run.py ")
-                       and f"--workload {workload['name']} " in run for run in runs)
+            for trace in ("--trace 0", "--seconds 5 --trace 1"):
+                assert any(run.startswith("python3 perfbench/run.py ")
+                           and f"--workload {workload['name']} " in run
+                           and run.endswith(f" {trace}") for run in runs)
 
     def test_weighted_missing_population_exits_2(self, tmp_path, capsys):
         cal = write(tmp_path, "cal.csv", CAL_CSV)
@@ -393,6 +400,33 @@ class TestSimulateCommand:
         assert proc.returncode == 2
         assert json.loads(proc.stderr.strip())["error"] == "file_not_found"
         assert not out.exists()
+
+    @pytest.mark.parametrize("scenario", ["standard", "hierarchical", "weighted"])
+    def test_metrics_json_equals_indented_dump(self, tmp_path, scenario):
+        config = dict(SMALL_CONFIG, scenario=scenario, n_test=40)
+        cfg = write(tmp_path, "config.json", json.dumps(config))
+        out = tmp_path / "r"
+        assert main(["simulate", cfg, "--out", str(out)]) == 0
+        report = run_scenario(config_from_dict(config))
+        data = io_mod.report_to_dict(report, scenario)
+        # the run covers omitted conditions and cells without power
+        assert data["omitted"] and any(c["power"] is None for c in data["cells"])
+        want = json.dumps(data, indent=2, sort_keys=True) + "\n"
+        assert (out / "metrics.json").read_text(encoding="utf-8") == want
+
+    def test_metrics_json_edge_reports(self, tmp_path):
+        # empty lists, and a cell whose power and suspect rate are both None
+        cell = CellResult(null_prompt=1, alt_prompt=2, cal_size=30, fpr=0.0, power=None,
+                          n_outliers=3, outlier_proportion=1.0, excluded=True,
+                          suspect_flag_rate=None)
+        for report in (MetricsReport(cells=[], seeds=[]),
+                       MetricsReport(cells=[cell], seeds=[1]),
+                       aggregate([cell], over_seeds=(0,))):
+            path = tmp_path / "metrics.json"
+            io_mod.write_metrics_json(path, report, "standard")
+            want = json.dumps(io_mod.report_to_dict(report, "standard"), indent=2,
+                              sort_keys=True) + "\n"
+            assert path.read_text(encoding="utf-8") == want
 
     def test_plot_csv_schema(self, tmp_path):
         cfg = write(tmp_path, "config.json", json.dumps(SMALL_CONFIG))

@@ -252,6 +252,28 @@ class TestHierarchicalKernel:
         reordered = [rng.permutation(groups[i]) for i in rng.permutation(k)]
         assert hierarchical_p_values(reordered, tests).tolist() == oracle
 
+    def test_exact_fsum_over_thousands_of_groups(self):
+        # about 10k rows in 4,000 groups of sizes 1-10, half on shared atoms;
+        # the oracle counts each group at each test score with bincount
+        rng = np.random.default_rng(4350)
+        k = 4000
+        sizes = 1 + rng.poisson(1.5, k).clip(0, 9)
+        n = int(sizes.sum())
+        atoms = rng.random(12)
+        pooled = np.where(rng.random(n) < 0.5, rng.choice(atoms, n), rng.random(n))
+        groups = np.split(pooled, np.cumsum(sizes)[:-1])
+        group_of = np.repeat(np.arange(k), sizes)
+        tests = np.concatenate([atoms, rng.choice(pooled, 150), rng.random(40), [0.0, 1.0]])
+        oracle = []
+        for s in tests:
+            counts = np.bincount(group_of, weights=pooled <= s, minlength=k)
+            fractions = [int(c) / int(m) for c, m in zip(counts, sizes)]
+            oracle.append((1.0 + math.fsum(fractions)) / (k + 1))
+        assert 9_000 < n < 11_000
+        assert hierarchical_p_values(groups, tests).tolist() == oracle
+        reordered = [groups[i][::-1] for i in rng.permutation(k)]
+        assert hierarchical_p_values(reordered, tests).tolist() == oracle
+
 
 class TestDecisionInvariants:
     def test_standard_flag_iff_p_at_most_alpha(self):

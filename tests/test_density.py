@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -335,8 +336,8 @@ def dense_evaluate(model, x):
     return dens
 
 
-B = density._BLOCK_ROWS
-POOL = tuple(np.random.default_rng(7).normal(-1.0, 0.8, 215).tolist())
+POOL = tuple(np.random.default_rng(7).normal(-1.0, 0.8, 127).tolist())
+B = density._block_rows(len(POOL))  # rows per block for every model below: 128
 MODELS = (
     DensityModel(support_points=POOL, bandwidth=0.5),
     DensityModel(support_points=POOL, bandwidth=0.5, scale=0.37, offset=-1.25),
@@ -378,11 +379,24 @@ class TestBlockedEvaluate:
         bandwidth=st.floats(0.01, 3.0),
         scale=st.floats(0.1, 10.0),
         offset=st.floats(-5.0, 5.0),
+        block_bytes=st.integers(1, 16 * 8 * 60),
     )
-    def test_matches_dense_oracle(self, support, queries, bandwidth, scale, offset):
+    def test_matches_dense_oracle(self, support, queries, bandwidth, scale, offset,
+                                  block_bytes):
+        # a small byte budget puts block boundaries inside short query lists,
+        # down to one row per block when a row alone is over budget
         model = DensityModel(support_points=tuple(support), bandwidth=bandwidth,
                              scale=scale, offset=offset)
-        assert np.array_equal(model.evaluate(queries), dense_evaluate(model, queries))
+        with mock.patch.object(density, "_BLOCK_BYTES", block_bytes):
+            got = model.evaluate(queries)
+        assert np.array_equal(got, dense_evaluate(model, queries))
+
+    @pytest.mark.parametrize("n", [1, 2, 215, 1075, 16_377, 20_000])
+    def test_block_buffers_stay_under_mmap_threshold(self, n):
+        rows = density._block_rows(n)
+        assert rows >= 1
+        # glibc maps requests of 128 KiB and more (with its 8-byte chunk header)
+        assert rows == 1 or rows * n * 8 + 8 < 128 * 1024
 
     def test_memory_does_not_grow_with_queries(self):
         # A dense 20,000 x 500 float64 temporary alone would take 80 MB.

@@ -1,7 +1,9 @@
 """Golden snapshots: `simulate` and `detect` outputs pinned to committed files.
 
 Simulate metrics, the standard config's plot data and standard/hierarchical
-decisions must match byte for byte. Weighted decisions must keep every flag, with p-values equal up to
+decisions must match byte for byte. Each simulate case's ``metrics.json``
+(per-cell FPR, power and suspect flag rate, about 250 kB each) is pinned by
+its SHA-256 digest in ``simulate_metrics_json.sha256``. Weighted decisions must keep every flag, with p-values equal up to
 a relative 1e-12: normalizing the importance weights once per table
 instead of once per essay may move the last bits.
 
@@ -12,6 +14,7 @@ explains the diff:
 """
 
 import csv
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -43,6 +46,9 @@ WEIGHTED_DETECT = ("detect_weighted_quantile", "detect_weighted_mean")
 # simulate cases whose plot_data.csv is pinned too, as <name>_plot_data.csv
 PLOT_CASES = ("simulate_standard",)
 
+# "<sha256>  <simulate case>" per line, for every case's metrics.json
+METRICS_JSON_DIGESTS = GOLDEN / "simulate_metrics_json.sha256"
+
 
 def run_simulate(name: str, work: Path, output: str = "metrics.csv") -> bytes:
     config, extra = SIMULATE_CASES[name]
@@ -66,6 +72,11 @@ def golden_bytes(name: str) -> bytes:
     return (GOLDEN / f"{name}.csv").read_bytes()
 
 
+def metrics_json_digests() -> dict[str, str]:
+    lines = METRICS_JSON_DIGESTS.read_text(encoding="utf-8").splitlines()
+    return {name: digest for digest, name in (line.split() for line in lines)}
+
+
 def decision_rows(data: bytes) -> list[list[str]]:
     return list(csv.reader(data.decode("utf-8").splitlines()))
 
@@ -73,6 +84,12 @@ def decision_rows(data: bytes) -> list[list[str]]:
 @pytest.mark.parametrize("name", sorted(SIMULATE_CASES))
 def test_simulate_metrics_byte_identical(tmp_path, name):
     assert run_simulate(name, tmp_path) == golden_bytes(name)
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE_CASES))
+def test_simulate_metrics_json_digest(tmp_path, name):
+    got = hashlib.sha256(run_simulate(name, tmp_path, "metrics.json")).hexdigest()
+    assert got == metrics_json_digests()[name]
 
 
 @pytest.mark.parametrize("name", PLOT_CASES)
@@ -102,6 +119,9 @@ def regenerate(work: Path) -> None:
     for name in PLOT_CASES:
         (GOLDEN / f"{name}_plot_data.csv").write_bytes(
             run_simulate(name, work, "plot_data.csv"))
+    METRICS_JSON_DIGESTS.write_text("".join(
+        f"{hashlib.sha256(run_simulate(name, work, 'metrics.json')).hexdigest()}  {name}\n"
+        for name in sorted(SIMULATE_CASES)), encoding="utf-8")
     for name in DETECT_CASES:
         (GOLDEN / f"{name}.csv").write_bytes(run_detect(name, work))
 

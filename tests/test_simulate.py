@@ -2,12 +2,15 @@
 
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conformal_wm import labeling, simulate
+from conformal_wm import conformal, labeling, simulate
 from conformal_wm.cli import main
 from conformal_wm.density import DensityModel
 from conformal_wm.simulate import (
@@ -74,6 +77,45 @@ class TestGenerateScores:
             sample(ScoreDistribution(family="beta", params={"a": -1, "b": 2}), 10, seed=0)
         with pytest.raises(ValueError, match="unknown_family"):
             ScoreDistribution(family="cauchy")
+
+
+def masked_expit(x):
+    """The logistic as two masked halves; ``_expit`` must match it bit for bit."""
+    out = np.empty_like(x, dtype=float)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestDraws:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**70), prompt=st.integers(0, 2**33),
+           null=st.integers(0, 7), alt=st.integers(0, 7),
+           size_idx=st.integers(0, 2**40), stream=st.sampled_from(sorted(simulate._STREAMS)))
+    @example(seed=0, prompt=0, null=0, alt=0, size_idx=0, stream="cal")
+    @example(seed=2**32 - 1, prompt=1, null=1, alt=2, size_idx=0, stream="alt_test")
+    @example(seed=2**32, prompt=1, null=1, alt=2, size_idx=0, stream="alt_test")
+    @example(seed=2**64, prompt=2**32, null=6, alt=7, size_idx=2**32 + 1, stream="bleu_alt")
+    @example(seed=2**70, prompt=5, null=6, alt=7, size_idx=2, stream="minority_cal")
+    def test_rng_equals_list_key_stream(self, seed, prompt, null, alt, size_idx, stream):
+        key = [simulate._ENTROPY_BASE, seed, prompt, null, alt, size_idx,
+               simulate._STREAMS[stream]]
+        want = np.random.default_rng(np.random.SeedSequence(key))
+        got = simulate._rng(seed, prompt, null, alt, size_idx, stream)
+        assert got.bit_generator.state == want.bit_generator.state
+        assert got.random(4).tolist() == want.random(4).tolist()
+
+    def test_expit_bits_equal_masked_form(self):
+        special = [0.0, -0.0, np.inf, -np.inf, 700.5, -700.5, 709.8, -709.8, 745.2,
+                   -745.2, 800.0, -800.0, 1e308, -1e308, 5e-324, -5e-324, 36.7, -36.7]
+        rng = np.random.default_rng(17)
+        x = np.concatenate([special, rng.normal(0.0, 5.0, 4000),
+                            rng.normal(0.0, 400.0, 1000), np.linspace(-900.0, 900.0, 3601)])
+        got = simulate._expit(x)
+        assert got.dtype == np.float64 and got.shape == x.shape
+        assert np.array_equal(got.view(np.uint64), masked_expit(x).view(np.uint64))
 
 
 class TestLogitShift:
@@ -173,6 +215,37 @@ class TestWeightedDensityCalls:
         assert len(calls) == len(cfg.minority_sizes) * sum(per_null)
 
 
+class TestWeightedTables:
+    def test_pool_tables_built_once_per_flagger(self, monkeypatch):
+        cfg = small_config(scenario="weighted", seeds=(1,), n_prompts=2, n_test=50,
+                           null_levels=(1, 4), max_level=6, minority_sizes=(5, 15),
+                           threads=1)
+        built = Counter()
+        for name in ("_standard_table", "_weighted_table"):
+            def counting(*args, _name=name, _build=getattr(simulate, name)):
+                built[_name] += 1
+                return _build(*args)
+
+            monkeypatch.setattr(simulate, name, counting)
+        ranked = []
+        ranks = conformal._RankTable.ranks
+
+        def counting_ranks(table, values):
+            ranked.append(np.size(values))
+            return ranks(table, values)
+
+        monkeypatch.setattr(conformal._RankTable, "ranks", counting_ranks)
+        run_scenario(cfg)
+        flaggers = (len(cfg.seeds) * cfg.n_prompts * len(cfg.null_levels)
+                    * len(cfg.minority_sizes))
+        # pool and minority tables, and one table per weighted variant
+        assert built == {"_standard_table": 2 * flaggers, "_weighted_table": 2 * flaggers}
+        # each test set is ranked once against the pool, once against the minority
+        test_sets = (len(cfg.seeds) * cfg.n_prompts * len(cfg.minority_sizes)
+                     * sum(1 + len(cfg.alt_levels(null)) for null in cfg.null_levels))
+        assert ranked == [cfg.n_test] * (2 * test_sets)
+
+
 class TestWeightedScreen:
     @pytest.mark.parametrize("log_scale", [True, False])
     def test_outputs_equal_unscreened_run(self, tmp_path, monkeypatch, log_scale):
@@ -190,11 +263,11 @@ class TestWeightedScreen:
             return evaluate(model, x)
 
         monkeypatch.setattr(DensityModel, "evaluate", counting_evaluate)
-        screen = simulate.weighted_candidates
+        screen = conformal._RankTable.screen
         outputs, points = [], []
-        for candidates in (screen, lambda cal, ratios, values, alpha:
-                           np.ones(np.shape(values), dtype=bool)):
-            monkeypatch.setattr(simulate, "weighted_candidates", candidates)
+        for candidates in (screen, lambda table, j, alpha:
+                           np.ones(np.shape(j), dtype=bool)):
+            monkeypatch.setattr(conformal._RankTable, "screen", candidates)
             queried.clear()
             out = tmp_path / f"run{len(outputs)}"
             assert main(["simulate", str(path), "--out", str(out)]) == 0
