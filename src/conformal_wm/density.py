@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -106,26 +105,26 @@ class DensityModel:
     ``scale * x + offset``, which realizes the subgroup density as an
     affinely relocated copy of the pool density. No Jacobian factor is
     applied: weights are formed from normalized ratios, so constant
-    factors cancel.
+    factors cancel. ``support_points`` is stored as a read-only float64
+    copy of whatever sequence is passed.
     """
 
-    support_points: tuple[float, ...]
+    support_points: np.ndarray
     bandwidth: float
     scale: float = 1.0
     offset: float = 0.0
     shift: ShiftEstimate | None = None
 
     def __post_init__(self):
-        if len(self.support_points) == 0:
+        support = np.array(self.support_points, dtype=np.float64)
+        support.setflags(write=False)
+        object.__setattr__(self, "support_points", support)
+        if support.size == 0:
             raise ValueError("empty_support: KDE needs at least one point")
         if not self.bandwidth > 0:
             raise ValueError(f"bandwidth_not_positive: {self.bandwidth}")
         if not self.scale > 0:
             raise ValueError(f"scale_not_positive: {self.scale}")
-
-    @cached_property
-    def _support(self) -> np.ndarray:
-        return np.asarray(self.support_points, dtype=float)
 
     def evaluate(self, x):
         """Density at ``x``: a float for a scalar, else an array of ``x``'s shape.
@@ -139,7 +138,7 @@ class DensityModel:
         """
         arr = np.asarray(x, dtype=float)
         query = (self.scale * arr + self.offset).ravel()
-        support = self._support
+        support = self.support_points
         dens = np.empty(query.size)
         rows = max(1, min(_block_rows(support.size), query.size))
         z = np.empty((rows, support.size))
@@ -166,8 +165,7 @@ def fit_kde(log_scores: Sequence[float], bandwidth: float) -> DensityModel:
     which would silently change the smoothing as the pool changes; the
     bandwidth here is the literal kernel width.
     """
-    pts = tuple(float(v) for v in log_scores)
-    return DensityModel(support_points=pts, bandwidth=float(bandwidth))
+    return DensityModel(support_points=log_scores, bandwidth=float(bandwidth))
 
 
 def _spread(values: np.ndarray) -> float:
@@ -259,7 +257,7 @@ def _shifted_model(pool: np.ndarray, bandwidth: float, est: ShiftEstimate) -> De
     scale = est.sigma_p / est.sigma_q
     offset = est.p_anchor - est.q_anchor * scale
     return DensityModel(
-        support_points=tuple(float(v) for v in pool),
+        support_points=pool,
         bandwidth=float(bandwidth),
         scale=scale,
         offset=offset,

@@ -16,6 +16,10 @@ Three scenario shapes are supported:
   evaluated with minority-only, pooled-unweighted, and two importance-
   weighted decision rules side by side.
 
+One driver runs every scenario's grid of levels x calibrations x seeds; a
+scenario supplies only a test-set drawer and a calibration iterator whose
+flaggers score each null level's test sets joined into one array.
+
 All randomness is derived from counter-style substreams keyed by
 (seed, prompt, levels, size, stream role), so results are bit-identical
 across runs and across worker thread counts.
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 import numpy as np
@@ -281,16 +285,10 @@ def _rng(seed: int, prompt: int, null: int, alt: int, size_idx: int,
     return np.random.default_rng(np.random.SeedSequence(np.frombuffer(words, dtype="<u4")))
 
 
-def _bleu_params(config: ExperimentConfig, intensity: int) -> tuple[float, float]:
-    mean = config.bleu_means[intensity - 1]
-    conc = config.bleu_concentration
-    return mean * conc, (1.0 - mean) * conc
-
-
 def _sample_bleu(config: ExperimentConfig, intensity: int,
                  rng: np.random.Generator, n: int) -> np.ndarray:
-    a, b = _bleu_params(config, intensity)
-    return np.clip(rng.beta(a, b, n), 0.0, 1.0)
+    mean, conc = config.bleu_means[intensity - 1], config.bleu_concentration
+    return np.clip(rng.beta(mean * conc, (1.0 - mean) * conc, n), 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -356,41 +354,69 @@ def _make_cell(config: ExperimentConfig, method: str, null: int, ctx: _AltContex
     )
 
 
-def _joined_test_sets(test_null: np.ndarray,
-                      contexts: list[_AltContext]) -> tuple[np.ndarray, np.ndarray]:
-    """The null and alternative test sets as one array, plus its split points.
+def _cells(config: ExperimentConfig, seed: int, prompt: int) -> list[CellResult]:
+    """Every cell of one (seed, prompt) task: levels x calibrations x methods.
 
-    Each calibration then makes one rank-kernel call, so its ``mass``
-    table is built once; p-values do not depend on the other test points.
+    A null level's null and alternative test sets are joined once, and each
+    calibration's flagger scores that one array; a p-value does not depend
+    on the other test points.
     """
-    sets = [test_null] + [ctx.test_values for ctx in contexts]
-    return np.concatenate(sets), np.cumsum([v.size for v in sets[:-1]])
-
-
-def _standard_cells(config: ExperimentConfig, seed: int, prompt: int) -> list[CellResult]:
+    draw_tests, calibrations = _SCENARIO_RUNNERS[config.scenario]
     cells = []
-    alpha = config.alpha
     for null in config.null_levels:
-        null_dist = config.distribution_for("majority", null)
-        test_null = np.sort(_sample_values(null_dist, config.n_test,
-                                           _rng(seed, prompt, null, 0, 0, "null_test")))
-        contexts = []
-        for alt in config.alt_levels(null):
-            test_alt = _sample_values(config.distribution_for("majority", alt),
-                                      config.n_test,
-                                      _rng(seed, prompt, null, alt, 0, "alt_test"))
-            contexts.append(_label_alt_set(config, seed, prompt, null, alt, test_alt))
-        tests, splits = _joined_test_sets(test_null, contexts)
-        for size_idx, size in enumerate(config.cal_sizes):
-            cal = _sample_values(null_dist, size,
-                                 _rng(seed, prompt, null, 0, size_idx, "cal"))
-            null_flags, *alt_flags = np.split(standard_p_values(cal, tests) <= alpha,
-                                              splits)
-            fpr = np.count_nonzero(null_flags) / null_flags.size
-            for ctx, flags in zip(contexts, alt_flags):
-                cells.append(_make_cell(config, "standard", null, ctx, size,
-                                        seed, prompt, fpr, flags))
+        test_null = np.sort(draw_tests(config, seed, prompt, null, 0))
+        contexts = [_label_alt_set(config, seed, prompt, null, alt,
+                                   draw_tests(config, seed, prompt, null, alt))
+                    for alt in config.alt_levels(null)]
+        tests = np.concatenate([test_null] + [ctx.test_values for ctx in contexts])
+        for cal_size, flagger in calibrations(config, seed, prompt, null):
+            for method, flagged in flagger(tests).items():
+                null_flags, *alt_flags = np.split(flagged, 1 + len(contexts))
+                fpr = np.count_nonzero(null_flags) / null_flags.size
+                for ctx, flags in zip(contexts, alt_flags):
+                    cells.append(_make_cell(config, method, null, ctx, cal_size,
+                                            seed, prompt, fpr, flags))
     return cells
+
+
+# ---------------------------------------------------------------------------
+# Scenarios: a test-set drawer and a calibration iterator each
+# ---------------------------------------------------------------------------
+
+# A drawer returns the n_test scores of ``(null, alt)``, unsorted; alt 0 is
+# the null set. A calibration iterator yields ``(cal_size, flagger)``, where
+# a flagger maps test scores to ``{method: flags}``. Flaggers look the
+# kernels up as module globals when they run, where perfbench's tracer wraps
+# them.
+
+
+def _test_set(config: ExperimentConfig, seed: int, prompt: int, null: int, alt: int,
+              population: str = "majority") -> np.ndarray:
+    stream = "alt_test" if alt else "null_test"
+    return _sample_values(config.distribution_for(population, alt or null),
+                          config.n_test, _rng(seed, prompt, null, alt, 0, stream))
+
+
+def _hierarchical_test_set(config: ExperimentConfig, seed: int, prompt: int,
+                           null: int, alt: int) -> np.ndarray:
+    # each test essay comes from a fresh group, with its own log-odds offset
+    stream = "alt_test_effects" if alt else "null_test_effects"
+    effects = _rng(seed, prompt, null, alt, 0, stream).normal(
+        0.0, config.group_sigma, config.n_test)
+    return logit_shift(_test_set(config, seed, prompt, null, alt), effects)
+
+
+def _minority_test_set(config: ExperimentConfig, seed: int, prompt: int,
+                       null: int, alt: int) -> np.ndarray:
+    return _test_set(config, seed, prompt, null, alt, "minority")
+
+
+def _standard_calibrations(config: ExperimentConfig, seed: int, prompt: int, null: int):
+    null_dist = config.distribution_for("majority", null)
+    for size_idx, size in enumerate(config.cal_sizes):
+        cal = _sample_values(null_dist, size, _rng(seed, prompt, null, 0, size_idx, "cal"))
+        yield size, lambda tests, cal=cal: {
+            "standard": standard_p_values(cal, tests) <= config.alpha}
 
 
 def _partition_sizes(total: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -410,45 +436,15 @@ def _grouped_calibration(config: ExperimentConfig, seed: int, prompt: int, null:
     sizes = _partition_sizes(size, config.k_groups, rng_eff)
     effects = rng_eff.normal(0.0, config.group_sigma, sizes.size)
     shifted = logit_shift(base, np.repeat(effects, sizes))
-    groups = []
-    offset = 0
-    for n_k in sizes:
-        groups.append(shifted[offset:offset + n_k])
-        offset += n_k
-    return groups
+    return np.split(shifted, np.cumsum(sizes)[:-1])
 
 
-def _hierarchical_test(config: ExperimentConfig, seed: int, prompt: int, null: int,
-                       alt: int, intensity: int, stream: str,
-                       effects_stream: str) -> np.ndarray:
-    base = _sample_values(config.distribution_for("majority", intensity),
-                          config.n_test, _rng(seed, prompt, null, alt, 0, stream))
-    rng_eff = _rng(seed, prompt, null, alt, 0, effects_stream)
-    effects = rng_eff.normal(0.0, config.group_sigma, config.n_test)
-    return logit_shift(base, effects)
-
-
-def _hierarchical_cells(config: ExperimentConfig, seed: int, prompt: int) -> list[CellResult]:
-    cells = []
-    alpha = config.alpha
-    for null in config.null_levels:
-        test_null = np.sort(_hierarchical_test(config, seed, prompt, null, 0, null,
-                                               "null_test", "null_test_effects"))
-        contexts = []
-        for alt in config.alt_levels(null):
-            test_alt = _hierarchical_test(config, seed, prompt, null, alt, alt,
-                                          "alt_test", "alt_test_effects")
-            contexts.append(_label_alt_set(config, seed, prompt, null, alt, test_alt))
-        tests, splits = _joined_test_sets(test_null, contexts)
-        for size_idx, size in enumerate(config.cal_sizes):
-            groups = _grouped_calibration(config, seed, prompt, null, size_idx, size)
-            null_flags, *alt_flags = np.split(
-                hierarchical_p_values(groups, tests) <= alpha, splits)
-            fpr = np.count_nonzero(null_flags) / null_flags.size
-            for ctx, flags in zip(contexts, alt_flags):
-                cells.append(_make_cell(config, "hierarchical", null, ctx, size,
-                                        seed, prompt, fpr, flags))
-    return cells
+def _hierarchical_calibrations(config: ExperimentConfig, seed: int, prompt: int,
+                               null: int):
+    for size_idx, size in enumerate(config.cal_sizes):
+        groups = _grouped_calibration(config, seed, prompt, null, size_idx, size)
+        yield size, lambda tests, groups=groups: {
+            "hierarchical": hierarchical_p_values(groups, tests) <= config.alpha}
 
 
 def _to_eval_scale(config: ExperimentConfig, values: np.ndarray) -> np.ndarray:
@@ -457,12 +453,13 @@ def _to_eval_scale(config: ExperimentConfig, values: np.ndarray) -> np.ndarray:
 
 def _weighted_flagger(config: ExperimentConfig, pool: np.ndarray,
                       minority_cal: np.ndarray):
-    """A function from a test set to the four methods' flags against one pool.
+    """A function from test scores to the four methods' flags against one pool.
 
-    Every rank table is built once, and each test set is ranked once
-    against the pool for the unweighted rule, both screens and both
-    weighted rules. The pool density p is evaluated once per point set and
-    shared by both shift variants; at a test set, only at the points either
+    Every rank table is built once, and the test scores (a null level's
+    joined test sets) are ranked once against the pool for the unweighted
+    rule, both screens and both weighted rules. The pool density p is
+    evaluated once at the pool and once at the test scores, and shared by
+    both shift variants; at the test scores, only at the points either
     variant's screen keeps (as :func:`conformal.weighted_candidates` would);
     every other point is unflagged under both, whatever its ratio.
     """
@@ -505,69 +502,32 @@ def _weighted_flagger(config: ExperimentConfig, pool: np.ndarray,
     return flags
 
 
-def _weighted_cells(config: ExperimentConfig, seed: int, prompt: int) -> list[CellResult]:
-    cells = []
-    for null in config.null_levels:
-        majority_cal = _sample_values(config.distribution_for("majority", null),
-                                      config.majority_cal_size,
-                                      _rng(seed, prompt, null, 0, 0, "cal"))
-        test_null = np.sort(_sample_values(config.distribution_for("minority", null),
-                                           config.n_test,
-                                           _rng(seed, prompt, null, 0, 0, "null_test")))
-        contexts = []
-        for alt in config.alt_levels(null):
-            test_alt = _sample_values(config.distribution_for("minority", alt),
-                                      config.n_test,
-                                      _rng(seed, prompt, null, alt, 0, "alt_test"))
-            contexts.append(_label_alt_set(config, seed, prompt, null, alt, test_alt))
-        for m_idx, m in enumerate(config.minority_sizes):
-            minority_cal = _sample_values(config.distribution_for("minority", null),
-                                          m, _rng(seed, prompt, null, 0, m_idx,
-                                                  "minority_cal"))
-            pool = np.concatenate([majority_cal, minority_cal])
-            flags = _weighted_flagger(config, pool, minority_cal)
-            null_flags = flags(test_null)
-            alt_flags = [flags(ctx.test_values) for ctx in contexts]
-            for method, flagged in null_flags.items():
-                fpr = np.count_nonzero(flagged) / flagged.size
-                for ctx, by_method in zip(contexts, alt_flags):
-                    cells.append(_make_cell(config, method, null, ctx, m, seed,
-                                            prompt, fpr, by_method[method]))
-    return cells
+def _weighted_calibrations(config: ExperimentConfig, seed: int, prompt: int, null: int):
+    majority_cal = _sample_values(config.distribution_for("majority", null),
+                                  config.majority_cal_size,
+                                  _rng(seed, prompt, null, 0, 0, "cal"))
+    for m_idx, m in enumerate(config.minority_sizes):
+        minority_cal = _sample_values(config.distribution_for("minority", null), m,
+                                      _rng(seed, prompt, null, 0, m_idx, "minority_cal"))
+        pool = np.concatenate([majority_cal, minority_cal])
+        yield m, _weighted_flagger(config, pool, minority_cal)
 
 
+# scenario -> (test-set drawer, calibration iterator)
 _SCENARIO_RUNNERS = {
-    "standard": _standard_cells,
-    "hierarchical": _hierarchical_cells,
-    "weighted": _weighted_cells,
+    "standard": (_test_set, _standard_calibrations),
+    "hierarchical": (_hierarchical_test_set, _hierarchical_calibrations),
+    "weighted": (_minority_test_set, _weighted_calibrations),
 }
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
     """JSON-safe dict mirroring the config (tuples -> lists, keyed dists nested)."""
-    out = {
-        "scenario": config.scenario,
-        "alpha": config.alpha,
-        "cal_sizes": list(config.cal_sizes),
-        "minority_sizes": list(config.minority_sizes),
-        "seeds": list(config.seeds),
-        "n_test": config.n_test,
-        "n_prompts": config.n_prompts,
-        "null_levels": list(config.null_levels),
-        "max_level": config.max_level,
-        "bandwidth": config.bandwidth,
-        "log_scale": config.log_scale,
-        "k_groups": config.k_groups,
-        "group_sigma": config.group_sigma,
-        "majority_cal_size": config.majority_cal_size,
-        "intensity_logit_means": list(config.intensity_logit_means),
-        "intensity_logit_sigma": config.intensity_logit_sigma,
-        "minority_logit_shift": config.minority_logit_shift,
-        "bleu_means": list(config.bleu_means),
-        "bleu_concentration": config.bleu_concentration,
-        "outlier_threshold_population": config.outlier_threshold_population,
-        "threads": config.threads,
-    }
+    out = {}
+    for f in fields(config):
+        if f.name != "distributions":
+            value = getattr(config, f.name)
+            out[f.name] = list(value) if isinstance(f.default, tuple) else value
     if config.distributions:
         nested: dict = {}
         for (population, intensity), dist in sorted(config.distributions.items()):
@@ -591,14 +551,13 @@ def config_from_dict(data: Mapping) -> ExperimentConfig:
                 params=spec.get("params", {}),
                 edit_intensity=intensity,
             )
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)
+                if f.name != "distributions"}
     kwargs = {}
-    tuple_fields = {"cal_sizes", "minority_sizes", "seeds", "null_levels",
-                    "intensity_logit_means", "bleu_means"}
-    valid = set(ExperimentConfig.__dataclass_fields__) - {"distributions"}
     for key, value in data.items():
-        if key not in valid:
+        if key not in defaults:
             raise ValueError(f"unknown_config_key: {key}")
-        kwargs[key] = tuple(value) if key in tuple_fields else value
+        kwargs[key] = tuple(value) if isinstance(defaults[key], tuple) else value
     return ExperimentConfig(distributions=dists, **kwargs)
 
 
@@ -609,7 +568,6 @@ def run_scenario(config: ExperimentConfig) -> MetricsReport:
     and results are folded in task order either way.
     """
     config.validate()
-    runner = _SCENARIO_RUNNERS[config.scenario]
     tasks = [(seed, prompt)
              for seed in config.seeds
              for prompt in range(1, config.n_prompts + 1)]
@@ -617,7 +575,7 @@ def run_scenario(config: ExperimentConfig) -> MetricsReport:
     def work(task):
         seed, prompt = task
         try:
-            return runner(config, seed, prompt)
+            return _cells(config, seed, prompt)
         except Exception as exc:
             raise RuntimeError(f"cell_failure at seed={seed} prompt={prompt}") from exc
 

@@ -233,11 +233,20 @@ class TestDetectCommand:
         workflow = yaml.safe_load(
             (root / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8"))
         steps = workflow["jobs"]["tier1"]["steps"]
-        runs = [step["run"] for step in steps if "run" in step]
-        assert runs[0] == "pip install -e .[test]"
+        runs = {step["name"]: step["run"] for step in steps if "run" in step}
+        assert runs["Install"] == "pip install -e .[test]"
         tier1 = next(line for line in (root / "ROADMAP.md").read_text(
             encoding="utf-8").splitlines() if line.startswith("**Tier-1 verify:**"))
-        assert f"`{runs[-1]}`" in tier1
+        assert f"`{runs['Tier-1 tests']}`" in tier1
+        # once more on numpy's baseline SIMD path, where exp and log round
+        # differently, on one Python version
+        baseline = next(step for step in steps
+                        if step.get("name") == "Tier-1 tests on numpy's baseline SIMD path")
+        assert baseline["if"] == "matrix.python-version == '3.11'"
+        export, command = baseline["run"].strip().splitlines()
+        assert export.startswith('export NPY_ENABLE_CPU_FEATURES="$(python -c ')
+        assert "__cpu_baseline__" in export and "np.core" in export
+        assert command == runs["Tier-1 tests"]
 
     def test_ci_workflow_runs_each_benchmark_workload(self):
         yaml = pytest.importorskip("yaml")

@@ -66,6 +66,18 @@ class TestFitKde:
         with pytest.raises(ValueError, match="empty_support"):
             fit_kde([], 0.5)
 
+    def test_support_is_a_read_only_float64_copy(self):
+        pool = np.array([0.25, -1.5, 2.0])
+        models = [fit_kde(pool, 0.5), mean_shift(pool, pool[:2], 0.5),
+                  DensityModel(support_points=(1, 2), bandwidth=1.0)]
+        pool[0] = 9.0
+        for model in models:
+            assert model.support_points.dtype == np.float64
+            assert not model.support_points.flags.writeable
+        assert models[0].support_points.tolist() == [0.25, -1.5, 2.0]
+        assert models[1].support_points.tolist() == [0.25, -1.5, 2.0]
+        assert models[2].support_points.tolist() == [1.0, 2.0]
+
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_nonpositive_bandwidth_rejected(self, bad):
         with pytest.raises(ValueError, match="bandwidth_not_positive"):

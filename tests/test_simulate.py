@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conformal_wm import conformal, labeling, simulate
 from conformal_wm.cli import main
 from conformal_wm.density import DensityModel
+from conformal_wm.io import canonical_json, sha256_text
 from conformal_wm.simulate import (
     ScoreDistribution,
     THREADS_ENV_VAR,
@@ -143,8 +144,21 @@ class TestConfig:
     def test_round_trip_through_dict(self):
         cfg = replace(default_config(), distributions={
             ("majority", 1): ScoreDistribution(family="uniform01", edit_intensity=1)})
-        again = config_from_dict(config_to_dict(cfg))
+        again = config_from_dict(json.loads(json.dumps(config_to_dict(cfg))))
         assert config_to_dict(again) == config_to_dict(cfg)
+        # JSON lists come back as the tuples the fields hold
+        assert again == cfg
+
+    @pytest.mark.parametrize("scenario, digest", [
+        ("standard", "c7359f1324ac7c150dd67a710b7780d5e104e19262d15acc76b33000c793cecc"),
+        ("hierarchical", "c701c969c26b70cf493b4c168f2b7337f723ad08116763917fe410c27fd3f58d"),
+        ("weighted", "fa71ae64a46b03178c79c3e4b2be38357c33b212ede2e84b66a936a0d1a887be"),
+    ])
+    def test_default_config_hash_pinned(self, scenario, digest):
+        # the manifest's config_hash of the default config; threads stays unhashed
+        params = config_to_dict(default_config(scenario))
+        params.pop("threads")
+        assert sha256_text(canonical_json(params)) == digest
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown_config_key"):
@@ -210,9 +224,9 @@ class TestWeightedDensityCalls:
 
         monkeypatch.setattr(DensityModel, "evaluate", counting_evaluate)
         run_scenario(cfg)
-        # p and both q-models at the pool, then all three at each test set
-        per_null = [1 + 2 + 3 * (1 + len(cfg.alt_levels(null))) for null in cfg.null_levels]
-        assert len(calls) == len(cfg.minority_sizes) * sum(per_null)
+        # p and both q-models at the pool, then all three at the joined test sets
+        flaggers = len(cfg.null_levels) * len(cfg.minority_sizes)
+        assert len(calls) == flaggers * (1 + 2 + 3)
 
 
 class TestWeightedTables:
@@ -240,10 +254,34 @@ class TestWeightedTables:
                     * len(cfg.minority_sizes))
         # pool and minority tables, and one table per weighted variant
         assert built == {"_standard_table": 2 * flaggers, "_weighted_table": 2 * flaggers}
-        # each test set is ranked once against the pool, once against the minority
-        test_sets = (len(cfg.seeds) * cfg.n_prompts * len(cfg.minority_sizes)
-                     * sum(1 + len(cfg.alt_levels(null)) for null in cfg.null_levels))
-        assert ranked == [cfg.n_test] * (2 * test_sets)
+        # each joined array is ranked once against the pool, once against the minority
+        joined = [cfg.n_test * (1 + len(cfg.alt_levels(null))) for null in cfg.null_levels]
+        per_task = [size for size in joined for _ in cfg.minority_sizes for _ in range(2)]
+        assert ranked == per_task * (len(cfg.seeds) * cfg.n_prompts)
+
+
+class TestRankKernelCalls:
+    @pytest.mark.parametrize("scenario", ["standard", "hierarchical"])
+    def test_one_kernel_call_per_calibration_on_joined_sets(self, monkeypatch, scenario):
+        cfg = small_config(scenario=scenario, seeds=(1,), n_prompts=2, n_test=50,
+                           null_levels=(1, 4), max_level=6, threads=1)
+        kernel = f"{scenario}_p_values"
+        joined_sets = []
+
+        def counting(cal, tests, _kernel=getattr(simulate, kernel)):
+            joined_sets.append(tests)
+            return _kernel(cal, tests)
+
+        # patched where perfbench's tracer patches it, so traced counts see it
+        monkeypatch.setattr(simulate, kernel, counting)
+        run_scenario(cfg)
+        joined = [cfg.n_test * (1 + len(cfg.alt_levels(null))) for null in cfg.null_levels]
+        per_task = [size for size in joined for _ in cfg.cal_sizes]
+        assert [t.size for t in joined_sets] == per_task * (len(cfg.seeds) * cfg.n_prompts)
+        # the null set, then each alternative set, each sorted when drawn
+        for tests in joined_sets:
+            for part in np.split(tests, tests.size // cfg.n_test):
+                assert (np.diff(part) >= 0).all()
 
 
 class TestWeightedScreen:
