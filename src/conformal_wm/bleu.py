@@ -74,30 +74,24 @@ def _ngram_counts(tokens: tuple[str, ...], n: int) -> Counter:
 
 def _clipped_precision(
     reference: tuple[str, ...], candidate: tuple[str, ...], n: int
-) -> tuple[float, int]:
-    """(precision, n-gram count of the candidate); counts clipped per the reference."""
+) -> float:
+    """Candidate n-gram precision, counts clipped per the reference."""
     cand_counts = _ngram_counts(candidate, n)
     total = sum(cand_counts.values())
     if total == 0:
-        return 0.0, 0
+        return 0.0
     ref_counts = _ngram_counts(reference, n)
     clipped = sum(min(c, ref_counts[g]) for g, c in cand_counts.items())
-    return clipped / total, total
+    return clipped / total
 
 
-def bleu(
-    reference: TokenizedText,
-    candidate: TokenizedText,
-    combine: str = "geometric",
-    apply_brevity_penalty: bool = True,
-) -> BleuScore:
+def bleu(reference: TokenizedText, candidate: TokenizedText) -> BleuScore:
     """Similarity of ``candidate`` against ``reference`` in [0, 1].
 
-    Clipped unigram and bigram precisions are combined with weights
-    (0.5, 0.5); geometrically by default (``exp(mean of log precisions)``),
-    arithmetically with ``combine="arithmetic"`` for sensitivity checks.
-    The brevity penalty ``exp(1 - |ref|/|cand|)`` applies when the
-    candidate is shorter than the reference and can be switched off.
+    Clipped unigram and bigram precisions are combined geometrically with
+    weights (0.5, 0.5), ``exp(mean of log precisions)``. The brevity
+    penalty ``exp(1 - |ref|/|cand|)`` applies when the candidate is shorter
+    than the reference.
 
     Degenerate inputs: an empty candidate scores 0. When neither side has
     any bigram (both are single tokens), the bigram order is vacuous and
@@ -108,29 +102,25 @@ def bleu(
     if len(cand) == 0:
         return BleuScore(0.0, 0.0, 0.0, 1.0)
 
-    p1, _ = _clipped_precision(ref, cand, 1)
+    p1 = _clipped_precision(ref, cand, 1)
     if len(cand) < 2 and len(ref) < 2:
         p2 = 1.0
     else:
-        p2, _ = _clipped_precision(ref, cand, 2)
+        p2 = _clipped_precision(ref, cand, 2)
 
-    if apply_brevity_penalty and len(cand) < len(ref):
+    if len(cand) < len(ref):
         bp = math.exp(1.0 - len(ref) / len(cand))
     else:
         bp = 1.0
 
     if p1 <= 0.0 or p2 <= 0.0:
         value = 0.0
-    elif combine == "geometric":
-        value = bp * math.exp(0.5 * math.log(p1) + 0.5 * math.log(p2))
-    elif combine == "arithmetic":
-        value = bp * (0.5 * p1 + 0.5 * p2)
     else:
-        raise ValueError(f"unknown_combine: {combine}")
+        value = bp * math.exp(0.5 * math.log(p1) + 0.5 * math.log(p2))
     return BleuScore(
         value=value, unigram_precision=p1, bigram_precision=p2, brevity_penalty=bp
     )
 
 
-def bleu_of_texts(reference_text: str, candidate_text: str, **kwargs) -> BleuScore:
-    return bleu(tokenize(reference_text), tokenize(candidate_text), **kwargs)
+def bleu_of_texts(reference_text: str, candidate_text: str) -> BleuScore:
+    return bleu(tokenize(reference_text), tokenize(candidate_text))

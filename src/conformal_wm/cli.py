@@ -186,12 +186,12 @@ def cmd_simulate(args) -> int:
         config = replace(config, seeds=(args.seed,))
     if args.threads is not None:
         config = replace(config, threads=args.threads)
+    # run_scenario validates first and wraps cell failures in RuntimeError, so a
+    # ValueError is a config fault (the threads env var stands in for a field)
     try:
-        config.validate()
+        report = sim_mod.run_scenario(config)
     except ValueError as exc:
         raise ValidationError("invalid_config", detail=str(exc))
-
-    report = sim_mod.run_scenario(config)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

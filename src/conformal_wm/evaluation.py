@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from statistics import fmean
-from typing import Iterable, Sequence
+from typing import Iterable
 
 MIN_OUTLIER_PROPORTION = 0.05
 MIN_OUTLIER_COUNT = 30
@@ -27,14 +27,9 @@ MIN_OUTLIER_COUNT = 30
 AGG_PER_PROMPT_MEAN = "per_prompt_mean"
 
 
-def is_excluded(
-    n_outliers: int,
-    outlier_proportion: float,
-    min_count: int = MIN_OUTLIER_COUNT,
-    min_proportion: float = MIN_OUTLIER_PROPORTION,
-) -> bool:
+def is_excluded(n_outliers: int, outlier_proportion: float) -> bool:
     """Negligible-violation rule: too small a share, or too few outliers outright."""
-    return outlier_proportion < min_proportion or n_outliers < min_count
+    return outlier_proportion < MIN_OUTLIER_PROPORTION or n_outliers < MIN_OUTLIER_COUNT
 
 
 @dataclass(frozen=True)
@@ -52,7 +47,7 @@ class CellResult:
     seed: int = 0
     prompt: int = 1  # writing-prompt replicate, not the edit level
     method: str = "standard"
-    n_tests: int = 0  # null-edit test count behind fpr
+    n_tests: int = 0  # alternative test-set size; the null set behind fpr is as large
     suspect_flag_rate: float | None = None  # diagnostic only
 
     def __post_init__(self):
@@ -103,11 +98,7 @@ def _cell_sort_key(c: CellResult):
     return (c.method, c.null_prompt, c.alt_prompt, c.cal_size, c.seed, c.prompt)
 
 
-def aggregate(
-    cells: Iterable[CellResult],
-    over_prompts: Sequence[int] | None = None,
-    over_seeds: Sequence[int] | None = None,
-) -> MetricsReport:
+def aggregate(cells: Iterable[CellResult]) -> MetricsReport:
     """Fold cells into per-condition means.
 
     Exclusion happens first: excluded cells contribute to no mean. For each
@@ -116,17 +107,8 @@ def aggregate(
     cells are all excluded are omitted with reason ``negligible_violation``.
     """
     cells = sorted(cells, key=_cell_sort_key)
-    if over_prompts is not None:
-        wanted_prompts = set(over_prompts)
-        cells_in = [c for c in cells if c.prompt in wanted_prompts]
-    else:
-        cells_in = cells
-    if over_seeds is not None:
-        wanted_seeds = set(over_seeds)
-        cells_in = [c for c in cells_in if c.seed in wanted_seeds]
-
     groups: dict[tuple, list[CellResult]] = {}
-    for c in cells_in:
+    for c in cells:
         groups.setdefault((c.method, c.null_prompt, c.alt_prompt, c.cal_size), []).append(c)
 
     rows: list[AggregateRow] = []
@@ -156,5 +138,5 @@ def aggregate(
             )
         )
 
-    seeds = sorted({c.seed for c in cells_in})
+    seeds = sorted({c.seed for c in cells})
     return MetricsReport(cells=cells, seeds=seeds, rows=rows, omitted=omitted)

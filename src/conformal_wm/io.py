@@ -159,15 +159,6 @@ def _validate_row(raw: tuple, line: int, seen_ids: set) -> tuple:
     return essay_id, score, role, group_id, population, intensity
 
 
-def _infer_format(path: Path, fmt: str | None) -> str:
-    if fmt:
-        if fmt not in ("csv", "json"):
-            raise ValidationError("unknown_format", detail=fmt)
-        return fmt
-    suffix = path.suffix.lower().lstrip(".")
-    return suffix if suffix in ("csv", "json") else "csv"
-
-
 def _csv_values(path: Path) -> Iterator[tuple[tuple, int]]:
     """``(values, line)`` per non-blank CSV record, values in column order.
 
@@ -217,12 +208,12 @@ def _json_values(path: Path) -> Iterator[tuple[tuple, int]]:
         yield tuple(raw.get(col) for col in _CSV_COLUMNS), i
 
 
-def ingest(path, fmt: str | None = None) -> ScoreTable:
-    """Read and validate a score table from CSV or JSON (row order preserved)."""
+def ingest(path) -> ScoreTable:
+    """Read and validate a score table: JSON for a ``.json`` suffix (any case), else CSV."""
     path = Path(path)
     if not path.exists():
         raise ValidationError("file_not_found", detail=str(path))
-    records = _csv_values(path) if _infer_format(path, fmt) == "csv" else _json_values(path)
+    records = _json_values(path) if path.suffix.lower() == ".json" else _csv_values(path)
     seen: set = set()
     return _collect((_validate_row(raw, line, seen), line) for raw, line in records)
 

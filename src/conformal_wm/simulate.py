@@ -64,6 +64,7 @@ _STREAMS = {
 }
 
 _TINY = 1e-300
+_DOMINANCE_PROBE_N = 4000  # draws per (population, level) in the dominance check
 
 
 @dataclass(frozen=True)
@@ -72,13 +73,10 @@ class ScoreDistribution:
 
     family: str
     params: Mapping[str, object] = field(default_factory=dict)
-    edit_intensity: int = 1
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown_family: {self.family}")
-        if not 1 <= self.edit_intensity <= 7:
-            raise ValueError(f"edit_intensity_out_of_range: {self.edit_intensity}")
 
 
 def _expit(x: np.ndarray) -> np.ndarray:
@@ -140,7 +138,6 @@ def _sample_values(dist: ScoreDistribution, n: int, rng: np.random.Generator) ->
                 sub = ScoreDistribution(
                     family=comp["family"],
                     params=comp.get("params", {}),
-                    edit_intensity=dist.edit_intensity,
                 )
                 out[mask] = _sample_values(sub, int(mask.sum()), rng)
         return out
@@ -194,7 +191,6 @@ class ExperimentConfig:
         return ScoreDistribution(
             family="logit_normal",
             params={"mu": mu, "sigma": self.intensity_logit_sigma},
-            edit_intensity=intensity,
         )
 
     def alt_levels(self, null_level: int) -> tuple[int, ...]:
@@ -232,9 +228,14 @@ class ExperimentConfig:
         if self.outlier_threshold_population not in ("null", "alt"):
             raise ValueError(
                 f"unknown_threshold_population: {self.outlier_threshold_population}")
+        for population, level in self.distributions:
+            if population not in ("majority", "minority"):
+                raise ValueError(f"unknown_population: {population}")
+            if not 1 <= level <= 7:
+                raise ValueError(f"edit_intensity_out_of_range: {level}")
         self._check_intensity_dominance()
 
-    def _check_intensity_dominance(self, probe_n: int = 4000) -> None:
+    def _check_intensity_dominance(self) -> None:
         # Higher intensity must push scores stochastically lower; checked
         # empirically on a fixed probe stream before any cell is run.
         for population in self.populations():
@@ -244,7 +245,7 @@ class ExperimentConfig:
                     np.random.SeedSequence([_ENTROPY_BASE, 999, intensity,
                                             0 if population == "majority" else 1]))
                 values = _sample_values(
-                    self.distribution_for(population, intensity), probe_n, rng)
+                    self.distribution_for(population, intensity), _DOMINANCE_PROBE_N, rng)
                 medians.append(float(np.median(values)))
             for lo, hi in zip(medians[1:], medians[:-1]):
                 if lo > hi * 1.02 + 1e-12:
@@ -545,11 +546,9 @@ def config_from_dict(data: Mapping) -> ExperimentConfig:
     dists: dict[tuple[str, int], ScoreDistribution] = {}
     for population, by_level in (data.pop("distributions", None) or {}).items():
         for level, spec in by_level.items():
-            intensity = int(level)
-            dists[(population, intensity)] = ScoreDistribution(
+            dists[(population, int(level))] = ScoreDistribution(
                 family=spec["family"],
                 params=spec.get("params", {}),
-                edit_intensity=intensity,
             )
     defaults = {f.name: f.default for f in fields(ExperimentConfig)
                 if f.name != "distributions"}
@@ -564,8 +563,9 @@ def config_from_dict(data: Mapping) -> ExperimentConfig:
 def run_scenario(config: ExperimentConfig) -> MetricsReport:
     """Run every (seed, prompt) task of the configured scenario and aggregate.
 
-    Tasks are independent; with a thread cap above one they run on a pool,
-    and results are folded in task order either way.
+    The config is validated first (ValueError). Tasks are independent; with
+    a thread cap above one they run on a pool, and results are folded in
+    task order either way. A failing task raises RuntimeError.
     """
     config.validate()
     tasks = [(seed, prompt)
@@ -585,9 +585,4 @@ def run_scenario(config: ExperimentConfig) -> MetricsReport:
             chunks = list(pool.map(work, tasks))
     else:
         chunks = [work(t) for t in tasks]
-    cells = [cell for chunk in chunks for cell in chunk]
-    return aggregate(
-        cells,
-        over_prompts=tuple(range(1, config.n_prompts + 1)),
-        over_seeds=config.seeds,
-    )
+    return aggregate(cell for chunk in chunks for cell in chunk)

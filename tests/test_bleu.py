@@ -84,6 +84,9 @@ class TestBleu:
         assert score.bigram_precision == 1.0
         assert score.brevity_penalty == pytest.approx(math.exp(1 - 4 / 3), abs=1e-12)
         assert score.value == pytest.approx(0.7165, abs=1e-4)
+        # equal lengths, p1 = 2/3, p2 = 1/2: the value is their geometric mean
+        geo = bleu(TokenizedText(("a", "b", "c")), TokenizedText(("a", "b", "x")))
+        assert geo.value == pytest.approx(math.sqrt((2 / 3) * 0.5), abs=1e-12)
 
     def test_disjoint_vocabulary_scores_zero(self):
         assert bleu(TokenizedText(("a", "b")), TokenizedText(("c", "d"))).value == 0.0
@@ -99,24 +102,6 @@ class TestBleu:
         score = bleu(TokenizedText(("a", "b")), TokenizedText(("a",)))
         assert score.bigram_precision == 0.0
         assert score.value == 0.0
-
-    def test_brevity_penalty_toggle(self):
-        ref = TokenizedText(("the", "cat", "sat", "down"))
-        cand = TokenizedText(("the", "cat", "sat"))
-        assert bleu(ref, cand, apply_brevity_penalty=False).value == 1.0
-
-    def test_arithmetic_combine(self):
-        ref = TokenizedText(("a", "b", "c"))
-        cand = TokenizedText(("a", "b", "x"))
-        score = bleu(ref, cand, combine="arithmetic")
-        # p1 = 2/3, p2 = 1/2, no length penalty
-        assert score.value == pytest.approx(0.5 * (2 / 3) + 0.5 * 0.5, abs=1e-12)
-        geo = bleu(ref, cand)
-        assert geo.value == pytest.approx(math.sqrt((2 / 3) * 0.5), abs=1e-12)
-
-    def test_unknown_combine_rejected(self):
-        with pytest.raises(ValueError, match="unknown_combine"):
-            bleu(TokenizedText(("a",)), TokenizedText(("a",)), combine="harmonic")
 
     def test_text_level_helper(self):
         assert bleu_of_texts("Same text here.", "same text here").value == 1.0

@@ -12,6 +12,7 @@ import conformal_wm
 from conformal_wm.cli import main
 from conformal_wm.density import DensityModel
 from conformal_wm import io as io_mod
+from conformal_wm import simulate as sim_mod
 from conformal_wm.evaluation import CellResult, MetricsReport, aggregate
 from conformal_wm.io import ValidationError, ingest
 from conformal_wm.simulate import config_from_dict, run_scenario
@@ -238,6 +239,13 @@ class TestDetectCommand:
         tier1 = next(line for line in (root / "ROADMAP.md").read_text(
             encoding="utf-8").splitlines() if line.startswith("**Tier-1 verify:**"))
         assert f"`{runs['Tier-1 tests']}`" in tier1
+        # the installed entry point runs too, not only cli.main in process
+        assert runs["Installed console script"].strip().splitlines() == [
+            "conformal-wm detect tests/golden/detect_cal.csv tests/golden/detect_test.csv"
+            ' --method standard --out "$RUNNER_TEMP/d"',
+            'cmp "$RUNNER_TEMP/d/decisions.csv" tests/golden/detect_standard.csv',
+            "conformal-wm bleu README.md README.md",
+        ]
         # once more on numpy's baseline SIMD path, where exp and log round
         # differently, on one Python version
         baseline = next(step for step in steps
@@ -395,6 +403,45 @@ class TestSimulateCommand:
         assert main(["simulate", cfg, "--out", str(tmp_path / "r")]) == 2
         assert "n_tets" in json.loads(capsys.readouterr().err.strip())["detail"]
 
+    @pytest.mark.parametrize("population, level, detail", [
+        # a misspelled population was once ignored, and the default drawn
+        ("minorty", "1", "unknown_population: minorty"),
+        ("majority", "8", "edit_intensity_out_of_range: 8"),
+    ])
+    def test_bad_distribution_key_exits_2(self, tmp_path, capsys, population, level,
+                                          detail):
+        config = {"scenario": "weighted",
+                  "distributions": {population: {level: {"family": "uniform01"}}}}
+        cfg = write(tmp_path, "config.json", json.dumps(config))
+        out = tmp_path / "r"
+        assert main(["simulate", cfg, "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "invalid_config"
+        assert detail in err["detail"]
+        assert not out.exists()
+
+    def test_bad_threads_env_var_is_invalid_config(self, tmp_path, capsys, monkeypatch):
+        # the env var stands in for the config's threads field
+        monkeypatch.setenv(sim_mod.THREADS_ENV_VAR, "many")
+        cfg = write(tmp_path, "config.json", json.dumps(SMALL_CONFIG))
+        assert main(["simulate", cfg, "--out", str(tmp_path / "r")]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "invalid_config"
+        assert "invalid_thread_cap" in err["detail"]
+
+    def test_config_validated_once_per_command(self, tmp_path, monkeypatch):
+        calls = []
+        validate = sim_mod.ExperimentConfig.validate
+
+        def counting(config):
+            calls.append(config)
+            return validate(config)
+
+        monkeypatch.setattr(sim_mod.ExperimentConfig, "validate", counting)
+        cfg = write(tmp_path, "config.json", json.dumps(SMALL_CONFIG))
+        assert main(["simulate", cfg, "--out", str(tmp_path / "r")]) == 0
+        assert len(calls) == 1
+
     def test_module_run_reports_missing_config(self, tmp_path):
         # ``python -m conformal_wm.cli`` must run the command, not just import
         src = Path(conformal_wm.__file__).resolve().parents[1]
@@ -430,7 +477,7 @@ class TestSimulateCommand:
                           suspect_flag_rate=None)
         for report in (MetricsReport(cells=[], seeds=[]),
                        MetricsReport(cells=[cell], seeds=[1]),
-                       aggregate([cell], over_seeds=(0,))):
+                       aggregate([cell])):
             path = tmp_path / "metrics.json"
             io_mod.write_metrics_json(path, report, "standard")
             want = json.dumps(io_mod.report_to_dict(report, "standard"), indent=2,

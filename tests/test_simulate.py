@@ -143,7 +143,7 @@ class TestConfig:
 
     def test_round_trip_through_dict(self):
         cfg = replace(default_config(), distributions={
-            ("majority", 1): ScoreDistribution(family="uniform01", edit_intensity=1)})
+            ("majority", 1): ScoreDistribution(family="uniform01")})
         again = config_from_dict(json.loads(json.dumps(config_to_dict(cfg))))
         assert config_to_dict(again) == config_to_dict(cfg)
         # JSON lists come back as the tuples the fields hold
@@ -168,6 +168,17 @@ class TestConfig:
         cfg = replace(default_config(),
                       intensity_logit_means=(0.0, 2.0, -2.0, -3.0, -4.0, -5.0, -6.0))
         with pytest.raises(ValueError, match="intensity_ladder_not_monotone"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("key, code", [
+        (("minorty", 1), "unknown_population: minorty"),
+        (("majority", 0), "edit_intensity_out_of_range: 0"),
+        (("minority", 8), "edit_intensity_out_of_range: 8"),
+    ])
+    def test_distribution_keys_checked(self, key, code):
+        cfg = replace(default_config("weighted"),
+                      distributions={key: ScoreDistribution(family="uniform01")})
+        with pytest.raises(ValueError, match=code):
             cfg.validate()
 
     def test_threads_resolution(self, monkeypatch):
@@ -397,7 +408,7 @@ class TestScenarioBehavior:
     def test_cell_failure_carries_context(self):
         cfg = small_config(distributions={
             ("majority", 1): ScoreDistribution(
-                family="mixture", params={"components": []}, edit_intensity=1)})
+                family="mixture", params={"components": []})})
         with pytest.raises(ValueError):
             cfg.validate()
 
