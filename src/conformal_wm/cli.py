@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +17,8 @@ import numpy as np
 from . import io as io_mod
 from . import simulate as sim_mod
 from .bleu import bleu_of_texts
-from .conformal import hierarchical_p_values, standard_p_values, weighted_p_values
-from .density import density_ratios, fit_kde, mean_shift, quantile_shift
+from .conformal import hierarchical_p_values, standard_p_values
+from .density import WeightedRule
 from .io import ScoreTable, ValidationError
 
 
@@ -117,28 +117,11 @@ def cmd_detect(args) -> int:
             [pop == "minority" for pop in _require_column(cal_table, "population")])
         if not minority.any():
             raise ValidationError("no_minority_rows", detail=args.cal_path)
-        to_eval = np.log10 if use_log else np.asarray
-        cal_eval = to_eval(cal)
-        model_p = fit_kde(cal_eval, args.bandwidth)
-        if args.shift == "mean":
-            model_q = mean_shift(cal_eval, cal_eval[minority], args.bandwidth)
-        else:
-            model_q = quantile_shift(cal_eval, cal_eval[minority], args.bandwidth, alpha)
-        est = model_q.shift
-        extra["shift"] = {
-            "method": est.method,
-            "branch": est.branch,
-            "minority_size": int(minority.sum()),
-            "q_anchor": est.q_anchor,
-            "p_anchor": est.p_anchor,
-            "sigma_p": est.sigma_p,
-            "sigma_q": est.sigma_q,
-            "bandwidth": args.bandwidth,
-            "log_scale": use_log,
-        }
-        (r_cal,) = density_ratios(model_p, [model_q], cal_eval)
-        (r_test,) = density_ratios(model_p, [model_q], to_eval(tests))
-        p = weighted_p_values(cal, r_cal, tests, r_test)
+        rule = WeightedRule(cal, minority, args.bandwidth, alpha, (args.shift,), use_log)
+        extra["shift"] = {**asdict(rule.models_q[0].shift),
+                          "minority_size": int(minority.sum()),
+                          "bandwidth": args.bandwidth, "log_scale": use_log}
+        (p,) = rule.p_values(tests)
         flagged = p < alpha
 
     out_dir = Path(args.out)

@@ -23,15 +23,16 @@ reproduce the standard p-value exactly; the prefix sums of the raw ratios
 with ``w_test`` the test point's own ratio (weighted). Each rule builds its
 table once (a private ``_RankTable``: ranks, p-values and the weighted
 screen); its batch function (``standard_p_values``,
-``hierarchical_p_values``, ``weighted_p_values``) is a thin wrapper that
-``detect`` and the acceptance suite call, while ``simulate`` holds the
-tables of one weighted pool across its test sets. The weighted rule takes
-the raw density ratios, on any common scale. An empty calibration raises
+``hierarchical_p_values``, ``weighted_p_values``) is a thin wrapper around
+it. ``simulate`` holds the standard tables of one pool across its test
+sets, and :class:`conformal_wm.density.WeightedRule` holds the weighted
+ones, for ``detect`` and ``simulate`` alike. The weighted rule takes the
+raw density ratios, on any common scale. An empty calibration raises
 ``empty_calibration`` (``empty_group_collection`` for the hierarchical
-rule) instead of giving p = 1. :func:`weighted_candidates` is not a second
-rule: it only marks the test points whose weighted mass could fall under
-alpha for some own ratio, so a caller that needs flags alone can skip
-computing the ratios of the others.
+rule) instead of giving p = 1. The weighted screen is not a second rule:
+it only marks the test points whose weighted mass could fall under alpha
+for some own ratio, so a caller that needs flags alone can skip computing
+the ratios of the others.
 
 Flag inequalities differ on purpose: standard and hierarchical flag on
 ``p <= alpha`` while the weighted rule flags on ``weighted mass < alpha``.
@@ -80,7 +81,24 @@ class _RankTable(NamedTuple):
         return np.minimum((w_test + self.mass[j]) / den, 1.0)
 
     def screen(self, j: np.ndarray, alpha: float) -> np.ndarray:
-        """Ranks whose mass could fall under alpha; see :func:`weighted_candidates`."""
+        """Ranks whose weighted mass could fall under alpha for some own ratio.
+
+        For a test ratio ``r >= 0`` the weighted mass is
+        ``(r + mass[j]) / (r + mass[n])``, which never falls below
+        ``mass[j] / mass[n]`` because ``mass[j] <= mass[n]``. A point with
+        ``mass[j] / mass[n] >= alpha`` is therefore never flagged, whatever
+        its density ratio, and its ratio need not be computed. The rule
+        computes the mass with three roundings (two sums and a quotient,
+        each exact or within a relative 2**-53), so the computed mass is at
+        least ``mass[j] / mass[n] * (1 - 3 * 2**-53)``; a rank is kept when
+        ``mass[j] / mass[n] < alpha * (1 + 1e-12)``, a margin far above
+        those roundings and the screen's own two. The screen divides rather
+        than multiplying ``alpha * mass[n]``, which would lose its relative
+        accuracy for a subnormal total. The slack can only add candidates:
+        flags still come from :meth:`p_values` alone. When ``mass[n]`` is
+        not positive every rank is kept, so the rule still raises
+        ``density_underflow``.
+        """
         if not self.mass[-1] > 0.0:
             return np.ones(np.shape(j), dtype=bool)
         return self.mass[j] / self.mass[-1] < alpha * (1.0 + _SCREEN_SLACK)
@@ -127,26 +145,34 @@ def _hierarchical_table(groups: Sequence[np.ndarray]) -> _RankTable:
     return _RankTable(cal[order], np.array(mass))
 
 
+def _check_ratios(*ratios: np.ndarray) -> None:
+    """Checks every array for non-finite ratios, then for negative ones.
+
+    A non-finite ratio raises ``density_underflow``, a negative one
+    ``negative_weight``.
+    """
+    if not all(np.isfinite(r).all() for r in ratios):
+        raise ValueError("density_underflow: non-finite importance ratio")
+    if any((r < 0.0).any() for r in ratios):
+        raise ValueError("negative_weight: importance ratios must be nonnegative")
+
+
 def _weighted_table(cal_values, cal_ratios, test_ratios=()) -> _RankTable:
     """Sorted calibration scores and the prefix sums of their ratios.
 
     An empty calibration raises ``empty_calibration``. Then the ratios are
     checked: a length that does not match the scores raises
-    ``weight_length_mismatch``, then a non-finite calibration or test ratio
-    ``density_underflow``, then a negative one ``negative_weight``.
+    ``weight_length_mismatch``, then the calibration and test ratios go
+    through :func:`_check_ratios`.
     """
     cal = _calibration(cal_values)
     r_cal = np.asarray(cal_ratios, dtype=float)
-    r_test = np.asarray(test_ratios, dtype=float)
     if r_cal.shape != cal.shape:
         raise ValueError(
             f"weight_length_mismatch: {r_cal.size} calibration weights for "
             f"{cal.size} calibration scores"
         )
-    if not (np.isfinite(r_cal).all() and np.isfinite(r_test).all()):
-        raise ValueError("density_underflow: non-finite importance ratio")
-    if (r_cal < 0.0).any() or (r_test < 0.0).any():
-        raise ValueError("negative_weight: importance ratios must be nonnegative")
+    _check_ratios(r_cal, np.asarray(test_ratios, dtype=float))
     order = np.argsort(cal, kind="stable")
     return _RankTable(cal[order], np.concatenate([[0.0], np.cumsum(r_cal[order])]))
 
@@ -183,31 +209,3 @@ def weighted_p_values(
     table = _weighted_table(cal_values, cal_ratios, r_test)
     return table.p_values(table.ranks(test_values), r_test)
 
-
-def weighted_candidates(
-    cal_values: np.ndarray,
-    cal_ratios: np.ndarray,
-    test_values: np.ndarray,
-    alpha: float,
-) -> np.ndarray:
-    """Test points the weighted rule could flag for some nonnegative own ratio.
-
-    For a test ratio ``r >= 0`` the weighted mass is
-    ``(r + mass[j]) / (r + mass[n])``, which never falls below
-    ``mass[j] / mass[n]`` because ``mass[j] <= mass[n]``. A point with
-    ``mass[j] / mass[n] >= alpha`` is therefore never flagged, whatever its
-    density ratio, and its ratio need not be computed. The rule computes
-    the mass with three roundings (two sums and a quotient, each exact or
-    within a relative 2**-53), so the computed mass is at least
-    ``mass[j] / mass[n] * (1 - 3 * 2**-53)``; a point is kept when
-    ``mass[j] / mass[n] < alpha * (1 + 1e-12)``, a margin far above those
-    roundings and the screen's own two. The screen divides rather than
-    multiplying ``alpha * mass[n]``, which would lose its relative accuracy
-    for a subnormal total. The slack can only add candidates: flags still
-    come from :func:`weighted_p_values` alone. When ``mass[n]`` is not
-    positive every point is a candidate, so the rule still raises
-    ``density_underflow``. The calibration and its ratios are checked as in
-    :func:`weighted_p_values`.
-    """
-    table = _weighted_table(cal_values, cal_ratios)
-    return table.screen(table.ranks(test_values), alpha)

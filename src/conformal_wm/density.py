@@ -8,7 +8,8 @@ shift") or from robust lower quantiles ("quantile shift"). The raw ratios
 q/p of the two densities (:func:`density_ratios`) are the importance
 weights of the weighted conformal rule, which normalizes them itself
 (:func:`conformal_wm.conformal.weighted_p_values`), so their common scale
-never matters.
+never matters. :class:`WeightedRule` assembles the whole rule for one
+pool; ``detect`` and ``simulate`` both call it.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from .conformal import _check_ratios, _weighted_table
 
 # Floor applied to the pool density before ratios are formed, so a deep-tail
 # query degrades to a huge-but-finite ratio instead of dividing by zero.
@@ -183,20 +186,9 @@ def mean_shift(
     pool coordinates before the pool KDE is evaluated:
     ``x -> ((x - mean_q) / sigma_q) * sigma_p + mean_p``.
     """
-    pool = np.asarray(pool_logs, dtype=float)
-    minority = np.asarray(minority_logs, dtype=float)
-    if pool.size == 0:
-        raise ValueError("empty_pool")
-    if minority.size == 0:
-        raise ValueError("empty_minority")
-    est = ShiftEstimate(
-        method="mean",
-        q_anchor=float(np.mean(minority)),
-        p_anchor=float(np.mean(pool)),
-        sigma_p=_spread(pool),
-        sigma_q=_spread(minority),
-    )
-    return _shifted_model(pool, bandwidth, est)
+    pool, minority = _samples(pool_logs, minority_logs)
+    return _shifted_model(pool, minority, bandwidth, "mean",
+                          float(np.mean(minority)), float(np.mean(pool)))
 
 
 def quantile_shift(
@@ -219,12 +211,7 @@ def quantile_shift(
     matters when the subgroup shift is stronger in the tail than in the
     bulk.
     """
-    pool = np.asarray(pool_logs, dtype=float)
-    minority = np.asarray(minority_logs, dtype=float)
-    if pool.size == 0:
-        raise ValueError("empty_pool")
-    if minority.size == 0:
-        raise ValueError("empty_minority")
+    pool, minority = _samples(pool_logs, minority_logs)
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"alpha_out_of_range: {alpha}")
     m = minority.size
@@ -242,18 +229,25 @@ def quantile_shift(
         branch = "alpha"
         q_anchor = empirical_quantile(minority, alpha)
         p_anchor = empirical_quantile(pool, alpha)
-    est = ShiftEstimate(
-        method="quantile",
-        q_anchor=q_anchor,
-        p_anchor=p_anchor,
-        sigma_p=_spread(pool),
-        sigma_q=_spread(minority),
-        branch=branch,
-    )
-    return _shifted_model(pool, bandwidth, est)
+    return _shifted_model(pool, minority, bandwidth, "quantile", q_anchor, p_anchor, branch)
 
 
-def _shifted_model(pool: np.ndarray, bandwidth: float, est: ShiftEstimate) -> DensityModel:
+def _samples(pool_logs, minority_logs) -> tuple[np.ndarray, np.ndarray]:
+    """Both samples as float arrays; raises ``empty_pool`` or ``empty_minority``."""
+    pool = np.asarray(pool_logs, dtype=float)
+    minority = np.asarray(minority_logs, dtype=float)
+    if pool.size == 0:
+        raise ValueError("empty_pool")
+    if minority.size == 0:
+        raise ValueError("empty_minority")
+    return pool, minority
+
+
+def _shifted_model(pool: np.ndarray, minority: np.ndarray, bandwidth: float,
+                   method: str, q_anchor: float, p_anchor: float,
+                   branch: str | None = None) -> DensityModel:
+    est = ShiftEstimate(method, q_anchor, p_anchor, _spread(pool), _spread(minority),
+                        branch)
     scale = est.sigma_p / est.sigma_q
     offset = est.p_anchor - est.q_anchor * scale
     return DensityModel(
@@ -278,3 +272,57 @@ def density_ratios(
     pts = np.asarray(points, dtype=float)
     p = np.maximum(np.asarray(model_p.evaluate(pts), dtype=float), DENSITY_FLOOR)
     return [np.asarray(model_q.evaluate(pts), dtype=float) / p for model_q in models_q]
+
+
+class WeightedRule:
+    """The weighted conformal rule of one calibration pool, assembled once.
+
+    ``minority`` masks the pool's minority points, and the scores go through
+    log10 once if ``log_scale``. p is the pool KDE, ``models_q`` holds one
+    shifted model per name in ``shifts`` ("mean" or "quantile"), each with
+    its :class:`ShiftEstimate`, and ``tables`` one weighted rank table per
+    model. Every table holds the pool sorted, so one rank serves them all.
+    """
+
+    def __init__(self, pool, minority, bandwidth: float, alpha: float,
+                 shifts: Sequence[str], log_scale: bool):
+        pool = np.asarray(pool, dtype=float)
+        self.alpha = alpha
+        self._to_eval = np.log10 if log_scale else np.asarray
+        pool_eval = self._to_eval(pool)
+        minority_eval = pool_eval[minority]
+        self.model_p = fit_kde(pool_eval, bandwidth)
+        self.models_q = [mean_shift(pool_eval, minority_eval, bandwidth) if shift == "mean"
+                         else quantile_shift(pool_eval, minority_eval, bandwidth, alpha)
+                         for shift in shifts]
+        self.tables = [_weighted_table(pool, r)
+                       for r in density_ratios(self.model_p, self.models_q, pool_eval)]
+
+    def ranks(self, values) -> np.ndarray:
+        return self.tables[0].ranks(values)
+
+    def _p_values(self, values: np.ndarray, j: np.ndarray) -> list[np.ndarray]:
+        r_test = density_ratios(self.model_p, self.models_q, self._to_eval(values))
+        _check_ratios(*r_test)
+        return [table.p_values(j, r) for table, r in zip(self.tables, r_test)]
+
+    def p_values(self, values) -> list[np.ndarray]:
+        """Each model's weighted mass at every test score."""
+        values = np.asarray(values, dtype=float)
+        return self._p_values(values, self.ranks(values))
+
+    def flags(self, values: np.ndarray, j: np.ndarray) -> list[np.ndarray]:
+        """Each model's ``mass < alpha`` at test scores ``values`` of ranks ``j``.
+
+        Densities are evaluated only at the points some table's screen keeps;
+        the others are unflagged under every model, whatever their ratios.
+        """
+        cand = np.zeros(j.shape, dtype=bool)
+        for table in self.tables:
+            cand |= table.screen(j, self.alpha)
+        out = []
+        for p in self._p_values(values[cand], j[cand]):
+            flagged = np.zeros(j.shape, dtype=bool)
+            flagged[cand] = p < self.alpha
+            out.append(flagged)
+        return out

@@ -273,39 +273,14 @@ def write_plot_csv(path, report: MetricsReport, scenario: str) -> None:
 
 
 def report_to_dict(report: MetricsReport, scenario: str) -> dict:
+    """The report's rows (without ``by_seed``), omitted pairs and cells, field by field."""
     return {
         "scenario": scenario,
         "aggregation": AGG_PER_PROMPT_MEAN,
         "seeds": list(report.seeds),
-        "rows": [
-            {
-                "method": r.method, "null_prompt": r.null_prompt,
-                "alt_prompt": r.alt_prompt, "cal_size": r.cal_size,
-                "fpr": r.fpr, "power": r.power, "n_cells": r.n_cells,
-                "n_outliers_total": r.n_outliers_total,
-            }
-            for r in report.rows
-        ],
-        "omitted": [
-            {
-                "method": o.method, "null_prompt": o.null_prompt,
-                "alt_prompt": o.alt_prompt, "cal_size": o.cal_size,
-                "reason": o.reason,
-            }
-            for o in report.omitted
-        ],
-        "cells": [
-            {
-                "method": c.method, "null_prompt": c.null_prompt,
-                "alt_prompt": c.alt_prompt, "cal_size": c.cal_size,
-                "seed": c.seed, "prompt": c.prompt, "fpr": c.fpr, "power": c.power,
-                "n_outliers": c.n_outliers,
-                "outlier_proportion": c.outlier_proportion,
-                "excluded": c.excluded, "n_tests": c.n_tests,
-                "suspect_flag_rate": c.suspect_flag_rate,
-            }
-            for c in report.cells
-        ],
+        "rows": [{k: v for k, v in vars(r).items() if k != "by_seed"} for r in report.rows],
+        "omitted": [dict(vars(o)) for o in report.omitted],
+        "cells": [dict(vars(c)) for c in report.cells],
     }
 
 

@@ -27,6 +27,7 @@ across runs and across worker thread counts.
 
 from __future__ import annotations
 
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -34,13 +35,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .conformal import (
-    _standard_table,
-    _weighted_table,
-    hierarchical_p_values,
-    standard_p_values,
-)
-from .density import density_ratios, fit_kde, mean_shift, quantile_shift
+from .conformal import _standard_table, hierarchical_p_values, standard_p_values
+from .density import WeightedRule
 from .evaluation import CellResult, MetricsReport, aggregate, is_excluded
 from .labeling import bleu_quantile_threshold, outlier_mask
 
@@ -77,6 +73,19 @@ class ScoreDistribution:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown_family: {self.family}")
+        _mapping(self.params, f"params of {self.family}")
+
+
+def _mapping(value, name: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise ValueError(f"invalid_config_shape: {name} must be an object, "
+                         f"not {type(value).__name__}")
+    return value
+
+
+# Accepted values of a config field, by the type of its default (or of the
+# default's items); a bool is neither an int nor a float here.
+_KINDS = {bool: bool, str: str, int: numbers.Integral, float: numbers.Real}
 
 
 def _expit(x: np.ndarray) -> np.ndarray:
@@ -200,6 +209,14 @@ class ExperimentConfig:
         return ("majority", "minority") if self.scenario == "weighted" else ("majority",)
 
     def validate(self) -> None:
+        for f in fields(self):
+            if f.name in ("threads", "distributions"):
+                continue
+            value, many = getattr(self, f.name), isinstance(f.default, tuple)
+            kind = _KINDS[type(f.default[0] if many else f.default)]
+            if not all(isinstance(v, kind) and (kind is bool or not isinstance(v, bool))
+                       for v in (value if many else (value,))):
+                raise ValueError(f"invalid_type: {f.name}={value!r}")
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown_scenario: {self.scenario}")
         if not 0.0 < self.alpha < 1.0:
@@ -448,57 +465,26 @@ def _hierarchical_calibrations(config: ExperimentConfig, seed: int, prompt: int,
             "hierarchical": hierarchical_p_values(groups, tests) <= config.alpha}
 
 
-def _to_eval_scale(config: ExperimentConfig, values: np.ndarray) -> np.ndarray:
-    return np.log10(values) if config.log_scale else np.asarray(values, dtype=float)
-
-
-def _weighted_flagger(config: ExperimentConfig, pool: np.ndarray,
-                      minority_cal: np.ndarray):
+def _weighted_flagger(config: ExperimentConfig, pool: np.ndarray, minority: np.ndarray):
     """A function from test scores to the four methods' flags against one pool.
 
-    Every rank table is built once, and the test scores (a null level's
-    joined test sets) are ranked once against the pool for the unweighted
-    rule, both screens and both weighted rules. The pool density p is
-    evaluated once at the pool and once at the test scores, and shared by
-    both shift variants; at the test scores, only at the points either
-    variant's screen keeps (as :func:`conformal.weighted_candidates` would);
-    every other point is unflagged under both, whatever its ratio.
+    ``minority`` masks the pool's minority points. Every rank table is built
+    once, and the test scores (a null level's joined test sets) are ranked
+    once against the pool, for the unweighted rule and both weighted ones.
     """
     alpha = config.alpha
-    pool_eval = _to_eval_scale(config, pool)
-    minority_eval = _to_eval_scale(config, minority_cal)
-    model_p = fit_kde(pool_eval, config.bandwidth)
-    variants = {
-        "weighted_mean": mean_shift(pool_eval, minority_eval, config.bandwidth),
-        "weighted_quantile": quantile_shift(pool_eval, minority_eval,
-                                            config.bandwidth, alpha),
-    }
-    models_q = list(variants.values())
-    r_cal = density_ratios(model_p, models_q, pool_eval)
-    minority_table = _standard_table(minority_cal)
+    rule = WeightedRule(pool, minority, config.bandwidth, alpha, ("mean", "quantile"),
+                        config.log_scale)
+    minority_table = _standard_table(pool[minority])
     pool_table = _standard_table(pool)
-    weighted_tables = [_weighted_table(pool, rc) for rc in r_cal]
 
     def flags(values: np.ndarray) -> dict[str, np.ndarray]:
-        # Every table holds the pool's scores in sorted order, so one rank
-        # serves them all. The test ratios are not checked: scores are
-        # clipped to [_TINY, 1], so every query is finite, and p is
-        # floored, so every ratio is finite and nonnegative.
-        j = pool_table.ranks(values)
-        cand = np.zeros(j.shape, dtype=bool)
-        for table in weighted_tables:
-            cand |= table.screen(j, alpha)
-        j_cand = j[cand]
-        r_test = density_ratios(model_p, models_q, _to_eval_scale(config, values[cand]))
-        out = {
+        j = rule.ranks(values)
+        return {
             "in_dist": minority_table.p_values(minority_table.ranks(values)) <= alpha,
             "combined_unweighted": pool_table.p_values(j) <= alpha,
+            **dict(zip(("weighted_mean", "weighted_quantile"), rule.flags(values, j))),
         }
-        for name, table, rt in zip(variants, weighted_tables, r_test):
-            flagged = np.zeros(j.shape, dtype=bool)
-            flagged[cand] = table.p_values(j_cand, rt) < alpha
-            out[name] = flagged
-        return out
 
     return flags
 
@@ -511,7 +497,7 @@ def _weighted_calibrations(config: ExperimentConfig, seed: int, prompt: int, nul
         minority_cal = _sample_values(config.distribution_for("minority", null), m,
                                       _rng(seed, prompt, null, 0, m_idx, "minority_cal"))
         pool = np.concatenate([majority_cal, minority_cal])
-        yield m, _weighted_flagger(config, pool, minority_cal)
+        yield m, _weighted_flagger(config, pool, np.arange(pool.size) >= majority_cal.size)
 
 
 # scenario -> (test-set drawer, calibration iterator)
@@ -544,8 +530,9 @@ def config_from_dict(data: Mapping) -> ExperimentConfig:
     """Inverse of :func:`config_to_dict`; unknown keys are rejected by name."""
     data = dict(data)
     dists: dict[tuple[str, int], ScoreDistribution] = {}
-    for population, by_level in (data.pop("distributions", None) or {}).items():
-        for level, spec in by_level.items():
+    nested = _mapping(data.pop("distributions", None) or {}, "distributions")
+    for population, by_level in nested.items():
+        for level, spec in _mapping(by_level, f"distributions.{population}").items():
             dists[(population, int(level))] = ScoreDistribution(
                 family=spec["family"],
                 params=spec.get("params", {}),

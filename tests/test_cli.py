@@ -244,6 +244,10 @@ class TestDetectCommand:
             "conformal-wm detect tests/golden/detect_cal.csv tests/golden/detect_test.csv"
             ' --method standard --out "$RUNNER_TEMP/d"',
             'cmp "$RUNNER_TEMP/d/decisions.csv" tests/golden/detect_standard.csv',
+            "conformal-wm detect tests/golden/detect_cal.csv tests/golden/detect_test.csv"
+            ' --method weighted --shift quantile --out "$RUNNER_TEMP/w"',
+            'cmp <(cut -d, -f1,3 "$RUNNER_TEMP/w/decisions.csv")'
+            " <(cut -d, -f1,3 tests/golden/detect_weighted_quantile.csv)",
             "conformal-wm bleu README.md README.md",
         ]
         # once more on numpy's baseline SIMD path, where exp and log round
@@ -415,6 +419,28 @@ class TestSimulateCommand:
         cfg = write(tmp_path, "config.json", json.dumps(config))
         out = tmp_path / "r"
         assert main(["simulate", cfg, "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "invalid_config"
+        assert detail in err["detail"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, detail", [
+        ({"distributions": {"majority": ["x"]}},
+         "distributions.majority must be an object"),
+        ({"distributions": ["x"]}, "distributions must be an object"),
+        ({"distributions": {"majority": {"1": {"family": "beta", "params": ["a"]}}}},
+         "params of beta must be an object"),
+        ({"n_test": "5"}, "invalid_type: n_test"),
+        ({"alpha": "0.05"}, "invalid_type: alpha"),
+        ({"cal_sizes": [30.5]}, "invalid_type: cal_sizes"),
+        ({"log_scale": 1}, "invalid_type: log_scale"),
+        ({"n_prompts": True}, "invalid_type: n_prompts"),
+    ])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, config, detail):
+        # each of these once escaped validation and exited 1 as an internal error
+        cfg = write(tmp_path, "config.json", json.dumps(config))
+        out = tmp_path / "r"
+        assert main(["simulate", cfg, "--seed", "1", "--out", str(out)]) == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "invalid_config"
         assert detail in err["detail"]

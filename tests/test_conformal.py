@@ -9,9 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conformal_wm.conformal import (
+    _weighted_table,
     hierarchical_p_values,
     standard_p_values,
-    weighted_candidates,
     weighted_p_values,
 )
 from conformal_wm.density import density_ratios, fit_kde, mean_shift
@@ -23,6 +23,12 @@ scores_strategy = st.lists(
 )
 score_strategy = st.floats(min_value=1e-6, max_value=1.0, allow_nan=False,
                            allow_infinity=False)
+
+
+def weighted_screen(cal_values, cal_ratios, test_values, alpha):
+    """The screen of one weighted calibration table at the test scores' ranks."""
+    table = _weighted_table(cal_values, cal_ratios)
+    return table.screen(table.ranks(test_values), alpha)
 
 
 def rank_oracle(cal_values, s):
@@ -160,8 +166,8 @@ class TestWeightedDecision:
 
     @pytest.mark.parametrize("kernel", [
         lambda: weighted_p_values(np.empty(0), np.empty(0), [0.5], [1.0]),
-        lambda: weighted_candidates([], [], [0.5], 0.05),
-    ], ids=["weighted_p_values", "weighted_candidates"])
+        lambda: weighted_screen([], [], [0.5], 0.05),
+    ], ids=["weighted_p_values", "weighted_screen"])
     def test_empty_calibration_rejected(self, kernel):
         # with no calibration mass every p-value would read 1
         with pytest.raises(ValueError, match="empty_calibration"):
@@ -345,7 +351,7 @@ class TestWeightedScreen:
         tests = cal + extra_tests
         values, ratios = (np.array(col) for col in zip(*cal))
         t_values, t_ratios = (np.array(col) for col in zip(*tests))
-        cand = weighted_candidates(values, ratios, t_values, alpha)
+        cand = weighted_screen(values, ratios, t_values, alpha)
         assert cand.dtype == bool and cand.shape == t_values.shape
         if ratios.sum() == 0.0:
             # nothing is screened out, so the rule itself decides to raise
@@ -364,14 +370,14 @@ class TestWeightedScreen:
         p = weighted_p_values(values, ratios, tests, np.full(5, test_ratio))
         assert p[1] == p[2] == 0.05
         assert (p < 0.05).tolist() == [True, False, False, False, False]
-        cand = weighted_candidates(values, ratios, tests, 0.05)
+        cand = weighted_screen(values, ratios, tests, 0.05)
         # the slack keeps the knife edge in; only j = 0 can flag
         assert cand.tolist() == [True, True, True, False, False]
 
     def test_zero_calibration_ratios_keep_every_point_and_raise(self):
         values = np.array([0.1, 0.2, 0.3])
         tests = np.array([0.05, 0.25, 0.9])
-        cand = weighted_candidates(values, np.zeros(3), tests, 0.05)
+        cand = weighted_screen(values, np.zeros(3), tests, 0.05)
         assert cand.all()
         with pytest.raises(ValueError, match="density_underflow"):
             weighted_p_values(values, np.zeros(3), tests[cand], np.zeros(3))
@@ -379,11 +385,11 @@ class TestWeightedScreen:
     def test_checks_calibration_ratios_in_order(self):
         values = np.array([0.1, 0.2])
         with pytest.raises(ValueError, match="weight_length_mismatch"):
-            weighted_candidates(values, [1.0], [0.5], 0.05)
+            weighted_screen(values, [1.0], [0.5], 0.05)
         with pytest.raises(ValueError, match="density_underflow"):
-            weighted_candidates(values, [-1.0, math.inf], [0.5], 0.05)
+            weighted_screen(values, [-1.0, math.inf], [0.5], 0.05)
         with pytest.raises(ValueError, match="negative_weight"):
-            weighted_candidates(values, [-1.0, 1.0], [0.5], 0.05)
+            weighted_screen(values, [-1.0, 1.0], [0.5], 0.05)
         # a non-finite test ratio is reported before a negative calibration one
         with pytest.raises(ValueError, match="density_underflow"):
             weighted_p_values(values, [-1.0, 1.0], [0.5], [math.nan])
@@ -397,4 +403,4 @@ class TestWeightedScreen:
         r_test, = density_ratios(model_p, [model_q], np.empty(0))
         assert r_test.shape == (0,)
         assert weighted_p_values(pool, r_cal, np.empty(0), r_test).shape == (0,)
-        assert weighted_candidates(pool, r_cal, np.empty(0), 0.05).shape == (0,)
+        assert weighted_screen(pool, r_cal, np.empty(0), 0.05).shape == (0,)

@@ -1,7 +1,10 @@
 """KDE, shift estimators, quantiles, and importance weights."""
 
+import json
 import math
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conformal_wm import density
+from conformal_wm.cli import main
 from conformal_wm.conformal import standard_p_values, weighted_p_values
 from conformal_wm.density import (
     DensityModel,
@@ -20,6 +24,7 @@ from conformal_wm.density import (
     mean_shift,
     quantile_shift,
 )
+from conformal_wm.simulate import default_config, run_scenario
 
 log_points = st.lists(
     st.floats(min_value=-8.0, max_value=2.0, allow_nan=False, allow_infinity=False),
@@ -422,3 +427,85 @@ class TestBlockedEvaluate:
         finally:
             tracemalloc.stop()
         assert peak < 8_000_000
+
+
+def logit_normal_pool(seed, m, n_majority=200):
+    """A majority pool with a shifted minority of ``m`` appended, and its mask."""
+    rng = np.random.default_rng(seed)
+    pool = 1.0 / (1.0 + np.exp(-np.concatenate([rng.normal(0.0, 1.5, n_majority),
+                                                 rng.normal(-2.0, 1.5, m)])))
+    tests = 1.0 / (1.0 + np.exp(-rng.normal(-3.0, 2.0, 400)))
+    return pool, np.arange(pool.size) >= n_majority, tests
+
+
+class TestWeightedRule:
+    @pytest.mark.parametrize("log_scale", [True, False])
+    @pytest.mark.parametrize("shift", ["mean", "quantile"])
+    @pytest.mark.parametrize("n_tests", [400, 0])
+    def test_p_values_equal_library_path_bit_for_bit(self, shift, log_scale, n_tests):
+        pool, minority, tests = logit_normal_pool(5, 15)
+        tests = tests[:n_tests]
+        to_eval = np.log10 if log_scale else np.asarray
+        pool_eval = to_eval(pool)
+        model_p = fit_kde(pool_eval, 0.5)
+        if shift == "mean":
+            model_q = mean_shift(pool_eval, pool_eval[minority], 0.5)
+        else:
+            model_q = quantile_shift(pool_eval, pool_eval[minority], 0.5, 0.05)
+        (r_cal,) = density_ratios(model_p, [model_q], pool_eval)
+        (r_test,) = density_ratios(model_p, [model_q], to_eval(tests))
+        want = weighted_p_values(pool, r_cal, tests, r_test)
+        rule = density.WeightedRule(pool, minority, 0.5, 0.05, (shift,), log_scale)
+        (got,) = rule.p_values(tests)
+        assert got.shape == (n_tests,)
+        assert got.tobytes() == want.tobytes()
+        assert rule.models_q[0].shift == model_q.shift
+
+    @pytest.mark.parametrize("m, branch", [(5, "min"), (15, "2alpha"), (30, "alpha")])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_flags_equal_unscreened_rule_at_every_point(self, seed, m, branch):
+        pool, minority, tests = logit_normal_pool(seed, m)
+        rule = density.WeightedRule(pool, minority, 0.5, 0.05, ("mean", "quantile"), True)
+        assert rule.models_q[1].shift.branch == branch
+        j = rule.ranks(tests)
+        flags = rule.flags(tests, j)
+        want = [p < 0.05 for p in rule.p_values(tests)]
+        assert [f.tolist() for f in flags] == [w.tolist() for w in want]
+        # some points are flagged, and the screen drops some others
+        assert any(w.any() for w in want)
+        assert not (rule.tables[0].screen(j, 0.05) | rule.tables[1].screen(j, 0.05)).all()
+
+
+def corrupt_test_ratios(monkeypatch, value):
+    """Ratios at the calibration points stay intact; elsewhere the first is ``value``."""
+    ratios = density.density_ratios
+
+    def corrupted(model_p, models_q, points):
+        out = ratios(model_p, models_q, points)
+        if np.size(points) and not np.array_equal(points, model_p.support_points):
+            for r in out:
+                r[0] = value
+        return out
+
+    monkeypatch.setattr(density, "density_ratios", corrupted)
+
+
+@pytest.mark.parametrize("value, code", [(math.nan, "density_underflow"),
+                                         (-1.0, "negative_weight")])
+class TestTestRatioChecks:
+    def test_weighted_simulate_raises(self, monkeypatch, value, code):
+        corrupt_test_ratios(monkeypatch, value)
+        config = replace(default_config("weighted"), seeds=(1,), n_prompts=1, n_test=50,
+                         minority_sizes=(15,), null_levels=(1,), threads=1)
+        with pytest.raises(RuntimeError, match="cell_failure") as info:
+            run_scenario(config)
+        assert code in str(info.value.__cause__)
+
+    def test_weighted_detect_exits_2(self, tmp_path, monkeypatch, capsys, value, code):
+        corrupt_test_ratios(monkeypatch, value)
+        golden = Path(__file__).parent / "golden"
+        assert main(["detect", str(golden / "detect_cal.csv"),
+                     str(golden / "detect_test.csv"), "--method", "weighted",
+                     "--out", str(tmp_path)]) == 2
+        assert code in json.loads(capsys.readouterr().err.strip())["detail"]
+        assert not (tmp_path / "decisions.csv").exists()

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conformal_wm import conformal, labeling, simulate
+from conformal_wm import conformal, density, labeling, simulate
 from conformal_wm.cli import main
 from conformal_wm.density import DensityModel
 from conformal_wm.io import canonical_json, sha256_text
@@ -246,12 +246,13 @@ class TestWeightedTables:
                            null_levels=(1, 4), max_level=6, minority_sizes=(5, 15),
                            threads=1)
         built = Counter()
-        for name in ("_standard_table", "_weighted_table"):
-            def counting(*args, _name=name, _build=getattr(simulate, name)):
+        # the flagger builds the standard tables, its WeightedRule the weighted ones
+        for owner, name in ((simulate, "_standard_table"), (density, "_weighted_table")):
+            def counting(*args, _name=name, _build=getattr(owner, name)):
                 built[_name] += 1
                 return _build(*args)
 
-            monkeypatch.setattr(simulate, name, counting)
+            monkeypatch.setattr(owner, name, counting)
         ranked = []
         ranks = conformal._RankTable.ranks
 
