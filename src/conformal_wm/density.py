@@ -10,17 +10,26 @@ weights of the weighted conformal rule, which normalizes them itself
 (:func:`conformal_wm.conformal.weighted_p_values`), so their common scale
 never matters. :class:`WeightedRule` assembles the whole rule for one
 pool; ``detect`` and ``simulate`` both call it.
+
+Every density the rule turns into a p-value is the exact Gaussian sum
+(:meth:`DensityModel.evaluate`), so ``WeightedRule.p_values``, which
+``detect`` writes, is exact. ``WeightedRule.flags``, which ``simulate``
+counts, needs only each flag. It reads the densities from one grid of the
+pool's log density (:class:`_LogGrid`), whose error has a proven bound, and
+decides a flag from the grid only when the bound proves it; the exact sums
+decide the rest, so every flag equals the exact rule's.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .conformal import _check_ratios, _weighted_table
+from .conformal import _SCREEN_SLACK, _check_ratios, _weighted_table
 
 # Floor applied to the pool density before ratios are formed, so a deep-tail
 # query degrades to a huge-but-finite ratio instead of dividing by zero.
@@ -35,6 +44,15 @@ _GAUSS_NORM = math.sqrt(2.0 * math.pi)
 # Bytes per (rows, N) buffer in DensityModel.evaluate: with its chunk header
 # under glibc's initial 128 KiB mmap threshold, so buffers reuse heap memory.
 _BLOCK_BYTES = 128 * 1024 - 64
+
+# Spacing of :class:`_LogGrid`'s nodes in bandwidths, before rounding down to
+# a power of two.
+_GRID_STEP = 0.125
+
+# Where a log density or log ratio stays inside (-_LOG_RANGE, _LOG_RANGE),
+# the exact rule's densities and ratios are normal floats and the pool density
+# is above DENSITY_FLOOR (exp(-690) > 1e-300).
+_LOG_RANGE = 690.0
 
 
 def _block_rows(n_support: int) -> int:
@@ -140,25 +158,41 @@ class DensityModel:
         ``exp(-0.5 * z * z).sum(axis=-1)``, and so gets the same bits.
         """
         arr = np.asarray(x, dtype=float)
-        query = (self.scale * arr + self.offset).ravel()
-        support = self.support_points
-        dens = np.empty(query.size)
-        rows = max(1, min(_block_rows(support.size), query.size))
-        z = np.empty((rows, support.size))
-        kern = np.empty((rows, support.size))
-        for start in range(0, query.size, rows):
-            block = query[start:start + rows]
-            zb, kb = z[:block.size], kern[:block.size]
-            np.subtract(block[:, np.newaxis], support, out=zb)
-            zb /= self.bandwidth
-            np.multiply(zb, -0.5, out=kb)
-            kb *= zb
-            np.exp(kb, out=kb)
-            kb.sum(axis=-1, out=dens[start:start + block.size])
-        dens /= support.size * self.bandwidth * _GAUSS_NORM
+        dens, _ = _kernel_sums((self.scale * arr + self.offset).ravel(),
+                               self.support_points, self.bandwidth)
+        dens /= self.support_points.size * self.bandwidth * _GAUSS_NORM
         if arr.ndim == 0:
             return float(dens[0])
         return dens.reshape(arr.shape)
+
+
+def _kernel_sums(query: np.ndarray, support: np.ndarray, bandwidth: float,
+                 with_moment: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """``sum_i k_i`` at each query, with ``k_i = exp(-z_i**2 / 2)``, ``z_i = (x - s_i) / h``.
+
+    With ``with_moment`` the second array is ``sum_i z_i * k_i``, else None.
+    Queries are taken :func:`_block_rows` at a time through two (block, N)
+    buffers of at most ``_BLOCK_BYTES`` each, as :meth:`DensityModel.evaluate`
+    describes.
+    """
+    sums = np.empty(query.size)
+    moments = np.empty(query.size) if with_moment else None
+    rows = max(1, min(_block_rows(support.size), query.size))
+    z = np.empty((rows, support.size))
+    kern = np.empty((rows, support.size))
+    for start in range(0, query.size, rows):
+        block = query[start:start + rows]
+        zb, kb = z[:block.size], kern[:block.size]
+        np.subtract(block[:, np.newaxis], support, out=zb)
+        zb /= bandwidth
+        np.multiply(zb, -0.5, out=kb)
+        kb *= zb
+        np.exp(kb, out=kb)
+        kb.sum(axis=-1, out=sums[start:start + block.size])
+        if with_moment:
+            zb *= kb
+            zb.sum(axis=-1, out=moments[start:start + block.size])
+    return sums, moments
 
 
 def fit_kde(log_scores: Sequence[float], bandwidth: float) -> DensityModel:
@@ -274,6 +308,98 @@ def density_ratios(
     return [np.asarray(model_q.evaluate(pts), dtype=float) / p for model_q in models_q]
 
 
+class _LogGrid:
+    """A KDE's log kernel sum on evenly spaced nodes, read by cubic Hermite interpolation.
+
+    ``log_sum`` holds ``log sum_i k_i`` (the KDE's log f up to the constant
+    ``log(N h sqrt(2 pi))``, which cancels in every ratio) at the nodes
+    ``lo + k * step`` covering ``[min - 8h, max + 8h]`` of the support, and
+    ``tangent`` holds ``step`` times its slope ``-sum z k / (h sum k)``. Both
+    come from the exact sums of :func:`_kernel_sums`, taken in its blocks.
+    The step is ``_GRID_STEP * h`` rounded down to a power of two, so every
+    node is an exact float.
+
+    Bound. With ``w_i = exp(-s_i**2 / 2h**2)``,
+    ``log f(u) = -u**2 / 2h**2 + K(u / h**2) + const``, where
+    ``K(t) = log sum_i w_i exp(t s_i)`` is the cumulant generating function
+    (up to a constant) of the law with mass proportional to ``w_i exp(t s_i)``
+    on the support points. The quadratic has no fourth derivative, so
+    ``(log f)''''(u) = kappa_4 / h**8`` for that law's fourth cumulant. On
+    support of width D, Popoviciu gives ``mu_2 <= D**2 / 4``, and
+    ``mu_2**2 <= mu_4 <= D**2 mu_2``, so
+    ``-D**4 / 8 <= -2 mu_2**2 <= kappa_4 = mu_4 - 3 mu_2**2 <= D**4 / 12``,
+    and ``|(log f)''''| <= D**4 / (8 h**8)`` everywhere. A cubic Hermite
+    read of g on a cell of width ``delta`` errs by
+    ``g''''(xi) (x - x0)**2 (x - x1)**2 / 24``, at most
+    ``|g''''| delta**4 / 384``, so it is within
+    ``bound = delta**4 D**4 / (3072 h**8)`` of the exact log f.
+
+    Roundings. The computed values differ from the exact ones by roundings,
+    in the nodes, in a read and in the exact evaluator's own sums and
+    quotients. Each is a few units of ``2**-53`` times one of: N (a sum of N
+    positive terms); ``R**2`` with ``R = D / h + 10``, which bounds ``|z|``
+    for every point inside the grid (a kernel term's exponent; numpy's
+    ``exp`` is within a few ulps); ``R * N`` and ``R**3`` (a slope, whose sum
+    can cancel, times ``delta / h <= 2``); ``R`` times the node count (a
+    read's position); and ``|log|`` values, which the range checks keep
+    under 1,400. :attr:`error` adds to ``bound`` a slack of
+    ``2**-40 * (R * (N + nodes) + R**3 + 1024)``, more than a hundred times
+    their sum.
+
+    A read is usable only inside the grid, on a cell whose two node sums
+    exceed ``exp(-_LOG_RANGE)``, and where the log sum, give or take
+    :attr:`error`, keeps the exact evaluator's density between
+    ``exp(-_LOG_RANGE)`` and ``exp(_LOG_RANGE)``: above ``DENSITY_FLOOR``,
+    and with a normal, finite kernel sum and quotient. The grid is not
+    built (no read is usable) when ``2 * error`` reaches ``_LOG_RANGE``, so
+    that no ratio could pass :meth:`WeightedRule._grid_flags`' range check, or
+    when the nodes would not be exact floats.
+    """
+
+    def __init__(self, support: np.ndarray, bandwidth: float):
+        h = float(bandwidth)
+        s_min, s_max = float(support.min()), float(support.max())
+        self.step = math.ldexp(1.0, math.frexp(_GRID_STEP * h)[1] - 1)
+        rho = self.step / h * ((s_max - s_min) / h)
+        r = (s_max - s_min) / h + 10.0
+        nodes = (s_max - s_min + 16.0 * h) / self.step + 2.0
+        self.error = (rho * rho * rho * rho / 3072.0
+                      + 2.0 ** -40 * (r * (support.size + nodes) + r * r * r + 1024.0))
+        self.log_sum = None
+        if not (2.0 * self.error < _LOG_RANGE
+                and max(-s_min, s_max) + 10.0 * h <= 2.0 ** 52 * self.step):
+            return
+        k_lo = math.floor((s_min - 8.0 * h) / self.step)
+        k_hi = math.ceil((s_max + 8.0 * h) / self.step)
+        self.lo = k_lo * self.step
+        sums, moments = _kernel_sums(self.lo + self.step * np.arange(k_hi - k_lo + 1.0),
+                                     support, h, with_moment=True)
+        ok = sums > math.exp(-_LOG_RANGE)
+        sums = np.where(ok, sums, 1.0)
+        self.log_sum = np.log(sums)
+        self.tangent = moments / sums * (-self.step / h)
+        self.ok_cell = ok[:-1] & ok[1:]
+        log_norm = math.log(support.size * h * _GAUSS_NORM)
+        self.range = (max(-_LOG_RANGE, log_norm - _LOG_RANGE), log_norm + _LOG_RANGE)
+
+    def read(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``log sum_i k_i`` at each of ``x``, and where that is within :attr:`error`."""
+        if self.log_sum is None:
+            return np.zeros(x.shape), np.zeros(x.shape, dtype=bool)
+        last = self.log_sum.size - 1
+        pos = (x - self.lo) / self.step
+        usable = (pos >= 0.0) & (pos <= last)
+        pos = np.where(usable, pos, 0.0)
+        i = np.minimum(pos.astype(np.intp), last - 1)
+        t = pos - i
+        s = 1.0 - t
+        y = (s * s * ((1.0 + 2.0 * t) * self.log_sum[i] + t * self.tangent[i])
+             + t * t * ((3.0 - 2.0 * t) * self.log_sum[i + 1] - s * self.tangent[i + 1]))
+        lo, hi = self.range
+        usable &= self.ok_cell[i] & (y - self.error > lo) & (y + self.error < hi)
+        return y, usable
+
+
 class WeightedRule:
     """The weighted conformal rule of one calibration pool, assembled once.
 
@@ -311,18 +437,67 @@ class WeightedRule:
         values = np.asarray(values, dtype=float)
         return self._p_values(values, self.ranks(values))
 
+    @cached_property
+    def _grid(self) -> _LogGrid:
+        """The pool KDE's log-density grid; each q-model reads it through its affine map."""
+        return _LogGrid(self.model_p.support_points, self.model_p.bandwidth)
+
     def flags(self, values: np.ndarray, j: np.ndarray) -> list[np.ndarray]:
         """Each model's ``mass < alpha`` at test scores ``values`` of ranks ``j``.
 
-        Densities are evaluated only at the points some table's screen keeps;
-        the others are unflagged under every model, whatever their ratios.
+        Each flag equals the exact rule's, in three steps. Densities matter
+        only at the points some table's screen keeps; the others are
+        unflagged under every model, whatever their ratios. At a kept point,
+        :meth:`_grid_flags` decides the flags its bound proves. The points it
+        leaves open get the exact p-values of :meth:`p_values`.
         """
         cand = np.zeros(j.shape, dtype=bool)
         for table in self.tables:
             cand |= table.screen(j, self.alpha)
+        values, j_cand = values[cand], j[cand]
+        flags, open_ = self._grid_flags(self._to_eval(values), j_cand)
+        if open_.any():
+            for flag, p in zip(flags, self._p_values(values[open_], j_cand[open_])):
+                flag[open_] = p < self.alpha
         out = []
-        for p in self._p_values(values[cand], j[cand]):
+        for flag in flags:
             flagged = np.zeros(j.shape, dtype=bool)
-            flagged[cand] = p < self.alpha
+            flagged[cand] = flag
             out.append(flagged)
         return out
+
+    def _grid_flags(self, x: np.ndarray,
+                    j: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+        """Each model's flags the grid proves at points ``x`` (eval scale) of ranks ``j``.
+
+        Returns the flags and the mask of points left open. The grid reads
+        log p and each log q within ``grid.error``, so the exact ratio lies
+        within a factor ``exp(eps)``, ``eps = 2 * grid.error``, of
+        ``r = exp(log q - log p)``. The weighted mass
+        ``(r + mass[j]) / (r + mass[n])`` increases with r, as
+        ``mass[j] <= mass[n]``, so a point is flagged when its mass at
+        ``r * exp(eps)`` is under ``alpha * (1 - 1e-12)`` and cleared when
+        its mass at ``r * exp(-eps)`` is at least ``alpha * (1 + 1e-12)``:
+        margins far above the mass's roundings, as in ``_RankTable.screen``.
+        A point is open if any model leaves it undecided, or any of its
+        reads is unusable or its log ratio, give or take ``eps``, leaves
+        ``(-_LOG_RANGE, _LOG_RANGE)``.
+        """
+        grid = self._grid
+        eps = 2.0 * grid.error
+        log_p, usable = grid.read(x)
+        log_ratios = []
+        for model in self.models_q:
+            log_q, usable_q = grid.read(model.scale * x + model.offset)
+            log_ratios.append(log_q - log_p)
+            usable &= usable_q & (np.abs(log_ratios[-1]) + eps < _LOG_RANGE)
+        ratios = [np.exp(np.where(usable, log_r, 0.0)) for log_r in log_ratios]
+        _check_ratios(*ratios)
+        flags = [np.zeros(x.shape, dtype=bool) for _ in self.tables]
+        if usable.any():
+            widen = math.exp(eps)
+            for flag, table, r in zip(flags, self.tables, ratios):
+                flag[:] = table.p_values(j, r * widen) < self.alpha * (1.0 - _SCREEN_SLACK)
+                usable &= flag | (table.p_values(j, r / widen)
+                                  >= self.alpha * (1.0 + _SCREEN_SLACK))
+        return flags, ~usable

@@ -112,6 +112,15 @@ def logit_shift(values: np.ndarray, delta) -> np.ndarray:
     return np.where(delta_arr == 0.0, vals, shifted)
 
 
+def _real(params: Mapping, name: str, default) -> float:
+    """``params[name]`` (or ``default``) as a float, else raises ``invalid_params``."""
+    value = params.get(name, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"invalid_params: {name}={value!r} is not a number") from None
+
+
 def _sample_values(dist: ScoreDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
     if n < 1:
         raise ValueError(f"sample_size_not_positive: {n}")
@@ -120,22 +129,25 @@ def _sample_values(dist: ScoreDistribution, n: int, rng: np.random.Generator) ->
     if fam == "uniform01":
         return 1.0 - rng.random(n)  # (0, 1]
     if fam == "logit_normal":
-        mu = float(p.get("mu", 0.0))
-        sigma = float(p.get("sigma", 1.0))
+        mu = _real(p, "mu", 0.0)
+        sigma = _real(p, "sigma", 1.0)
         if sigma <= 0:
             raise ValueError(f"invalid_params: sigma={sigma}")
         return np.clip(_expit(rng.normal(mu, sigma, n)), _TINY, 1.0)
     if fam == "beta":
-        a = float(p.get("a", 1.0))
-        b = float(p.get("b", 1.0))
+        a = _real(p, "a", 1.0)
+        b = _real(p, "b", 1.0)
         if a <= 0 or b <= 0:
             raise ValueError(f"invalid_params: a={a}, b={b}")
         return np.clip(rng.beta(a, b, n), _TINY, 1.0)
     if fam == "mixture":
         comps = p.get("components")
-        if not comps:
-            raise ValueError("invalid_params: mixture needs components")
-        weights = np.array([float(c["weight"]) for c in comps])
+        if not isinstance(comps, (list, tuple)) or not comps:
+            raise ValueError("invalid_params: mixture needs a list of components")
+        for comp in comps:
+            if "family" not in _mapping(comp, "a mixture component"):
+                raise ValueError(f"invalid_params: mixture component {comp!r} needs a family")
+        weights = np.array([_real(c, "weight", None) for c in comps])
         if (weights <= 0).any():
             raise ValueError("invalid_params: non-positive mixture weight")
         weights = weights / weights.sum()

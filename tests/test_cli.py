@@ -435,6 +435,16 @@ class TestSimulateCommand:
         ({"cal_sizes": [30.5]}, "invalid_type: cal_sizes"),
         ({"log_scale": 1}, "invalid_type: log_scale"),
         ({"n_prompts": True}, "invalid_type: n_prompts"),
+        ({"distributions": {"majority": {"1": {"family": "mixture",
+                                               "params": {"components": [1]}}}}},
+         "a mixture component must be an object"),
+        ({"distributions": {"majority": {"1": {
+            "family": "mixture", "params": {"components": [{"family": "beta"}]}}}}},
+         "weight=None is not a number"),
+        ({"distributions": {"majority": {"1": {"family": "mixture", "params": {
+            "components": [{"weight": 1}]}}}}}, "needs a family"),
+        ({"distributions": {"majority": {"1": {"family": "beta", "params": {"a": None}}}}},
+         "a=None is not a number"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, config, detail):
         # each of these once escaped validation and exited 1 as an internal error

@@ -475,19 +475,80 @@ class TestWeightedRule:
         assert any(w.any() for w in want)
         assert not (rule.tables[0].screen(j, 0.05) | rule.tables[1].screen(j, 0.05)).all()
 
+    @pytest.mark.parametrize("case", ["coarse_grid", "tiny_score"])
+    def test_flags_equal_p_values_where_the_grid_leaves_points_open(self, monkeypatch,
+                                                                     case):
+        pool, minority, tests = logit_normal_pool(3, 15)
+        if case == "coarse_grid":
+            # one node per bandwidth: the bound leaves many points to the exact rule
+            monkeypatch.setattr(density, "_GRID_STEP", 1.0)
+        else:
+            # log10 of the pool spans 300 units: the bound decides nothing
+            pool[0] = 1e-300
+        rule = density.WeightedRule(pool, minority, 0.5, 0.05, ("mean", "quantile"), True)
+        opened = []
+        exact = rule._p_values
+        monkeypatch.setattr(rule, "_p_values",
+                            lambda values, j: opened.append(values.size) or exact(values, j))
+        j = rule.ranks(tests)
+        flags = rule.flags(tests, j)
+        candidates = np.count_nonzero(rule.tables[0].screen(j, 0.05)
+                                      | rule.tables[1].screen(j, 0.05))
+        want = [p < 0.05 for p in rule.p_values(tests)]
+        assert [f.tolist() for f in flags] == [w.tolist() for w in want]
+        assert any(w.any() for w in want)
+        if case == "coarse_grid":
+            assert rule._grid.log_sum is not None
+            assert 0 < opened[0] < candidates
+        else:
+            assert rule._grid.log_sum is None
+            assert opened[0] == candidates
+
+
+class TestLogGrid:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        scores=st.lists(st.floats(1e-8, 1.0), min_size=1, max_size=150),
+        duplicates=st.integers(0, 150),
+        bandwidth=st.floats(0.05, 2.0),
+        log_scale=st.booleans(),
+        where=st.lists(st.floats(-0.05, 1.05), max_size=200),
+    )
+    def test_read_within_error_of_exact_log_density(self, scores, duplicates, bandwidth,
+                                                    log_scale, where):
+        support = np.array(scores + scores[:duplicates])
+        if log_scale:
+            support = np.log10(support)
+        grid = density._LogGrid(support, bandwidth)
+        assert grid.log_sum is not None
+        lo, hi = grid.lo, grid.lo + grid.step * (grid.log_sum.size - 1)
+        # the support points, then points across the grid and a little beyond it
+        x = np.concatenate([support, lo + (hi - lo) * np.array(where)])
+        y, usable = grid.read(x)
+        assert usable[:support.size].all()
+        model = fit_kde(support, bandwidth)
+        exact = np.log(model.evaluate(x[usable])) + math.log(
+            support.size * bandwidth * math.sqrt(2.0 * math.pi))
+        assert (np.abs(y[usable] - exact) <= grid.error).all()
+        assert not usable[(x < lo) | (x > hi)].any()
+
 
 def corrupt_test_ratios(monkeypatch, value):
-    """Ratios at the calibration points stay intact; elsewhere the first is ``value``."""
-    ratios = density.density_ratios
+    """The first test ratio of each model is ``value`` when the rule checks them.
 
-    def corrupted(model_p, models_q, points):
-        out = ratios(model_p, models_q, points)
-        if np.size(points) and not np.array_equal(points, model_p.support_points):
-            for r in out:
+    Grid and exact test ratios both go through ``density._check_ratios``; the
+    calibration ratios are checked by ``conformal._weighted_table`` and stay
+    intact.
+    """
+    check = density._check_ratios
+
+    def corrupted(*ratios):
+        for r in ratios:
+            if r.size:
                 r[0] = value
-        return out
+        check(*ratios)
 
-    monkeypatch.setattr(density, "density_ratios", corrupted)
+    monkeypatch.setattr(density, "_check_ratios", corrupted)
 
 
 @pytest.mark.parametrize("value, code", [(math.nan, "density_underflow"),

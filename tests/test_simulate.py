@@ -230,14 +230,31 @@ class TestWeightedDensityCalls:
         evaluate = DensityModel.evaluate
 
         def counting_evaluate(model, x):
-            calls.append(model)
+            calls.append((model, np.size(x)))
             return evaluate(model, x)
 
+        grids = []
+        log_grid = density._LogGrid
+
+        def counting_grid(support, bandwidth):
+            grids.append(support.size)
+            return log_grid(support, bandwidth)
+
         monkeypatch.setattr(DensityModel, "evaluate", counting_evaluate)
+        monkeypatch.setattr(density, "_LogGrid", counting_grid)
         run_scenario(cfg)
-        # p and both q-models at the pool, then all three at the joined test sets
         flaggers = len(cfg.null_levels) * len(cfg.minority_sizes)
-        assert len(calls) == flaggers * (1 + 2 + 3)
+        pool_sizes = ([cfg.majority_cal_size + m for m in cfg.minority_sizes]
+                      * len(cfg.null_levels))
+        # p and both q-models at the pool, then one grid that p and both q-models read
+        assert grids == pool_sizes
+        at_pool = [size for _, size in calls if size in pool_sizes]
+        assert len(at_pool) == flaggers * 3
+        # exact evaluations at test points are the grid's fallbacks: p and both q-models
+        rest = [(model, size) for model, size in calls if size not in pool_sizes]
+        assert len(rest) % 3 == 0
+        for k in range(0, len(rest), 3):
+            assert rest[k][0].shift is None and rest[k][1] == rest[k + 1][1] == rest[k + 2][1]
 
 
 class TestWeightedTables:
@@ -306,13 +323,13 @@ class TestWeightedScreen:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config_to_dict(cfg)), encoding="utf-8")
         queried = []
-        evaluate = DensityModel.evaluate
+        read = density._LogGrid.read
 
-        def counting_evaluate(model, x):
+        def counting_read(grid, x):
             queried.append(np.size(x))
-            return evaluate(model, x)
+            return read(grid, x)
 
-        monkeypatch.setattr(DensityModel, "evaluate", counting_evaluate)
+        monkeypatch.setattr(density._LogGrid, "read", counting_read)
         screen = conformal._RankTable.screen
         outputs, points = [], []
         for candidates in (screen, lambda table, j, alpha:
@@ -327,6 +344,32 @@ class TestWeightedScreen:
         assert outputs[0] == outputs[1]
         # the screen skips density work, or it is not doing its job
         assert points[0] < points[1]
+
+
+class TestWeightedGrid:
+    def test_coarse_grid_gives_the_default_grids_bytes(self, tmp_path, monkeypatch):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"scenario": "weighted"}), encoding="utf-8")
+        opened = []
+        p_values = density.WeightedRule._p_values
+
+        def counting(rule, values, j):
+            opened.append(np.size(values))
+            return p_values(rule, values, j)
+
+        monkeypatch.setattr(density.WeightedRule, "_p_values", counting)
+        outputs, fallbacks = [], []
+        # one node per bandwidth leaves far more points to the exact rule
+        for step in (density._GRID_STEP, 1.0):
+            monkeypatch.setattr(density, "_GRID_STEP", step)
+            opened.clear()
+            out = tmp_path / f"step{step}"
+            assert main(["simulate", str(path), "--seed", "1", "--out", str(out)]) == 0
+            outputs.append({f: (out / f).read_bytes()
+                            for f in ("metrics.csv", "metrics.json", "plot_data.csv")})
+            fallbacks.append(sum(opened))
+        assert outputs[0] == outputs[1]
+        assert fallbacks[0] < fallbacks[1]
 
 
 class TestScenarioBehavior:
