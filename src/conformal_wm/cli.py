@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -17,7 +18,12 @@ import numpy as np
 from . import io as io_mod
 from . import simulate as sim_mod
 from .bleu import bleu_of_texts
-from .conformal import hierarchical_p_values, standard_p_values
+from .conformal import (
+    hierarchical_cutoff,
+    hierarchical_p_values,
+    standard_cutoff,
+    standard_p_values,
+)
 from .density import WeightedRule
 from .io import ScoreTable, ValidationError
 
@@ -88,6 +94,15 @@ def _require_column(table: ScoreTable, name: str) -> tuple:
     return column
 
 
+def _rank_diagnostics(size_name: str, size: int, cutoff: float) -> dict:
+    """What a rank rule's calibration allows: its size, smallest p, and whether it can flag.
+
+    Both rank rules give ``1/(size + 1)`` at rank 0 (``size`` is n, or K
+    groups), and flag nothing when their cutoff is ``-inf``.
+    """
+    return {size_name: size, "min_p": 1.0 / (size + 1), "can_flag": cutoff > -math.inf}
+
+
 def cmd_detect(args) -> int:
     cal_table = _require_role(io_mod.ingest(args.cal_path), "calibration", args.cal_path)
     test_table = _require_role(io_mod.ingest(args.test_path), "test", args.test_path)
@@ -97,20 +112,26 @@ def cmd_detect(args) -> int:
                               field_name="alpha")
     use_log = args.log_scale == "on"
     extra: dict = {"method": args.method, "alpha": alpha}
+    diagnostics = None
     cal = cal_table.score
     tests = test_table.score
 
     if args.method == "standard":
         p = standard_p_values(cal, tests)
         flagged = p <= alpha
+        diagnostics = _rank_diagnostics("n_calibration", cal.size,
+                                        standard_cutoff(cal, alpha))
 
     elif args.method == "hierarchical":
         by_group: dict[str, list[int]] = {}
         for i, group in enumerate(_require_column(cal_table, "group_id")):
             by_group.setdefault(group, []).append(i)
         extra["n_groups"] = len(by_group)
-        p = hierarchical_p_values([cal[idx] for idx in by_group.values()], tests)
+        groups = [cal[idx] for idx in by_group.values()]
+        p = hierarchical_p_values(groups, tests)
         flagged = p <= alpha
+        diagnostics = _rank_diagnostics("n_groups", len(groups),
+                                        hierarchical_cutoff(groups, alpha))
 
     else:  # weighted
         minority = np.array(
@@ -127,9 +148,7 @@ def cmd_detect(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     decisions_path = out_dir / "decisions.csv"
-    io_mod.write_decisions_csv(
-        decisions_path,
-        zip(test_table.essay_id, p.tolist(), flagged.tolist()))
+    io_mod.write_decisions_csv(decisions_path, test_table.essay_id, p, flagged)
     manifest = io_mod.build_manifest(
         command="detect",
         params={"method": args.method, "alpha": alpha, "shift": args.shift,
@@ -138,6 +157,7 @@ def cmd_detect(args) -> int:
         inputs={"calibration": Path(args.cal_path), "test": Path(args.test_path)},
         outputs={"decisions.csv": decisions_path},
         extra=extra,
+        diagnostics=diagnostics,
     )
     io_mod.write_manifest(manifest, out_dir / "manifest.json")
     return 0

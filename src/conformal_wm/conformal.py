@@ -21,12 +21,16 @@ exactly rounded sum ``fsum_k(count_k(j)/n_k)`` with ``w_test = 1``
 (hierarchical), so group order never changes a bit and singleton groups
 reproduce the standard p-value exactly; the prefix sums of the raw ratios
 with ``w_test`` the test point's own ratio (weighted). Each rule builds its
-table once (a private ``_RankTable``: ranks, p-values and the weighted
-screen); its batch function (``standard_p_values``,
+table once (a private ``_RankTable``: ranks, p-values, the flag cutoff
+and the weighted screen); its batch function (``standard_p_values``,
 ``hierarchical_p_values``, ``weighted_p_values``) is a thin wrapper around
-it. ``simulate`` holds the standard tables of one pool across its test
-sets, and :class:`conformal_wm.density.WeightedRule` holds the weighted
-ones, for ``detect`` and ``simulate`` alike. The weighted rule takes the
+it. The standard and hierarchical p-values depend on the test score only
+through its rank, so their flags ``p <= alpha`` are exactly the scores
+below one calibration score, the table's cutoff (``standard_cutoff``,
+``hierarchical_cutoff``); ``simulate`` flags with it, and the
+hierarchical one stops walking the pooled scores once p passes alpha.
+:class:`conformal_wm.density.WeightedRule` holds the weighted tables, for
+``detect`` and ``simulate`` alike. The weighted rule takes the
 raw density ratios, on any common scale. An empty calibration raises
 ``empty_calibration`` (``empty_group_collection`` for the hierarchical
 rule) instead of giving p = 1. The weighted screen is not a second rule:
@@ -47,7 +51,9 @@ every p-value untouched.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+import math
+from itertools import chain
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -80,6 +86,23 @@ class _RankTable(NamedTuple):
             raise ValueError("density_underflow: importance ratios sum to zero")
         return np.minimum((w_test + self.mass[j]) / den, 1.0)
 
+    def cutoff(self, alpha: float) -> float:
+        """The smallest score no longer flagged by ``p_values(ranks(s)) <= alpha``.
+
+        With ``k = #{j : p_values(j) <= alpha}``, that is ``sorted_cal[k-1]``,
+        or ``-inf`` when k = 0 and ``+inf`` when every rank flags. ``mass`` is
+        nondecreasing and each rounding in :meth:`p_values` (a sum, a
+        quotient, a minimum) is monotone, so p is nondecreasing in j and the
+        flagged ranks are exactly ``j < k``. A score s has rank
+        ``j = #{s_i <= s}``, and ``j < k`` holds exactly when fewer than k
+        calibration scores are at or below s, that is when
+        ``s < sorted_cal[k-1]``. So for every finite s, ``s < cutoff`` equals
+        ``p_values(ranks(s)) <= alpha``, ties included: a score equal to
+        ``sorted_cal[k-1]`` counts it in its rank and is not flagged.
+        """
+        flagged = self.p_values(np.arange(self.mass.size)) <= alpha
+        return _cutoff(self.sorted_cal, int(np.count_nonzero(flagged)))
+
     def screen(self, j: np.ndarray, alpha: float) -> np.ndarray:
         """Ranks whose weighted mass could fall under alpha for some own ratio.
 
@@ -104,6 +127,13 @@ class _RankTable(NamedTuple):
         return self.mass[j] / self.mass[-1] < alpha * (1.0 + _SCREEN_SLACK)
 
 
+def _cutoff(sorted_cal: np.ndarray, k: int) -> float:
+    """The cutoff of a table whose ranks ``j < k`` flag (see :meth:`_RankTable.cutoff`)."""
+    if k == 0:
+        return -math.inf
+    return math.inf if k > sorted_cal.size else float(sorted_cal[k - 1])
+
+
 def _calibration(cal_values) -> np.ndarray:
     """The calibration scores as floats; raises ``empty_calibration`` if there are none."""
     cal = np.asarray(cal_values, dtype=float)
@@ -117,13 +147,15 @@ def _standard_table(cal_values) -> _RankTable:
     return _RankTable(cal, np.arange(cal.size + 1.0))
 
 
-def _hierarchical_table(groups: Sequence[np.ndarray]) -> _RankTable:
-    """``mass[j] = fsum_k(count_k/n_k)`` after j steps up the sorted pooled scores.
+def _hierarchical_mass(groups: Sequence[np.ndarray]) -> tuple[np.ndarray, Iterator[float]]:
+    """The sorted pooled scores, and ``mass[j] = fsum_k(count_k/n_k)`` for j = 1, 2, ...
 
+    The masses are yielded one step up the sorted pooled scores at a time.
     A double ``count/n_k`` is 0 or at least ``2**-bitlen(n_k)``, so it is a
     whole multiple of ``2**-S`` with ``S = 52 + max_k bitlen(n_k)``. The
     total is kept exactly as an int at that scale, updated by ``new - old``
     per step, and int/int true division rounds it as ``fsum`` does: O(n).
+    An empty collection or group raises at the call, not at the first step.
     """
     sizes = [np.size(g) for g in groups]
     if not sizes:
@@ -132,17 +164,27 @@ def _hierarchical_table(groups: Sequence[np.ndarray]) -> _RankTable:
         raise ValueError("empty_group")
     cal = np.concatenate([np.asarray(g, dtype=float).ravel() for g in groups])
     order = np.argsort(cal, kind="stable")
-    shift = 52 + max(sizes).bit_length()
-    unit, scale = 2.0 ** shift, 1 << shift
-    counts, ticks = [0] * len(sizes), [0] * len(sizes)
-    total, mass = 0, [0.0]
-    for k in np.repeat(np.arange(len(sizes)), sizes)[order].tolist():
-        counts[k] += 1
-        tick = int(counts[k] / sizes[k] * unit)
-        total += tick - ticks[k]
-        ticks[k] = tick
-        mass.append(total / scale)
-    return _RankTable(cal[order], np.array(mass))
+    labels = np.repeat(np.arange(len(sizes)), sizes)[order].tolist()
+
+    def steps() -> Iterator[float]:
+        shift = 52 + max(sizes).bit_length()
+        unit, scale = 2.0 ** shift, 1 << shift
+        counts, ticks = [0] * len(sizes), [0] * len(sizes)
+        total = 0
+        for k in labels:
+            counts[k] += 1
+            tick = int(counts[k] / sizes[k] * unit)
+            total += tick - ticks[k]
+            ticks[k] = tick
+            yield total / scale
+
+    return cal[order], steps()
+
+
+def _hierarchical_table(groups: Sequence[np.ndarray]) -> _RankTable:
+    """The full table of :func:`_hierarchical_mass`, with ``mass[0] = 0``."""
+    cal, steps = _hierarchical_mass(groups)
+    return _RankTable(cal, np.array([0.0, *steps]))
 
 
 def _check_ratios(*ratios: np.ndarray) -> None:
@@ -181,6 +223,33 @@ def standard_p_values(cal_values: np.ndarray, test_values: np.ndarray) -> np.nda
     """Standard p-values of many test scores against one calibration set."""
     table = _standard_table(cal_values)
     return table.p_values(table.ranks(test_values))
+
+
+def standard_cutoff(cal_values: np.ndarray, alpha: float) -> float:
+    """The standard rule flags exactly the finite test scores below this one.
+
+    See :meth:`_RankTable.cutoff`; ``-inf`` when nothing can be flagged.
+    """
+    return _standard_table(cal_values).cutoff(alpha)
+
+
+def hierarchical_cutoff(groups: Sequence[np.ndarray], alpha: float) -> float:
+    """``_hierarchical_table(groups).cutoff(alpha)``, without building the table.
+
+    p is nondecreasing in the rank (see :meth:`_RankTable.cutoff`), so the
+    walk up the pooled scores stops at the first rank whose p exceeds
+    alpha. Each p equals the table's bit for bit: the masses come from the
+    same running total, and the table's ``mass[n]`` is exactly K, since
+    every group's fraction ends at 1, which also keeps p at most 1.
+    """
+    cal, steps = _hierarchical_mass(groups)
+    den = 1.0 + len(groups)
+    k = 0
+    for mass in chain((0.0,), steps):
+        if (1.0 + mass) / den > alpha:
+            break
+        k += 1
+    return _cutoff(cal, k)
 
 
 def hierarchical_p_values(

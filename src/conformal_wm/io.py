@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -231,17 +231,32 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_decisions_csv(path, rows: Iterable[tuple[str, float, bool]]) -> None:
-    """Write ``(essay_id, conformal_p, flagged)`` rows.
+# Rows the decisions writer formats per batch: its per-row index and text
+# lists live for one batch, so its memory does not grow with the table.
+_DECISION_BATCH_ROWS = 1024
 
-    p must be a Python float (``array.tolist()``): under numpy 2, ``repr``
-    of a numpy float64 is ``np.float64(...)``, not the plain decimal.
+
+def write_decisions_csv(path, essay_ids: Sequence[str], p: np.ndarray,
+                        flagged: np.ndarray) -> None:
+    """Write one ``essay_id, conformal_p, flagged`` row per test essay, in order.
+
+    Each p is written as ``repr`` of its Python float, formatted once per
+    distinct bit pattern: a rank rule's p takes at most n + 1 values, however
+    many rows there are. Each batch of rows finds its strings among the
+    distinct patterns by ``searchsorted``, so no string is made per row.
     """
+    bits = np.asarray(p, dtype=np.float64).view(np.int64)
+    distinct = np.unique(bits)
+    p_text = [repr(x) for x in distinct.view(np.float64).tolist()]
+    flag_text = ("false", "true")
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["essay_id", "conformal_p", "flagged"])
-        writer.writerows((essay_id, repr(p), "true" if flagged else "false")
-                         for essay_id, p, flagged in rows)
+        for start in range(0, bits.size, _DECISION_BATCH_ROWS):
+            rows = slice(start, start + _DECISION_BATCH_ROWS)
+            index = np.searchsorted(distinct, bits[rows])
+            writer.writerows(zip(essay_ids[rows], map(p_text.__getitem__, index.tolist()),
+                                 map(flag_text.__getitem__, flagged[rows].tolist())))
 
 
 def write_metrics_csv(path, report: MetricsReport, scenario: str) -> None:
@@ -337,7 +352,9 @@ def build_manifest(
     inputs: dict[str, Path],
     outputs: dict[str, Path],
     extra: dict | None = None,
+    diagnostics: dict | None = None,
 ) -> dict:
+    """One run's manifest; ``extra`` and ``diagnostics`` stay out of its hashes."""
     config_hash = sha256_text(canonical_json(params))
     input_digests = {name: sha256_file(p) for name, p in sorted(inputs.items())}
     output_digests = {name: sha256_file(p) for name, p in sorted(outputs.items())}
@@ -357,6 +374,8 @@ def build_manifest(
     }
     if extra:
         manifest["extra"] = extra
+    if diagnostics:
+        manifest["diagnostics"] = diagnostics
     return manifest
 
 

@@ -18,7 +18,11 @@ Three scenario shapes are supported:
 
 One driver runs every scenario's grid of levels x calibrations x seeds; a
 scenario supplies only a test-set drawer and a calibration iterator whose
-flaggers score each null level's test sets joined into one array.
+flaggers score each null level's test sets joined into one array. The
+standard and hierarchical rules, and the minority-only and pooled-unweighted
+ones of the weighted scenario, flag exactly the test scores below one
+calibration score, so their flaggers compare against that cutoff and rank
+nothing.
 
 All randomness is derived from counter-style substreams keyed by
 (seed, prompt, levels, size, stream role), so results are bit-identical
@@ -35,7 +39,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .conformal import _standard_table, hierarchical_p_values, standard_p_values
+from .conformal import hierarchical_cutoff, standard_cutoff
 from .density import WeightedRule
 from .evaluation import CellResult, MetricsReport, aggregate, is_excluded
 from .labeling import bleu_quantile_threshold, outlier_mask
@@ -357,16 +361,14 @@ def _label_alt_set(config: ExperimentConfig, seed: int, prompt: int, null: int,
     )
 
 
-def _make_cell(config: ExperimentConfig, method: str, null: int, ctx: _AltContext,
-               cal_size: int, seed: int, prompt: int, fpr: float,
-               alt_flags: np.ndarray) -> CellResult:
+def _make_cell(method: str, null: int, ctx: _AltContext, cal_size: int, seed: int,
+               prompt: int, fpr: float, flags: int, hits: int) -> CellResult:
+    """One alternative set's cell: ``flags`` essays flagged, ``hits`` of them outliers."""
     # counts over sizes give the bits of the boolean arrays' means
     excluded = is_excluded(ctx.n_outliers, ctx.outlier_proportion)
-    hits = np.count_nonzero(alt_flags & ctx.outlier_mask)
     power = None if excluded else hits / ctx.n_outliers
-    n_suspects = alt_flags.size - ctx.n_outliers
-    suspect_rate = ((np.count_nonzero(alt_flags) - hits) / n_suspects
-                    if n_suspects else None)
+    n_suspects = ctx.test_values.size - ctx.n_outliers
+    suspect_rate = (flags - hits) / n_suspects if n_suspects else None
     return CellResult(
         null_prompt=null,
         alt_prompt=ctx.alt,
@@ -387,9 +389,10 @@ def _make_cell(config: ExperimentConfig, method: str, null: int, ctx: _AltContex
 def _cells(config: ExperimentConfig, seed: int, prompt: int) -> list[CellResult]:
     """Every cell of one (seed, prompt) task: levels x calibrations x methods.
 
-    A null level's null and alternative test sets are joined once, and each
-    calibration's flagger scores that one array; a p-value does not depend
-    on the other test points.
+    A null level's null and alternative test sets, and their outlier masks,
+    are joined once, and each calibration's flagger scores that one array; a
+    p-value does not depend on the other test points. Flags and outlier hits
+    are counted per test set with one ``reduceat`` each.
     """
     draw_tests, calibrations = _SCENARIO_RUNNERS[config.scenario]
     cells = []
@@ -399,13 +402,19 @@ def _cells(config: ExperimentConfig, seed: int, prompt: int) -> list[CellResult]
                                    draw_tests(config, seed, prompt, null, alt))
                     for alt in config.alt_levels(null)]
         tests = np.concatenate([test_null] + [ctx.test_values for ctx in contexts])
+        outliers = np.concatenate([np.zeros(test_null.size, dtype=bool)]
+                                  + [ctx.outlier_mask for ctx in contexts])
+        starts = np.cumsum([0, test_null.size]
+                           + [ctx.test_values.size for ctx in contexts[:-1]])
         for cal_size, flagger in calibrations(config, seed, prompt, null):
             for method, flagged in flagger(tests).items():
-                null_flags, *alt_flags = np.split(flagged, 1 + len(contexts))
-                fpr = np.count_nonzero(null_flags) / null_flags.size
-                for ctx, flags in zip(contexts, alt_flags):
-                    cells.append(_make_cell(config, method, null, ctx, cal_size,
-                                            seed, prompt, fpr, flags))
+                # bools add up as ints; lists of them keep every rate a Python float
+                null_flags, *flags = np.add.reduceat(flagged, starts).tolist()
+                hits = np.add.reduceat(flagged & outliers, starts)[1:].tolist()
+                fpr = null_flags / test_null.size
+                for ctx, n_flags, n_hits in zip(contexts, flags, hits):
+                    cells.append(_make_cell(method, null, ctx, cal_size, seed, prompt,
+                                            fpr, n_flags, n_hits))
     return cells
 
 
@@ -415,9 +424,8 @@ def _cells(config: ExperimentConfig, seed: int, prompt: int) -> list[CellResult]
 
 # A drawer returns the n_test scores of ``(null, alt)``, unsorted; alt 0 is
 # the null set. A calibration iterator yields ``(cal_size, flagger)``, where
-# a flagger maps test scores to ``{method: flags}``. Flaggers look the
-# kernels up as module globals when they run, where perfbench's tracer wraps
-# them.
+# a flagger maps test scores to ``{method: flags}``. Calibration iterators
+# look the cutoff kernels up as module globals, where a tracer can wrap them.
 
 
 def _test_set(config: ExperimentConfig, seed: int, prompt: int, null: int, alt: int,
@@ -445,8 +453,8 @@ def _standard_calibrations(config: ExperimentConfig, seed: int, prompt: int, nul
     null_dist = config.distribution_for("majority", null)
     for size_idx, size in enumerate(config.cal_sizes):
         cal = _sample_values(null_dist, size, _rng(seed, prompt, null, 0, size_idx, "cal"))
-        yield size, lambda tests, cal=cal: {
-            "standard": standard_p_values(cal, tests) <= config.alpha}
+        cutoff = standard_cutoff(cal, config.alpha)
+        yield size, lambda tests, cutoff=cutoff: {"standard": tests < cutoff}
 
 
 def _partition_sizes(total: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -466,36 +474,39 @@ def _grouped_calibration(config: ExperimentConfig, seed: int, prompt: int, null:
     sizes = _partition_sizes(size, config.k_groups, rng_eff)
     effects = rng_eff.normal(0.0, config.group_sigma, sizes.size)
     shifted = logit_shift(base, np.repeat(effects, sizes))
-    return np.split(shifted, np.cumsum(sizes)[:-1])
+    # plain slices: np.split costs more than the cutoff that reads the groups
+    ends = np.cumsum(sizes).tolist()
+    return [shifted[start:end] for start, end in zip([0] + ends[:-1], ends)]
 
 
 def _hierarchical_calibrations(config: ExperimentConfig, seed: int, prompt: int,
                                null: int):
     for size_idx, size in enumerate(config.cal_sizes):
         groups = _grouped_calibration(config, seed, prompt, null, size_idx, size)
-        yield size, lambda tests, groups=groups: {
-            "hierarchical": hierarchical_p_values(groups, tests) <= config.alpha}
+        cutoff = hierarchical_cutoff(groups, config.alpha)
+        yield size, lambda tests, cutoff=cutoff: {"hierarchical": tests < cutoff}
 
 
 def _weighted_flagger(config: ExperimentConfig, pool: np.ndarray, minority: np.ndarray):
     """A function from test scores to the four methods' flags against one pool.
 
-    ``minority`` masks the pool's minority points. Every rank table is built
-    once, and the test scores (a null level's joined test sets) are ranked
-    once against the pool, for the unweighted rule and both weighted ones.
+    ``minority`` masks the pool's minority points. The minority-only and
+    pooled-unweighted rules flag the test scores below their cutoffs, each
+    found once, and the test scores (a null level's joined test sets) are
+    ranked once against the pool, for both weighted rules.
     """
     alpha = config.alpha
     rule = WeightedRule(pool, minority, config.bandwidth, alpha, ("mean", "quantile"),
                         config.log_scale)
-    minority_table = _standard_table(pool[minority])
-    pool_table = _standard_table(pool)
+    in_dist = standard_cutoff(pool[minority], alpha)
+    unweighted = standard_cutoff(pool, alpha)
 
     def flags(values: np.ndarray) -> dict[str, np.ndarray]:
-        j = rule.ranks(values)
         return {
-            "in_dist": minority_table.p_values(minority_table.ranks(values)) <= alpha,
-            "combined_unweighted": pool_table.p_values(j) <= alpha,
-            **dict(zip(("weighted_mean", "weighted_quantile"), rule.flags(values, j))),
+            "in_dist": values < in_dist,
+            "combined_unweighted": values < unweighted,
+            **dict(zip(("weighted_mean", "weighted_quantile"),
+                       rule.flags(values, rule.ranks(values)))),
         }
 
     return flags

@@ -1,11 +1,13 @@
 """Ingestion, CLI commands, exit codes, and reproducible outputs."""
 
+import csv
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import conformal_wm
@@ -245,6 +247,9 @@ class TestDetectCommand:
             ' --method standard --out "$RUNNER_TEMP/d"',
             'cmp "$RUNNER_TEMP/d/decisions.csv" tests/golden/detect_standard.csv',
             "conformal-wm detect tests/golden/detect_cal.csv tests/golden/detect_test.csv"
+            ' --method hierarchical --out "$RUNNER_TEMP/h"',
+            'cmp "$RUNNER_TEMP/h/decisions.csv" tests/golden/detect_hierarchical.csv',
+            "conformal-wm detect tests/golden/detect_cal.csv tests/golden/detect_test.csv"
             ' --method weighted --shift quantile --out "$RUNNER_TEMP/w"',
             'cmp <(cut -d, -f1,3 "$RUNNER_TEMP/w/decisions.csv")'
             " <(cut -d, -f1,3 tests/golden/detect_weighted_quantile.csv)",
@@ -290,6 +295,114 @@ class TestDetectCommand:
         code = main(["detect", cal, cal, "--out", str(tmp_path / "out")])
         assert code == 2
         assert json.loads(capsys.readouterr().err.strip())["error"] == "role_mismatch"
+
+
+def hierarchical_cal(k):
+    """K one-essay groups scored 0.5, 0.51, ...; a test score of 0.05 has rank 0."""
+    return "essay_id,score,role,group_id\n" + "".join(
+        f"c{i},{0.5 + 0.01 * i:.2f},calibration,g{i}\n" for i in range(k))
+
+
+class TestDetectDiagnostics:
+    @pytest.mark.parametrize("k", [18, 19])
+    def test_hierarchical_group_count_at_alpha_005(self, tmp_path, k):
+        cal = write(tmp_path, "cal.csv", hierarchical_cal(k))
+        test = write(tmp_path, "test.csv", "essay_id,score,role\nt1,0.05,test\n"
+                                            "t2,0.9,test\n")
+        out = tmp_path / "out"
+        assert main(["detect", cal, test, "--method", "hierarchical", "--alpha", "0.05",
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        rows = (out / "decisions.csv").read_text().splitlines()[1:]
+        flags = [row.split(",")[2] for row in rows]
+        if k == 18:
+            assert manifest["diagnostics"] == {"n_groups": 18, "min_p": 1 / 19,
+                                               "can_flag": False}
+            assert flags == ["false", "false"]
+        else:
+            # the smallest p is exactly 0.05, and p <= alpha flags it
+            assert manifest["diagnostics"] == {"n_groups": 19, "min_p": 0.05,
+                                               "can_flag": True}
+            assert flags == ["true", "false"]
+
+    @pytest.mark.parametrize("alpha, can_flag", [("0.05", False), ("0.2", True)])
+    def test_standard_records_calibration_size(self, tmp_path, alpha, can_flag):
+        cal = write(tmp_path, "cal.csv", CAL_CSV)
+        test = write(tmp_path, "test.csv", TEST_CSV)
+        out = tmp_path / "out"
+        assert main(["detect", cal, test, "--alpha", alpha, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["diagnostics"] == {"n_calibration": 4, "min_p": 0.2,
+                                           "can_flag": can_flag}
+
+    def test_diagnostics_stay_out_of_the_run_hash(self, tmp_path):
+        cal = write(tmp_path, "cal.csv", hierarchical_cal(19))
+        test = write(tmp_path, "test.csv", TEST_CSV)
+        out = tmp_path / "out"
+        assert main(["detect", cal, test, "--method", "hierarchical",
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        hashed = {"config": manifest["config_hash"], "inputs": manifest["inputs"],
+                  "outputs": manifest["outputs"]}
+        assert manifest["run_hash"] == io_mod.sha256_text(io_mod.canonical_json(hashed))
+        assert "diagnostics" not in manifest["extra"]
+
+    def test_weighted_records_no_rank_diagnostics(self, tmp_path):
+        rows = ["essay_id,score,role,population"]
+        rows += [f"maj{i},{0.1 + 0.018 * i:.6f},calibration,majority" for i in range(30)]
+        rows += [f"min{i},{0.02 + 0.01 * i:.6f},calibration,minority" for i in range(8)]
+        cal = write(tmp_path, "cal.csv", "\n".join(rows) + "\n")
+        test = write(tmp_path, "test.csv", TEST_CSV)
+        out = tmp_path / "out"
+        assert main(["detect", cal, test, "--method", "weighted", "--out", str(out)]) == 0
+        assert "diagnostics" not in json.loads((out / "manifest.json").read_text())
+
+
+def per_row_decisions_csv(path, essay_ids, p, flagged):
+    """The per-row writer: ``repr`` of each row's p, formatted row by row."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["essay_id", "conformal_p", "flagged"])
+        writer.writerows((essay_id, repr(x), "true" if f else "false")
+                         for essay_id, x, f in zip(essay_ids, p.tolist(), flagged.tolist()))
+
+
+class TestDecisionsWriter:
+    @pytest.mark.parametrize("case", ["repeats", "distinct", "quoting"])
+    def test_bytes_equal_per_row_repr_writer(self, tmp_path, case):
+        rng = np.random.default_rng(len(case))
+        n = 2 * io_mod._DECISION_BATCH_ROWS + 100  # two full batches and a partial one
+        ids = [f"t{i:05d}" for i in range(n)]
+        if case == "repeats":
+            # a rank rule's grid, plus both zeros, which compare equal but print apart
+            p = rng.choice(np.concatenate([np.arange(1, 202) / 201, [0.0, -0.0]]), n)
+        else:
+            p = rng.random(n)
+        if case == "quoting":
+            ids = [f'{e},"{i}"' if i % 3 == 0 else f"{e}\n" if i % 3 == 1 else e
+                   for i, e in enumerate(ids)]
+        flagged = p <= 0.05
+        want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+        per_row_decisions_csv(want, ids, p, flagged)
+        io_mod.write_decisions_csv(got, ids, p, flagged)
+        assert got.read_bytes() == want.read_bytes()
+        if case == "distinct":
+            assert np.unique(p).size == n
+
+    def test_detect_passes_the_path_first(self, tmp_path, monkeypatch):
+        # perfbench's tracer reads the written size from the first argument
+        paths = []
+        write_decisions = io_mod.write_decisions_csv
+
+        def recording(*args):
+            paths.append(args[0])
+            return write_decisions(*args)
+
+        monkeypatch.setattr(io_mod, "write_decisions_csv", recording)
+        out = tmp_path / "out"
+        assert main(["detect", write(tmp_path, "cal.csv", CAL_CSV),
+                     write(tmp_path, "test.csv", TEST_CSV), "--out", str(out)]) == 0
+        assert paths == [out / "decisions.csv"]
 
 
 class TestDetectErrorLines:

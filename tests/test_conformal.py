@@ -9,8 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conformal_wm.conformal import (
+    _hierarchical_table,
+    _standard_table,
     _weighted_table,
+    hierarchical_cutoff,
     hierarchical_p_values,
+    standard_cutoff,
     standard_p_values,
     weighted_p_values,
 )
@@ -404,3 +408,92 @@ class TestWeightedScreen:
         assert r_test.shape == (0,)
         assert weighted_p_values(pool, r_cal, np.empty(0), r_test).shape == (0,)
         assert weighted_screen(pool, r_cal, np.empty(0), 0.05).shape == (0,)
+
+
+def cutoff_cases(table, extra_tests, rank, step):
+    """Test scores and an alpha that probe a table's cutoff where it can fail.
+
+    The scores are the calibration scores themselves (exact ties), one float
+    either side of each, and ``extra_tests``. alpha is the p of one rank, or
+    one float below or above it, so it sits exactly at an attainable p or
+    just misses it.
+    """
+    cal = table.sorted_cal
+    tests = np.concatenate([cal, np.nextafter(cal, -np.inf), np.nextafter(cal, np.inf),
+                            extra_tests])
+    p = table.p_values(np.arange(table.mass.size))[min(rank, cal.size)]
+    alpha = float(p if step == 0 else np.nextafter(p, step * np.inf))
+    return tests, alpha
+
+
+def cutoff_agrees(table, tests, alpha):
+    cutoff = table.cutoff(alpha)
+    return ((tests < cutoff) == (table.p_values(table.ranks(tests)) <= alpha)).all()
+
+
+step_strategy = st.sampled_from([-1, 0, 1])
+
+
+class TestCutoff:
+    @given(cal=st.lists(tie_prone_score, min_size=1, max_size=30),
+           extra_tests=st.lists(score_strategy, max_size=5),
+           rank=st.integers(0, 30), step=step_strategy)
+    def test_standard_flags_exactly_below_cutoff(self, cal, extra_tests, rank, step):
+        table = _standard_table(cal)
+        tests, alpha = cutoff_cases(table, extra_tests, rank, step)
+        assert cutoff_agrees(table, tests, alpha)
+        assert standard_cutoff(cal, alpha) == table.cutoff(alpha)
+
+    @given(groups=st.lists(st.lists(tie_prone_score, min_size=1, max_size=6),
+                           min_size=1, max_size=8),
+           extra_tests=st.lists(score_strategy, max_size=5),
+           rank=st.integers(0, 48), step=step_strategy)
+    def test_hierarchical_flags_exactly_below_cutoff(self, groups, extra_tests, rank, step):
+        table = _hierarchical_table(groups)
+        tests, alpha = cutoff_cases(table, extra_tests, rank, step)
+        assert cutoff_agrees(table, tests, alpha)
+        # the walk that stops once p passes alpha finds the full table's cutoff
+        assert hierarchical_cutoff(groups, alpha) == table.cutoff(alpha)
+
+    @given(groups=st.lists(st.lists(tie_prone_score, min_size=1, max_size=6),
+                           min_size=1, max_size=30),
+           alpha=alpha_strategy)
+    def test_early_stop_equals_full_table(self, groups, alpha):
+        full = _hierarchical_table(groups).cutoff(alpha)
+        assert hierarchical_cutoff(groups, alpha) == full
+
+    @given(values=st.lists(tie_prone_score, min_size=1, max_size=30), alpha=alpha_strategy)
+    def test_singleton_groups_give_the_standard_cutoff(self, values, alpha):
+        assert hierarchical_cutoff([[v] for v in values], alpha) == \
+            standard_cutoff(values, alpha)
+
+    @pytest.mark.parametrize("k", [1, 2, 10, 18])
+    def test_too_few_groups_never_flag(self, k):
+        # p >= 1/(K+1) > 0.05 for K <= 18, so no score is below the cutoff
+        rng = np.random.default_rng(k)
+        groups = [rng.random(rng.integers(1, 5)) for _ in range(k)]
+        assert hierarchical_cutoff(groups, 0.05) == -math.inf
+        assert _hierarchical_table(groups).cutoff(0.05) == -math.inf
+        assert hierarchical_p_values(groups, np.linspace(0.0, 1.0, 11)).min() > 0.05
+
+    def test_nineteen_groups_flag_below_the_smallest_score(self):
+        # p = 1/20 = 0.05 exactly at rank 0, and above it at rank 1
+        rng = np.random.default_rng(19)
+        groups = [rng.random(rng.integers(1, 5)) for _ in range(19)]
+        smallest = min(g.min() for g in groups)
+        assert hierarchical_cutoff(groups, 0.05) == smallest
+        (p,) = hierarchical_p_values(groups, [np.nextafter(smallest, 0.0)])
+        assert p == 0.05
+
+    def test_every_rank_flags_above_alpha_one(self):
+        assert standard_cutoff([0.2, 0.4], 1.0) == math.inf
+        assert hierarchical_cutoff([[0.2], [0.4, 0.5]], 1.0) == math.inf
+        assert standard_cutoff([0.2, 0.4], 1.0 / 3.0) == 0.2
+
+    def test_empty_inputs_raise_before_any_step(self):
+        with pytest.raises(ValueError, match="empty_calibration"):
+            standard_cutoff([], 0.05)
+        with pytest.raises(ValueError, match="empty_group_collection"):
+            hierarchical_cutoff([], 0.05)
+        with pytest.raises(ValueError, match="empty_group"):
+            hierarchical_cutoff([[0.5], []], 0.05)

@@ -263,8 +263,9 @@ class TestWeightedTables:
                            null_levels=(1, 4), max_level=6, minority_sizes=(5, 15),
                            threads=1)
         built = Counter()
-        # the flagger builds the standard tables, its WeightedRule the weighted ones
-        for owner, name in ((simulate, "_standard_table"), (density, "_weighted_table")):
+        # the flagger's cutoffs build the standard tables, its WeightedRule
+        # the weighted ones
+        for owner, name in ((conformal, "_standard_table"), (density, "_weighted_table")):
             def counting(*args, _name=name, _build=getattr(owner, name)):
                 built[_name] += 1
                 return _build(*args)
@@ -283,9 +284,10 @@ class TestWeightedTables:
                     * len(cfg.minority_sizes))
         # pool and minority tables, and one table per weighted variant
         assert built == {"_standard_table": 2 * flaggers, "_weighted_table": 2 * flaggers}
-        # each joined array is ranked once against the pool, once against the minority
+        # each joined array is ranked once, against the pool; the minority-only
+        # and pooled-unweighted rules compare it with their cutoffs instead
         joined = [cfg.n_test * (1 + len(cfg.alt_levels(null))) for null in cfg.null_levels]
-        per_task = [size for size in joined for _ in cfg.minority_sizes for _ in range(2)]
+        per_task = [size for size in joined for _ in cfg.minority_sizes]
         assert ranked == per_task * (len(cfg.seeds) * cfg.n_prompts)
 
 
@@ -294,18 +296,36 @@ class TestRankKernelCalls:
     def test_one_kernel_call_per_calibration_on_joined_sets(self, monkeypatch, scenario):
         cfg = small_config(scenario=scenario, seeds=(1,), n_prompts=2, n_test=50,
                            null_levels=(1, 4), max_level=6, threads=1)
-        kernel = f"{scenario}_p_values"
-        joined_sets = []
+        kernel = f"{scenario}_cutoff"
+        calibrations_seen, joined_sets = [], []
 
-        def counting(cal, tests, _kernel=getattr(simulate, kernel)):
-            joined_sets.append(tests)
-            return _kernel(cal, tests)
+        def counting(cal, alpha, _kernel=getattr(simulate, kernel)):
+            calibrations_seen.append(cal)
+            return _kernel(cal, alpha)
 
-        # patched where perfbench's tracer patches it, so traced counts see it
+        # patched where simulate looks it up, where a tracer would wrap it
         monkeypatch.setattr(simulate, kernel, counting)
+        draw_tests, calibrations = simulate._SCENARIO_RUNNERS[scenario]
+        p_values = getattr(conformal, f"{scenario}_p_values")
+
+        def recording_calibrations(*args):
+            for size, flagger in calibrations(*args):
+                def recording(tests, _flagger=flagger, _cal=calibrations_seen[-1]):
+                    joined_sets.append(tests)
+                    flags = _flagger(tests)
+                    # the cutoff's flags are the p-value kernel's, bit for bit
+                    assert (flags[scenario] == (p_values(_cal, tests) <= cfg.alpha)).all()
+                    return flags
+
+                yield size, recording
+
+        monkeypatch.setitem(simulate._SCENARIO_RUNNERS, scenario,
+                            (draw_tests, recording_calibrations))
         run_scenario(cfg)
         joined = [cfg.n_test * (1 + len(cfg.alt_levels(null))) for null in cfg.null_levels]
         per_task = [size for size in joined for _ in cfg.cal_sizes]
+        # one cutoff per calibration, and one flagger call on its joined array
+        assert len(calibrations_seen) == len(per_task) * len(cfg.seeds) * cfg.n_prompts
         assert [t.size for t in joined_sets] == per_task * (len(cfg.seeds) * cfg.n_prompts)
         # the null set, then each alternative set, each sorted when drawn
         for tests in joined_sets:
