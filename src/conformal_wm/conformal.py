@@ -162,7 +162,8 @@ def _hierarchical_mass(groups: Sequence[np.ndarray]) -> tuple[np.ndarray, Iterat
         raise ValueError("empty_group_collection")
     if 0 in sizes:
         raise ValueError("empty_group")
-    cal = np.concatenate([np.asarray(g, dtype=float).ravel() for g in groups])
+    # unsafe casting converts each group as np.asarray(g, dtype=float) does
+    cal = np.concatenate(groups, axis=None, dtype=float, casting="unsafe")
     order = np.argsort(cal, kind="stable")
     labels = np.repeat(np.arange(len(sizes)), sizes)[order].tolist()
 

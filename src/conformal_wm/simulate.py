@@ -22,7 +22,8 @@ flaggers score each null level's test sets joined into one array. The
 standard and hierarchical rules, and the minority-only and pooled-unweighted
 ones of the weighted scenario, flag exactly the test scores below one
 calibration score, so their flaggers compare against that cutoff and rank
-nothing.
+nothing. Such flags ignore the order of the test scores, so only the
+weighted scenario, whose weighted rules rank them, sorts each test set.
 
 All randomness is derived from counter-style substreams keyed by
 (seed, prompt, levels, size, stream role), so results are bit-identical
@@ -35,6 +36,7 @@ import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -96,7 +98,12 @@ def _expit(x: np.ndarray) -> np.ndarray:
     # Stable logistic: exp only sees -|x|, so it never overflows.
     e = np.exp(-np.abs(x))
     d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    return np.where(x >= 0, 1.0, e) / d
+
+
+def _into_unit(x: np.ndarray) -> np.ndarray:
+    # np.clip(x, _TINY, 1.0)'s bits without its wrapper's cost
+    return np.minimum(np.maximum(x, _TINY), 1.0)
 
 
 def _logit(v: np.ndarray) -> np.ndarray:
@@ -112,7 +119,7 @@ def logit_shift(values: np.ndarray, delta) -> np.ndarray:
     """
     vals = np.asarray(values, dtype=float)
     delta_arr = np.broadcast_to(np.asarray(delta, dtype=float), vals.shape)
-    shifted = np.clip(_expit(_logit(vals) + delta_arr), _TINY, 1.0)
+    shifted = _into_unit(_expit(_logit(vals) + delta_arr))
     return np.where(delta_arr == 0.0, vals, shifted)
 
 
@@ -137,13 +144,13 @@ def _sample_values(dist: ScoreDistribution, n: int, rng: np.random.Generator) ->
         sigma = _real(p, "sigma", 1.0)
         if sigma <= 0:
             raise ValueError(f"invalid_params: sigma={sigma}")
-        return np.clip(_expit(rng.normal(mu, sigma, n)), _TINY, 1.0)
+        return _into_unit(_expit(rng.normal(mu, sigma, n)))
     if fam == "beta":
         a = _real(p, "a", 1.0)
         b = _real(p, "b", 1.0)
         if a <= 0 or b <= 0:
             raise ValueError(f"invalid_params: a={a}, b={b}")
-        return np.clip(rng.beta(a, b, n), _TINY, 1.0)
+        return _into_unit(rng.beta(a, b, n))
     if fam == "mixture":
         comps = p.get("components")
         if not isinstance(comps, (list, tuple)) or not comps:
@@ -206,17 +213,22 @@ class ExperimentConfig:
     threads: int | None = None
     distributions: Mapping[tuple[str, int], ScoreDistribution] = field(default_factory=dict)
 
+    @cached_property
+    def _resolved(self) -> dict[tuple[str, int], ScoreDistribution]:
+        # the default ladder is added lazily; threads may race to add equal values
+        return dict(self.distributions)
+
     def distribution_for(self, population: str, intensity: int) -> ScoreDistribution:
-        key = (population, intensity)
-        if key in self.distributions:
-            return self.distributions[key]
-        mu = self.intensity_logit_means[intensity - 1]
-        if population == "minority":
-            mu += self.minority_logit_shift
-        return ScoreDistribution(
-            family="logit_normal",
-            params={"mu": mu, "sigma": self.intensity_logit_sigma},
-        )
+        resolved, key = self._resolved, (population, intensity)
+        if key not in resolved:
+            mu = self.intensity_logit_means[intensity - 1]
+            if population == "minority":
+                mu += self.minority_logit_shift
+            resolved[key] = ScoreDistribution(
+                family="logit_normal",
+                params={"mu": mu, "sigma": self.intensity_logit_sigma},
+            )
+        return resolved[key]
 
     def alt_levels(self, null_level: int) -> tuple[int, ...]:
         return tuple(a for a in range(2, self.max_level + 1) if a > null_level)
@@ -314,9 +326,12 @@ def _rng(seed: int, prompt: int, null: int, alt: int, size_idx: int,
     # word); passing the words as one array skips the per-int coercion.
     key = (_ENTROPY_BASE, int(seed), int(prompt), int(null), int(alt),
            int(size_idx), _STREAMS[stream])
-    words = b"".join(v.to_bytes(4 * max(1, (v.bit_length() + 31) // 32), "little")
-                     for v in key)
-    return np.random.default_rng(np.random.SeedSequence(np.frombuffer(words, dtype="<u4")))
+    if max(key) < 2**32:  # one word per part
+        words = np.array(key, dtype=np.uint32)
+    else:
+        words = np.frombuffer(b"".join(v.to_bytes(4 * max(1, (v.bit_length() + 31) // 32),
+                                                  "little") for v in key), dtype="<u4")
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
 
 
 def _sample_bleu(config: ExperimentConfig, intensity: int,
@@ -340,7 +355,7 @@ class _AltContext:
 
 
 def _label_alt_set(config: ExperimentConfig, seed: int, prompt: int, null: int,
-                   alt: int, test_values: np.ndarray) -> _AltContext:
+                   alt: int, test_values: np.ndarray, ranks: bool) -> _AltContext:
     n = test_values.size
     bleu_null = _sample_bleu(config, null, _rng(seed, prompt, null, alt, 0, "bleu_null"), n)
     bleu_alt = _sample_bleu(config, alt, _rng(seed, prompt, null, alt, 0, "bleu_alt"), n)
@@ -350,12 +365,13 @@ def _label_alt_set(config: ExperimentConfig, seed: int, prompt: int, null: int,
         threshold = bleu_quantile_threshold(bleu_alt, config.alpha)
     mask = outlier_mask(bleu_null, bleu_alt, threshold)
     n_out = int(np.count_nonzero(mask))
-    # cells only count flags, so order is free, and sorted keys rank faster
-    order = np.argsort(test_values)
+    if ranks:  # cells only count flags, so order is free, and sorted keys rank faster
+        order = np.argsort(test_values)
+        test_values, mask = test_values[order], mask[order]
     return _AltContext(
         alt=alt,
-        test_values=test_values[order],
-        outlier_mask=mask[order],
+        test_values=test_values,
+        outlier_mask=mask,
         n_outliers=n_out,
         outlier_proportion=n_out / n,
     )
@@ -394,12 +410,14 @@ def _cells(config: ExperimentConfig, seed: int, prompt: int) -> list[CellResult]
     p-value does not depend on the other test points. Flags and outlier hits
     are counted per test set with one ``reduceat`` each.
     """
-    draw_tests, calibrations = _SCENARIO_RUNNERS[config.scenario]
+    draw_tests, calibrations, ranks = _SCENARIO_RUNNERS[config.scenario]
     cells = []
     for null in config.null_levels:
-        test_null = np.sort(draw_tests(config, seed, prompt, null, 0))
+        test_null = draw_tests(config, seed, prompt, null, 0)
+        if ranks:
+            test_null = np.sort(test_null)
         contexts = [_label_alt_set(config, seed, prompt, null, alt,
-                                   draw_tests(config, seed, prompt, null, alt))
+                                   draw_tests(config, seed, prompt, null, alt), ranks)
                     for alt in config.alt_levels(null)]
         tests = np.concatenate([test_null] + [ctx.test_values for ctx in contexts])
         outliers = np.concatenate([np.zeros(test_null.size, dtype=bool)]
@@ -523,11 +541,12 @@ def _weighted_calibrations(config: ExperimentConfig, seed: int, prompt: int, nul
         yield m, _weighted_flagger(config, pool, np.arange(pool.size) >= majority_cal.size)
 
 
-# scenario -> (test-set drawer, calibration iterator)
+# scenario -> (test-set drawer, calibration iterator, whether its flaggers
+# rank the test scores); only a flagger that ranks reads their order
 _SCENARIO_RUNNERS = {
-    "standard": (_test_set, _standard_calibrations),
-    "hierarchical": (_hierarchical_test_set, _hierarchical_calibrations),
-    "weighted": (_minority_test_set, _weighted_calibrations),
+    "standard": (_test_set, _standard_calibrations, False),
+    "hierarchical": (_hierarchical_test_set, _hierarchical_calibrations, False),
+    "weighted": (_minority_test_set, _weighted_calibrations, True),
 }
 
 

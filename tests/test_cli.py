@@ -253,6 +253,8 @@ class TestDetectCommand:
             ' --method weighted --shift quantile --out "$RUNNER_TEMP/w"',
             'cmp <(cut -d, -f1,3 "$RUNNER_TEMP/w/decisions.csv")'
             " <(cut -d, -f1,3 tests/golden/detect_weighted_quantile.csv)",
+            'conformal-wm simulate --out "$RUNNER_TEMP/s"',
+            'cmp "$RUNNER_TEMP/s/metrics.csv" tests/golden/simulate_standard.csv',
             "conformal-wm bleu README.md README.md",
         ]
         # once more on numpy's baseline SIMD path, where exp and log round
@@ -488,17 +490,24 @@ class TestSimulateCommand:
         assert m1["config_hash"] == m2["config_hash"]
 
     def test_thread_flag_leaves_hashes_unchanged(self, tmp_path):
-        cfg = write(tmp_path, "config.json", json.dumps(SMALL_CONFIG))
-        manifests = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"t{threads}"
-            assert main(["simulate", cfg, "--threads", threads, "--out", str(out)]) == 0
-            manifests.append(json.loads((out / "manifest.json").read_text()))
-        m1, m2 = manifests
-        assert m1["outputs"] == m2["outputs"]
-        assert m1["config_hash"] == m2["config_hash"]
-        assert m1["run_hash"] == m2["run_hash"]
-        assert (m1["extra"]["threads"], m2["extra"]["threads"]) == (1, 2)
+        for scenario in ("standard", "hierarchical", "weighted"):
+            # four tasks, so both workers share the config's resolved distributions
+            config = dict(SMALL_CONFIG, scenario=scenario, n_prompts=2,
+                          minority_sizes=[5, 15])
+            cfg = write(tmp_path, f"{scenario}.json", json.dumps(config))
+            manifests, outputs = [], []
+            for threads in ("1", "2"):
+                out = tmp_path / f"{scenario}-t{threads}"
+                assert main(["simulate", cfg, "--threads", threads, "--out", str(out)]) == 0
+                manifests.append(json.loads((out / "manifest.json").read_text()))
+                outputs.append({f: (out / f).read_bytes()
+                                for f in ("metrics.csv", "metrics.json", "plot_data.csv")})
+            m1, m2 = manifests
+            assert outputs[0] == outputs[1], scenario
+            assert m1["outputs"] == m2["outputs"]
+            assert m1["config_hash"] == m2["config_hash"]
+            assert m1["run_hash"] == m2["run_hash"]
+            assert (m1["extra"]["threads"], m2["extra"]["threads"]) == (1, 2)
 
     def test_seed_override_restricts_seed_column(self, tmp_path):
         cfg = write(tmp_path, "config.json", json.dumps(SMALL_CONFIG))

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conformal_wm.conformal import (
+    _hierarchical_mass,
     _hierarchical_table,
     _standard_table,
     _weighted_table,
@@ -283,6 +284,33 @@ class TestHierarchicalKernel:
         assert hierarchical_p_values(groups, tests).tolist() == oracle
         reordered = [groups[i][::-1] for i in rng.permutation(k)]
         assert hierarchical_p_values(reordered, tests).tolist() == oracle
+
+    @pytest.mark.parametrize("groups", [
+        [[3, 1], [2], [2**63 - 1, 2**64 + 1]],
+        [np.arange(6).reshape(2, 3), np.array([[0.5], [2.5]]), [[1.0, 4.0]]],
+        [[1, 0.25], np.array([3, 0], dtype=np.int64), (0.5,), 2,
+         np.array([0.75], dtype=np.float32)],
+        [np.array([True, False]), np.array(["0.5", "1e-3"])],
+    ], ids=["int_lists", "2d_groups", "mixed_int_float", "bool_and_str"])
+    def test_pooling_converts_each_group_as_asarray(self, groups):
+        # the per-group conversion the one-pass pooling replaced, as reference
+        want_cal, want_steps = _hierarchical_mass(
+            [np.asarray(g, dtype=float).ravel() for g in groups])
+        cal, steps = _hierarchical_mass(groups)
+        assert cal.dtype == np.float64
+        assert np.array_equal(cal.view(np.uint64), want_cal.view(np.uint64))
+        # the masses follow each pooled score's group label
+        assert list(steps) == list(want_steps)
+
+    @pytest.mark.parametrize("groups, code", [
+        ([], "empty_group_collection"),
+        ([[0.5], []], "empty_group"),
+        ([np.empty((0, 3)), [0.5]], "empty_group"),
+        ([[0.5], [[]]], "empty_group"),
+    ])
+    def test_empty_groups_raise(self, groups, code):
+        with pytest.raises(ValueError, match=f"^{code}$"):
+            _hierarchical_mass(groups)
 
 
 class TestDecisionInvariants:

@@ -37,6 +37,9 @@ GOLDEN = Path(__file__).parent / "golden"
 SIMULATE_CASES = {
     "simulate_standard": ({"scenario": "standard"}, ()),
     "simulate_hierarchical": ({"scenario": "hierarchical"}, ()),
+    # a seed of 2**32 keys its substreams with a two-word part
+    "simulate_hierarchical_big_seed": ({"scenario": "hierarchical",
+                                        "seeds": [7, 4294967296]}, ()),
     "simulate_weighted_seed1": ({"scenario": "weighted"}, ("--seed", "1")),
 }
 

@@ -80,6 +80,24 @@ class TestGenerateScores:
             ScoreDistribution(family="cauchy")
 
 
+def byte_packed_words(key):
+    """A list key's 32-bit little-endian words, as SeedSequence reads it (0 as one word)."""
+    return np.frombuffer(b"".join(
+        v.to_bytes(4 * max(1, (v.bit_length() + 31) // 32), "little") for v in key),
+        dtype="<u4")
+
+
+# key parts on either side of the one-word limit
+KEY_EDGES = st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 5])
+
+
+def old_expit(x):
+    """The stable logistic dividing both branches everywhere: ``_expit``'s reference."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
 def masked_expit(x):
     """The logistic as two masked halves; ``_expit`` must match it bit for bit."""
     out = np.empty_like(x, dtype=float)
@@ -92,21 +110,25 @@ def masked_expit(x):
 
 class TestDraws:
     @settings(max_examples=200, deadline=None)
-    @given(seed=st.integers(0, 2**70), prompt=st.integers(0, 2**33),
-           null=st.integers(0, 7), alt=st.integers(0, 7),
-           size_idx=st.integers(0, 2**40), stream=st.sampled_from(sorted(simulate._STREAMS)))
+    @given(seed=KEY_EDGES | st.integers(0, 2**70), prompt=KEY_EDGES | st.integers(0, 2**33),
+           null=KEY_EDGES | st.integers(0, 7), alt=KEY_EDGES | st.integers(0, 7),
+           size_idx=KEY_EDGES | st.integers(0, 2**40),
+           stream=st.sampled_from(sorted(simulate._STREAMS)))
     @example(seed=0, prompt=0, null=0, alt=0, size_idx=0, stream="cal")
     @example(seed=2**32 - 1, prompt=1, null=1, alt=2, size_idx=0, stream="alt_test")
     @example(seed=2**32, prompt=1, null=1, alt=2, size_idx=0, stream="alt_test")
     @example(seed=2**64, prompt=2**32, null=6, alt=7, size_idx=2**32 + 1, stream="bleu_alt")
     @example(seed=2**70, prompt=5, null=6, alt=7, size_idx=2, stream="minority_cal")
+    @example(seed=0, prompt=2**32 - 1, null=2**32, alt=2**64 + 5, size_idx=0, stream="cal")
     def test_rng_equals_list_key_stream(self, seed, prompt, null, alt, size_idx, stream):
         key = [simulate._ENTROPY_BASE, seed, prompt, null, alt, size_idx,
                simulate._STREAMS[stream]]
-        want = np.random.default_rng(np.random.SeedSequence(key))
-        got = simulate._rng(seed, prompt, null, alt, size_idx, stream)
-        assert got.bit_generator.state == want.bit_generator.state
-        assert got.random(4).tolist() == want.random(4).tolist()
+        # parts below 2**32 take one word each, larger ones the byte packing
+        for entropy in (key, byte_packed_words(key)):
+            want = np.random.default_rng(np.random.SeedSequence(entropy))
+            got = simulate._rng(seed, prompt, null, alt, size_idx, stream)
+            assert got.bit_generator.state == want.bit_generator.state
+            assert got.random(4).tolist() == want.random(4).tolist()
 
     def test_expit_bits_equal_masked_form(self):
         special = [0.0, -0.0, np.inf, -np.inf, 700.5, -700.5, 709.8, -709.8, 745.2,
@@ -117,6 +139,24 @@ class TestDraws:
         got = simulate._expit(x)
         assert got.dtype == np.float64 and got.shape == x.shape
         assert np.array_equal(got.view(np.uint64), masked_expit(x).view(np.uint64))
+
+    def test_transforms_bits_equal_old_expressions(self):
+        # signed zeros and infinities, NaNs, exp's overflow edge and subnormals
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 710.0, -710.0, 5e-324,
+                   -5e-324, 2.2e-308, -2.2e-308, 1e-300, -1e-300, np.nextafter(1.0, 2.0)]
+        rng = np.random.default_rng(18)
+        x = np.concatenate([special, rng.normal(0.0, 5.0, 2000),
+                            rng.normal(0.0, 400.0, 500), rng.random(500)])
+        got = simulate._expit(x)
+        assert got.dtype == np.float64 and got.shape == x.shape
+        assert np.array_equal(got.view(np.uint64), old_expit(x).view(np.uint64))
+        # the clip into (0, 1], NaN payloads and signs included
+        for values in (x, got, -x):
+            clipped = simulate._into_unit(values)
+            want = np.clip(values, simulate._TINY, 1.0)
+            assert np.array_equal(clipped.view(np.uint64), want.view(np.uint64))
+        # a scalar logistic keeps working, as it did through np.where
+        assert float(simulate._expit(np.float64(-710.0))) == float(old_expit(-710.0))
 
 
 class TestLogitShift:
@@ -305,13 +345,13 @@ class TestRankKernelCalls:
 
         # patched where simulate looks it up, where a tracer would wrap it
         monkeypatch.setattr(simulate, kernel, counting)
-        draw_tests, calibrations = simulate._SCENARIO_RUNNERS[scenario]
+        draw_tests, calibrations, ranks = simulate._SCENARIO_RUNNERS[scenario]
         p_values = getattr(conformal, f"{scenario}_p_values")
 
         def recording_calibrations(*args):
             for size, flagger in calibrations(*args):
                 def recording(tests, _flagger=flagger, _cal=calibrations_seen[-1]):
-                    joined_sets.append(tests)
+                    joined_sets.append((args, tests))
                     flags = _flagger(tests)
                     # the cutoff's flags are the p-value kernel's, bit for bit
                     assert (flags[scenario] == (p_values(_cal, tests) <= cfg.alpha)).all()
@@ -320,17 +360,46 @@ class TestRankKernelCalls:
                 yield size, recording
 
         monkeypatch.setitem(simulate._SCENARIO_RUNNERS, scenario,
-                            (draw_tests, recording_calibrations))
+                            (draw_tests, recording_calibrations, ranks))
         run_scenario(cfg)
         joined = [cfg.n_test * (1 + len(cfg.alt_levels(null))) for null in cfg.null_levels]
         per_task = [size for size in joined for _ in cfg.cal_sizes]
         # one cutoff per calibration, and one flagger call on its joined array
         assert len(calibrations_seen) == len(per_task) * len(cfg.seeds) * cfg.n_prompts
-        assert [t.size for t in joined_sets] == per_task * (len(cfg.seeds) * cfg.n_prompts)
-        # the null set, then each alternative set, each sorted when drawn
-        for tests in joined_sets:
-            for part in np.split(tests, tests.size // cfg.n_test):
-                assert (np.diff(part) >= 0).all()
+        assert [t.size for _, t in joined_sets] == per_task * (len(cfg.seeds) * cfg.n_prompts)
+        # the null set, then each alternative set, as drawn: cutoffs need no order
+        assert not ranks
+        for (config, seed, prompt, null), tests in joined_sets:
+            drawn = [draw_tests(config, seed, prompt, null, alt)
+                     for alt in (0, *config.alt_levels(null))]
+            assert np.array_equal(tests, np.concatenate(drawn))
+
+    def test_weighted_flaggers_rank_sorted_test_sets(self, monkeypatch):
+        cfg = small_config(scenario="weighted", seeds=(1,), n_prompts=2, n_test=50,
+                           minority_sizes=(5, 15), null_levels=(1, 4), max_level=6,
+                           threads=1)
+        draw_tests, calibrations, ranks = simulate._SCENARIO_RUNNERS["weighted"]
+        joined_sets = []
+
+        def recording_calibrations(*args):
+            for size, flagger in calibrations(*args):
+                def recording(tests, _flagger=flagger):
+                    joined_sets.append((args, tests))
+                    return _flagger(tests)
+
+                yield size, recording
+
+        monkeypatch.setitem(simulate._SCENARIO_RUNNERS, "weighted",
+                            (draw_tests, recording_calibrations, ranks))
+        run_scenario(cfg)
+        assert ranks
+        assert len(joined_sets) == (len(cfg.null_levels) * len(cfg.minority_sizes)
+                                    * len(cfg.seeds) * cfg.n_prompts)
+        # the weighted rules rank the joined array, so each set is sorted when drawn
+        for (config, seed, prompt, null), tests in joined_sets:
+            drawn = [np.sort(draw_tests(config, seed, prompt, null, alt))
+                     for alt in (0, *config.alt_levels(null))]
+            assert np.array_equal(tests, np.concatenate(drawn))
 
 
 class TestWeightedScreen:
