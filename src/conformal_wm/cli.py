@@ -112,15 +112,15 @@ def cmd_detect(args) -> int:
                               field_name="alpha")
     use_log = args.log_scale == "on"
     extra: dict = {"method": args.method, "alpha": alpha}
-    diagnostics = None
+    diagnostics = {"edit_intensity_levels": sorted(set(cal_table.edit_intensity) - {None})}
     cal = cal_table.score
     tests = test_table.score
 
     if args.method == "standard":
         p = standard_p_values(cal, tests)
         flagged = p <= alpha
-        diagnostics = _rank_diagnostics("n_calibration", cal.size,
-                                        standard_cutoff(cal, alpha))
+        diagnostics.update(_rank_diagnostics("n_calibration", cal.size,
+                                             standard_cutoff(cal, alpha)))
 
     elif args.method == "hierarchical":
         by_group: dict[str, list[int]] = {}
@@ -130,8 +130,8 @@ def cmd_detect(args) -> int:
         groups = [cal[idx] for idx in by_group.values()]
         p = hierarchical_p_values(groups, tests)
         flagged = p <= alpha
-        diagnostics = _rank_diagnostics("n_groups", len(groups),
-                                        hierarchical_cutoff(groups, alpha))
+        diagnostics.update(_rank_diagnostics("n_groups", len(groups),
+                                             hierarchical_cutoff(groups, alpha)))
 
     else:  # weighted
         minority = np.array(

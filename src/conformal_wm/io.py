@@ -20,6 +20,7 @@ import json
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -243,20 +244,27 @@ def write_decisions_csv(path, essay_ids: Sequence[str], p: np.ndarray,
     Each p is written as ``repr`` of its Python float, formatted once per
     distinct bit pattern: a rank rule's p takes at most n + 1 values, however
     many rows there are. Each batch of rows finds its strings among the
-    distinct patterns by ``searchsorted``, so no string is made per row.
+    distinct patterns by ``searchsorted``, so no string is made per row. A
+    batch whose ids need no CSV quoting (no ``,``, ``"``, CR or LF) is written
+    as one joined string, the bytes ``csv.writer`` would write; others go
+    through it.
     """
     bits = np.asarray(p, dtype=np.float64).view(np.int64)
     distinct = np.unique(bits)
     p_text = [repr(x) for x in distinct.view(np.float64).tolist()]
-    flag_text = ("false", "true")
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["essay_id", "conformal_p", "flagged"])
         for start in range(0, bits.size, _DECISION_BATCH_ROWS):
             rows = slice(start, start + _DECISION_BATCH_ROWS)
-            index = np.searchsorted(distinct, bits[rows])
-            writer.writerows(zip(essay_ids[rows], map(p_text.__getitem__, index.tolist()),
-                                 map(flag_text.__getitem__, flagged[rows].tolist())))
+            ids, flags = essay_ids[rows], flagged[rows].tolist()
+            ps = map(p_text.__getitem__, np.searchsorted(distinct, bits[rows]).tolist())
+            joined_ids = "".join(ids)
+            if any(c in joined_ids for c in ',"\r\n'):
+                writer.writerows(zip(ids, ps, map(("false", "true").__getitem__, flags)))
+            else:  # csv.writer's bytes, with no string made per row
+                fh.write("".join(chain.from_iterable(zip(
+                    ids, repeat(","), ps, map((",false\r\n", ",true\r\n").__getitem__, flags)))))
 
 
 def write_metrics_csv(path, report: MetricsReport, scenario: str) -> None:

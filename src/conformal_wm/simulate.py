@@ -25,9 +25,12 @@ calibration score, so their flaggers compare against that cutoff and rank
 nothing. Such flags ignore the order of the test scores, so only the
 weighted scenario, whose weighted rules rank them, sorts each test set.
 
-All randomness is derived from counter-style substreams keyed by
-(seed, prompt, levels, size, stream role), so results are bit-identical
-across runs and across worker thread counts.
+All randomness is derived from counter-style substreams, each keyed by
+``SeedSequence`` on (seed, prompt, levels, size, stream role), so results
+are bit-identical across runs and across worker thread counts. A run seeds
+every substream of a seed in one batch before any task runs: one numpy
+pass (``seeding``) computes the PCG64 seed ``SeedSequence`` would give each
+key.
 """
 
 from __future__ import annotations
@@ -320,18 +323,43 @@ def resolve_threads(config: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _rng(seed: int, prompt: int, null: int, alt: int, size_idx: int,
-         stream: str) -> np.random.Generator:
-    # A list key's ints are read as 32-bit little-endian words (0 as one
-    # word); passing the words as one array skips the per-int coercion.
-    key = (_ENTROPY_BASE, int(seed), int(prompt), int(null), int(alt),
-           int(size_idx), _STREAMS[stream])
-    if max(key) < 2**32:  # one word per part
-        words = np.array(key, dtype=np.uint32)
-    else:
-        words = np.frombuffer(b"".join(v.to_bytes(4 * max(1, (v.bit_length() + 31) // 32),
-                                                  "little") for v in key), dtype="<u4")
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+def _task_plan(config: ExperimentConfig) -> dict[tuple[int, int, int, str], int]:
+    """Column of each (null, alt, size_idx, role) substream a (seed, prompt) task draws."""
+    *_, test_roles, cal_roles = _SCENARIO_RUNNERS[config.scenario]
+    keys = []
+    for null in config.null_levels:
+        alts = config.alt_levels(null)
+        keys += [(null, alt, 0, ("alt_" if alt else "null_") + role)
+                 for alt in (0, *alts) for role in test_roles]
+        keys += [(null, alt, 0, role) for alt in alts for role in ("bleu_null", "bleu_alt")]
+        keys += [(null, 0, i, role) for role, sizes in cal_roles
+                 for i in range(len(getattr(config, sizes)) if sizes else 1)]
+    return {key: i for i, key in enumerate(dict.fromkeys(keys))}
+
+
+class _Streams:
+    """Every substream one seed of a run draws, seeded in one batch.
+
+    Prompt ``p``'s stream ``(null, alt, size_idx, role)`` is keyed by
+    ``SeedSequence([_ENTROPY_BASE, seed, p, null, alt, size_idx, _STREAMS[role]])``
+    and seeded from row ``p - 1`` of ``states``, at that key's ``plan`` column.
+    Nothing changes once built, so tasks on any thread share it.
+    """
+
+    def __init__(self, seed: int, n_prompts: int, plan: dict):
+        from . import seeding  # only simulate runs need it, and it loads numpy.random
+
+        keys = np.empty((n_prompts, len(plan), 7), dtype=np.int64 if seed < 2**63 else object)
+        keys[..., :2] = _ENTROPY_BASE, int(seed)
+        keys[..., 2] = np.arange(1, n_prompts + 1)[:, None]
+        keys[..., 3:] = np.reshape([(null, alt, i, _STREAMS[role])
+                                    for null, alt, i, role in plan], (-1, 4))
+        self.seed, self.plan, self.generator = seed, plan, seeding.generator
+        self.states = seeding.seed_states(keys.reshape(-1, 7)).reshape(n_prompts, len(plan), 4)
+
+    def __call__(self, prompt: int, null: int, alt: int, size_idx: int,
+                 role: str) -> np.random.Generator:
+        return self.generator(self.states[prompt - 1, self.plan[null, alt, size_idx, role]])
 
 
 def _sample_bleu(config: ExperimentConfig, intensity: int,
@@ -354,11 +382,11 @@ class _AltContext:
     outlier_proportion: float
 
 
-def _label_alt_set(config: ExperimentConfig, seed: int, prompt: int, null: int,
+def _label_alt_set(config: ExperimentConfig, streams: _Streams, prompt: int, null: int,
                    alt: int, test_values: np.ndarray, ranks: bool) -> _AltContext:
     n = test_values.size
-    bleu_null = _sample_bleu(config, null, _rng(seed, prompt, null, alt, 0, "bleu_null"), n)
-    bleu_alt = _sample_bleu(config, alt, _rng(seed, prompt, null, alt, 0, "bleu_alt"), n)
+    bleu_null = _sample_bleu(config, null, streams(prompt, null, alt, 0, "bleu_null"), n)
+    bleu_alt = _sample_bleu(config, alt, streams(prompt, null, alt, 0, "bleu_alt"), n)
     if config.outlier_threshold_population == "null":
         threshold = bleu_quantile_threshold(bleu_null, config.alpha)
     else:
@@ -402,29 +430,29 @@ def _make_cell(method: str, null: int, ctx: _AltContext, cal_size: int, seed: in
     )
 
 
-def _cells(config: ExperimentConfig, seed: int, prompt: int) -> list[CellResult]:
-    """Every cell of one (seed, prompt) task: levels x calibrations x methods.
+def _cells(config: ExperimentConfig, streams: _Streams, prompt: int) -> list[CellResult]:
+    """Every cell of one (seed, prompt) task, drawn from the seed's ``streams``.
 
     A null level's null and alternative test sets, and their outlier masks,
     are joined once, and each calibration's flagger scores that one array; a
     p-value does not depend on the other test points. Flags and outlier hits
     are counted per test set with one ``reduceat`` each.
     """
-    draw_tests, calibrations, ranks = _SCENARIO_RUNNERS[config.scenario]
-    cells = []
+    draw_tests, calibrations, ranks, *_ = _SCENARIO_RUNNERS[config.scenario]
+    seed, cells = streams.seed, []
     for null in config.null_levels:
-        test_null = draw_tests(config, seed, prompt, null, 0)
+        test_null = draw_tests(config, streams, prompt, null, 0)
         if ranks:
             test_null = np.sort(test_null)
-        contexts = [_label_alt_set(config, seed, prompt, null, alt,
-                                   draw_tests(config, seed, prompt, null, alt), ranks)
+        contexts = [_label_alt_set(config, streams, prompt, null, alt,
+                                   draw_tests(config, streams, prompt, null, alt), ranks)
                     for alt in config.alt_levels(null)]
         tests = np.concatenate([test_null] + [ctx.test_values for ctx in contexts])
         outliers = np.concatenate([np.zeros(test_null.size, dtype=bool)]
                                   + [ctx.outlier_mask for ctx in contexts])
         starts = np.cumsum([0, test_null.size]
                            + [ctx.test_values.size for ctx in contexts[:-1]])
-        for cal_size, flagger in calibrations(config, seed, prompt, null):
+        for cal_size, flagger in calibrations(config, streams, prompt, null):
             for method, flagged in flagger(tests).items():
                 # bools add up as ints; lists of them keep every rate a Python float
                 null_flags, *flags = np.add.reduceat(flagged, starts).tolist()
@@ -442,35 +470,37 @@ def _cells(config: ExperimentConfig, seed: int, prompt: int) -> list[CellResult]
 
 # A drawer returns the n_test scores of ``(null, alt)``, unsorted; alt 0 is
 # the null set. A calibration iterator yields ``(cal_size, flagger)``, where
-# a flagger maps test scores to ``{method: flags}``. Calibration iterators
-# look the cutoff kernels up as module globals, where a tracer can wrap them.
+# a flagger maps test scores to ``{method: flags}``. Both draw from the
+# seed's ``_Streams``. Calibration iterators look the cutoff kernels up as
+# module globals, where a tracer can wrap them.
 
 
-def _test_set(config: ExperimentConfig, seed: int, prompt: int, null: int, alt: int,
-              population: str = "majority") -> np.ndarray:
+def _test_set(config: ExperimentConfig, streams: _Streams, prompt: int, null: int,
+              alt: int, population: str = "majority") -> np.ndarray:
     stream = "alt_test" if alt else "null_test"
     return _sample_values(config.distribution_for(population, alt or null),
-                          config.n_test, _rng(seed, prompt, null, alt, 0, stream))
+                          config.n_test, streams(prompt, null, alt, 0, stream))
 
 
-def _hierarchical_test_set(config: ExperimentConfig, seed: int, prompt: int,
+def _hierarchical_test_set(config: ExperimentConfig, streams: _Streams, prompt: int,
                            null: int, alt: int) -> np.ndarray:
     # each test essay comes from a fresh group, with its own log-odds offset
     stream = "alt_test_effects" if alt else "null_test_effects"
-    effects = _rng(seed, prompt, null, alt, 0, stream).normal(
+    effects = streams(prompt, null, alt, 0, stream).normal(
         0.0, config.group_sigma, config.n_test)
-    return logit_shift(_test_set(config, seed, prompt, null, alt), effects)
+    return logit_shift(_test_set(config, streams, prompt, null, alt), effects)
 
 
-def _minority_test_set(config: ExperimentConfig, seed: int, prompt: int,
+def _minority_test_set(config: ExperimentConfig, streams: _Streams, prompt: int,
                        null: int, alt: int) -> np.ndarray:
-    return _test_set(config, seed, prompt, null, alt, "minority")
+    return _test_set(config, streams, prompt, null, alt, "minority")
 
 
-def _standard_calibrations(config: ExperimentConfig, seed: int, prompt: int, null: int):
+def _standard_calibrations(config: ExperimentConfig, streams: _Streams, prompt: int,
+                           null: int):
     null_dist = config.distribution_for("majority", null)
     for size_idx, size in enumerate(config.cal_sizes):
-        cal = _sample_values(null_dist, size, _rng(seed, prompt, null, 0, size_idx, "cal"))
+        cal = _sample_values(null_dist, size, streams(prompt, null, 0, size_idx, "cal"))
         cutoff = standard_cutoff(cal, config.alpha)
         yield size, lambda tests, cutoff=cutoff: {"standard": tests < cutoff}
 
@@ -481,14 +511,14 @@ def _partition_sizes(total: int, k: int, rng: np.random.Generator) -> np.ndarray
     return extra + 1
 
 
-def _grouped_calibration(config: ExperimentConfig, seed: int, prompt: int, null: int,
-                         size_idx: int, size: int) -> list[np.ndarray]:
+def _grouped_calibration(config: ExperimentConfig, streams: _Streams, prompt: int,
+                         null: int, size_idx: int, size: int) -> list[np.ndarray]:
     # Base draws share the "cal" stream with the standard scenario; group
     # structure only adds log-odds offsets on top. With group_sigma == 0 and
     # singleton groups the calibration set is bit-identical to standard's.
     null_dist = config.distribution_for("majority", null)
-    base = _sample_values(null_dist, size, _rng(seed, prompt, null, 0, size_idx, "cal"))
-    rng_eff = _rng(seed, prompt, null, 0, size_idx, "cal_effects")
+    base = _sample_values(null_dist, size, streams(prompt, null, 0, size_idx, "cal"))
+    rng_eff = streams(prompt, null, 0, size_idx, "cal_effects")
     sizes = _partition_sizes(size, config.k_groups, rng_eff)
     effects = rng_eff.normal(0.0, config.group_sigma, sizes.size)
     shifted = logit_shift(base, np.repeat(effects, sizes))
@@ -497,10 +527,10 @@ def _grouped_calibration(config: ExperimentConfig, seed: int, prompt: int, null:
     return [shifted[start:end] for start, end in zip([0] + ends[:-1], ends)]
 
 
-def _hierarchical_calibrations(config: ExperimentConfig, seed: int, prompt: int,
+def _hierarchical_calibrations(config: ExperimentConfig, streams: _Streams, prompt: int,
                                null: int):
     for size_idx, size in enumerate(config.cal_sizes):
-        groups = _grouped_calibration(config, seed, prompt, null, size_idx, size)
+        groups = _grouped_calibration(config, streams, prompt, null, size_idx, size)
         cutoff = hierarchical_cutoff(groups, config.alpha)
         yield size, lambda tests, cutoff=cutoff: {"hierarchical": tests < cutoff}
 
@@ -530,23 +560,31 @@ def _weighted_flagger(config: ExperimentConfig, pool: np.ndarray, minority: np.n
     return flags
 
 
-def _weighted_calibrations(config: ExperimentConfig, seed: int, prompt: int, null: int):
+def _weighted_calibrations(config: ExperimentConfig, streams: _Streams, prompt: int,
+                           null: int):
     majority_cal = _sample_values(config.distribution_for("majority", null),
                                   config.majority_cal_size,
-                                  _rng(seed, prompt, null, 0, 0, "cal"))
+                                  streams(prompt, null, 0, 0, "cal"))
     for m_idx, m in enumerate(config.minority_sizes):
         minority_cal = _sample_values(config.distribution_for("minority", null), m,
-                                      _rng(seed, prompt, null, 0, m_idx, "minority_cal"))
+                                      streams(prompt, null, 0, m_idx, "minority_cal"))
         pool = np.concatenate([majority_cal, minority_cal])
         yield m, _weighted_flagger(config, pool, np.arange(pool.size) >= majority_cal.size)
 
 
 # scenario -> (test-set drawer, calibration iterator, whether its flaggers
-# rank the test scores); only a flagger that ranks reads their order
+# rank the test scores, the stream roles a test set draws, null_ or alt_
+# prefixed, and the (role, sizes field) a calibration draws, one stream per
+# size or, with no field, one per null level); only a flagger that ranks
+# reads the test scores' order
 _SCENARIO_RUNNERS = {
-    "standard": (_test_set, _standard_calibrations, False),
-    "hierarchical": (_hierarchical_test_set, _hierarchical_calibrations, False),
-    "weighted": (_minority_test_set, _weighted_calibrations, True),
+    "standard": (_test_set, _standard_calibrations, False, ("test",),
+                 (("cal", "cal_sizes"),)),
+    "hierarchical": (_hierarchical_test_set, _hierarchical_calibrations, False,
+                     ("test", "test_effects"),
+                     (("cal", "cal_sizes"), ("cal_effects", "cal_sizes"))),
+    "weighted": (_minority_test_set, _weighted_calibrations, True, ("test",),
+                 (("cal", None), ("minority_cal", "minority_sizes"))),
 }
 
 
@@ -597,16 +635,20 @@ def run_scenario(config: ExperimentConfig) -> MetricsReport:
     task order either way. A failing task raises RuntimeError.
     """
     config.validate()
-    tasks = [(seed, prompt)
+    # every substream is seeded before any task runs, and only read after
+    plan = _task_plan(config)
+    streams = {seed: _Streams(seed, config.n_prompts, plan) for seed in config.seeds}
+    tasks = [(streams[seed], prompt)
              for seed in config.seeds
              for prompt in range(1, config.n_prompts + 1)]
 
     def work(task):
-        seed, prompt = task
+        seed_streams, prompt = task
         try:
-            return _cells(config, seed, prompt)
+            return _cells(config, seed_streams, prompt)
         except Exception as exc:
-            raise RuntimeError(f"cell_failure at seed={seed} prompt={prompt}") from exc
+            raise RuntimeError(f"cell_failure at seed={seed_streams.seed} "
+                               f"prompt={prompt}") from exc
 
     threads = resolve_threads(config)
     if threads > 1:

@@ -255,6 +255,10 @@ class TestDetectCommand:
             " <(cut -d, -f1,3 tests/golden/detect_weighted_quantile.csv)",
             'conformal-wm simulate --out "$RUNNER_TEMP/s"',
             'cmp "$RUNNER_TEMP/s/metrics.csv" tests/golden/simulate_standard.csv',
+            'echo \'{"scenario": "hierarchical", "seeds": [7, 4294967296]}\''
+            ' > "$RUNNER_TEMP/big_seed.json"',
+            'conformal-wm simulate "$RUNNER_TEMP/big_seed.json" --out "$RUNNER_TEMP/b"',
+            'cmp "$RUNNER_TEMP/b/metrics.csv" tests/golden/simulate_hierarchical_big_seed.csv',
             "conformal-wm bleu README.md README.md",
         ]
         # once more on numpy's baseline SIMD path, where exp and log round
@@ -319,12 +323,14 @@ class TestDetectDiagnostics:
         flags = [row.split(",")[2] for row in rows]
         if k == 18:
             assert manifest["diagnostics"] == {"n_groups": 18, "min_p": 1 / 19,
-                                               "can_flag": False}
+                                               "can_flag": False,
+                                               "edit_intensity_levels": []}
             assert flags == ["false", "false"]
         else:
             # the smallest p is exactly 0.05, and p <= alpha flags it
             assert manifest["diagnostics"] == {"n_groups": 19, "min_p": 0.05,
-                                               "can_flag": True}
+                                               "can_flag": True,
+                                               "edit_intensity_levels": []}
             assert flags == ["true", "false"]
 
     @pytest.mark.parametrize("alpha, can_flag", [("0.05", False), ("0.2", True)])
@@ -335,7 +341,8 @@ class TestDetectDiagnostics:
         assert main(["detect", cal, test, "--alpha", alpha, "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["diagnostics"] == {"n_calibration": 4, "min_p": 0.2,
-                                           "can_flag": can_flag}
+                                           "can_flag": can_flag,
+                                           "edit_intensity_levels": []}
 
     def test_diagnostics_stay_out_of_the_run_hash(self, tmp_path):
         cal = write(tmp_path, "cal.csv", hierarchical_cal(19))
@@ -357,7 +364,44 @@ class TestDetectDiagnostics:
         test = write(tmp_path, "test.csv", TEST_CSV)
         out = tmp_path / "out"
         assert main(["detect", cal, test, "--method", "weighted", "--out", str(out)]) == 0
-        assert "diagnostics" not in json.loads((out / "manifest.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["diagnostics"] == {"edit_intensity_levels": []}
+
+    @pytest.mark.parametrize("method", ["standard", "hierarchical", "weighted"])
+    def test_calibration_intensity_levels_recorded_unhashed(self, tmp_path, method):
+        # blank and repeated levels, out of order; the test table's levels are not read
+        levels = ["3", "", "1", "3", "7", "", "1", "3"]
+        rows = ["essay_id,score,role,group_id,population,edit_intensity"]
+        rows += [f"c{i},{0.1 + 0.02 * i:.2f},calibration,g{i % 20},"
+                 f"{'minority' if i % 4 == 0 else 'majority'},{levels[i % 8]}"
+                 for i in range(40)]
+        cal = write(tmp_path, "cal.csv", "\n".join(rows) + "\n")
+        test = write(tmp_path, "test.csv", "essay_id,score,role,edit_intensity\n"
+                                            "t1,0.05,test,5\nt2,0.5,test,2\n")
+        out = tmp_path / "out"
+        assert main(["detect", cal, test, "--method", method, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["diagnostics"]["edit_intensity_levels"] == [1, 3, 7]
+        hashed = {"config": manifest["config_hash"], "inputs": manifest["inputs"],
+                  "outputs": manifest["outputs"]}
+        assert manifest["run_hash"] == io_mod.sha256_text(io_mod.canonical_json(hashed))
+
+    @pytest.mark.parametrize("method, config_hash, run_hash", [
+        ("standard", "43e6c8a7eb410aabcd978885bd534e81e42947cc66d084743c78b311b9c6221b",
+         "60d53717f4238dbe8ddfbc05be3cf380472b0608562221946b489fdd65de71e3"),
+        ("hierarchical", "96185b8ddbccd2752a5c1a5e02a77b499fb19ebb30b0a9be67710e039d10a001",
+         "9bf6b72528329aff34706f18899d248d91b3668c20797781233713e9c3941717"),
+    ])
+    def test_golden_hashes_unmoved_by_diagnostics(self, tmp_path, method, config_hash,
+                                                  run_hash):
+        # the hashes a manifest without the intensity levels had on the golden tables
+        golden = Path(__file__).parent / "golden"
+        out = tmp_path / "out"
+        assert main(["detect", str(golden / "detect_cal.csv"), str(golden / "detect_test.csv"),
+                     "--method", method, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["diagnostics"]["edit_intensity_levels"] == []
+        assert (manifest["config_hash"], manifest["run_hash"]) == (config_hash, run_hash)
 
 
 def per_row_decisions_csv(path, essay_ids, p, flagged):
@@ -390,6 +434,25 @@ class TestDecisionsWriter:
         assert got.read_bytes() == want.read_bytes()
         if case == "distinct":
             assert np.unique(p).size == n
+
+    @pytest.mark.parametrize("n", [io_mod._DECISION_BATCH_ROWS, io_mod._DECISION_BATCH_ROWS + 1,
+                                   2 * io_mod._DECISION_BATCH_ROWS + 7])
+    @pytest.mark.parametrize("quoted", [None, ",", '"', "\r", "\n"])
+    def test_quoting_decided_per_batch(self, tmp_path, n, quoted):
+        # at most one id needing quotes, the last: with 1,025 rows it is the
+        # second batch's only row, so the first batch is joined and the second
+        # goes through csv.writer
+        rng = np.random.default_rng(n)
+        ids = [f"e{i}" for i in range(n)]
+        if quoted:
+            ids[-1] = f"x{quoted}y"
+        p = rng.choice(np.arange(1, 31) / 31, n)
+        flagged = p <= 0.05
+        want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+        per_row_decisions_csv(want, ids, p, flagged)
+        io_mod.write_decisions_csv(got, ids, p, flagged)
+        assert got.read_bytes() == want.read_bytes()
+        assert got.read_bytes().count(b"\r\n") == n + 1  # header and every row
 
     def test_detect_passes_the_path_first(self, tmp_path, monkeypatch):
         # perfbench's tracer reads the written size from the first argument

@@ -2,7 +2,9 @@
 
 import json
 import math
+import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conformal_wm import conformal, density, labeling, simulate
+from conformal_wm import conformal, density, labeling, seeding, simulate
 from conformal_wm.cli import main
 from conformal_wm.density import DensityModel
 from conformal_wm.io import canonical_json, sha256_text
@@ -123,12 +125,57 @@ class TestDraws:
     def test_rng_equals_list_key_stream(self, seed, prompt, null, alt, size_idx, stream):
         key = [simulate._ENTROPY_BASE, seed, prompt, null, alt, size_idx,
                simulate._STREAMS[stream]]
+        (row,) = seeding.seed_states(np.array([key], dtype=object))
         # parts below 2**32 take one word each, larger ones the byte packing
         for entropy in (key, byte_packed_words(key)):
-            want = np.random.default_rng(np.random.SeedSequence(entropy))
-            got = simulate._rng(seed, prompt, null, alt, size_idx, stream)
+            seq = np.random.SeedSequence(entropy)
+            assert row.tolist() == seq.generate_state(4, np.uint64).tolist()
+            want = np.random.default_rng(seq)
+            got = seeding.generator(row)
             assert got.bit_generator.state == want.bit_generator.state
             assert got.random(4).tolist() == want.random(4).tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(keys=st.lists(st.tuples(KEY_EDGES | st.integers(0, 2**70),
+                                   KEY_EDGES | st.integers(0, 2**33),
+                                   KEY_EDGES | st.integers(0, 7),
+                                   KEY_EDGES | st.integers(0, 7),
+                                   KEY_EDGES | st.integers(0, 2**40),
+                                   st.sampled_from(sorted(simulate._STREAMS.values()))),
+                         min_size=1, max_size=12))
+    def test_one_batch_of_keys_equals_their_streams(self, keys):
+        # keys of different word counts share one call, each hashed in its group
+        rows = [(simulate._ENTROPY_BASE, *key) for key in keys]
+        states = seeding.seed_states(np.array(rows, dtype=object))
+        assert states.shape == (len(rows), 4) and states.dtype == np.uint64
+        for key, row in zip(rows, states):
+            seq = np.random.SeedSequence(list(key))
+            assert row.tolist() == seq.generate_state(4, np.uint64).tolist()
+            want = np.random.default_rng(seq)
+            got = seeding.generator(row)
+            assert got.bit_generator.state == want.bit_generator.state
+            assert got.random(4).tolist() == want.random(4).tolist()
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**63, 2**70])
+    def test_run_streams_equal_list_key_streams(self, seed):
+        cfg = small_config(scenario="hierarchical", n_prompts=3, null_levels=(1, 4))
+        plan = simulate._task_plan(cfg)
+        streams = simulate._Streams(seed, cfg.n_prompts, plan)
+        for prompt in (1, 3):
+            for null, alt, size_idx, role in plan:
+                want = np.random.default_rng(np.random.SeedSequence(
+                    [simulate._ENTROPY_BASE, seed, prompt, null, alt, size_idx,
+                     simulate._STREAMS[role]]))
+                assert (streams(prompt, null, alt, size_idx, role).random(3).tolist()
+                        == want.random(3).tolist())
+
+    def test_seed_row_serves_only_pcg64s_request(self):
+        row = seeding.seed_states(np.array([[1, 2, 3, 4, 5, 6, 7]]))[0]
+        seed_row = seeding.SeedRow(row)
+        assert seed_row.generate_state(4, np.uint64) is row
+        for n_words, dtype in ((8, np.uint32), (4, np.uint32), (2, np.uint64)):
+            with pytest.raises(ValueError, match="seed_row_is_4_uint64"):
+                seed_row.generate_state(n_words, dtype)
 
     def test_expit_bits_equal_masked_form(self):
         special = [0.0, -0.0, np.inf, -np.inf, 700.5, -700.5, 709.8, -709.8, 745.2,
@@ -345,7 +392,7 @@ class TestRankKernelCalls:
 
         # patched where simulate looks it up, where a tracer would wrap it
         monkeypatch.setattr(simulate, kernel, counting)
-        draw_tests, calibrations, ranks = simulate._SCENARIO_RUNNERS[scenario]
+        draw_tests, calibrations, ranks, *plan = simulate._SCENARIO_RUNNERS[scenario]
         p_values = getattr(conformal, f"{scenario}_p_values")
 
         def recording_calibrations(*args):
@@ -360,7 +407,7 @@ class TestRankKernelCalls:
                 yield size, recording
 
         monkeypatch.setitem(simulate._SCENARIO_RUNNERS, scenario,
-                            (draw_tests, recording_calibrations, ranks))
+                            (draw_tests, recording_calibrations, ranks, *plan))
         run_scenario(cfg)
         joined = [cfg.n_test * (1 + len(cfg.alt_levels(null))) for null in cfg.null_levels]
         per_task = [size for size in joined for _ in cfg.cal_sizes]
@@ -378,7 +425,7 @@ class TestRankKernelCalls:
         cfg = small_config(scenario="weighted", seeds=(1,), n_prompts=2, n_test=50,
                            minority_sizes=(5, 15), null_levels=(1, 4), max_level=6,
                            threads=1)
-        draw_tests, calibrations, ranks = simulate._SCENARIO_RUNNERS["weighted"]
+        draw_tests, calibrations, ranks, *plan = simulate._SCENARIO_RUNNERS["weighted"]
         joined_sets = []
 
         def recording_calibrations(*args):
@@ -390,7 +437,7 @@ class TestRankKernelCalls:
                 yield size, recording
 
         monkeypatch.setitem(simulate._SCENARIO_RUNNERS, "weighted",
-                            (draw_tests, recording_calibrations, ranks))
+                            (draw_tests, recording_calibrations, ranks, *plan))
         run_scenario(cfg)
         assert ranks
         assert len(joined_sets) == (len(cfg.null_levels) * len(cfg.minority_sizes)
@@ -400,6 +447,92 @@ class TestRankKernelCalls:
             drawn = [np.sort(draw_tests(config, seed, prompt, null, alt))
                      for alt in (0, *config.alt_levels(null))]
             assert np.array_equal(tests, np.concatenate(drawn))
+
+
+class TestStreamPlan:
+    @pytest.mark.parametrize("scenario, streams", [
+        ("standard", 1050), ("hierarchical", 1600), ("weighted", 1125)])
+    def test_default_run_seeds_only_planned_streams(self, monkeypatch, scenario, streams):
+        # no SeedSequence beyond the dominance probes, and every stream drawn
+        # once per task from a precomputed row, each planned key exactly once
+        cfg = default_config(scenario)
+        sequences, bit_seeds, drawn = [], [], Counter()
+        seed_sequence, pcg64, call = np.random.SeedSequence, np.random.PCG64, \
+            simulate._Streams.__call__
+
+        class CountingSeedSequence(seed_sequence):
+            def __init__(self, *args, **kwargs):
+                sequences.append(args)
+                super().__init__(*args, **kwargs)
+
+        def counting_pcg64(seed):
+            bit_seeds.append(seed)
+            return pcg64(seed)
+
+        def counting_call(streams, prompt, *key):
+            drawn[streams.seed, prompt, key] += 1
+            return call(streams, prompt, *key)
+
+        monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+        monkeypatch.setattr(np.random, "PCG64", counting_pcg64)
+        monkeypatch.setattr(simulate._Streams, "__call__", counting_call)
+        run_scenario(cfg)
+        assert len(sequences) == len(cfg.populations()) * cfg.max_level
+        assert all(args[0][1] == 999 for args in sequences)  # the probes' key
+        assert len(bit_seeds) == streams
+        assert not any(isinstance(s, seed_sequence) for s in bit_seeds)
+        plan = simulate._task_plan(cfg)
+        assert drawn == Counter({(seed, prompt, key): 1 for seed in cfg.seeds
+                                 for prompt in range(1, cfg.n_prompts + 1) for key in plan})
+        assert len(drawn) == streams
+
+    def test_empty_and_repeated_grid_entries(self):
+        # no null level plans no stream; a repeated level or seed draws its
+        # streams again, as the same cells
+        assert run_scenario(small_config(null_levels=())).cells == []
+        cfg = small_config(n_test=100, max_level=5)
+        one = Counter(cells_as_tuples(run_scenario(replace(cfg, null_levels=(1,)))))
+        four = Counter(cells_as_tuples(run_scenario(replace(cfg, null_levels=(4,)))))
+        repeated = run_scenario(replace(cfg, null_levels=(4, 1, 4)))
+        assert Counter(cells_as_tuples(repeated)) == one + four + four
+        twice = run_scenario(replace(cfg, null_levels=(1,), seeds=(2, 2)))
+        once = run_scenario(replace(cfg, null_levels=(1,), seeds=(2,)))
+        assert Counter(cells_as_tuples(twice)) == Counter(cells_as_tuples(once) * 2)
+
+    def test_concurrent_runs_give_serial_bytes(self, tmp_path, monkeypatch):
+        # two configs at once, each on more workers than cores, share no stream
+        # table; a short switch interval interleaves their threads finely
+        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+        configs = {
+            "big_seed": small_config(scenario="hierarchical", seeds=(7, 2**32), n_prompts=2,
+                                     n_test=100, null_levels=(1, 4)),
+            # seed 7 in both: a table kept by seed alone would be shared
+            "standard": small_config(seeds=(7, 1), n_prompts=3, n_test=100,
+                                     cal_sizes=(30, 50, 200)),
+        }
+        paths = {}
+        for name, cfg in configs.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(config_to_dict(cfg)), encoding="utf-8")
+
+        def outputs(name, threads, tag):
+            out = tmp_path / f"{name}-{tag}"
+            assert main(["simulate", str(paths[name]), "--threads", threads,
+                         "--out", str(out)]) == 0
+            return {f: (out / f).read_bytes()
+                    for f in ("metrics.csv", "metrics.json", "plot_data.csv")}
+
+        serial = {name: outputs(name, "1", "serial") for name in configs}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                runs = [(name, pool.submit(outputs, name, "4", f"concurrent{k}"))
+                        for k in range(3) for name in configs]
+                for name, run in runs:
+                    assert run.result(timeout=300) == serial[name], name
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestWeightedScreen:
