@@ -115,15 +115,10 @@ class _RankTable(NamedTuple):
         each exact or within a relative 2**-53), so the computed mass is at
         least ``mass[j] / mass[n] * (1 - 3 * 2**-53)``; a rank is kept when
         ``mass[j] / mass[n] < alpha * (1 + 1e-12)``, a margin far above
-        those roundings and the screen's own two. The screen divides rather
-        than multiplying ``alpha * mass[n]``, which would lose its relative
-        accuracy for a subnormal total. The slack can only add candidates:
-        flags still come from :meth:`p_values` alone. When ``mass[n]`` is
-        not positive every rank is kept, so the rule still raises
-        ``density_underflow``.
+        those roundings and the screen's own two. The slack can only add
+        candidates: flags still come from :meth:`p_values` alone. ``mass[n]``
+        must be positive; the weighted rule's is at least 1.
         """
-        if not self.mass[-1] > 0.0:
-            return np.ones(np.shape(j), dtype=bool)
         return self.mass[j] / self.mass[-1] < alpha * (1.0 + _SCREEN_SLACK)
 
 
@@ -188,25 +183,13 @@ def _hierarchical_table(groups: Sequence[np.ndarray]) -> _RankTable:
     return _RankTable(cal, np.array([0.0, *steps]))
 
 
-def _check_ratios(*ratios: np.ndarray) -> None:
-    """Checks every array for non-finite ratios, then for negative ones.
-
-    A non-finite ratio raises ``density_underflow``, a negative one
-    ``negative_weight``.
-    """
-    if not all(np.isfinite(r).all() for r in ratios):
-        raise ValueError("density_underflow: non-finite importance ratio")
-    if any((r < 0.0).any() for r in ratios):
-        raise ValueError("negative_weight: importance ratios must be nonnegative")
-
-
 def _weighted_table(cal_values, cal_ratios, test_ratios=()) -> _RankTable:
     """Sorted calibration scores and the prefix sums of their ratios.
 
     An empty calibration raises ``empty_calibration``. Then the ratios are
     checked: a length that does not match the scores raises
-    ``weight_length_mismatch``, then the calibration and test ratios go
-    through :func:`_check_ratios`.
+    ``weight_length_mismatch``, then a non-finite calibration or test ratio
+    ``density_underflow``, then a negative one ``negative_weight``.
     """
     cal = _calibration(cal_values)
     r_cal = np.asarray(cal_ratios, dtype=float)
@@ -215,7 +198,11 @@ def _weighted_table(cal_values, cal_ratios, test_ratios=()) -> _RankTable:
             f"weight_length_mismatch: {r_cal.size} calibration weights for "
             f"{cal.size} calibration scores"
         )
-    _check_ratios(r_cal, np.asarray(test_ratios, dtype=float))
+    ratios = (r_cal, np.asarray(test_ratios, dtype=float))
+    if not all(np.isfinite(r).all() for r in ratios):
+        raise ValueError("density_underflow: non-finite importance ratio")
+    if any((r < 0.0).any() for r in ratios):
+        raise ValueError("negative_weight: importance ratios must be nonnegative")
     order = np.argsort(cal, kind="stable")
     return _RankTable(cal[order], np.concatenate([[0.0], np.cumsum(r_cal[order])]))
 

@@ -4,20 +4,18 @@ The pooled calibration density is a Gaussian kernel density estimate (KDE)
 over log10 watermark scores. The density of a small target subgroup is not
 re-estimated from its handful of points; instead the pool KDE is queried
 through an affine map whose anchors come either from sample means ("mean
-shift") or from robust lower quantiles ("quantile shift"). The raw ratios
-q/p of the two densities (:func:`density_ratios`) are the importance
-weights of the weighted conformal rule, which normalizes them itself
-(:func:`conformal_wm.conformal.weighted_p_values`), so their common scale
-never matters. :class:`WeightedRule` assembles the whole rule for one
-pool; ``detect`` and ``simulate`` both call it.
+shift") or from robust lower quantiles ("quantile shift"). The ratios q/p
+of the two densities are the importance weights of the weighted conformal
+rule, which normalizes them itself, so their common scale never matters.
+:class:`WeightedRule` assembles the whole rule for one pool; ``detect`` and
+``simulate`` both call it. It works in log densities only, which stay
+finite however deep in a tail a score lies.
 
-Every density the rule turns into a p-value is the exact Gaussian sum
-(:meth:`DensityModel.evaluate`), so ``WeightedRule.p_values``, which
-``detect`` writes, is exact. ``WeightedRule.flags``, which ``simulate``
-counts, needs only each flag. It reads the densities from one grid of the
-pool's log density (:class:`_LogGrid`), whose error has a proven bound, and
-decides a flag from the grid only when the bound proves it; the exact sums
-decide the rest, so every flag equals the exact rule's.
+``WeightedRule.p_values``, which ``detect`` writes, comes from the exact
+Gaussian sums. ``WeightedRule.flags``, which ``simulate`` counts, reads the
+log densities from one grid (:class:`_LogGrid`), whose error has a proven
+bound, and decides a flag from the grid only when the bound proves it; the
+exact sums decide the rest, so every flag equals the exact rule's.
 """
 
 from __future__ import annotations
@@ -29,11 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .conformal import _SCREEN_SLACK, _check_ratios, _weighted_table
-
-# Floor applied to the pool density before ratios are formed, so a deep-tail
-# query degrades to a huge-but-finite ratio instead of dividing by zero.
-DENSITY_FLOOR = 1e-300
+from .conformal import _SCREEN_SLACK, _RankTable, _weighted_table
 
 # Sample standard deviations below this are treated as degenerate (e.g. a
 # constant minority sample) and floored so the affine map stays defined.
@@ -49,10 +43,9 @@ _BLOCK_BYTES = 128 * 1024 - 64
 # a power of two.
 _GRID_STEP = 0.125
 
-# Where a log density or log ratio stays inside (-_LOG_RANGE, _LOG_RANGE),
-# the exact rule's densities and ratios are normal floats and the pool density
-# is above DENSITY_FLOOR (exp(-690) > 1e-300).
-_LOG_RANGE = 690.0
+# Most nodes of a :class:`_LogGrid`. A support that needs more is over 1,000
+# bandwidths wide, where the grid's bound is too loose to pay for its cost.
+_GRID_MAX_NODES = 2 ** 14
 
 
 def _block_rows(n_support: int) -> int:
@@ -150,12 +143,7 @@ class DensityModel:
     def evaluate(self, x):
         """Density at ``x``: a float for a scalar, else an array of ``x``'s shape.
 
-        The sum over support points is exact, not binned. Queries are taken
-        :func:`_block_rows` at a time through two (block, N) buffers of at
-        most ``_BLOCK_BYTES`` each (one row if a row is larger), allocated
-        per call, so memory does not grow with the number of queries. Each
-        row sees the same operations in the same order as the dense form
-        ``exp(-0.5 * z * z).sum(axis=-1)``, and so gets the same bits.
+        The sum over support points is exact, not binned (:func:`_kernel_sums`).
         """
         arr = np.asarray(x, dtype=float)
         dens, _ = _kernel_sums((self.scale * arr + self.offset).ravel(),
@@ -165,6 +153,14 @@ class DensityModel:
             return float(dens[0])
         return dens.reshape(arr.shape)
 
+    def log_evaluate(self, x) -> np.ndarray:
+        """``log`` of :meth:`evaluate` as an array of ``x``'s shape, finite at finite ``x``."""
+        arr = np.asarray(x, dtype=float)
+        log_sums, _ = _log_kernel_sums((self.scale * arr + self.offset).ravel(),
+                                       self.support_points, self.bandwidth)
+        log_sums -= math.log(self.support_points.size * self.bandwidth * _GAUSS_NORM)
+        return log_sums.reshape(arr.shape)
+
 
 def _kernel_sums(query: np.ndarray, support: np.ndarray, bandwidth: float,
                  with_moment: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
@@ -172,8 +168,10 @@ def _kernel_sums(query: np.ndarray, support: np.ndarray, bandwidth: float,
 
     With ``with_moment`` the second array is ``sum_i z_i * k_i``, else None.
     Queries are taken :func:`_block_rows` at a time through two (block, N)
-    buffers of at most ``_BLOCK_BYTES`` each, as :meth:`DensityModel.evaluate`
-    describes.
+    buffers of at most ``_BLOCK_BYTES`` each (one row if a row is larger),
+    allocated per call, so memory does not grow with the number of queries.
+    Each row sees the same operations in the same order as the dense form
+    ``exp(-0.5 * z * z).sum(axis=-1)``, and so gets the same bits.
     """
     sums = np.empty(query.size)
     moments = np.empty(query.size) if with_moment else None
@@ -193,6 +191,31 @@ def _kernel_sums(query: np.ndarray, support: np.ndarray, bandwidth: float,
             zb *= kb
             zb.sum(axis=-1, out=moments[start:start + block.size])
     return sums, moments
+
+
+def _log_kernel_sums(query: np.ndarray, support: np.ndarray, bandwidth: float,
+                     with_moment: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """``log sum_i k_i`` at each query, and with ``with_moment`` ``sum_i z_i k_i / sum_i k_i``.
+
+    Both come from :func:`_kernel_sums`. A sum below the smallest normal
+    double (far from every support point) is taken again with its largest
+    exponent ``e`` factored out, as ``e + log sum_i (k_i / exp(e))``, so
+    every log sum is finite and as accurate as a normal float's.
+    """
+    sums, moments = _kernel_sums(query, support, bandwidth, with_moment)
+    low = np.flatnonzero(sums < np.finfo(float).tiny)
+    tops = np.zeros(query.size)
+    rows = _block_rows(support.size)
+    for start in range(0, low.size, rows):
+        idx = low[start:start + rows]
+        z = (query[idx, np.newaxis] - support) / bandwidth
+        expo = z * -0.5 * z
+        tops[idx] = expo.max(axis=-1)
+        kern = np.exp(expo - tops[idx, np.newaxis])
+        sums[idx] = kern.sum(axis=-1)
+        if with_moment:
+            moments[idx] = (z * kern).sum(axis=-1)
+    return np.log(sums) + tops, moments / sums if with_moment else None
 
 
 def fit_kde(log_scores: Sequence[float], bandwidth: float) -> DensityModel:
@@ -293,19 +316,33 @@ def _shifted_model(pool: np.ndarray, minority: np.ndarray, bandwidth: float,
     )
 
 
-def density_ratios(
-    model_p: DensityModel,
-    models_q: Sequence[DensityModel],
-    points,
-) -> list[np.ndarray]:
-    """Raw q/p ratios at the given points, one array per q-model.
+def density_ratios(model_p: DensityModel, models_q: Sequence[DensityModel],
+                   points) -> list[np.ndarray]:
+    """Raw q/p ratios ``exp(log q - log p)`` at the given points, one array per q-model.
 
-    The pool density is evaluated once and floored, then shared by every
-    q-model.
+    A ratio is 0 or inf only where it lies beyond the range of floats.
     """
-    pts = np.asarray(points, dtype=float)
-    p = np.maximum(np.asarray(model_p.evaluate(pts), dtype=float), DENSITY_FLOOR)
-    return [np.asarray(model_q.evaluate(pts), dtype=float) / p for model_q in models_q]
+    with np.errstate(over="ignore"):
+        return [np.exp(log_r)
+                for log_r in _log_ratios(model_p, models_q, np.asarray(points, dtype=float))]
+
+
+def _log_ratios(model_p: DensityModel, models_q: Sequence[DensityModel],
+                points: np.ndarray) -> list[np.ndarray]:
+    """``log q - log p`` at ``points`` for each q-model; p is evaluated once."""
+    log_p = model_p.log_evaluate(points)
+    return [model_q.log_evaluate(points) - log_p for model_q in models_q]
+
+
+def _masses(table: _RankTable, j: np.ndarray, log_r: np.ndarray) -> np.ndarray:
+    """``table.p_values(j, exp(log_r))``, and its limit 1 where that ratio overflows."""
+    with np.errstate(over="ignore"):
+        ratios = np.exp(log_r)
+    over = np.isinf(ratios)
+    ratios[over] = 0.0
+    p = table.p_values(j, ratios)
+    p[over] = 1.0
+    return p
 
 
 class _LogGrid:
@@ -315,7 +352,7 @@ class _LogGrid:
     ``log(N h sqrt(2 pi))``, which cancels in every ratio) at the nodes
     ``lo + k * step`` covering ``[min - 8h, max + 8h]`` of the support, and
     ``tangent`` holds ``step`` times its slope ``-sum z k / (h sum k)``. Both
-    come from the exact sums of :func:`_kernel_sums`, taken in its blocks.
+    come from :func:`_log_kernel_sums`, as the exact rule's log densities do.
     The step is ``_GRID_STEP * h`` rounded down to a power of two, so every
     node is an exact float.
 
@@ -335,25 +372,24 @@ class _LogGrid:
     ``bound = delta**4 D**4 / (3072 h**8)`` of the exact log f.
 
     Roundings. The computed values differ from the exact ones by roundings,
-    in the nodes, in a read and in the exact evaluator's own sums and
-    quotients. Each is a few units of ``2**-53`` times one of: N (a sum of N
-    positive terms); ``R**2`` with ``R = D / h + 10``, which bounds ``|z|``
-    for every point inside the grid (a kernel term's exponent; numpy's
-    ``exp`` is within a few ulps); ``R * N`` and ``R**3`` (a slope, whose sum
-    can cancel, times ``delta / h <= 2``); ``R`` times the node count (a
-    read's position); and ``|log|`` values, which the range checks keep
-    under 1,400. :attr:`error` adds to ``bound`` a slack of
-    ``2**-40 * (R * (N + nodes) + R**3 + 1024)``, more than a hundred times
-    their sum.
+    in the nodes, in a read and in the exact rule's sums, logs and
+    differences. Each is a few units of ``2**-53`` times one of: N (a sum of
+    N positive terms, some perhaps subnormal); ``R**2`` with
+    ``R = D / h + 10``, which bounds ``|z|`` inside the grid (a kernel
+    term's exponent; numpy's ``exp`` is within a few ulps); ``R * N`` and
+    ``R**3`` (a slope, whose sum can cancel, times ``delta / h <= 2``); ``R``
+    times the node count (a read's position); and the size of a log. Inside
+    the grid a kernel sum lies between ``exp(-R**2 / 2)`` and N, so
+    ``|log sum| <= R**2 / 2 + log N``; the constant ``log(N h sqrt(2 pi))``
+    is under 800 in size; and a log ratio less the rule's maximum is under
+    746 in size where its ``exp`` is neither 0 nor inf (beyond, that ``exp``
+    and the grid's saturate together). :attr:`error` adds to ``bound`` a
+    slack of ``2**-40 * (R * (N + nodes) + R**3 + 1024)``, more than a
+    hundred times their sum.
 
-    A read is usable only inside the grid, on a cell whose two node sums
-    exceed ``exp(-_LOG_RANGE)``, and where the log sum, give or take
-    :attr:`error`, keeps the exact evaluator's density between
-    ``exp(-_LOG_RANGE)`` and ``exp(_LOG_RANGE)``: above ``DENSITY_FLOOR``,
-    and with a normal, finite kernel sum and quotient. The grid is not
-    built (no read is usable) when ``2 * error`` reaches ``_LOG_RANGE``, so
-    that no ratio could pass :meth:`WeightedRule._grid_flags`' range check, or
-    when the nodes would not be exact floats.
+    A read is usable wherever it lies inside the grid. The grid is not built
+    when its nodes would not be exact floats, or would number more than
+    ``_GRID_MAX_NODES``.
     """
 
     def __init__(self, support: np.ndarray, bandwidth: float):
@@ -366,21 +402,15 @@ class _LogGrid:
         self.error = (rho * rho * rho * rho / 3072.0
                       + 2.0 ** -40 * (r * (support.size + nodes) + r * r * r + 1024.0))
         self.log_sum = None
-        if not (2.0 * self.error < _LOG_RANGE
+        if not (nodes <= _GRID_MAX_NODES
                 and max(-s_min, s_max) + 10.0 * h <= 2.0 ** 52 * self.step):
             return
         k_lo = math.floor((s_min - 8.0 * h) / self.step)
         k_hi = math.ceil((s_max + 8.0 * h) / self.step)
         self.lo = k_lo * self.step
-        sums, moments = _kernel_sums(self.lo + self.step * np.arange(k_hi - k_lo + 1.0),
-                                     support, h, with_moment=True)
-        ok = sums > math.exp(-_LOG_RANGE)
-        sums = np.where(ok, sums, 1.0)
-        self.log_sum = np.log(sums)
-        self.tangent = moments / sums * (-self.step / h)
-        self.ok_cell = ok[:-1] & ok[1:]
-        log_norm = math.log(support.size * h * _GAUSS_NORM)
-        self.range = (max(-_LOG_RANGE, log_norm - _LOG_RANGE), log_norm + _LOG_RANGE)
+        self.log_sum, mean_z = _log_kernel_sums(
+            self.lo + self.step * np.arange(k_hi - k_lo + 1.0), support, h, with_moment=True)
+        self.tangent = mean_z * (-self.step / h)
 
     def read(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``log sum_i k_i`` at each of ``x``, and where that is within :attr:`error`."""
@@ -395,8 +425,6 @@ class _LogGrid:
         s = 1.0 - t
         y = (s * s * ((1.0 + 2.0 * t) * self.log_sum[i] + t * self.tangent[i])
              + t * t * ((3.0 - 2.0 * t) * self.log_sum[i + 1] - s * self.tangent[i + 1]))
-        lo, hi = self.range
-        usable &= self.ok_cell[i] & (y - self.error > lo) & (y + self.error < hi)
         return y, usable
 
 
@@ -408,6 +436,10 @@ class WeightedRule:
     shifted model per name in ``shifts`` ("mean" or "quantile"), each with
     its :class:`ShiftEstimate`, and ``tables`` one weighted rank table per
     model. Every table holds the pool sorted, so one rank serves them all.
+
+    A model's ratios are ``exp(log q - log p - M)``, M its largest at the
+    pool: its calibration ratios lie in [0, 1] and total at least 1, and a
+    test ratio beyond the range of floats is inf, of weighted mass 1.
     """
 
     def __init__(self, pool, minority, bandwidth: float, alpha: float,
@@ -421,16 +453,18 @@ class WeightedRule:
         self.models_q = [mean_shift(pool_eval, minority_eval, bandwidth) if shift == "mean"
                          else quantile_shift(pool_eval, minority_eval, bandwidth, alpha)
                          for shift in shifts]
-        self.tables = [_weighted_table(pool, r)
-                       for r in density_ratios(self.model_p, self.models_q, pool_eval)]
+        log_ratios = _log_ratios(self.model_p, self.models_q, pool_eval)
+        self._tops = [log_r.max() for log_r in log_ratios]
+        self.tables = [_weighted_table(pool, np.exp(log_r - top))
+                       for log_r, top in zip(log_ratios, self._tops)]
 
     def ranks(self, values) -> np.ndarray:
         return self.tables[0].ranks(values)
 
     def _p_values(self, values: np.ndarray, j: np.ndarray) -> list[np.ndarray]:
-        r_test = density_ratios(self.model_p, self.models_q, self._to_eval(values))
-        _check_ratios(*r_test)
-        return [table.p_values(j, r) for table, r in zip(self.tables, r_test)]
+        log_ratios = _log_ratios(self.model_p, self.models_q, self._to_eval(values))
+        return [_masses(table, j, log_r - top)
+                for table, log_r, top in zip(self.tables, log_ratios, self._tops)]
 
     def p_values(self, values) -> list[np.ndarray]:
         """Each model's weighted mass at every test score."""
@@ -470,34 +504,25 @@ class WeightedRule:
                     j: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
         """Each model's flags the grid proves at points ``x`` (eval scale) of ranks ``j``.
 
-        Returns the flags and the mask of points left open. The grid reads
-        log p and each log q within ``grid.error``, so the exact ratio lies
-        within a factor ``exp(eps)``, ``eps = 2 * grid.error``, of
-        ``r = exp(log q - log p)``. The weighted mass
-        ``(r + mass[j]) / (r + mass[n])`` increases with r, as
-        ``mass[j] <= mass[n]``, so a point is flagged when its mass at
-        ``r * exp(eps)`` is under ``alpha * (1 - 1e-12)`` and cleared when
-        its mass at ``r * exp(-eps)`` is at least ``alpha * (1 + 1e-12)``:
-        margins far above the mass's roundings, as in ``_RankTable.screen``.
-        A point is open if any model leaves it undecided, or any of its
-        reads is unusable or its log ratio, give or take ``eps``, leaves
-        ``(-_LOG_RANGE, _LOG_RANGE)``.
+        Returns the flags and the mask of points left open. The exact rule's
+        log ratio less M lies within ``eps = 2 * grid.error`` of the grid's,
+        ``log_r``, and the mass ``(r + mass[j]) / (r + mass[n])`` increases
+        with r. So a point is flagged when its mass at ``exp(log_r + eps)``
+        is under ``alpha * (1 - 1e-12)``, and cleared when its mass at
+        ``exp(log_r - eps)`` is at least ``alpha * (1 + 1e-12)``: margins far
+        above the mass's roundings, as in ``_RankTable.screen``. A point is
+        open if any model leaves it undecided or any of its reads lies
+        outside the grid.
         """
         grid = self._grid
         eps = 2.0 * grid.error
         log_p, usable = grid.read(x)
-        log_ratios = []
-        for model in self.models_q:
+        flags = []
+        for model, table, top in zip(self.models_q, self.tables, self._tops):
             log_q, usable_q = grid.read(model.scale * x + model.offset)
-            log_ratios.append(log_q - log_p)
-            usable &= usable_q & (np.abs(log_ratios[-1]) + eps < _LOG_RANGE)
-        ratios = [np.exp(np.where(usable, log_r, 0.0)) for log_r in log_ratios]
-        _check_ratios(*ratios)
-        flags = [np.zeros(x.shape, dtype=bool) for _ in self.tables]
-        if usable.any():
-            widen = math.exp(eps)
-            for flag, table, r in zip(flags, self.tables, ratios):
-                flag[:] = table.p_values(j, r * widen) < self.alpha * (1.0 - _SCREEN_SLACK)
-                usable &= flag | (table.p_values(j, r / widen)
-                                  >= self.alpha * (1.0 + _SCREEN_SLACK))
+            log_r = log_q - log_p - top
+            flag = _masses(table, j, log_r + eps) < self.alpha * (1.0 - _SCREEN_SLACK)
+            usable &= usable_q & (flag | (_masses(table, j, log_r - eps)
+                                          >= self.alpha * (1.0 + _SCREEN_SLACK)))
+            flags.append(flag)
         return flags, ~usable

@@ -258,6 +258,12 @@ class ExperimentConfig:
                 raise ValueError(f"invalid_sizes: {name}={sizes}")
         if not self.seeds or any(int(s) < 0 for s in self.seeds):
             raise ValueError(f"invalid_seeds: {self.seeds}")
+        if not self.null_levels:
+            raise ValueError("empty_null_levels")
+        for name in ("seeds", "null_levels", "cal_sizes", "minority_sizes"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):  # its cells would run and count twice
+                raise ValueError(f"repeated_entries: {name}={values}")
         if self.n_test < 1 or self.n_prompts < 1 or self.k_groups < 1:
             raise ValueError("invalid_counts")
         if not 2 <= self.max_level <= 7:
@@ -334,7 +340,7 @@ def _task_plan(config: ExperimentConfig) -> dict[tuple[int, int, int, str], int]
         keys += [(null, alt, 0, role) for alt in alts for role in ("bleu_null", "bleu_alt")]
         keys += [(null, 0, i, role) for role, sizes in cal_roles
                  for i in range(len(getattr(config, sizes)) if sizes else 1)]
-    return {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    return {key: i for i, key in enumerate(keys)}
 
 
 class _Streams:

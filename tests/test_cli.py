@@ -201,13 +201,13 @@ class TestDetectCommand:
         test = write(tmp_path, "test.csv", "essay_id,score,role\n" + "".join(
             f"t{i},{0.01 + 0.03 * i:.6f},test\n" for i in range(n_tests)))
         calls = []
-        evaluate = DensityModel.evaluate
+        log_evaluate = DensityModel.log_evaluate
 
-        def counting_evaluate(model, x):
+        def counting_log_evaluate(model, x):
             calls.append(model)
-            return evaluate(model, x)
+            return log_evaluate(model, x)
 
-        monkeypatch.setattr(DensityModel, "evaluate", counting_evaluate)
+        monkeypatch.setattr(DensityModel, "log_evaluate", counting_log_evaluate)
         assert main(["detect", cal, test, "--method", "weighted",
                      "--out", str(tmp_path / "out")]) == 0
         # both KDEs, once at the calibration points and once at the test points
@@ -253,6 +253,10 @@ class TestDetectCommand:
             ' --method weighted --shift quantile --out "$RUNNER_TEMP/w"',
             'cmp <(cut -d, -f1,3 "$RUNNER_TEMP/w/decisions.csv")'
             " <(cut -d, -f1,3 tests/golden/detect_weighted_quantile.csv)",
+            "conformal-wm detect tests/golden/detect_cal.csv tests/golden/detect_test.csv"
+            ' --method weighted --shift mean --alpha 0.1 --out "$RUNNER_TEMP/wm"',
+            'cmp <(cut -d, -f1,3 "$RUNNER_TEMP/wm/decisions.csv")'
+            " <(cut -d, -f1,3 tests/golden/detect_weighted_mean.csv)",
             'conformal-wm simulate --out "$RUNNER_TEMP/s"',
             'cmp "$RUNNER_TEMP/s/metrics.csv" tests/golden/simulate_standard.csv',
             'echo \'{"scenario": "hierarchical", "seeds": [7, 4294967296]}\''

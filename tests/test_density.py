@@ -318,19 +318,24 @@ class TestWeights:
         assert (np.diff(p) >= 0).all() and (p > 0).all()
 
     def test_all_zero_ratios_raise_underflow(self):
-        # both densities vanish 50 bandwidths away from their support
-        model_p = fit_kde([0.0], 0.5)
-        model_q = fit_kde([0.0], 0.5)
-        (r,) = density_ratios(model_p, [model_q], [200.0, 201.0])
-        assert r.tolist() == [0.0, 0.0]
-        with pytest.raises(ValueError, match="density_underflow"):
-            weighted_p_values([200.0], r[:1], 201.0, r[1])
-
-    def test_floored_pool_density_keeps_ratio_finite(self):
+        # q sits 80 bandwidths from the queries: q/p = exp(-3200 ...) is 0 as a float
         model_p = fit_kde([0.0], 0.5)
         model_q = DensityModel(support_points=(40.0,), bandwidth=0.5)
+        (r,) = density_ratios(model_p, [model_q], [0.0, 0.5])
+        assert r.tolist() == [0.0, 0.0]
+        with pytest.raises(ValueError, match="density_underflow"):
+            weighted_p_values([0.0], r[:1], 0.5, r[1])
+
+    def test_ratio_beyond_float_range_is_inf_and_rejected(self):
+        # p(40) = exp(-3200) / c underflows; its log does not, and q/p = exp(3200)
+        model_p = fit_kde([0.0], 0.5)
+        model_q = DensityModel(support_points=(40.0,), bandwidth=0.5)
+        log_r = model_q.log_evaluate([40.0]) - model_p.log_evaluate([40.0])
+        assert log_r[0] == pytest.approx(3200.0, rel=1e-15)
         (r,) = density_ratios(model_p, [model_q], [40.0])
-        assert np.isfinite(r).all() and r[0] > 0
+        assert r.tolist() == [math.inf]
+        with pytest.raises(ValueError, match="density_underflow"):
+            weighted_p_values([0.0], [1.0], 40.0, r)
 
 
 class TestShiftEstimate:
@@ -351,6 +356,13 @@ def dense_evaluate(model, x):
     if arr.ndim == 0:
         return float(dens)
     return dens
+
+
+def python_log_sum(x, support, bandwidth):
+    """``log sum_i exp(-z_i**2 / 2)`` in Python floats, its largest exponent factored out."""
+    expos = [-0.5 * ((x - s) / bandwidth) ** 2 for s in support]
+    top = max(expos)
+    return top + math.log(math.fsum(math.exp(e - top) for e in expos))
 
 
 POOL = tuple(np.random.default_rng(7).normal(-1.0, 0.8, 127).tolist())
@@ -429,6 +441,33 @@ class TestBlockedEvaluate:
         assert peak < 8_000_000
 
 
+class TestLogEvaluate:
+    @pytest.mark.parametrize("model", MODELS)
+    def test_log_of_evaluate_where_the_density_is_a_normal_float(self, model):
+        x = np.random.default_rng(4).normal(-1.0, 2.0, 3 * B + 7)
+        dens = model.evaluate(x)
+        normal = dens >= np.finfo(float).tiny
+        assert normal.mean() > 0.9
+        got = model.log_evaluate(x)
+        assert got.shape == x.shape and np.isfinite(got).all()
+        assert np.abs(got[normal] - np.log(dens[normal])).max() <= 1e-12
+
+    def test_deep_tail_matches_python_log_sum(self):
+        support = [-1.0, -0.5, 0.25, 0.25]
+        model = DensityModel(support_points=support, bandwidth=0.5, scale=2.0, offset=1.0)
+        x = np.array([[20.0, -150.0], [1e4, -0.125]])
+        # all but -0.125 map more than 80 bandwidths out, where the density is 0
+        assert model.evaluate(x).tolist()[0] == [0.0, 0.0]
+        assert model.evaluate(x)[1, 0] == 0.0
+        log_norm = math.log(4 * 0.5 * math.sqrt(2.0 * math.pi))
+        want = [[python_log_sum(2.0 * v + 1.0, support, 0.5) - log_norm for v in row]
+                for row in x.tolist()]
+        got = model.log_evaluate(x)
+        assert got.shape == (2, 2)
+        assert got.ravel().tolist() == pytest.approx(sum(want, []), rel=1e-13)
+        assert model.log_evaluate(-0.125).shape == ()
+
+
 def logit_normal_pool(seed, m, n_majority=200):
     """A majority pool with a shifted minority of ``m`` appended, and its mask."""
     rng = np.random.default_rng(seed)
@@ -452,9 +491,11 @@ class TestWeightedRule:
             model_q = mean_shift(pool_eval, pool_eval[minority], 0.5)
         else:
             model_q = quantile_shift(pool_eval, pool_eval[minority], 0.5, 0.05)
-        (r_cal,) = density_ratios(model_p, [model_q], pool_eval)
-        (r_test,) = density_ratios(model_p, [model_q], to_eval(tests))
-        want = weighted_p_values(pool, r_cal, tests, r_test)
+        # the rule's ratios: exp(log q - log p), less the largest calibration log ratio
+        log_cal = model_q.log_evaluate(pool_eval) - model_p.log_evaluate(pool_eval)
+        log_test = model_q.log_evaluate(to_eval(tests)) - model_p.log_evaluate(to_eval(tests))
+        top = log_cal.max()
+        want = weighted_p_values(pool, np.exp(log_cal - top), tests, np.exp(log_test - top))
         rule = density.WeightedRule(pool, minority, 0.5, 0.05, (shift,), log_scale)
         (got,) = rule.p_values(tests)
         assert got.shape == (n_tests,)
@@ -483,7 +524,8 @@ class TestWeightedRule:
             # one node per bandwidth: the bound leaves many points to the exact rule
             monkeypatch.setattr(density, "_GRID_STEP", 1.0)
         else:
-            # log10 of the pool spans 300 units: the bound decides nothing
+            # log10 of the pool spans 300 units: the bound is loose enough to
+            # decide nothing
             pool[0] = 1e-300
         rule = density.WeightedRule(pool, minority, 0.5, 0.05, ("mean", "quantile"), True)
         opened = []
@@ -497,12 +539,54 @@ class TestWeightedRule:
         want = [p < 0.05 for p in rule.p_values(tests)]
         assert [f.tolist() for f in flags] == [w.tolist() for w in want]
         assert any(w.any() for w in want)
+        assert rule._grid.log_sum is not None
         if case == "coarse_grid":
-            assert rule._grid.log_sum is not None
             assert 0 < opened[0] < candidates
         else:
-            assert rule._grid.log_sum is None
             assert opened[0] == candidates
+
+
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_deep_tail_scores_keep_their_limit(self, seed):
+        # the 200 + 15 pool: a tiny score's own ratio q/p explodes, so its
+        # mass tends to 1, and it is not flagged however far out it lies
+        pool, minority, _ = logit_normal_pool(seed, 15)
+        rule = density.WeightedRule(pool, minority, 0.5, 0.05, ("mean", "quantile"), True)
+        tests = np.array([1e-2, 1e-5, 1e-10, 1e-25, 1e-30, 1e-60, 1e-200])
+        j = rule.ranks(tests)
+        for p, flag in zip(rule.p_values(tests), rule.flags(tests, j)):
+            assert not np.isnan(p).any()
+            assert flag.tolist() == (p < 0.05).tolist()
+            assert not flag[3:].any()
+            assert (p[3:] == 1.0).all()
+
+    @pytest.mark.parametrize("shift", ["mean", "quantile"])
+    def test_p_values_match_python_log_space_oracle(self, shift):
+        pool, minority, tests = logit_normal_pool(2, 5, n_majority=25)
+        tests = np.concatenate([tests[:40], [1e-2, 1e-5, 1e-10, 1e-25, 1e-30, 1e-60,
+                                             1e-200]])
+        rule = density.WeightedRule(pool, minority, 0.5, 0.05, (shift,), True)
+        (got,) = rule.p_values(tests)
+        (model,) = rule.models_q
+        support = rule.model_p.support_points.tolist()
+
+        def log_ratio(score):
+            x = math.log10(score)
+            return (python_log_sum(model.scale * x + model.offset, support, 0.5)
+                    - python_log_sum(x, support, 0.5))
+
+        log_cal = [log_ratio(s) for s in pool.tolist()]
+        top = max(log_cal)
+        weights = [math.exp(lr - top) for lr in log_cal]
+        total = math.fsum(weights)
+        want = []
+        for t in tests.tolist():
+            # past exp(709) the mass is 1.0 in floats
+            r = math.exp(min(log_ratio(t) - top, 709.0))
+            below = math.fsum(w for w, s in zip(weights, pool.tolist()) if s <= t)
+            want.append((r + below) / (r + total))
+        assert got.tolist() == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert got[-4:].tolist() == [1.0] * 4
 
 
 class TestLogGrid:
@@ -514,6 +598,9 @@ class TestLogGrid:
         log_scale=st.booleans(),
         where=st.lists(st.floats(-0.05, 1.05), max_size=200),
     )
+    # midway between the two points, 80 bandwidths from each, the density is 0
+    @example(scores=[1e-8, 1.0], duplicates=0, bandwidth=0.05, log_scale=True,
+             where=[0.5, 0.25])
     def test_read_within_error_of_exact_log_density(self, scores, duplicates, bandwidth,
                                                     log_scale, where):
         support = np.array(scores + scores[:duplicates])
@@ -525,37 +612,37 @@ class TestLogGrid:
         # the support points, then points across the grid and a little beyond it
         x = np.concatenate([support, lo + (hi - lo) * np.array(where)])
         y, usable = grid.read(x)
-        assert usable[:support.size].all()
-        model = fit_kde(support, bandwidth)
-        exact = np.log(model.evaluate(x[usable])) + math.log(
+        assert usable[:support.size].all() and usable[(x > lo) & (x < hi)].all()
+        assert not usable[(x < lo) | (x > hi)].any()
+        # exact log densities, also where the density itself underflows
+        exact = fit_kde(support, bandwidth).log_evaluate(x[usable]) + math.log(
             support.size * bandwidth * math.sqrt(2.0 * math.pi))
         assert (np.abs(y[usable] - exact) <= grid.error).all()
-        assert not usable[(x < lo) | (x > hi)].any()
 
 
-def corrupt_test_ratios(monkeypatch, value):
-    """The first test ratio of each model is ``value`` when the rule checks them.
+def corrupt_ratios(monkeypatch, value):
+    """The first calibration ratio of each model is ``value`` when the rule checks it.
 
-    Grid and exact test ratios both go through ``density._check_ratios``; the
-    calibration ratios are checked by ``conformal._weighted_table`` and stay
-    intact.
+    The rule's own ratios are ``exp`` of finite log ratios less their
+    maximum, so only a corrupted ratio reaches the checks of
+    ``conformal._weighted_table``, which ``weighted_p_values`` shares.
     """
-    check = density._check_ratios
+    build = density._weighted_table
 
-    def corrupted(*ratios):
-        for r in ratios:
-            if r.size:
-                r[0] = value
-        check(*ratios)
+    def corrupted(cal_values, cal_ratios):
+        cal_ratios[0] = value
+        return build(cal_values, cal_ratios)
 
-    monkeypatch.setattr(density, "_check_ratios", corrupted)
+    monkeypatch.setattr(density, "_weighted_table", corrupted)
 
 
 @pytest.mark.parametrize("value, code", [(math.nan, "density_underflow"),
                                          (-1.0, "negative_weight")])
 class TestTestRatioChecks:
+    """A bad ratio inside the weighted rule fails the run with its code."""
+
     def test_weighted_simulate_raises(self, monkeypatch, value, code):
-        corrupt_test_ratios(monkeypatch, value)
+        corrupt_ratios(monkeypatch, value)
         config = replace(default_config("weighted"), seeds=(1,), n_prompts=1, n_test=50,
                          minority_sizes=(15,), null_levels=(1,), threads=1)
         with pytest.raises(RuntimeError, match="cell_failure") as info:
@@ -563,7 +650,7 @@ class TestTestRatioChecks:
         assert code in str(info.value.__cause__)
 
     def test_weighted_detect_exits_2(self, tmp_path, monkeypatch, capsys, value, code):
-        corrupt_test_ratios(monkeypatch, value)
+        corrupt_ratios(monkeypatch, value)
         golden = Path(__file__).parent / "golden"
         assert main(["detect", str(golden / "detect_cal.csv"),
                      str(golden / "detect_test.csv"), "--method", "weighted",

@@ -314,11 +314,11 @@ class TestWeightedDensityCalls:
                            null_levels=(1, 4), max_level=6, minority_sizes=(5, 15),
                            threads=1)
         calls = []
-        evaluate = DensityModel.evaluate
+        log_evaluate = DensityModel.log_evaluate
 
-        def counting_evaluate(model, x):
+        def counting_log_evaluate(model, x):
             calls.append((model, np.size(x)))
-            return evaluate(model, x)
+            return log_evaluate(model, x)
 
         grids = []
         log_grid = density._LogGrid
@@ -327,7 +327,7 @@ class TestWeightedDensityCalls:
             grids.append(support.size)
             return log_grid(support, bandwidth)
 
-        monkeypatch.setattr(DensityModel, "evaluate", counting_evaluate)
+        monkeypatch.setattr(DensityModel, "log_evaluate", counting_log_evaluate)
         monkeypatch.setattr(density, "_LogGrid", counting_grid)
         run_scenario(cfg)
         flaggers = len(cfg.null_levels) * len(cfg.minority_sizes)
@@ -486,18 +486,25 @@ class TestStreamPlan:
                                  for prompt in range(1, cfg.n_prompts + 1) for key in plan})
         assert len(drawn) == streams
 
-    def test_empty_and_repeated_grid_entries(self):
-        # no null level plans no stream; a repeated level or seed draws its
-        # streams again, as the same cells
-        assert run_scenario(small_config(null_levels=())).cells == []
-        cfg = small_config(n_test=100, max_level=5)
-        one = Counter(cells_as_tuples(run_scenario(replace(cfg, null_levels=(1,)))))
-        four = Counter(cells_as_tuples(run_scenario(replace(cfg, null_levels=(4,)))))
-        repeated = run_scenario(replace(cfg, null_levels=(4, 1, 4)))
-        assert Counter(cells_as_tuples(repeated)) == one + four + four
-        twice = run_scenario(replace(cfg, null_levels=(1,), seeds=(2, 2)))
-        once = run_scenario(replace(cfg, null_levels=(1,), seeds=(2,)))
-        assert Counter(cells_as_tuples(twice)) == Counter(cells_as_tuples(once) * 2)
+    def test_empty_and_repeated_grid_entries(self, tmp_path, capsys):
+        # a repeated seed, level or size would run its cells again and count
+        # them twice, and no null level would write header-only metrics
+        cases = [("null_levels", (), "empty_null_levels"),
+                 ("null_levels", (4, 1, 4), "repeated_entries: null_levels"),
+                 ("seeds", (2, 2), "repeated_entries: seeds"),
+                 ("cal_sizes", (30, 200, 30), "repeated_entries: cal_sizes"),
+                 ("minority_sizes", (5, 5), "repeated_entries: minority_sizes")]
+        for name, value, code in cases:
+            cfg = small_config(**{name: value})
+            with pytest.raises(ValueError, match=code):
+                run_scenario(cfg)
+            path = tmp_path / f"{name}{len(value)}.json"
+            path.write_text(json.dumps(config_to_dict(cfg)), encoding="utf-8")
+            out = tmp_path / f"out_{name}{len(value)}"
+            assert main(["simulate", str(path), "--out", str(out)]) == 2
+            err = json.loads(capsys.readouterr().err.strip())
+            assert err["error"] == "invalid_config" and code in err["detail"]
+            assert not out.exists()
 
     def test_concurrent_runs_give_serial_bytes(self, tmp_path, monkeypatch):
         # two configs at once, each on more workers than cores, share no stream
@@ -678,10 +685,16 @@ class TestScenarioBehavior:
         with pytest.raises(ValueError):
             cfg.validate()
 
-    def test_degenerate_weighted_cell_fails_loudly_with_context(self):
-        # a subgroup collapsed to the numeric floor drives every importance
-        # ratio to zero; the cell must error, not silently stop flagging
+    def test_subgroup_tied_at_the_score_floor_is_never_flagged(self):
+        # every minority score, in calibration and in test, is the floor 1e-300,
+        # so a test score ties all 15 minority calibration scores: the
+        # minority-only p is 1, the pooled one 16/216, and both weighted rules
+        # put all the calibration mass on the ties, so their p is 1 too
         cfg = small_config(scenario="weighted", minority_sizes=(15,), seeds=(1,),
                            n_test=100, minority_logit_shift=-5000.0)
-        with pytest.raises(RuntimeError, match=r"cell_failure at seed=1 prompt=1"):
-            run_scenario(cfg)
+        report = run_scenario(cfg)
+        assert Counter(c.method for c in report.cells) == {
+            "in_dist": 6, "combined_unweighted": 6, "weighted_mean": 6,
+            "weighted_quantile": 6}
+        assert all(c.fpr == 0.0 and c.power == 0.0 and not c.excluded
+                   for c in report.cells)
