@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -18,12 +17,7 @@ import numpy as np
 from . import io as io_mod
 from . import simulate as sim_mod
 from .bleu import bleu_of_texts
-from .conformal import (
-    hierarchical_cutoff,
-    hierarchical_p_values,
-    standard_cutoff,
-    standard_p_values,
-)
+from .conformal import hierarchical_p_values, standard_p_values
 from .density import WeightedRule
 from .io import ScoreTable, ValidationError
 
@@ -94,13 +88,15 @@ def _require_column(table: ScoreTable, name: str) -> tuple:
     return column
 
 
-def _rank_diagnostics(size_name: str, size: int, cutoff: float) -> dict:
+def _rank_diagnostics(size_name: str, size: int, alpha: float) -> dict:
     """What a rank rule's calibration allows: its size, smallest p, and whether it can flag.
 
     Both rank rules give ``1/(size + 1)`` at rank 0 (``size`` is n, or K
-    groups), and flag nothing when their cutoff is ``-inf``.
+    groups), and p never falls with the rank, so they can flag exactly when
+    that p is at most alpha.
     """
-    return {size_name: size, "min_p": 1.0 / (size + 1), "can_flag": cutoff > -math.inf}
+    min_p = 1.0 / (size + 1)
+    return {size_name: size, "min_p": min_p, "can_flag": min_p <= alpha}
 
 
 def cmd_detect(args) -> int:
@@ -119,8 +115,7 @@ def cmd_detect(args) -> int:
     if args.method == "standard":
         p = standard_p_values(cal, tests)
         flagged = p <= alpha
-        diagnostics.update(_rank_diagnostics("n_calibration", cal.size,
-                                             standard_cutoff(cal, alpha)))
+        diagnostics.update(_rank_diagnostics("n_calibration", cal.size, alpha))
 
     elif args.method == "hierarchical":
         by_group: dict[str, list[int]] = {}
@@ -130,8 +125,7 @@ def cmd_detect(args) -> int:
         groups = [cal[idx] for idx in by_group.values()]
         p = hierarchical_p_values(groups, tests)
         flagged = p <= alpha
-        diagnostics.update(_rank_diagnostics("n_groups", len(groups),
-                                             hierarchical_cutoff(groups, alpha)))
+        diagnostics.update(_rank_diagnostics("n_groups", len(groups), alpha))
 
     else:  # weighted
         minority = np.array(

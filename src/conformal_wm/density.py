@@ -35,7 +35,7 @@ SIGMA_FLOOR = 1e-8
 
 _GAUSS_NORM = math.sqrt(2.0 * math.pi)
 
-# Bytes per (rows, N) buffer in DensityModel.evaluate: with its chunk header
+# Bytes per (rows, N) buffer in _log_kernel_sums: with its chunk header
 # under glibc's initial 128 KiB mmap threshold, so buffers reuse heap memory.
 _BLOCK_BYTES = 128 * 1024 - 64
 
@@ -140,21 +140,11 @@ class DensityModel:
         if not self.scale > 0:
             raise ValueError(f"scale_not_positive: {self.scale}")
 
-    def evaluate(self, x):
-        """Density at ``x``: a float for a scalar, else an array of ``x``'s shape.
-
-        The sum over support points is exact, not binned (:func:`_kernel_sums`).
-        """
-        arr = np.asarray(x, dtype=float)
-        dens, _ = _kernel_sums((self.scale * arr + self.offset).ravel(),
-                               self.support_points, self.bandwidth)
-        dens /= self.support_points.size * self.bandwidth * _GAUSS_NORM
-        if arr.ndim == 0:
-            return float(dens[0])
-        return dens.reshape(arr.shape)
-
     def log_evaluate(self, x) -> np.ndarray:
-        """``log`` of :meth:`evaluate` as an array of ``x``'s shape, finite at finite ``x``."""
+        """Log density at ``x`` as an array of ``x``'s shape, finite at finite ``x``.
+
+        The sum over support points is exact, not binned (:func:`_log_kernel_sums`).
+        """
         arr = np.asarray(x, dtype=float)
         log_sums, _ = _log_kernel_sums((self.scale * arr + self.offset).ravel(),
                                        self.support_points, self.bandwidth)
@@ -162,16 +152,19 @@ class DensityModel:
         return log_sums.reshape(arr.shape)
 
 
-def _kernel_sums(query: np.ndarray, support: np.ndarray, bandwidth: float,
-                 with_moment: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
-    """``sum_i k_i`` at each query, with ``k_i = exp(-z_i**2 / 2)``, ``z_i = (x - s_i) / h``.
+def _log_kernel_sums(query: np.ndarray, support: np.ndarray, bandwidth: float,
+                     with_moment: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """``log sum_i k_i`` at each query, with ``k_i = exp(-z_i**2 / 2)``, ``z_i = (x - s_i) / h``.
 
-    With ``with_moment`` the second array is ``sum_i z_i * k_i``, else None.
-    Queries are taken :func:`_block_rows` at a time through two (block, N)
-    buffers of at most ``_BLOCK_BYTES`` each (one row if a row is larger),
-    allocated per call, so memory does not grow with the number of queries.
-    Each row sees the same operations in the same order as the dense form
-    ``exp(-0.5 * z * z).sum(axis=-1)``, and so gets the same bits.
+    With ``with_moment`` the second array is ``sum_i z_i k_i / sum_i k_i``,
+    else None. Queries go :func:`_block_rows` at a time through two (block,
+    N) buffers of at most ``_BLOCK_BYTES`` each (one row if a row is larger),
+    so memory does not grow with the number of queries. Each row's sum sees
+    the operations of the dense ``exp(-0.5 * z * z).sum(axis=-1)`` in the
+    same order, and so gets its bits. A sum below the smallest normal double
+    is taken again with its largest exponent ``e`` factored out, as
+    ``e + log sum_i (k_i / exp(e))``, so every log sum is finite and as
+    accurate as a normal float's.
     """
     sums = np.empty(query.size)
     moments = np.empty(query.size) if with_moment else None
@@ -190,22 +183,8 @@ def _kernel_sums(query: np.ndarray, support: np.ndarray, bandwidth: float,
         if with_moment:
             zb *= kb
             zb.sum(axis=-1, out=moments[start:start + block.size])
-    return sums, moments
-
-
-def _log_kernel_sums(query: np.ndarray, support: np.ndarray, bandwidth: float,
-                     with_moment: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
-    """``log sum_i k_i`` at each query, and with ``with_moment`` ``sum_i z_i k_i / sum_i k_i``.
-
-    Both come from :func:`_kernel_sums`. A sum below the smallest normal
-    double (far from every support point) is taken again with its largest
-    exponent ``e`` factored out, as ``e + log sum_i (k_i / exp(e))``, so
-    every log sum is finite and as accurate as a normal float's.
-    """
-    sums, moments = _kernel_sums(query, support, bandwidth, with_moment)
     low = np.flatnonzero(sums < np.finfo(float).tiny)
     tops = np.zeros(query.size)
-    rows = _block_rows(support.size)
     for start in range(0, low.size, rows):
         idx = low[start:start + rows]
         z = (query[idx, np.newaxis] - support) / bandwidth
@@ -458,9 +437,6 @@ class WeightedRule:
         self.tables = [_weighted_table(pool, np.exp(log_r - top))
                        for log_r, top in zip(log_ratios, self._tops)]
 
-    def ranks(self, values) -> np.ndarray:
-        return self.tables[0].ranks(values)
-
     def _p_values(self, values: np.ndarray, j: np.ndarray) -> list[np.ndarray]:
         log_ratios = _log_ratios(self.model_p, self.models_q, self._to_eval(values))
         return [_masses(table, j, log_r - top)
@@ -469,15 +445,15 @@ class WeightedRule:
     def p_values(self, values) -> list[np.ndarray]:
         """Each model's weighted mass at every test score."""
         values = np.asarray(values, dtype=float)
-        return self._p_values(values, self.ranks(values))
+        return self._p_values(values, self.tables[0].ranks(values))
 
     @cached_property
     def _grid(self) -> _LogGrid:
         """The pool KDE's log-density grid; each q-model reads it through its affine map."""
         return _LogGrid(self.model_p.support_points, self.model_p.bandwidth)
 
-    def flags(self, values: np.ndarray, j: np.ndarray) -> list[np.ndarray]:
-        """Each model's ``mass < alpha`` at test scores ``values`` of ranks ``j``.
+    def flags(self, values: np.ndarray) -> list[np.ndarray]:
+        """Each model's ``mass < alpha`` at test scores ``values``.
 
         Each flag equals the exact rule's, in three steps. Densities matter
         only at the points some table's screen keeps; the others are
@@ -485,6 +461,7 @@ class WeightedRule:
         :meth:`_grid_flags` decides the flags its bound proves. The points it
         leaves open get the exact p-values of :meth:`p_values`.
         """
+        j = self.tables[0].ranks(values)
         cand = np.zeros(j.shape, dtype=bool)
         for table in self.tables:
             cand |= table.screen(j, self.alpha)

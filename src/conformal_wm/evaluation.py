@@ -16,8 +16,8 @@ diagnostic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from statistics import fmean
 from typing import Iterable
 
 MIN_OUTLIER_PROPORTION = 0.05
@@ -122,16 +122,16 @@ def aggregate(cells: Iterable[CellResult]) -> MetricsReport:
         by_seed = []
         for seed in sorted({c.seed for c in kept}):
             seed_cells = [c for c in kept if c.seed == seed]
-            by_seed.append((seed, fmean(c.fpr for c in seed_cells),
-                            fmean(c.power for c in seed_cells)))
+            by_seed.append((seed, math.fsum(c.fpr for c in seed_cells) / len(seed_cells),
+                            math.fsum(c.power for c in seed_cells) / len(seed_cells)))
         rows.append(
             AggregateRow(
                 method=method,
                 null_prompt=null_p,
                 alt_prompt=alt_p,
                 cal_size=size,
-                fpr=fmean(fpr for _, fpr, _ in by_seed),
-                power=fmean(power for _, _, power in by_seed),
+                fpr=math.fsum(fpr for _, fpr, _ in by_seed) / len(by_seed),
+                power=math.fsum(power for _, _, power in by_seed) / len(by_seed),
                 n_cells=len(kept),
                 n_outliers_total=sum(c.n_outliers for c in kept),
                 by_seed=tuple(by_seed),

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import numbers
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Mapping
@@ -266,6 +265,10 @@ class ExperimentConfig:
                 raise ValueError(f"repeated_entries: {name}={values}")
         if self.n_test < 1 or self.n_prompts < 1 or self.k_groups < 1:
             raise ValueError("invalid_counts")
+        if self.threads is not None and (not isinstance(self.threads, numbers.Integral)
+                                         or isinstance(self.threads, bool)
+                                         or self.threads < 1):
+            raise ValueError(f"invalid_thread_cap: {self.threads!r}")
         if not 2 <= self.max_level <= 7:
             raise ValueError(f"max_level_out_of_range: {self.max_level}")
         for lvl in self.null_levels:
@@ -314,14 +317,15 @@ def default_config(scenario: str = "standard") -> ExperimentConfig:
 
 def resolve_threads(config: ExperimentConfig) -> int:
     if config.threads is not None:
-        return max(1, int(config.threads))
+        return config.threads
     env = os.environ.get(THREADS_ENV_VAR, "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValueError(f"invalid_thread_cap: {env!r}") from exc
-    return 1
+    try:
+        threads = int(env or 1)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"invalid_thread_cap: {env!r}")
+    return threads
 
 
 # ---------------------------------------------------------------------------
@@ -559,8 +563,7 @@ def _weighted_flagger(config: ExperimentConfig, pool: np.ndarray, minority: np.n
         return {
             "in_dist": values < in_dist,
             "combined_unweighted": values < unweighted,
-            **dict(zip(("weighted_mean", "weighted_quantile"),
-                       rule.flags(values, rule.ranks(values)))),
+            **dict(zip(("weighted_mean", "weighted_quantile"), rule.flags(values))),
         }
 
     return flags
@@ -658,6 +661,7 @@ def run_scenario(config: ExperimentConfig) -> MetricsReport:
 
     threads = resolve_threads(config)
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only threaded runs load it
         with ThreadPoolExecutor(max_workers=threads) as pool:
             chunks = list(pool.map(work, tasks))
     else:

@@ -12,7 +12,7 @@ import pytest
 
 import conformal_wm
 from conformal_wm.cli import main
-from conformal_wm.density import DensityModel
+from conformal_wm.density import DensityModel, WeightedRule
 from conformal_wm import io as io_mod
 from conformal_wm import simulate as sim_mod
 from conformal_wm.evaluation import CellResult, MetricsReport, aggregate
@@ -189,6 +189,24 @@ class TestDetectCommand:
         assert shift["branch"] == "min"
         assert shift["minority_size"] == 8
 
+    def test_weighted_log_scale_off(self, tmp_path):
+        golden = Path(__file__).parent / "golden"
+        cal_path, test_path = str(golden / "detect_cal.csv"), str(golden / "detect_test.csv")
+        out = tmp_path / "out"
+        assert main(["detect", cal_path, test_path, "--method", "weighted",
+                     "--log-scale", "off", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["extra"]["shift"]["log_scale"] is False
+        cal, tests = ingest(cal_path), ingest(test_path)
+        minority = np.array([pop == "minority" for pop in cal.population])
+        rules = [WeightedRule(cal.score, minority, 0.5, 0.05, ("quantile",), log_scale)
+                 for log_scale in (False, True)]
+        (want,), (on,) = (rule.p_values(tests.score) for rule in rules)
+        with (out / "decisions.csv").open(newline="", encoding="utf-8") as fh:
+            got = np.array([float(row["conformal_p"]) for row in csv.DictReader(fh)])
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() != on.tobytes()
+
     @pytest.mark.parametrize("n_tests", [1, 25])
     def test_weighted_evaluates_each_kde_a_fixed_number_of_times(
             self, tmp_path, monkeypatch, n_tests):
@@ -263,6 +281,10 @@ class TestDetectCommand:
             ' > "$RUNNER_TEMP/big_seed.json"',
             'conformal-wm simulate "$RUNNER_TEMP/big_seed.json" --out "$RUNNER_TEMP/b"',
             'cmp "$RUNNER_TEMP/b/metrics.csv" tests/golden/simulate_hierarchical_big_seed.csv',
+            'echo \'{"scenario": "weighted"}\' > "$RUNNER_TEMP/weighted.json"',
+            'conformal-wm simulate "$RUNNER_TEMP/weighted.json" --seed 1'
+            ' --out "$RUNNER_TEMP/ws"',
+            'cmp "$RUNNER_TEMP/ws/metrics.csv" tests/golden/simulate_weighted_seed1.csv',
             "conformal-wm bleu README.md README.md",
         ]
         # once more on numpy's baseline SIMD path, where exp and log round
@@ -653,6 +675,37 @@ class TestSimulateCommand:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "invalid_config"
         assert "invalid_thread_cap" in err["detail"]
+
+    @pytest.mark.parametrize("threads, args, detail", [
+        # each of these once ran with a truncated or clamped cap (2 workers
+        # for 2.5, 1 for the others), and the manifest recorded another value
+        (2.5, [], "invalid_thread_cap: 2.5"),
+        (True, [], "invalid_thread_cap: True"),
+        (0, [], "invalid_thread_cap: 0"),
+        (None, ["--threads", "0"], "invalid_thread_cap: 0"),
+        (None, ["--threads", "-2"], "invalid_thread_cap: -2"),
+    ])
+    def test_thread_cap_not_a_positive_int_exits_2(self, tmp_path, capsys, threads, args,
+                                                   detail):
+        cfg = write(tmp_path, "config.json", json.dumps(dict(SMALL_CONFIG, threads=threads)))
+        out = tmp_path / "r"
+        assert main(["simulate", cfg, *args, "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "invalid_config"
+        assert detail in err["detail"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("env", ["0", "-3"])
+    def test_threads_env_var_below_one_is_invalid_config(self, tmp_path, capsys,
+                                                         monkeypatch, env):
+        monkeypatch.setenv(sim_mod.THREADS_ENV_VAR, env)
+        cfg = write(tmp_path, "config.json", json.dumps(SMALL_CONFIG))
+        out = tmp_path / "r"
+        assert main(["simulate", cfg, "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "invalid_config"
+        assert f"invalid_thread_cap: {env!r}" in err["detail"]
+        assert not out.exists()
 
     def test_config_validated_once_per_command(self, tmp_path, monkeypatch):
         calls = []

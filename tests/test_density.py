@@ -36,9 +36,14 @@ log_points = st.lists(
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2 fallback
 
 
+def kde_at(model, x):
+    """The model's density at ``x``, from its log density."""
+    return np.exp(model.log_evaluate(x))
+
+
 def kde_integral(model, lo, hi, n=40001):
     grid = np.linspace(lo, hi, n)
-    return float(_trapezoid(model.evaluate(grid), grid))
+    return float(_trapezoid(kde_at(model, grid), grid))
 
 
 class TestFitKde:
@@ -46,13 +51,13 @@ class TestFitKde:
         # (1/h) * standard normal density at 0, with h = 0.5
         model = fit_kde([0.0], 0.5)
         expected = 2.0 / math.sqrt(2.0 * math.pi)
-        assert model.evaluate(0.0) == pytest.approx(expected, abs=1e-9)
-        assert model.evaluate(0.0) == pytest.approx(0.7978845608, abs=1e-9)
+        assert float(kde_at(model, 0.0)) == pytest.approx(expected, abs=1e-9)
+        assert float(kde_at(model, 0.0)) == pytest.approx(0.7978845608, abs=1e-9)
 
     def test_symmetric_support_gives_symmetric_density(self):
         model = fit_kde([-1.0, 1.0], 0.7)
         for c in (0.3, 1.2, 2.5):
-            assert model.evaluate(c) == model.evaluate(-c)
+            assert kde_at(model, c) == kde_at(model, -c)
 
     @given(points=log_points,
            bandwidth=st.floats(min_value=0.05, max_value=2.0, allow_nan=False))
@@ -65,7 +70,7 @@ class TestFitKde:
 
     @given(points=log_points, x=st.floats(-20, 20, allow_nan=False))
     def test_nonnegative_everywhere(self, points, x):
-        assert fit_kde(points, 0.5).evaluate(x) >= 0.0
+        assert kde_at(fit_kde(points, 0.5), x) >= 0.0
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="empty_support"):
@@ -201,7 +206,7 @@ class TestMeanShift:
         assert model.scale == 1.0 and model.offset == 0.0
         base = fit_kde(logs, 0.5)
         for x in (-1.5, 0.2, 3.0):
-            assert model.evaluate(x) == base.evaluate(x)
+            assert kde_at(model, x) == kde_at(base, x)
 
     def test_pure_location_shift(self):
         pool = [-1.0, 1.0]        # mean 0, std 1
@@ -209,7 +214,8 @@ class TestMeanShift:
         model = mean_shift(pool, minority, 0.5)
         base = fit_kde(pool, 0.5)
         for x in (-2.0, -0.5, 0.0, 1.0):
-            assert model.evaluate(x) == pytest.approx(base.evaluate(x + 2.0), abs=1e-15)
+            assert float(kde_at(model, x)) == pytest.approx(float(kde_at(base, x + 2.0)),
+                                                            abs=1e-15)
 
     def test_wider_minority_compresses_queries(self):
         pool = [-1.0, 1.0]       # std 1
@@ -217,12 +223,12 @@ class TestMeanShift:
         model = mean_shift(pool, minority, 0.5)
         assert model.scale == 0.5
         base = fit_kde(pool, 0.5)
-        assert model.evaluate(1.0) == pytest.approx(base.evaluate(0.5), abs=1e-15)
+        assert float(kde_at(model, 1.0)) == pytest.approx(float(kde_at(base, 0.5)), abs=1e-15)
 
     def test_constant_minority_hits_sigma_floor(self):
         model = mean_shift([-1.0, 0.0, 1.0], [0.5, 0.5], 0.5)
         assert model.shift.sigma_q == 1e-8
-        assert math.isfinite(model.evaluate(0.49))
+        assert math.isfinite(kde_at(model, 0.49))
 
     def test_empty_minority_rejected(self):
         with pytest.raises(ValueError, match="empty_minority"):
@@ -345,17 +351,16 @@ class TestShiftEstimate:
                           sigma_p=0.0, sigma_q=1.0)
 
 
-def dense_evaluate(model, x):
-    """One-shot T x N evaluation; the blocked kernel must match it bit for bit."""
-    arr = np.asarray(x, dtype=float)
-    query = model.scale * arr + model.offset
-    support = np.asarray(model.support_points, dtype=float)
-    z = (query[..., np.newaxis] - support) / model.bandwidth
-    dens = np.exp(-0.5 * z * z).sum(axis=-1)
-    dens /= support.size * model.bandwidth * math.sqrt(2.0 * math.pi)
-    if arr.ndim == 0:
-        return float(dens)
-    return dens
+def dense_sums(model, x):
+    """One-shot T x N kernel sums; the blocked kernel's sums must match them bit for bit."""
+    query = model.scale * np.asarray(x, dtype=float) + model.offset
+    z = (query[..., np.newaxis] - model.support_points) / model.bandwidth
+    return np.exp(-0.5 * z * z).sum(axis=-1)
+
+
+def log_norm(model):
+    """``log(N h sqrt(2 pi))``, the KDE's normalizing constant."""
+    return math.log(model.support_points.size * model.bandwidth * math.sqrt(2.0 * math.pi))
 
 
 def python_log_sum(x, support, bandwidth):
@@ -363,6 +368,24 @@ def python_log_sum(x, support, bandwidth):
     expos = [-0.5 * ((x - s) / bandwidth) ** 2 for s in support]
     top = max(expos)
     return top + math.log(math.fsum(math.exp(e - top) for e in expos))
+
+
+def assert_matches_dense_oracle(model, x, got):
+    """``got`` is ``model.log_evaluate(x)``, checked against the dense sums.
+
+    Where a dense sum is a normal float, ``got`` is its log less the
+    normalizing constant, bit for bit. Elsewhere the density underflows,
+    and ``got`` is the Python log sum's.
+    """
+    sums = dense_sums(model, x)
+    assert got.shape == sums.shape
+    normal = sums >= np.finfo(float).tiny
+    assert got[normal].tobytes() == (np.log(sums[normal]) - log_norm(model)).tobytes()
+    query = (model.scale * np.asarray(x, dtype=float) + model.offset)[~normal]
+    support = model.support_points.tolist()
+    want = [python_log_sum(q, support, model.bandwidth) - log_norm(model)
+            for q in query.tolist()]
+    assert got[~normal].tolist() == pytest.approx(want, rel=1e-13)
 
 
 POOL = tuple(np.random.default_rng(7).normal(-1.0, 0.8, 127).tolist())
@@ -377,29 +400,25 @@ MODELS = (
 class TestBlockedEvaluate:
     def test_scalar_returns_identical_float(self):
         model = MODELS[1]
-        got = model.evaluate(-0.7)
-        assert type(got) is float
-        assert got == dense_evaluate(model, -0.7)
+        got = model.log_evaluate(-0.7)
+        assert got.shape == () and got.dtype == np.float64
+        assert_matches_dense_oracle(model, -0.7, got)
 
     def test_empty_array(self):
-        got = MODELS[0].evaluate(np.array([]))
+        got = MODELS[0].log_evaluate(np.array([]))
         assert got.shape == (0,)
-        assert np.array_equal(got, dense_evaluate(MODELS[0], np.array([])))
+        assert_matches_dense_oracle(MODELS[0], np.array([]), got)
 
     @pytest.mark.parametrize("model", MODELS)
     @pytest.mark.parametrize("t", [1, B - 1, B, B + 1, 3 * B + 7])
     def test_lengths_around_block_size(self, model, t):
         x = np.random.default_rng(t).normal(-1.0, 2.0, t)
-        got = model.evaluate(x)
-        assert got.shape == (t,)
-        assert np.array_equal(got, dense_evaluate(model, x))
+        assert_matches_dense_oracle(model, x, model.log_evaluate(x))
 
     @pytest.mark.parametrize("model", MODELS)
     def test_two_dimensional_input_keeps_shape(self, model):
         x = np.random.default_rng(3).normal(-1.0, 2.0, (5, B // 2 + 3))
-        got = model.evaluate(x)
-        assert got.shape == x.shape
-        assert np.array_equal(got, dense_evaluate(model, x))
+        assert_matches_dense_oracle(model, x, model.log_evaluate(x))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -417,8 +436,8 @@ class TestBlockedEvaluate:
         model = DensityModel(support_points=tuple(support), bandwidth=bandwidth,
                              scale=scale, offset=offset)
         with mock.patch.object(density, "_BLOCK_BYTES", block_bytes):
-            got = model.evaluate(queries)
-        assert np.array_equal(got, dense_evaluate(model, queries))
+            got = model.log_evaluate(queries)
+        assert_matches_dense_oracle(model, queries, got)
 
     @pytest.mark.parametrize("n", [1, 2, 215, 1075, 16_377, 20_000])
     def test_block_buffers_stay_under_mmap_threshold(self, n):
@@ -431,10 +450,10 @@ class TestBlockedEvaluate:
         # A dense 20,000 x 500 float64 temporary alone would take 80 MB.
         model = fit_kde(np.linspace(-3.0, 1.0, 500), 0.5)
         x = np.linspace(-6.0, 3.0, 20_000)
-        model.evaluate(x[:1])
+        model.log_evaluate(x[:1])
         tracemalloc.start()
         try:
-            model.evaluate(x)
+            model.log_evaluate(x)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -444,23 +463,22 @@ class TestBlockedEvaluate:
 class TestLogEvaluate:
     @pytest.mark.parametrize("model", MODELS)
     def test_log_of_evaluate_where_the_density_is_a_normal_float(self, model):
+        # the log of the dense density, bit for bit, and finite everywhere
         x = np.random.default_rng(4).normal(-1.0, 2.0, 3 * B + 7)
-        dens = model.evaluate(x)
-        normal = dens >= np.finfo(float).tiny
+        normal = dense_sums(model, x) >= np.finfo(float).tiny
         assert normal.mean() > 0.9
         got = model.log_evaluate(x)
-        assert got.shape == x.shape and np.isfinite(got).all()
-        assert np.abs(got[normal] - np.log(dens[normal])).max() <= 1e-12
+        assert np.isfinite(got).all()
+        assert_matches_dense_oracle(model, x, got)
 
     def test_deep_tail_matches_python_log_sum(self):
         support = [-1.0, -0.5, 0.25, 0.25]
         model = DensityModel(support_points=support, bandwidth=0.5, scale=2.0, offset=1.0)
         x = np.array([[20.0, -150.0], [1e4, -0.125]])
         # all but -0.125 map more than 80 bandwidths out, where the density is 0
-        assert model.evaluate(x).tolist()[0] == [0.0, 0.0]
-        assert model.evaluate(x)[1, 0] == 0.0
-        log_norm = math.log(4 * 0.5 * math.sqrt(2.0 * math.pi))
-        want = [[python_log_sum(2.0 * v + 1.0, support, 0.5) - log_norm for v in row]
+        assert (dense_sums(model, x) == 0.0).tolist() == [[True, True], [True, False]]
+        assert (kde_at(model, x) == 0.0).tolist() == [[True, True], [True, False]]
+        want = [[python_log_sum(2.0 * v + 1.0, support, 0.5) - log_norm(model) for v in row]
                 for row in x.tolist()]
         got = model.log_evaluate(x)
         assert got.shape == (2, 2)
@@ -508,10 +526,10 @@ class TestWeightedRule:
         pool, minority, tests = logit_normal_pool(seed, m)
         rule = density.WeightedRule(pool, minority, 0.5, 0.05, ("mean", "quantile"), True)
         assert rule.models_q[1].shift.branch == branch
-        j = rule.ranks(tests)
-        flags = rule.flags(tests, j)
+        flags = rule.flags(tests)
         want = [p < 0.05 for p in rule.p_values(tests)]
         assert [f.tolist() for f in flags] == [w.tolist() for w in want]
+        j = rule.tables[0].ranks(tests)
         # some points are flagged, and the screen drops some others
         assert any(w.any() for w in want)
         assert not (rule.tables[0].screen(j, 0.05) | rule.tables[1].screen(j, 0.05)).all()
@@ -532,8 +550,8 @@ class TestWeightedRule:
         exact = rule._p_values
         monkeypatch.setattr(rule, "_p_values",
                             lambda values, j: opened.append(values.size) or exact(values, j))
-        j = rule.ranks(tests)
-        flags = rule.flags(tests, j)
+        flags = rule.flags(tests)
+        j = rule.tables[0].ranks(tests)
         candidates = np.count_nonzero(rule.tables[0].screen(j, 0.05)
                                       | rule.tables[1].screen(j, 0.05))
         want = [p < 0.05 for p in rule.p_values(tests)]
@@ -553,8 +571,7 @@ class TestWeightedRule:
         pool, minority, _ = logit_normal_pool(seed, 15)
         rule = density.WeightedRule(pool, minority, 0.5, 0.05, ("mean", "quantile"), True)
         tests = np.array([1e-2, 1e-5, 1e-10, 1e-25, 1e-30, 1e-60, 1e-200])
-        j = rule.ranks(tests)
-        for p, flag in zip(rule.p_values(tests), rule.flags(tests, j)):
+        for p, flag in zip(rule.p_values(tests), rule.flags(tests)):
             assert not np.isnan(p).any()
             assert flag.tolist() == (p < 0.05).tolist()
             assert not flag[3:].any()

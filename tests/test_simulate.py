@@ -661,6 +661,21 @@ class TestScenarioBehavior:
         assert in_dist and all(c.fpr == 0.0 for c in in_dist)
         assert all(c.power in (None, 0.0) for c in in_dist)
 
+    def test_alt_threshold_population_moves_only_the_outlier_labels(self):
+        # "alt" takes the labeling threshold from the violating edits' own
+        # similarities: the null sets and their flags stay, the labels move
+        cfg = small_config(seeds=(1,), n_prompts=2, n_test=1000)
+        null = run_scenario(cfg).cells
+        alt = run_scenario(replace(cfg, outlier_threshold_population="alt")).cells
+        assert len(alt) == len(null) == 24
+        for a, n in zip(alt, null):
+            assert (a.method, a.alt_prompt, a.cal_size, a.prompt) == \
+                (n.method, n.alt_prompt, n.cal_size, n.prompt)
+            assert np.float64(a.fpr).tobytes() == np.float64(n.fpr).tobytes()
+            assert a.n_outliers != n.n_outliers
+            # below the midpoint 0.05-quantile of 1,000 similarities lie at most 50
+            assert a.n_outliers <= 50
+
     def test_outlier_mask_matches_classify(self):
         rng = np.random.default_rng(11)
         bleu_null = rng.beta(8, 2, 200)
