@@ -1,7 +1,7 @@
 """Edit-similarity scoring between an original essay and its edited version.
 
-Used only on the simulation side to grade how invasive an edit was; a
-grader never sees student drafts, so nothing here enters a live decision.
+Backs only the ``bleu`` command; ``simulate`` draws similarities from Beta
+surrogates instead. No grader sees drafts, so none of it enters a decision.
 
 The score is clipped unigram/bigram precision of the edited text against
 the original, combined geometrically with equal weights and a brevity

@@ -50,8 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", default=".", help="output directory")
     p_sim.add_argument("--seed", type=int, default=None,
                        help="run a single seed instead of the configured list")
-    p_sim.add_argument("--threads", type=int, default=None,
-                       help="worker thread cap (overrides CONFORMAL_WM_THREADS)")
+    p_sim.add_argument("--threads", type=int, default=1,
+                       help="worker thread cap; it never changes an output byte")
 
     p_bleu = sub.add_parser("bleu", help="similarity of a candidate text to a reference")
     p_bleu.add_argument("reference_path")
@@ -181,12 +181,10 @@ def cmd_simulate(args) -> int:
         inputs = {"config": path}
     if args.seed is not None:
         config = replace(config, seeds=(args.seed,))
-    if args.threads is not None:
-        config = replace(config, threads=args.threads)
     # run_scenario validates first and wraps cell failures in RuntimeError, so a
-    # ValueError is a config fault (the threads env var stands in for a field)
+    # ValueError is a config or thread-cap fault
     try:
-        report = sim_mod.run_scenario(config)
+        report = sim_mod.run_scenario(config, args.threads)
     except ValueError as exc:
         raise ValidationError("invalid_config", detail=str(exc))
 
@@ -199,16 +197,14 @@ def cmd_simulate(args) -> int:
     io_mod.write_metrics_json(metrics_json, report, config.scenario)
     io_mod.write_plot_csv(plot_csv, report, config.scenario)
     # the thread cap never changes an output byte, so it stays out of the hash
-    params = sim_mod.config_to_dict(config)
-    threads = params.pop("threads")
     manifest = io_mod.build_manifest(
         command="simulate",
-        params=params,
+        params=sim_mod.config_to_dict(config),
         seeds=config.seeds,
         inputs=inputs,
         outputs={"metrics.csv": metrics_csv, "metrics.json": metrics_json,
                  "plot_data.csv": plot_csv},
-        extra={"scenario": config.scenario, "threads": threads},
+        extra={"scenario": config.scenario, "threads": args.threads},
     )
     io_mod.write_manifest(manifest, out_dir / "manifest.json")
     return 0

@@ -227,6 +227,12 @@ def mean_shift(
                           float(np.mean(minority)), float(np.mean(pool)))
 
 
+def check_quantile_alpha(alpha: float) -> None:
+    """Raise ``alpha_out_of_range`` unless 0 < alpha < 0.5: the shift may anchor at 2 alpha."""
+    if not 0.0 < alpha < 0.5:
+        raise ValueError(f"alpha_out_of_range: {alpha}")
+
+
 def quantile_shift(
     pool_logs: Sequence[float],
     minority_logs: Sequence[float],
@@ -248,8 +254,7 @@ def quantile_shift(
     bulk.
     """
     pool, minority = _samples(pool_logs, minority_logs)
-    if not 0.0 < alpha < 0.5:
-        raise ValueError(f"alpha_out_of_range: {alpha}")
+    check_quantile_alpha(alpha)
     m = minority.size
     # Branch conditions are m <= 1/(2a) and m <= 1/a, written multiplicatively
     # so integer boundaries (e.g. m=10 at alpha=0.05) are decided exactly.

@@ -125,6 +125,8 @@ def _validate_row(raw: tuple, line: int, seen_ids: set) -> tuple:
     seen_ids.add(essay_id)
 
     try:
+        if isinstance(raw_score, bool):  # float() would read a JSON true as 1.0
+            raise TypeError
         score = float(raw_score)
     except (TypeError, ValueError):
         raise ValidationError("invalid_score", detail=repr(raw_score), line=line,
@@ -149,7 +151,7 @@ def _validate_row(raw: tuple, line: int, seen_ids: set) -> tuple:
     intensity = None
     if intensity_raw not in (None, ""):
         try:
-            intensity = int(intensity_raw)
+            intensity = int(str(intensity_raw))  # as a CSV cell: JSON 2.7, 3.0, true fail
         except (TypeError, ValueError):
             raise ValidationError("invalid_edit_intensity", detail=repr(intensity_raw),
                                   line=line, field_name="edit_intensity") from None

@@ -36,7 +36,6 @@ key.
 from __future__ import annotations
 
 import numbers
-import os
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Mapping
@@ -44,11 +43,9 @@ from typing import Mapping
 import numpy as np
 
 from .conformal import hierarchical_cutoff, standard_cutoff
-from .density import WeightedRule
+from .density import WeightedRule, check_quantile_alpha
 from .evaluation import CellResult, MetricsReport, aggregate, is_excluded
 from .labeling import bleu_quantile_threshold, outlier_mask
-
-THREADS_ENV_VAR = "CONFORMAL_WM_THREADS"
 
 FAMILIES = ("uniform01", "logit_normal", "beta", "mixture")
 SCENARIOS = ("standard", "hierarchical", "weighted")
@@ -212,7 +209,6 @@ class ExperimentConfig:
     bleu_means: tuple[float, ...] = (0.96, 0.90, 0.84, 0.78, 0.70, 0.60, 0.25)
     bleu_concentration: float = 40.0
     outlier_threshold_population: str = "null"  # "null" or "alt"
-    threads: int | None = None
     distributions: Mapping[tuple[str, int], ScoreDistribution] = field(default_factory=dict)
 
     @cached_property
@@ -240,7 +236,7 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         for f in fields(self):
-            if f.name in ("threads", "distributions"):
+            if f.name == "distributions":
                 continue
             value, many = getattr(self, f.name), isinstance(f.default, tuple)
             kind = _KINDS[type(f.default[0] if many else f.default)]
@@ -251,6 +247,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown_scenario: {self.scenario}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha_out_of_range: {self.alpha}")
+        if self.scenario == "weighted":  # every pool also fits the quantile shift
+            check_quantile_alpha(self.alpha)
         for name, sizes in (("cal_sizes", self.cal_sizes),
                             ("minority_sizes", self.minority_sizes)):
             if not sizes or any(int(s) < 1 for s in sizes):
@@ -265,10 +263,6 @@ class ExperimentConfig:
                 raise ValueError(f"repeated_entries: {name}={values}")
         if self.n_test < 1 or self.n_prompts < 1 or self.k_groups < 1:
             raise ValueError("invalid_counts")
-        if self.threads is not None and (not isinstance(self.threads, numbers.Integral)
-                                         or isinstance(self.threads, bool)
-                                         or self.threads < 1):
-            raise ValueError(f"invalid_thread_cap: {self.threads!r}")
         if not 2 <= self.max_level <= 7:
             raise ValueError(f"max_level_out_of_range: {self.max_level}")
         for lvl in self.null_levels:
@@ -313,19 +307,6 @@ class ExperimentConfig:
 
 def default_config(scenario: str = "standard") -> ExperimentConfig:
     return ExperimentConfig(scenario=scenario)
-
-
-def resolve_threads(config: ExperimentConfig) -> int:
-    if config.threads is not None:
-        return config.threads
-    env = os.environ.get(THREADS_ENV_VAR, "").strip()
-    try:
-        threads = int(env or 1)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ValueError(f"invalid_thread_cap: {env!r}")
-    return threads
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +356,7 @@ class _Streams:
 def _sample_bleu(config: ExperimentConfig, intensity: int,
                  rng: np.random.Generator, n: int) -> np.ndarray:
     mean, conc = config.bleu_means[intensity - 1], config.bleu_concentration
-    return np.clip(rng.beta(mean * conc, (1.0 - mean) * conc, n), 0.0, 1.0)
+    return rng.beta(mean * conc, (1.0 - mean) * conc, n)
 
 
 # ---------------------------------------------------------------------------
@@ -636,13 +617,15 @@ def config_from_dict(data: Mapping) -> ExperimentConfig:
     return ExperimentConfig(distributions=dists, **kwargs)
 
 
-def run_scenario(config: ExperimentConfig) -> MetricsReport:
+def run_scenario(config: ExperimentConfig, threads: int = 1) -> MetricsReport:
     """Run every (seed, prompt) task of the configured scenario and aggregate.
 
-    The config is validated first (ValueError). Tasks are independent; with
-    a thread cap above one they run on a pool, and results are folded in
-    task order either way. A failing task raises RuntimeError.
+    The thread cap and the config are validated first (ValueError). Tasks
+    are independent; with a cap above one they run on a pool, and results
+    are folded in task order either way. A failing task raises RuntimeError.
     """
+    if not isinstance(threads, numbers.Integral) or isinstance(threads, bool) or threads < 1:
+        raise ValueError(f"invalid_thread_cap: {threads!r}")
     config.validate()
     # every substream is seeded before any task runs, and only read after
     plan = _task_plan(config)
@@ -659,7 +642,6 @@ def run_scenario(config: ExperimentConfig) -> MetricsReport:
             raise RuntimeError(f"cell_failure at seed={seed_streams.seed} "
                                f"prompt={prompt}") from exc
 
-    threads = resolve_threads(config)
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor  # only threaded runs load it
         with ThreadPoolExecutor(max_workers=threads) as pool:

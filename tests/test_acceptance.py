@@ -20,7 +20,7 @@ from conformal_wm.conformal import hierarchical_p_values, standard_p_values, wei
 from conformal_wm.bleu import TokenizedText, bleu
 from conformal_wm.density import density_ratios, fit_kde, quantile_shift
 from conformal_wm.evaluation import CellResult, is_excluded
-from conformal_wm.simulate import THREADS_ENV_VAR, default_config, run_scenario
+from conformal_wm.simulate import default_config, run_scenario
 
 ALPHA = 0.05
 R = 10_000
@@ -226,17 +226,13 @@ def test_criterion_09_exclusion_rule_boundaries():
         assert dropped.excluded
 
 
-def test_criterion_10_simulate_outputs_reproducible(tmp_path, monkeypatch):
+def test_criterion_10_simulate_outputs_reproducible(tmp_path):
     """Default-config runs are byte-identical, across thread caps included."""
     with criterion(10, "deterministic simulation outputs"):
         outputs = {}
-        for name, cap in (("a", None), ("b", None), ("c", "4")):
-            if cap is None:
-                monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
-            else:
-                monkeypatch.setenv(THREADS_ENV_VAR, cap)
+        for name, cap in (("a", []), ("b", ["--threads", "1"]), ("c", ["--threads", "4"])):
             out = tmp_path / name
-            assert main(["simulate", "--out", str(out)]) == 0
+            assert main(["simulate", *cap, "--out", str(out)]) == 0
             outputs[name] = {
                 f: (out / f).read_bytes()
                 for f in ("metrics.csv", "metrics.json", "plot_data.csv")

@@ -277,6 +277,8 @@ class TestDetectCommand:
             " <(cut -d, -f1,3 tests/golden/detect_weighted_mean.csv)",
             'conformal-wm simulate --out "$RUNNER_TEMP/s"',
             'cmp "$RUNNER_TEMP/s/metrics.csv" tests/golden/simulate_standard.csv',
+            'conformal-wm simulate --threads 2 --out "$RUNNER_TEMP/s2"',
+            'cmp "$RUNNER_TEMP/s2/metrics.csv" tests/golden/simulate_standard.csv',
             'echo \'{"scenario": "hierarchical", "seeds": [7, 4294967296]}\''
             ' > "$RUNNER_TEMP/big_seed.json"',
             'conformal-wm simulate "$RUNNER_TEMP/big_seed.json" --out "$RUNNER_TEMP/b"',
@@ -667,27 +669,36 @@ class TestSimulateCommand:
         assert detail in err["detail"]
         assert not out.exists()
 
-    def test_bad_threads_env_var_is_invalid_config(self, tmp_path, capsys, monkeypatch):
-        # the env var stands in for the config's threads field
-        monkeypatch.setenv(sim_mod.THREADS_ENV_VAR, "many")
+    def test_threads_env_var_is_ignored(self, tmp_path, monkeypatch):
+        # --threads is the cap's one input; the variable that once set it is not read
         cfg = write(tmp_path, "config.json", json.dumps(SMALL_CONFIG))
-        assert main(["simulate", cfg, "--out", str(tmp_path / "r")]) == 2
-        err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"] == "invalid_config"
-        assert "invalid_thread_cap" in err["detail"]
+        monkeypatch.delenv("CONFORMAL_WM_THREADS", raising=False)
+        runs = []
+        for env in (None, "many"):
+            if env is not None:
+                monkeypatch.setenv("CONFORMAL_WM_THREADS", env)
+            out = tmp_path / f"r{len(runs)}"
+            assert main(["simulate", cfg, "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            runs.append(({f: (out / f).read_bytes()
+                          for f in ("metrics.csv", "metrics.json", "plot_data.csv")},
+                         manifest["run_hash"], manifest["extra"]["threads"]))
+        assert runs[0] == runs[1]
+        assert runs[1][2] == 1
 
     @pytest.mark.parametrize("threads, args, detail", [
-        # each of these once ran with a truncated or clamped cap (2 workers
-        # for 2.5, 1 for the others), and the manifest recorded another value
-        (2.5, [], "invalid_thread_cap: 2.5"),
-        (True, [], "invalid_thread_cap: True"),
-        (0, [], "invalid_thread_cap: 0"),
+        # a config's threads key was a second input for the cap; it is now
+        # rejected by name whatever its value, never ignored
+        (2.5, [], "unknown_config_key: threads"),
+        (True, [], "unknown_config_key: threads"),
+        (0, [], "unknown_config_key: threads"),
         (None, ["--threads", "0"], "invalid_thread_cap: 0"),
         (None, ["--threads", "-2"], "invalid_thread_cap: -2"),
     ])
     def test_thread_cap_not_a_positive_int_exits_2(self, tmp_path, capsys, threads, args,
                                                    detail):
-        cfg = write(tmp_path, "config.json", json.dumps(dict(SMALL_CONFIG, threads=threads)))
+        config = SMALL_CONFIG if threads is None else dict(SMALL_CONFIG, threads=threads)
+        cfg = write(tmp_path, "config.json", json.dumps(config))
         out = tmp_path / "r"
         assert main(["simulate", cfg, *args, "--out", str(out)]) == 2
         err = json.loads(capsys.readouterr().err.strip())
@@ -695,17 +706,30 @@ class TestSimulateCommand:
         assert detail in err["detail"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("env", ["0", "-3"])
-    def test_threads_env_var_below_one_is_invalid_config(self, tmp_path, capsys,
-                                                         monkeypatch, env):
-        monkeypatch.setenv(sim_mod.THREADS_ENV_VAR, env)
-        cfg = write(tmp_path, "config.json", json.dumps(SMALL_CONFIG))
+    @pytest.mark.parametrize("alpha", [0.5, 0.7])
+    def test_weighted_alpha_the_quantile_shift_cannot_take_exits_2(self, tmp_path, capsys,
+                                                                  monkeypatch, alpha):
+        # every task once failed in quantile_shift, and the run exited 1 as internal
+        def no_cells(*args):
+            raise AssertionError("a task ran")
+
+        monkeypatch.setattr(sim_mod, "_cells", no_cells)
+        cfg = write(tmp_path, "config.json",
+                    json.dumps({"scenario": "weighted", "alpha": alpha}))
         out = tmp_path / "r"
         assert main(["simulate", cfg, "--out", str(out)]) == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "invalid_config"
-        assert f"invalid_thread_cap: {env!r}" in err["detail"]
+        assert f"alpha_out_of_range: {alpha}" in err["detail"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("scenario", ["standard", "hierarchical"])
+    def test_rank_scenarios_run_at_alpha_one_half(self, tmp_path, scenario):
+        cfg = write(tmp_path, "config.json",
+                    json.dumps(dict(SMALL_CONFIG, scenario=scenario, alpha=0.5)))
+        out = tmp_path / "r"
+        assert main(["simulate", cfg, "--out", str(out)]) == 0
+        assert json.loads((out / "metrics.json").read_text())["cells"]
 
     def test_config_validated_once_per_command(self, tmp_path, monkeypatch):
         calls = []

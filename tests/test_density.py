@@ -661,7 +661,7 @@ class TestTestRatioChecks:
     def test_weighted_simulate_raises(self, monkeypatch, value, code):
         corrupt_ratios(monkeypatch, value)
         config = replace(default_config("weighted"), seeds=(1,), n_prompts=1, n_test=50,
-                         minority_sizes=(15,), null_levels=(1,), threads=1)
+                         minority_sizes=(15,), null_levels=(1,))
         with pytest.raises(RuntimeError, match="cell_failure") as info:
             run_scenario(config)
         assert code in str(info.value.__cause__)

@@ -20,7 +20,9 @@ from conformal_wm import io as io_mod
 from conformal_wm.io import ValidationError, ingest
 
 # ---------------------------------------------------------------------------
-# Oracle: the row-by-row ingest, kept verbatim apart from returning lines
+# Oracle: the row-by-row ingest, kept verbatim apart from returning lines and
+# from rejecting the JSON types a CSV cell cannot hold (a bool score, a bool or
+# float intensity)
 # ---------------------------------------------------------------------------
 
 
@@ -35,6 +37,8 @@ def _oracle_validate_row(raw: dict, line: int, seen_ids: set) -> tuple:
 
     raw_score = raw.get("score")
     try:
+        if isinstance(raw_score, bool):
+            raise TypeError
         score = float(raw_score)
     except (TypeError, ValueError):
         raise ValidationError("invalid_score", detail=repr(raw_score), line=line,
@@ -61,6 +65,8 @@ def _oracle_validate_row(raw: dict, line: int, seen_ids: set) -> tuple:
     intensity = None
     if intensity_raw not in (None, ""):
         try:
+            if isinstance(intensity_raw, (bool, float)):
+                raise TypeError
             intensity = int(intensity_raw)
         except (TypeError, ValueError):
             raise ValidationError("invalid_edit_intensity", detail=repr(intensity_raw),
@@ -200,6 +206,28 @@ def test_json_case_matches_oracle(tmp_path, name):
     path = tmp_path / "table.json"
     path.write_text(json.dumps(JSON_CASES[name]), encoding="utf-8")
     assert_parity(path, "json")
+
+
+@pytest.mark.parametrize("field, value, code", [
+    ("score", True, "invalid_score"),
+    ("score", False, "invalid_score"),
+    ("edit_intensity", 2.7, "invalid_edit_intensity"),
+    ("edit_intensity", 2.0, "invalid_edit_intensity"),
+    ("edit_intensity", True, "invalid_edit_intensity"),
+])
+def test_json_value_a_csv_cell_cannot_hold_is_rejected(tmp_path, field, value, code):
+    # a bool score was once read as 1.0 or 0.0, and a float or bool intensity cut
+    # to an int; the CSV cells 2.7 and 3.0 fail too
+    rows = [{"essay_id": "e1", "score": 0.5, "role": "test", "edit_intensity": 3},
+            {"essay_id": "e2", "score": 0.5, "role": "test", field: value}]
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(rows), encoding="utf-8")
+    with pytest.raises(ValidationError) as err:
+        ingest(path)
+    assert (err.value.code, err.value.line, err.value.field_name) == (code, 2, field)
+    assert err.value.detail == repr(value)
+    path.write_text(json.dumps(rows[:1]), encoding="utf-8")
+    assert ingest(path).edit_intensity == (3,)
 
 
 def test_lines_are_physical_end_lines(tmp_path):

@@ -18,13 +18,11 @@ from conformal_wm.density import DensityModel
 from conformal_wm.io import canonical_json, sha256_text
 from conformal_wm.simulate import (
     ScoreDistribution,
-    THREADS_ENV_VAR,
     config_from_dict,
     config_to_dict,
     default_config,
     logit_shift,
     outlier_mask,
-    resolve_threads,
     run_scenario,
 )
 
@@ -242,9 +240,8 @@ class TestConfig:
         ("weighted", "fa71ae64a46b03178c79c3e4b2be38357c33b212ede2e84b66a936a0d1a887be"),
     ])
     def test_default_config_hash_pinned(self, scenario, digest):
-        # the manifest's config_hash of the default config; threads stays unhashed
+        # the manifest's config_hash of the default config
         params = config_to_dict(default_config(scenario))
-        params.pop("threads")
         assert sha256_text(canonical_json(params)) == digest
 
     def test_unknown_key_rejected(self):
@@ -269,14 +266,17 @@ class TestConfig:
             cfg.validate()
 
     def test_threads_resolution(self, monkeypatch):
-        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
-        assert resolve_threads(default_config()) == 1
-        monkeypatch.setenv(THREADS_ENV_VAR, "6")
-        assert resolve_threads(default_config()) == 6
-        assert resolve_threads(replace(default_config(), threads=2)) == 2
-        monkeypatch.setenv(THREADS_ENV_VAR, "many")
-        with pytest.raises(ValueError, match="invalid_thread_cap"):
-            resolve_threads(default_config())
+        # the cap is run_scenario's argument alone, checked before any task runs
+        with pytest.raises(ValueError, match="unknown_config_key: threads"):
+            config_from_dict({"threads": 2})
+
+        def no_cells(*args):
+            raise AssertionError("a task ran")
+
+        monkeypatch.setattr(simulate, "_cells", no_cells)
+        for cap in (0, -1, 2.5, True, "2", None):
+            with pytest.raises(ValueError, match=f"invalid_thread_cap: {cap!r}"):
+                run_scenario(default_config(), cap)
 
 
 class TestDeterminism:
@@ -284,14 +284,12 @@ class TestDeterminism:
         cfg = small_config()
         assert cells_as_tuples(run_scenario(cfg)) == cells_as_tuples(run_scenario(cfg))
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
+    def test_thread_count_does_not_change_results(self):
         cfg = small_config(seeds=(1, 2, 3))
-        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
         serial = cells_as_tuples(run_scenario(cfg))
-        threaded = cells_as_tuples(run_scenario(replace(cfg, threads=4)))
-        monkeypatch.setenv(THREADS_ENV_VAR, "3")
-        via_env = cells_as_tuples(run_scenario(cfg))
-        assert serial == threaded == via_env
+        threaded = cells_as_tuples(run_scenario(cfg, threads=4))
+        three = cells_as_tuples(run_scenario(cfg, 3))
+        assert serial == threaded == three
 
     def test_weighted_outputs_identical_across_thread_caps(self, tmp_path):
         cfg = small_config(scenario="weighted", seeds=(1, 2), n_prompts=2, n_test=300,
@@ -311,8 +309,7 @@ class TestDeterminism:
 class TestWeightedDensityCalls:
     def test_pool_density_evaluated_once_per_point_set(self, monkeypatch):
         cfg = small_config(scenario="weighted", seeds=(1,), n_prompts=1, n_test=50,
-                           null_levels=(1, 4), max_level=6, minority_sizes=(5, 15),
-                           threads=1)
+                           null_levels=(1, 4), max_level=6, minority_sizes=(5, 15))
         calls = []
         log_evaluate = DensityModel.log_evaluate
 
@@ -347,8 +344,7 @@ class TestWeightedDensityCalls:
 class TestWeightedTables:
     def test_pool_tables_built_once_per_flagger(self, monkeypatch):
         cfg = small_config(scenario="weighted", seeds=(1,), n_prompts=2, n_test=50,
-                           null_levels=(1, 4), max_level=6, minority_sizes=(5, 15),
-                           threads=1)
+                           null_levels=(1, 4), max_level=6, minority_sizes=(5, 15))
         built = Counter()
         # the flagger's cutoffs build the standard tables, its WeightedRule
         # the weighted ones
@@ -382,7 +378,7 @@ class TestRankKernelCalls:
     @pytest.mark.parametrize("scenario", ["standard", "hierarchical"])
     def test_one_kernel_call_per_calibration_on_joined_sets(self, monkeypatch, scenario):
         cfg = small_config(scenario=scenario, seeds=(1,), n_prompts=2, n_test=50,
-                           null_levels=(1, 4), max_level=6, threads=1)
+                           null_levels=(1, 4), max_level=6)
         kernel = f"{scenario}_cutoff"
         calibrations_seen, joined_sets = [], []
 
@@ -423,8 +419,7 @@ class TestRankKernelCalls:
 
     def test_weighted_flaggers_rank_sorted_test_sets(self, monkeypatch):
         cfg = small_config(scenario="weighted", seeds=(1,), n_prompts=2, n_test=50,
-                           minority_sizes=(5, 15), null_levels=(1, 4), max_level=6,
-                           threads=1)
+                           minority_sizes=(5, 15), null_levels=(1, 4), max_level=6)
         draw_tests, calibrations, ranks, *plan = simulate._SCENARIO_RUNNERS["weighted"]
         joined_sets = []
 
@@ -506,10 +501,9 @@ class TestStreamPlan:
             assert err["error"] == "invalid_config" and code in err["detail"]
             assert not out.exists()
 
-    def test_concurrent_runs_give_serial_bytes(self, tmp_path, monkeypatch):
+    def test_concurrent_runs_give_serial_bytes(self, tmp_path):
         # two configs at once, each on more workers than cores, share no stream
         # table; a short switch interval interleaves their threads finely
-        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
         configs = {
             "big_seed": small_config(scenario="hierarchical", seeds=(7, 2**32), n_prompts=2,
                                      n_test=100, null_levels=(1, 4)),
@@ -548,7 +542,7 @@ class TestWeightedScreen:
         # m = 5, 15 and 30 take quantile_shift's min, 2alpha and alpha branches
         cfg = small_config(scenario="weighted", seeds=(1,), n_prompts=2, n_test=300,
                            minority_sizes=(5, 15, 30), null_levels=(1, 4),
-                           log_scale=log_scale, threads=1)
+                           log_scale=log_scale)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config_to_dict(cfg)), encoding="utf-8")
         queried = []
