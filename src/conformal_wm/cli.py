@@ -18,7 +18,7 @@ from . import io as io_mod
 from . import simulate as sim_mod
 from .bleu import bleu_of_texts
 from .conformal import hierarchical_p_values, standard_p_values
-from .density import WeightedRule
+from .density import WeightedRule, check_quantile_alpha
 from .io import ScoreTable, ValidationError
 
 
@@ -103,9 +103,14 @@ def cmd_detect(args) -> int:
     cal_table = _require_role(io_mod.ingest(args.cal_path), "calibration", args.cal_path)
     test_table = _require_role(io_mod.ingest(args.test_path), "test", args.test_path)
     alpha = args.alpha
-    if not 0.0 < alpha < 1.0:
+    try:  # before any fit: the quantile shift's bound is density's
+        if not 0.0 < alpha < 1.0:
+            raise ValueError
+        if args.method == "weighted" and args.shift == "quantile":
+            check_quantile_alpha(alpha)
+    except ValueError:
         raise ValidationError("alpha_out_of_range", detail=repr(alpha),
-                              field_name="alpha")
+                              field_name="alpha") from None
     use_log = args.log_scale == "on"
     extra: dict = {"method": args.method, "alpha": alpha}
     diagnostics = {"edit_intensity_levels": sorted(set(cal_table.edit_intensity) - {None})}

@@ -116,7 +116,7 @@ def _validate_row(raw: tuple, line: int, seen_ids: set) -> tuple:
     Returns the cleaned values in the same order.
     """
     essay_id, raw_score, role, group_id, population, intensity_raw = raw
-    essay_id = str(essay_id or "").strip()
+    essay_id = "" if essay_id is None else str(essay_id).strip()  # JSON 0 is an id
     if not essay_id:
         raise ValidationError("missing_essay_id", line=line, field_name="essay_id")
     if essay_id in seen_ids:
@@ -127,7 +127,7 @@ def _validate_row(raw: tuple, line: int, seen_ids: set) -> tuple:
     try:
         if isinstance(raw_score, bool):  # float() would read a JSON true as 1.0
             raise TypeError
-        score = float(raw_score)
+        score = float(str(raw_score))  # as a CSV cell: a huge JSON int reads as inf
     except (TypeError, ValueError):
         raise ValidationError("invalid_score", detail=repr(raw_score), line=line,
                               field_name="score") from None
@@ -197,11 +197,12 @@ def _csv_values(path: Path) -> Iterator[tuple[tuple, int]]:
 
 def _json_values(path: Path) -> Iterator[tuple[tuple, int]]:
     """``(values, index)`` per JSON array element, values in column order."""
+    text = path.read_text(encoding="utf-8")
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        payload = json.loads(text)
+    except ValueError as exc:  # a JSONDecodeError, or an int of too many digits
         raise ValidationError("parse_error", detail=str(exc),
-                              line=exc.lineno) from None
+                              line=getattr(exc, "lineno", None)) from None
     if not isinstance(payload, list):
         raise ValidationError("schema_violation", detail="expected a JSON array")
     for i, raw in enumerate(payload, start=1):

@@ -1,10 +1,10 @@
 """PCG64 streams seeded from many ``SeedSequence`` keys at once.
 
-``seed_states`` gives each key's ``SeedSequence(key).generate_state(4,
-np.uint64)``, the seed PCG64 draws from its seed sequence, computed with
-numpy's own hash on uint32 arrays for all keys in one pass. ``generator``
-builds the stream from such a row, so a ``Generator`` costs no
-``SeedSequence``. Importing this module loads ``numpy.random``.
+``seed_states`` gives each row of uint32 words (``int_words`` splits an int
+key part into them) the seed PCG64 draws from ``SeedSequence(words)``, by
+numpy's own hash on all rows in one pass. ``generator`` builds the stream
+from such a seed, so a ``Generator`` costs no ``SeedSequence``. Importing
+this module loads ``numpy.random``.
 """
 
 from __future__ import annotations
@@ -21,12 +21,21 @@ def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
     return np.array([init * pow(mult, j, 2**32) % 2**32 for j in range(n + 1)], np.uint32)
 
 
-def _pool_states(words: np.ndarray) -> np.ndarray:
+def int_words(value) -> list[int]:
+    """The 32-bit little-endian words ``SeedSequence`` reads an int >= 0 as (0 is one word)."""
+    value = int(value)
+    return [value >> s & 0xFFFFFFFF for s in range(0, max(value.bit_length(), 1), 32)]
+
+
+def seed_states(words: np.ndarray) -> np.ndarray:
     """Row i is ``SeedSequence(words[i]).generate_state(4, np.uint64)``.
 
     SeedSequence's own hash, on uint32 arrays whose products wrap as its do:
-    each step runs on every row at once. Rows hold at least four words.
+    each step runs on every row at once. ``words`` is a 2-D uint32 array of
+    at least four columns; a wider dtype's products would not wrap at 2**32.
     """
+    if words.ndim != 2 or words.dtype != np.uint32 or words.shape[1] < 4:
+        raise ValueError(f"seed_words_not_uint32: {words.dtype} {words.shape}")
     n = words.shape[1]
     c = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * (n - 4))
 
@@ -47,25 +56,6 @@ def _pool_states(words: np.ndarray) -> np.ndarray:
     k = _hash_consts(_INIT_B, _MULT_B, 8)
     out = (np.tile(pool, 2) ^ k[:8]) * k[1:]
     return (out ^ (out >> 16)).view("<u8").astype(np.uint64, copy=False)
-
-
-def seed_states(keys: np.ndarray) -> np.ndarray:
-    """Row i is ``SeedSequence(list(keys[i])).generate_state(4, np.uint64)``.
-
-    ``keys`` is a 2-D array of nonnegative ints (an object array holds ints
-    of any size). A list's ints are read as 32-bit little-endian words (0 as
-    one word); keys of equally many words are hashed in one pass.
-    """
-    if keys.dtype != object and keys.max(initial=0) < 2**32:  # one word per part
-        return _pool_states(keys.astype(np.uint32))
-    packed = [b"".join(v.to_bytes(4 * max(1, (v.bit_length() + 31) // 32), "little")
-                       for v in key) for key in keys.tolist()]
-    states = np.empty((len(packed), 4), dtype=np.uint64)
-    for size in set(map(len, packed)):
-        rows = [i for i, b in enumerate(packed) if len(b) == size]
-        words = np.frombuffer(b"".join(packed[i] for i in rows), dtype="<u4")
-        states[rows] = _pool_states(words.reshape(len(rows), -1).astype(np.uint32))
-    return states
 
 
 class SeedRow(ISeedSequence):

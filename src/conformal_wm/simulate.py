@@ -28,16 +28,16 @@ weighted scenario, whose weighted rules rank them, sorts each test set.
 All randomness is derived from counter-style substreams, each keyed by
 ``SeedSequence`` on (seed, prompt, levels, size, stream role), so results
 are bit-identical across runs and across worker thread counts. A run seeds
-every substream of a seed in one batch before any task runs: one numpy
-pass (``seeding``) computes the PCG64 seed ``SeedSequence`` would give each
-key.
+every substream of a seed before any task runs, and ``validate`` its
+dominance probes, each in one ``seeding.seed_states`` pass over the keys'
+uint32 words: the PCG64 seeds ``SeedSequence`` would give, for any seed.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Mapping
 
 import numpy as np
@@ -289,15 +289,16 @@ class ExperimentConfig:
     def _check_intensity_dominance(self) -> None:
         # Higher intensity must push scores stochastically lower; checked
         # empirically on a fixed probe stream before any cell is run.
+        from . import seeding
+
+        levels = range(1, self.max_level + 1)
+        states = iter(seeding.seed_states(np.array(
+            [(_ENTROPY_BASE, 999, intensity, population == "minority")
+             for population in self.populations() for intensity in levels], np.uint32)))
         for population in self.populations():
-            medians = []
-            for intensity in range(1, self.max_level + 1):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([_ENTROPY_BASE, 999, intensity,
-                                            0 if population == "majority" else 1]))
-                values = _sample_values(
-                    self.distribution_for(population, intensity), _DOMINANCE_PROBE_N, rng)
-                medians.append(float(np.median(values)))
+            medians = [float(np.median(_sample_values(
+                self.distribution_for(population, intensity), _DOMINANCE_PROBE_N,
+                seeding.generator(next(states))))) for intensity in levels]
             for lo, hi in zip(medians[1:], medians[:-1]):
                 if lo > hi * 1.02 + 1e-12:
                     raise ValueError(
@@ -340,13 +341,14 @@ class _Streams:
     def __init__(self, seed: int, n_prompts: int, plan: dict):
         from . import seeding  # only simulate runs need it, and it loads numpy.random
 
-        keys = np.empty((n_prompts, len(plan), 7), dtype=np.int64 if seed < 2**63 else object)
-        keys[..., :2] = _ENTROPY_BASE, int(seed)
-        keys[..., 2] = np.arange(1, n_prompts + 1)[:, None]
-        keys[..., 3:] = np.reshape([(null, alt, i, _STREAMS[role])
-                                    for null, alt, i, role in plan], (-1, 4))
+        head = [_ENTROPY_BASE, *seeding.int_words(seed)]  # a big seed takes several words
+        words = np.empty((n_prompts, len(plan), len(head) + 5), dtype=np.uint32)
+        words[..., :-5] = head
+        words[..., -5] = np.arange(1, n_prompts + 1)[:, None]
+        words[..., -4:] = [(null, alt, i, _STREAMS[role]) for null, alt, i, role in plan]
         self.seed, self.plan, self.generator = seed, plan, seeding.generator
-        self.states = seeding.seed_states(keys.reshape(-1, 7)).reshape(n_prompts, len(plan), 4)
+        self.states = seeding.seed_states(words.reshape(n_prompts * len(plan), -1)).reshape(
+            n_prompts, len(plan), 4)
 
     def __call__(self, prompt: int, null: int, alt: int, size_idx: int,
                  role: str) -> np.random.Generator:
@@ -378,10 +380,8 @@ def _label_alt_set(config: ExperimentConfig, streams: _Streams, prompt: int, nul
     n = test_values.size
     bleu_null = _sample_bleu(config, null, streams(prompt, null, alt, 0, "bleu_null"), n)
     bleu_alt = _sample_bleu(config, alt, streams(prompt, null, alt, 0, "bleu_alt"), n)
-    if config.outlier_threshold_population == "null":
-        threshold = bleu_quantile_threshold(bleu_null, config.alpha)
-    else:
-        threshold = bleu_quantile_threshold(bleu_alt, config.alpha)
+    by_null = config.outlier_threshold_population == "null"
+    threshold = bleu_quantile_threshold(bleu_null if by_null else bleu_alt, config.alpha)
     mask = outlier_mask(bleu_null, bleu_alt, threshold)
     n_out = int(np.count_nonzero(mask))
     if ranks:  # cells only count flags, so order is free, and sorted keys rank faster
@@ -482,11 +482,6 @@ def _hierarchical_test_set(config: ExperimentConfig, streams: _Streams, prompt: 
     return logit_shift(_test_set(config, streams, prompt, null, alt), effects)
 
 
-def _minority_test_set(config: ExperimentConfig, streams: _Streams, prompt: int,
-                       null: int, alt: int) -> np.ndarray:
-    return _test_set(config, streams, prompt, null, alt, "minority")
-
-
 def _standard_calibrations(config: ExperimentConfig, streams: _Streams, prompt: int,
                            null: int):
     null_dist = config.distribution_for("majority", null)
@@ -573,8 +568,8 @@ _SCENARIO_RUNNERS = {
     "hierarchical": (_hierarchical_test_set, _hierarchical_calibrations, False,
                      ("test", "test_effects"),
                      (("cal", "cal_sizes"), ("cal_effects", "cal_sizes"))),
-    "weighted": (_minority_test_set, _weighted_calibrations, True, ("test",),
-                 (("cal", None), ("minority_cal", "minority_sizes"))),
+    "weighted": (partial(_test_set, population="minority"), _weighted_calibrations, True,
+                 ("test",), (("cal", None), ("minority_cal", "minority_sizes"))),
 }
 
 

@@ -146,6 +146,28 @@ class TestDetectCommand:
             err = json.loads(capsys.readouterr().err.strip())
             assert err["error"] == "alpha_out_of_range"
 
+    @pytest.mark.parametrize("alpha", ["0.5", "0.7"])
+    def test_quantile_shift_alpha_bound_exits_2_before_any_fit(self, tmp_path, capsys,
+                                                              monkeypatch, alpha):
+        # it once exited 2 as invalid_input, and only after fitting the rule
+        golden = Path(__file__).parent / "golden"
+        cal, test = str(golden / "detect_cal.csv"), str(golden / "detect_test.csv")
+        out = tmp_path / "out"
+
+        def no_fit(*args):
+            raise AssertionError("the rule was fitted")
+
+        monkeypatch.setattr(conformal_wm.cli, "WeightedRule", no_fit)
+        assert main(["detect", cal, test, "--method", "weighted", "--shift", "quantile",
+                     "--alpha", alpha, "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "alpha_out_of_range", "detail": alpha, "field": "alpha"}
+        assert not out.exists()
+        # the mean shift takes alpha in [0.5, 1)
+        monkeypatch.undo()
+        assert main(["detect", cal, test, "--method", "weighted", "--shift", "mean",
+                     "--alpha", alpha, "--out", str(out)]) == 0
+
     def test_hierarchical_missing_group_id_exits_2(self, tmp_path, capsys):
         cal = write(tmp_path, "cal.csv",
                     "essay_id,score,role,group_id\nc1,0.1,calibration,g1\n"
@@ -264,6 +286,13 @@ class TestDetectCommand:
             "conformal-wm detect tests/golden/detect_cal.csv tests/golden/detect_test.csv"
             ' --method standard --out "$RUNNER_TEMP/d"',
             'cmp "$RUNNER_TEMP/d/decisions.csv" tests/golden/detect_standard.csv',
+            # the JSON ingest path, on the CSV golden's rows
+            '''python -c "import csv, json, sys; json.dump(list(csv.DictReader('''
+            '''open(sys.argv[1], newline=''))), open(sys.argv[2], 'w'))"'''
+            ' tests/golden/detect_test.csv "$RUNNER_TEMP/test.json"',
+            'conformal-wm detect tests/golden/detect_cal.csv "$RUNNER_TEMP/test.json"'
+            ' --method standard --out "$RUNNER_TEMP/j"',
+            'cmp "$RUNNER_TEMP/j/decisions.csv" tests/golden/detect_standard.csv',
             "conformal-wm detect tests/golden/detect_cal.csv tests/golden/detect_test.csv"
             ' --method hierarchical --out "$RUNNER_TEMP/h"',
             'cmp "$RUNNER_TEMP/h/decisions.csv" tests/golden/detect_hierarchical.csv',

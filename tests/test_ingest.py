@@ -9,6 +9,7 @@ with the same ``(code, line, field, detail)``.
 import csv
 import io
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -20,14 +21,15 @@ from conformal_wm import io as io_mod
 from conformal_wm.io import ValidationError, ingest
 
 # ---------------------------------------------------------------------------
-# Oracle: the row-by-row ingest, kept verbatim apart from returning lines and
-# from rejecting the JSON types a CSV cell cannot hold (a bool score, a bool or
-# float intensity)
+# Oracle: the row-by-row ingest, kept verbatim apart from returning lines, from
+# rejecting the JSON types a CSV cell cannot hold (a bool score, a bool or float
+# intensity), and from reading a JSON id or score as its CSV text
 # ---------------------------------------------------------------------------
 
 
 def _oracle_validate_row(raw: dict, line: int, seen_ids: set) -> tuple:
-    essay_id = str(raw.get("essay_id") or "").strip()
+    essay_id = raw.get("essay_id")
+    essay_id = "" if essay_id is None else str(essay_id).strip()
     if not essay_id:
         raise ValidationError("missing_essay_id", line=line, field_name="essay_id")
     if essay_id in seen_ids:
@@ -39,7 +41,7 @@ def _oracle_validate_row(raw: dict, line: int, seen_ids: set) -> tuple:
     try:
         if isinstance(raw_score, bool):
             raise TypeError
-        score = float(raw_score)
+        score = float(str(raw_score))
     except (TypeError, ValueError):
         raise ValidationError("invalid_score", detail=repr(raw_score), line=line,
                               field_name="score") from None
@@ -228,6 +230,48 @@ def test_json_value_a_csv_cell_cannot_hold_is_rejected(tmp_path, field, value, c
     assert err.value.detail == repr(value)
     path.write_text(json.dumps(rows[:1]), encoding="utf-8")
     assert ingest(path).edit_intensity == (3,)
+
+
+@pytest.mark.parametrize("field, json_text, cell", [
+    ("essay_id", "0", "0"),
+    ("essay_id", "0.0", "0.0"),
+    ("essay_id", '""', ""),
+    ("score", "1" + "0" * 400, "1" + "0" * 400),
+    ("score", "1e-400", "1e-400"),
+    ("score", "0.1", "0.1"),
+    ("score", "1", "1"),
+], ids=["id-int-0", "id-float-0", "id-empty", "score-int-over-float-range", "score-tiny",
+        "score-float", "score-int"])
+def test_json_value_reads_as_its_csv_cell(tmp_path, field, json_text, cell):
+    # a JSON id 0 was once missing, and a JSON int beyond the float range an
+    # internal OverflowError
+    row = {"essay_id": '"e1"', "score": "0.5", "role": '"test"', field: json_text}
+    json_path = tmp_path / "table.json"
+    json_path.write_text("[{" + ", ".join(f'"{k}": {v}' for k, v in row.items()) + "}]",
+                         encoding="utf-8")
+    values = {"essay_id": "e1", "score": "0.5", "role": "test", field: cell}
+    csv_path = tmp_path / "table.csv"
+    csv_path.write_text("essay_id,score,role\n" + ",".join(values.values()) + "\n",
+                        encoding="utf-8")
+    got, want = outcome(lambda: ingest(json_path)), outcome(lambda: ingest(csv_path))
+    if want[0] == "ok":
+        assert got[0] == "ok", got
+        for name in ("essay_id", "score", "role"):
+            assert getattr(got[1], name) == getattr(want[1], name)
+    else:  # the same fault, at the array index instead of the physical line
+        assert (got[:2], got[3:]) == (want[:2], want[3:])
+        assert (got[2], want[2]) == (1, 2)
+
+
+def test_json_int_of_too_many_digits_is_a_parse_error(tmp_path):
+    path = tmp_path / "table.json"
+    path.write_text('[{"essay_id": "e1", "role": "test", "score": 1' + "0" * 5000 + "}]",
+                    encoding="utf-8")
+    with pytest.raises(ValidationError) as err:
+        ingest(path)
+    # Pythons without a limit on int digits read it as inf, like the CSV cell
+    limited = hasattr(sys, "get_int_max_str_digits")
+    assert err.value.code == ("parse_error" if limited else "score_out_of_range")
 
 
 def test_lines_are_physical_end_lines(tmp_path):

@@ -84,7 +84,7 @@ def byte_packed_words(key):
     """A list key's 32-bit little-endian words, as SeedSequence reads it (0 as one word)."""
     return np.frombuffer(b"".join(
         v.to_bytes(4 * max(1, (v.bit_length() + 31) // 32), "little") for v in key),
-        dtype="<u4")
+        dtype="<u4").astype(np.uint32)
 
 
 # key parts on either side of the one-word limit
@@ -123,9 +123,11 @@ class TestDraws:
     def test_rng_equals_list_key_stream(self, seed, prompt, null, alt, size_idx, stream):
         key = [simulate._ENTROPY_BASE, seed, prompt, null, alt, size_idx,
                simulate._STREAMS[stream]]
-        (row,) = seeding.seed_states(np.array([key], dtype=object))
-        # parts below 2**32 take one word each, larger ones the byte packing
-        for entropy in (key, byte_packed_words(key)):
+        words = byte_packed_words(key)
+        assert [w for part in key for w in seeding.int_words(part)] == words.tolist()
+        (row,) = seeding.seed_states(words[None])
+        # parts below 2**32 take one word each, larger ones several
+        for entropy in (key, words):
             seq = np.random.SeedSequence(entropy)
             assert row.tolist() == seq.generate_state(4, np.uint64).tolist()
             want = np.random.default_rng(seq)
@@ -142,17 +144,21 @@ class TestDraws:
                                    st.sampled_from(sorted(simulate._STREAMS.values()))),
                          min_size=1, max_size=12))
     def test_one_batch_of_keys_equals_their_streams(self, keys):
-        # keys of different word counts share one call, each hashed in its group
-        rows = [(simulate._ENTROPY_BASE, *key) for key in keys]
-        states = seeding.seed_states(np.array(rows, dtype=object))
-        assert states.shape == (len(rows), 4) and states.dtype == np.uint64
-        for key, row in zip(rows, states):
-            seq = np.random.SeedSequence(list(key))
-            assert row.tolist() == seq.generate_state(4, np.uint64).tolist()
-            want = np.random.default_rng(seq)
-            got = seeding.generator(row)
-            assert got.bit_generator.state == want.bit_generator.state
-            assert got.random(4).tolist() == want.random(4).tolist()
+        # keys of equally many words share one call
+        by_width: dict = {}
+        for key in keys:
+            key = (simulate._ENTROPY_BASE, *key)
+            by_width.setdefault(byte_packed_words(key).size, []).append(key)
+        for rows in by_width.values():
+            states = seeding.seed_states(np.array([byte_packed_words(k) for k in rows]))
+            assert states.shape == (len(rows), 4) and states.dtype == np.uint64
+            for key, row in zip(rows, states):
+                seq = np.random.SeedSequence(list(key))
+                assert row.tolist() == seq.generate_state(4, np.uint64).tolist()
+                want = np.random.default_rng(seq)
+                got = seeding.generator(row)
+                assert got.bit_generator.state == want.bit_generator.state
+                assert got.random(4).tolist() == want.random(4).tolist()
 
     @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**63, 2**70])
     def test_run_streams_equal_list_key_streams(self, seed):
@@ -168,12 +174,28 @@ class TestDraws:
                         == want.random(3).tolist())
 
     def test_seed_row_serves_only_pcg64s_request(self):
-        row = seeding.seed_states(np.array([[1, 2, 3, 4, 5, 6, 7]]))[0]
+        row = seeding.seed_states(np.array([[1, 2, 3, 4, 5, 6, 7]], np.uint32))[0]
         seed_row = seeding.SeedRow(row)
         assert seed_row.generate_state(4, np.uint64) is row
         for n_words, dtype in ((8, np.uint32), (4, np.uint32), (2, np.uint64)):
             with pytest.raises(ValueError, match="seed_row_is_4_uint64"):
                 seed_row.generate_state(n_words, dtype)
+
+    def test_seed_states_takes_only_uint32_word_rows(self):
+        words = np.array([[1, 2, 3, 4, 5]], np.uint32)
+        for bad in (words.astype(np.int64), words[0], words[:, :3]):
+            with pytest.raises(ValueError, match="seed_words_not_uint32"):
+                seeding.seed_states(bad)
+
+    @pytest.mark.parametrize("value, words", [
+        (0, [0]), (2**32 - 1, [2**32 - 1]), (2**32, [0, 1]),
+        (np.int64(7), [7]), (np.uint64(2**63 + 5), [5, 2**31])])
+    def test_int_words_reads_ints_as_seed_sequence_does(self, value, words):
+        assert seeding.int_words(value) == words
+        padded = [*words, 1, 2, 3]  # one row of at least four words
+        (row,) = seeding.seed_states(np.array([padded], np.uint32))
+        want = np.random.SeedSequence([int(value), 1, 2, 3]).generate_state(4, np.uint64)
+        assert row.tolist() == want.tolist()
 
     def test_expit_bits_equal_masked_form(self):
         special = [0.0, -0.0, np.inf, -np.inf, 700.5, -700.5, 709.8, -709.8, 745.2,
@@ -218,6 +240,86 @@ class TestLogitShift:
         values = np.array([1e-12, 0.5, 1.0])
         out = logit_shift(values, 5.0)
         assert ((out > 0) & (out <= 1.0)).all()
+
+
+def old_probe_medians(cfg, population):
+    """The dominance probe's medians, each level drawn from its own ``SeedSequence``."""
+    index = 0 if population == "majority" else 1
+    return [float(np.median(simulate._sample_values(
+        cfg.distribution_for(population, level), simulate._DOMINANCE_PROBE_N,
+        np.random.default_rng(np.random.SeedSequence(
+            [simulate._ENTROPY_BASE, 999, level, index])))))
+        for level in range(1, cfg.max_level + 1)]
+
+
+def old_ladder_fault(cfg):
+    """The ``SeedSequence``-seeded dominance check's error, or None where it passed."""
+    for population in cfg.populations():
+        medians = old_probe_medians(cfg, population)
+        if any(lo > hi * 1.02 + 1e-12 for lo, hi in zip(medians[1:], medians[:-1])):
+            return (f"intensity_ladder_not_monotone: medians={medians} "
+                    f"for population {population!r}")
+    return None
+
+
+def mixture_ladder(bumped=None):
+    """Two-component mixtures falling with the level; population ``bumped``'s level 3 rises."""
+    def mixture(population, level):
+        mu = -level - (population == "minority") + 4 * (population == bumped and level == 3)
+        return ScoreDistribution(family="mixture", params={"components": [
+            {"weight": 0.7, "family": "logit_normal", "params": {"mu": mu, "sigma": 1.0}},
+            {"weight": 0.3, "family": "beta", "params": {"a": 1.0, "b": 2.0 + level}}]})
+    return {(population, level): mixture(population, level)
+            for population in ("majority", "minority") for level in range(1, 8)}
+
+
+class TestDominanceProbes:
+    @pytest.mark.parametrize("cfg", [
+        default_config(), default_config("weighted"),
+        replace(default_config("weighted"),
+                intensity_logit_means=(0.0, 2.0, -2.0, -3.0, -4.0, -5.0, -6.0)),
+        replace(default_config("weighted"), distributions=mixture_ladder()),
+        replace(default_config("weighted"), distributions=mixture_ladder("majority")),
+        replace(default_config("weighted"), distributions=mixture_ladder("minority")),
+    ], ids=["standard", "weighted", "ladder-fault", "mixture", "mixture-majority-fault",
+            "mixture-minority-fault"])
+    def test_probes_equal_seed_sequence_probes(self, monkeypatch, cfg):
+        # one seed_states call seeds every probe, and each probe keeps the
+        # bits, medians and verdict of its own SeedSequence-seeded stream
+        want = {population: old_probe_medians(cfg, population)
+                for population in cfg.populations()}
+        fault = old_ladder_fault(cfg)
+        levels = range(1, cfg.max_level + 1)
+        probes = {id(cfg.distribution_for(population, level)): (population, level)
+                  for population in cfg.populations() for level in levels}
+        got, sample, seed_states = {}, simulate._sample_values, seeding.seed_states
+        calls = []
+
+        def recording(dist, n, rng):
+            values = sample(dist, n, rng)
+            if id(dist) in probes:
+                got[probes[id(dist)]] = float(np.median(values))
+            return values
+
+        def counting(words):
+            calls.append(words.shape)
+            return seed_states(words)
+
+        monkeypatch.setattr(simulate, "_sample_values", recording)
+        monkeypatch.setattr(seeding, "seed_states", counting)
+        if fault is None:
+            cfg.validate()
+        else:
+            with pytest.raises(ValueError) as info:
+                cfg.validate()
+            assert str(info.value) == fault
+        assert calls == [(len(cfg.populations()) * cfg.max_level, 4)]
+        # a fault stops the check after the population it names
+        populations = cfg.populations()
+        probed = populations[:populations.index(fault.split("'")[-2]) + 1] if fault \
+            else populations
+        assert set(got) == {(population, level) for population in probed for level in levels}
+        assert all(got[key] == want[key[0]][key[1] - 1] for key in got)
 
 
 class TestConfig:
@@ -448,8 +550,8 @@ class TestStreamPlan:
     @pytest.mark.parametrize("scenario, streams", [
         ("standard", 1050), ("hierarchical", 1600), ("weighted", 1125)])
     def test_default_run_seeds_only_planned_streams(self, monkeypatch, scenario, streams):
-        # no SeedSequence beyond the dominance probes, and every stream drawn
-        # once per task from a precomputed row, each planned key exactly once
+        # no SeedSequence, not even for the dominance probes, and every stream
+        # drawn once per task from a precomputed row, each planned key exactly once
         cfg = default_config(scenario)
         sequences, bit_seeds, drawn = [], [], Counter()
         seed_sequence, pcg64, call = np.random.SeedSequence, np.random.PCG64, \
@@ -472,10 +574,16 @@ class TestStreamPlan:
         monkeypatch.setattr(np.random, "PCG64", counting_pcg64)
         monkeypatch.setattr(simulate._Streams, "__call__", counting_call)
         run_scenario(cfg)
-        assert len(sequences) == len(cfg.populations()) * cfg.max_level
-        assert all(args[0][1] == 999 for args in sequences)  # the probes' key
-        assert len(bit_seeds) == streams
+        assert sequences == []
         assert not any(isinstance(s, seed_sequence) for s in bit_seeds)
+        # validate() seeds the probes first, one per (population, level)
+        probes = [(population, level) for population in cfg.populations()
+                  for level in range(1, cfg.max_level + 1)]
+        assert len(bit_seeds) == streams + len(probes)
+        for (population, level), probe in zip(probes, bit_seeds):
+            key = [simulate._ENTROPY_BASE, 999, level, int(population == "minority")]
+            want = seed_sequence(key).generate_state(4, np.uint64)
+            assert probe.row.tolist() == want.tolist()
         plan = simulate._task_plan(cfg)
         assert drawn == Counter({(seed, prompt, key): 1 for seed in cfg.seeds
                                  for prompt in range(1, cfg.n_prompts + 1) for key in plan})
