@@ -14,39 +14,13 @@ detection power end to end on synthetic scores.
 # pyproject.toml reads it as the package version.
 __version__ = "0.1.0"
 
-from .bleu import BleuScore, TokenizedText, bleu, bleu_of_texts, tokenize
 from .conformal import hierarchical_p_values, standard_p_values, weighted_p_values
-from .density import (
-    DensityModel,
-    ShiftEstimate,
-    density_ratios,
-    empirical_quantile,
-    fit_kde,
-    mean_shift,
-    quantile_shift,
-)
-from .evaluation import (
-    AggregateRow,
-    CellResult,
-    MetricsReport,
-    aggregate,
-    is_excluded,
-)
-from .labeling import bleu_quantile_threshold, outlier_mask
-from .simulate import (
-    ExperimentConfig,
-    ScoreDistribution,
-    default_config,
-    run_scenario,
-)
+from .density import WeightedRule
+from .evaluation import MetricsReport
+from .simulate import ExperimentConfig, ScoreDistribution, default_config, run_scenario
 
 __all__ = [
-    "BleuScore", "TokenizedText", "bleu", "bleu_of_texts", "tokenize",
-    "hierarchical_p_values", "standard_p_values", "weighted_p_values",
-    "DensityModel", "ShiftEstimate", "density_ratios", "empirical_quantile",
-    "fit_kde", "mean_shift", "quantile_shift",
-    "AggregateRow", "CellResult", "MetricsReport", "aggregate", "is_excluded",
-    "bleu_quantile_threshold", "outlier_mask",
+    "standard_p_values", "hierarchical_p_values", "weighted_p_values", "WeightedRule",
     "ExperimentConfig", "ScoreDistribution", "default_config", "run_scenario",
-    "__version__",
+    "MetricsReport", "__version__",
 ]

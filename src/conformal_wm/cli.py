@@ -175,10 +175,7 @@ def cmd_simulate(args) -> int:
         path = Path(args.config_path)
         if not path.exists():
             raise ValidationError("file_not_found", detail=str(path))
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ValidationError("parse_error", detail=str(exc), line=exc.lineno)
+        payload = io_mod.read_json(path)
         try:
             config = sim_mod.config_from_dict(payload)
         except (ValueError, TypeError, KeyError) as exc:
@@ -223,9 +220,8 @@ def cmd_simulate(args) -> int:
 def cmd_bleu(args) -> int:
     texts = []
     for p in (args.reference_path, args.candidate_path):
-        path = Path(p)
         try:
-            texts.append(path.read_text(encoding="utf-8"))
+            texts.append(io_mod.read_text(p))
         except OSError as exc:
             raise ValidationError("unreadable_file", detail=f"{p}: {exc}")
     score = bleu_of_texts(texts[0], texts[1])

@@ -120,7 +120,9 @@ class DensityModel:
     affinely relocated copy of the pool density. No Jacobian factor is
     applied: weights are formed from normalized ratios, so constant
     factors cancel. ``support_points`` is stored as a read-only float64
-    copy of whatever sequence is passed.
+    copy of whatever sequence is passed. ``bandwidth`` is the literal
+    kernel width. scipy's gaussian_kde rescales its bandwidth by the sample
+    deviation, which would silently change the smoothing as the pool changes.
     """
 
     support_points: np.ndarray
@@ -195,16 +197,6 @@ def _log_kernel_sums(query: np.ndarray, support: np.ndarray, bandwidth: float,
         if with_moment:
             moments[idx] = (z * kern).sum(axis=-1)
     return np.log(sums) + tops, moments / sums if with_moment else None
-
-
-def fit_kde(log_scores: Sequence[float], bandwidth: float) -> DensityModel:
-    """Fit a Gaussian KDE with a fixed absolute bandwidth.
-
-    scipy's gaussian_kde rescales its bandwidth by the sample deviation,
-    which would silently change the smoothing as the pool changes; the
-    bandwidth here is the literal kernel width.
-    """
-    return DensityModel(support_points=log_scores, bandwidth=float(bandwidth))
 
 
 def _spread(values: np.ndarray) -> float:
@@ -298,17 +290,6 @@ def _shifted_model(pool: np.ndarray, minority: np.ndarray, bandwidth: float,
         offset=offset,
         shift=est,
     )
-
-
-def density_ratios(model_p: DensityModel, models_q: Sequence[DensityModel],
-                   points) -> list[np.ndarray]:
-    """Raw q/p ratios ``exp(log q - log p)`` at the given points, one array per q-model.
-
-    A ratio is 0 or inf only where it lies beyond the range of floats.
-    """
-    with np.errstate(over="ignore"):
-        return [np.exp(log_r)
-                for log_r in _log_ratios(model_p, models_q, np.asarray(points, dtype=float))]
 
 
 def _log_ratios(model_p: DensityModel, models_q: Sequence[DensityModel],
@@ -433,7 +414,7 @@ class WeightedRule:
         self._to_eval = np.log10 if log_scale else np.asarray
         pool_eval = self._to_eval(pool)
         minority_eval = pool_eval[minority]
-        self.model_p = fit_kde(pool_eval, bandwidth)
+        self.model_p = DensityModel(pool_eval, float(bandwidth))
         self.models_q = [mean_shift(pool_eval, minority_eval, bandwidth) if shift == "mean"
                          else quantile_shift(pool_eval, minority_eval, bandwidth, alpha)
                          for shift in shifts]

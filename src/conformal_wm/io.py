@@ -162,47 +162,74 @@ def _validate_row(raw: tuple, line: int, seen_ids: set) -> tuple:
     return essay_id, score, role, group_id, population, intensity
 
 
+def read_text(path) -> str:
+    """The UTF-8 text of ``path``; a byte that does not decode raises ``encoding_error``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            "encoding_error",
+            detail=f"{path}: byte 0x{exc.object[exc.start]:02x} at offset {exc.start} "
+                   f"is not UTF-8 ({exc.reason})") from None
+
+
+def read_json(path):
+    """The JSON value in ``path``; raises ``encoding_error`` or ``parse_error``."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # a JSONDecodeError, or an int of too many digits
+        raise ValidationError("parse_error", detail=str(exc),
+                              line=getattr(exc, "lineno", None)) from None
+
+
 def _csv_values(path: Path) -> Iterator[tuple[tuple, int]]:
     """``(values, line)`` per non-blank CSV record, values in column order.
 
     Reads like ``csv.DictReader``: the first record is the header, the last
     of duplicate header names wins, unknown columns are ignored, a short
     record reads its missing fields as None, and ``line`` is the physical
-    line the record ends on.
+    line the record ends on. A byte that is not UTF-8 raises
+    ``encoding_error``, and a record the csv module rejects (a field over
+    ``csv.field_size_limit()``, or a NUL before Python 3.11) ``parse_error``.
     """
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValidationError("empty_file", detail=str(path))
-        index = {name: i for i, name in enumerate(header)}
-        for col in _REQUIRED_COLUMNS:
-            if col not in index:
-                raise ValidationError("missing_column", field_name=col, line=1)
-        width = len(header)
-        # absent columns read the None padded on at position ``width``; short
-        # records are padded with None up to that position too
-        pick = itemgetter(*(index.get(col, width) for col in _CSV_COLUMNS))
-        padding = [None] * (width + any(col not in index for col in _CSV_COLUMNS))
-        for record in reader:
-            if not record:
-                continue
-            n = len(record)
-            if n > width:
-                raise ValidationError("extra_fields", line=reader.line_num)
-            if n < len(padding):
-                record += padding[n:]
-            yield pick(record), reader.line_num
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ValidationError("empty_file", detail=str(path))
+            index = {name: i for i, name in enumerate(header)}
+            for col in _REQUIRED_COLUMNS:
+                if col not in index:
+                    raise ValidationError("missing_column", field_name=col, line=1)
+            width = len(header)
+            # absent columns read the None padded on at position ``width``; short
+            # records are padded with None up to that position too
+            pick = itemgetter(*(index.get(col, width) for col in _CSV_COLUMNS))
+            padding = [None] * (width + any(col not in index for col in _CSV_COLUMNS))
+            for record in reader:
+                if not record:
+                    continue
+                n = len(record)
+                if n > width:
+                    raise ValidationError("extra_fields", line=reader.line_num)
+                if n < len(padding):
+                    record += padding[n:]
+                yield pick(record), reader.line_num
+        except UnicodeDecodeError:
+            # decoded in chunks, so the error's position counts from its chunk:
+            # decode the whole file once more for the offset in the file
+            read_text(path)
+            raise
+        except csv.Error as exc:
+            raise ValidationError("parse_error", detail=str(exc),
+                                  line=reader.line_num) from None
 
 
 def _json_values(path: Path) -> Iterator[tuple[tuple, int]]:
     """``(values, index)`` per JSON array element, values in column order."""
-    text = path.read_text(encoding="utf-8")
-    try:
-        payload = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an int of too many digits
-        raise ValidationError("parse_error", detail=str(exc),
-                              line=getattr(exc, "lineno", None)) from None
+    payload = read_json(path)
     if not isinstance(payload, list):
         raise ValidationError("schema_violation", detail="expected a JSON array")
     for i, raw in enumerate(payload, start=1):

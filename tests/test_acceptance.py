@@ -18,7 +18,8 @@ import pytest
 from conformal_wm.cli import main
 from conformal_wm.conformal import hierarchical_p_values, standard_p_values, weighted_p_values
 from conformal_wm.bleu import TokenizedText, bleu
-from conformal_wm.density import density_ratios, fit_kde, quantile_shift
+from conformal_wm import density
+from conformal_wm.density import DensityModel, quantile_shift
 from conformal_wm.evaluation import CellResult, is_excluded
 from conformal_wm.simulate import default_config, run_scenario
 
@@ -109,8 +110,8 @@ def test_criterion_04_weighted_reduction():
             values = rng.random(n) * 0.999 + 1e-4
             s = float(rng.random() * 0.999 + 1e-4)
             logs = np.log10(values)
-            model = fit_kde(logs, 0.5)
-            (ratios,) = density_ratios(model, [model], np.append(logs, math.log10(s)))
+            model = DensityModel(logs, 0.5)
+            (ratios,) = np.exp(density._log_ratios(model, [model], np.append(logs, math.log10(s))))
             wtd_flag = weighted_p_values(values, ratios[:-1], s, ratios[-1]) < ALPHA
             std_p = standard_p_values(values, s)
             if std_p == ALPHA:

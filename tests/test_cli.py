@@ -317,6 +317,12 @@ class TestDetectCommand:
             ' --out "$RUNNER_TEMP/ws"',
             'cmp "$RUNNER_TEMP/ws/metrics.csv" tests/golden/simulate_weighted_seed1.csv',
             "conformal-wm bleu README.md README.md",
+            # a table that is not UTF-8 exits 2 as encoding_error
+            "printf 'essay_id,score,role\\nt\\377,0.5,test\\n' > \"$RUNNER_TEMP/latin1.csv\"",
+            "code=0; conformal-wm detect tests/golden/detect_cal.csv \"$RUNNER_TEMP/latin1.csv\""
+            ' --out "$RUNNER_TEMP/e" 2> "$RUNNER_TEMP/e.err" || code=$?',
+            'test "$code" -eq 2',
+            'grep -F \'"error": "encoding_error"\' "$RUNNER_TEMP/e.err"',
         ]
         # once more on numpy's baseline SIMD path, where exp and log round
         # differently, on one Python version
@@ -583,6 +589,67 @@ class TestDetectErrorLines:
         err = self.run_error(capsys, ["detect", cal, test,
                                       "--out", str(tmp_path / "out")])
         assert (err["error"], err["line"]) == ("role_mismatch", 2)
+
+
+class TestUndecodableInput:
+    """A file the CLI cannot decode exits 2 with a coded error, whichever reads it."""
+
+    def run_error(self, capsys, argv):
+        assert main(argv) == 2
+        return json.loads(capsys.readouterr().err.strip())
+
+    def test_non_utf8_csv_table_names_the_offset_in_the_file(self, tmp_path, capsys):
+        # the CSV is decoded in chunks, and this byte lies past the first one
+        text = "essay_id,score,role\n" + "".join(f"t{i},0.5,test\n" for i in range(10_000))
+        data = bytearray(text.encode("utf-8"))
+        data[85_022] = 0xFF
+        test = tmp_path / "test.csv"
+        test.write_bytes(bytes(data))
+        err = self.run_error(capsys, ["detect", write(tmp_path, "cal.csv", CAL_CSV),
+                                      str(test), "--out", str(tmp_path / "out")])
+        assert err["error"] == "encoding_error"
+        assert "byte 0xff at offset 85022 " in err["detail"]
+
+    def test_non_utf8_json_table(self, tmp_path, capsys):
+        data = b'[{"essay_id": "t\xff1", "score": 0.5, "role": "test"}]'
+        test = tmp_path / "test.json"
+        test.write_bytes(data)
+        err = self.run_error(capsys, ["detect", write(tmp_path, "cal.csv", CAL_CSV),
+                                      str(test), "--out", str(tmp_path / "out")])
+        assert err["error"] == "encoding_error"
+        assert f"byte 0xff at offset {data.index(0xFF)} " in err["detail"]
+
+    def test_non_utf8_simulate_config(self, tmp_path, capsys):
+        data = b'{"scenario": "standard\xff"}'
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(data)
+        err = self.run_error(capsys, ["simulate", str(cfg), "--out", str(tmp_path / "r")])
+        assert err["error"] == "encoding_error"
+        assert f"byte 0xff at offset {data.index(0xFF)} " in err["detail"]
+
+    def test_non_utf8_bleu_text(self, tmp_path, capsys):
+        candidate = tmp_path / "b.txt"
+        candidate.write_bytes("naïve text".encode("latin-1"))
+        err = self.run_error(capsys, ["bleu", write(tmp_path, "a.txt", "text"),
+                                      str(candidate)])
+        assert err["error"] == "encoding_error"
+        assert "byte 0xef at offset 2 " in err["detail"]
+
+    def test_config_int_of_too_many_digits_is_a_parse_error(self, tmp_path, capsys):
+        if not hasattr(sys, "get_int_max_str_digits"):
+            pytest.skip("this Python reads an int of any length")
+        cfg = write(tmp_path, "config.json", '{"n_test": 1' + "0" * 5000 + "}")
+        err = self.run_error(capsys, ["simulate", cfg, "--out", str(tmp_path / "r")])
+        assert err["error"] == "parse_error"
+        assert "digits" in err["detail"]
+
+    def test_csv_field_over_the_size_limit_is_a_parse_error(self, tmp_path, capsys):
+        test = write(tmp_path, "test.csv", "essay_id,score,role\nt1,0.5,test\n"
+                     + "t" * 200_000 + ",0.5,test\n")
+        err = self.run_error(capsys, ["detect", write(tmp_path, "cal.csv", CAL_CSV),
+                                      test, "--out", str(tmp_path / "out")])
+        assert (err["error"], err["line"]) == ("parse_error", 3)
+        assert "field limit" in err["detail"]
 
 
 SMALL_CONFIG = {

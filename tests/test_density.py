@@ -18,9 +18,7 @@ from conformal_wm.conformal import standard_p_values, weighted_p_values
 from conformal_wm.density import (
     DensityModel,
     ShiftEstimate,
-    density_ratios,
     empirical_quantile,
-    fit_kde,
     mean_shift,
     quantile_shift,
 )
@@ -47,15 +45,17 @@ def kde_integral(model, lo, hi, n=40001):
 
 
 class TestFitKde:
+    """The pool KDE: a DensityModel with the identity map."""
+
     def test_single_kernel_closed_form(self):
         # (1/h) * standard normal density at 0, with h = 0.5
-        model = fit_kde([0.0], 0.5)
+        model = DensityModel([0.0], 0.5)
         expected = 2.0 / math.sqrt(2.0 * math.pi)
         assert float(kde_at(model, 0.0)) == pytest.approx(expected, abs=1e-9)
         assert float(kde_at(model, 0.0)) == pytest.approx(0.7978845608, abs=1e-9)
 
     def test_symmetric_support_gives_symmetric_density(self):
-        model = fit_kde([-1.0, 1.0], 0.7)
+        model = DensityModel([-1.0, 1.0], 0.7)
         for c in (0.3, 1.2, 2.5):
             assert kde_at(model, c) == kde_at(model, -c)
 
@@ -63,22 +63,22 @@ class TestFitKde:
            bandwidth=st.floats(min_value=0.05, max_value=2.0, allow_nan=False))
     @settings(max_examples=40, deadline=None)
     def test_integrates_to_one(self, points, bandwidth):
-        model = fit_kde(points, bandwidth)
+        model = DensityModel(points, bandwidth)
         lo = min(points) - 10 * bandwidth
         hi = max(points) + 10 * bandwidth
         assert kde_integral(model, lo, hi) == pytest.approx(1.0, abs=1e-3)
 
     @given(points=log_points, x=st.floats(-20, 20, allow_nan=False))
     def test_nonnegative_everywhere(self, points, x):
-        assert kde_at(fit_kde(points, 0.5), x) >= 0.0
+        assert kde_at(DensityModel(points, 0.5), x) >= 0.0
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="empty_support"):
-            fit_kde([], 0.5)
+            DensityModel([], 0.5)
 
     def test_support_is_a_read_only_float64_copy(self):
         pool = np.array([0.25, -1.5, 2.0])
-        models = [fit_kde(pool, 0.5), mean_shift(pool, pool[:2], 0.5),
+        models = [DensityModel(pool, 0.5), mean_shift(pool, pool[:2], 0.5),
                   DensityModel(support_points=(1, 2), bandwidth=1.0)]
         pool[0] = 9.0
         for model in models:
@@ -91,10 +91,10 @@ class TestFitKde:
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_nonpositive_bandwidth_rejected(self, bad):
         with pytest.raises(ValueError, match="bandwidth_not_positive"):
-            fit_kde([0.0], bad)
+            DensityModel([0.0], bad)
 
     def test_identity_transform_flag(self):
-        model = fit_kde([0.0, 1.0], 0.5)
+        model = DensityModel([0.0, 1.0], 0.5)
         assert (model.scale, model.offset) == (1.0, 0.0)
 
 
@@ -204,7 +204,7 @@ class TestMeanShift:
         logs = [-2.0, -1.0, 0.0, 1.0]
         model = mean_shift(logs, logs, 0.5)
         assert model.scale == 1.0 and model.offset == 0.0
-        base = fit_kde(logs, 0.5)
+        base = DensityModel(logs, 0.5)
         for x in (-1.5, 0.2, 3.0):
             assert kde_at(model, x) == kde_at(base, x)
 
@@ -212,7 +212,7 @@ class TestMeanShift:
         pool = [-1.0, 1.0]        # mean 0, std 1
         minority = [-3.0, -1.0]   # mean -2, std 1
         model = mean_shift(pool, minority, 0.5)
-        base = fit_kde(pool, 0.5)
+        base = DensityModel(pool, 0.5)
         for x in (-2.0, -0.5, 0.0, 1.0):
             assert float(kde_at(model, x)) == pytest.approx(float(kde_at(base, x + 2.0)),
                                                             abs=1e-15)
@@ -222,7 +222,7 @@ class TestMeanShift:
         minority = [-2.0, 2.0]   # std 2
         model = mean_shift(pool, minority, 0.5)
         assert model.scale == 0.5
-        base = fit_kde(pool, 0.5)
+        base = DensityModel(pool, 0.5)
         assert float(kde_at(model, 1.0)) == pytest.approx(float(kde_at(base, 0.5)), abs=1e-15)
 
     def test_constant_minority_hits_sigma_floor(self):
@@ -284,8 +284,8 @@ class TestQuantileShift:
 class TestWeights:
     def test_identical_models_give_uniform_weights(self):
         logs = [-2.0, -1.5, -0.5, 0.0]
-        model = fit_kde(logs, 0.5)
-        (r,) = density_ratios(model, [model], [*logs, -1.0])
+        model = DensityModel(logs, 0.5)
+        (r,) = np.exp(density._log_ratios(model, [model], [*logs, -1.0]))
         assert r.tolist() == [1.0] * 5
         assert weighted_p_values(logs, r[:-1], -1.0, r[-1]) == standard_p_values(logs, -1.0)
 
@@ -325,20 +325,21 @@ class TestWeights:
 
     def test_all_zero_ratios_raise_underflow(self):
         # q sits 80 bandwidths from the queries: q/p = exp(-3200 ...) is 0 as a float
-        model_p = fit_kde([0.0], 0.5)
+        model_p = DensityModel([0.0], 0.5)
         model_q = DensityModel(support_points=(40.0,), bandwidth=0.5)
-        (r,) = density_ratios(model_p, [model_q], [0.0, 0.5])
+        (r,) = np.exp(density._log_ratios(model_p, [model_q], [0.0, 0.5]))
         assert r.tolist() == [0.0, 0.0]
         with pytest.raises(ValueError, match="density_underflow"):
             weighted_p_values([0.0], r[:1], 0.5, r[1])
 
     def test_ratio_beyond_float_range_is_inf_and_rejected(self):
         # p(40) = exp(-3200) / c underflows; its log does not, and q/p = exp(3200)
-        model_p = fit_kde([0.0], 0.5)
+        model_p = DensityModel([0.0], 0.5)
         model_q = DensityModel(support_points=(40.0,), bandwidth=0.5)
         log_r = model_q.log_evaluate([40.0]) - model_p.log_evaluate([40.0])
         assert log_r[0] == pytest.approx(3200.0, rel=1e-15)
-        (r,) = density_ratios(model_p, [model_q], [40.0])
+        with np.errstate(over="ignore"):
+            (r,) = np.exp(density._log_ratios(model_p, [model_q], [40.0]))
         assert r.tolist() == [math.inf]
         with pytest.raises(ValueError, match="density_underflow"):
             weighted_p_values([0.0], [1.0], 40.0, r)
@@ -448,7 +449,7 @@ class TestBlockedEvaluate:
 
     def test_memory_does_not_grow_with_queries(self):
         # A dense 20,000 x 500 float64 temporary alone would take 80 MB.
-        model = fit_kde(np.linspace(-3.0, 1.0, 500), 0.5)
+        model = DensityModel(np.linspace(-3.0, 1.0, 500), 0.5)
         x = np.linspace(-6.0, 3.0, 20_000)
         model.log_evaluate(x[:1])
         tracemalloc.start()
@@ -504,7 +505,7 @@ class TestWeightedRule:
         tests = tests[:n_tests]
         to_eval = np.log10 if log_scale else np.asarray
         pool_eval = to_eval(pool)
-        model_p = fit_kde(pool_eval, 0.5)
+        model_p = DensityModel(pool_eval, 0.5)
         if shift == "mean":
             model_q = mean_shift(pool_eval, pool_eval[minority], 0.5)
         else:
@@ -632,7 +633,7 @@ class TestLogGrid:
         assert usable[:support.size].all() and usable[(x > lo) & (x < hi)].all()
         assert not usable[(x < lo) | (x > hi)].any()
         # exact log densities, also where the density itself underflows
-        exact = fit_kde(support, bandwidth).log_evaluate(x[usable]) + math.log(
+        exact = DensityModel(support, bandwidth).log_evaluate(x[usable]) + math.log(
             support.size * bandwidth * math.sqrt(2.0 * math.pi))
         assert (np.abs(y[usable] - exact) <= grid.error).all()
 
