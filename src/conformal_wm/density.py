@@ -14,8 +14,41 @@ finite however deep in a tail a score lies.
 ``WeightedRule.p_values``, which ``detect`` writes, comes from the exact
 Gaussian sums. ``WeightedRule.flags``, which ``simulate`` counts, reads the
 log densities from one grid (:class:`_LogGrid`), whose error has a proven
-bound, and decides a flag from the grid only when the bound proves it; the
-exact sums decide the rest, so every flag equals the exact rule's.
+bound, at the pool as well as at the test points, and decides a flag from
+the grid only when the bound proves it; the exact sums decide the rest, so
+every flag equals the exact rule's. The exact tables, 3 N**2 kernel terms
+for a pool of N points, are built only for a pool that leaves a point open.
+
+Certified masses. A model's exact ratios are ``r_i = exp(l_i - M)``, with
+``l_i = log q - log p`` at pool point i and M their largest; the grid's are
+``g_i = exp(l~_i - M~)`` from its own log ratios ``l~_i``. Each ``l~_i`` is
+two reads, each within ``error`` of the exact log sum, so
+``|l~_i - l_i| <= eps = 2 * error``, and ``g_i = c * exp(d_i) * r_i`` with
+``|d_i| <= eps`` and one factor ``c = exp(M - M~)`` for every point, test
+points included. At rank j, with A the prefix mass ``mass[j]`` and B the
+suffix ``mass[n] - mass[j]``, the mass is ``(r + A) / (r + A + B)``. It
+rises with r and A, falls with B, and is unchanged when all three are
+multiplied by c. The grid's ``g``, ``A~`` and ``B~`` each lie within a
+factor ``exp(+-eps)`` of c times the exact r, A and B, so, multiplying
+through by ``exp(+-eps)``, the exact mass lies between
+``(g/E + A~/E) / (g/E + A~/E + B~)`` and ``(gE + A~E) / (gE + A~E + B~)``,
+``E = exp(2 eps)``. A flag is set where the upper bound is under
+``alpha * (1 - 1e-12)`` and cleared where the lower one is at least
+``alpha * (1 + 1e-12)``: margins far above the few roundings of a mass, as
+in ``_RankTable.screen``. Likewise ``A~ / (A~ + B~)`` is at most E times
+``A / (A + B)``, so the grid's table screened at ``alpha * E`` keeps every
+point the exact rule's screen keeps.
+
+Roundings of the masses. Both rules take ``exp`` of a difference under 746
+in size, a prefix sum of n such ratios (within a relative ``n * 2**-53``
+of its terms' sum) and a mass of a few roundings. A suffix is a difference
+of two prefix sums, so its rounding is ``n * 2**-53`` of the total, not of
+itself; but wherever a decision is near alpha (under 1/2), ``A < alpha *
+mass[n]`` and the suffix holds over half the total, so it too is within a
+relative ``4 n * 2**-53``. An ``exp`` that underflows to 0 loses under
+``2**-1074``, against a suffix of at least 1/2 there. eps holds the grid's
+slack, at least ``2**-39 * 10 * N``, some ten thousand times these
+roundings, so the bounds hold as computed.
 """
 
 from __future__ import annotations
@@ -41,11 +74,15 @@ _BLOCK_BYTES = 128 * 1024 - 64
 
 # Spacing of :class:`_LogGrid`'s nodes in bandwidths, before rounding down to
 # a power of two.
-_GRID_STEP = 0.125
+_GRID_STEP = 0.0625
 
 # Most nodes of a :class:`_LogGrid`. A support that needs more is over 1,000
 # bandwidths wide, where the grid's bound is too loose to pay for its cost.
 _GRID_MAX_NODES = 2 ** 14
+
+# Largest ``|z| = |x - s| / h`` a kernel may see: ``-z**2 / 2`` stays finite,
+# with room for the roundings of z.
+_MAX_Z = 2.0 ** 511
 
 
 def _block_rows(n_support: int) -> int:
@@ -137,8 +174,7 @@ class DensityModel:
         object.__setattr__(self, "support_points", support)
         if support.size == 0:
             raise ValueError("empty_support: KDE needs at least one point")
-        if not self.bandwidth > 0:
-            raise ValueError(f"bandwidth_not_positive: {self.bandwidth}")
+        check_bandwidth(self.bandwidth, float(support.max() - support.min()))
         if not self.scale > 0:
             raise ValueError(f"scale_not_positive: {self.scale}")
 
@@ -154,6 +190,24 @@ class DensityModel:
         return log_sums.reshape(arr.shape)
 
 
+def check_bandwidth(bandwidth: float, reach: float) -> None:
+    """Raise unless ``bandwidth`` is positive and finite, with finite kernels out to ``reach``.
+
+    A kernel term's exponent ``-z**2 / 2``, ``z = (x - s) / h``, overflows
+    once ``|z|`` passes about ``1.9e154``, and the log sum is then not a
+    float. So ``reach / bandwidth`` (``reach`` the largest ``|x - s|``) may
+    not exceed ``_MAX_Z``; a reach that is not finite comes from a point
+    that is not, which no bandwidth mends. Codes: ``bandwidth_not_positive``
+    (NaN included), ``bandwidth_not_finite``, ``bandwidth_too_small``.
+    """
+    if not bandwidth > 0:
+        raise ValueError(f"bandwidth_not_positive: {bandwidth}")
+    if not math.isfinite(bandwidth):
+        raise ValueError(f"bandwidth_not_finite: {bandwidth}")
+    if math.isfinite(reach) and reach / bandwidth > _MAX_Z:
+        raise ValueError(f"bandwidth_too_small: {bandwidth} for points up to {reach:g} apart")
+
+
 def _log_kernel_sums(query: np.ndarray, support: np.ndarray, bandwidth: float,
                      with_moment: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
     """``log sum_i k_i`` at each query, with ``k_i = exp(-z_i**2 / 2)``, ``z_i = (x - s_i) / h``.
@@ -166,8 +220,12 @@ def _log_kernel_sums(query: np.ndarray, support: np.ndarray, bandwidth: float,
     same order, and so gets its bits. A sum below the smallest normal double
     is taken again with its largest exponent ``e`` factored out, as
     ``e + log sum_i (k_i / exp(e))``, so every log sum is finite and as
-    accurate as a normal float's.
+    accurate as a normal float's. Queries too far out for the bandwidth
+    raise ``bandwidth_too_small`` (:func:`check_bandwidth`).
     """
+    if query.size:
+        check_bandwidth(bandwidth, max(float(query.max() - support.min()),
+                                       float(support.max() - query.min())))
     sums = np.empty(query.size)
     moments = np.empty(query.size) if with_moment else None
     rows = max(1, min(_block_rows(support.size), query.size))
@@ -310,16 +368,77 @@ def _masses(table: _RankTable, j: np.ndarray, log_r: np.ndarray) -> np.ndarray:
     return p
 
 
+def _mass_bounds(table: _RankTable, j: np.ndarray, log_g: np.ndarray,
+                 eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds ``(lo, hi)`` on the exact rule's mass at ranks ``j``, from grid ratios.
+
+    ``table`` holds the grid's calibration ratios and ``log_g`` the grid's
+    test log ratios, each less the grid's top. With ``A = mass[j]``,
+    ``B = mass[n] - A`` and ``g = exp(log_g)``, the exact mass lies between
+    ``(g/E + A/E) / (g/E + A/E + B)`` and ``(gE + AE) / (gE + AE + B)``,
+    ``E = exp(2 eps)`` (see the module docstring). Each is taken as
+    ``1 / (1 + B / s)``, s its numerator: an overflowed ``g`` gives 1, an
+    underflowed one loses under ``2**-1074`` against a suffix of at least
+    1/2 (the only case where it could decide a flag), and a bound that
+    cannot be computed (``0 * inf``, ``0 / 0``) is NaN, which decides
+    nothing.
+    """
+    a = table.mass[j]
+    b = table.mass[-1] - a
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        factor = np.exp(2.0 * eps)
+        down = np.exp(log_g - 2.0 * eps) + a / factor
+        up = np.exp(log_g + 2.0 * eps) + a * factor
+        return 1.0 / (1.0 + b / down), 1.0 / (1.0 + b / up)
+
+
+def _grid_step(bandwidth: float) -> float:
+    """``_GRID_STEP * bandwidth`` rounded down to a power of two."""
+    return math.ldexp(1.0, math.frexp(_GRID_STEP * bandwidth)[1] - 1)
+
+
+def _node_span(support: np.ndarray, bandwidth: float) -> tuple[int, int] | None:
+    """Lattice indices ``(k_lo, k_hi)`` of ``support``'s grid nodes; None if it gets no grid.
+
+    Node k sits at ``k * step``. The nodes cover ``[min - 8h, max + 8h]``
+    of the support, unless they would not be exact floats or would number
+    more than ``_GRID_MAX_NODES``.
+    """
+    h, step = float(bandwidth), _grid_step(bandwidth)
+    s_min, s_max = float(support.min()), float(support.max())
+    if not ((s_max - s_min + 16.0 * h) / step + 2.0 <= _GRID_MAX_NODES
+            and max(-s_min, s_max) + 10.0 * h <= 2.0 ** 52 * step):
+        return None
+    return math.floor((s_min - 8.0 * h) / step), math.ceil((s_max + 8.0 * h) / step)
+
+
+def _node_sums(points: np.ndarray, bandwidth: float, k_lo: int,
+               k_hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_log_kernel_sums` of ``points``, with the moment, at nodes ``k_lo..k_hi``."""
+    nodes = _grid_step(bandwidth) * np.arange(k_lo, k_hi + 1.0)
+    return _log_kernel_sums(nodes, points, bandwidth, with_moment=True)
+
+
 class _LogGrid:
     """A KDE's log kernel sum on evenly spaced nodes, read by cubic Hermite interpolation.
 
     ``log_sum`` holds ``log sum_i k_i`` (the KDE's log f up to the constant
     ``log(N h sqrt(2 pi))``, which cancels in every ratio) at the nodes
-    ``lo + k * step`` covering ``[min - 8h, max + 8h]`` of the support, and
-    ``tangent`` holds ``step`` times its slope ``-sum z k / (h sum k)``. Both
-    come from :func:`_log_kernel_sums`, as the exact rule's log densities do.
-    The step is ``_GRID_STEP * h`` rounded down to a power of two, so every
-    node is an exact float.
+    ``lo + k * step`` covering ``[min - 8h, max + 8h]`` of the support. With
+    the tangent, ``step`` times its slope ``-sum z k / (h sum k)``, they give
+    ``cubic``, each cell's Hermite cubic in ``t = (x - node) / step``, which
+    a read evaluates by Horner's rule. Sums and slopes come from
+    :func:`_log_kernel_sums`, as the exact rule's log densities do. The step
+    is ``_GRID_STEP * h`` rounded down to a power of two, so every node is an
+    exact float, and the nodes of every grid of one bandwidth lie on one
+    lattice, the whole multiples of the step.
+
+    ``shared``, if given, is ``(k, log_sum, mean_z, rest)``: the
+    :func:`_node_sums` of the support's other points from node k on, over
+    every node of this grid, and the points ``rest``. Then only ``rest`` is
+    summed, and the two sums ``S_a``, ``S_b`` (with mean z ``m_a``,
+    ``m_b``) combine as ``log S = logaddexp(log S_a, log S_b)`` and
+    ``m = m_a exp(log S_a - log S) + m_b exp(log S_b - log S)``.
 
     Bound. With ``w_i = exp(-s_i**2 / 2h**2)``,
     ``log f(u) = -u**2 / 2h**2 + K(u / h**2) + const``, where
@@ -348,85 +467,167 @@ class _LogGrid:
     ``|log sum| <= R**2 / 2 + log N``; the constant ``log(N h sqrt(2 pi))``
     is under 800 in size; and a log ratio less the rule's maximum is under
     746 in size where its ``exp`` is neither 0 nor inf (beyond, that ``exp``
-    and the grid's saturate together). :attr:`error` adds to ``bound`` a
-    slack of ``2**-40 * (R * (N + nodes) + R**3 + 1024)``, more than a
-    hundred times their sum.
+    and the grid's saturate together). Combining shared sums adds a few
+    units of ``2**-53`` times ``R**2 / 2 + log N`` to a node's log sum
+    (``logaddexp`` of two such logs) and times ``R**3`` to its mean z (two
+    weights, each off by its log sums' roundings, times means of size at
+    most R). A cubic's coefficients are sums of three node values or
+    slopes, and Horner's rule adds a few roundings of their size: terms of
+    the kinds already counted. :attr:`error` adds to ``bound`` a slack of
+    ``2**-40 * (R * (N + nodes) + R**3 + 1024)``, ``2**13`` units of
+    ``2**-53`` times the sum of those sizes, far above the few dozen
+    roundings of a few units each. (On 400 random supports of 2 to 300
+    log10 scores, shared sums moved a node's log sum by at most ``1.4e-6``
+    of the slack, and Horner's rule moved a read by at most ``2.2e-6`` of
+    it from the factored Hermite form.)
 
-    A read is usable wherever it lies inside the grid. The grid is not built
-    when its nodes would not be exact floats, or would number more than
-    ``_GRID_MAX_NODES``.
+    A read is usable wherever it lies inside the grid; :meth:`log_sums`
+    takes an exact row of N terms for a read outside it. The grid is not
+    built (``log_sum`` is None) when :func:`_node_span` gives no nodes.
     """
 
-    def __init__(self, support: np.ndarray, bandwidth: float):
+    def __init__(self, support: np.ndarray, bandwidth: float, shared: tuple | None = None):
         h = float(bandwidth)
+        self.support, self.bandwidth = support, h
         s_min, s_max = float(support.min()), float(support.max())
-        self.step = math.ldexp(1.0, math.frexp(_GRID_STEP * h)[1] - 1)
+        self.step = _grid_step(h)
         rho = self.step / h * ((s_max - s_min) / h)
         r = (s_max - s_min) / h + 10.0
         nodes = (s_max - s_min + 16.0 * h) / self.step + 2.0
         self.error = (rho * rho * rho * rho / 3072.0
                       + 2.0 ** -40 * (r * (support.size + nodes) + r * r * r + 1024.0))
         self.log_sum = None
-        if not (nodes <= _GRID_MAX_NODES
-                and max(-s_min, s_max) + 10.0 * h <= 2.0 ** 52 * self.step):
+        span = _node_span(support, h)
+        if span is None:
             return
-        k_lo = math.floor((s_min - 8.0 * h) / self.step)
-        k_hi = math.ceil((s_max + 8.0 * h) / self.step)
-        self.lo = k_lo * self.step
-        self.log_sum, mean_z = _log_kernel_sums(
-            self.lo + self.step * np.arange(k_hi - k_lo + 1.0), support, h, with_moment=True)
-        self.tangent = mean_z * (-self.step / h)
+        self.lo = span[0] * self.step
+        if shared:
+            k, log_a, mean_a, rest = shared
+            rows = slice(span[0] - k, span[1] - k + 1)
+            log_a, mean_a = log_a[rows], mean_a[rows]
+            log_b, mean_b = _node_sums(rest, h, *span)
+            self.log_sum = np.logaddexp(log_a, log_b)
+            mean_z = (mean_a * np.exp(log_a - self.log_sum)
+                      + mean_b * np.exp(log_b - self.log_sum))
+        else:
+            self.log_sum, mean_z = _node_sums(support, h, *span)
+        tangent = mean_z * (-self.step / h)
+        rise = np.diff(self.log_sum)
+        # cell k's cubic Hermite in t = (x - node_k) / step, lowest power first
+        self.cubic = (self.log_sum[:-1], tangent[:-1],
+                      3.0 * rise - 2.0 * tangent[:-1] - tangent[1:],
+                      tangent[:-1] + tangent[1:] - 2.0 * rise)
 
     def read(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``log sum_i k_i`` at each of ``x``, and where that is within :attr:`error`."""
         if self.log_sum is None:
             return np.zeros(x.shape), np.zeros(x.shape, dtype=bool)
-        last = self.log_sum.size - 1
+        cells = self.log_sum.size - 1
         pos = (x - self.lo) / self.step
-        usable = (pos >= 0.0) & (pos <= last)
+        usable = (pos >= 0.0) & (pos <= cells)
         pos = np.where(usable, pos, 0.0)
-        i = np.minimum(pos.astype(np.intp), last - 1)
+        i = np.minimum(pos.astype(np.intp), cells - 1)
         t = pos - i
-        s = 1.0 - t
-        y = (s * s * ((1.0 + 2.0 * t) * self.log_sum[i] + t * self.tangent[i])
-             + t * t * ((3.0 - 2.0 * t) * self.log_sum[i + 1] - s * self.tangent[i + 1]))
+        c0, c1, c2, c3 = self.cubic
+        y = c3[i]  # Horner's rule, in place
+        y *= t
+        y += c2[i]
+        y *= t
+        y += c1[i]
+        y *= t
+        y += c0[i]
         return y, usable
+
+    def log_sums(self, x: np.ndarray) -> np.ndarray:
+        """``log sum_i k_i`` at each of ``x``, within :attr:`error`: a read, or an exact row."""
+        y, usable = self.read(x)
+        if not usable.all():
+            out = ~usable
+            y[out] = _log_kernel_sums(x[out], self.support, self.bandwidth)[0]
+        return y
 
 
 class WeightedRule:
-    """The weighted conformal rule of one calibration pool, assembled once.
+    """The weighted conformal rule of one calibration pool.
 
     ``minority`` masks the pool's minority points, and the scores go through
-    log10 once if ``log_scale``. p is the pool KDE, ``models_q`` holds one
-    shifted model per name in ``shifts`` ("mean" or "quantile"), each with
-    its :class:`ShiftEstimate`, and ``tables`` one weighted rank table per
-    model. Every table holds the pool sorted, so one rank serves them all.
+    log10 once if ``log_scale``. p is the pool KDE and ``models_q`` holds
+    one shifted model per name in ``shifts`` ("mean" or "quantile"), each
+    with its :class:`ShiftEstimate`. ``tables`` holds one weighted rank
+    table per model, of the exact ratios; it is built on first use, by
+    :meth:`p_values` or by :meth:`flags` where the grid leaves a point open.
+    Every table holds the pool sorted, so one rank serves them all.
 
     A model's ratios are ``exp(log q - log p - M)``, M its largest at the
     pool: its calibration ratios lie in [0, 1] and total at least 1, and a
     test ratio beyond the range of floats is inf, of weighted mass 1.
+    :meth:`flags` decides from the grid's certified tables instead where it
+    can (see the module docstring).
     """
+
+    # the node sums of the pool's majority points and its minority points
+    # (``_LogGrid``'s ``shared``), when other pools share that majority
+    _shared: tuple | None = None
 
     def __init__(self, pool, minority, bandwidth: float, alpha: float,
                  shifts: Sequence[str], log_scale: bool):
-        pool = np.asarray(pool, dtype=float)
+        self._pool = np.asarray(pool, dtype=float)
         self.alpha = alpha
         self._to_eval = np.log10 if log_scale else np.asarray
-        pool_eval = self._to_eval(pool)
+        pool_eval = self._to_eval(self._pool)
         minority_eval = pool_eval[minority]
         self.model_p = DensityModel(pool_eval, float(bandwidth))
         self.models_q = [mean_shift(pool_eval, minority_eval, bandwidth) if shift == "mean"
                          else quantile_shift(pool_eval, minority_eval, bandwidth, alpha)
                          for shift in shifts]
-        log_ratios = _log_ratios(self.model_p, self.models_q, pool_eval)
-        self._tops = [log_r.max() for log_r in log_ratios]
-        self.tables = [_weighted_table(pool, np.exp(log_r - top))
-                       for log_r, top in zip(log_ratios, self._tops)]
+
+    @classmethod
+    def _sharing(cls, pools: Sequence[np.ndarray], minorities: Sequence[np.ndarray],
+                 bandwidth: float, alpha: float, shifts: Sequence[str],
+                 log_scale: bool) -> list[WeightedRule]:
+        """One rule per pool and minority mask, whose grids share one majority node sum.
+
+        Each pool holds majority and minority points. The majority points of
+        the first pool are summed once, at the nodes of every pool's grid
+        (one lattice), and each pool whose majority points are those adds
+        only its minority's sums (:class:`_LogGrid`).
+        """
+        rules = [cls(pool, minority, bandwidth, alpha, shifts, log_scale)
+                 for pool, minority in zip(pools, minorities)]
+        h = rules[0].model_p.bandwidth
+        spans = [span for span in (_node_span(rule.model_p.support_points, h)
+                                   for rule in rules) if span]
+        if spans:
+            majority = rules[0].model_p.support_points[~minorities[0]]
+            k_lo = min(lo for lo, _ in spans)
+            sums = _node_sums(majority, h, k_lo, max(hi for _, hi in spans))
+            for rule, minority in zip(rules, minorities):
+                support = rule.model_p.support_points
+                if np.array_equal(support[~minority], majority):
+                    rule._shared = (k_lo, *sums, support[minority])
+        return rules
+
+    def _tables(self, log_ratios: list[np.ndarray]) -> list[tuple[_RankTable, float]]:
+        """Each model's weighted table of ``exp(log_r - top)`` at the pool, and its top."""
+        return [(_weighted_table(self._pool, np.exp(log_r - top)), top)
+                for log_r in log_ratios for top in (log_r.max(),)]
+
+    @cached_property
+    def _exact(self) -> list[tuple[_RankTable, float]]:
+        """The exact tables and tops: 3 exact log-density evaluations at the pool."""
+        return self._tables(_log_ratios(self.model_p, self.models_q,
+                                        self.model_p.support_points))
+
+    @property
+    def tables(self) -> list[_RankTable]:
+        """Each model's weighted table of exact ratios."""
+        return [table for table, _ in self._exact]
 
     def _p_values(self, values: np.ndarray, j: np.ndarray) -> list[np.ndarray]:
+        exact = self._exact
         log_ratios = _log_ratios(self.model_p, self.models_q, self._to_eval(values))
         return [_masses(table, j, log_r - top)
-                for table, log_r, top in zip(self.tables, log_ratios, self._tops)]
+                for (table, top), log_r in zip(exact, log_ratios)]
 
     def p_values(self, values) -> list[np.ndarray]:
         """Each model's weighted mass at every test score."""
@@ -436,56 +637,72 @@ class WeightedRule:
     @cached_property
     def _grid(self) -> _LogGrid:
         """The pool KDE's log-density grid; each q-model reads it through its affine map."""
-        return _LogGrid(self.model_p.support_points, self.model_p.bandwidth)
+        return _LogGrid(self.model_p.support_points, self.model_p.bandwidth, self._shared)
+
+    @cached_property
+    def _certified(self) -> list[tuple[_RankTable, float]] | None:
+        """Each model's table and top from grid log ratios, or None if the pool has no grid."""
+        if self._grid.log_sum is None:
+            return None
+        return self._tables(self._grid_log_ratios(self.model_p.support_points))
+
+    def _grid_log_ratios(self, x: np.ndarray) -> list[np.ndarray]:
+        """:func:`_log_ratios` at ``x`` (eval scale) from the grid, each within ``2 * error``.
+
+        p's and every q-model's queries go through one :meth:`_LogGrid.log_sums`.
+        """
+        queries = [x, *(model.scale * x + model.offset for model in self.models_q)]
+        log_p, *log_q = self._grid.log_sums(np.concatenate(queries)).reshape(len(queries), -1)
+        return [log_sum - log_p for log_sum in log_q]
 
     def flags(self, values: np.ndarray) -> list[np.ndarray]:
         """Each model's ``mass < alpha`` at test scores ``values``.
 
-        Each flag equals the exact rule's, in three steps. Densities matter
-        only at the points some table's screen keeps; the others are
-        unflagged under every model, whatever their ratios. At a kept point,
-        :meth:`_grid_flags` decides the flags its bound proves. The points it
-        leaves open get the exact p-values of :meth:`p_values`.
+        Each flag equals the exact rule's, in three steps. The certified
+        tables' screen at ``alpha * E`` keeps every point that could be
+        flagged; the others are unflagged under every model. At a kept
+        point, :meth:`_grid_flags` decides the flags its bounds prove. The
+        points it leaves open, or every point if the pool has no grid, go
+        through the exact tables' screen, and the ones it keeps get the
+        exact p-values of :meth:`p_values`.
         """
-        j = self.tables[0].ranks(values)
-        cand = np.zeros(j.shape, dtype=bool)
-        for table in self.tables:
-            cand |= table.screen(j, self.alpha)
-        values, j_cand = values[cand], j[cand]
-        flags, open_ = self._grid_flags(self._to_eval(values), j_cand)
-        if open_.any():
-            for flag, p in zip(flags, self._p_values(values[open_], j_cand[open_])):
-                flag[open_] = p < self.alpha
-        out = []
-        for flag in flags:
-            flagged = np.zeros(j.shape, dtype=bool)
-            flagged[cand] = flag
-            out.append(flagged)
+        certified = self._certified
+        j = (certified or self._exact)[0][0].ranks(values)
+        out = [np.zeros(j.shape, dtype=bool) for _ in self.models_q]
+        open_ = np.arange(j.size)
+        if certified:
+            with np.errstate(over="ignore"):  # E = exp(2 eps), eps = 2 * error
+                factor = np.exp(4.0 * self._grid.error)
+            cand = np.zeros(j.shape, dtype=bool)
+            for table, _ in certified:
+                cand |= table.screen(j, self.alpha * factor)
+            cand = np.flatnonzero(cand)
+            flags, undecided = self._grid_flags(values[cand], j[cand])
+            for flagged, flag in zip(out, flags):
+                flagged[cand] = flag
+            open_ = cand[undecided]
+        if open_.size:
+            keep = np.zeros(open_.shape, dtype=bool)
+            for table in self.tables:
+                keep |= table.screen(j[open_], self.alpha)
+            open_ = open_[keep]  # a point dropped here has no proven flag
+            for flagged, p in zip(out, self._p_values(values[open_], j[open_])):
+                flagged[open_] = p < self.alpha
         return out
 
-    def _grid_flags(self, x: np.ndarray,
+    def _grid_flags(self, values: np.ndarray,
                     j: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-        """Each model's flags the grid proves at points ``x`` (eval scale) of ranks ``j``.
+        """Each model's flags the grid proves at test scores ``values`` of ranks ``j``.
 
-        Returns the flags and the mask of points left open. The exact rule's
-        log ratio less M lies within ``eps = 2 * grid.error`` of the grid's,
-        ``log_r``, and the mass ``(r + mass[j]) / (r + mass[n])`` increases
-        with r. So a point is flagged when its mass at ``exp(log_r + eps)``
-        is under ``alpha * (1 - 1e-12)``, and cleared when its mass at
-        ``exp(log_r - eps)`` is at least ``alpha * (1 + 1e-12)``: margins far
-        above the mass's roundings, as in ``_RankTable.screen``. A point is
-        open if any model leaves it undecided or any of its reads lies
-        outside the grid.
+        Returns the flags and the mask of points left open: those some
+        model's bounds leave undecided (see the module docstring).
         """
-        grid = self._grid
-        eps = 2.0 * grid.error
-        log_p, usable = grid.read(x)
-        flags = []
-        for model, table, top in zip(self.models_q, self.tables, self._tops):
-            log_q, usable_q = grid.read(model.scale * x + model.offset)
-            log_r = log_q - log_p - top
-            flag = _masses(table, j, log_r + eps) < self.alpha * (1.0 - _SCREEN_SLACK)
-            usable &= usable_q & (flag | (_masses(table, j, log_r - eps)
-                                          >= self.alpha * (1.0 + _SCREEN_SLACK)))
+        eps = 2.0 * self._grid.error
+        flags, open_ = [], np.zeros(j.shape, dtype=bool)
+        for (table, top), log_r in zip(self._certified,
+                                       self._grid_log_ratios(self._to_eval(values))):
+            lo, hi = _mass_bounds(table, j, log_r - top, eps)
+            flag = hi < self.alpha * (1.0 - _SCREEN_SLACK)
+            open_ |= ~(flag | (lo >= self.alpha * (1.0 + _SCREEN_SLACK)))
             flags.append(flag)
-        return flags, ~usable
+        return flags, open_

@@ -35,6 +35,7 @@ uint32 words: the PCG64 seeds ``SeedSequence`` would give, for any seed.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
@@ -43,7 +44,7 @@ from typing import Mapping
 import numpy as np
 
 from .conformal import hierarchical_cutoff, standard_cutoff
-from .density import WeightedRule, check_quantile_alpha
+from .density import SIGMA_FLOOR, WeightedRule, check_bandwidth, check_quantile_alpha
 from .evaluation import CellResult, MetricsReport, aggregate, is_excluded
 from .labeling import bleu_quantile_threshold, outlier_mask
 
@@ -274,8 +275,15 @@ class ExperimentConfig:
             raise ValueError("bleu_means_too_short")
         if any(not 0.0 < b < 1.0 for b in self.bleu_means):
             raise ValueError("bleu_means_out_of_range")
-        if self.bleu_concentration <= 0 or self.bandwidth <= 0:
+        if not self.bleu_concentration > 0:
             raise ValueError("invalid_positive_parameter")
+        # A weighted pool's kernels must stay finite at any two points its
+        # queries can reach: scores lie in [_TINY, 1], so on the evaluation
+        # scale in a span S, and a shifted model stretches them by at most
+        # sigma_p / SIGMA_FLOOR, sigma_p <= S / 2, about its anchors.
+        span = -math.log10(_TINY) if self.log_scale else 1.0
+        reach = span * (1.0 + max(span / 2.0, SIGMA_FLOOR) / SIGMA_FLOOR)
+        check_bandwidth(self.bandwidth, reach if self.scenario == "weighted" else 0.0)
         if self.outlier_threshold_population not in ("null", "alt"):
             raise ValueError(
                 f"unknown_threshold_population: {self.outlier_threshold_population}")
@@ -521,19 +529,18 @@ def _hierarchical_calibrations(config: ExperimentConfig, streams: _Streams, prom
         yield size, lambda tests, cutoff=cutoff: {"hierarchical": tests < cutoff}
 
 
-def _weighted_flagger(config: ExperimentConfig, pool: np.ndarray, minority: np.ndarray):
+def _weighted_flagger(config: ExperimentConfig, pool: np.ndarray, minority: np.ndarray,
+                     rule: WeightedRule):
     """A function from test scores to the four methods' flags against one pool.
 
-    ``minority`` masks the pool's minority points. The minority-only and
-    pooled-unweighted rules flag the test scores below their cutoffs, each
-    found once, and the test scores (a null level's joined test sets) are
-    ranked once against the pool, for both weighted rules.
+    ``minority`` masks the pool's minority points, and ``rule`` is the
+    pool's weighted rule. The minority-only and pooled-unweighted rules
+    flag the test scores below their cutoffs, each found once, and the test
+    scores (a null level's joined test sets) are ranked once against the
+    pool, for both weighted rules.
     """
-    alpha = config.alpha
-    rule = WeightedRule(pool, minority, config.bandwidth, alpha, ("mean", "quantile"),
-                        config.log_scale)
-    in_dist = standard_cutoff(pool[minority], alpha)
-    unweighted = standard_cutoff(pool, alpha)
+    in_dist = standard_cutoff(pool[minority], config.alpha)
+    unweighted = standard_cutoff(pool, config.alpha)
 
     def flags(values: np.ndarray) -> dict[str, np.ndarray]:
         return {
@@ -547,14 +554,24 @@ def _weighted_flagger(config: ExperimentConfig, pool: np.ndarray, minority: np.n
 
 def _weighted_calibrations(config: ExperimentConfig, streams: _Streams, prompt: int,
                            null: int):
+    """One flagger per minority size, each against the null level's majority plus that minority.
+
+    Every minority sample is drawn first, from its own stream, so the
+    pools' weighted rules can share one node sum of the majority
+    (``WeightedRule._sharing``).
+    """
     majority_cal = _sample_values(config.distribution_for("majority", null),
                                   config.majority_cal_size,
                                   streams(prompt, null, 0, 0, "cal"))
-    for m_idx, m in enumerate(config.minority_sizes):
-        minority_cal = _sample_values(config.distribution_for("minority", null), m,
-                                      streams(prompt, null, 0, m_idx, "minority_cal"))
-        pool = np.concatenate([majority_cal, minority_cal])
-        yield m, _weighted_flagger(config, pool, np.arange(pool.size) >= majority_cal.size)
+    pools = [np.concatenate([majority_cal, _sample_values(
+        config.distribution_for("minority", null), m,
+        streams(prompt, null, 0, m_idx, "minority_cal"))])
+        for m_idx, m in enumerate(config.minority_sizes)]
+    minorities = [np.arange(pool.size) >= majority_cal.size for pool in pools]
+    rules = WeightedRule._sharing(pools, minorities, config.bandwidth, config.alpha,
+                                  ("mean", "quantile"), config.log_scale)
+    for m, pool, minority, rule in zip(config.minority_sizes, pools, minorities, rules):
+        yield m, _weighted_flagger(config, pool, minority, rule)
 
 
 # scenario -> (test-set drawer, calibration iterator, whether its flaggers

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -316,6 +317,9 @@ class TestDetectCommand:
             'conformal-wm simulate "$RUNNER_TEMP/weighted.json" --seed 1'
             ' --out "$RUNNER_TEMP/ws"',
             'cmp "$RUNNER_TEMP/ws/metrics.csv" tests/golden/simulate_weighted_seed1.csv',
+            'conformal-wm simulate "$RUNNER_TEMP/weighted.json" --seed 1 --threads 2'
+            ' --out "$RUNNER_TEMP/ws2"',
+            'cmp "$RUNNER_TEMP/ws2/metrics.csv" tests/golden/simulate_weighted_seed1.csv',
             "conformal-wm bleu README.md README.md",
             # a table that is not UTF-8 exits 2 as encoding_error
             "printf 'essay_id,score,role\\nt\\377,0.5,test\\n' > \"$RUNNER_TEMP/latin1.csv\"",
@@ -349,6 +353,20 @@ class TestDetectCommand:
                 assert any(run.startswith("python3 perfbench/run.py ")
                            and f"--workload {workload['name']} " in run
                            and run.endswith(f" {trace}") for run in runs)
+
+    @pytest.mark.parametrize("bandwidth, code", [
+        ("inf", "bandwidth_not_finite"), ("nan", "bandwidth_not_positive"),
+        ("1e-300", "bandwidth_too_small")])
+    def test_weighted_bad_bandwidth_exits_2_with_its_code(self, tmp_path, capsys, bandwidth,
+                                                          code):
+        golden = Path(__file__).parent / "golden"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning on the way
+            assert main(["detect", str(golden / "detect_cal.csv"),
+                         str(golden / "detect_test.csv"), "--method", "weighted",
+                         "--bandwidth", bandwidth, "--out", str(tmp_path / "out")]) == 2
+        assert json.loads(capsys.readouterr().err)["detail"].startswith(f"{code}: ")
+        assert not (tmp_path / "out" / "decisions.csv").exists()
 
     def test_weighted_missing_population_exits_2(self, tmp_path, capsys):
         cal = write(tmp_path, "cal.csv", CAL_CSV)
@@ -818,6 +836,19 @@ class TestSimulateCommand:
         assert err["error"] == "invalid_config"
         assert f"alpha_out_of_range: {alpha}" in err["detail"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("bandwidth, code", [
+        ("Infinity", "bandwidth_not_finite"), ("NaN", "bandwidth_not_positive"),
+        ("1e-300", "bandwidth_too_small")])
+    def test_weighted_bad_bandwidth_exits_2_with_its_code(self, tmp_path, capsys, bandwidth,
+                                                          code):
+        path = write(tmp_path, "config.json",
+                     f'{{"scenario": "weighted", "seeds": [1], "n_prompts": 1, '
+                     f'"n_test": 50, "bandwidth": {bandwidth}}}')
+        assert main(["simulate", path, "--out", str(tmp_path / "out")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "invalid_config" and err["detail"].startswith(f"{code}: ")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("scenario", ["standard", "hierarchical"])
     def test_rank_scenarios_run_at_alpha_one_half(self, tmp_path, scenario):

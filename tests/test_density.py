@@ -535,6 +535,32 @@ class TestWeightedRule:
         assert any(w.any() for w in want)
         assert not (rule.tables[0].screen(j, 0.05) | rule.tables[1].screen(j, 0.05)).all()
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_majority=st.integers(1, 60),
+           m=st.integers(1, 12), ties=st.integers(0, 8), shift=st.floats(-3.0, 1.0),
+           bandwidth=st.sampled_from([0.05, 0.2, 0.5, 1.5]), log_scale=st.booleans(),
+           alpha=st.sampled_from([0.05, 0.1, 0.3]))
+    def test_flags_equal_p_values_at_every_point(self, seed, n_majority, m, ties, shift,
+                                                 bandwidth, log_scale, alpha):
+        rng = np.random.default_rng(seed)
+        majority = 1.0 / (1.0 + np.exp(-rng.normal(0.0, 1.5, n_majority)))
+        majority[:ties] = majority[-1]
+        minorities = [1.0 / (1.0 + np.exp(-rng.normal(shift, 1.5, size)))
+                      for size in (m, 2 * m)]
+        pools = [np.concatenate([majority, minority]) for minority in minorities]
+        masks = [np.arange(pool.size) >= n_majority for pool in pools]
+        # the pools' own scores (ties included), draws across them, deep tails
+        tests = np.concatenate([pools[1], 1.0 / (1.0 + np.exp(-rng.normal(-1.0, 3.0, 300))),
+                                [1e-10, 1e-30, 1e-200]])
+        shared = density.WeightedRule._sharing(pools, masks, bandwidth, alpha,
+                                               ("mean", "quantile"), log_scale)
+        alone = density.WeightedRule(pools[0], masks[0], bandwidth, alpha,
+                                     ("mean", "quantile"), log_scale)
+        for rule in (*shared, alone):
+            flags = rule.flags(tests)
+            want = [p < alpha for p in rule.p_values(tests)]
+            assert [f.tolist() for f in flags] == [w.tolist() for w in want]
+
     @pytest.mark.parametrize("case", ["coarse_grid", "tiny_score"])
     def test_flags_equal_p_values_where_the_grid_leaves_points_open(self, monkeypatch,
                                                                      case):
@@ -636,6 +662,39 @@ class TestLogGrid:
         exact = DensityModel(support, bandwidth).log_evaluate(x[usable]) + math.log(
             support.size * bandwidth * math.sqrt(2.0 * math.pi))
         assert (np.abs(y[usable] - exact) <= grid.error).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        scores=st.lists(st.floats(1e-8, 1.0), min_size=2, max_size=150),
+        split=st.integers(1, 149),
+        bandwidth=st.floats(0.05, 2.0),
+        margin=st.integers(0, 40),
+        where=st.lists(st.floats(-0.05, 1.05), max_size=200),
+    )
+    def test_shared_node_sums_read_within_error(self, scores, split, bandwidth, margin,
+                                                where):
+        # a grid whose node sums combine a shared part's (held over more
+        # nodes than it needs) with the rest's, as simulate's pools do
+        support = np.log10(np.array(scores))
+        split = min(split, support.size - 1)
+        k_lo, k_hi = density._node_span(support, bandwidth)
+        sums = density._node_sums(support[:split], bandwidth, k_lo - margin, k_hi + margin)
+        grid = density._LogGrid(support, bandwidth,
+                                (k_lo - margin, *sums, support[split:]))
+        alone = density._LogGrid(support, bandwidth)
+        assert (grid.lo, grid.log_sum.size, grid.error) == (alone.lo, alone.log_sum.size,
+                                                            alone.error)
+        x = np.concatenate([support, grid.lo + grid.step * (grid.log_sum.size - 1)
+                            * np.array(where)])
+        y, usable = grid.read(x)
+        assert usable[:support.size].all()
+        exact = DensityModel(support, bandwidth).log_evaluate(x[usable]) + math.log(
+            support.size * bandwidth * math.sqrt(2.0 * math.pi))
+        assert (np.abs(y[usable] - exact) <= grid.error).all()
+        # outside the grid, an exact row
+        assert (np.abs(grid.log_sums(x) - DensityModel(support, bandwidth).log_evaluate(x)
+                       - math.log(support.size * bandwidth * math.sqrt(2.0 * math.pi)))
+                <= grid.error).all()
 
 
 def corrupt_ratios(monkeypatch, value):

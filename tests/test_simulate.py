@@ -408,6 +408,19 @@ class TestDeterminism:
         assert outputs[0] == outputs[1]
 
 
+def record_opened_rules(monkeypatch) -> list:
+    """Record each WeightedRule that takes exact p-values, once per call."""
+    opened = []
+    p_values = density.WeightedRule._p_values
+
+    def recording(rule, values, j):
+        opened.append(rule)
+        return p_values(rule, values, j)
+
+    monkeypatch.setattr(density.WeightedRule, "_p_values", recording)
+    return opened
+
+
 class TestWeightedDensityCalls:
     def test_pool_density_evaluated_once_per_point_set(self, monkeypatch):
         cfg = small_config(scenario="weighted", seeds=(1,), n_prompts=1, n_test=50,
@@ -419,28 +432,41 @@ class TestWeightedDensityCalls:
             calls.append((model, np.size(x)))
             return log_evaluate(model, x)
 
-        grids = []
-        log_grid = density._LogGrid
+        summed = []
+        node_sums = density._node_sums
 
-        def counting_grid(support, bandwidth):
-            grids.append(support.size)
-            return log_grid(support, bandwidth)
+        def counting_node_sums(points, bandwidth, k_lo, k_hi):
+            summed.append(points.size)
+            return node_sums(points, bandwidth, k_lo, k_hi)
 
         monkeypatch.setattr(DensityModel, "log_evaluate", counting_log_evaluate)
-        monkeypatch.setattr(density, "_LogGrid", counting_grid)
-        run_scenario(cfg)
-        flaggers = len(cfg.null_levels) * len(cfg.minority_sizes)
+        monkeypatch.setattr(density, "_node_sums", counting_node_sums)
+        opened = record_opened_rules(monkeypatch)
         pool_sizes = ([cfg.majority_cal_size + m for m in cfg.minority_sizes]
                       * len(cfg.null_levels))
-        # p and both q-models at the pool, then one grid that p and both q-models read
-        assert grids == pool_sizes
-        at_pool = [size for _, size in calls if size in pool_sizes]
-        assert len(at_pool) == flaggers * 3
-        # exact evaluations at test points are the grid's fallbacks: p and both q-models
-        rest = [(model, size) for model, size in calls if size not in pool_sizes]
-        assert len(rest) % 3 == 0
-        for k in range(0, len(rest), 3):
-            assert rest[k][0].shift is None and rest[k][1] == rest[k + 1][1] == rest[k + 2][1]
+        # the default grid leaves few points open or none, one node per
+        # bandwidth some
+        for step in (density._GRID_STEP, 1.0):
+            monkeypatch.setattr(density, "_GRID_STEP", step)
+            for recorded in (calls, summed, opened):
+                recorded.clear()
+            run_scenario(cfg)
+            # one majority node sum per null level, shared by its pools, and
+            # one minority sum per pool
+            assert summed == ([cfg.majority_cal_size, *cfg.minority_sizes]
+                              * len(cfg.null_levels))
+            # p and both q-models at the pool, only for a pool with an open point
+            at_pool = [size for _, size in calls if size in pool_sizes]
+            assert len(at_pool) == 3 * len(opened)
+            assert len(set(map(id, opened))) == len(opened)
+            # exact evaluations at test points are the open points': p and both
+            # q-models
+            rest = [(model, size) for model, size in calls if size not in pool_sizes]
+            assert len(rest) == 3 * len(opened)
+            for k in range(0, len(rest), 3):
+                assert rest[k][0].shift is None
+                assert rest[k][1] == rest[k + 1][1] == rest[k + 2][1]
+        assert opened
 
 
 class TestWeightedTables:
@@ -464,11 +490,14 @@ class TestWeightedTables:
             return ranks(table, values)
 
         monkeypatch.setattr(conformal._RankTable, "ranks", counting_ranks)
+        opened = record_opened_rules(monkeypatch)
         run_scenario(cfg)
         flaggers = (len(cfg.seeds) * cfg.n_prompts * len(cfg.null_levels)
                     * len(cfg.minority_sizes))
-        # pool and minority tables, and one table per weighted variant
-        assert built == {"_standard_table": 2 * flaggers, "_weighted_table": 2 * flaggers}
+        # pool and minority tables, one certified table per weighted variant,
+        # and one exact table per variant for a pool with an open point
+        assert built == {"_standard_table": 2 * flaggers,
+                         "_weighted_table": 2 * flaggers + 2 * len(opened)}
         # each joined array is ranked once, against the pool; the minority-only
         # and pooled-unweighted rules compare it with their cutoffs instead
         joined = [cfg.n_test * (1 + len(cfg.alt_levels(null))) for null in cfg.null_levels]
@@ -701,6 +730,81 @@ class TestWeightedGrid:
             fallbacks.append(sum(opened))
         assert outputs[0] == outputs[1]
         assert fallbacks[0] < fallbacks[1]
+
+
+def _ladder(params) -> dict:
+    """A distributions entry for levels 1-5 of both populations; ``params(pop, level)``."""
+    return {pop: {str(level): params(pop, level) for level in range(1, 6)}
+            for pop in ("majority", "minority")}
+
+
+_WEIGHTED_BASE = {"scenario": "weighted", "seeds": [1], "n_prompts": 2, "n_test": 200,
+                  "null_levels": [1, 3], "max_level": 5}
+# Each case's pools reach one corner of the certified masses; the test checks
+# that the certified run did reach it.
+_CERTIFIED_CASES = {
+    # majority log-odds of sd 40: about a fifth of the pool ties at 1.0, and
+    # the pool spans over 15 log10 units, so many points stay open
+    "ties": dict(_WEIGHTED_BASE, distributions={"majority": {
+        str(level): {"family": "logit_normal", "params": {"mu": -float(level), "sigma": 40.0}}
+        for level in range(1, 6)}}),
+    # a single minority point has spread 1e-8, so the q-maps stretch the pool
+    # far past the grid: exact rows; raw scores, not log10
+    "m1_linear": dict(_WEIGHTED_BASE, minority_sizes=[1, 5], log_scale=False),
+    # more than 2**14 nodes of h/16: no grid, every kept point is exact
+    "too_wide": dict(_WEIGHTED_BASE, minority_sizes=[5, 30], bandwidth=0.002),
+    "mixture": dict(_WEIGHTED_BASE, distributions=_ladder(lambda pop, level: {
+        "family": "mixture", "params": {"components": [
+            {"family": "logit_normal", "weight": 0.7,
+             "params": {"mu": -level - 2.0 * (pop == "minority"), "sigma": 1.0}},
+            {"family": "beta", "weight": 0.3, "params": {"a": 1.0, "b": float(level)}}]}})),
+}
+
+
+class TestCertifiedMasses:
+    @pytest.mark.parametrize("case", sorted(_CERTIFIED_CASES))
+    def test_metrics_json_equals_exact_tables_run(self, tmp_path, monkeypatch, case):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(_CERTIFIED_CASES[case]), encoding="utf-8")
+        seen = Counter()
+        read, grid_flags = density._LogGrid.read, density.WeightedRule._grid_flags
+
+        def recording_read(grid, x):
+            y, usable = read(grid, x)
+            seen["reads"] += 1
+            seen["outside"] += int(np.count_nonzero(~usable))
+            return y, usable
+
+        def recording_grid_flags(rule, values, j):
+            flags, open_ = grid_flags(rule, values, j)
+            seen["decided"] += int(np.count_nonzero(~open_))
+            seen["open"] += int(np.count_nonzero(open_))
+            seen["ties"] += rule._pool.size - np.unique(rule._pool).size
+            return flags, open_
+
+        monkeypatch.setattr(density._LogGrid, "read", recording_read)
+        monkeypatch.setattr(density.WeightedRule, "_grid_flags", recording_grid_flags)
+        outputs, runs = [], []
+        for exact in (False, True):
+            if exact:  # every kept point through the exact tables, as with no grid
+                monkeypatch.setattr(density.WeightedRule, "_certified",
+                                    property(lambda rule: None))
+            seen.clear()
+            out = tmp_path / f"exact{exact}"
+            assert main(["simulate", str(path), "--out", str(out)]) == 0
+            outputs.append((out / "metrics.json").read_bytes())
+            runs.append(dict(seen))
+        assert outputs[0] == outputs[1]
+        certified, exact_run = runs
+        assert exact_run == {}
+        if case == "too_wide":
+            assert certified == {}
+        else:
+            assert certified["decided"] > 0
+        if case == "ties":
+            assert certified["ties"] > 0 and certified["open"] > 0
+        if case == "m1_linear":
+            assert certified["outside"] > 0
 
 
 class TestScenarioBehavior:
