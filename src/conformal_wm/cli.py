@@ -138,7 +138,7 @@ def cmd_detect(args) -> int:
         if not minority.any():
             raise ValidationError("no_minority_rows", detail=args.cal_path)
         rule = WeightedRule(cal, minority, args.bandwidth, alpha, (args.shift,), use_log)
-        extra["shift"] = {**asdict(rule.models_q[0].shift),
+        extra["shift"] = {**asdict(rule.shifts[0]),
                           "minority_size": int(minority.sum()),
                           "bandwidth": args.bandwidth, "log_scale": use_log}
         (p,) = rule.p_values(tests)

@@ -19,7 +19,7 @@ the grid only when the bound proves it; the exact sums decide the rest, so
 every flag equals the exact rule's. The exact tables, 3 N**2 kernel terms
 for a pool of N points, are built only for a pool that leaves a point open.
 
-Certified masses. A model's exact ratios are ``r_i = exp(l_i - M)``, with
+Certified masses. A shift's exact ratios are ``r_i = exp(l_i - M)``, with
 ``l_i = log q - log p`` at pool point i and M their largest; the grid's are
 ``g_i = exp(l~_i - M~)`` from its own log ratios ``l~_i``. Each ``l~_i`` is
 two reads, each within ``error`` of the exact log sum, so
@@ -146,27 +146,29 @@ class ShiftEstimate:
         if self.sigma_p <= 0 or self.sigma_q <= 0:
             raise ValueError("sigma_not_positive")
 
+    def to_pool(self, x: np.ndarray) -> np.ndarray:
+        """The pool point whose density is the subgroup's at ``x``: ``scale * x + offset``.
+
+        ``scale = sigma_p / sigma_q`` and ``offset = p_anchor - q_anchor * scale``
+        map the subgroup's anchor to the pool's. No Jacobian factor is applied:
+        weights are formed from normalized ratios, so constant factors cancel.
+        """
+        scale = self.sigma_p / self.sigma_q
+        return scale * x + (self.p_anchor - self.q_anchor * scale)
+
 
 @dataclass(frozen=True, eq=False)
 class DensityModel:
-    """Gaussian KDE evaluated through an affine query transform.
+    """Gaussian KDE of the pool.
 
-    With the identity transform (scale=1, offset=0) this is the pool
-    density itself. A shifted model evaluates the same KDE at
-    ``scale * x + offset``, which realizes the subgroup density as an
-    affinely relocated copy of the pool density. No Jacobian factor is
-    applied: weights are formed from normalized ratios, so constant
-    factors cancel. ``support_points`` is stored as a read-only float64
-    copy of whatever sequence is passed. ``bandwidth`` is the literal
-    kernel width. scipy's gaussian_kde rescales its bandwidth by the sample
-    deviation, which would silently change the smoothing as the pool changes.
+    ``support_points`` is stored as a read-only float64 copy of whatever
+    sequence is passed. ``bandwidth`` is the literal kernel width. scipy's
+    gaussian_kde rescales its bandwidth by the sample deviation, which would
+    silently change the smoothing as the pool changes.
     """
 
     support_points: np.ndarray
     bandwidth: float
-    scale: float = 1.0
-    offset: float = 0.0
-    shift: ShiftEstimate | None = None
 
     def __post_init__(self):
         support = np.array(self.support_points, dtype=np.float64)
@@ -175,8 +177,6 @@ class DensityModel:
         if support.size == 0:
             raise ValueError("empty_support: KDE needs at least one point")
         check_bandwidth(self.bandwidth, float(support.max() - support.min()))
-        if not self.scale > 0:
-            raise ValueError(f"scale_not_positive: {self.scale}")
 
     def log_evaluate(self, x) -> np.ndarray:
         """Log density at ``x`` as an array of ``x``'s shape, finite at finite ``x``.
@@ -184,8 +184,7 @@ class DensityModel:
         The sum over support points is exact, not binned (:func:`_log_kernel_sums`).
         """
         arr = np.asarray(x, dtype=float)
-        log_sums, _ = _log_kernel_sums((self.scale * arr + self.offset).ravel(),
-                                       self.support_points, self.bandwidth)
+        log_sums, _ = _log_kernel_sums(arr.ravel(), self.support_points, self.bandwidth)
         log_sums -= math.log(self.support_points.size * self.bandwidth * _GAUSS_NORM)
         return log_sums.reshape(arr.shape)
 
@@ -261,20 +260,11 @@ def _spread(values: np.ndarray) -> float:
     return max(float(np.std(values)), SIGMA_FLOOR)
 
 
-def mean_shift(
-    pool_logs: Sequence[float],
-    minority_logs: Sequence[float],
-    bandwidth: float,
-) -> DensityModel:
-    """Subgroup density from the pool KDE, anchored at the two sample means.
-
-    A query x is standardized with the minority moments and re-expressed in
-    pool coordinates before the pool KDE is evaluated:
-    ``x -> ((x - mean_q) / sigma_q) * sigma_p + mean_p``.
-    """
+def mean_shift(pool_logs: Sequence[float], minority_logs: Sequence[float]) -> ShiftEstimate:
+    """The shift anchored at the sample means, ``(x - mean_q) / sigma_q * sigma_p + mean_p``."""
     pool, minority = _samples(pool_logs, minority_logs)
-    return _shifted_model(pool, minority, bandwidth, "mean",
-                          float(np.mean(minority)), float(np.mean(pool)))
+    return ShiftEstimate("mean", float(np.mean(minority)), float(np.mean(pool)),
+                         _spread(pool), _spread(minority))
 
 
 def check_quantile_alpha(alpha: float) -> None:
@@ -283,13 +273,9 @@ def check_quantile_alpha(alpha: float) -> None:
         raise ValueError(f"alpha_out_of_range: {alpha}")
 
 
-def quantile_shift(
-    pool_logs: Sequence[float],
-    minority_logs: Sequence[float],
-    bandwidth: float,
-    alpha: float,
-) -> DensityModel:
-    """Subgroup density anchored at lower-tail quantiles instead of means.
+def quantile_shift(pool_logs: Sequence[float], minority_logs: Sequence[float],
+                   alpha: float) -> ShiftEstimate:
+    """The shift anchored at lower-tail quantiles instead of means.
 
     The minority anchor level adapts to the minority sample size m:
 
@@ -320,7 +306,8 @@ def quantile_shift(
         branch = "alpha"
         q_anchor = empirical_quantile(minority, alpha)
         p_anchor = empirical_quantile(pool, alpha)
-    return _shifted_model(pool, minority, bandwidth, "quantile", q_anchor, p_anchor, branch)
+    return ShiftEstimate("quantile", q_anchor, p_anchor, _spread(pool), _spread(minority),
+                         branch)
 
 
 def _samples(pool_logs, minority_logs) -> tuple[np.ndarray, np.ndarray]:
@@ -334,27 +321,17 @@ def _samples(pool_logs, minority_logs) -> tuple[np.ndarray, np.ndarray]:
     return pool, minority
 
 
-def _shifted_model(pool: np.ndarray, minority: np.ndarray, bandwidth: float,
-                   method: str, q_anchor: float, p_anchor: float,
-                   branch: str | None = None) -> DensityModel:
-    est = ShiftEstimate(method, q_anchor, p_anchor, _spread(pool), _spread(minority),
-                        branch)
-    scale = est.sigma_p / est.sigma_q
-    offset = est.p_anchor - est.q_anchor * scale
-    return DensityModel(
-        support_points=pool,
-        bandwidth=float(bandwidth),
-        scale=scale,
-        offset=offset,
-        shift=est,
-    )
+def _log_ratios(log_density, shifts: Sequence[ShiftEstimate], x) -> list[np.ndarray]:
+    """``log q - log p`` at the points ``x`` for each shift's q, p read through its map.
 
-
-def _log_ratios(model_p: DensityModel, models_q: Sequence[DensityModel],
-                points: np.ndarray) -> list[np.ndarray]:
-    """``log q - log p`` at ``points`` for each q-model; p is evaluated once."""
-    log_p = model_p.log_evaluate(points)
-    return [model_q.log_evaluate(points) - log_p for model_q in models_q]
+    ``log_density`` gives p's log density up to a constant (exact, or a
+    grid's reads), and is called once, on ``x`` and every shift's
+    :meth:`ShiftEstimate.to_pool` of it joined.
+    """
+    x = np.asarray(x, dtype=float)
+    queries = [x, *(shift.to_pool(x) for shift in shifts)]
+    log_p, *log_q = log_density(np.concatenate(queries)).reshape(len(queries), -1)
+    return [log_sum - log_p for log_sum in log_q]
 
 
 def _masses(table: _RankTable, j: np.ndarray, log_r: np.ndarray) -> np.ndarray:
@@ -551,14 +528,15 @@ class WeightedRule:
     """The weighted conformal rule of one calibration pool.
 
     ``minority`` masks the pool's minority points, and the scores go through
-    log10 once if ``log_scale``. p is the pool KDE and ``models_q`` holds
-    one shifted model per name in ``shifts`` ("mean" or "quantile"), each
-    with its :class:`ShiftEstimate`. ``tables`` holds one weighted rank
-    table per model, of the exact ratios; it is built on first use, by
-    :meth:`p_values` or by :meth:`flags` where the grid leaves a point open.
-    Every table holds the pool sorted, so one rank serves them all.
+    log10 once if ``log_scale``. p is the pool KDE, and the attribute
+    ``shifts`` holds one :class:`ShiftEstimate` per name in the argument
+    ``shifts`` ("mean" or "quantile"), whose q is p read through its map.
+    ``tables`` holds one weighted rank table per shift, of the exact ratios;
+    it is built on first use, by :meth:`p_values` or by :meth:`flags` where
+    the grid leaves a point open. Every table holds the pool sorted, so one
+    rank serves them all.
 
-    A model's ratios are ``exp(log q - log p - M)``, M its largest at the
+    A shift's ratios are ``exp(log q - log p - M)``, M its largest at the
     pool: its calibration ratios lie in [0, 1] and total at least 1, and a
     test ratio beyond the range of floats is inf, of weighted mass 1.
     :meth:`flags` decides from the grid's certified tables instead where it
@@ -577,9 +555,9 @@ class WeightedRule:
         pool_eval = self._to_eval(self._pool)
         minority_eval = pool_eval[minority]
         self.model_p = DensityModel(pool_eval, float(bandwidth))
-        self.models_q = [mean_shift(pool_eval, minority_eval, bandwidth) if shift == "mean"
-                         else quantile_shift(pool_eval, minority_eval, bandwidth, alpha)
-                         for shift in shifts]
+        self.shifts = [mean_shift(pool_eval, minority_eval) if shift == "mean"
+                       else quantile_shift(pool_eval, minority_eval, alpha)
+                       for shift in shifts]
 
     @classmethod
     def _sharing(cls, pools: Sequence[np.ndarray], minorities: Sequence[np.ndarray],
@@ -608,59 +586,52 @@ class WeightedRule:
         return rules
 
     def _tables(self, log_ratios: list[np.ndarray]) -> list[tuple[_RankTable, float]]:
-        """Each model's weighted table of ``exp(log_r - top)`` at the pool, and its top."""
+        """Each shift's weighted table of ``exp(log_r - top)`` at the pool, and its top."""
         return [(_weighted_table(self._pool, np.exp(log_r - top)), top)
                 for log_r in log_ratios for top in (log_r.max(),)]
 
     @cached_property
     def _exact(self) -> list[tuple[_RankTable, float]]:
-        """The exact tables and tops: 3 exact log-density evaluations at the pool."""
-        return self._tables(_log_ratios(self.model_p, self.models_q,
+        """The exact tables and tops: one exact log density, at the pool and its images."""
+        return self._tables(_log_ratios(self.model_p.log_evaluate, self.shifts,
                                         self.model_p.support_points))
 
     @property
     def tables(self) -> list[_RankTable]:
-        """Each model's weighted table of exact ratios."""
+        """Each shift's weighted table of exact ratios."""
         return [table for table, _ in self._exact]
 
     def _p_values(self, values: np.ndarray, j: np.ndarray) -> list[np.ndarray]:
         exact = self._exact
-        log_ratios = _log_ratios(self.model_p, self.models_q, self._to_eval(values))
+        log_ratios = _log_ratios(self.model_p.log_evaluate, self.shifts,
+                                 self._to_eval(values))
         return [_masses(table, j, log_r - top)
                 for (table, top), log_r in zip(exact, log_ratios)]
 
     def p_values(self, values) -> list[np.ndarray]:
-        """Each model's weighted mass at every test score."""
+        """Each shift's weighted mass at every test score."""
         values = np.asarray(values, dtype=float)
         return self._p_values(values, self.tables[0].ranks(values))
 
     @cached_property
     def _grid(self) -> _LogGrid:
-        """The pool KDE's log-density grid; each q-model reads it through its affine map."""
+        """The pool KDE's log-density grid; each shift's q reads it through its map."""
         return _LogGrid(self.model_p.support_points, self.model_p.bandwidth, self._shared)
 
     @cached_property
     def _certified(self) -> list[tuple[_RankTable, float]] | None:
-        """Each model's table and top from grid log ratios, or None if the pool has no grid."""
+        """Each shift's table and top from grid log ratios, or None if the pool has no grid."""
         if self._grid.log_sum is None:
             return None
-        return self._tables(self._grid_log_ratios(self.model_p.support_points))
-
-    def _grid_log_ratios(self, x: np.ndarray) -> list[np.ndarray]:
-        """:func:`_log_ratios` at ``x`` (eval scale) from the grid, each within ``2 * error``.
-
-        p's and every q-model's queries go through one :meth:`_LogGrid.log_sums`.
-        """
-        queries = [x, *(model.scale * x + model.offset for model in self.models_q)]
-        log_p, *log_q = self._grid.log_sums(np.concatenate(queries)).reshape(len(queries), -1)
-        return [log_sum - log_p for log_sum in log_q]
+        return self._tables(_log_ratios(self._grid.log_sums, self.shifts,
+                                        self.model_p.support_points))
 
     def flags(self, values: np.ndarray) -> list[np.ndarray]:
-        """Each model's ``mass < alpha`` at test scores ``values``.
+        """Each shift's ``mass < alpha`` at test scores ``values``.
 
         Each flag equals the exact rule's, in three steps. The certified
         tables' screen at ``alpha * E`` keeps every point that could be
-        flagged; the others are unflagged under every model. At a kept
+        flagged; the others are unflagged under every shift. At a kept
         point, :meth:`_grid_flags` decides the flags its bounds prove. The
         points it leaves open, or every point if the pool has no grid, go
         through the exact tables' screen, and the ones it keeps get the
@@ -668,7 +639,7 @@ class WeightedRule:
         """
         certified = self._certified
         j = (certified or self._exact)[0][0].ranks(values)
-        out = [np.zeros(j.shape, dtype=bool) for _ in self.models_q]
+        out = [np.zeros(j.shape, dtype=bool) for _ in self.shifts]
         open_ = np.arange(j.size)
         if certified:
             with np.errstate(over="ignore"):  # E = exp(2 eps), eps = 2 * error
@@ -692,15 +663,15 @@ class WeightedRule:
 
     def _grid_flags(self, values: np.ndarray,
                     j: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-        """Each model's flags the grid proves at test scores ``values`` of ranks ``j``.
+        """Each shift's flags the grid proves at test scores ``values`` of ranks ``j``.
 
         Returns the flags and the mask of points left open: those some
-        model's bounds leave undecided (see the module docstring).
+        shift's bounds leave undecided (see the module docstring).
         """
         eps = 2.0 * self._grid.error
         flags, open_ = [], np.zeros(j.shape, dtype=bool)
-        for (table, top), log_r in zip(self._certified,
-                                       self._grid_log_ratios(self._to_eval(values))):
+        for (table, top), log_r in zip(self._certified, _log_ratios(
+                self._grid.log_sums, self.shifts, self._to_eval(values))):
             lo, hi = _mass_bounds(table, j, log_r - top, eps)
             flag = hi < self.alpha * (1.0 - _SCREEN_SLACK)
             open_ |= ~(flag | (lo >= self.alpha * (1.0 + _SCREEN_SLACK)))

@@ -262,7 +262,7 @@ class ExperimentConfig:
             values = getattr(self, name)
             if len(set(values)) < len(values):  # its cells would run and count twice
                 raise ValueError(f"repeated_entries: {name}={values}")
-        if self.n_test < 1 or self.n_prompts < 1 or self.k_groups < 1:
+        if min(self.n_test, self.n_prompts, self.k_groups, self.majority_cal_size) < 1:
             raise ValueError("invalid_counts")
         if not 2 <= self.max_level <= 7:
             raise ValueError(f"max_level_out_of_range: {self.max_level}")
@@ -615,10 +615,14 @@ def config_from_dict(data: Mapping) -> ExperimentConfig:
     nested = _mapping(data.pop("distributions", None) or {}, "distributions")
     for population, by_level in nested.items():
         for level, spec in _mapping(by_level, f"distributions.{population}").items():
-            dists[(population, int(level))] = ScoreDistribution(
-                family=spec["family"],
-                params=spec.get("params", {}),
-            )
+            name = f"distributions.{population}.{level}"
+            try:
+                key = (population, int(level))
+            except (TypeError, ValueError):
+                raise ValueError(f"invalid_config_shape: {name} must have an integer level")
+            if "family" not in _mapping(spec, name):
+                raise ValueError(f"invalid_params: {name} needs a family")
+            dists[key] = ScoreDistribution(spec["family"], spec.get("params", {}))
     defaults = {f.name: f.default for f in fields(ExperimentConfig)
                 if f.name != "distributions"}
     kwargs = {}

@@ -19,7 +19,7 @@ from conformal_wm.cli import main
 from conformal_wm.conformal import hierarchical_p_values, standard_p_values, weighted_p_values
 from conformal_wm.bleu import TokenizedText, bleu
 from conformal_wm import density
-from conformal_wm.density import DensityModel, quantile_shift
+from conformal_wm.density import DensityModel, ShiftEstimate, quantile_shift
 from conformal_wm.evaluation import CellResult, is_excluded
 from conformal_wm.simulate import default_config, run_scenario
 
@@ -103,6 +103,7 @@ def test_criterion_04_weighted_reduction():
     """Identical densities: weighted flag == standard flag except exact ties."""
     with criterion(4, "weighted reduction"):
         rng = np.random.default_rng(404)
+        identity = ShiftEstimate("mean", 0.0, 0.0, 1.0, 1.0)  # q = p
         t0 = time.perf_counter()
         disagreements = 0
         for _ in range(1000):
@@ -111,7 +112,8 @@ def test_criterion_04_weighted_reduction():
             s = float(rng.random() * 0.999 + 1e-4)
             logs = np.log10(values)
             model = DensityModel(logs, 0.5)
-            (ratios,) = np.exp(density._log_ratios(model, [model], np.append(logs, math.log10(s))))
+            (ratios,) = np.exp(density._log_ratios(model.log_evaluate, [identity],
+                                                   np.append(logs, math.log10(s))))
             wtd_flag = weighted_p_values(values, ratios[:-1], s, ratios[-1]) < ALPHA
             std_p = standard_p_values(values, s)
             if std_p == ALPHA:
@@ -130,7 +132,7 @@ def test_criterion_05_quantile_shift_branch_boundaries():
         expected = {10: "min", 11: "2alpha", 20: "2alpha", 21: "alpha"}
         for m, branch in expected.items():
             minority = rng.normal(-1.5, 1, m)
-            est = quantile_shift(pool, minority, 0.5, alpha=ALPHA).shift
+            est = quantile_shift(pool, minority, alpha=ALPHA)
             assert est.branch == branch, (m, est.branch)
 
 

@@ -251,8 +251,9 @@ class TestDetectCommand:
         monkeypatch.setattr(DensityModel, "log_evaluate", counting_log_evaluate)
         assert main(["detect", cal, test, "--method", "weighted",
                      "--out", str(tmp_path / "out")]) == 0
-        # both KDEs, once at the calibration points and once at the test points
-        assert len(calls) == 4
+        # the pool KDE, once at the calibration points and their images under
+        # the shift's map, and once at the test points and theirs
+        assert len(calls) == 2
 
     def test_manifest_version_is_package_version(self, tmp_path):
         cal = write(tmp_path, "cal.csv", CAL_CSV)
@@ -772,9 +773,19 @@ class TestSimulateCommand:
             "components": [{"weight": 1}]}}}}}, "needs a family"),
         ({"distributions": {"majority": {"1": {"family": "beta", "params": {"a": None}}}}},
          "a=None is not a number"),
+        ({"scenario": "weighted", "majority_cal_size": 0}, "invalid_counts"),
+        ({"scenario": "weighted", "majority_cal_size": -3}, "invalid_counts"),
+        # these three had the bare KeyError, TypeError or int() message
+        ({"distributions": {"minority": {"3": {"params": {"a": 2.0}}}}},
+         "invalid_params: distributions.minority.3 needs a family"),
+        ({"distributions": {"minority": {"3": "beta"}}},
+         "invalid_config_shape: distributions.minority.3 must be an object, not str"),
+        ({"distributions": {"minority": {"one": {"family": "beta"}}}},
+         "invalid_config_shape: distributions.minority.one must have an integer level"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, config, detail):
-        # each of these once escaped validation and exited 1 as an internal error
+        # each of these once escaped validation and exited 1 as an internal
+        # error, or exited 2 with an uncoded detail
         cfg = write(tmp_path, "config.json", json.dumps(config))
         out = tmp_path / "r"
         assert main(["simulate", cfg, "--seed", "1", "--out", str(out)]) == 2

@@ -421,9 +421,9 @@ class TestWeightedScreen:
         rng = np.random.default_rng(3)
         pool = rng.normal(size=40)
         model_p = DensityModel(pool, 0.5)
-        model_q = mean_shift(pool, pool[:8], 0.5)
-        r_cal, = np.exp(density._log_ratios(model_p, [model_q], pool))
-        r_test, = np.exp(density._log_ratios(model_p, [model_q], np.empty(0)))
+        shift = mean_shift(pool, pool[:8])
+        r_cal, = np.exp(density._log_ratios(model_p.log_evaluate, [shift], pool))
+        r_test, = np.exp(density._log_ratios(model_p.log_evaluate, [shift], np.empty(0)))
         assert r_test.shape == (0,)
         assert weighted_p_values(pool, r_cal, np.empty(0), r_test).shape == (0,)
         assert weighted_screen(pool, r_cal, np.empty(0), 0.05).shape == (0,)

@@ -45,7 +45,7 @@ def kde_integral(model, lo, hi, n=40001):
 
 
 class TestFitKde:
-    """The pool KDE: a DensityModel with the identity map."""
+    """The pool KDE."""
 
     def test_single_kernel_closed_form(self):
         # (1/h) * standard normal density at 0, with h = 0.5
@@ -78,7 +78,8 @@ class TestFitKde:
 
     def test_support_is_a_read_only_float64_copy(self):
         pool = np.array([0.25, -1.5, 2.0])
-        models = [DensityModel(pool, 0.5), mean_shift(pool, pool[:2], 0.5),
+        rule = density.WeightedRule(pool, np.arange(3) < 2, 0.5, 0.05, ("mean",), False)
+        models = [DensityModel(pool, 0.5), rule.model_p,
                   DensityModel(support_points=(1, 2), bandwidth=1.0)]
         pool[0] = 9.0
         for model in models:
@@ -92,10 +93,6 @@ class TestFitKde:
     def test_nonpositive_bandwidth_rejected(self, bad):
         with pytest.raises(ValueError, match="bandwidth_not_positive"):
             DensityModel([0.0], bad)
-
-    def test_identity_transform_flag(self):
-        model = DensityModel([0.0, 1.0], 0.5)
-        assert (model.scale, model.offset) == (1.0, 0.0)
 
 
 class TestEmpiricalQuantile:
@@ -202,37 +199,38 @@ class TestEmpiricalQuantileBits:
 class TestMeanShift:
     def test_identical_populations_give_identity_transform(self):
         logs = [-2.0, -1.0, 0.0, 1.0]
-        model = mean_shift(logs, logs, 0.5)
-        assert model.scale == 1.0 and model.offset == 0.0
+        est = mean_shift(logs, logs)
+        x = np.array([-1.5, 0.2, 3.0])
+        assert est.to_pool(x).tolist() == x.tolist()
         base = DensityModel(logs, 0.5)
-        for x in (-1.5, 0.2, 3.0):
-            assert kde_at(model, x) == kde_at(base, x)
+        assert kde_at(base, est.to_pool(x)).tolist() == kde_at(base, x).tolist()
 
     def test_pure_location_shift(self):
         pool = [-1.0, 1.0]        # mean 0, std 1
         minority = [-3.0, -1.0]   # mean -2, std 1
-        model = mean_shift(pool, minority, 0.5)
+        est = mean_shift(pool, minority)
         base = DensityModel(pool, 0.5)
         for x in (-2.0, -0.5, 0.0, 1.0):
-            assert float(kde_at(model, x)) == pytest.approx(float(kde_at(base, x + 2.0)),
-                                                            abs=1e-15)
+            assert float(kde_at(base, est.to_pool(x))) == pytest.approx(
+                float(kde_at(base, x + 2.0)), abs=1e-15)
 
     def test_wider_minority_compresses_queries(self):
         pool = [-1.0, 1.0]       # std 1
         minority = [-2.0, 2.0]   # std 2
-        model = mean_shift(pool, minority, 0.5)
-        assert model.scale == 0.5
+        est = mean_shift(pool, minority)
+        assert est.to_pool(np.array([0.0, 1.0])).tolist() == [0.0, 0.5]
         base = DensityModel(pool, 0.5)
-        assert float(kde_at(model, 1.0)) == pytest.approx(float(kde_at(base, 0.5)), abs=1e-15)
+        assert float(kde_at(base, est.to_pool(1.0))) == pytest.approx(
+            float(kde_at(base, 0.5)), abs=1e-15)
 
     def test_constant_minority_hits_sigma_floor(self):
-        model = mean_shift([-1.0, 0.0, 1.0], [0.5, 0.5], 0.5)
-        assert model.shift.sigma_q == 1e-8
-        assert math.isfinite(kde_at(model, 0.49))
+        est = mean_shift([-1.0, 0.0, 1.0], [0.5, 0.5])
+        assert est.sigma_q == 1e-8
+        assert math.isfinite(kde_at(DensityModel([-1.0, 0.0, 1.0], 0.5), est.to_pool(0.49)))
 
     def test_empty_minority_rejected(self):
         with pytest.raises(ValueError, match="empty_minority"):
-            mean_shift([0.0], [], 0.5)
+            mean_shift([0.0], [])
 
 
 class TestQuantileShift:
@@ -240,8 +238,7 @@ class TestQuantileShift:
         rng = np.random.default_rng(0)
         pool = rng.normal(0, 1, 200)
         minority = rng.normal(-2, 1, 8)
-        model = quantile_shift(pool, minority, 0.5, alpha=0.05)
-        est = model.shift
+        est = quantile_shift(pool, minority, alpha=0.05)
         assert est.branch == "min"
         assert est.q_anchor == float(np.min(minority))
         assert est.p_anchor == pytest.approx(
@@ -251,7 +248,7 @@ class TestQuantileShift:
         rng = np.random.default_rng(1)
         pool = rng.normal(0, 1, 200)
         minority = rng.normal(-2, 1, 15)
-        est = quantile_shift(pool, minority, 0.5, alpha=0.05).shift
+        est = quantile_shift(pool, minority, alpha=0.05)
         assert est.branch == "2alpha"
         assert est.q_anchor == pytest.approx(
             np.quantile(minority, 0.10, method="hazen"), abs=1e-12)
@@ -262,7 +259,7 @@ class TestQuantileShift:
         rng = np.random.default_rng(2)
         pool = rng.normal(0, 1, 200)
         minority = rng.normal(-2, 1, 30)
-        est = quantile_shift(pool, minority, 0.5, alpha=0.05).shift
+        est = quantile_shift(pool, minority, alpha=0.05)
         assert est.branch == "alpha"
         assert est.q_anchor == pytest.approx(
             np.quantile(minority, 0.05, method="hazen"), abs=1e-12)
@@ -271,21 +268,26 @@ class TestQuantileShift:
                                           (20, "2alpha"), (21, "alpha")])
     def test_integer_branch_boundaries_at_alpha_005(self, m, branch):
         rng = np.random.default_rng(m)
-        est = quantile_shift(rng.normal(0, 1, 100), rng.normal(-1, 1, m),
-                             0.5, alpha=0.05).shift
+        est = quantile_shift(rng.normal(0, 1, 100), rng.normal(-1, 1, m), alpha=0.05)
         assert est.branch == branch
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.7, -0.1])
     def test_alpha_range_enforced(self, alpha):
         with pytest.raises(ValueError, match="alpha_out_of_range"):
-            quantile_shift([0.0, 1.0], [0.0], 0.5, alpha)
+            quantile_shift([0.0, 1.0], [0.0], alpha)
+
+
+# q = p: the identity map
+IDENTITY = ShiftEstimate("mean", q_anchor=0.0, p_anchor=0.0, sigma_p=1.0, sigma_q=1.0)
+# q(x) = p(x - 40): p moved 40 up
+UP_40 = ShiftEstimate("mean", q_anchor=40.0, p_anchor=0.0, sigma_p=1.0, sigma_q=1.0)
 
 
 class TestWeights:
     def test_identical_models_give_uniform_weights(self):
         logs = [-2.0, -1.5, -0.5, 0.0]
         model = DensityModel(logs, 0.5)
-        (r,) = np.exp(density._log_ratios(model, [model], [*logs, -1.0]))
+        (r,) = np.exp(density._log_ratios(model.log_evaluate, [IDENTITY], [*logs, -1.0]))
         assert r.tolist() == [1.0] * 5
         assert weighted_p_values(logs, r[:-1], -1.0, r[-1]) == standard_p_values(logs, -1.0)
 
@@ -326,8 +328,7 @@ class TestWeights:
     def test_all_zero_ratios_raise_underflow(self):
         # q sits 80 bandwidths from the queries: q/p = exp(-3200 ...) is 0 as a float
         model_p = DensityModel([0.0], 0.5)
-        model_q = DensityModel(support_points=(40.0,), bandwidth=0.5)
-        (r,) = np.exp(density._log_ratios(model_p, [model_q], [0.0, 0.5]))
+        (r,) = np.exp(density._log_ratios(model_p.log_evaluate, [UP_40], [0.0, 0.5]))
         assert r.tolist() == [0.0, 0.0]
         with pytest.raises(ValueError, match="density_underflow"):
             weighted_p_values([0.0], r[:1], 0.5, r[1])
@@ -335,11 +336,11 @@ class TestWeights:
     def test_ratio_beyond_float_range_is_inf_and_rejected(self):
         # p(40) = exp(-3200) / c underflows; its log does not, and q/p = exp(3200)
         model_p = DensityModel([0.0], 0.5)
-        model_q = DensityModel(support_points=(40.0,), bandwidth=0.5)
-        log_r = model_q.log_evaluate([40.0]) - model_p.log_evaluate([40.0])
+        log_r = (model_p.log_evaluate(UP_40.to_pool(np.array([40.0])))
+                 - model_p.log_evaluate([40.0]))
         assert log_r[0] == pytest.approx(3200.0, rel=1e-15)
         with np.errstate(over="ignore"):
-            (r,) = np.exp(density._log_ratios(model_p, [model_q], [40.0]))
+            (r,) = np.exp(density._log_ratios(model_p.log_evaluate, [UP_40], [40.0]))
         assert r.tolist() == [math.inf]
         with pytest.raises(ValueError, match="density_underflow"):
             weighted_p_values([0.0], [1.0], 40.0, r)
@@ -352,10 +353,38 @@ class TestShiftEstimate:
                           sigma_p=0.0, sigma_q=1.0)
 
 
+class TestLogRatios:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        support=st.lists(st.floats(-8.0, 2.0), min_size=1, max_size=60),
+        x=st.lists(st.floats(-12.0, 6.0), max_size=130),
+        bandwidth=st.floats(0.05, 3.0),
+        maps=st.lists(st.tuples(st.floats(-8.0, 2.0), st.floats(-8.0, 2.0),
+                                st.floats(0.01, 5.0), st.floats(0.01, 5.0)),
+                      max_size=3),
+        block_bytes=st.integers(1, 16 * 8 * 60),
+    )
+    def test_one_joined_call_equals_separate_calls_bit_for_bit(self, support, x, bandwidth,
+                                                               maps, block_bytes):
+        # exact and grid evaluators alike: x and every shift's image of it in
+        # one call give the bits of one call per point set
+        shifts = [ShiftEstimate("mean", *anchors) for anchors in maps]
+        model = DensityModel(support, bandwidth)
+        grid = density._LogGrid(model.support_points, bandwidth)
+        x = np.array(x)
+        with mock.patch.object(density, "_BLOCK_BYTES", block_bytes):
+            for log_density in (model.log_evaluate, grid.log_sums):
+                sizes = []
+                got = density._log_ratios(
+                    lambda q: sizes.append(q.size) or log_density(q), shifts, x)
+                assert sizes == [x.size * (1 + len(shifts))]
+                want = [log_density(shift.to_pool(x)) - log_density(x) for shift in shifts]
+                assert [r.tobytes() for r in got] == [r.tobytes() for r in want]
+
+
 def dense_sums(model, x):
     """One-shot T x N kernel sums; the blocked kernel's sums must match them bit for bit."""
-    query = model.scale * np.asarray(x, dtype=float) + model.offset
-    z = (query[..., np.newaxis] - model.support_points) / model.bandwidth
+    z = (np.asarray(x, dtype=float)[..., np.newaxis] - model.support_points) / model.bandwidth
     return np.exp(-0.5 * z * z).sum(axis=-1)
 
 
@@ -382,7 +411,7 @@ def assert_matches_dense_oracle(model, x, got):
     assert got.shape == sums.shape
     normal = sums >= np.finfo(float).tiny
     assert got[normal].tobytes() == (np.log(sums[normal]) - log_norm(model)).tobytes()
-    query = (model.scale * np.asarray(x, dtype=float) + model.offset)[~normal]
+    query = np.asarray(x, dtype=float)[~normal]
     support = model.support_points.tolist()
     want = [python_log_sum(q, support, model.bandwidth) - log_norm(model)
             for q in query.tolist()]
@@ -391,34 +420,38 @@ def assert_matches_dense_oracle(model, x, got):
 
 POOL = tuple(np.random.default_rng(7).normal(-1.0, 0.8, 127).tolist())
 B = density._block_rows(len(POOL))  # rows per block for every model below: 128
+# (model, scale, offset): the pool KDE, queried at ``scale * x + offset`` as a
+# shift's q reads it
 MODELS = (
-    DensityModel(support_points=POOL, bandwidth=0.5),
-    DensityModel(support_points=POOL, bandwidth=0.5, scale=0.37, offset=-1.25),
-    DensityModel(support_points=POOL, bandwidth=0.3, scale=2.5, offset=0.8),
+    (DensityModel(support_points=POOL, bandwidth=0.5), 1.0, 0.0),
+    (DensityModel(support_points=POOL, bandwidth=0.5), 0.37, -1.25),
+    (DensityModel(support_points=POOL, bandwidth=0.3), 2.5, 0.8),
 )
+MODEL_IDS = [f"model{i}" for i in range(len(MODELS))]
 
 
 class TestBlockedEvaluate:
     def test_scalar_returns_identical_float(self):
-        model = MODELS[1]
-        got = model.log_evaluate(-0.7)
+        model, scale, offset = MODELS[1]
+        got = model.log_evaluate(scale * -0.7 + offset)
         assert got.shape == () and got.dtype == np.float64
-        assert_matches_dense_oracle(model, -0.7, got)
+        assert_matches_dense_oracle(model, scale * -0.7 + offset, got)
 
     def test_empty_array(self):
-        got = MODELS[0].log_evaluate(np.array([]))
+        model = MODELS[0][0]
+        got = model.log_evaluate(np.array([]))
         assert got.shape == (0,)
-        assert_matches_dense_oracle(MODELS[0], np.array([]), got)
+        assert_matches_dense_oracle(model, np.array([]), got)
 
-    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("model, scale, offset", MODELS, ids=MODEL_IDS)
     @pytest.mark.parametrize("t", [1, B - 1, B, B + 1, 3 * B + 7])
-    def test_lengths_around_block_size(self, model, t):
-        x = np.random.default_rng(t).normal(-1.0, 2.0, t)
+    def test_lengths_around_block_size(self, model, scale, offset, t):
+        x = scale * np.random.default_rng(t).normal(-1.0, 2.0, t) + offset
         assert_matches_dense_oracle(model, x, model.log_evaluate(x))
 
-    @pytest.mark.parametrize("model", MODELS)
-    def test_two_dimensional_input_keeps_shape(self, model):
-        x = np.random.default_rng(3).normal(-1.0, 2.0, (5, B // 2 + 3))
+    @pytest.mark.parametrize("model, scale, offset", MODELS, ids=MODEL_IDS)
+    def test_two_dimensional_input_keeps_shape(self, model, scale, offset):
+        x = scale * np.random.default_rng(3).normal(-1.0, 2.0, (5, B // 2 + 3)) + offset
         assert_matches_dense_oracle(model, x, model.log_evaluate(x))
 
     @settings(max_examples=60, deadline=None)
@@ -434,8 +467,8 @@ class TestBlockedEvaluate:
                                   block_bytes):
         # a small byte budget puts block boundaries inside short query lists,
         # down to one row per block when a row alone is over budget
-        model = DensityModel(support_points=tuple(support), bandwidth=bandwidth,
-                             scale=scale, offset=offset)
+        model = DensityModel(support_points=tuple(support), bandwidth=bandwidth)
+        queries = scale * np.array(queries) + offset
         with mock.patch.object(density, "_BLOCK_BYTES", block_bytes):
             got = model.log_evaluate(queries)
         assert_matches_dense_oracle(model, queries, got)
@@ -462,10 +495,10 @@ class TestBlockedEvaluate:
 
 
 class TestLogEvaluate:
-    @pytest.mark.parametrize("model", MODELS)
-    def test_log_of_evaluate_where_the_density_is_a_normal_float(self, model):
+    @pytest.mark.parametrize("model, scale, offset", MODELS, ids=MODEL_IDS)
+    def test_log_of_evaluate_where_the_density_is_a_normal_float(self, model, scale, offset):
         # the log of the dense density, bit for bit, and finite everywhere
-        x = np.random.default_rng(4).normal(-1.0, 2.0, 3 * B + 7)
+        x = scale * np.random.default_rng(4).normal(-1.0, 2.0, 3 * B + 7) + offset
         normal = dense_sums(model, x) >= np.finfo(float).tiny
         assert normal.mean() > 0.9
         got = model.log_evaluate(x)
@@ -474,17 +507,17 @@ class TestLogEvaluate:
 
     def test_deep_tail_matches_python_log_sum(self):
         support = [-1.0, -0.5, 0.25, 0.25]
-        model = DensityModel(support_points=support, bandwidth=0.5, scale=2.0, offset=1.0)
-        x = np.array([[20.0, -150.0], [1e4, -0.125]])
-        # all but -0.125 map more than 80 bandwidths out, where the density is 0
+        model = DensityModel(support_points=support, bandwidth=0.5)
+        x = 2.0 * np.array([[20.0, -150.0], [1e4, -0.125]]) + 1.0
+        # all but 0.75 lie more than 80 bandwidths out, where the density is 0
         assert (dense_sums(model, x) == 0.0).tolist() == [[True, True], [True, False]]
         assert (kde_at(model, x) == 0.0).tolist() == [[True, True], [True, False]]
-        want = [[python_log_sum(2.0 * v + 1.0, support, 0.5) - log_norm(model) for v in row]
+        want = [[python_log_sum(v, support, 0.5) - log_norm(model) for v in row]
                 for row in x.tolist()]
         got = model.log_evaluate(x)
         assert got.shape == (2, 2)
         assert got.ravel().tolist() == pytest.approx(sum(want, []), rel=1e-13)
-        assert model.log_evaluate(-0.125).shape == ()
+        assert model.log_evaluate(0.75).shape == ()
 
 
 def logit_normal_pool(seed, m, n_majority=200):
@@ -507,26 +540,29 @@ class TestWeightedRule:
         pool_eval = to_eval(pool)
         model_p = DensityModel(pool_eval, 0.5)
         if shift == "mean":
-            model_q = mean_shift(pool_eval, pool_eval[minority], 0.5)
+            est = mean_shift(pool_eval, pool_eval[minority])
         else:
-            model_q = quantile_shift(pool_eval, pool_eval[minority], 0.5, 0.05)
-        # the rule's ratios: exp(log q - log p), less the largest calibration log ratio
-        log_cal = model_q.log_evaluate(pool_eval) - model_p.log_evaluate(pool_eval)
-        log_test = model_q.log_evaluate(to_eval(tests)) - model_p.log_evaluate(to_eval(tests))
+            est = quantile_shift(pool_eval, pool_eval[minority], 0.05)
+        # the rule's ratios: exp(log q - log p), less the largest calibration
+        # log ratio, with q the pool KDE read through the shift's map
+        log_cal = (model_p.log_evaluate(est.to_pool(pool_eval))
+                   - model_p.log_evaluate(pool_eval))
+        log_test = (model_p.log_evaluate(est.to_pool(to_eval(tests)))
+                    - model_p.log_evaluate(to_eval(tests)))
         top = log_cal.max()
         want = weighted_p_values(pool, np.exp(log_cal - top), tests, np.exp(log_test - top))
         rule = density.WeightedRule(pool, minority, 0.5, 0.05, (shift,), log_scale)
         (got,) = rule.p_values(tests)
         assert got.shape == (n_tests,)
         assert got.tobytes() == want.tobytes()
-        assert rule.models_q[0].shift == model_q.shift
+        assert rule.shifts[0] == est
 
     @pytest.mark.parametrize("m, branch", [(5, "min"), (15, "2alpha"), (30, "alpha")])
     @pytest.mark.parametrize("seed", [1, 2])
     def test_flags_equal_unscreened_rule_at_every_point(self, seed, m, branch):
         pool, minority, tests = logit_normal_pool(seed, m)
         rule = density.WeightedRule(pool, minority, 0.5, 0.05, ("mean", "quantile"), True)
-        assert rule.models_q[1].shift.branch == branch
+        assert rule.shifts[1].branch == branch
         flags = rule.flags(tests)
         want = [p < 0.05 for p in rule.p_values(tests)]
         assert [f.tolist() for f in flags] == [w.tolist() for w in want]
@@ -611,12 +647,12 @@ class TestWeightedRule:
                                              1e-200]])
         rule = density.WeightedRule(pool, minority, 0.5, 0.05, (shift,), True)
         (got,) = rule.p_values(tests)
-        (model,) = rule.models_q
+        (est,) = rule.shifts
         support = rule.model_p.support_points.tolist()
 
         def log_ratio(score):
             x = math.log10(score)
-            return (python_log_sum(model.scale * x + model.offset, support, 0.5)
+            return (python_log_sum(est.to_pool(x), support, 0.5)
                     - python_log_sum(x, support, 0.5))
 
         log_cal = [log_ratio(s) for s in pool.tolist()]

@@ -124,6 +124,31 @@ def test_weighted_detect_same_flags_last_bits_only(tmp_path, name):
         assert abs(float(p_got) - float(p_want)) <= 1e-12 * float(p_want), essay_id
 
 
+# the manifest's extra.shift of each weighted case: the fitted ShiftEstimate
+# and the run's settings; floats up to a relative 1e-12, as log10 is CPU-dependent
+WEIGHTED_SHIFTS = {
+    "detect_weighted_quantile": {
+        "method": "quantile", "branch": "2alpha", "minority_size": 12,
+        "bandwidth": 0.5, "log_scale": True,
+        "q_anchor": -1.679715622386813, "p_anchor": -1.2904916048919275,
+        "sigma_p": 0.4702296561362299, "sigma_q": 0.6022361682756574},
+    "detect_weighted_mean": {
+        "method": "mean", "branch": None, "minority_size": 12,
+        "bandwidth": 0.5, "log_scale": True,
+        "q_anchor": -0.9736247339782911, "p_anchor": -0.4951240052151481,
+        "sigma_p": 0.4702296561362299, "sigma_q": 0.6022361682756574},
+}
+
+
+@pytest.mark.parametrize("name", WEIGHTED_DETECT)
+def test_weighted_detect_records_the_fitted_shift(tmp_path, name):
+    run_detect(name, tmp_path)
+    manifest = json.loads((tmp_path / name / "manifest.json").read_text(encoding="utf-8"))
+    got, want = manifest["extra"]["shift"], WEIGHTED_SHIFTS[name]
+    assert sorted(got) == sorted(want)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def regenerate(work: Path) -> None:
     for name in SIMULATE_CASES:
         (GOLDEN / f"{name}.csv").write_bytes(run_simulate(name, work))

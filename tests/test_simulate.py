@@ -442,7 +442,7 @@ class TestWeightedDensityCalls:
         monkeypatch.setattr(DensityModel, "log_evaluate", counting_log_evaluate)
         monkeypatch.setattr(density, "_node_sums", counting_node_sums)
         opened = record_opened_rules(monkeypatch)
-        pool_sizes = ([cfg.majority_cal_size + m for m in cfg.minority_sizes]
+        pool_sizes = ([3 * (cfg.majority_cal_size + m) for m in cfg.minority_sizes]
                       * len(cfg.null_levels))
         # the default grid leaves few points open or none, one node per
         # bandwidth some
@@ -455,17 +455,17 @@ class TestWeightedDensityCalls:
             # one minority sum per pool
             assert summed == ([cfg.majority_cal_size, *cfg.minority_sizes]
                               * len(cfg.null_levels))
-            # p and both q-models at the pool, only for a pool with an open point
+            # p at the pool and both shifts' images of it, in one call, only
+            # for a pool with an open point
             at_pool = [size for _, size in calls if size in pool_sizes]
-            assert len(at_pool) == 3 * len(opened)
+            assert len(at_pool) == len(opened)
             assert len(set(map(id, opened))) == len(opened)
-            # exact evaluations at test points are the open points': p and both
-            # q-models
+            # exact evaluations at test points are the open points' and both
+            # images', in one call
             rest = [(model, size) for model, size in calls if size not in pool_sizes]
-            assert len(rest) == 3 * len(opened)
-            for k in range(0, len(rest), 3):
-                assert rest[k][0].shift is None
-                assert rest[k][1] == rest[k + 1][1] == rest[k + 2][1]
+            assert len(rest) == len(opened)
+            assert [model for model, _ in rest] == [rule.model_p for rule in opened]
+            assert all(size % 3 == 0 for _, size in rest)
         assert opened
 
 
