@@ -11,13 +11,20 @@ rule, which normalizes them itself, so their common scale never matters.
 ``simulate`` both call it. It works in log densities only, which stay
 finite however deep in a tail a score lies.
 
-``WeightedRule.p_values``, which ``detect`` writes, comes from the exact
-Gaussian sums. ``WeightedRule.flags``, which ``simulate`` counts, reads the
-log densities from one grid (:class:`_LogGrid`), whose error has a proven
-bound, at the pool as well as at the test points, and decides a flag from
-the grid only when the bound proves it; the exact sums decide the rest, so
-every flag equals the exact rule's. The exact tables, 3 N**2 kernel terms
-for a pool of N points, are built only for a pool that leaves a point open.
+``WeightedRule`` has one evaluator, which ``p_values`` (written by
+``detect``) runs at every test score and ``flags`` (counted by
+``simulate``) at the points its screen keeps. It reads the log densities
+from one grid (:class:`_LogGrid`), whose error has a proven bound, at the
+pool as well as at the test points, and takes from each test point's grid
+ratio its grid mass and two bounds on the exact rule's mass. A point is
+open where some shift's bounds straddle alpha; an open point, and every
+point where the grid cannot serve (no grid, alpha at least 1/2, or a bound
+too loose to screen), gets the exact mass from the exact Gaussian sums.
+The grid mass lies between the bounds, and so does the exact mass. So
+wherever the bounds decide, ``p < alpha`` is the exact rule's flag, and
+elsewhere p is exact: every flag equals the exact rule's, and every p lies
+within the certified bounds of the exact one. The exact tables, 3 N**2
+kernel terms for a pool of N points, are built only where needed.
 
 Certified masses. A shift's exact ratios are ``r_i = exp(l_i - M)``, with
 ``l_i = log q - log p`` at pool point i and M their largest; the grid's are
@@ -31,13 +38,17 @@ rises with r and A, falls with B, and is unchanged when all three are
 multiplied by c. The grid's ``g``, ``A~`` and ``B~`` each lie within a
 factor ``exp(+-eps)`` of c times the exact r, A and B, so, multiplying
 through by ``exp(+-eps)``, the exact mass lies between
-``(g/E + A~/E) / (g/E + A~/E + B~)`` and ``(gE + A~E) / (gE + A~E + B~)``,
-``E = exp(2 eps)``. A flag is set where the upper bound is under
-``alpha * (1 - 1e-12)`` and cleared where the lower one is at least
-``alpha * (1 + 1e-12)``: margins far above the few roundings of a mass, as
-in ``_RankTable.screen``. Likewise ``A~ / (A~ + B~)`` is at most E times
-``A / (A + B)``, so the grid's table screened at ``alpha * E`` keeps every
-point the exact rule's screen keeps.
+``1 / (1 + q E)`` and ``1 / (1 + q / E)``, with ``q = B~ / (g + A~)`` and
+``E = exp(2 eps)``; the grid mass is ``1 / (1 + q)``. A point is decided
+where the upper bound is under ``alpha * (1 - 1e-12)`` or the lower one is
+at least ``alpha * (1 + 1e-12)``: margins far above the few roundings of a
+bound (E itself is within a few ulps of ``exp(2 eps)``), as in
+``_RankTable.screen``. Rounding is monotone, so the computed ``q E``, q and
+``q / E`` keep their order, and the computed grid mass lies between the
+computed bounds: where they decide, it falls on the side of alpha they
+prove. Likewise ``A~ / (A~ + B~)`` is at most E times ``A / (A + B)``, so
+the grid's table screened at ``alpha * E`` keeps every point the exact
+rule's screen keeps.
 
 Roundings of the masses. Both rules take ``exp`` of a difference under 746
 in size, a prefix sum of n such ratios (within a relative ``n * 2**-53``
@@ -48,7 +59,8 @@ mass[n]`` and the suffix holds over half the total, so it too is within a
 relative ``4 n * 2**-53``. An ``exp`` that underflows to 0 loses under
 ``2**-1074``, against a suffix of at least 1/2 there. eps holds the grid's
 slack, at least ``2**-39 * 10 * N``, some ten thousand times these
-roundings, so the bounds hold as computed.
+roundings, so the bounds hold as computed. The argument needs alpha under
+1/2, so a rule with a larger alpha takes every mass exact.
 """
 
 from __future__ import annotations
@@ -334,39 +346,23 @@ def _log_ratios(log_density, shifts: Sequence[ShiftEstimate], x) -> list[np.ndar
     return [log_sum - log_p for log_sum in log_q]
 
 
-def _masses(table: _RankTable, j: np.ndarray, log_r: np.ndarray) -> np.ndarray:
-    """``table.p_values(j, exp(log_r))``, and its limit 1 where that ratio overflows."""
-    with np.errstate(over="ignore"):
-        ratios = np.exp(log_r)
-    over = np.isinf(ratios)
-    ratios[over] = 0.0
-    p = table.p_values(j, ratios)
-    p[over] = 1.0
-    return p
+def _masses(table: _RankTable, j: np.ndarray, log_r: np.ndarray,
+            factor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``1 / (1 + q * f)`` for f = ``factor``, 1 and ``1 / factor``: bounds and mass.
 
-
-def _mass_bounds(table: _RankTable, j: np.ndarray, log_g: np.ndarray,
-                 eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds ``(lo, hi)`` on the exact rule's mass at ranks ``j``, from grid ratios.
-
-    ``table`` holds the grid's calibration ratios and ``log_g`` the grid's
-    test log ratios, each less the grid's top. With ``A = mass[j]``,
-    ``B = mass[n] - A`` and ``g = exp(log_g)``, the exact mass lies between
-    ``(g/E + A/E) / (g/E + A/E + B)`` and ``(gE + AE) / (gE + AE + B)``,
-    ``E = exp(2 eps)`` (see the module docstring). Each is taken as
-    ``1 / (1 + B / s)``, s its numerator: an overflowed ``g`` gives 1, an
-    underflowed one loses under ``2**-1074`` against a suffix of at least
-    1/2 (the only case where it could decide a flag), and a bound that
-    cannot be computed (``0 * inf``, ``0 / 0``) is NaN, which decides
-    nothing.
+    ``q = B / (r + A)``, with ``r = exp(log_r)``, ``A = mass[j]`` and
+    ``B = mass[n] - A``, so the middle one is the mass ``(r + A) / (r + A + B)``;
+    from a grid's table and ratios, with ``factor = E``, the outer ones bound
+    the exact rule's mass (see the module docstring). An overflowed r gives
+    1, an underflowed one loses under ``2**-1074`` against a suffix of at
+    least 1/2 (the only case where it could decide a flag), a bound under
+    ``2**-1022`` may read 0, and a bound that cannot be computed
+    (``0 * inf``, ``inf / inf``) is NaN, which decides nothing.
     """
     a = table.mass[j]
-    b = table.mass[-1] - a
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        factor = np.exp(2.0 * eps)
-        down = np.exp(log_g - 2.0 * eps) + a / factor
-        up = np.exp(log_g + 2.0 * eps) + a * factor
-        return 1.0 / (1.0 + b / down), 1.0 / (1.0 + b / up)
+        q = (table.mass[-1] - a) / (np.exp(log_r) + a)
+        return 1.0 / (1.0 + q * factor), 1.0 / (1.0 + q), 1.0 / (1.0 + q / factor)
 
 
 def _grid_step(bandwidth: float) -> float:
@@ -528,19 +524,20 @@ class WeightedRule:
     """The weighted conformal rule of one calibration pool.
 
     ``minority`` masks the pool's minority points, and the scores go through
-    log10 once if ``log_scale``. p is the pool KDE, and the attribute
-    ``shifts`` holds one :class:`ShiftEstimate` per name in the argument
-    ``shifts`` ("mean" or "quantile"), whose q is p read through its map.
-    ``tables`` holds one weighted rank table per shift, of the exact ratios;
-    it is built on first use, by :meth:`p_values` or by :meth:`flags` where
-    the grid leaves a point open. Every table holds the pool sorted, so one
-    rank serves them all.
+    log10 once if ``log_scale``. The rule keeps a read-only copy of the
+    pool. p is the pool KDE, and the attribute ``shifts`` holds one
+    :class:`ShiftEstimate` per name in the argument ``shifts`` ("mean" or
+    "quantile"), whose q is p read through its map. Each shift has a
+    weighted rank table of grid ratios (``_certified``) and, built only
+    where some point takes the exact mass, one of exact ratios
+    (``_exact``). Every table holds the pool sorted, so one rank serves
+    them all.
 
     A shift's ratios are ``exp(log q - log p - M)``, M its largest at the
     pool: its calibration ratios lie in [0, 1] and total at least 1, and a
     test ratio beyond the range of floats is inf, of weighted mass 1.
-    :meth:`flags` decides from the grid's certified tables instead where it
-    can (see the module docstring).
+    :meth:`p_values` and :meth:`flags` share one evaluator (see the module
+    docstring).
     """
 
     # the node sums of the pool's majority points and its minority points
@@ -549,7 +546,8 @@ class WeightedRule:
 
     def __init__(self, pool, minority, bandwidth: float, alpha: float,
                  shifts: Sequence[str], log_scale: bool):
-        self._pool = np.asarray(pool, dtype=float)
+        self._pool = np.array(pool, dtype=float)
+        self._pool.setflags(write=False)
         self.alpha = alpha
         self._to_eval = np.log10 if log_scale else np.asarray
         pool_eval = self._to_eval(self._pool)
@@ -596,22 +594,22 @@ class WeightedRule:
         return self._tables(_log_ratios(self.model_p.log_evaluate, self.shifts,
                                         self.model_p.support_points))
 
-    @property
-    def tables(self) -> list[_RankTable]:
-        """Each shift's weighted table of exact ratios."""
-        return [table for table, _ in self._exact]
-
     def _p_values(self, values: np.ndarray, j: np.ndarray) -> list[np.ndarray]:
-        exact = self._exact
-        log_ratios = _log_ratios(self.model_p.log_evaluate, self.shifts,
-                                 self._to_eval(values))
-        return [_masses(table, j, log_r - top)
-                for (table, top), log_r in zip(exact, log_ratios)]
+        """Each shift's exact mass at test scores ``values`` of ranks ``j``.
 
-    def p_values(self, values) -> list[np.ndarray]:
-        """Each shift's weighted mass at every test score."""
-        values = np.asarray(values, dtype=float)
-        return self._p_values(values, self.tables[0].ranks(values))
+        The mass is ``table.p_values(j, exp(log_r))``, and its limit 1 where
+        that ratio overflows.
+        """
+        masses = []
+        for (table, top), log_r in zip(self._exact, _log_ratios(
+                self.model_p.log_evaluate, self.shifts, self._to_eval(values))):
+            with np.errstate(over="ignore"):
+                ratios = np.exp(log_r - top)
+            over = np.isinf(ratios)
+            ratios[over] = 0.0
+            masses.append(table.p_values(j, ratios))
+            masses[-1][over] = 1.0
+        return masses
 
     @cached_property
     def _grid(self) -> _LogGrid:
@@ -620,60 +618,62 @@ class WeightedRule:
 
     @cached_property
     def _certified(self) -> list[tuple[_RankTable, float]] | None:
-        """Each shift's table and top from grid log ratios, or None if the pool has no grid."""
-        if self._grid.log_sum is None:
+        """Each shift's grid table and top; None (exact masses) at alpha >= 1/2, with no
+        grid, or where ``alpha * E >= 1`` lets the screen drop no point."""
+        if self.alpha >= 0.5 or self._grid.log_sum is None or self.alpha * self._factor >= 1:
             return None
         return self._tables(_log_ratios(self._grid.log_sums, self.shifts,
                                         self.model_p.support_points))
 
-    def flags(self, values: np.ndarray) -> list[np.ndarray]:
-        """Each shift's ``mass < alpha`` at test scores ``values``.
+    @cached_property
+    def _factor(self) -> float:
+        """``E = exp(2 eps)``, ``eps = 2 * error`` of the grid (see the module docstring)."""
+        with np.errstate(over="ignore"):
+            return float(np.exp(4.0 * self._grid.error))
 
-        Each flag equals the exact rule's, in three steps. The certified
-        tables' screen at ``alpha * E`` keeps every point that could be
-        flagged; the others are unflagged under every shift. At a kept
-        point, :meth:`_grid_flags` decides the flags its bounds prove. The
-        points it leaves open, or every point if the pool has no grid, go
-        through the exact tables' screen, and the ones it keeps get the
-        exact p-values of :meth:`p_values`.
+    def _evaluate(self, values: np.ndarray, j: np.ndarray) -> list[np.ndarray]:
+        """Each shift's mass at test scores ``values`` of ranks ``j``.
+
+        The mass is the grid's where every shift's certified bounds decide
+        ``mass < alpha``, and the exact one at a point some shift leaves
+        open, or at every point if there are no certified tables.
         """
-        certified = self._certified
-        j = (certified or self._exact)[0][0].ranks(values)
-        out = [np.zeros(j.shape, dtype=bool) for _ in self.shifts]
-        open_ = np.arange(j.size)
-        if certified:
-            with np.errstate(over="ignore"):  # E = exp(2 eps), eps = 2 * error
-                factor = np.exp(4.0 * self._grid.error)
-            cand = np.zeros(j.shape, dtype=bool)
-            for table, _ in certified:
-                cand |= table.screen(j, self.alpha * factor)
-            cand = np.flatnonzero(cand)
-            flags, undecided = self._grid_flags(values[cand], j[cand])
-            for flagged, flag in zip(out, flags):
-                flagged[cand] = flag
-            open_ = cand[undecided]
-        if open_.size:
-            keep = np.zeros(open_.shape, dtype=bool)
-            for table in self.tables:
-                keep |= table.screen(j[open_], self.alpha)
-            open_ = open_[keep]  # a point dropped here has no proven flag
-            for flagged, p in zip(out, self._p_values(values[open_], j[open_])):
-                flagged[open_] = p < self.alpha
-        return out
-
-    def _grid_flags(self, values: np.ndarray,
-                    j: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-        """Each shift's flags the grid proves at test scores ``values`` of ranks ``j``.
-
-        Returns the flags and the mask of points left open: those some
-        shift's bounds leave undecided (see the module docstring).
-        """
-        eps = 2.0 * self._grid.error
-        flags, open_ = [], np.zeros(j.shape, dtype=bool)
+        if self._certified is None:
+            return self._p_values(values, j)
+        masses, open_ = [], np.zeros(j.shape, dtype=bool)
         for (table, top), log_r in zip(self._certified, _log_ratios(
                 self._grid.log_sums, self.shifts, self._to_eval(values))):
-            lo, hi = _mass_bounds(table, j, log_r - top, eps)
-            flag = hi < self.alpha * (1.0 - _SCREEN_SLACK)
-            open_ |= ~(flag | (lo >= self.alpha * (1.0 + _SCREEN_SLACK)))
-            flags.append(flag)
-        return flags, open_
+            lo, p, hi = _masses(table, j, log_r - top, self._factor)
+            open_ |= ~((hi < self.alpha * (1.0 - _SCREEN_SLACK))
+                       | (lo >= self.alpha * (1.0 + _SCREEN_SLACK)))
+            masses.append(p)
+        open_ = np.flatnonzero(open_)
+        if open_.size:
+            for p, exact in zip(masses, self._p_values(values[open_], j[open_])):
+                p[open_] = exact
+        return masses
+
+    def p_values(self, values) -> list[np.ndarray]:
+        """Each shift's weighted mass at every test score, within the certified bounds."""
+        values = np.asarray(values, dtype=float)
+        return self._evaluate(values, (self._certified or self._exact)[0][0].ranks(values))
+
+    def flags(self, values: np.ndarray) -> list[np.ndarray]:
+        """Each shift's ``mass < alpha`` at test scores ``values``, equal to the exact rule's.
+
+        The screen keeps every point that could be flagged: the certified
+        tables' at ``alpha * E``, or the exact tables' at alpha if there are
+        none. The others are unflagged under every shift, and the kept ones
+        take their masses from :meth:`p_values`' evaluator.
+        """
+        tables, factor = ((self._certified, self._factor) if self._certified
+                          else (self._exact, 1.0))
+        j = tables[0][0].ranks(values)
+        keep = np.zeros(j.shape, dtype=bool)
+        for table, _ in tables:
+            keep |= table.screen(j, self.alpha * factor)
+        keep = np.flatnonzero(keep)
+        out = [np.zeros(j.shape, dtype=bool) for _ in self.shifts]
+        for flagged, p in zip(out, self._evaluate(values[keep], j[keep])):
+            flagged[keep] = p < self.alpha
+        return out

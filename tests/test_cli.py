@@ -13,7 +13,7 @@ import pytest
 
 import conformal_wm
 from conformal_wm.cli import main
-from conformal_wm.density import DensityModel, WeightedRule
+from conformal_wm.density import DensityModel, WeightedRule, _LogGrid
 from conformal_wm import io as io_mod
 from conformal_wm import simulate as sim_mod
 from conformal_wm.evaluation import CellResult, MetricsReport, aggregate
@@ -241,19 +241,26 @@ class TestDetectCommand:
         cal = write(tmp_path, "cal.csv", "\n".join(rows) + "\n")
         test = write(tmp_path, "test.csv", "essay_id,score,role\n" + "".join(
             f"t{i},{0.01 + 0.03 * i:.6f},test\n" for i in range(n_tests)))
-        calls = []
-        log_evaluate = DensityModel.log_evaluate
+        calls, reads = [], []
+        log_evaluate, log_sums = DensityModel.log_evaluate, _LogGrid.log_sums
 
         def counting_log_evaluate(model, x):
             calls.append(model)
             return log_evaluate(model, x)
 
+        def counting_log_sums(grid, x):
+            reads.append(np.size(x))
+            return log_sums(grid, x)
+
         monkeypatch.setattr(DensityModel, "log_evaluate", counting_log_evaluate)
+        monkeypatch.setattr(_LogGrid, "log_sums", counting_log_sums)
         assert main(["detect", cal, test, "--method", "weighted",
                      "--out", str(tmp_path / "out")]) == 0
-        # the pool KDE, once at the calibration points and their images under
-        # the shift's map, and once at the test points and theirs
-        assert len(calls) == 2
+        # the pool KDE's grid, once at the calibration points and their images
+        # under the shift's map, and once at the test points and theirs; the
+        # bounds decide every point, so the exact KDE is never evaluated
+        assert reads == [2 * 52, 2 * n_tests]
+        assert calls == []
 
     def test_manifest_version_is_package_version(self, tmp_path):
         cal = write(tmp_path, "cal.csv", CAL_CSV)

@@ -529,6 +529,34 @@ def logit_normal_pool(seed, m, n_majority=200):
     return pool, np.arange(pool.size) >= n_majority, tests
 
 
+# a relative margin of 16 roundings, far under the certified masses' 1e-12
+ROUNDINGS = 16 * 2.0 ** -53
+TINY = np.finfo(float).tiny
+
+
+def exact_tables(rule):
+    """Each shift's weighted table of exact ratios."""
+    return [table for table, _ in rule._exact]
+
+
+def assert_exact_or_within_certified_bounds(rule, tests, exact):
+    """``rule.p_values(tests)`` equals the exact masses ``exact`` with no
+    certified tables; otherwise it and they lie within the certified bounds."""
+    got = rule.p_values(tests)
+    if rule._certified is None:
+        assert [p.tobytes() for p in got] == [p.tobytes() for p in exact]
+        return
+    j = rule._certified[0][0].ranks(tests)
+    log_ratios = density._log_ratios(rule._grid.log_sums, rule.shifts, rule._to_eval(tests))
+    for (table, top), log_r, want, p in zip(rule._certified, log_ratios, exact, got):
+        lo, _, hi = density._masses(table, j, log_r - top, rule._factor)
+        # up to the few roundings of a bound, and a bound under the smallest
+        # normal double may read 0; a NaN bound bounds nothing
+        for mass in (want, p):
+            assert not ((mass < lo * (1.0 - ROUNDINGS) - TINY)
+                        | (mass > hi * (1.0 + ROUNDINGS) + TINY)).any()
+
+
 class TestWeightedRule:
     @pytest.mark.parametrize("log_scale", [True, False])
     @pytest.mark.parametrize("shift", ["mean", "quantile"])
@@ -552,7 +580,7 @@ class TestWeightedRule:
         top = log_cal.max()
         want = weighted_p_values(pool, np.exp(log_cal - top), tests, np.exp(log_test - top))
         rule = density.WeightedRule(pool, minority, 0.5, 0.05, (shift,), log_scale)
-        (got,) = rule.p_values(tests)
+        (got,) = rule._p_values(tests, exact_tables(rule)[0].ranks(tests))
         assert got.shape == (n_tests,)
         assert got.tobytes() == want.tobytes()
         assert rule.shifts[0] == est
@@ -564,12 +592,13 @@ class TestWeightedRule:
         rule = density.WeightedRule(pool, minority, 0.5, 0.05, ("mean", "quantile"), True)
         assert rule.shifts[1].branch == branch
         flags = rule.flags(tests)
-        want = [p < 0.05 for p in rule.p_values(tests)]
+        tables = exact_tables(rule)
+        j = tables[0].ranks(tests)
+        want = [p < 0.05 for p in rule._p_values(tests, j)]
         assert [f.tolist() for f in flags] == [w.tolist() for w in want]
-        j = rule.tables[0].ranks(tests)
         # some points are flagged, and the screen drops some others
         assert any(w.any() for w in want)
-        assert not (rule.tables[0].screen(j, 0.05) | rule.tables[1].screen(j, 0.05)).all()
+        assert not (tables[0].screen(j, 0.05) | tables[1].screen(j, 0.05)).all()
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_majority=st.integers(1, 60),
@@ -594,8 +623,58 @@ class TestWeightedRule:
                                      ("mean", "quantile"), log_scale)
         for rule in (*shared, alone):
             flags = rule.flags(tests)
-            want = [p < alpha for p in rule.p_values(tests)]
-            assert [f.tolist() for f in flags] == [w.tolist() for w in want]
+            exact = rule._p_values(tests, exact_tables(rule)[0].ranks(tests))
+            assert [f.tolist() for f in flags] == [(p < alpha).tolist() for p in exact]
+            assert_exact_or_within_certified_bounds(rule, tests, exact)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_majority=st.integers(1, 60),
+           m=st.integers(1, 12), ties=st.integers(0, 8), shift=st.floats(-3.0, 1.0),
+           bandwidth=st.sampled_from([0.05, 0.2, 0.5, 1.5]), log_scale=st.booleans(),
+           alpha=st.sampled_from([0.05, 0.1, 0.3, 0.7]), tiny=st.booleans())
+    # a 1e-300 score: log10 of the pool spans 300 units, too wide for a grid
+    # at h = 0.05 and too wide for its bound to decide anything at h = 0.5
+    @example(seed=1, n_majority=40, m=8, ties=0, shift=-1.0, bandwidth=0.05,
+             log_scale=True, alpha=0.05, tiny=True)
+    @example(seed=1, n_majority=40, m=8, ties=0, shift=-1.0, bandwidth=0.5,
+             log_scale=True, alpha=0.05, tiny=True)
+    # one minority point: the q-maps stretch the pool far past the grid
+    @example(seed=2, n_majority=40, m=1, ties=4, shift=-1.0, bandwidth=0.2,
+             log_scale=False, alpha=0.1, tiny=False)
+    def test_p_values_within_certified_bounds_and_flags_exact(self, seed, n_majority, m,
+                                                              ties, shift, bandwidth,
+                                                              log_scale, alpha, tiny):
+        rng = np.random.default_rng(seed)
+        pool = 1.0 / (1.0 + np.exp(-np.concatenate([rng.normal(0.0, 1.5, n_majority),
+                                                     rng.normal(shift, 1.5, m)])))
+        pool[:ties] = pool[n_majority - 1]
+        if tiny:
+            pool[0] = 1e-300
+        # the pool's own scores (ties included), draws across it, deep tails
+        tests = np.concatenate([pool, 1.0 / (1.0 + np.exp(-rng.normal(-1.0, 3.0, 300))),
+                                [1e-10, 1e-30, 1e-200]])
+        # the quantile shift takes alpha under 1/2 only
+        shifts = ("mean", "quantile")[:2 if alpha < 0.5 else 1]
+        rule = density.WeightedRule(pool, np.arange(pool.size) >= n_majority, bandwidth,
+                                    alpha, shifts, log_scale)
+        exact = rule._p_values(tests, exact_tables(rule)[0].ranks(tests))
+        assert [f.tolist() for f in rule.flags(tests)] == [(p < alpha).tolist() for p in exact]
+        # no grid, alpha >= 1/2 or a loose bound: every mass is exact
+        assert rule._certified is None or alpha < 0.5
+        assert_exact_or_within_certified_bounds(rule, tests, exact)
+
+    def test_rule_keeps_its_own_read_only_pool(self):
+        # reusing the caller's array after building the rule changes nothing
+        pool, minority, tests = logit_normal_pool(4, 15)
+        shifts = ("mean", "quantile")
+        want = density.WeightedRule(pool.copy(), minority, 0.5, 0.05, shifts, True)
+        rule = density.WeightedRule(pool, minority, 0.5, 0.05, shifts, True)
+        pool[:] = pool[::-1].copy()
+        assert ([p.tobytes() for p in rule.p_values(tests)]
+                == [p.tobytes() for p in want.p_values(tests)])
+        assert ([f.tolist() for f in rule.flags(tests)]
+                == [f.tolist() for f in want.flags(tests)])
+        assert not rule._pool.flags.writeable
 
     @pytest.mark.parametrize("case", ["coarse_grid", "tiny_score"])
     def test_flags_equal_p_values_where_the_grid_leaves_points_open(self, monkeypatch,
@@ -605,8 +684,8 @@ class TestWeightedRule:
             # one node per bandwidth: the bound leaves many points to the exact rule
             monkeypatch.setattr(density, "_GRID_STEP", 1.0)
         else:
-            # log10 of the pool spans 300 units: the bound is loose enough to
-            # decide nothing
+            # log10 of the pool spans 300 units: the bound is too loose for the
+            # certified screen to drop any point, so the exact tables screen
             pool[0] = 1e-300
         rule = density.WeightedRule(pool, minority, 0.5, 0.05, ("mean", "quantile"), True)
         opened = []
@@ -614,10 +693,18 @@ class TestWeightedRule:
         monkeypatch.setattr(rule, "_p_values",
                             lambda values, j: opened.append(values.size) or exact(values, j))
         flags = rule.flags(tests)
-        j = rule.tables[0].ranks(tests)
-        candidates = np.count_nonzero(rule.tables[0].screen(j, 0.05)
-                                      | rule.tables[1].screen(j, 0.05))
-        want = [p < 0.05 for p in rule.p_values(tests)]
+        # the candidates are the points the screen keeps: the certified
+        # tables' at alpha * E, or the exact tables' at alpha with none
+        if case == "coarse_grid":
+            (table, _), (other, _) = rule._certified
+            level = 0.05 * rule._factor
+        else:
+            assert rule._certified is None and 0.05 * rule._factor >= 1.0
+            table, other = exact_tables(rule)
+            level = 0.05
+        j = table.ranks(tests)
+        candidates = np.count_nonzero(table.screen(j, level) | other.screen(j, level))
+        want = [p < 0.05 for p in exact(tests, j)]
         assert [f.tolist() for f in flags] == [w.tolist() for w in want]
         assert any(w.any() for w in want)
         assert rule._grid.log_sum is not None
@@ -646,7 +733,7 @@ class TestWeightedRule:
         tests = np.concatenate([tests[:40], [1e-2, 1e-5, 1e-10, 1e-25, 1e-30, 1e-60,
                                              1e-200]])
         rule = density.WeightedRule(pool, minority, 0.5, 0.05, (shift,), True)
-        (got,) = rule.p_values(tests)
+        (got,) = rule._p_values(tests, exact_tables(rule)[0].ranks(tests))
         (est,) = rule.shifts
         support = rule.model_p.support_points.tolist()
 

@@ -8,12 +8,12 @@ its SHA-256 digest in ``simulate_metrics_json.sha256``.
 Weighted decisions must keep every flag, with p-values equal up to a
 relative 1e-12, because their last bits depend on the CPU: numpy's float64
 ``exp`` and ``log10`` round differently on the AVX-512 code path than on
-numpy's baseline one. On one AVX-512 host, a run with
-``NPY_ENABLE_CPU_FEATURES`` set to the baseline (``X86_V2``) gives
-p-values that first differ from the default run's at line 18 of the
-quantile-shift file and line 5 of the mean-shift file, with every flag
-equal, and the committed files match neither run. Simulate outputs count
-flags, and are byte-identical on both paths.
+numpy's baseline one. On one AVX-512 host, the committed files, written
+on the default path, happen to match a run with
+``NPY_ENABLE_CPU_FEATURES`` set to the baseline (``X86_V2``) byte for
+byte, but the p-values of a 1,000-row pool differ between the two paths in
+their last bits, with every flag equal. Simulate outputs count flags, and
+are byte-identical on both paths.
 
 A deliberate behaviour change regenerates the snapshots, and CHANGES.md
 explains the diff:

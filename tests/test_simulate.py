@@ -767,7 +767,8 @@ class TestCertifiedMasses:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(_CERTIFIED_CASES[case]), encoding="utf-8")
         seen = Counter()
-        read, grid_flags = density._LogGrid.read, density.WeightedRule._grid_flags
+        read = density._LogGrid.read
+        evaluate, exact_masses = density.WeightedRule._evaluate, density.WeightedRule._p_values
 
         def recording_read(grid, x):
             y, usable = read(grid, x)
@@ -775,15 +776,18 @@ class TestCertifiedMasses:
             seen["outside"] += int(np.count_nonzero(~usable))
             return y, usable
 
-        def recording_grid_flags(rule, values, j):
-            flags, open_ = grid_flags(rule, values, j)
-            seen["decided"] += int(np.count_nonzero(~open_))
-            seen["open"] += int(np.count_nonzero(open_))
+        def recording_evaluate(rule, values, j):
+            seen["kept"] += values.size
             seen["ties"] += rule._pool.size - np.unique(rule._pool).size
-            return flags, open_
+            return evaluate(rule, values, j)
+
+        def recording_exact(rule, values, j):
+            seen["open"] += values.size
+            return exact_masses(rule, values, j)
 
         monkeypatch.setattr(density._LogGrid, "read", recording_read)
-        monkeypatch.setattr(density.WeightedRule, "_grid_flags", recording_grid_flags)
+        monkeypatch.setattr(density.WeightedRule, "_evaluate", recording_evaluate)
+        monkeypatch.setattr(density.WeightedRule, "_p_values", recording_exact)
         outputs, runs = [], []
         for exact in (False, True):
             if exact:  # every kept point through the exact tables, as with no grid
@@ -796,11 +800,11 @@ class TestCertifiedMasses:
             runs.append(dict(seen))
         assert outputs[0] == outputs[1]
         certified, exact_run = runs
-        assert exact_run == {}
-        if case == "too_wide":
-            assert certified == {}
-        else:
-            assert certified["decided"] > 0
+        # with no grid, every kept point is open: exact, and no grid is read
+        for run in (exact_run, certified) if case == "too_wide" else (exact_run,):
+            assert "reads" not in run and run["open"] == run["kept"] > 0
+        if case != "too_wide":
+            assert certified["kept"] - certified.get("open", 0) > 0  # decided by bounds
         if case == "ties":
             assert certified["ties"] > 0 and certified["open"] > 0
         if case == "m1_linear":
