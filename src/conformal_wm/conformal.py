@@ -27,8 +27,9 @@ and the weighted screen); its batch function (``standard_p_values``,
 it. The standard and hierarchical p-values depend on the test score only
 through its rank, so their flags ``p <= alpha`` are exactly the scores
 below one calibration score, the table's cutoff (``standard_cutoff``,
-``hierarchical_cutoff``); ``simulate`` flags with it, and the
-hierarchical one stops walking the pooled scores once p passes alpha.
+``hierarchical_cutoff``); ``simulate`` flags with it. Same-size standard
+ones share one row-wise sort (``standard_cutoffs``), and the hierarchical
+one stops walking the pooled scores once p passes alpha.
 :class:`conformal_wm.density.WeightedRule` holds the weighted tables, for
 ``detect`` and ``simulate`` alike. The weighted rule takes the
 raw density ratios, on any common scale. An empty calibration raises
@@ -100,8 +101,11 @@ class _RankTable(NamedTuple):
         ``p_values(ranks(s)) <= alpha``, ties included: a score equal to
         ``sorted_cal[k-1]`` counts it in its rank and is not flagged.
         """
-        flagged = self.p_values(np.arange(self.mass.size)) <= alpha
-        return _cutoff(self.sorted_cal, int(np.count_nonzero(flagged)))
+        return _cutoff(self.sorted_cal, self.flagged(alpha))
+
+    def flagged(self, alpha: float) -> int:
+        """k = #{j : p_values(j) <= alpha}; the flagged ranks are ``j < k``."""
+        return int(np.count_nonzero(self.p_values(np.arange(self.mass.size)) <= alpha))
 
     def screen(self, j: np.ndarray, alpha: float) -> np.ndarray:
         """Ranks whose weighted mass could fall under alpha for some own ratio.
@@ -142,24 +146,28 @@ def _standard_table(cal_values) -> _RankTable:
     return _RankTable(cal, np.arange(cal.size + 1.0))
 
 
-def _hierarchical_mass(groups: Sequence[np.ndarray]) -> tuple[np.ndarray, Iterator[float]]:
+def _pooled(groups: Sequence[np.ndarray]) -> tuple[np.ndarray, list[int]]:
+    """The groups' scores joined, each as ``np.asarray(g, dtype=float)``, and their sizes."""
+    return (np.concatenate([(), *groups], axis=None, dtype=float, casting="unsafe"),
+            [np.size(g) for g in groups])
+
+
+def _hierarchical_mass(scores: np.ndarray, sizes: list) -> tuple[np.ndarray, Iterator[float]]:
     """The sorted pooled scores, and ``mass[j] = fsum_k(count_k/n_k)`` for j = 1, 2, ...
 
-    The masses are yielded one step up the sorted pooled scores at a time.
-    A double ``count/n_k`` is 0 or at least ``2**-bitlen(n_k)``, so it is a
-    whole multiple of ``2**-S`` with ``S = 52 + max_k bitlen(n_k)``. The
-    total is kept exactly as an int at that scale, updated by ``new - old``
-    per step, and int/int true division rounds it as ``fsum`` does: O(n).
-    An empty collection or group raises at the call, not at the first step.
+    Group k's ``sizes[k]`` scores follow group k-1's in ``scores``. The masses
+    are yielded one step up the sorted pooled scores at a time. A double
+    ``count/n_k`` is 0 or at least ``2**-bitlen(n_k)``, so it is a whole
+    multiple of ``2**-S`` with ``S = 52 + max_k bitlen(n_k)``. The total is
+    kept exactly as an int at that scale, updated by ``new - old`` per step,
+    and int/int true division rounds it as ``fsum`` does: O(n). An empty
+    collection or group raises at the call, not at the first step.
     """
-    sizes = [np.size(g) for g in groups]
     if not sizes:
         raise ValueError("empty_group_collection")
     if 0 in sizes:
         raise ValueError("empty_group")
-    # unsafe casting converts each group as np.asarray(g, dtype=float) does
-    cal = np.concatenate(groups, axis=None, dtype=float, casting="unsafe")
-    order = np.argsort(cal, kind="stable")
+    order = np.argsort(scores, kind="stable")
     labels = np.repeat(np.arange(len(sizes)), sizes)[order].tolist()
 
     def steps() -> Iterator[float]:
@@ -174,12 +182,12 @@ def _hierarchical_mass(groups: Sequence[np.ndarray]) -> tuple[np.ndarray, Iterat
             ticks[k] = tick
             yield total / scale
 
-    return cal[order], steps()
+    return scores[order], steps()
 
 
 def _hierarchical_table(groups: Sequence[np.ndarray]) -> _RankTable:
     """The full table of :func:`_hierarchical_mass`, with ``mass[0] = 0``."""
-    cal, steps = _hierarchical_mass(groups)
+    cal, steps = _hierarchical_mass(*_pooled(groups))
     return _RankTable(cal, np.array([0.0, *steps]))
 
 
@@ -218,20 +226,37 @@ def standard_cutoff(cal_values: np.ndarray, alpha: float) -> float:
 
     See :meth:`_RankTable.cutoff`; ``-inf`` when nothing can be flagged.
     """
-    return _standard_table(cal_values).cutoff(alpha)
+    return standard_cutoffs(_calibration(cal_values).reshape(1, -1), alpha)[0]
+
+
+def standard_cutoffs(cal_rows: np.ndarray, alpha: float) -> list[float]:
+    """:func:`standard_cutoff` of each row of ``cal_rows``, from one row-wise sort.
+
+    The standard masses are the ranks, so every row has the first row's
+    count k of flagged ranks, and its cutoff is its k-th smallest score.
+    """
+    rows = np.sort(_calibration(cal_rows), axis=-1)
+    k = _standard_table(rows[0]).flagged(alpha)
+    return [_cutoff(row, k) for row in rows]
 
 
 def hierarchical_cutoff(groups: Sequence[np.ndarray], alpha: float) -> float:
-    """``_hierarchical_table(groups).cutoff(alpha)``, without building the table.
+    """The hierarchical rule flags exactly the finite test scores below this one."""
+    return pooled_hierarchical_cutoff(*_pooled(groups), alpha)
 
-    p is nondecreasing in the rank (see :meth:`_RankTable.cutoff`), so the
-    walk up the pooled scores stops at the first rank whose p exceeds
-    alpha. Each p equals the table's bit for bit: the masses come from the
-    same running total, and the table's ``mass[n]`` is exactly K, since
+
+def pooled_hierarchical_cutoff(scores: np.ndarray, sizes: list, alpha: float) -> float:
+    """``_hierarchical_table(groups).cutoff(alpha)`` of the groups joined in ``scores``.
+
+    Group k holds the next ``sizes[k]`` float scores. p is nondecreasing in
+    the rank (see :meth:`_RankTable.cutoff`), so the walk up the pooled
+    scores stops at the first rank whose p exceeds alpha, without building
+    the table. Each p equals the table's bit for bit: the masses come from
+    the same running total, and the table's ``mass[n]`` is exactly K, since
     every group's fraction ends at 1, which also keeps p at most 1.
     """
-    cal, steps = _hierarchical_mass(groups)
-    den = 1.0 + len(groups)
+    cal, steps = _hierarchical_mass(scores, sizes)
+    den = 1.0 + len(sizes)
     k = 0
     for mass in chain((0.0,), steps):
         if (1.0 + mass) / den > alpha:

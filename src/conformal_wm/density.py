@@ -102,7 +102,7 @@ def _block_rows(n_support: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * n_support))
 
 
-def empirical_quantile(values: Sequence[float], level: float) -> float:
+def empirical_quantile(values: Sequence[float], level: float):
     """Empirical quantile with midpoint plotting positions.
 
     The k-th order statistic (1-based) sits at level (k - 0.5)/m and the
@@ -112,35 +112,36 @@ def empirical_quantile(values: Sequence[float], level: float) -> float:
     and shift anchors stay mutually consistent.
 
     The order statistics come out as ``sorted()`` would place them and the
-    interpolation runs on Python floats, so the result has the bits of the
-    list-sorting formula. NaN or infinite values raise ``non_finite_values``.
+    interpolation has the bits of the list-sorting formula on Python
+    floats. A 2-D array gives each row's quantile, as an array, from one
+    row-wise sort; a 1-D sample is its one-row case and gives a float. NaN
+    or infinite values raise ``non_finite_values``.
     """
-    if len(values) == 0:
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.size == 0:
         raise ValueError("empty_values: quantile of an empty sample")
     if not 0.0 <= level <= 1.0:
         raise ValueError(f"level_out_of_range: {level}")
-    arr = np.asarray(values, dtype=np.float64)
+    rows = arr.reshape(-1, arr.shape[-1])
     # Only -0.0 and 0.0 compare equal with different bits; with a -0.0 in the
     # input, sort stably so the zeros keep their input order as in sorted().
     # The input is checked, not the sorted copy: the default (SIMD) sort may
     # write every zero back as +0.0.
-    if np.signbit(arr[arr == 0.0]).any():
-        xs = np.sort(arr, kind="stable")
-    else:
-        xs = np.sort(arr)
+    xs = np.sort(rows, axis=-1, kind="stable" if np.signbit(rows[rows == 0.0]).any() else None)
     # NaN sorts last and -inf first, so the ends show any non-finite value
-    if not (math.isfinite(xs[0]) and math.isfinite(xs[-1])):
+    if not np.isfinite(xs[:, [0, -1]]).all():
         raise ValueError("non_finite_values: quantile of a sample with NaN or inf")
-    m = len(xs)
+    m = xs.shape[-1]
     h = m * level + 0.5
     if h <= 1.0:
-        return float(xs[0])
-    if h >= m:
-        return float(xs[-1])
-    j = int(math.floor(h))
-    g = h - j
-    lo = float(xs[j - 1])
-    return lo + g * (float(xs[j]) - lo)
+        q = xs[:, 0]
+    elif h >= m:
+        q = xs[:, -1]
+    else:
+        j = int(math.floor(h))
+        lo = xs[:, j - 1]
+        q = lo + (h - j) * (xs[:, j] - lo)
+    return float(q[0]) if arr.ndim == 1 else q
 
 
 @dataclass(frozen=True)
@@ -268,15 +269,9 @@ def _log_kernel_sums(query: np.ndarray, support: np.ndarray, bandwidth: float,
     return np.log(sums) + tops, moments / sums if with_moment else None
 
 
-def _spread(values: np.ndarray) -> float:
-    return max(float(np.std(values)), SIGMA_FLOOR)
-
-
 def mean_shift(pool_logs: Sequence[float], minority_logs: Sequence[float]) -> ShiftEstimate:
     """The shift anchored at the sample means, ``(x - mean_q) / sigma_q * sigma_p + mean_p``."""
-    pool, minority = _samples(pool_logs, minority_logs)
-    return ShiftEstimate("mean", float(np.mean(minority)), float(np.mean(pool)),
-                         _spread(pool), _spread(minority))
+    return _shift("mean", *_samples(pool_logs, minority_logs), None)
 
 
 def check_quantile_alpha(alpha: float) -> None:
@@ -301,7 +296,20 @@ def quantile_shift(pool_logs: Sequence[float], minority_logs: Sequence[float],
     matters when the subgroup shift is stronger in the tail than in the
     bulk.
     """
-    pool, minority = _samples(pool_logs, minority_logs)
+    return _shift("quantile", *_samples(pool_logs, minority_logs), alpha)
+
+
+def _spreads(pool: np.ndarray, minority: np.ndarray) -> tuple[float, float]:
+    """``(sigma_p, sigma_q)``: each sample's standard deviation, at least ``SIGMA_FLOOR``."""
+    return max(float(np.std(pool)), SIGMA_FLOOR), max(float(np.std(minority)), SIGMA_FLOOR)
+
+
+def _shift(method: str, pool: np.ndarray, minority: np.ndarray, alpha: float | None,
+           spreads: tuple[float, float] | None = None) -> ShiftEstimate:
+    """:func:`mean_shift` or :func:`quantile_shift` of checked samples and their ``_spreads``."""
+    spreads = spreads or _spreads(pool, minority)
+    if method == "mean":
+        return ShiftEstimate("mean", float(np.mean(minority)), float(np.mean(pool)), *spreads)
     check_quantile_alpha(alpha)
     m = minority.size
     # Branch conditions are m <= 1/(2a) and m <= 1/a, written multiplicatively
@@ -318,8 +326,7 @@ def quantile_shift(pool_logs: Sequence[float], minority_logs: Sequence[float],
         branch = "alpha"
         q_anchor = empirical_quantile(minority, alpha)
         p_anchor = empirical_quantile(pool, alpha)
-    return ShiftEstimate("quantile", q_anchor, p_anchor, _spread(pool), _spread(minority),
-                         branch)
+    return ShiftEstimate("quantile", q_anchor, p_anchor, *spreads, branch)
 
 
 def _samples(pool_logs, minority_logs) -> tuple[np.ndarray, np.ndarray]:
@@ -551,11 +558,10 @@ class WeightedRule:
         self.alpha = alpha
         self._to_eval = np.log10 if log_scale else np.asarray
         pool_eval = self._to_eval(self._pool)
-        minority_eval = pool_eval[minority]
         self.model_p = DensityModel(pool_eval, float(bandwidth))
-        self.shifts = [mean_shift(pool_eval, minority_eval) if shift == "mean"
-                       else quantile_shift(pool_eval, minority_eval, alpha)
-                       for shift in shifts]
+        samples = _samples(pool_eval, pool_eval[minority])
+        spreads = _spreads(*samples)  # once, for every shift
+        self.shifts = [_shift(shift, *samples, alpha, spreads) for shift in shifts]
 
     @classmethod
     def _sharing(cls, pools: Sequence[np.ndarray], minorities: Sequence[np.ndarray],

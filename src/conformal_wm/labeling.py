@@ -9,11 +9,12 @@ text barely moved. Essays edited within the guideline are inliers and are
 tagged upstream; they never reach :func:`outlier_mask`.
 
 The rule has one implementation, :func:`outlier_mask`, which labels a
-whole array of violating edits at once; the threshold comes from
-:func:`bleu_quantile_threshold`. Labels exist only so simulated
-false-positive rates and detection power can be measured against a
-defensible notion of "clear violation"; nothing here is computable for
-real submissions, where originals are unavailable.
+whole array of violating edits at once, or rows of them against each
+row's threshold; thresholds come from :func:`bleu_quantile_threshold`.
+Labels exist only so simulated false-positive rates and detection power
+can be measured against a defensible notion of "clear violation";
+nothing here is computable for real submissions, where originals are
+unavailable.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import numpy as np
 from .density import empirical_quantile
 
 
-def bleu_quantile_threshold(bleu_values: Sequence[float], alpha: float) -> float:
-    """Empirical alpha-quantile of a similarity population.
+def bleu_quantile_threshold(bleu_values: Sequence[float], alpha: float):
+    """Empirical alpha-quantile of a similarity population, or of each row of a 2-D array.
 
     Shares the interpolation convention of
     :func:`conformal_wm.density.empirical_quantile` so labeling thresholds

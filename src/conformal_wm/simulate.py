@@ -16,14 +16,18 @@ Three scenario shapes are supported:
   evaluated with minority-only, pooled-unweighted, and two importance-
   weighted decision rules side by side.
 
-One driver runs every scenario's grid of levels x calibrations x seeds; a
-scenario supplies only a test-set drawer and a calibration iterator whose
-flaggers score each null level's test sets joined into one array. The
-standard and hierarchical rules, and the minority-only and pooled-unweighted
-ones of the weighted scenario, flag exactly the test scores below one
-calibration score, so their flaggers compare against that cutoff and rank
-nothing. Such flags ignore the order of the test scores, so only the
-weighted scenario, whose weighted rules rank them, sorts each test set.
+One driver runs every scenario's grid of levels x calibrations x seeds, one
+(seed, prompt) task at a time and each task in one array pass: its test
+sets are drawn as the rows of one array, with each family's elementwise
+finish applied once over them, and labeled from one row-wise quantile; its
+calibrations are drawn into one flat array. A scenario supplies only the
+row drawer and a calibration pass whose flaggers compare a null level's
+rows with all of its calibrations at once. The standard and hierarchical
+rules, and the minority-only and pooled-unweighted ones of the weighted
+scenario, flag exactly the test scores below one calibration score, so
+their flaggers compare against that cutoff and rank nothing. Such flags
+ignore the order of the test scores, so only the weighted scenario, whose
+weighted rules rank them, sorts each row.
 
 All randomness is derived from counter-style substreams, each keyed by
 ``SeedSequence`` on (seed, prompt, levels, size, stream role), so results
@@ -43,7 +47,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .conformal import hierarchical_cutoff, standard_cutoff
+from .conformal import pooled_hierarchical_cutoff, standard_cutoff, standard_cutoffs
 from .density import SIGMA_FLOOR, WeightedRule, check_bandwidth, check_quantile_alpha
 from .evaluation import CellResult, MetricsReport, aggregate, is_excluded
 from .labeling import bleu_quantile_threshold, outlier_mask
@@ -132,25 +136,25 @@ def _real(params: Mapping, name: str, default) -> float:
         raise ValueError(f"invalid_params: {name}={value!r} is not a number") from None
 
 
-def _sample_values(dist: ScoreDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
+def _draw(dist: ScoreDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` scores of ``dist`` as its stream draws them, before its family's ``_FINISH``."""
     if n < 1:
         raise ValueError(f"sample_size_not_positive: {n}")
-    fam = dist.family
-    p = dist.params
+    fam, p = dist.family, dist.params
     if fam == "uniform01":
         return 1.0 - rng.random(n)  # (0, 1]
     if fam == "logit_normal":
         mu = _real(p, "mu", 0.0)
         sigma = _real(p, "sigma", 1.0)
-        if sigma <= 0:
-            raise ValueError(f"invalid_params: sigma={sigma}")
-        return _into_unit(_expit(rng.normal(mu, sigma, n)))
+        if not (math.isfinite(mu) and 0 < sigma < math.inf):
+            raise ValueError(f"invalid_params: mu={mu}, sigma={sigma}")
+        return rng.normal(mu, sigma, n)
     if fam == "beta":
         a = _real(p, "a", 1.0)
         b = _real(p, "b", 1.0)
-        if a <= 0 or b <= 0:
+        if not (0 < a < math.inf and 0 < b < math.inf):
             raise ValueError(f"invalid_params: a={a}, b={b}")
-        return _into_unit(rng.beta(a, b, n))
+        return rng.beta(a, b, n)
     if fam == "mixture":
         comps = p.get("components")
         if not isinstance(comps, (list, tuple)) or not comps:
@@ -159,21 +163,45 @@ def _sample_values(dist: ScoreDistribution, n: int, rng: np.random.Generator) ->
             if "family" not in _mapping(comp, "a mixture component"):
                 raise ValueError(f"invalid_params: mixture component {comp!r} needs a family")
         weights = np.array([_real(c, "weight", None) for c in comps])
-        if (weights <= 0).any():
-            raise ValueError("invalid_params: non-positive mixture weight")
-        weights = weights / weights.sum()
+        with np.errstate(over="ignore"):  # a sum past the largest float is inf, and rejected
+            total = weights.sum()
+        if not ((weights > 0).all() and total < math.inf):
+            raise ValueError("invalid_params: mixture weights must be positive, with a finite sum")
+        weights = weights / total
         idx = rng.choice(len(comps), size=n, p=weights)
         out = np.empty(n, dtype=float)
         for j, comp in enumerate(comps):
             mask = idx == j
             if mask.any():
-                sub = ScoreDistribution(
-                    family=comp["family"],
-                    params=comp.get("params", {}),
-                )
+                sub = ScoreDistribution(comp["family"], comp.get("params", {}))
                 out[mask] = _sample_values(sub, int(mask.sum()), rng)
         return out
     raise ValueError(f"unknown_family: {fam}")
+
+
+# The elementwise finish of a family's draws; uniform01 and mixture ones need none.
+_FINISH = {"logit_normal": lambda x: _into_unit(_expit(x)), "beta": _into_unit}
+
+
+def _sample_joined(draws) -> np.ndarray:
+    """The scores of each ``(dist, n, rng)`` draw, joined in one array.
+
+    Each stream draws as it would alone, and each family's elementwise
+    finish then runs once over all of its draws' values.
+    """
+    values = np.concatenate([_draw(*draw) for draw in draws])
+    families = [dist.family for dist, _, _ in draws]
+    for family in set(families) & _FINISH.keys():
+        if len(set(families)) == 1:
+            values = _FINISH[family](values)
+        else:
+            mine = np.repeat([f == family for f in families], [n for _, n, _ in draws])
+            values[mine] = _FINISH[family](values[mine])
+    return values
+
+
+def _sample_values(dist: ScoreDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
+    return _sample_joined([(dist, n, rng)])
 
 
 @dataclass(frozen=True)
@@ -275,8 +303,11 @@ class ExperimentConfig:
             raise ValueError("bleu_means_too_short")
         if any(not 0.0 < b < 1.0 for b in self.bleu_means):
             raise ValueError("bleu_means_out_of_range")
-        if not self.bleu_concentration > 0:
-            raise ValueError("invalid_positive_parameter")
+        # scales are finite and positive; test and calibration groups may share one offset
+        for name in ("group_sigma", "intensity_logit_sigma", "bleu_concentration"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and (value > 0 or name == "group_sigma" and value == 0)):
+                raise ValueError(f"invalid_scale_parameter: {name}={value!r}")
         # A weighted pool's kernels must stay finite at any two points its
         # queries can reach: scores lie in [_TINY, 1], so on the evaluation
         # scale in a span S, and a shifted model stretches them by at most
@@ -374,129 +405,130 @@ def _sample_bleu(config: ExperimentConfig, intensity: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _AltContext:
-    alt: int
-    test_values: np.ndarray
-    outlier_mask: np.ndarray
-    n_outliers: int
-    outlier_proportion: float
-
-
-def _label_alt_set(config: ExperimentConfig, streams: _Streams, prompt: int, null: int,
-                   alt: int, test_values: np.ndarray, ranks: bool) -> _AltContext:
-    n = test_values.size
-    bleu_null = _sample_bleu(config, null, streams(prompt, null, alt, 0, "bleu_null"), n)
-    bleu_alt = _sample_bleu(config, alt, streams(prompt, null, alt, 0, "bleu_alt"), n)
+def _outlier_rows(config: ExperimentConfig, streams: _Streams, prompt: int,
+                  sets: list[tuple[int, int]]) -> np.ndarray:
+    """Each ``(null, alt)`` set's outlier mask, one row each; a null set's row is all False."""
+    alts = [(i, null, alt) for i, (null, alt) in enumerate(sets) if alt]
+    bleu_null, bleu_alt = (np.array([
+        _sample_bleu(config, alt if role == "bleu_alt" else null,
+                     streams(prompt, null, alt, 0, role), config.n_test)
+        for _, null, alt in alts]) for role in ("bleu_null", "bleu_alt"))
     by_null = config.outlier_threshold_population == "null"
-    threshold = bleu_quantile_threshold(bleu_null if by_null else bleu_alt, config.alpha)
-    mask = outlier_mask(bleu_null, bleu_alt, threshold)
-    n_out = int(np.count_nonzero(mask))
-    if ranks:  # cells only count flags, so order is free, and sorted keys rank faster
-        order = np.argsort(test_values)
-        test_values, mask = test_values[order], mask[order]
-    return _AltContext(
-        alt=alt,
-        test_values=test_values,
-        outlier_mask=mask,
-        n_outliers=n_out,
-        outlier_proportion=n_out / n,
-    )
+    thresholds = bleu_quantile_threshold(bleu_null if by_null else bleu_alt, config.alpha)
+    mask = np.zeros((len(sets), config.n_test), dtype=bool)
+    mask[[i for i, *_ in alts]] = outlier_mask(bleu_null, bleu_alt, thresholds[:, np.newaxis])
+    return mask
 
 
-def _make_cell(method: str, null: int, ctx: _AltContext, cal_size: int, seed: int,
-               prompt: int, fpr: float, flags: int, hits: int) -> CellResult:
+def _make_cell(method: str, null: int, alt: int, cal_size: int, seed: int, prompt: int,
+               n_tests: int, n_outliers: int, fpr: float, flags: int, hits: int) -> CellResult:
     """One alternative set's cell: ``flags`` essays flagged, ``hits`` of them outliers."""
     # counts over sizes give the bits of the boolean arrays' means
-    excluded = is_excluded(ctx.n_outliers, ctx.outlier_proportion)
-    power = None if excluded else hits / ctx.n_outliers
-    n_suspects = ctx.test_values.size - ctx.n_outliers
+    outlier_proportion = n_outliers / n_tests
+    excluded = is_excluded(n_outliers, outlier_proportion)
+    power = None if excluded else hits / n_outliers
+    n_suspects = n_tests - n_outliers
     suspect_rate = (flags - hits) / n_suspects if n_suspects else None
-    return CellResult(
-        null_prompt=null,
-        alt_prompt=ctx.alt,
-        cal_size=cal_size,
-        fpr=fpr,
-        power=power,
-        n_outliers=ctx.n_outliers,
-        outlier_proportion=ctx.outlier_proportion,
-        excluded=excluded,
-        seed=seed,
-        prompt=prompt,
-        method=method,
-        n_tests=int(ctx.test_values.size),
-        suspect_flag_rate=suspect_rate,
-    )
+    return CellResult(null_prompt=null, alt_prompt=alt, cal_size=cal_size, fpr=fpr, power=power,
+                      n_outliers=n_outliers, outlier_proportion=outlier_proportion,
+                      excluded=excluded, seed=seed, prompt=prompt, method=method,
+                      n_tests=n_tests, suspect_flag_rate=suspect_rate)
 
 
 def _cells(config: ExperimentConfig, streams: _Streams, prompt: int) -> list[CellResult]:
-    """Every cell of one (seed, prompt) task, drawn from the seed's ``streams``.
+    """Every cell of one (seed, prompt) task, drawn from the seed's ``streams`` in one pass.
 
-    A null level's null and alternative test sets, and their outlier masks,
-    are joined once, and each calibration's flagger scores that one array; a
-    p-value does not depend on the other test points. Flags and outlier hits
-    are counted per test set with one ``reduceat`` each.
+    The rows hold each null level's null set, then its alternative sets.
+    Flags and outlier hits are counted per calibration and row with one
+    ``count_nonzero`` each.
     """
     draw_tests, calibrations, ranks, *_ = _SCENARIO_RUNNERS[config.scenario]
-    seed, cells = streams.seed, []
-    for null in config.null_levels:
-        test_null = draw_tests(config, streams, prompt, null, 0)
-        if ranks:
-            test_null = np.sort(test_null)
-        contexts = [_label_alt_set(config, streams, prompt, null, alt,
-                                   draw_tests(config, streams, prompt, null, alt), ranks)
-                    for alt in config.alt_levels(null)]
-        tests = np.concatenate([test_null] + [ctx.test_values for ctx in contexts])
-        outliers = np.concatenate([np.zeros(test_null.size, dtype=bool)]
-                                  + [ctx.outlier_mask for ctx in contexts])
-        starts = np.cumsum([0, test_null.size]
-                           + [ctx.test_values.size for ctx in contexts[:-1]])
-        for cal_size, flagger in calibrations(config, streams, prompt, null):
-            for method, flagged in flagger(tests).items():
-                # bools add up as ints; lists of them keep every rate a Python float
-                null_flags, *flags = np.add.reduceat(flagged, starts).tolist()
-                hits = np.add.reduceat(flagged & outliers, starts)[1:].tolist()
-                fpr = null_flags / test_null.size
-                for ctx, n_flags, n_hits in zip(contexts, flags, hits):
-                    cells.append(_make_cell(method, null, ctx, cal_size, seed, prompt,
-                                            fpr, n_flags, n_hits))
+    sets = [(null, alt) for null in config.null_levels for alt in (0, *config.alt_levels(null))]
+    tests = draw_tests(config, streams, prompt, sets)
+    outliers = _outlier_rows(config, streams, prompt, sets)
+    if ranks:  # cells only count flags, so order is free, and sorted keys rank faster
+        order = np.argsort(tests, axis=1)
+        tests = np.take_along_axis(tests, order, axis=1)
+        outliers = np.take_along_axis(outliers, order, axis=1)
+    n_outliers = np.count_nonzero(outliers, axis=1).tolist()
+    n, seed, cells, start = config.n_test, streams.seed, [], 0
+    for null, (sizes, flagger) in zip(config.null_levels, calibrations(config, streams, prompt)):
+        alts = config.alt_levels(null)
+        rows = slice(start, start + 1 + len(alts))
+        start = rows.stop
+        # lists of counts keep every rate a Python float
+        counts = [(method, np.count_nonzero(flagged, axis=-1).tolist(),
+                   np.count_nonzero(flagged & outliers[rows], axis=-1).tolist())
+                  for method, flagged in flagger(tests[rows]).items()]
+        for i, size in enumerate(sizes):
+            for method, flags, hits in counts:
+                (null_flags, *alt_flags), (_, *alt_hits) = flags[i], hits[i]
+                for alt, n_out, n_flags, n_hits in zip(alts, n_outliers[rows][1:],
+                                                       alt_flags, alt_hits):
+                    cells.append(_make_cell(method, null, alt, size, seed, prompt, n, n_out,
+                                            null_flags / n, n_flags, n_hits))
     return cells
 
 
 # ---------------------------------------------------------------------------
-# Scenarios: a test-set drawer and a calibration iterator each
+# Scenarios: a test-row drawer and a calibration pass each
 # ---------------------------------------------------------------------------
 
-# A drawer returns the n_test scores of ``(null, alt)``, unsorted; alt 0 is
-# the null set. A calibration iterator yields ``(cal_size, flagger)``, where
-# a flagger maps test scores to ``{method: flags}``. Both draw from the
-# seed's ``_Streams``. Calibration iterators look the cutoff kernels up as
-# module globals, where a tracer can wrap them.
+# A drawer returns the n_test scores of each ``(null, alt)`` set, one row
+# each and unsorted; alt 0 is the null set. A calibration pass gives, per
+# null level, its calibration sizes and a flagger that maps the level's test
+# rows to ``{method: flags}``, one slice of rows per calibration. Both draw
+# from the seed's ``_Streams``. Calibration passes look the cutoff kernels
+# up as module globals, where a tracer can wrap them.
 
 
-def _test_set(config: ExperimentConfig, streams: _Streams, prompt: int, null: int,
-              alt: int, population: str = "majority") -> np.ndarray:
-    stream = "alt_test" if alt else "null_test"
-    return _sample_values(config.distribution_for(population, alt or null),
-                          config.n_test, streams(prompt, null, alt, 0, stream))
+def _test_rows(config: ExperimentConfig, streams: _Streams, prompt: int,
+               sets: list[tuple[int, int]], population: str = "majority") -> np.ndarray:
+    return _sample_joined([
+        (config.distribution_for(population, alt or null), config.n_test,
+         streams(prompt, null, alt, 0, "alt_test" if alt else "null_test"))
+        for null, alt in sets]).reshape(len(sets), config.n_test)
 
 
-def _hierarchical_test_set(config: ExperimentConfig, streams: _Streams, prompt: int,
-                           null: int, alt: int) -> np.ndarray:
+def _hierarchical_test_rows(config: ExperimentConfig, streams: _Streams, prompt: int,
+                            sets: list[tuple[int, int]]) -> np.ndarray:
     # each test essay comes from a fresh group, with its own log-odds offset
-    stream = "alt_test_effects" if alt else "null_test_effects"
-    effects = streams(prompt, null, alt, 0, stream).normal(
-        0.0, config.group_sigma, config.n_test)
-    return logit_shift(_test_set(config, streams, prompt, null, alt), effects)
+    effects = [streams(prompt, null, alt, 0, "alt_test_effects" if alt else "null_test_effects")
+               .normal(0.0, config.group_sigma, config.n_test) for null, alt in sets]
+    return logit_shift(_test_rows(config, streams, prompt, sets), effects)
 
 
-def _standard_calibrations(config: ExperimentConfig, streams: _Streams, prompt: int,
-                           null: int):
-    null_dist = config.distribution_for("majority", null)
-    for size_idx, size in enumerate(config.cal_sizes):
-        cal = _sample_values(null_dist, size, streams(prompt, null, 0, size_idx, "cal"))
-        cutoff = standard_cutoff(cal, config.alpha)
-        yield size, lambda tests, cutoff=cutoff: {"standard": tests < cutoff}
+def _segments(values: np.ndarray, sizes) -> list[np.ndarray]:
+    """``values`` cut into consecutive pieces of the given sizes."""
+    return [values[end - size:end] for end, size in zip(np.cumsum(sizes).tolist(), sizes)]
+
+
+def _calibration_draws(config: ExperimentConfig, streams: _Streams, prompt: int):
+    """A task's calibrations from the "cal" streams in one array, size by size, level by level."""
+    return _sample_joined([
+        (config.distribution_for("majority", null), size, streams(prompt, null, 0, i, "cal"))
+        for i, size in enumerate(config.cal_sizes) for null in config.null_levels])
+
+
+def _cutoff_flaggers(config: ExperimentConfig, method: str, cutoffs: list[float]):
+    """Per null level, its sizes and a flagger of its rows below each of its cutoffs.
+
+    ``cutoffs`` runs over the sizes, then the levels; flags come as ``(sizes, rows, n)``.
+    """
+    sizes = config.cal_sizes
+    by_level = np.array(cutoffs).reshape(len(sizes), len(config.null_levels), 1, 1)
+    return [(sizes, lambda rows, below=below: {method: rows < below})
+            for below in by_level.swapaxes(0, 1)]
+
+
+def _standard_calibrations(config: ExperimentConfig, streams: _Streams, prompt: int):
+    # one row-wise sort per size, the null levels' calibrations as its rows
+    levels = len(config.null_levels)
+    blocks = _segments(_calibration_draws(config, streams, prompt),
+                       [levels * size for size in config.cal_sizes])
+    return _cutoff_flaggers(config, "standard", [
+        cutoff for block in blocks
+        for cutoff in standard_cutoffs(block.reshape(levels, -1), config.alpha)])
 
 
 def _partition_sizes(total: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -505,87 +537,73 @@ def _partition_sizes(total: int, k: int, rng: np.random.Generator) -> np.ndarray
     return extra + 1
 
 
-def _grouped_calibration(config: ExperimentConfig, streams: _Streams, prompt: int,
-                         null: int, size_idx: int, size: int) -> list[np.ndarray]:
+def _hierarchical_calibrations(config: ExperimentConfig, streams: _Streams, prompt: int):
     # Base draws share the "cal" stream with the standard scenario; group
     # structure only adds log-odds offsets on top. With group_sigma == 0 and
     # singleton groups the calibration set is bit-identical to standard's.
-    null_dist = config.distribution_for("majority", null)
-    base = _sample_values(null_dist, size, streams(prompt, null, 0, size_idx, "cal"))
-    rng_eff = streams(prompt, null, 0, size_idx, "cal_effects")
-    sizes = _partition_sizes(size, config.k_groups, rng_eff)
-    effects = rng_eff.normal(0.0, config.group_sigma, sizes.size)
-    shifted = logit_shift(base, np.repeat(effects, sizes))
-    # plain slices: np.split costs more than the cutoff that reads the groups
-    ends = np.cumsum(sizes).tolist()
-    return [shifted[start:end] for start, end in zip([0] + ends[:-1], ends)]
+    groups, effects = [], []
+    for i, size in enumerate(config.cal_sizes):
+        for null in config.null_levels:
+            rng = streams(prompt, null, 0, i, "cal_effects")
+            groups.append(_partition_sizes(size, config.k_groups, rng))
+            effects.append(rng.normal(0.0, config.group_sigma, groups[-1].size))
+    scores = logit_shift(_calibration_draws(config, streams, prompt),
+                         np.repeat(np.concatenate(effects), np.concatenate(groups)))
+    cals = _segments(scores, [size for size in config.cal_sizes for _ in config.null_levels])
+    return _cutoff_flaggers(config, "hierarchical", [
+        pooled_hierarchical_cutoff(cal, group_sizes.tolist(), config.alpha)
+        for cal, group_sizes in zip(cals, groups)])
 
 
-def _hierarchical_calibrations(config: ExperimentConfig, streams: _Streams, prompt: int,
-                               null: int):
-    for size_idx, size in enumerate(config.cal_sizes):
-        groups = _grouped_calibration(config, streams, prompt, null, size_idx, size)
-        cutoff = hierarchical_cutoff(groups, config.alpha)
-        yield size, lambda tests, cutoff=cutoff: {"hierarchical": tests < cutoff}
-
-
-def _weighted_flagger(config: ExperimentConfig, pool: np.ndarray, minority: np.ndarray,
-                     rule: WeightedRule):
-    """A function from test scores to the four methods' flags against one pool.
-
-    ``minority`` masks the pool's minority points, and ``rule`` is the
-    pool's weighted rule. The minority-only and pooled-unweighted rules
-    flag the test scores below their cutoffs, each found once, and the test
-    scores (a null level's joined test sets) are ranked once against the
-    pool, for both weighted rules.
-    """
-    in_dist = standard_cutoff(pool[minority], config.alpha)
-    unweighted = standard_cutoff(pool, config.alpha)
-
-    def flags(values: np.ndarray) -> dict[str, np.ndarray]:
-        return {
-            "in_dist": values < in_dist,
-            "combined_unweighted": values < unweighted,
-            **dict(zip(("weighted_mean", "weighted_quantile"), rule.flags(values))),
-        }
-
-    return flags
-
-
-def _weighted_calibrations(config: ExperimentConfig, streams: _Streams, prompt: int,
-                           null: int):
-    """One flagger per minority size, each against the null level's majority plus that minority.
+def _weighted_calibrations(config: ExperimentConfig, streams: _Streams, prompt: int):
+    """Per null level, a flagger against its majority plus each minority sample.
 
     Every minority sample is drawn first, from its own stream, so the
     pools' weighted rules can share one node sum of the majority
-    (``WeightedRule._sharing``).
+    (``WeightedRule._sharing``). The minority-only and pooled-unweighted
+    rules flag the test scores below their cutoffs, each found once.
     """
-    majority_cal = _sample_values(config.distribution_for("majority", null),
-                                  config.majority_cal_size,
-                                  streams(prompt, null, 0, 0, "cal"))
-    pools = [np.concatenate([majority_cal, _sample_values(
-        config.distribution_for("minority", null), m,
-        streams(prompt, null, 0, m_idx, "minority_cal"))])
-        for m_idx, m in enumerate(config.minority_sizes)]
-    minorities = [np.arange(pool.size) >= majority_cal.size for pool in pools]
-    rules = WeightedRule._sharing(pools, minorities, config.bandwidth, config.alpha,
-                                  ("mean", "quantile"), config.log_scale)
-    for m, pool, minority, rule in zip(config.minority_sizes, pools, minorities, rules):
-        yield m, _weighted_flagger(config, pool, minority, rule)
+    for null in config.null_levels:
+        majority_cal = _sample_values(config.distribution_for("majority", null),
+                                      config.majority_cal_size,
+                                      streams(prompt, null, 0, 0, "cal"))
+        pools = [np.concatenate([majority_cal, _sample_values(
+            config.distribution_for("minority", null), m,
+            streams(prompt, null, 0, m_idx, "minority_cal"))])
+            for m_idx, m in enumerate(config.minority_sizes)]
+        minorities = [np.arange(pool.size) >= majority_cal.size for pool in pools]
+        rules = WeightedRule._sharing(pools, minorities, config.bandwidth, config.alpha,
+                                      ("mean", "quantile"), config.log_scale)
+        in_dist = [standard_cutoff(pool[m], config.alpha) for pool, m in zip(pools, minorities)]
+        unweighted = [standard_cutoff(pool, config.alpha) for pool in pools]
+        yield config.minority_sizes, partial(_weighted_flags, rules, in_dist, unweighted)
 
 
-# scenario -> (test-set drawer, calibration iterator, whether its flaggers
-# rank the test scores, the stream roles a test set draws, null_ or alt_
+def _weighted_flags(rules: list[WeightedRule], in_dist: list[float],
+                    unweighted: list[float], rows: np.ndarray) -> dict[str, np.ndarray]:
+    """The four methods' flags of test rows against each pool, as ``(pools, rows, n_test)``.
+
+    The sorted rows are ranked once against each pool, for both weighted rules.
+    """
+    weighted = np.array([rule.flags(rows.reshape(-1)) for rule in rules]).reshape(
+        len(rules), 2, *rows.shape)
+    return {"in_dist": rows < np.reshape(in_dist, (-1, 1, 1)),
+            "combined_unweighted": rows < np.reshape(unweighted, (-1, 1, 1)),
+            "weighted_mean": weighted[:, 0], "weighted_quantile": weighted[:, 1]}
+
+
+# scenario -> (test-row drawer, calibration pass, whether its flaggers rank
+# the test scores, the stream roles a test set draws, null_ or alt_
 # prefixed, and the (role, sizes field) a calibration draws, one stream per
 # size or, with no field, one per null level); only a flagger that ranks
 # reads the test scores' order
 _SCENARIO_RUNNERS = {
-    "standard": (_test_set, _standard_calibrations, False, ("test",),
+    "standard": (_test_rows, _standard_calibrations, False, ("test",),
                  (("cal", "cal_sizes"),)),
-    "hierarchical": (_hierarchical_test_set, _hierarchical_calibrations, False,
+    "hierarchical": (_hierarchical_test_rows, _hierarchical_calibrations, False,
                      ("test", "test_effects"),
                      (("cal", "cal_sizes"), ("cal_effects", "cal_sizes"))),
-    "weighted": (partial(_test_set, population="minority"), _weighted_calibrations, True,
+    "weighted": (partial(_test_rows, population="minority"), _weighted_calibrations, True,
                  ("test",), (("cal", None), ("minority_cal", "minority_sizes"))),
 }
 

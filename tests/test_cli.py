@@ -321,6 +321,11 @@ class TestDetectCommand:
             ' > "$RUNNER_TEMP/big_seed.json"',
             'conformal-wm simulate "$RUNNER_TEMP/big_seed.json" --out "$RUNNER_TEMP/b"',
             'cmp "$RUNNER_TEMP/b/metrics.csv" tests/golden/simulate_hierarchical_big_seed.csv',
+            # the default hierarchical config, its tasks on a two-thread pool
+            'echo \'{"scenario": "hierarchical"}\' > "$RUNNER_TEMP/hierarchical.json"',
+            'conformal-wm simulate "$RUNNER_TEMP/hierarchical.json" --threads 2'
+            ' --out "$RUNNER_TEMP/hs2"',
+            'cmp "$RUNNER_TEMP/hs2/metrics.csv" tests/golden/simulate_hierarchical.csv',
             'echo \'{"scenario": "weighted"}\' > "$RUNNER_TEMP/weighted.json"',
             'conformal-wm simulate "$RUNNER_TEMP/weighted.json" --seed 1'
             ' --out "$RUNNER_TEMP/ws"',
@@ -866,6 +871,40 @@ class TestSimulateCommand:
         assert main(["simulate", path, "--out", str(tmp_path / "out")]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "invalid_config" and err["detail"].startswith(f"{code}: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("fields, detail", [
+        # a scale no draw can take: rejected before any task runs, not as a cell_failure
+        ('"scenario": "hierarchical", "group_sigma": -1',
+         "invalid_scale_parameter: group_sigma=-1"),
+        ('"bleu_concentration": Infinity', "invalid_scale_parameter: bleu_concentration=inf"),
+        # a NaN scale would draw NaN scores, which flag nothing and read as rates of 0
+        ('"scenario": "hierarchical", "group_sigma": NaN',
+         "invalid_scale_parameter: group_sigma=nan"),
+        ('"intensity_logit_sigma": NaN', "invalid_scale_parameter: intensity_logit_sigma=nan"),
+        ('"distributions": {"majority": {"4": {"family": "logit_normal", '
+         '"params": {"mu": -3.0, "sigma": NaN}}}}', "invalid_params: mu=-3.0, sigma=nan"),
+        ('"distributions": {"majority": {"4": {"family": "beta", '
+         '"params": {"a": NaN, "b": 9}}}}', "invalid_params: a=nan, b=9.0"),
+        ('"intensity_logit_means": [0, -1, -2, NaN, -4, -5, -6]',
+         "invalid_params: mu=nan, sigma=1.5"),
+        ('"distributions": {"majority": {"4": {"family": "logit_normal", '
+         '"params": {"sigma": Infinity}}}}', "invalid_params: mu=0.0, sigma=inf"),
+        # a NaN weight, or weights whose sum overflows, get a coded detail, not numpy's message
+        ('"distributions": {"majority": {"4": {"family": "mixture", "params": {"components": ['
+         '{"family": "beta", "weight": NaN, "params": {"a": 1, "b": 9}}, '
+         '{"family": "uniform01", "weight": 1}]}}}}',
+         "invalid_params: mixture weights must be positive, with a finite sum"),
+        ('"distributions": {"majority": {"4": {"family": "mixture", "params": {"components": ['
+         '{"family": "uniform01", "weight": 1e308}, {"family": "uniform01", "weight": 1e308}]}}}}',
+         "invalid_params: mixture weights must be positive, with a finite sum"),
+    ])
+    def test_non_finite_or_negative_scale_exits_2(self, tmp_path, capsys, fields, detail):
+        path = write(tmp_path, "config.json",
+                     f'{{"seeds": [1], "n_prompts": 1, "n_test": 50, {fields}}}')
+        assert main(["simulate", path, "--out", str(tmp_path / "out")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "invalid_config" and err["detail"] == detail
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("scenario", ["standard", "hierarchical"])

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from conformal_wm.conformal import (
     _hierarchical_mass,
     _hierarchical_table,
+    _pooled,
     _standard_table,
     _weighted_table,
     hierarchical_cutoff,
     hierarchical_p_values,
     standard_cutoff,
+    standard_cutoffs,
     standard_p_values,
     weighted_p_values,
 )
@@ -295,9 +297,10 @@ class TestHierarchicalKernel:
     ], ids=["int_lists", "2d_groups", "mixed_int_float", "bool_and_str"])
     def test_pooling_converts_each_group_as_asarray(self, groups):
         # the per-group conversion the one-pass pooling replaced, as reference
-        want_cal, want_steps = _hierarchical_mass(
-            [np.asarray(g, dtype=float).ravel() for g in groups])
-        cal, steps = _hierarchical_mass(groups)
+        converted = [np.asarray(g, dtype=float).ravel() for g in groups]
+        want_cal, want_steps = _hierarchical_mass(np.concatenate(converted),
+                                                  [g.size for g in converted])
+        cal, steps = _hierarchical_mass(*_pooled(groups))
         assert cal.dtype == np.float64
         assert np.array_equal(cal.view(np.uint64), want_cal.view(np.uint64))
         # the masses follow each pooled score's group label
@@ -311,7 +314,7 @@ class TestHierarchicalKernel:
     ])
     def test_empty_groups_raise(self, groups, code):
         with pytest.raises(ValueError, match=f"^{code}$"):
-            _hierarchical_mass(groups)
+            _hierarchical_mass(*_pooled(groups))
 
 
 class TestDecisionInvariants:
@@ -462,6 +465,10 @@ class TestCutoff:
         tests, alpha = cutoff_cases(table, extra_tests, rank, step)
         assert cutoff_agrees(table, tests, alpha)
         assert standard_cutoff(cal, alpha) == table.cutoff(alpha)
+        # k depends on the size alone: each row's cutoff is its own table's
+        rows = [cal, cal[::-1], [s / 2 for s in cal]]
+        assert standard_cutoffs(np.array(rows), alpha) == [
+            _standard_table(row).cutoff(alpha) for row in rows]
 
     @given(groups=st.lists(st.lists(tie_prone_score, min_size=1, max_size=6),
                            min_size=1, max_size=8),

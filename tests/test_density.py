@@ -132,6 +132,8 @@ class TestEmpiricalQuantile:
             empirical_quantile(values, 0.5)
         with pytest.raises(ValueError, match="non_finite_values"):
             empirical_quantile(np.array(values), 0.05)
+        with pytest.raises(ValueError, match="non_finite_values"):
+            empirical_quantile(np.array([[0.3, 0.1, 0.5, 0.2, 0.4], values]), 0.05)
 
 
 def sorted_quantile(values, level):
@@ -153,10 +155,12 @@ def same_bits(a, b):
 
 
 # small pools make ties (and signed-zero ties) frequent
-tie_prone = st.lists(
-    st.one_of(st.sampled_from([-0.0, 0.0, 0.25, -1.5, 1e-300, 0.1 + 0.2]),
-              st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)),
-    min_size=1, max_size=60)
+tie_prone_value = st.one_of(st.sampled_from([-0.0, 0.0, 0.25, -1.5, 1e-300, 0.1 + 0.2]),
+                            st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+tie_prone = st.lists(tie_prone_value, min_size=1, max_size=60)
+# rows of one length, as a 2-D sample
+tie_prone_rows = st.integers(1, 20).flatmap(lambda m: st.lists(
+    st.lists(tie_prone_value, min_size=m, max_size=m), min_size=1, max_size=6))
 # numpy's default (SIMD) float sort may hand these zeros back all as +0.0
 MANY_SIGNED_ZEROS = [-0.0, 0.25, 0.25, -0.0, -0.0, -0.0, -0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 0.0]
 levels = st.one_of(st.sampled_from([0.0, 1.0, 0.05, 0.5, 1e-9, 1 - 1e-9]),
@@ -171,6 +175,17 @@ class TestEmpiricalQuantileBits:
     def test_equals_sorted_formula_bit_for_bit(self, values, level, as_array):
         data = np.array(values) if as_array else values
         assert same_bits(empirical_quantile(data, level), sorted_quantile(values, level))
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=tie_prone_rows, level=levels)
+    @example(rows=[MANY_SIGNED_ZEROS, [0.0] * 13, [0.25] * 12 + [-0.0]], level=0.0)
+    @example(rows=[[0.0, -0.0, 1.0], [2.0, 0.0, 0.0]], level=0.5)
+    def test_rows_equal_sorted_formula_bit_for_bit(self, rows, level):
+        # each row's quantile from one row-wise sort is the 1-D oracle's
+        got = empirical_quantile(np.array(rows), level)
+        assert got.shape == (len(rows),)
+        for q, row in zip(got.tolist(), rows):
+            assert same_bits(q, sorted_quantile(row, level))
 
     @pytest.mark.parametrize("level", [0.0, 0.3, 0.5, 0.7, 1.0])
     def test_single_value(self, level):

@@ -510,41 +510,57 @@ class TestRankKernelCalls:
     def test_one_kernel_call_per_calibration_on_joined_sets(self, monkeypatch, scenario):
         cfg = small_config(scenario=scenario, seeds=(1,), n_prompts=2, n_test=50,
                            null_levels=(1, 4), max_level=6)
-        kernel = f"{scenario}_cutoff"
+        kernel = {"standard": "standard_cutoffs",
+                  "hierarchical": "pooled_hierarchical_cutoff"}[scenario]
         calibrations_seen, joined_sets = [], []
 
-        def counting(cal, alpha, _kernel=getattr(simulate, kernel)):
-            calibrations_seen.append(cal)
-            return _kernel(cal, alpha)
+        def counting(cal, *args, _kernel=getattr(simulate, kernel)):
+            cutoffs = _kernel(cal, *args)
+            if scenario == "standard":  # one calibration per row, each of one size
+                assert len(cutoffs) == len(cal)
+                calibrations_seen.extend(cal)
+            else:  # one calibration's groups, joined, and their sizes
+                calibrations_seen.append(np.split(cal, np.cumsum(args[0])[:-1]))
+            return cutoffs
 
         # patched where simulate looks it up, where a tracer would wrap it
         monkeypatch.setattr(simulate, kernel, counting)
         draw_tests, calibrations, ranks, *plan = simulate._SCENARIO_RUNNERS[scenario]
         p_values = getattr(conformal, f"{scenario}_p_values")
 
-        def recording_calibrations(*args):
-            for size, flagger in calibrations(*args):
-                def recording(tests, _flagger=flagger, _cal=calibrations_seen[-1]):
-                    joined_sets.append((args, tests))
+        def recording_calibrations(config, streams, prompt):
+            passed = calibrations(config, streams, prompt)
+            # the pass finds every cutoff of the task, size by size, level by level
+            n_levels = len(config.null_levels)
+            cals = calibrations_seen[-n_levels * len(config.cal_sizes):]
+            for level, (null, (sizes, flagger)) in enumerate(zip(config.null_levels, passed)):
+                assert [np.hstack(cal).size for cal in cals[level::n_levels]] == list(sizes)
+
+                def recording(tests, _flagger=flagger, _cals=cals[level::n_levels],
+                              _null=null):
+                    joined_sets.append(((config, streams, prompt, _null), tests))
                     flags = _flagger(tests)
-                    # the cutoff's flags are the p-value kernel's, bit for bit
-                    assert (flags[scenario] == (p_values(_cal, tests) <= cfg.alpha)).all()
+                    # the cutoffs' flags are the p-value kernel's, bit for bit
+                    assert flags[scenario].shape == (len(_cals), *tests.shape)
+                    for flagged, cal in zip(flags[scenario], _cals):
+                        assert (flagged == (p_values(cal, tests) <= cfg.alpha)).all()
                     return flags
 
-                yield size, recording
+                yield sizes, recording
 
         monkeypatch.setitem(simulate._SCENARIO_RUNNERS, scenario,
                             (draw_tests, recording_calibrations, ranks, *plan))
         run_scenario(cfg)
-        joined = [cfg.n_test * (1 + len(cfg.alt_levels(null))) for null in cfg.null_levels]
-        per_task = [size for size in joined for _ in cfg.cal_sizes]
-        # one cutoff per calibration, and one flagger call on its joined array
-        assert len(calibrations_seen) == len(per_task) * len(cfg.seeds) * cfg.n_prompts
-        assert [t.size for _, t in joined_sets] == per_task * (len(cfg.seeds) * cfg.n_prompts)
-        # the null set, then each alternative set, as drawn: cutoffs need no order
+        tasks = len(cfg.seeds) * cfg.n_prompts
+        # one cutoff per calibration, and one flagger call on a null level's joined rows
+        assert len(calibrations_seen) == len(cfg.null_levels) * len(cfg.cal_sizes) * tasks
+        assert [t.shape for _, t in joined_sets] == [
+            (1 + len(cfg.alt_levels(null)), cfg.n_test) for null in cfg.null_levels] * tasks
+        # the null set, then each alternative set, each as drawn alone: cutoffs
+        # need no order
         assert not ranks
-        for (config, seed, prompt, null), tests in joined_sets:
-            drawn = [draw_tests(config, seed, prompt, null, alt)
+        for (config, streams, prompt, null), tests in joined_sets:
+            drawn = [draw_tests(config, streams, prompt, [(null, alt)])
                      for alt in (0, *config.alt_levels(null))]
             assert np.array_equal(tests, np.concatenate(drawn))
 
@@ -554,23 +570,25 @@ class TestRankKernelCalls:
         draw_tests, calibrations, ranks, *plan = simulate._SCENARIO_RUNNERS["weighted"]
         joined_sets = []
 
-        def recording_calibrations(*args):
-            for size, flagger in calibrations(*args):
-                def recording(tests, _flagger=flagger):
-                    joined_sets.append((args, tests))
-                    return _flagger(tests)
+        def recording_calibrations(config, streams, prompt):
+            for null, (sizes, flagger) in zip(config.null_levels,
+                                              calibrations(config, streams, prompt)):
+                def recording(tests, _flagger=flagger, _null=null):
+                    joined_sets.append(((config, streams, prompt, _null), tests))
+                    flags = _flagger(tests)
+                    assert all(f.shape == (len(sizes), *tests.shape) for f in flags.values())
+                    return flags
 
-                yield size, recording
+                yield sizes, recording
 
         monkeypatch.setitem(simulate._SCENARIO_RUNNERS, "weighted",
                             (draw_tests, recording_calibrations, ranks, *plan))
         run_scenario(cfg)
         assert ranks
-        assert len(joined_sets) == (len(cfg.null_levels) * len(cfg.minority_sizes)
-                                    * len(cfg.seeds) * cfg.n_prompts)
-        # the weighted rules rank the joined array, so each set is sorted when drawn
-        for (config, seed, prompt, null), tests in joined_sets:
-            drawn = [np.sort(draw_tests(config, seed, prompt, null, alt))
+        assert len(joined_sets) == len(cfg.null_levels) * len(cfg.seeds) * cfg.n_prompts
+        # the weighted rules rank the joined rows, so each set is sorted when drawn
+        for (config, streams, prompt, null), tests in joined_sets:
+            drawn = [np.sort(draw_tests(config, streams, prompt, [(null, alt)]))
                      for alt in (0, *config.alt_levels(null))]
             assert np.array_equal(tests, np.concatenate(drawn))
 
@@ -923,3 +941,143 @@ class TestScenarioBehavior:
             "weighted_quantile": 6}
         assert all(c.fpr == 0.0 and c.power == 0.0 and not c.excluded
                    for c in report.cells)
+
+
+def per_set_cells(config):
+    """Every cell of a run, recomputed set by set from ``_Streams`` with the public kernels.
+
+    Each test set, similarity sample and calibration is drawn alone from its
+    stream, labeled with ``bleu_quantile_threshold`` and ``outlier_mask``,
+    and flagged through the p-value kernels (``p <= alpha``) or
+    ``WeightedRule.flags``: no joined rows, cutoffs or shared node sums.
+    """
+    plan, n, alpha = simulate._task_plan(config), config.n_test, config.alpha
+    population = "minority" if config.scenario == "weighted" else "majority"
+    cells = []
+    for seed in config.seeds:
+        streams = simulate._Streams(seed, config.n_prompts, plan)
+        for prompt in range(1, config.n_prompts + 1):
+            def draw(dist_population, level, size, *key):
+                dist = config.distribution_for(dist_population, level)
+                return simulate._sample_values(dist, size, streams(prompt, *key))
+
+            def draw_set(null, alt):
+                role = "alt_" if alt else "null_"
+                values = draw(population, alt or null, n, null, alt, 0, role + "test")
+                if config.scenario != "hierarchical":
+                    return values
+                effects = streams(prompt, null, alt, 0, role + "test_effects").normal(
+                    0.0, config.group_sigma, n)
+                return logit_shift(values, effects)
+
+            for null in config.null_levels:
+                null_set, alt_sets = draw_set(null, 0), []
+                for alt in config.alt_levels(null):
+                    bleu_null, bleu_alt = (simulate._sample_bleu(
+                        config, level, streams(prompt, null, alt, 0, role), n)
+                        for level, role in ((null, "bleu_null"), (alt, "bleu_alt")))
+                    threshold = labeling.bleu_quantile_threshold(
+                        bleu_null if config.outlier_threshold_population == "null"
+                        else bleu_alt, alpha)
+                    alt_sets.append((alt, draw_set(null, alt),
+                                     labeling.outlier_mask(bleu_null, bleu_alt, threshold)))
+                for size, rules in per_set_rules(config, draw, streams, prompt, null):
+                    for method, flags in rules.items():
+                        fpr = int(np.count_nonzero(flags(null_set))) / n
+                        for alt, values, mask in alt_sets:
+                            flagged = flags(values)
+                            cells.append(simulate._make_cell(
+                                method, null, alt, size, seed, prompt, n,
+                                int(np.count_nonzero(mask)), fpr,
+                                int(np.count_nonzero(flagged)),
+                                int(np.count_nonzero(flagged & mask))))
+    return sorted(cells, key=lambda c: (c.method, c.null_prompt, c.alt_prompt, c.cal_size,
+                                        c.seed, c.prompt))
+
+
+def per_set_rules(config, draw, streams, prompt, null):
+    """Each calibration's ``(size, {method: test scores -> flags})``, drawn alone."""
+    alpha = config.alpha
+
+    def below(p_values):
+        return lambda values: p_values(values) <= alpha
+
+    if config.scenario == "weighted":
+        majority = draw("majority", null, config.majority_cal_size, null, 0, 0, "cal")
+        for i, m in enumerate(config.minority_sizes):
+            pool = np.concatenate([majority, draw("minority", null, m, null, 0, i,
+                                                  "minority_cal")])
+            minority = np.arange(pool.size) >= majority.size
+            rule = density.WeightedRule(pool, minority, config.bandwidth, alpha,
+                                        ("mean", "quantile"), config.log_scale)
+            yield m, {
+                "in_dist": below(lambda v, c=pool[minority]: conformal.standard_p_values(c, v)),
+                "combined_unweighted": below(
+                    lambda v, c=pool: conformal.standard_p_values(c, v)),
+                "weighted_mean": lambda v, r=rule: r.flags(v)[0],
+                "weighted_quantile": lambda v, r=rule: r.flags(v)[1],
+            }
+        return
+    for i, size in enumerate(config.cal_sizes):
+        cal = draw("majority", null, size, null, 0, i, "cal")
+        if config.scenario == "standard":
+            yield size, {"standard": below(lambda v, c=cal: conformal.standard_p_values(c, v))}
+            continue
+        rng = streams(prompt, null, 0, i, "cal_effects")
+        sizes = simulate._partition_sizes(size, config.k_groups, rng)
+        effects = rng.normal(0.0, config.group_sigma, sizes.size)
+        groups = np.split(logit_shift(cal, np.repeat(effects, sizes)), np.cumsum(sizes)[:-1])
+        yield size, {"hierarchical": below(
+            lambda v, g=groups: conformal.hierarchical_p_values(g, v))}
+
+
+def logit_normal(mu, sigma=1.5):
+    return {"family": "logit_normal", "params": {"mu": mu, "sigma": sigma}}
+
+
+# one family per level, each family at some level, and a mixture of two
+MIXED_LADDER = {
+    "1": {"family": "beta", "params": {"a": 5, "b": 1}},
+    "2": logit_normal(0.5),
+    "3": {"family": "uniform01"},
+    "4": {"family": "mixture", "params": {"components": [
+        {"family": "logit_normal", "weight": 2, "params": {"mu": -1.0, "sigma": 1.0}},
+        {"family": "beta", "weight": 1, "params": {"a": 2, "b": 5}}]}},
+    "5": logit_normal(-4.0),
+    "6": {"family": "beta", "params": {"a": 1, "b": 60}},
+    "7": logit_normal(-6.0),
+}
+BETA_LADDER = {str(level): {"family": "beta", "params": {"a": 8.0 / level, "b": 1.0 + level}}
+               for level in range(1, 8)}
+UNIFORM_LADDER = {"1": {"family": "uniform01"},
+                  **{str(level): logit_normal(-level) for level in range(2, 8)}}
+PER_SET_BASE = {"seeds": [1, 3], "n_prompts": 2, "n_test": 80, "cal_sizes": [20, 50],
+                "minority_sizes": [1, 2], "null_levels": [1, 4], "majority_cal_size": 60}
+
+
+class TestPerSetOracle:
+    @pytest.mark.parametrize("overrides", [
+        {"distributions": {"majority": MIXED_LADDER}},
+        {"distributions": {"majority": BETA_LADDER}, "cal_sizes": [1, 19, 20, 21]},
+        {"distributions": {"majority": UNIFORM_LADDER}, "null_levels": [1, 2]},
+        {"n_test": 1, "n_prompts": 4, "alpha": 0.2},
+        {"scenario": "hierarchical", "distributions": {"majority": MIXED_LADDER}},
+        {"scenario": "hierarchical", "n_test": 1, "n_prompts": 4, "alpha": 0.2,
+         "distributions": {"majority": BETA_LADDER}},
+        {"scenario": "hierarchical", "outlier_threshold_population": "alt",
+         "group_sigma": 0.0, "k_groups": 500, "cal_sizes": [30, 600]},
+        {"scenario": "weighted",
+         "distributions": {"majority": MIXED_LADDER, "minority": BETA_LADDER}},
+        {"scenario": "weighted", "n_test": 1, "n_prompts": 3, "minority_sizes": [1, 2, 30],
+         "outlier_threshold_population": "alt"},
+    ], ids=["standard_mixed", "standard_beta", "standard_uniform", "standard_n_test_1",
+            "hierarchical_mixed", "hierarchical_n_test_1", "hierarchical_alt_k500",
+            "weighted_mixed", "weighted_n_test_1"])
+    def test_cells_equal_per_set_recomputation(self, overrides):
+        config = config_from_dict({**PER_SET_BASE, **overrides})
+        report = run_scenario(config)
+        assert report.cells == per_set_cells(config)
+        # the runs flag something and label outliers, so the comparison has teeth
+        assert any(c.fpr or c.power or c.suspect_flag_rate for c in report.cells)
+        if config.n_test > 1:
+            assert any(c.n_outliers for c in report.cells)
