@@ -26,10 +26,10 @@ and the weighted screen); its batch function (``standard_p_values``,
 ``hierarchical_p_values``, ``weighted_p_values``) is a thin wrapper around
 it. The standard and hierarchical p-values depend on the test score only
 through its rank, so their flags ``p <= alpha`` are exactly the scores
-below one calibration score, the table's cutoff (``standard_cutoff``,
-``hierarchical_cutoff``); ``simulate`` flags with it. Same-size standard
-ones share one row-wise sort (``standard_cutoffs``), and the hierarchical
-one stops walking the pooled scores once p passes alpha.
+below one calibration score, the table's cutoff; ``simulate`` flags with
+it. Same-size standard calibrations find theirs from one row-wise sort
+(``standard_cutoffs``), and the hierarchical rule's walk up its pooled
+scores stops once p passes alpha (``pooled_hierarchical_cutoff``).
 :class:`conformal_wm.density.WeightedRule` holds the weighted tables, for
 ``detect`` and ``simulate`` alike. The weighted rule takes the
 raw density ratios, on any common scale. An empty calibration raises
@@ -221,33 +221,22 @@ def standard_p_values(cal_values: np.ndarray, test_values: np.ndarray) -> np.nda
     return table.p_values(table.ranks(test_values))
 
 
-def standard_cutoff(cal_values: np.ndarray, alpha: float) -> float:
-    """The standard rule flags exactly the finite test scores below this one.
-
-    See :meth:`_RankTable.cutoff`; ``-inf`` when nothing can be flagged.
-    """
-    return standard_cutoffs(_calibration(cal_values).reshape(1, -1), alpha)[0]
-
-
 def standard_cutoffs(cal_rows: np.ndarray, alpha: float) -> list[float]:
-    """:func:`standard_cutoff` of each row of ``cal_rows``, from one row-wise sort.
+    """Each row's :meth:`_RankTable.cutoff` as a standard calibration, from one row-wise sort.
 
-    The standard masses are the ranks, so every row has the first row's
-    count k of flagged ranks, and its cutoff is its k-th smallest score.
+    The standard rule flags exactly the finite test scores below it (none at
+    ``-inf``). The standard masses are the ranks, so every row has the first
+    row's count k of flagged ranks, and its cutoff is its k-th smallest score.
     """
     rows = np.sort(_calibration(cal_rows), axis=-1)
     k = _standard_table(rows[0]).flagged(alpha)
     return [_cutoff(row, k) for row in rows]
 
 
-def hierarchical_cutoff(groups: Sequence[np.ndarray], alpha: float) -> float:
-    """The hierarchical rule flags exactly the finite test scores below this one."""
-    return pooled_hierarchical_cutoff(*_pooled(groups), alpha)
-
-
 def pooled_hierarchical_cutoff(scores: np.ndarray, sizes: list, alpha: float) -> float:
     """``_hierarchical_table(groups).cutoff(alpha)`` of the groups joined in ``scores``.
 
+    The hierarchical rule flags exactly the finite test scores below it.
     Group k holds the next ``sizes[k]`` float scores. p is nondecreasing in
     the rank (see :meth:`_RankTable.cutoff`), so the walk up the pooled
     scores stops at the first rank whose p exceeds alpha, without building

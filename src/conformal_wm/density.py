@@ -499,9 +499,10 @@ class _LogGrid:
                       tangent[:-1] + tangent[1:] - 2.0 * rise)
 
     def read(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``log sum_i k_i`` at each of ``x``, and where that is within :attr:`error`."""
-        if self.log_sum is None:
-            return np.zeros(x.shape), np.zeros(x.shape, dtype=bool)
+        """``log sum_i k_i`` at each of ``x``, and where that is within :attr:`error`.
+
+        Only a built grid (``log_sum`` not None) is read.
+        """
         cells = self.log_sum.size - 1
         pos = (x - self.lo) / self.step
         usable = (pos >= 0.0) & (pos <= cells)

@@ -37,6 +37,7 @@ VALID_POPULATIONS = ("majority", "minority")
 
 _CSV_COLUMNS = ("essay_id", "score", "role", "group_id", "population", "edit_intensity")
 _REQUIRED_COLUMNS = ("essay_id", "score", "role")
+_BOM = "\ufeff"  # a byte-order mark, as Excel's "CSV UTF-8" export writes first
 
 
 class ValidationError(ValueError):
@@ -163,9 +164,15 @@ def _validate_row(raw: tuple, line: int, seen_ids: set) -> tuple:
 
 
 def read_text(path) -> str:
-    """The UTF-8 text of ``path``; a byte that does not decode raises ``encoding_error``."""
+    """The UTF-8 text of ``path``, less a leading byte-order mark (BOM).
+
+    A byte that does not decode raises ``encoding_error``, naming its offset
+    in the file.
+    """
     try:
-        return Path(path).read_text(encoding="utf-8")
+        # not "utf-8-sig", whose incremental decoder reads a file holding only
+        # the first byte or two of a BOM as empty text
+        return Path(path).read_text(encoding="utf-8").removeprefix(_BOM)
     except UnicodeDecodeError as exc:
         raise ValidationError(
             "encoding_error",
@@ -189,13 +196,16 @@ def _csv_values(path: Path) -> Iterator[tuple[tuple, int]]:
     Reads like ``csv.DictReader``: the first record is the header, the last
     of duplicate header names wins, unknown columns are ignored, a short
     record reads its missing fields as None, and ``line`` is the physical
-    line the record ends on. A byte that is not UTF-8 raises
-    ``encoding_error``, and a record the csv module rejects (a field over
-    ``csv.field_size_limit()``, or a NUL before Python 3.11) ``parse_error``.
+    line the record ends on. A leading byte-order mark is skipped. A byte
+    that is not UTF-8 raises ``encoding_error``, and a record the csv module
+    rejects (a field over ``csv.field_size_limit()``, or a NUL before Python
+    3.11) ``parse_error``.
     """
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
+            if fh.read(1) != _BOM:  # as in read_text
+                fh.seek(0)
             header = next(reader, None)
             if header is None:
                 raise ValidationError("empty_file", detail=str(path))

@@ -20,14 +20,14 @@ One driver runs every scenario's grid of levels x calibrations x seeds, one
 (seed, prompt) task at a time and each task in one array pass: its test
 sets are drawn as the rows of one array, with each family's elementwise
 finish applied once over them, and labeled from one row-wise quantile; its
-calibrations are drawn into one flat array. A scenario supplies only the
-row drawer and a calibration pass whose flaggers compare a null level's
-rows with all of its calibrations at once. The standard and hierarchical
-rules, and the minority-only and pooled-unweighted ones of the weighted
-scenario, flag exactly the test scores below one calibration score, so
-their flaggers compare against that cutoff and rank nothing. Such flags
-ignore the order of the test scores, so only the weighted scenario, whose
-weighted rules rank them, sorts each row.
+calibrations are drawn into one flat array the same way. A scenario
+supplies only the row drawer and a calibration pass whose flaggers compare
+a null level's rows with all of its calibrations at once. The standard and
+hierarchical rules, and the minority-only and pooled-unweighted ones of the
+weighted scenario, flag exactly the test scores below one calibration
+score, so all four flag through one cutoff flagger and rank nothing. Such
+flags ignore the order of the test scores, so only the weighted scenario,
+whose weighted rules rank them, sorts each row.
 
 All randomness is derived from counter-style substreams, each keyed by
 ``SeedSequence`` on (seed, prompt, levels, size, stream role), so results
@@ -47,7 +47,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .conformal import pooled_hierarchical_cutoff, standard_cutoff, standard_cutoffs
+from .conformal import pooled_hierarchical_cutoff, standard_cutoffs
 from .density import SIGMA_FLOOR, WeightedRule, check_bandwidth, check_quantile_alpha
 from .evaluation import CellResult, MetricsReport, aggregate, is_excluded
 from .labeling import bleu_quantile_threshold, outlier_mask
@@ -503,32 +503,41 @@ def _segments(values: np.ndarray, sizes) -> list[np.ndarray]:
     return [values[end - size:end] for end, size in zip(np.cumsum(sizes).tolist(), sizes)]
 
 
-def _calibration_draws(config: ExperimentConfig, streams: _Streams, prompt: int):
-    """A task's calibrations from the "cal" streams in one array, size by size, level by level."""
-    return _sample_joined([
-        (config.distribution_for("majority", null), size, streams(prompt, null, 0, i, "cal"))
-        for i, size in enumerate(config.cal_sizes) for null in config.null_levels])
+def _calibration_draws(config: ExperimentConfig, streams: _Streams, prompt: int, sizes,
+                       role: str = "cal", population: str = "majority") -> list[np.ndarray]:
+    """A task's calibrations from the ``role`` streams, drawn in one array.
+
+    Per size, one array holds the null levels' calibrations as its rows.
+    """
+    levels = len(config.null_levels)
+    values = _sample_joined([
+        (config.distribution_for(population, null), size, streams(prompt, null, 0, i, role))
+        for i, size in enumerate(sizes) for null in config.null_levels])
+    return [block.reshape(levels, -1) for block in _segments(values, [levels * s for s in sizes])]
 
 
-def _cutoff_flaggers(config: ExperimentConfig, method: str, cutoffs: list[float]):
+def _row_cutoffs(blocks: list[np.ndarray], alpha: float) -> list[float]:
+    """The standard cutoff of each row of each block, one row-wise sort per block."""
+    return [cutoff for block in blocks for cutoff in standard_cutoffs(block, alpha)]
+
+
+def _cutoff_flaggers(config: ExperimentConfig, sizes, cutoffs: dict[str, list[float]]):
     """Per null level, its sizes and a flagger of its rows below each of its cutoffs.
 
-    ``cutoffs`` runs over the sizes, then the levels; flags come as ``(sizes, rows, n)``.
+    Each method's ``cutoffs`` run over the sizes, then the levels; flags come as
+    ``(sizes, rows, n)``.
     """
-    sizes = config.cal_sizes
-    by_level = np.array(cutoffs).reshape(len(sizes), len(config.null_levels), 1, 1)
-    return [(sizes, lambda rows, below=below: {method: rows < below})
-            for below in by_level.swapaxes(0, 1)]
+    shape = (len(sizes), len(config.null_levels), 1, 1)
+    by_level = {method: np.reshape(c, shape).swapaxes(0, 1) for method, c in cutoffs.items()}
+    return [(sizes, lambda rows, level=level: {
+        method: rows < below[level] for method, below in by_level.items()})
+        for level in range(len(config.null_levels))]
 
 
 def _standard_calibrations(config: ExperimentConfig, streams: _Streams, prompt: int):
-    # one row-wise sort per size, the null levels' calibrations as its rows
-    levels = len(config.null_levels)
-    blocks = _segments(_calibration_draws(config, streams, prompt),
-                       [levels * size for size in config.cal_sizes])
-    return _cutoff_flaggers(config, "standard", [
-        cutoff for block in blocks
-        for cutoff in standard_cutoffs(block.reshape(levels, -1), config.alpha)])
+    blocks = _calibration_draws(config, streams, prompt, config.cal_sizes)
+    return _cutoff_flaggers(config, config.cal_sizes,
+                            {"standard": _row_cutoffs(blocks, config.alpha)})
 
 
 def _partition_sizes(total: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -547,49 +556,46 @@ def _hierarchical_calibrations(config: ExperimentConfig, streams: _Streams, prom
             rng = streams(prompt, null, 0, i, "cal_effects")
             groups.append(_partition_sizes(size, config.k_groups, rng))
             effects.append(rng.normal(0.0, config.group_sigma, groups[-1].size))
-    scores = logit_shift(_calibration_draws(config, streams, prompt),
-                         np.repeat(np.concatenate(effects), np.concatenate(groups)))
+    draws = np.concatenate(_calibration_draws(config, streams, prompt, config.cal_sizes), None)
+    scores = logit_shift(draws, np.repeat(np.concatenate(effects), np.concatenate(groups)))
     cals = _segments(scores, [size for size in config.cal_sizes for _ in config.null_levels])
-    return _cutoff_flaggers(config, "hierarchical", [
+    return _cutoff_flaggers(config, config.cal_sizes, {"hierarchical": [
         pooled_hierarchical_cutoff(cal, group_sizes.tolist(), config.alpha)
-        for cal, group_sizes in zip(cals, groups)])
+        for cal, group_sizes in zip(cals, groups)]})
 
 
 def _weighted_calibrations(config: ExperimentConfig, streams: _Streams, prompt: int):
     """Per null level, a flagger against its majority plus each minority sample.
 
-    Every minority sample is drawn first, from its own stream, so the
-    pools' weighted rules can share one node sum of the majority
-    (``WeightedRule._sharing``). The minority-only and pooled-unweighted
-    rules flag the test scores below their cutoffs, each found once.
+    Per minority size, the null levels' pools are the rows of one array, so
+    the minority-only and pooled-unweighted rules find their cutoffs with one
+    row-wise sort each. A level's weighted rules share one node sum of its
+    majority (``WeightedRule._sharing``).
     """
-    for null in config.null_levels:
-        majority_cal = _sample_values(config.distribution_for("majority", null),
-                                      config.majority_cal_size,
-                                      streams(prompt, null, 0, 0, "cal"))
-        pools = [np.concatenate([majority_cal, _sample_values(
-            config.distribution_for("minority", null), m,
-            streams(prompt, null, 0, m_idx, "minority_cal"))])
-            for m_idx, m in enumerate(config.minority_sizes)]
-        minorities = [np.arange(pool.size) >= majority_cal.size for pool in pools]
-        rules = WeightedRule._sharing(pools, minorities, config.bandwidth, config.alpha,
-                                      ("mean", "quantile"), config.log_scale)
-        in_dist = [standard_cutoff(pool[m], config.alpha) for pool, m in zip(pools, minorities)]
-        unweighted = [standard_cutoff(pool, config.alpha) for pool in pools]
-        yield config.minority_sizes, partial(_weighted_flags, rules, in_dist, unweighted)
+    sizes, n = config.minority_sizes, config.majority_cal_size
+    (majority,) = _calibration_draws(config, streams, prompt, (n,))
+    minorities = _calibration_draws(config, streams, prompt, sizes, "minority_cal", "minority")
+    pools = [np.hstack([majority, minority]) for minority in minorities]
+    in_minority = [np.arange(n + m) >= n for m in sizes]
+    flaggers = _cutoff_flaggers(config, sizes, {
+        "in_dist": _row_cutoffs(minorities, config.alpha),
+        "combined_unweighted": _row_cutoffs(pools, config.alpha)})
+    for level, (_, below) in enumerate(flaggers):
+        rules = WeightedRule._sharing([pool[level] for pool in pools], in_minority,
+                                      config.bandwidth, config.alpha, ("mean", "quantile"),
+                                      config.log_scale)
+        yield sizes, lambda rows, rules=rules, below=below: {
+            **below(rows), **_weighted_flags(rules, rows)}
 
 
-def _weighted_flags(rules: list[WeightedRule], in_dist: list[float],
-                    unweighted: list[float], rows: np.ndarray) -> dict[str, np.ndarray]:
-    """The four methods' flags of test rows against each pool, as ``(pools, rows, n_test)``.
+def _weighted_flags(rules: list[WeightedRule], rows: np.ndarray) -> dict[str, np.ndarray]:
+    """The weighted rules' flags of test rows against each pool, as ``(pools, rows, n_test)``.
 
-    The sorted rows are ranked once against each pool, for both weighted rules.
+    The sorted rows are ranked once against each pool, for both rules.
     """
     weighted = np.array([rule.flags(rows.reshape(-1)) for rule in rules]).reshape(
         len(rules), 2, *rows.shape)
-    return {"in_dist": rows < np.reshape(in_dist, (-1, 1, 1)),
-            "combined_unweighted": rows < np.reshape(unweighted, (-1, 1, 1)),
-            "weighted_mean": weighted[:, 0], "weighted_quantile": weighted[:, 1]}
+    return {"weighted_mean": weighted[:, 0], "weighted_quantile": weighted[:, 1]}
 
 
 # scenario -> (test-row drawer, calibration pass, whether its flaggers rank
@@ -627,8 +633,11 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 
 def config_from_dict(data: Mapping) -> ExperimentConfig:
-    """Inverse of :func:`config_to_dict`; unknown keys are rejected by name."""
-    data = dict(data)
+    """Inverse of :func:`config_to_dict`; unknown keys are rejected by name.
+
+    ``data`` must be a mapping, and a tuple field's value a list.
+    """
+    data = dict(_mapping(data, "config"))
     dists: dict[tuple[str, int], ScoreDistribution] = {}
     nested = _mapping(data.pop("distributions", None) or {}, "distributions")
     for population, by_level in nested.items():
@@ -647,7 +656,11 @@ def config_from_dict(data: Mapping) -> ExperimentConfig:
     for key, value in data.items():
         if key not in defaults:
             raise ValueError(f"unknown_config_key: {key}")
-        kwargs[key] = tuple(value) if isinstance(defaults[key], tuple) else value
+        if isinstance(defaults[key], tuple):
+            if not isinstance(value, list):  # a string or a mapping would iterate as one
+                raise ValueError(f"invalid_type: {key}={value!r}")
+            value = tuple(value)
+        kwargs[key] = value
     return ExperimentConfig(distributions=dists, **kwargs)
 
 

@@ -333,6 +333,12 @@ class TestDetectCommand:
             'conformal-wm simulate "$RUNNER_TEMP/weighted.json" --seed 1 --threads 2'
             ' --out "$RUNNER_TEMP/ws2"',
             'cmp "$RUNNER_TEMP/ws2/metrics.csv" tests/golden/simulate_weighted_seed1.csv',
+            # the default weighted config, all five seeds
+            'conformal-wm simulate "$RUNNER_TEMP/weighted.json" --out "$RUNNER_TEMP/wa"',
+            'cmp "$RUNNER_TEMP/wa/metrics.csv" tests/golden/simulate_weighted.csv',
+            'conformal-wm simulate "$RUNNER_TEMP/weighted.json" --threads 2'
+            ' --out "$RUNNER_TEMP/wa2"',
+            'cmp "$RUNNER_TEMP/wa2/metrics.csv" tests/golden/simulate_weighted.csv',
             "conformal-wm bleu README.md README.md",
             # a table that is not UTF-8 exits 2 as encoding_error
             "printf 'essay_id,score,role\\nt\\377,0.5,test\\n' > \"$RUNNER_TEMP/latin1.csv\"",
@@ -683,6 +689,93 @@ class TestUndecodableInput:
         assert "field limit" in err["detail"]
 
 
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark, as Excel's "CSV UTF-8" export writes, is skipped."""
+
+    def run_error(self, capsys, argv):
+        assert main(argv) == 2
+        return json.loads(capsys.readouterr().err.strip())
+
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    def test_bom_tables_give_the_same_decisions(self, tmp_path, suffix):
+        # once missing_column for essay_id (CSV) or a parse_error (JSON)
+        golden = Path(__file__).parent / "golden"
+        tables = [(golden / f"detect_{name}.csv").read_text(encoding="utf-8")
+                  for name in ("cal", "test")]
+        if suffix == ".json":
+            tables = [json.dumps(list(csv.DictReader(text.splitlines()))) for text in tables]
+        decisions = []
+        for prefix in (b"", BOM):
+            paths = []
+            for name, text in zip(("cal", "test"), tables):
+                path = tmp_path / f"{name}{len(prefix)}{suffix}"
+                path.write_bytes(prefix + text.encode("utf-8"))
+                paths.append(str(path))
+            out = tmp_path / f"out{len(prefix)}"
+            assert main(["detect", *paths, "--method", "hierarchical", "--out", str(out)]) == 0
+            decisions.append((out / "decisions.csv").read_bytes())
+        assert decisions[0] == decisions[1]
+        assert decisions[0] == (golden / "detect_hierarchical.csv").read_bytes()
+
+    def test_bom_simulate_config_gives_the_same_metrics(self, tmp_path):
+        text = json.dumps(dict(SMALL_CONFIG, seeds=[3])).encode("utf-8")
+        outputs = []
+        for prefix in (b"", BOM):
+            cfg = tmp_path / f"config{len(prefix)}.json"
+            cfg.write_bytes(prefix + text)
+            out = tmp_path / f"r{len(prefix)}"
+            assert main(["simulate", str(cfg), "--out", str(out)]) == 0
+            outputs.append((out / "metrics.json").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_bom_bleu_text_gives_the_same_score(self, tmp_path, capsys):
+        reference = write(tmp_path, "a.txt", "the cat sat on the mat")
+        scores = []
+        for prefix in (b"", BOM):
+            candidate = tmp_path / f"b{len(prefix)}.txt"
+            candidate.write_bytes(prefix + b"the cat sat on a mat")
+            assert main(["bleu", reference, str(candidate)]) == 0
+            scores.append(json.loads(capsys.readouterr().out))
+        assert scores[0] == scores[1]
+
+    @pytest.mark.parametrize("kind", ["csv", "json", "config", "bleu"])
+    def test_non_utf8_after_a_bom_names_the_offset_in_the_file(self, tmp_path, capsys, kind):
+        data = BOM + {
+            # past the CSV reader's first decoded chunk
+            "csv": ("essay_id,score,role\n" + "".join(
+                f"t{i},0.5,test\n" for i in range(10_000))).encode("utf-8") + b"t\xff,0.5,test\n",
+            "json": b'[{"essay_id": "t\xff1", "score": 0.5, "role": "test"}]',
+            "config": b'{"scenario": "standard\xff"}',
+            "bleu": b"text \xff",
+        }[kind]
+        path = tmp_path / f"input.{'txt' if kind == 'bleu' else kind.replace('config', 'json')}"
+        path.write_bytes(data)
+        argv = {"csv": ["detect", write(tmp_path, "cal.csv", CAL_CSV), str(path)],
+                "json": ["detect", write(tmp_path, "cal.csv", CAL_CSV), str(path)],
+                "config": ["simulate", str(path)],
+                "bleu": ["bleu", write(tmp_path, "a.txt", "text"), str(path)]}[kind]
+        if kind != "bleu":
+            argv += ["--out", str(tmp_path / "out")]
+        err = self.run_error(capsys, argv)
+        assert err["error"] == "encoding_error"
+        assert f"byte 0xff at offset {data.index(0xFF)} " in err["detail"]
+
+    @pytest.mark.parametrize("data", [b"\xef", b"\xef\xbb"])
+    def test_part_of_a_bom_is_not_utf8(self, tmp_path, capsys, data):
+        # Python's incremental "utf-8-sig" decoder reads these as empty text
+        table, cfg = tmp_path / "test.csv", tmp_path / "config.json"
+        table.write_bytes(data)
+        cfg.write_bytes(data)
+        for argv in (["detect", write(tmp_path, "cal.csv", CAL_CSV), str(table)],
+                     ["simulate", str(cfg)]):
+            err = self.run_error(capsys, [*argv, "--out", str(tmp_path / "out")])
+            assert err["error"] == "encoding_error"
+            assert "byte 0xef at offset 0 " in err["detail"]
+
+
 SMALL_CONFIG = {
     "scenario": "standard",
     "seeds": [1, 2],
@@ -794,6 +887,16 @@ class TestSimulateCommand:
          "invalid_config_shape: distributions.minority.3 must be an object, not str"),
         ({"distributions": {"minority": {"one": {"family": "beta"}}}},
          "invalid_config_shape: distributions.minority.one must have an integer level"),
+        # a config that is not an object ran the default one, read pairs as a
+        # mapping, or exited with Python's own message
+        ([], "invalid_config_shape: config must be an object, not list"),
+        ([["seeds", [3]]], "invalid_config_shape: config must be an object, not list"),
+        (None, "invalid_config_shape: config must be an object, not NoneType"),
+        (5, "invalid_config_shape: config must be an object, not int"),
+        # a list-valued key took any iterable, and a string as its characters
+        ({"seeds": 5}, "invalid_type: seeds=5"),
+        ({"seeds": "12"}, "invalid_type: seeds='12'"),
+        ({"null_levels": {"1": 2}}, "invalid_type: null_levels={'1': 2}"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, config, detail):
         # each of these once escaped validation and exited 1 as an internal

@@ -14,9 +14,8 @@ from conformal_wm.conformal import (
     _pooled,
     _standard_table,
     _weighted_table,
-    hierarchical_cutoff,
     hierarchical_p_values,
-    standard_cutoff,
+    pooled_hierarchical_cutoff,
     standard_cutoffs,
     standard_p_values,
     weighted_p_values,
@@ -464,7 +463,7 @@ class TestCutoff:
         table = _standard_table(cal)
         tests, alpha = cutoff_cases(table, extra_tests, rank, step)
         assert cutoff_agrees(table, tests, alpha)
-        assert standard_cutoff(cal, alpha) == table.cutoff(alpha)
+        assert standard_cutoffs(np.array([cal]), alpha) == [table.cutoff(alpha)]
         # k depends on the size alone: each row's cutoff is its own table's
         rows = [cal, cal[::-1], [s / 2 for s in cal]]
         assert standard_cutoffs(np.array(rows), alpha) == [
@@ -479,26 +478,26 @@ class TestCutoff:
         tests, alpha = cutoff_cases(table, extra_tests, rank, step)
         assert cutoff_agrees(table, tests, alpha)
         # the walk that stops once p passes alpha finds the full table's cutoff
-        assert hierarchical_cutoff(groups, alpha) == table.cutoff(alpha)
+        assert pooled_hierarchical_cutoff(*_pooled(groups), alpha) == table.cutoff(alpha)
 
     @given(groups=st.lists(st.lists(tie_prone_score, min_size=1, max_size=6),
                            min_size=1, max_size=30),
            alpha=alpha_strategy)
     def test_early_stop_equals_full_table(self, groups, alpha):
         full = _hierarchical_table(groups).cutoff(alpha)
-        assert hierarchical_cutoff(groups, alpha) == full
+        assert pooled_hierarchical_cutoff(*_pooled(groups), alpha) == full
 
     @given(values=st.lists(tie_prone_score, min_size=1, max_size=30), alpha=alpha_strategy)
     def test_singleton_groups_give_the_standard_cutoff(self, values, alpha):
-        assert hierarchical_cutoff([[v] for v in values], alpha) == \
-            standard_cutoff(values, alpha)
+        assert [pooled_hierarchical_cutoff(*_pooled([[v] for v in values]), alpha)] == \
+            standard_cutoffs(np.array([values]), alpha)
 
     @pytest.mark.parametrize("k", [1, 2, 10, 18])
     def test_too_few_groups_never_flag(self, k):
         # p >= 1/(K+1) > 0.05 for K <= 18, so no score is below the cutoff
         rng = np.random.default_rng(k)
         groups = [rng.random(rng.integers(1, 5)) for _ in range(k)]
-        assert hierarchical_cutoff(groups, 0.05) == -math.inf
+        assert pooled_hierarchical_cutoff(*_pooled(groups), 0.05) == -math.inf
         assert _hierarchical_table(groups).cutoff(0.05) == -math.inf
         assert hierarchical_p_values(groups, np.linspace(0.0, 1.0, 11)).min() > 0.05
 
@@ -507,19 +506,19 @@ class TestCutoff:
         rng = np.random.default_rng(19)
         groups = [rng.random(rng.integers(1, 5)) for _ in range(19)]
         smallest = min(g.min() for g in groups)
-        assert hierarchical_cutoff(groups, 0.05) == smallest
+        assert pooled_hierarchical_cutoff(*_pooled(groups), 0.05) == smallest
         (p,) = hierarchical_p_values(groups, [np.nextafter(smallest, 0.0)])
         assert p == 0.05
 
     def test_every_rank_flags_above_alpha_one(self):
-        assert standard_cutoff([0.2, 0.4], 1.0) == math.inf
-        assert hierarchical_cutoff([[0.2], [0.4, 0.5]], 1.0) == math.inf
-        assert standard_cutoff([0.2, 0.4], 1.0 / 3.0) == 0.2
+        assert standard_cutoffs(np.array([[0.2, 0.4]]), 1.0) == [math.inf]
+        assert pooled_hierarchical_cutoff(*_pooled([[0.2], [0.4, 0.5]]), 1.0) == math.inf
+        assert standard_cutoffs(np.array([[0.2, 0.4]]), 1.0 / 3.0) == [0.2]
 
     def test_empty_inputs_raise_before_any_step(self):
         with pytest.raises(ValueError, match="empty_calibration"):
-            standard_cutoff([], 0.05)
+            standard_cutoffs(np.array([[]]), 0.05)
         with pytest.raises(ValueError, match="empty_group_collection"):
-            hierarchical_cutoff([], 0.05)
+            pooled_hierarchical_cutoff(*_pooled([]), 0.05)
         with pytest.raises(ValueError, match="empty_group"):
-            hierarchical_cutoff([[0.5], []], 0.05)
+            pooled_hierarchical_cutoff(*_pooled([[0.5], []]), 0.05)

@@ -40,6 +40,7 @@ SIMULATE_CASES = {
     # a seed of 2**32 keys its substreams with a two-word part
     "simulate_hierarchical_big_seed": ({"scenario": "hierarchical",
                                         "seeds": [7, 4294967296]}, ()),
+    "simulate_weighted": ({"scenario": "weighted"}, ()),
     "simulate_weighted_seed1": ({"scenario": "weighted"}, ("--seed", "1")),
 }
 

@@ -474,8 +474,8 @@ class TestWeightedTables:
         cfg = small_config(scenario="weighted", seeds=(1,), n_prompts=2, n_test=50,
                            null_levels=(1, 4), max_level=6, minority_sizes=(5, 15))
         built = Counter()
-        # the flagger's cutoffs build the standard tables, its WeightedRule
-        # the weighted ones
+        # the row cutoffs build the standard tables, the WeightedRules the
+        # weighted ones
         for owner, name in ((conformal, "_standard_table"), (density, "_weighted_table")):
             def counting(*args, _name=name, _build=getattr(owner, name)):
                 built[_name] += 1
@@ -492,11 +492,13 @@ class TestWeightedTables:
         monkeypatch.setattr(conformal._RankTable, "ranks", counting_ranks)
         opened = record_opened_rules(monkeypatch)
         run_scenario(cfg)
-        flaggers = (len(cfg.seeds) * cfg.n_prompts * len(cfg.null_levels)
-                    * len(cfg.minority_sizes))
-        # pool and minority tables, one certified table per weighted variant,
-        # and one exact table per variant for a pool with an open point
-        assert built == {"_standard_table": 2 * flaggers,
+        tasks = len(cfg.seeds) * cfg.n_prompts
+        flaggers = tasks * len(cfg.null_levels) * len(cfg.minority_sizes)
+        # one standard table per standard_cutoffs call, on every null level's
+        # minority samples or pools of one size; one certified table per
+        # weighted variant and pool, and one exact table per variant for a
+        # pool with an open point
+        assert built == {"_standard_table": 2 * len(cfg.minority_sizes) * tasks,
                          "_weighted_table": 2 * flaggers + 2 * len(opened)}
         # each joined array is ranked once, against the pool; the minority-only
         # and pooled-unweighted rules compare it with their cutoffs instead
