@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from typing import Iterable
 
 MIN_OUTLIER_PROPORTION = 0.05
@@ -94,8 +96,9 @@ class MetricsReport:
     omitted: list[OmittedPair] = field(default_factory=list)
 
 
-def _cell_sort_key(c: CellResult):
-    return (c.method, c.null_prompt, c.alt_prompt, c.cal_size, c.seed, c.prompt)
+_condition_key = attrgetter("method", "null_prompt", "alt_prompt", "cal_size")
+_cell_sort_key = attrgetter(
+    "method", "null_prompt", "alt_prompt", "cal_size", "seed", "prompt")
 
 
 def aggregate(cells: Iterable[CellResult]) -> MetricsReport:
@@ -107,21 +110,16 @@ def aggregate(cells: Iterable[CellResult]) -> MetricsReport:
     cells are all excluded are omitted with reason ``negligible_violation``.
     """
     cells = sorted(cells, key=_cell_sort_key)
-    groups: dict[tuple, list[CellResult]] = {}
-    for c in cells:
-        groups.setdefault((c.method, c.null_prompt, c.alt_prompt, c.cal_size), []).append(c)
-
     rows: list[AggregateRow] = []
     omitted: list[OmittedPair] = []
-    for key in sorted(groups):
-        method, null_p, alt_p, size = key
-        kept = [c for c in groups[key] if not c.excluded]
+    for (method, null_p, alt_p, size), condition in groupby(cells, key=_condition_key):
+        kept = [c for c in condition if not c.excluded]
         if not kept:
             omitted.append(OmittedPair(method, null_p, alt_p, size, "negligible_violation"))
             continue
         by_seed = []
-        for seed in sorted({c.seed for c in kept}):
-            seed_cells = [c for c in kept if c.seed == seed]
+        for seed, seed_group in groupby(kept, key=attrgetter("seed")):
+            seed_cells = list(seed_group)
             by_seed.append((seed, math.fsum(c.fpr for c in seed_cells) / len(seed_cells),
                             math.fsum(c.power for c in seed_cells) / len(seed_cells)))
         rows.append(

@@ -142,18 +142,18 @@ def _validate_row(raw: tuple, line: int, seen_ids: set) -> tuple:
                               field_name="role")
     role = sys.intern(role)  # one string per role, not one per row
 
-    group_id = str(group_id).strip() if group_id not in (None, "") else None
-
-    population = str(population).strip() if population not in (None, "") else None
+    # an optional cell is absent when it is missing, null or only whitespace
+    group_id = None if group_id is None else str(group_id).strip() or None
+    population = None if population is None else str(population).strip() or None
     if population is not None and population not in VALID_POPULATIONS:
         raise ValidationError("invalid_population", detail=repr(population),
                               line=line, field_name="population")
 
-    intensity = None
-    if intensity_raw not in (None, ""):
+    intensity = None if intensity_raw is None else str(intensity_raw).strip() or None
+    if intensity is not None:
         try:
-            intensity = int(str(intensity_raw))  # as a CSV cell: JSON 2.7, 3.0, true fail
-        except (TypeError, ValueError):
+            intensity = int(intensity)  # as a CSV cell: JSON 2.7, 3.0, true fail
+        except ValueError:
             raise ValidationError("invalid_edit_intensity", detail=repr(intensity_raw),
                                   line=line, field_name="edit_intensity") from None
         if not 1 <= intensity <= 7:

@@ -52,7 +52,10 @@ from .density import SIGMA_FLOOR, WeightedRule, check_bandwidth, check_quantile_
 from .evaluation import CellResult, MetricsReport, aggregate, is_excluded
 from .labeling import bleu_quantile_threshold, outlier_mask
 
-FAMILIES = ("uniform01", "logit_normal", "beta", "mixture")
+# the parameters each family takes; a mixture component's keys
+FAMILIES = {"uniform01": (), "logit_normal": ("mu", "sigma"), "beta": ("a", "b"),
+            "mixture": ("components",)}
+_COMPONENT_KEYS = ("family", "weight", "params")
 SCENARIOS = ("standard", "hierarchical", "weighted")
 
 _ENTROPY_BASE = 20260808
@@ -81,9 +84,27 @@ class ScoreDistribution:
     params: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
+        """Checks each parameter's name and type, and a mixture's components, not ranges."""
         if self.family not in FAMILIES:
             raise ValueError(f"unknown_family: {self.family}")
-        _mapping(self.params, f"params of {self.family}")
+        for name, value in _mapping(self.params, f"params of {self.family}").items():
+            if name not in FAMILIES[self.family]:
+                raise ValueError(f"invalid_params: {self.family} takes no parameter {name!r}")
+            if name != "components":
+                _number(name, value)
+        if self.family != "mixture":
+            return
+        comps = self.params.get("components")
+        if not isinstance(comps, (list, tuple)) or not comps:
+            raise ValueError("invalid_params: mixture needs a list of components")
+        for comp in comps:
+            for key in _mapping(comp, "a mixture component"):
+                if key not in _COMPONENT_KEYS:
+                    raise ValueError(f"invalid_params: a mixture component takes no key {key!r}")
+            if "family" not in comp:
+                raise ValueError(f"invalid_params: mixture component {comp!r} needs a family")
+            _number("weight", comp.get("weight"))
+            ScoreDistribution(comp["family"], comp.get("params", {}))
 
 
 def _mapping(value, name: str) -> Mapping:
@@ -127,13 +148,10 @@ def logit_shift(values: np.ndarray, delta) -> np.ndarray:
     return np.where(delta_arr == 0.0, vals, shifted)
 
 
-def _real(params: Mapping, name: str, default) -> float:
-    """``params[name]`` (or ``default``) as a float, else raises ``invalid_params``."""
-    value = params.get(name, default)
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"invalid_params: {name}={value!r} is not a number") from None
+def _number(name: str, value) -> None:
+    """Raises ``invalid_params`` unless ``value`` is a number; a bool or a string is not."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"invalid_params: {name}={value!r} is not a number")
 
 
 def _draw(dist: ScoreDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -144,25 +162,20 @@ def _draw(dist: ScoreDistribution, n: int, rng: np.random.Generator) -> np.ndarr
     if fam == "uniform01":
         return 1.0 - rng.random(n)  # (0, 1]
     if fam == "logit_normal":
-        mu = _real(p, "mu", 0.0)
-        sigma = _real(p, "sigma", 1.0)
+        mu = float(p.get("mu", 0.0))
+        sigma = float(p.get("sigma", 1.0))
         if not (math.isfinite(mu) and 0 < sigma < math.inf):
             raise ValueError(f"invalid_params: mu={mu}, sigma={sigma}")
         return rng.normal(mu, sigma, n)
     if fam == "beta":
-        a = _real(p, "a", 1.0)
-        b = _real(p, "b", 1.0)
+        a = float(p.get("a", 1.0))
+        b = float(p.get("b", 1.0))
         if not (0 < a < math.inf and 0 < b < math.inf):
             raise ValueError(f"invalid_params: a={a}, b={b}")
         return rng.beta(a, b, n)
     if fam == "mixture":
-        comps = p.get("components")
-        if not isinstance(comps, (list, tuple)) or not comps:
-            raise ValueError("invalid_params: mixture needs a list of components")
-        for comp in comps:
-            if "family" not in _mapping(comp, "a mixture component"):
-                raise ValueError(f"invalid_params: mixture component {comp!r} needs a family")
-        weights = np.array([_real(c, "weight", None) for c in comps])
+        comps = p["components"]
+        weights = np.array([float(c["weight"]) for c in comps])
         with np.errstate(over="ignore"):  # a sum past the largest float is inf, and rejected
             total = weights.sum()
         if not ((weights > 0).all() and total < math.inf):
@@ -639,7 +652,7 @@ def config_from_dict(data: Mapping) -> ExperimentConfig:
     """
     data = dict(_mapping(data, "config"))
     dists: dict[tuple[str, int], ScoreDistribution] = {}
-    nested = _mapping(data.pop("distributions", None) or {}, "distributions")
+    nested = _mapping(data.pop("distributions", {}), "distributions")
     for population, by_level in nested.items():
         for level, spec in _mapping(by_level, f"distributions.{population}").items():
             name = f"distributions.{population}.{level}"

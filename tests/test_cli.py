@@ -181,6 +181,26 @@ class TestDetectCommand:
         assert err["error"] == "missing_group_id"
         assert "c2" in err["detail"]
 
+    @pytest.mark.parametrize("column, first, method, error", [
+        # a group id of spaces once made a group of its own
+        ("group_id", "g1", "hierarchical", "missing_group_id"),
+        # and a population or intensity of spaces exited 2 as invalid
+        ("population", "majority", "standard", None),
+        ("edit_intensity", "3", "standard", None),
+    ])
+    def test_whitespace_only_cell_reads_as_empty(self, tmp_path, capsys, column, first,
+                                                 method, error):
+        results = []
+        for cell in ("", "  "):
+            cal = write(tmp_path, "cal.csv", f"essay_id,score,role,{column}\n"
+                        f"c1,0.1,calibration,{first}\nc2,0.2,calibration,{cell}\n")
+            test = write(tmp_path, "test.csv", TEST_CSV)
+            code = main(["detect", cal, test, "--method", method,
+                         "--out", str(tmp_path / f"out{len(results)}")])
+            err = capsys.readouterr().err
+            results.append((code, json.loads(err)["error"] if err else None))
+        assert results == [(2 if error else 0, error)] * 2
+
     def test_hierarchical_groups(self, tmp_path):
         cal = write(tmp_path, "cal.csv",
                     "essay_id,score,role,group_id\n"
@@ -282,75 +302,21 @@ class TestDetectCommand:
     def test_ci_workflow_runs_tier1_command(self):
         yaml = pytest.importorskip("yaml")
         root = Path(__file__).resolve().parents[1]
-        workflow = yaml.safe_load(
-            (root / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8"))
-        steps = workflow["jobs"]["tier1"]["steps"]
+        text = (root / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+        steps = yaml.safe_load(text)["jobs"]["tier1"]["steps"]
+        names = [step.get("name") for step in steps]
         runs = {step["name"]: step["run"] for step in steps if "run" in step}
+        # test_golden.py runs its cases through the installed script, and is
+        # the one place the command is written
         assert runs["Install"] == "pip install -e .[test]"
+        assert names.index("Install") < names.index("Tier-1 tests")
+        assert "conformal-wm" not in text
         tier1 = next(line for line in (root / "ROADMAP.md").read_text(
             encoding="utf-8").splitlines() if line.startswith("**Tier-1 verify:**"))
         assert f"`{runs['Tier-1 tests']}`" in tier1
-        # the installed entry point runs too, not only cli.main in process
-        assert runs["Installed console script"].strip().splitlines() == [
-            "conformal-wm detect tests/golden/detect_cal.csv tests/golden/detect_test.csv"
-            ' --method standard --out "$RUNNER_TEMP/d"',
-            'cmp "$RUNNER_TEMP/d/decisions.csv" tests/golden/detect_standard.csv',
-            # the JSON ingest path, on the CSV golden's rows
-            '''python -c "import csv, json, sys; json.dump(list(csv.DictReader('''
-            '''open(sys.argv[1], newline=''))), open(sys.argv[2], 'w'))"'''
-            ' tests/golden/detect_test.csv "$RUNNER_TEMP/test.json"',
-            'conformal-wm detect tests/golden/detect_cal.csv "$RUNNER_TEMP/test.json"'
-            ' --method standard --out "$RUNNER_TEMP/j"',
-            'cmp "$RUNNER_TEMP/j/decisions.csv" tests/golden/detect_standard.csv',
-            "conformal-wm detect tests/golden/detect_cal.csv tests/golden/detect_test.csv"
-            ' --method hierarchical --out "$RUNNER_TEMP/h"',
-            'cmp "$RUNNER_TEMP/h/decisions.csv" tests/golden/detect_hierarchical.csv',
-            "conformal-wm detect tests/golden/detect_cal.csv tests/golden/detect_test.csv"
-            ' --method weighted --shift quantile --out "$RUNNER_TEMP/w"',
-            'cmp <(cut -d, -f1,3 "$RUNNER_TEMP/w/decisions.csv")'
-            " <(cut -d, -f1,3 tests/golden/detect_weighted_quantile.csv)",
-            "conformal-wm detect tests/golden/detect_cal.csv tests/golden/detect_test.csv"
-            ' --method weighted --shift mean --alpha 0.1 --out "$RUNNER_TEMP/wm"',
-            'cmp <(cut -d, -f1,3 "$RUNNER_TEMP/wm/decisions.csv")'
-            " <(cut -d, -f1,3 tests/golden/detect_weighted_mean.csv)",
-            'conformal-wm simulate --out "$RUNNER_TEMP/s"',
-            'cmp "$RUNNER_TEMP/s/metrics.csv" tests/golden/simulate_standard.csv',
-            'conformal-wm simulate --threads 2 --out "$RUNNER_TEMP/s2"',
-            'cmp "$RUNNER_TEMP/s2/metrics.csv" tests/golden/simulate_standard.csv',
-            'echo \'{"scenario": "hierarchical", "seeds": [7, 4294967296]}\''
-            ' > "$RUNNER_TEMP/big_seed.json"',
-            'conformal-wm simulate "$RUNNER_TEMP/big_seed.json" --out "$RUNNER_TEMP/b"',
-            'cmp "$RUNNER_TEMP/b/metrics.csv" tests/golden/simulate_hierarchical_big_seed.csv',
-            # the default hierarchical config, its tasks on a two-thread pool
-            'echo \'{"scenario": "hierarchical"}\' > "$RUNNER_TEMP/hierarchical.json"',
-            'conformal-wm simulate "$RUNNER_TEMP/hierarchical.json" --threads 2'
-            ' --out "$RUNNER_TEMP/hs2"',
-            'cmp "$RUNNER_TEMP/hs2/metrics.csv" tests/golden/simulate_hierarchical.csv',
-            'echo \'{"scenario": "weighted"}\' > "$RUNNER_TEMP/weighted.json"',
-            'conformal-wm simulate "$RUNNER_TEMP/weighted.json" --seed 1'
-            ' --out "$RUNNER_TEMP/ws"',
-            'cmp "$RUNNER_TEMP/ws/metrics.csv" tests/golden/simulate_weighted_seed1.csv',
-            'conformal-wm simulate "$RUNNER_TEMP/weighted.json" --seed 1 --threads 2'
-            ' --out "$RUNNER_TEMP/ws2"',
-            'cmp "$RUNNER_TEMP/ws2/metrics.csv" tests/golden/simulate_weighted_seed1.csv',
-            # the default weighted config, all five seeds
-            'conformal-wm simulate "$RUNNER_TEMP/weighted.json" --out "$RUNNER_TEMP/wa"',
-            'cmp "$RUNNER_TEMP/wa/metrics.csv" tests/golden/simulate_weighted.csv',
-            'conformal-wm simulate "$RUNNER_TEMP/weighted.json" --threads 2'
-            ' --out "$RUNNER_TEMP/wa2"',
-            'cmp "$RUNNER_TEMP/wa2/metrics.csv" tests/golden/simulate_weighted.csv',
-            "conformal-wm bleu README.md README.md",
-            # a table that is not UTF-8 exits 2 as encoding_error
-            "printf 'essay_id,score,role\\nt\\377,0.5,test\\n' > \"$RUNNER_TEMP/latin1.csv\"",
-            "code=0; conformal-wm detect tests/golden/detect_cal.csv \"$RUNNER_TEMP/latin1.csv\""
-            ' --out "$RUNNER_TEMP/e" 2> "$RUNNER_TEMP/e.err" || code=$?',
-            'test "$code" -eq 2',
-            'grep -F \'"error": "encoding_error"\' "$RUNNER_TEMP/e.err"',
-        ]
         # once more on numpy's baseline SIMD path, where exp and log round
         # differently, on one Python version
-        baseline = next(step for step in steps
-                        if step.get("name") == "Tier-1 tests on numpy's baseline SIMD path")
+        baseline = steps[names.index("Tier-1 tests on numpy's baseline SIMD path")]
         assert baseline["if"] == "matrix.python-version == '3.11'"
         export, command = baseline["run"].strip().splitlines()
         assert export.startswith('export NPY_ENABLE_CPU_FEATURES="$(python -c ')
@@ -897,6 +863,14 @@ class TestSimulateCommand:
         ({"seeds": 5}, "invalid_type: seeds=5"),
         ({"seeds": "12"}, "invalid_type: seeds='12'"),
         ({"null_levels": {"1": 2}}, "invalid_type: null_levels={'1': 2}"),
+        # a present value that is not an object was once read as no overrides
+        ({"distributions": []}, "invalid_config_shape: distributions must be an object, not list"),
+        ({"distributions": 0}, "invalid_config_shape: distributions must be an object, not int"),
+        ({"distributions": ""}, "invalid_config_shape: distributions must be an object, not str"),
+        ({"distributions": False},
+         "invalid_config_shape: distributions must be an object, not bool"),
+        ({"distributions": None},
+         "invalid_config_shape: distributions must be an object, not NoneType"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, config, detail):
         # each of these once escaped validation and exited 1 as an internal
@@ -1001,6 +975,28 @@ class TestSimulateCommand:
         ('"distributions": {"majority": {"4": {"family": "mixture", "params": {"components": ['
          '{"family": "uniform01", "weight": 1e308}, {"family": "uniform01", "weight": 1e308}]}}}}',
          "invalid_params: mixture weights must be positive, with a finite sum"),
+        # a parameter is checked by name and type: each of these once ran, and a
+        # misspelled name silently took its default
+        ('"distributions": {"majority": {"4": {"family": "logit_normal", '
+         '"params": {"mu": 0, "sigma": 1.5, "extra": 3}}}}',
+         "invalid_params: logit_normal takes no parameter 'extra'"),
+        ('"distributions": {"majority": {"4": {"family": "logit_normal", '
+         '"params": {"mu": true, "sigma": 1.5}}}}', "invalid_params: mu=True is not a number"),
+        ('"distributions": {"majority": {"4": {"family": "logit_normal", '
+         '"params": {"mu": "0.5", "sigma": "1.5"}}}}',
+         "invalid_params: mu='0.5' is not a number"),
+        ('"distributions": {"majority": {"4": {"family": "mixture", "params": {"components": ['
+         '{"family": "uniform01", "weight": 1, "wieght": 2}]}}}}',
+         "invalid_params: a mixture component takes no key 'wieght'"),
+        ('"distributions": {"majority": {"4": {"family": "mixture", "params": {"components": ['
+         '{"family": "beta", "weight": 1, "params": {"a": 2, "c": 3}}]}}}}',
+         "invalid_params: beta takes no parameter 'c'"),
+        ('"distributions": {"majority": {"4": {"family": "mixture", "params": {"components": ['
+         '{"family": "uniform01", "weight": true}]}}}}',
+         "invalid_params: weight=True is not a number"),
+        # a standard run draws no minority score, yet its overrides are checked too
+        ('"distributions": {"minority": {"4": {"family": "beta", "params": {"b": "2"}}}}',
+         "invalid_params: b='2' is not a number"),
     ])
     def test_non_finite_or_negative_scale_exits_2(self, tmp_path, capsys, fields, detail):
         path = write(tmp_path, "config.json",

@@ -1,7 +1,16 @@
 """Golden snapshots: `simulate` and `detect` outputs pinned to committed files.
 
+``CASES`` is the one list of golden cases. Each case runs once per session
+through the ``conformal-wm`` command, in a subprocess with
+``PYTHONWARNINGS=error``, and must exit 0 with nothing on stderr. The
+command is the script on ``PATH`` when there is one, else
+``python -m conformal_wm.cli``; an installed package whose script is not
+on ``PATH`` fails the run. Each case names the golden it must reproduce,
+so a new case is one entry, and several cases may reach one golden by
+different paths (a two-thread pool, a JSON test table).
+
 Simulate metrics, the standard config's plot data and standard/hierarchical
-decisions must match byte for byte. Each simulate case's ``metrics.json``
+decisions must match byte for byte. Each simulate golden's ``metrics.json``
 (per-cell FPR, power and suspect flag rate, about 250 kB each) is pinned by
 its SHA-256 digest in ``simulate_metrics_json.sha256``.
 
@@ -15,109 +24,170 @@ byte, but the p-values of a 1,000-row pool differ between the two paths in
 their last bits, with every flag equal. Simulate outputs count flags, and
 are byte-identical on both paths.
 
-A deliberate behaviour change regenerates the snapshots, and CHANGES.md
-explains the diff:
+A deliberate behaviour change regenerates the snapshots, each from the case
+named after it, and CHANGES.md explains the diff:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import csv
+import functools
 import hashlib
+import importlib.metadata
 import json
+import os
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from conformal_wm.cli import main
+import conformal_wm
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 GOLDEN = Path(__file__).parent / "golden"
+CAL, TEST = str(GOLDEN / "detect_cal.csv"), str(GOLDEN / "detect_test.csv")
 
-# name -> (simulate config, extra CLI arguments)
-SIMULATE_CASES = {
-    "simulate_standard": ({"scenario": "standard"}, ()),
-    "simulate_hierarchical": ({"scenario": "hierarchical"}, ()),
+# case -> (golden it reproduces, command arguments before --out). An argument
+# that is not a string (a simulate config, a table's rows) is written to a
+# JSON file and passed by its path.
+CASES = {
+    "simulate_standard": ("simulate_standard", ["simulate", {"scenario": "standard"}]),
+    # the built-in default config, its tasks on a two-thread pool
+    "simulate_standard_threads2": ("simulate_standard", ["simulate", "--threads", "2"]),
+    "simulate_hierarchical": ("simulate_hierarchical",
+                              ["simulate", {"scenario": "hierarchical"}]),
+    "simulate_hierarchical_threads2": ("simulate_hierarchical", [
+        "simulate", {"scenario": "hierarchical"}, "--threads", "2"]),
     # a seed of 2**32 keys its substreams with a two-word part
-    "simulate_hierarchical_big_seed": ({"scenario": "hierarchical",
-                                        "seeds": [7, 4294967296]}, ()),
-    "simulate_weighted": ({"scenario": "weighted"}, ()),
-    "simulate_weighted_seed1": ({"scenario": "weighted"}, ("--seed", "1")),
-}
-
-# name -> extra detect arguments, run on detect_cal.csv / detect_test.csv
-DETECT_CASES = {
-    "detect_standard": ("--method", "standard"),
-    "detect_hierarchical": ("--method", "hierarchical"),
-    "detect_weighted_quantile": ("--method", "weighted", "--shift", "quantile"),
+    "simulate_hierarchical_big_seed": ("simulate_hierarchical_big_seed", [
+        "simulate", {"scenario": "hierarchical", "seeds": [7, 4294967296]}]),
+    "simulate_weighted": ("simulate_weighted", ["simulate", {"scenario": "weighted"}]),
+    # the five seeds' pools share their majority node sums across the two workers
+    "simulate_weighted_threads2": ("simulate_weighted", [
+        "simulate", {"scenario": "weighted"}, "--threads", "2"]),
+    "simulate_weighted_seed1": ("simulate_weighted_seed1", [
+        "simulate", {"scenario": "weighted"}, "--seed", "1"]),
+    "simulate_weighted_seed1_threads2": ("simulate_weighted_seed1", [
+        "simulate", {"scenario": "weighted"}, "--seed", "1", "--threads", "2"]),
+    "detect_standard": ("detect_standard", ["detect", CAL, TEST, "--method", "standard"]),
+    # the test table read as JSON gives the bytes it gives as CSV
+    "detect_standard_json_test_table": ("detect_standard", [
+        "detect", CAL, list(csv.DictReader(Path(TEST).read_text(encoding="utf-8")
+                                           .splitlines())), "--method", "standard"]),
+    "detect_hierarchical": ("detect_hierarchical",
+                            ["detect", CAL, TEST, "--method", "hierarchical"]),
+    "detect_weighted_quantile": ("detect_weighted_quantile", [
+        "detect", CAL, TEST, "--method", "weighted", "--shift", "quantile"]),
     # at alpha 0.05 the mean shift flags nothing on this table
-    "detect_weighted_mean": ("--method", "weighted", "--shift", "mean", "--alpha", "0.1"),
+    "detect_weighted_mean": ("detect_weighted_mean", [
+        "detect", CAL, TEST, "--method", "weighted", "--shift", "mean", "--alpha", "0.1"]),
 }
-EXACT_DETECT = ("detect_standard", "detect_hierarchical")
-WEIGHTED_DETECT = ("detect_weighted_quantile", "detect_weighted_mean")
 
-# simulate cases whose plot_data.csv is pinned too, as <name>_plot_data.csv
-PLOT_CASES = ("simulate_standard",)
+# simulate goldens whose plot_data.csv is pinned too, as <golden>_plot_data.csv
+PLOT_GOLDENS = ("simulate_standard",)
 
-# "<sha256>  <simulate case>" per line, for every case's metrics.json
+# "<sha256>  <simulate golden>" per line, for every simulate golden's metrics.json
 METRICS_JSON_DIGESTS = GOLDEN / "simulate_metrics_json.sha256"
 
+SIMULATE = sorted(name for name, (_, args) in CASES.items() if args[0] == "simulate")
+PLOT = [name for name in SIMULATE if CASES[name][0] in PLOT_GOLDENS]
+DETECT = sorted(name for name, (_, args) in CASES.items() if args[0] == "detect")
+RANK_DETECT = [name for name in DETECT if "weighted" not in CASES[name][1]]
+WEIGHTED_DETECT = [name for name in DETECT if "weighted" in CASES[name][1]]
 
-def run_simulate(name: str, work: Path, output: str = "metrics.csv") -> bytes:
-    config, extra = SIMULATE_CASES[name]
+
+@functools.cache
+def command() -> tuple[str, ...]:
+    script = shutil.which("conformal-wm")
+    if script:
+        return (script,)
+    try:
+        importlib.metadata.distribution("conformal-wm")
+    except importlib.metadata.PackageNotFoundError:
+        return (sys.executable, "-m", "conformal_wm.cli")
+    pytest.fail("conformal-wm is installed, but its script is not on PATH")
+
+
+def run(argv: list[str]) -> subprocess.CompletedProcess:
+    """``argv`` through the command, on the package these tests import."""
+    src = str(Path(conformal_wm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONWARNINGS="error", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([*command(), *argv], capture_output=True, text=True, env=env,
+                          timeout=300)
+
+
+def run_case(name: str, work: Path) -> tuple[Path, subprocess.CompletedProcess]:
+    """The output directory of case ``name``, run under ``work``, and its process."""
+    argv = []
+    for i, arg in enumerate(CASES[name][1]):
+        if not isinstance(arg, str):
+            path = work / f"{name}.{i}.json"
+            path.write_text(json.dumps(arg), encoding="utf-8")
+            arg = str(path)
+        argv.append(arg)
     out = work / name
-    if not out.exists():
-        config_path = work / f"{name}.json"
-        config_path.write_text(json.dumps(config), encoding="utf-8")
-        assert main(["simulate", str(config_path), *extra, "--out", str(out)]) == 0
-    return (out / output).read_bytes()
+    return out, run([*argv, "--out", str(out)])
 
 
-def run_detect(name: str, work: Path) -> bytes:
-    out = work / name
-    argv = ["detect", str(GOLDEN / "detect_cal.csv"), str(GOLDEN / "detect_test.csv"),
-            *DETECT_CASES[name], "--out", str(out)]
-    assert main(argv) == 0
-    return (out / "decisions.csv").read_bytes()
+@pytest.fixture(scope="session")
+def outputs(tmp_path_factory):
+    """The output directory of a case that exited 0 with an empty stderr.
+
+    Each case runs on its first request, and later requests read its outputs.
+    """
+    work, runs = tmp_path_factory.mktemp("golden"), {}
+
+    def case_output(name: str) -> Path:
+        if name not in runs:
+            runs[name] = run_case(name, work)
+        out, proc = runs[name]
+        assert (proc.returncode, proc.stderr) == (0, ""), name
+        return out
+
+    return case_output
 
 
-def golden_bytes(name: str) -> bytes:
-    return (GOLDEN / f"{name}.csv").read_bytes()
+def golden_bytes(name: str, suffix: str = "") -> bytes:
+    return (GOLDEN / f"{CASES[name][0]}{suffix}.csv").read_bytes()
 
 
-def metrics_json_digests() -> dict[str, str]:
-    lines = METRICS_JSON_DIGESTS.read_text(encoding="utf-8").splitlines()
-    return {name: digest for digest, name in (line.split() for line in lines)}
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def decision_rows(data: bytes) -> list[list[str]]:
     return list(csv.reader(data.decode("utf-8").splitlines()))
 
 
-@pytest.mark.parametrize("name", sorted(SIMULATE_CASES))
-def test_simulate_metrics_byte_identical(tmp_path, name):
-    assert run_simulate(name, tmp_path) == golden_bytes(name)
+@pytest.mark.parametrize("name", SIMULATE)
+def test_simulate_metrics_byte_identical(outputs, name):
+    assert (outputs(name) / "metrics.csv").read_bytes() == golden_bytes(name)
 
 
-@pytest.mark.parametrize("name", sorted(SIMULATE_CASES))
-def test_simulate_metrics_json_digest(tmp_path, name):
-    got = hashlib.sha256(run_simulate(name, tmp_path, "metrics.json")).hexdigest()
-    assert got == metrics_json_digests()[name]
+@pytest.mark.parametrize("name", SIMULATE)
+def test_simulate_metrics_json_digest(outputs, name):
+    lines = METRICS_JSON_DIGESTS.read_text(encoding="utf-8").splitlines()
+    digests = {golden: digest for digest, golden in (line.split() for line in lines)}
+    assert sha256(outputs(name) / "metrics.json") == digests[CASES[name][0]]
 
 
-@pytest.mark.parametrize("name", PLOT_CASES)
-def test_simulate_plot_data_byte_identical(tmp_path, name):
-    got = run_simulate(name, tmp_path, "plot_data.csv")
-    assert got == golden_bytes(f"{name}_plot_data")
+@pytest.mark.parametrize("name", PLOT)
+def test_simulate_plot_data_byte_identical(outputs, name):
+    got = (outputs(name) / "plot_data.csv").read_bytes()
+    assert got == golden_bytes(name, "_plot_data")
 
 
-@pytest.mark.parametrize("name", EXACT_DETECT)
-def test_rank_detect_decisions_byte_identical(tmp_path, name):
-    assert run_detect(name, tmp_path) == golden_bytes(name)
+@pytest.mark.parametrize("name", RANK_DETECT)
+def test_rank_detect_decisions_byte_identical(outputs, name):
+    assert (outputs(name) / "decisions.csv").read_bytes() == golden_bytes(name)
 
 
 @pytest.mark.parametrize("name", WEIGHTED_DETECT)
-def test_weighted_detect_same_flags_last_bits_only(tmp_path, name):
-    got = decision_rows(run_detect(name, tmp_path))
+def test_weighted_detect_same_flags_last_bits_only(outputs, name):
+    got = decision_rows((outputs(name) / "decisions.csv").read_bytes())
     want = decision_rows(golden_bytes(name))
     assert got[0] == want[0]
     assert [(r[0], r[2]) for r in got] == [(r[0], r[2]) for r in want]
@@ -125,7 +195,7 @@ def test_weighted_detect_same_flags_last_bits_only(tmp_path, name):
         assert abs(float(p_got) - float(p_want)) <= 1e-12 * float(p_want), essay_id
 
 
-# the manifest's extra.shift of each weighted case: the fitted ShiftEstimate
+# the manifest's extra.shift of each weighted golden: the fitted ShiftEstimate
 # and the run's settings; floats up to a relative 1e-12, as log10 is CPU-dependent
 WEIGHTED_SHIFTS = {
     "detect_weighted_quantile": {
@@ -142,25 +212,51 @@ WEIGHTED_SHIFTS = {
 
 
 @pytest.mark.parametrize("name", WEIGHTED_DETECT)
-def test_weighted_detect_records_the_fitted_shift(tmp_path, name):
-    run_detect(name, tmp_path)
-    manifest = json.loads((tmp_path / name / "manifest.json").read_text(encoding="utf-8"))
-    got, want = manifest["extra"]["shift"], WEIGHTED_SHIFTS[name]
+def test_weighted_detect_records_the_fitted_shift(outputs, name):
+    manifest = json.loads((outputs(name) / "manifest.json").read_text(encoding="utf-8"))
+    got, want = manifest["extra"]["shift"], WEIGHTED_SHIFTS[CASES[name][0]]
     assert sorted(got) == sorted(want)
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+def test_undecodable_table_exits_2_with_its_code(tmp_path):
+    table = tmp_path / "latin1.csv"
+    table.write_bytes(b"essay_id,score,role\nt\xff,0.5,test\n")
+    proc = run(["detect", CAL, str(table), "--out", str(tmp_path / "out")])
+    assert proc.returncode == 2
+    assert json.loads(proc.stderr)["error"] == "encoding_error"
+    assert not (tmp_path / "out").exists()
+
+
+def test_bleu_of_a_text_with_itself_exits_0():
+    proc = run(["bleu", str(README), str(README)])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["value"] == 1.0
+
+
+def test_installed_package_without_its_script_on_path_fails(monkeypatch):
+    monkeypatch.setattr(shutil, "which", lambda name: None)
+    monkeypatch.setattr(importlib.metadata, "distribution", lambda name: None)
+    with pytest.raises(pytest.fail.Exception, match="not on PATH"):
+        command.__wrapped__()
+
+
 def regenerate(work: Path) -> None:
-    for name in SIMULATE_CASES:
-        (GOLDEN / f"{name}.csv").write_bytes(run_simulate(name, work))
-    for name in PLOT_CASES:
-        (GOLDEN / f"{name}_plot_data.csv").write_bytes(
-            run_simulate(name, work, "plot_data.csv"))
-    METRICS_JSON_DIGESTS.write_text("".join(
-        f"{hashlib.sha256(run_simulate(name, work, 'metrics.json')).hexdigest()}  {name}\n"
-        for name in sorted(SIMULATE_CASES)), encoding="utf-8")
-    for name in DETECT_CASES:
-        (GOLDEN / f"{name}.csv").write_bytes(run_detect(name, work))
+    digests = {}
+    for name, (golden, args) in CASES.items():
+        if name != golden:  # another path to a golden that its own case writes
+            continue
+        out, proc = run_case(name, work)
+        assert (proc.returncode, proc.stderr) == (0, ""), (name, proc.stderr)
+        if args[0] == "detect":
+            shutil.copyfile(out / "decisions.csv", GOLDEN / f"{name}.csv")
+            continue
+        shutil.copyfile(out / "metrics.csv", GOLDEN / f"{name}.csv")
+        if name in PLOT_GOLDENS:
+            shutil.copyfile(out / "plot_data.csv", GOLDEN / f"{name}_plot_data.csv")
+        digests[name] = sha256(out / "metrics.json")
+    METRICS_JSON_DIGESTS.write_text(
+        "".join(f"{digests[name]}  {name}\n" for name in sorted(digests)), encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -23,7 +23,8 @@ from conformal_wm.io import ValidationError, ingest
 # ---------------------------------------------------------------------------
 # Oracle: the row-by-row ingest, kept verbatim apart from returning lines, from
 # rejecting the JSON types a CSV cell cannot hold (a bool score, a bool or float
-# intensity), and from reading a JSON id or score as its CSV text
+# intensity), from reading a JSON id or score as its CSV text, and from reading
+# an optional cell of only whitespace as absent
 # ---------------------------------------------------------------------------
 
 
@@ -55,17 +56,17 @@ def _oracle_validate_row(raw: dict, line: int, seen_ids: set) -> tuple:
                               field_name="role")
 
     group_id = raw.get("group_id")
-    group_id = str(group_id).strip() if group_id not in (None, "") else None
+    group_id = str(group_id).strip() or None if group_id is not None else None
 
     population = raw.get("population")
-    population = str(population).strip() if population not in (None, "") else None
+    population = str(population).strip() or None if population is not None else None
     if population is not None and population not in io_mod.VALID_POPULATIONS:
         raise ValidationError("invalid_population", detail=repr(population),
                               line=line, field_name="population")
 
     intensity_raw = raw.get("edit_intensity")
     intensity = None
-    if intensity_raw not in (None, ""):
+    if intensity_raw is not None and str(intensity_raw).strip():
         try:
             if isinstance(intensity_raw, (bool, float)):
                 raise TypeError
@@ -158,6 +159,8 @@ CSV_CASES = {
     "whitespace": "essay_id,score,role,group_id,population,edit_intensity\n"
                   " e1 , 0.5 , test ,  g1 , minority , 3 \n",
     "whitespace_only_group": "essay_id,score,role,group_id\ne1,0.5,test,  \n",
+    "whitespace_only_population": "essay_id,score,role,population\ne1,0.5,test,  \n",
+    "whitespace_only_intensity": "essay_id,score,role,edit_intensity\ne1,0.5,test, \t\n",
     "duplicate_id": "essay_id,score,role\ne1,0.5,test\ne2,0.5,test\n e1,0.5,test\n",
     "missing_id": "essay_id,score,role\n  ,0.5,test\n",
     "bad_score": "essay_id,score,role\ne1,abc,test\n",
@@ -192,6 +195,9 @@ JSON_CASES = {
                      {"essay_id": "e1 ", "score": 0.5, "role": "test"}],
     "bad_intensity": [{"essay_id": "e1", "score": 0.5, "role": "test",
                        "edit_intensity": "x"}],
+    "whitespace_only_optional": [{"essay_id": "e1", "score": 0.5, "role": "calibration",
+                                  "group_id": " ", "population": "\t",
+                                  "edit_intensity": "  "}],
     "empty": [],
 }
 
@@ -298,15 +304,15 @@ def test_error_line_after_blank_and_multiline(tmp_path):
 GOOD = {
     "score": ["0.5", "1", "0.125", "1e-12", " 0.75 ", "0.30000000000000004"],
     "role": ["calibration", "test", " test "],
-    "group_id": ["", "g1", " g2 ", "g3"],
-    "population": ["", "majority", "minority", " minority "],
-    "edit_intensity": ["", "1", "7", " 4 "],
+    "group_id": ["", "g1", " g2 ", "g3", "   "],
+    "population": ["", "majority", "minority", " minority ", "   "],
+    "edit_intensity": ["", "1", "7", " 4 ", "   "],
     "note": ["", "plain", "a,b", 'say "hi"', "two\nlines", "three\n\nlines"],
 }
 BAD = {
     "score": ["0", "1.5", "abc", "", "nan", "-0.5", "inf"],
     "role": ["", "train", "Test"],
-    "group_id": ["   "],
+    "group_id": [],
     "population": ["alien", "Minority"],
     "edit_intensity": ["0", "8", "3.0", "x"],
     "note": [""],

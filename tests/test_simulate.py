@@ -924,11 +924,11 @@ class TestScenarioBehavior:
         assert pairs == {(1, a) for a in range(2, 8)} | {(6, 7)}
 
     def test_cell_failure_carries_context(self):
-        cfg = small_config(distributions={
-            ("majority", 1): ScoreDistribution(
-                family="mixture", params={"components": []})})
-        with pytest.raises(ValueError):
-            cfg.validate()
+        # an empty mixture is rejected where it is built, before any config holds it
+        with pytest.raises(ValueError, match="mixture needs a list of components"):
+            small_config(distributions={
+                ("majority", 1): ScoreDistribution(
+                    family="mixture", params={"components": []})}).validate()
 
     def test_subgroup_tied_at_the_score_floor_is_never_flagged(self):
         # every minority score, in calibration and in test, is the floor 1e-300,
