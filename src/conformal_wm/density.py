@@ -7,9 +7,10 @@ through an affine map whose anchors come either from sample means ("mean
 shift") or from robust lower quantiles ("quantile shift"). The ratios q/p
 of the two densities are the importance weights of the weighted conformal
 rule, which normalizes them itself, so their common scale never matters.
-:class:`WeightedRule` assembles the whole rule for one pool; ``detect`` and
-``simulate`` both call it. It works in log densities only, which stay
-finite however deep in a tail a score lies.
+:class:`WeightedRule` assembles the whole rule for one pool, or for many
+pools as its rows; ``detect`` calls it on one pool, and ``simulate`` on
+every pool of a (seed, prompt) task at once. It works in log densities
+only, which stay finite however deep in a tail a score lies.
 
 ``WeightedRule`` has one evaluator, which ``p_values`` (written by
 ``detect``) runs at every test score and ``flags`` (counted by
@@ -61,18 +62,31 @@ relative ``4 n * 2**-53``. An ``exp`` that underflows to 0 loses under
 slack, at least ``2**-39 * 10 * N``, some ten thousand times these
 roundings, so the bounds hold as computed. The argument needs alpha under
 1/2, so a rule with a larger alpha takes every mass exact.
+
+Rows. A rule over rows runs every step of this argument row by row: a
+row's grid sums see only its own pool (or its shared majority's and its
+minority's sums, combined as :class:`_LogGrid` says), over whichever of
+its span's nodes its reads reach; its tables, screen, bounds and exact
+masses are its own, on the same operations in the same order as a rule of
+its pool alone. Sums taken along rows of an array keep a one-row sum's
+bits where each row lies contiguous in memory, which the rule ensures. So
+the argument holds for each row as for one pool. A row of whole pools gets
+a one-pool rule's flags and p-values, bit for bit; a row whose grid adds a
+shared majority's sums to its minority's may differ from that in the last
+bits of its reads, inside the slack, and its flags are still the exact
+rule's.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Sequence
 
 import numpy as np
 
-from .conformal import _SCREEN_SLACK, _RankTable, _weighted_table
+from .conformal import _SCREEN_SLACK, _cutoff, _RankTable, _weighted_table
 
 # Sample standard deviations below this are treated as degenerate (e.g. a
 # constant minority sample) and floored so the affine map stays defined.
@@ -146,7 +160,12 @@ def empirical_quantile(values: Sequence[float], level: float):
 
 @dataclass(frozen=True)
 class ShiftEstimate:
-    """Anchors and spreads defining the pool-to-subgroup affine map."""
+    """Anchors and spreads defining the pool-to-subgroup affine map.
+
+    A rule over rows of pools keeps one estimate per shift whose fields
+    hold one value per row (arrays; ``branch`` too), and :meth:`row` gives
+    one row's.
+    """
 
     method: str  # "mean" or "quantile"
     q_anchor: float
@@ -156,18 +175,29 @@ class ShiftEstimate:
     branch: str | None = None  # quantile method: "min", "2alpha" or "alpha"
 
     def __post_init__(self):
-        if self.sigma_p <= 0 or self.sigma_q <= 0:
-            raise ValueError("sigma_not_positive")
+        for sigma in (self.sigma_p, self.sigma_q):
+            if (sigma <= 0).any() if isinstance(sigma, np.ndarray) else sigma <= 0:
+                raise ValueError("sigma_not_positive")
 
-    def to_pool(self, x: np.ndarray) -> np.ndarray:
+    def to_pool(self, x: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
         """The pool point whose density is the subgroup's at ``x``: ``scale * x + offset``.
 
         ``scale = sigma_p / sigma_q`` and ``offset = p_anchor - q_anchor * scale``
         map the subgroup's anchor to the pool's. No Jacobian factor is applied:
         weights are formed from normalized ratios, so constant factors cancel.
+        An estimate over rows maps each point of ``x`` by its row in ``rows``.
         """
         scale = self.sigma_p / self.sigma_q
-        return scale * x + (self.p_anchor - self.q_anchor * scale)
+        offset = self.p_anchor - self.q_anchor * scale
+        if rows is not None:
+            scale, offset = scale[rows], offset[rows]
+        return scale * x + offset
+
+    def row(self, r: int) -> ShiftEstimate:
+        """Row ``r``'s estimate, with float fields, of an estimate over rows."""
+        return ShiftEstimate(self.method, float(self.q_anchor[r]), float(self.p_anchor[r]),
+                             float(self.sigma_p[r]), float(self.sigma_q[r]),
+                             None if self.branch is None else str(self.branch[r]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,56 +240,76 @@ def check_bandwidth(bandwidth: float, reach: float) -> None:
     float. So ``reach / bandwidth`` (``reach`` the largest ``|x - s|``) may
     not exceed ``_MAX_Z``; a reach that is not finite comes from a point
     that is not, which no bandwidth mends. Codes: ``bandwidth_not_positive``
-    (NaN included), ``bandwidth_not_finite``, ``bandwidth_too_small``.
+    (NaN included), ``bandwidth_not_finite`` (an int past the range of
+    floats included), ``bandwidth_too_small``.
     """
     if not bandwidth > 0:
         raise ValueError(f"bandwidth_not_positive: {bandwidth}")
-    if not math.isfinite(bandwidth):
+    if not math.isfinite(_as_float(bandwidth)):
         raise ValueError(f"bandwidth_not_finite: {bandwidth}")
     if math.isfinite(reach) and reach / bandwidth > _MAX_Z:
         raise ValueError(f"bandwidth_too_small: {bandwidth} for points up to {reach:g} apart")
 
 
+def _as_float(value) -> float:
+    """``float(value)``, or an infinity of its sign for an int past the range of floats."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _log_kernel_sums(query: np.ndarray, support: np.ndarray, bandwidth: float,
-                     with_moment: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+                     with_moment: bool = False,
+                     rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
     """``log sum_i k_i`` at each query, with ``k_i = exp(-z_i**2 / 2)``, ``z_i = (x - s_i) / h``.
 
     With ``with_moment`` the second array is ``sum_i z_i k_i / sum_i k_i``,
-    else None. Queries go :func:`_block_rows` at a time through two (block,
-    N) buffers of at most ``_BLOCK_BYTES`` each (one row if a row is larger),
-    so memory does not grow with the number of queries. Each row's sum sees
-    the operations of the dense ``exp(-0.5 * z * z).sum(axis=-1)`` in the
-    same order, and so gets its bits. A sum below the smallest normal double
-    is taken again with its largest exponent ``e`` factored out, as
-    ``e + log sum_i (k_i / exp(e))``, so every log sum is finite and as
-    accurate as a normal float's. Queries too far out for the bandwidth
-    raise ``bandwidth_too_small`` (:func:`check_bandwidth`).
+    else None. A 2-D ``support`` holds one support per row, and ``rows``
+    names each query's. Each run of queries on one support goes
+    :func:`_block_rows` at a time through two (block, N) buffers of at most
+    ``_BLOCK_BYTES`` each (one row if a row is larger), so memory does not
+    grow with the number of queries. Each row's
+    sum sees the operations of the dense ``exp(-0.5 * z * z).sum(axis=-1)``
+    over its own support in the same order, and so gets its bits. A sum
+    below the smallest normal double is taken again with its largest
+    exponent ``e`` factored out, as ``e + log sum_i (k_i / exp(e))``, so
+    every log sum is finite and as accurate as a normal float's. Queries
+    too far out for the bandwidth raise ``bandwidth_too_small``
+    (:func:`check_bandwidth`).
     """
     if query.size:
         check_bandwidth(bandwidth, max(float(query.max() - support.min()),
                                        float(support.max() - query.min())))
     sums = np.empty(query.size)
     moments = np.empty(query.size) if with_moment else None
-    rows = max(1, min(_block_rows(support.size), query.size))
-    z = np.empty((rows, support.size))
-    kern = np.empty((rows, support.size))
-    for start in range(0, query.size, rows):
-        block = query[start:start + rows]
-        zb, kb = z[:block.size], kern[:block.size]
-        np.subtract(block[:, np.newaxis], support, out=zb)
-        zb /= bandwidth
-        np.multiply(zb, -0.5, out=kb)
-        kb *= zb
-        np.exp(kb, out=kb)
-        kb.sum(axis=-1, out=sums[start:start + block.size])
-        if with_moment:
-            zb *= kb
-            zb.sum(axis=-1, out=moments[start:start + block.size])
+    width = support.shape[-1]
+    block = max(1, min(_block_rows(width), query.size))
+    z = np.empty((block, width))
+    kern = np.empty((block, width))
+    # runs of queries on one support
+    cuts = [0, query.size] if rows is None else [
+        0, *(np.flatnonzero(rows[1:] != rows[:-1]) + 1).tolist(), query.size]
+    for first, end in zip(cuts, cuts[1:]):
+        points = support if rows is None else support[rows[first]]
+        for start in range(first, end, block):
+            part = query[start:min(start + block, end)]
+            zb, kb = z[:part.size], kern[:part.size]
+            np.subtract(part[:, np.newaxis], points, out=zb)
+            zb /= bandwidth
+            np.multiply(zb, -0.5, out=kb)
+            kb *= zb
+            np.exp(kb, out=kb)
+            kb.sum(axis=-1, out=sums[start:start + part.size])
+            if with_moment:
+                zb *= kb
+                zb.sum(axis=-1, out=moments[start:start + part.size])
     low = np.flatnonzero(sums < np.finfo(float).tiny)
     tops = np.zeros(query.size)
-    for start in range(0, low.size, rows):
-        idx = low[start:start + rows]
-        z = (query[idx, np.newaxis] - support) / bandwidth
+    for start in range(0, low.size, block):
+        idx = low[start:start + block]
+        points = support if rows is None else support[rows[idx]]
+        z = (query[idx, np.newaxis] - points) / bandwidth
         expo = z * -0.5 * z
         tops[idx] = expo.max(axis=-1)
         kern = np.exp(expo - tops[idx, np.newaxis])
@@ -299,24 +349,38 @@ def quantile_shift(pool_logs: Sequence[float], minority_logs: Sequence[float],
     return _shift("quantile", *_samples(pool_logs, minority_logs), alpha)
 
 
-def _spreads(pool: np.ndarray, minority: np.ndarray) -> tuple[float, float]:
-    """``(sigma_p, sigma_q)``: each sample's standard deviation, at least ``SIGMA_FLOOR``."""
-    return max(float(np.std(pool)), SIGMA_FLOOR), max(float(np.std(minority)), SIGMA_FLOOR)
+def _spreads(pool: np.ndarray, minority: np.ndarray) -> tuple:
+    """``(sigma_p, sigma_q)``: each sample's standard deviation, at least ``SIGMA_FLOOR``.
+
+    Samples are the last axis: 2-D samples give one spread per row.
+    """
+    return tuple(_field(np.maximum(np.std(sample, axis=-1), SIGMA_FLOOR))
+                 for sample in (pool, minority))
+
+
+def _field(value):
+    """A float of a 0-d result, else the array of one value per row."""
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def _shift(method: str, pool: np.ndarray, minority: np.ndarray, alpha: float | None,
-           spreads: tuple[float, float] | None = None) -> ShiftEstimate:
-    """:func:`mean_shift` or :func:`quantile_shift` of checked samples and their ``_spreads``."""
+           spreads: tuple | None = None) -> ShiftEstimate:
+    """:func:`mean_shift` or :func:`quantile_shift` of checked samples and their ``_spreads``.
+
+    Samples are the last axis: 2-D samples, one pool and minority per row,
+    give an estimate over rows, each row's with its own sample's bits.
+    """
     spreads = spreads or _spreads(pool, minority)
     if method == "mean":
-        return ShiftEstimate("mean", float(np.mean(minority)), float(np.mean(pool)), *spreads)
+        return ShiftEstimate("mean", _field(np.mean(minority, axis=-1)),
+                             _field(np.mean(pool, axis=-1)), *spreads)
     check_quantile_alpha(alpha)
-    m = minority.size
+    m = minority.shape[-1]
     # Branch conditions are m <= 1/(2a) and m <= 1/a, written multiplicatively
     # so integer boundaries (e.g. m=10 at alpha=0.05) are decided exactly.
     if m * 2.0 * alpha <= 1.0:
         branch = "min"
-        q_anchor = float(np.min(minority))
+        q_anchor = _field(np.min(minority, axis=-1))
         p_anchor = empirical_quantile(pool, 1.0 / m)
     elif m * alpha <= 1.0:
         branch = "2alpha"
@@ -340,16 +404,21 @@ def _samples(pool_logs, minority_logs) -> tuple[np.ndarray, np.ndarray]:
     return pool, minority
 
 
-def _log_ratios(log_density, shifts: Sequence[ShiftEstimate], x) -> list[np.ndarray]:
+def _log_ratios(log_density, shifts: Sequence[ShiftEstimate], x,
+                rows: np.ndarray | None = None) -> list[np.ndarray]:
     """``log q - log p`` at the points ``x`` for each shift's q, p read through its map.
 
     ``log_density`` gives p's log density up to a constant (exact, or a
     grid's reads), and is called once, on ``x`` and every shift's
-    :meth:`ShiftEstimate.to_pool` of it joined.
+    :meth:`ShiftEstimate.to_pool` of it joined. With ``rows`` (estimates
+    over rows), each point is of its row, and ``log_density`` also takes
+    each query's row.
     """
     x = np.asarray(x, dtype=float)
-    queries = [x, *(shift.to_pool(x) for shift in shifts)]
-    log_p, *log_q = log_density(np.concatenate(queries)).reshape(len(queries), -1)
+    queries = np.concatenate([x, *(shift.to_pool(x, rows) for shift in shifts)])
+    log = (log_density(queries) if rows is None
+           else log_density(queries, np.tile(rows, 1 + len(shifts))))
+    log_p, *log_q = log.reshape(1 + len(shifts), -1)
     return [log_sum - log_p for log_sum in log_q]
 
 
@@ -392,20 +461,35 @@ def _node_span(support: np.ndarray, bandwidth: float) -> tuple[int, int] | None:
     return math.floor((s_min - 8.0 * h) / step), math.ceil((s_max + 8.0 * h) / step)
 
 
-def _node_sums(points: np.ndarray, bandwidth: float, k_lo: int,
-               k_hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_log_kernel_sums` of ``points``, with the moment, at nodes ``k_lo..k_hi``."""
-    nodes = _grid_step(bandwidth) * np.arange(k_lo, k_hi + 1.0)
-    return _log_kernel_sums(nodes, points, bandwidth, with_moment=True)
+def _node_sums(support: np.ndarray, bandwidth: float, k: np.ndarray,
+               rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_log_kernel_sums`, with the moment, at lattice nodes ``k``, each of its row's
+    support."""
+    return _log_kernel_sums(_grid_step(bandwidth) * k, support, bandwidth, True, rows)
+
+
+def _piece_sums(support: np.ndarray, bandwidth: float,
+                pieces: list[tuple[int, int, int]]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """:func:`_node_sums` of each ``(row of support, first node, last node)``, in one call."""
+    sizes = [last - first + 1 for _, first, last in pieces]
+    k = np.concatenate([np.arange(first, last + 1.0) for _, first, last in pieces])
+    log_sum, mean_z = _node_sums(support, bandwidth, k,
+                                 np.repeat([row for row, _, _ in pieces], sizes))
+    starts = np.cumsum(sizes) - sizes
+    return [(log_sum[start:start + size], mean_z[start:start + size])
+            for start, size in zip(starts.tolist(), sizes)]
 
 
 class _LogGrid:
     """A KDE's log kernel sum on evenly spaced nodes, read by cubic Hermite interpolation.
 
-    ``log_sum`` holds ``log sum_i k_i`` (the KDE's log f up to the constant
-    ``log(N h sqrt(2 pi))``, which cancels in every ratio) at the nodes
-    ``lo + k * step`` covering ``[min - 8h, max + 8h]`` of the support. With
-    the tangent, ``step`` times its slope ``-sum z k / (h sum k)``, they give
+    One grid serves many supports, its rows: ``blocks`` holds them as the
+    rows of 2-D arrays (one width per block), numbered block by block. Row
+    r's node sums are ``log sum_i k_i`` (the KDE's log f up to the constant
+    ``log(N h sqrt(2 pi))``, which cancels in every ratio) at nodes
+    ``k * step``, for whole k in its span ``k_lo..k_lo + cells`` covering
+    ``[min - 8h, max + 8h]`` of the support (:func:`_node_span`). With the
+    tangent, ``step`` times its slope ``-sum z k / (h sum k)``, they give
     ``cubic``, each cell's Hermite cubic in ``t = (x - node) / step``, which
     a read evaluates by Horner's rule. Sums and slopes come from
     :func:`_log_kernel_sums`, as the exact rule's log densities do. The step
@@ -413,11 +497,19 @@ class _LogGrid:
     exact float, and the nodes of every grid of one bandwidth lie on one
     lattice, the whole multiples of the step.
 
-    ``shared``, if given, is ``(k, log_sum, mean_z, rest)``: the
-    :func:`_node_sums` of the support's other points from node k on, over
-    every node of this grid, and the points ``rest``. Then only ``rest`` is
-    summed, and the two sums ``S_a``, ``S_b`` (with mean z ``m_a``,
-    ``m_b``) combine as ``log S = logaddexp(log S_a, log S_b)`` and
+    Nodes are built only where reads reach: :meth:`cover` extends each row
+    over every cell a read of a given range can use, piece by piece. A
+    node's sum, and so a cell's cubic, depends only on the node's lattice
+    index and the support, and a read's cell and ``t`` only on the point
+    and the row's span. So every read has the bits of a grid built over the
+    whole span, whichever nodes were built, and in whatever pieces.
+
+    With ``shared`` > 0, the first ``shared`` points of row l of every
+    block are the same (the majority of a stack of pools), and their node
+    sums are taken once per l and node, over every node some row of theirs
+    needs. Each row then sums only its other points, and the two sums
+    ``S_a``, ``S_b`` (with mean z ``m_a``, ``m_b``) combine as
+    ``log S = logaddexp(log S_a, log S_b)`` and
     ``m = m_a exp(log S_a - log S) + m_b exp(log S_b - log S)``.
 
     Bound. With ``w_i = exp(-s_i**2 / 2h**2)``,
@@ -453,62 +545,134 @@ class _LogGrid:
     weights, each off by its log sums' roundings, times means of size at
     most R). A cubic's coefficients are sums of three node values or
     slopes, and Horner's rule adds a few roundings of their size: terms of
-    the kinds already counted. :attr:`error` adds to ``bound`` a slack of
-    ``2**-40 * (R * (N + nodes) + R**3 + 1024)``, ``2**13`` units of
-    ``2**-53`` times the sum of those sizes, far above the few dozen
-    roundings of a few units each. (On 400 random supports of 2 to 300
-    log10 scores, shared sums moved a node's log sum by at most ``1.4e-6``
-    of the slack, and Horner's rule moved a read by at most ``2.2e-6`` of
-    it from the factored Hermite form.)
+    the kinds already counted. All of this holds row by row: a row's sums
+    see only its own points, in a one-row grid's operations, and a read
+    only its row's cells. The node count is the whole span's whatever
+    nodes are built (a read's position is taken from the span's first
+    node), so the argument covers any node range. :attr:`error` adds to
+    ``bound`` a slack of ``2**-40 * (R * (N + nodes) + R**3 + 1024)``,
+    ``2**13`` units of ``2**-53`` times the sum of those sizes, far above
+    the few dozen roundings of a few units each. (On 400 random supports
+    of 2 to 300 log10 scores, shared sums moved a node's log sum by at most
+    ``1.4e-6`` of the slack, and Horner's rule moved a read by at most
+    ``2.2e-6`` of it from the factored Hermite form.)
 
-    A read is usable wherever it lies inside the grid; :meth:`log_sums`
-    takes an exact row of N terms for a read outside it. The grid is not
-    built (``log_sum`` is None) when :func:`_node_span` gives no nodes.
+    A read is usable wherever it lies inside its row's span; :meth:`log_sums`
+    takes an exact row of N terms for a read outside it. A row that
+    :func:`_node_span` gives no nodes (``has_grid`` False) is never built.
     """
 
-    def __init__(self, support: np.ndarray, bandwidth: float, shared: tuple | None = None):
+    def __init__(self, blocks: Sequence[np.ndarray], bandwidth: float, shared: int = 0):
         h = float(bandwidth)
-        self.support, self.bandwidth = support, h
-        s_min, s_max = float(support.min()), float(support.max())
-        self.step = _grid_step(h)
+        self.blocks, self.bandwidth, self.step = blocks, h, _grid_step(h)
+        self.rows = [(b, l) for b, block in enumerate(blocks) for l in range(len(block))]
+        s_min = np.concatenate([block.min(axis=-1) for block in blocks])
+        s_max = np.concatenate([block.max(axis=-1) for block in blocks])
+        n = np.concatenate([np.full(len(block), block.shape[-1], dtype=float)
+                            for block in blocks])
         rho = self.step / h * ((s_max - s_min) / h)
         r = (s_max - s_min) / h + 10.0
         nodes = (s_max - s_min + 16.0 * h) / self.step + 2.0
         self.error = (rho * rho * rho * rho / 3072.0
-                      + 2.0 ** -40 * (r * (support.size + nodes) + r * r * r + 1024.0))
-        self.log_sum = None
-        span = _node_span(support, h)
-        if span is None:
+                      + 2.0 ** -40 * (r * (n + nodes) + r * r * r + 1024.0))
+        spans = [_node_span(blocks[b][l], h) for b, l in self.rows]
+        self.has_grid = np.array([span is not None for span in spans])
+        self.k_lo = np.array([span[0] if span else 0 for span in spans])
+        self.cells = np.array([span[1] - span[0] if span else 0 for span in spans])
+        self.lo = self.k_lo * self.step
+        # per row: (first node, log sums, mean z) of the nodes built
+        self.built: list = [None] * len(self.rows)
+        self._majority = np.ascontiguousarray(blocks[0][:, :shared]) if shared else None
+        self._rest = [np.ascontiguousarray(block[:, shared:]) for block in blocks]
+
+    def cover(self, x_lo: np.ndarray, x_hi: np.ndarray, rows: np.ndarray) -> None:
+        """Build every node that a read of row r at a point in ``[x_lo[r], x_hi[r]]`` uses.
+
+        For each row where ``rows`` is True, with a cell more on each side,
+        so ends that are off by a few roundings still cover every read; an
+        empty range (``x_lo > x_hi``) needs none. A row's nodes grow to the
+        union of what it had and what it needs, summed again as a whole.
+        """
+        first = np.fmin(np.fmax(np.floor((x_lo - self.lo) / self.step) - 1.0, 0.0),
+                        self.cells - 1.0)
+        last = np.fmin(np.fmax(np.floor((x_hi - self.lo) / self.step) + 2.0, 1.0), self.cells)
+        wanted = {}
+        for r in np.flatnonzero(rows & self.has_grid & (first < last)).tolist():
+            a, b, built = self.k_lo[r] + int(first[r]), self.k_lo[r] + int(last[r]), self.built[r]
+            if built is not None:
+                a, b = min(a, built[0]), max(b, built[0] + built[1].size - 1)
+            if built is None or (a, b) != (built[0], built[0] + built[1].size - 1):
+                wanted[r] = a, b
+        if not wanted:
             return
-        self.lo = span[0] * self.step
-        if shared:
-            k, log_a, mean_a, rest = shared
-            rows = slice(span[0] - k, span[1] - k + 1)
-            log_a, mean_a = log_a[rows], mean_a[rows]
-            log_b, mean_b = _node_sums(rest, h, *span)
-            self.log_sum = np.logaddexp(log_a, log_b)
-            mean_z = (mean_a * np.exp(log_a - self.log_sum)
-                      + mean_b * np.exp(log_b - self.log_sum))
-        else:
-            self.log_sum, mean_z = _node_sums(support, h, *span)
-        tangent = mean_z * (-self.step / h)
-        rise = np.diff(self.log_sum)
-        # cell k's cubic Hermite in t = (x - node_k) / step, lowest power first
-        self.cubic = (self.log_sum[:-1], tangent[:-1],
+        # each wanted row's sums of its points past the shared ones, one call a block
+        sums = {}
+        for b, support in enumerate(self._rest):
+            mine = [r for r in wanted if self.rows[r][0] == b]
+            if mine:
+                sums.update(zip(mine, _piece_sums(support, self.bandwidth, [
+                    (self.rows[r][1], *wanted[r]) for r in mine])))
+        if self._majority is not None:
+            sums = self._with_shared(wanted, sums)
+        for r, (a, _) in wanted.items():
+            self.built[r] = (a, *sums[r])
+        self._join()
+
+    def _with_shared(self, wanted: dict, rest: dict) -> dict:
+        """Each wanted row's node sums from its ``rest`` and the shared points' sums (taken
+        once per l and node, over every node a wanted row of theirs needs)."""
+        spans: dict = {}
+        for r, (a, z) in wanted.items():
+            first, last = spans.get(self.rows[r][1], (a, z))
+            spans[self.rows[r][1]] = min(first, a), max(last, z)
+        shared = dict(zip(spans, _piece_sums(self._majority, self.bandwidth,
+                                             [(l, a, z) for l, (a, z) in spans.items()])))
+        log_a, mean_a = (np.concatenate([
+            shared[l][part][a - spans[l][0]:z - spans[l][0] + 1]
+            for r, (a, z) in wanted.items() for l in (self.rows[r][1],)]) for part in (0, 1))
+        log_b, mean_b = (np.concatenate([rest[r][part] for r in wanted]) for part in (0, 1))
+        log_sum = np.logaddexp(log_a, log_b)
+        mean_z = mean_a * np.exp(log_a - log_sum) + mean_b * np.exp(log_b - log_sum)
+        out, start = {}, 0
+        for r, (a, z) in wanted.items():
+            out[r] = log_sum[start:start + z - a + 1], mean_z[start:start + z - a + 1]
+            start += z - a + 1
+        return out
+
+    def _join(self) -> None:
+        """Lay every built row's nodes end to end, and each cell's cubic over them."""
+        built = [(r, row) for r, row in enumerate(self.built) if row is not None]
+        # a row's cell i (from its span's first node) is cell i + offset of the join
+        self._offset = np.zeros(len(self.rows), dtype=np.intp)
+        self._first = np.zeros(len(self.rows))
+        start = 0
+        for r, row in built:
+            self._first[r] = row[0] - self.k_lo[r]
+            self._offset[r] = start - self._first[r]
+            start += row[1].size
+        log_sum = np.concatenate([row[1] for _, row in built])
+        tangent = np.concatenate([row[2] for _, row in built]) * (-self.step / self.bandwidth)
+        rise = np.diff(log_sum)
+        # cell k's cubic Hermite in t = (x - node_k) / step, lowest power first;
+        # the cell from a row's last node to the next row's first is never read
+        self.cubic = (log_sum[:-1], tangent[:-1],
                       3.0 * rise - 2.0 * tangent[:-1] - tangent[1:],
                       tangent[:-1] + tangent[1:] - 2.0 * rise)
 
-    def read(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``log sum_i k_i`` at each of ``x``, and where that is within :attr:`error`.
+    def read(self, x: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``log sum_i k_i`` at each of ``x`` on its row, and where that is within :attr:`error`.
 
-        Only a built grid (``log_sum`` not None) is read.
+        ``rows`` is one row for every point, or a row per point. Only rows
+        with a grid are read, at points :meth:`cover` has covered.
         """
-        cells = self.log_sum.size - 1
-        pos = (x - self.lo) / self.step
+        cells = self.cells[rows]
+        pos = (x - self.lo[rows]) / self.step
         usable = (pos >= 0.0) & (pos <= cells)
-        pos = np.where(usable, pos, 0.0)
+        if not usable.all():  # a point outside reads a built cell
+            pos = np.where(usable, pos, self._first[rows])
         i = np.minimum(pos.astype(np.intp), cells - 1)
         t = pos - i
+        i += self._offset[rows]
         c0, c1, c2, c3 = self.cubic
         y = c3[i]  # Horner's rule, in place
         y *= t
@@ -519,97 +683,216 @@ class _LogGrid:
         y += c0[i]
         return y, usable
 
-    def log_sums(self, x: np.ndarray) -> np.ndarray:
-        """``log sum_i k_i`` at each of ``x``, within :attr:`error`: a read, or an exact row."""
-        y, usable = self.read(x)
+    def log_sums(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """``log sum_i k_i`` at each of ``x`` on its row, within :attr:`error`: a read, or an
+        exact row."""
+        y, usable = self.read(x, rows)
         if not usable.all():
-            out = ~usable
-            y[out] = _log_kernel_sums(x[out], self.support, self.bandwidth)[0]
+            out = np.flatnonzero(~usable)
+            rows = np.broadcast_to(rows, x.shape)
+            for r in np.unique(rows[out]).tolist():
+                mine = out[rows[out] == r]
+                b, l = self.rows[r]
+                y[mine] = _log_kernel_sums(x[mine], self.blocks[b][l], self.bandwidth)[0]
         return y
 
 
 class WeightedRule:
-    """The weighted conformal rule of one calibration pool.
+    """The weighted conformal rule of a calibration pool, or of rows of pools.
 
-    ``minority`` masks the pool's minority points, and the scores go through
-    log10 once if ``log_scale``. The rule keeps a read-only copy of the
-    pool. p is the pool KDE, and the attribute ``shifts`` holds one
-    :class:`ShiftEstimate` per name in the argument ``shifts`` ("mean" or
-    "quantile"), whose q is p read through its map. Each shift has a
-    weighted rank table of grid ratios (``_certified``) and, built only
-    where some point takes the exact mass, one of exact ratios
-    (``_exact``). Every table holds the pool sorted, so one rank serves
-    them all.
+    ``pool`` is one pool, or a 2-D array whose rows are pools of one size;
+    ``minority`` masks the minority points along its last axis, and the
+    scores go through log10 once if ``log_scale``. The rule keeps a
+    read-only copy of the pools. A row's p is its pool's KDE, and the
+    attribute ``shifts`` holds one :class:`ShiftEstimate` per name in the
+    argument ``shifts`` ("mean" or "quantile"), whose q is p read through
+    its map; its fields are floats for one pool, and hold one value per
+    row for rows. Each shift has a weighted rank table of grid ratios per
+    row (certified) and, built only for a row where some point takes the
+    exact mass, one of exact ratios. Every table holds the pool sorted, so
+    one rank serves them all. The test scores of :meth:`p_values` and
+    :meth:`flags` come flat, each with the row of the pool it is ranked
+    against in ``rows`` (nondecreasing; all row 0 if not given).
 
     A shift's ratios are ``exp(log q - log p - M)``, M its largest at the
     pool: its calibration ratios lie in [0, 1] and total at least 1, and a
     test ratio beyond the range of floats is inf, of weighted mass 1.
     :meth:`p_values` and :meth:`flags` share one evaluator (see the module
-    docstring).
+    docstring). Every step is row by row, so each row's flags and p-values
+    are those of a rule of its pool alone, bit for bit (flags only, for the
+    rows of :meth:`_stacked`, whose grid sums a shared majority once).
     """
-
-    # the node sums of the pool's majority points and its minority points
-    # (``_LogGrid``'s ``shared``), when other pools share that majority
-    _shared: tuple | None = None
 
     def __init__(self, pool, minority, bandwidth: float, alpha: float,
                  shifts: Sequence[str], log_scale: bool):
-        self._pool = np.array(pool, dtype=float)
-        self._pool.setflags(write=False)
-        self.alpha = alpha
-        self._to_eval = np.log10 if log_scale else np.asarray
-        pool_eval = self._to_eval(self._pool)
-        self.model_p = DensityModel(pool_eval, float(bandwidth))
-        samples = _samples(pool_eval, pool_eval[minority])
-        spreads = _spreads(*samples)  # once, for every shift
-        self.shifts = [_shift(shift, *samples, alpha, spreads) for shift in shifts]
+        pool = np.array(pool, dtype=float)
+        self._setup([np.atleast_2d(pool)], [minority], 0, bandwidth, alpha, shifts, log_scale)
+        if pool.ndim == 1:
+            self.shifts = [shift.row(0) for shift in self._fits]
 
     @classmethod
-    def _sharing(cls, pools: Sequence[np.ndarray], minorities: Sequence[np.ndarray],
+    def _stacked(cls, majority: np.ndarray, minorities: Sequence[np.ndarray],
                  bandwidth: float, alpha: float, shifts: Sequence[str],
-                 log_scale: bool) -> list[WeightedRule]:
-        """One rule per pool and minority mask, whose grids share one majority node sum.
+                 log_scale: bool) -> WeightedRule:
+        """One rule over the pools ``[majority[l], minority[l]]`` of each minority array.
 
-        Each pool holds majority and minority points. The majority points of
-        the first pool are summed once, at the nodes of every pool's grid
-        (one lattice), and each pool whose majority points are those adds
-        only its minority's sums (:class:`_LogGrid`).
+        Rows run block by block: one block per array of ``minorities``, one
+        row per row l of ``majority``. The grid sums the majority points of
+        row l once for the rows of every block (:class:`_LogGrid`).
         """
-        rules = [cls(pool, minority, bandwidth, alpha, shifts, log_scale)
-                 for pool, minority in zip(pools, minorities)]
-        h = rules[0].model_p.bandwidth
-        spans = [span for span in (_node_span(rule.model_p.support_points, h)
-                                   for rule in rules) if span]
-        if spans:
-            majority = rules[0].model_p.support_points[~minorities[0]]
-            k_lo = min(lo for lo, _ in spans)
-            sums = _node_sums(majority, h, k_lo, max(hi for _, hi in spans))
-            for rule, minority in zip(rules, minorities):
-                support = rule.model_p.support_points
-                if np.array_equal(support[~minority], majority):
-                    rule._shared = (k_lo, *sums, support[minority])
-        return rules
+        n = majority.shape[-1]
+        rule = cls.__new__(cls)
+        rule._setup([np.hstack([majority, minority]) for minority in minorities],
+                    [np.arange(n + minority.shape[-1]) >= n for minority in minorities],
+                    n, bandwidth, alpha, shifts, log_scale)
+        return rule
 
-    def _tables(self, log_ratios: list[np.ndarray]) -> list[tuple[_RankTable, float]]:
-        """Each shift's weighted table of ``exp(log_r - top)`` at the pool, and its top."""
-        return [(_weighted_table(self._pool, np.exp(log_r - top)), top)
-                for log_r in log_ratios for top in (log_r.max(),)]
+    def _setup(self, pools, minorities, shared, bandwidth, alpha, shifts, log_scale):
+        for pool in pools:
+            pool.setflags(write=False)
+        self._pools, self._shared, self.alpha = pools, shared, alpha
+        self._to_eval = np.log10 if log_scale else np.asarray
+        self._evals = [self._to_eval(pool) for pool in pools]
+        self._h = float(bandwidth)
+        if any(pool.size == 0 for pool in pools):
+            raise ValueError("empty_support: KDE needs at least one point")
+        self._bounds = (np.concatenate([e.min(axis=-1) for e in self._evals]),
+                        np.concatenate([e.max(axis=-1) for e in self._evals]))
+        check_bandwidth(self._h, float(np.max(self._bounds[1] - self._bounds[0])))
+        fits = []
+        for e, minority in zip(self._evals, minorities):
+            # row by row in memory, so each row's sums take a one-row sample's order
+            samples = _samples(e, np.ascontiguousarray(e[:, minority]))
+            spreads = _spreads(*samples)  # once, for every shift
+            fits.append([_shift(shift, *samples, alpha, spreads) for shift in shifts])
+        sizes = [len(e) for e in self._evals]
+        self._fits = [ShiftEstimate(by_block[0].method, *(
+            np.concatenate([getattr(fit, name) for fit in by_block])
+            for name in ("q_anchor", "p_anchor", "sigma_p", "sigma_q")),
+            None if by_block[0].branch is None
+            else np.repeat([fit.branch for fit in by_block], sizes))
+            for by_block in zip(*fits)]
+        self.shifts = self._fits
+        self._exact_rows: dict = {}
 
     @cached_property
-    def _exact(self) -> list[tuple[_RankTable, float]]:
-        """The exact tables and tops: one exact log density, at the pool and its images."""
-        return self._tables(_log_ratios(self.model_p.log_evaluate, self.shifts,
-                                        self.model_p.support_points))
+    def _grid(self) -> _LogGrid:
+        """The pools' log-density grid, a row per pool; each shift's q reads it through its map."""
+        return _LogGrid(self._evals, self._h, self._shared)
 
-    def _p_values(self, values: np.ndarray, j: np.ndarray) -> list[np.ndarray]:
-        """Each shift's exact mass at test scores ``values`` of ranks ``j``.
+    @cached_property
+    def _factor(self) -> np.ndarray:
+        """Each row's ``E = exp(2 eps)``, ``eps = 2 * error`` (see the module docstring)."""
+        with np.errstate(over="ignore"):
+            return np.exp(4.0 * self._grid.error)
+
+    @cached_property
+    def _certified(self) -> np.ndarray:
+        """Which rows have certified tables: none at alpha >= 1/2, and no row with no grid or
+        where ``alpha * E >= 1`` lets the screen drop no point."""
+        return (self.alpha < 0.5) & self._grid.has_grid & (self.alpha * self._factor < 1)
+
+    def _cover(self, values: np.ndarray, rows: np.ndarray) -> None:
+        """Extend the certified rows' grid over the pool, ``values`` and their images."""
+        lo, hi = (bound.copy() for bound in self._bounds)
+        starts = np.searchsorted(rows, np.arange(lo.size + 1))
+        present = np.flatnonzero(starts[:-1] < starts[1:])
+        if present.size:
+            at = starts[present]
+            lo[present] = np.minimum(lo[present],
+                                     self._to_eval(np.minimum.reduceat(values, at)))
+            hi[present] = np.maximum(hi[present],
+                                     self._to_eval(np.maximum.reduceat(values, at)))
+        every = np.arange(lo.size)
+        # the maps rise with x, so the images of the ends bound every image
+        ends = [lo, hi, *(shift.to_pool(end, every) for shift in self._fits for end in (lo, hi))]
+        self._grid.cover(np.min(ends, axis=0), np.max(ends, axis=0), self._certified)
+
+    @cached_property
+    def _by_row(self) -> list:
+        """Each certified row's :meth:`_row`, built in one pass; None for another row.
+
+        The certified tables are of grid ratios, read at every certified
+        row's pool points at once, and built a block at a time.
+        """
+        certified = self._certified
+        out: list = [None] * len(certified)
+        if not certified.any():
+            return out
+        self._cover(np.empty(0), np.empty(0, dtype=np.intp))
+        blocks, first = [], 0
+        for pool, e in zip(self._pools, self._evals):
+            mine = certified[first:first + len(pool)]
+            blocks.append((np.flatnonzero(mine) + first, pool[mine], e[mine]))
+            first += len(pool)
+        points = np.concatenate([e.reshape(-1) for _, _, e in blocks])
+        point_rows = np.concatenate([np.repeat(r, e.shape[-1]) for r, _, e in blocks])
+        starts = np.searchsorted(point_rows, np.flatnonzero(certified))
+        tops, ratios = [], []
+        for log_r in _log_ratios(self._grid.log_sums, self._fits, points, point_rows):
+            tops.append(np.maximum.reduceat(log_r, starts))
+            ratios.append(np.exp(log_r - np.repeat(tops[-1], np.diff([*starts, log_r.size]))))
+        ratios, at = np.array(ratios), 0
+        tops = dict(zip(np.flatnonzero(certified).tolist(), zip(*tops)))
+        for rows, pool, _ in blocks:
+            if rows.size:  # every shift's tables of the block's rows, at once
+                block = _weighted_table(pool, ratios[:, at:at + pool.size].reshape(
+                    -1, *pool.shape))
+                for i, r in enumerate(rows.tolist()):
+                    out[r] = self._screened(r, [
+                        (_RankTable(block.sorted_cal[i], mass[i]), top)
+                        for mass, top in zip(block.mass, tops[r])],
+                        self.alpha * self._factor[r])
+                at += pool.size
+        return out
+
+    def _row(self, r: int) -> tuple[list[ShiftEstimate], list[tuple[_RankTable, float]], float]:
+        """Row r's shifts (float fields), each shift's table and top, and its screen's cutoff:
+        the certified tables, or the exact ones in a row with none."""
+        if self._by_row[r] is None:
+            self._by_row[r] = self._screened(r, self._exact(r)[2], self.alpha)
+        return self._by_row[r]
+
+    def _screened(self, r: int, tables: list, level: float) -> tuple:
+        """Row r's shifts, its ``tables`` and the cutoff of their screen at ``level``.
+
+        The screen keeps the ranks whose mass could fall under alpha under
+        some shift: on the certified tables at ``alpha * E``, or on the
+        exact ones at alpha. A table's masses never fall as the rank rises,
+        and neither do their roundings, so the kept ranks are the k
+        smallest, and the kept test scores those under one cutoff, as a
+        rank rule's flags are (:meth:`_RankTable.cutoff`).
+        """
+        ranks = np.arange(tables[0][0].mass.size)
+        keep = np.zeros(ranks.size, dtype=bool)
+        for table, _ in tables:
+            keep |= table.screen(ranks, level)
+        return ([shift.row(r) for shift in self._fits], tables,
+                _cutoff(tables[0][0].sorted_cal, int(np.count_nonzero(keep))))
+
+    def _exact(self, r: int) -> tuple:
+        """Row r's pool KDE, its shifts, and each shift's exact table and top: one exact log
+        density, at the pool and its images."""
+        if r not in self._exact_rows:
+            b, l = self._grid.rows[r]
+            model = DensityModel(self._evals[b][l], self._h)
+            shifts = [shift.row(r) for shift in self._fits]
+            self._exact_rows[r] = model, shifts, [
+                (_weighted_table(self._pools[b][l], np.exp(log_r - top)), top)
+                for log_r in _log_ratios(model.log_evaluate, shifts, model.support_points)
+                for top in (log_r.max(),)]
+        return self._exact_rows[r]
+
+    def _p_values(self, r: int, values: np.ndarray, j: np.ndarray) -> list[np.ndarray]:
+        """Each shift's exact mass at row r's test scores ``values`` of ranks ``j``.
 
         The mass is ``table.p_values(j, exp(log_r))``, and its limit 1 where
         that ratio overflows.
         """
+        model, shifts, tables = self._exact(r)
         masses = []
-        for (table, top), log_r in zip(self._exact, _log_ratios(
-                self.model_p.log_evaluate, self.shifts, self._to_eval(values))):
+        for (table, top), log_r in zip(tables, _log_ratios(model.log_evaluate, shifts,
+                                                           self._to_eval(values))):
             with np.errstate(over="ignore"):
                 ratios = np.exp(log_r - top)
             over = np.isinf(ratios)
@@ -618,69 +901,71 @@ class WeightedRule:
             masses[-1][over] = 1.0
         return masses
 
-    @cached_property
-    def _grid(self) -> _LogGrid:
-        """The pool KDE's log-density grid; each shift's q reads it through its map."""
-        return _LogGrid(self.model_p.support_points, self.model_p.bandwidth, self._shared)
-
-    @cached_property
-    def _certified(self) -> list[tuple[_RankTable, float]] | None:
-        """Each shift's grid table and top; None (exact masses) at alpha >= 1/2, with no
-        grid, or where ``alpha * E >= 1`` lets the screen drop no point."""
-        if self.alpha >= 0.5 or self._grid.log_sum is None or self.alpha * self._factor >= 1:
-            return None
-        return self._tables(_log_ratios(self._grid.log_sums, self.shifts,
-                                        self.model_p.support_points))
-
-    @cached_property
-    def _factor(self) -> float:
-        """``E = exp(2 eps)``, ``eps = 2 * error`` of the grid (see the module docstring)."""
-        with np.errstate(over="ignore"):
-            return float(np.exp(4.0 * self._grid.error))
-
-    def _evaluate(self, values: np.ndarray, j: np.ndarray) -> list[np.ndarray]:
-        """Each shift's mass at test scores ``values`` of ranks ``j``.
+    def _evaluate(self, r: int, values: np.ndarray, j: np.ndarray) -> list[np.ndarray]:
+        """Each shift's mass at row r's test scores ``values`` of ranks ``j``.
 
         The mass is the grid's where every shift's certified bounds decide
         ``mass < alpha``, and the exact one at a point some shift leaves
-        open, or at every point if there are no certified tables.
+        open, or at every point of a row with no certified tables.
         """
-        if self._certified is None:
-            return self._p_values(values, j)
+        if not self._certified[r]:
+            return self._p_values(r, values, j)
+        shifts, tables, _ = self._row(r)
         masses, open_ = [], np.zeros(j.shape, dtype=bool)
-        for (table, top), log_r in zip(self._certified, _log_ratios(
-                self._grid.log_sums, self.shifts, self._to_eval(values))):
-            lo, p, hi = _masses(table, j, log_r - top, self._factor)
+        for (table, top), log_r in zip(tables, _log_ratios(
+                partial(self._grid.log_sums, rows=r), shifts, self._to_eval(values))):
+            lo, p, hi = _masses(table, j, log_r - top, self._factor[r])
             open_ |= ~((hi < self.alpha * (1.0 - _SCREEN_SLACK))
                        | (lo >= self.alpha * (1.0 + _SCREEN_SLACK)))
             masses.append(p)
         open_ = np.flatnonzero(open_)
         if open_.size:
-            for p, exact in zip(masses, self._p_values(values[open_], j[open_])):
+            for p, exact in zip(masses, self._p_values(r, values[open_], j[open_])):
                 p[open_] = exact
         return masses
 
-    def p_values(self, values) -> list[np.ndarray]:
-        """Each shift's weighted mass at every test score, within the certified bounds."""
+    def _points(self, values, rows) -> tuple[np.ndarray, list[tuple[int, slice]]]:
+        """Test scores as floats, and each row's slice of them; the grid extended over them."""
         values = np.asarray(values, dtype=float)
-        return self._evaluate(values, (self._certified or self._exact)[0][0].ranks(values))
+        rows = (np.zeros(values.shape, dtype=np.intp) if rows is None
+                else np.asarray(rows, dtype=np.intp))
+        if rows.shape != values.shape or (rows[1:] < rows[:-1]).any():
+            raise ValueError("rows_not_grouped: one row per test score, nondecreasing")
+        if rows.size and not 0 <= rows[0] <= rows[-1] < len(self._grid.rows):
+            raise ValueError(f"row_out_of_range: rows run from 0 to {len(self._grid.rows) - 1}")
+        self._cover(values, rows)
+        bounds = np.searchsorted(rows, np.arange(len(self._grid.rows) + 1)).tolist()
+        return values, [(r, slice(start, stop)) for r, (start, stop)
+                        in enumerate(zip(bounds, bounds[1:])) if start < stop]
 
-    def flags(self, values: np.ndarray) -> list[np.ndarray]:
+    def p_values(self, values, rows=None) -> list[np.ndarray]:
+        """Each shift's weighted mass at every test score, within the certified bounds.
+
+        ``rows`` gives each score's row, nondecreasing; all row 0 if not given.
+        """
+        values, parts = self._points(values, rows)
+        out = [np.empty(values.shape) for _ in self._fits]
+        for r, part in parts:
+            ranks = self._row(r)[1][0][0].ranks(values[part])
+            for p, mass in zip(out, self._evaluate(r, values[part], ranks)):
+                p[part] = mass
+        return out
+
+    def flags(self, values, rows=None) -> list[np.ndarray]:
         """Each shift's ``mass < alpha`` at test scores ``values``, equal to the exact rule's.
 
         The screen keeps every point that could be flagged: the certified
-        tables' at ``alpha * E``, or the exact tables' at alpha if there are
-        none. The others are unflagged under every shift, and the kept ones
-        take their masses from :meth:`p_values`' evaluator.
+        tables' at ``alpha * E``, or the exact tables' at alpha in a row
+        with none, each row's below its cutoff. The others are unflagged
+        under every shift, and the kept ones take their masses from
+        :meth:`p_values`' evaluator, a row at a time.
         """
-        tables, factor = ((self._certified, self._factor) if self._certified
-                          else (self._exact, 1.0))
-        j = tables[0][0].ranks(values)
-        keep = np.zeros(j.shape, dtype=bool)
-        for table, _ in tables:
-            keep |= table.screen(j, self.alpha * factor)
-        keep = np.flatnonzero(keep)
-        out = [np.zeros(j.shape, dtype=bool) for _ in self.shifts]
-        for flagged, p in zip(out, self._evaluate(values[keep], j[keep])):
-            flagged[keep] = p < self.alpha
+        values, parts = self._points(values, rows)
+        out = [np.zeros(values.shape, dtype=bool) for _ in self._fits]
+        for r, part in parts:
+            _, tables, cutoff = self._row(r)
+            keep = np.flatnonzero(values[part] < cutoff)
+            kept = values[part][keep]
+            for flagged, p in zip(out, self._evaluate(r, kept, tables[0][0].ranks(kept))):
+                flagged[part][keep] = p < self.alpha
         return out

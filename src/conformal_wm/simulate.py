@@ -21,13 +21,14 @@ One driver runs every scenario's grid of levels x calibrations x seeds, one
 sets are drawn as the rows of one array, with each family's elementwise
 finish applied once over them, and labeled from one row-wise quantile; its
 calibrations are drawn into one flat array the same way. A scenario
-supplies only the row drawer and a calibration pass whose flaggers compare
-a null level's rows with all of its calibrations at once. The standard and
-hierarchical rules, and the minority-only and pooled-unweighted ones of the
-weighted scenario, flag exactly the test scores below one calibration
-score, so all four flag through one cutoff flagger and rank nothing. Such
-flags ignore the order of the test scores, so only the weighted scenario,
-whose weighted rules rank them, sorts each row.
+supplies only the row drawer and a calibration pass whose flagger compares
+the task's rows with all of their null level's calibrations at once. The
+standard and hierarchical rules, and the minority-only and
+pooled-unweighted ones of the weighted scenario, flag exactly the test
+scores below one calibration score, so all four flag through one cutoff
+flagger and rank nothing. The weighted rules of every pool of the task are
+one rule, which ranks only the test scores below its screen's cutoffs.
+Every flag ignores the order of the test scores, so no row is sorted.
 
 All randomness is derived from counter-style substreams, each keyed by
 ``SeedSequence`` on (seed, prompt, levels, size, stream role), so results
@@ -48,7 +49,8 @@ from typing import Mapping
 import numpy as np
 
 from .conformal import pooled_hierarchical_cutoff, standard_cutoffs
-from .density import SIGMA_FLOOR, WeightedRule, check_bandwidth, check_quantile_alpha
+from .density import (SIGMA_FLOOR, WeightedRule, _as_float, check_bandwidth,
+                      check_quantile_alpha)
 from .evaluation import CellResult, MetricsReport, aggregate, is_excluded
 from .labeling import bleu_quantile_threshold, outlier_mask
 
@@ -162,20 +164,20 @@ def _draw(dist: ScoreDistribution, n: int, rng: np.random.Generator) -> np.ndarr
     if fam == "uniform01":
         return 1.0 - rng.random(n)  # (0, 1]
     if fam == "logit_normal":
-        mu = float(p.get("mu", 0.0))
-        sigma = float(p.get("sigma", 1.0))
+        mu = _as_float(p.get("mu", 0.0))
+        sigma = _as_float(p.get("sigma", 1.0))
         if not (math.isfinite(mu) and 0 < sigma < math.inf):
             raise ValueError(f"invalid_params: mu={mu}, sigma={sigma}")
         return rng.normal(mu, sigma, n)
     if fam == "beta":
-        a = float(p.get("a", 1.0))
-        b = float(p.get("b", 1.0))
+        a = _as_float(p.get("a", 1.0))
+        b = _as_float(p.get("b", 1.0))
         if not (0 < a < math.inf and 0 < b < math.inf):
             raise ValueError(f"invalid_params: a={a}, b={b}")
         return rng.beta(a, b, n)
     if fam == "mixture":
         comps = p["components"]
-        weights = np.array([float(c["weight"]) for c in comps])
+        weights = np.array([_as_float(c["weight"]) for c in comps])
         with np.errstate(over="ignore"):  # a sum past the largest float is inf, and rejected
             total = weights.sum()
         if not ((weights > 0).all() and total < math.inf):
@@ -319,7 +321,8 @@ class ExperimentConfig:
         # scales are finite and positive; test and calibration groups may share one offset
         for name in ("group_sigma", "intensity_logit_sigma", "bleu_concentration"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and (value > 0 or name == "group_sigma" and value == 0)):
+            if not (math.isfinite(_as_float(value))
+                    and (value > 0 or name == "group_sigma" and value == 0)):
                 raise ValueError(f"invalid_scale_parameter: {name}={value!r}")
         # A weighted pool's kernels must stay finite at any two points its
         # queries can reach: scores lie in [_TINY, 1], so on the evaluation
@@ -453,29 +456,26 @@ def _cells(config: ExperimentConfig, streams: _Streams, prompt: int) -> list[Cel
 
     The rows hold each null level's null set, then its alternative sets.
     Flags and outlier hits are counted per calibration and row with one
-    ``count_nonzero`` each.
+    ``count_nonzero`` per method.
     """
-    draw_tests, calibrations, ranks, *_ = _SCENARIO_RUNNERS[config.scenario]
+    draw_tests, calibrations, *_ = _SCENARIO_RUNNERS[config.scenario]
     sets = [(null, alt) for null in config.null_levels for alt in (0, *config.alt_levels(null))]
     tests = draw_tests(config, streams, prompt, sets)
     outliers = _outlier_rows(config, streams, prompt, sets)
-    if ranks:  # cells only count flags, so order is free, and sorted keys rank faster
-        order = np.argsort(tests, axis=1)
-        tests = np.take_along_axis(tests, order, axis=1)
-        outliers = np.take_along_axis(outliers, order, axis=1)
     n_outliers = np.count_nonzero(outliers, axis=1).tolist()
+    sizes, flagger = calibrations(config, streams, prompt)
+    # lists of counts keep every rate a Python float
+    counts = [(method, np.count_nonzero(flagged, axis=-1).tolist(),
+               np.count_nonzero(flagged & outliers, axis=-1).tolist())
+              for method, flagged in flagger(tests).items()]
     n, seed, cells, start = config.n_test, streams.seed, [], 0
-    for null, (sizes, flagger) in zip(config.null_levels, calibrations(config, streams, prompt)):
+    for null in config.null_levels:
         alts = config.alt_levels(null)
         rows = slice(start, start + 1 + len(alts))
         start = rows.stop
-        # lists of counts keep every rate a Python float
-        counts = [(method, np.count_nonzero(flagged, axis=-1).tolist(),
-                   np.count_nonzero(flagged & outliers[rows], axis=-1).tolist())
-                  for method, flagged in flagger(tests[rows]).items()]
         for i, size in enumerate(sizes):
             for method, flags, hits in counts:
-                (null_flags, *alt_flags), (_, *alt_hits) = flags[i], hits[i]
+                (null_flags, *alt_flags), (_, *alt_hits) = flags[i][rows], hits[i][rows]
                 for alt, n_out, n_flags, n_hits in zip(alts, n_outliers[rows][1:],
                                                        alt_flags, alt_hits):
                     cells.append(_make_cell(method, null, alt, size, seed, prompt, n, n_out,
@@ -488,11 +488,12 @@ def _cells(config: ExperimentConfig, streams: _Streams, prompt: int) -> list[Cel
 # ---------------------------------------------------------------------------
 
 # A drawer returns the n_test scores of each ``(null, alt)`` set, one row
-# each and unsorted; alt 0 is the null set. A calibration pass gives, per
-# null level, its calibration sizes and a flagger that maps the level's test
-# rows to ``{method: flags}``, one slice of rows per calibration. Both draw
-# from the seed's ``_Streams``. Calibration passes look the cutoff kernels
-# up as module globals, where a tracer can wrap them.
+# each and unsorted; alt 0 is the null set. A calibration pass gives the
+# task's calibration sizes and a flagger that maps all of its test rows,
+# null level by null level, to ``{method: flags}``, one slice of rows per
+# calibration size. Both draw from the seed's ``_Streams``. Calibration
+# passes look the cutoff kernels up as module globals, where a tracer can
+# wrap them.
 
 
 def _test_rows(config: ExperimentConfig, streams: _Streams, prompt: int,
@@ -534,23 +535,22 @@ def _row_cutoffs(blocks: list[np.ndarray], alpha: float) -> list[float]:
     return [cutoff for block in blocks for cutoff in standard_cutoffs(block, alpha)]
 
 
-def _cutoff_flaggers(config: ExperimentConfig, sizes, cutoffs: dict[str, list[float]]):
-    """Per null level, its sizes and a flagger of its rows below each of its cutoffs.
+def _cutoff_flagger(config: ExperimentConfig, sizes, cutoffs: dict[str, list[float]]):
+    """A flagger of a task's rows below each of their null level's cutoffs.
 
-    Each method's ``cutoffs`` run over the sizes, then the levels; flags come as
-    ``(sizes, rows, n)``.
+    Each method's ``cutoffs`` run over the sizes, then the levels; flags come
+    as ``(sizes, rows, n)``.
     """
-    shape = (len(sizes), len(config.null_levels), 1, 1)
-    by_level = {method: np.reshape(c, shape).swapaxes(0, 1) for method, c in cutoffs.items()}
-    return [(sizes, lambda rows, level=level: {
-        method: rows < below[level] for method, below in by_level.items()})
-        for level in range(len(config.null_levels))]
+    sets = [1 + len(config.alt_levels(null)) for null in config.null_levels]
+    below = {method: np.repeat(np.reshape(c, (len(sizes), -1)), sets, axis=1)[..., np.newaxis]
+             for method, c in cutoffs.items()}
+    return lambda rows: {method: rows < cut for method, cut in below.items()}
 
 
 def _standard_calibrations(config: ExperimentConfig, streams: _Streams, prompt: int):
     blocks = _calibration_draws(config, streams, prompt, config.cal_sizes)
-    return _cutoff_flaggers(config, config.cal_sizes,
-                            {"standard": _row_cutoffs(blocks, config.alpha)})
+    return config.cal_sizes, _cutoff_flagger(config, config.cal_sizes,
+                                             {"standard": _row_cutoffs(blocks, config.alpha)})
 
 
 def _partition_sizes(total: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -572,57 +572,63 @@ def _hierarchical_calibrations(config: ExperimentConfig, streams: _Streams, prom
     draws = np.concatenate(_calibration_draws(config, streams, prompt, config.cal_sizes), None)
     scores = logit_shift(draws, np.repeat(np.concatenate(effects), np.concatenate(groups)))
     cals = _segments(scores, [size for size in config.cal_sizes for _ in config.null_levels])
-    return _cutoff_flaggers(config, config.cal_sizes, {"hierarchical": [
+    return config.cal_sizes, _cutoff_flagger(config, config.cal_sizes, {"hierarchical": [
         pooled_hierarchical_cutoff(cal, group_sizes.tolist(), config.alpha)
         for cal, group_sizes in zip(cals, groups)]})
 
 
 def _weighted_calibrations(config: ExperimentConfig, streams: _Streams, prompt: int):
-    """Per null level, a flagger against its majority plus each minority sample.
+    """The minority sizes, and a flagger against the majority plus each minority sample.
 
     Per minority size, the null levels' pools are the rows of one array, so
     the minority-only and pooled-unweighted rules find their cutoffs with one
-    row-wise sort each. A level's weighted rules share one node sum of its
-    majority (``WeightedRule._sharing``).
+    row-wise sort each. The weighted rules of every pool of the task are one
+    :class:`WeightedRule` over rows (``WeightedRule._stacked``), which sums
+    each null level's majority once on its grid.
     """
     sizes, n = config.minority_sizes, config.majority_cal_size
     (majority,) = _calibration_draws(config, streams, prompt, (n,))
     minorities = _calibration_draws(config, streams, prompt, sizes, "minority_cal", "minority")
     pools = [np.hstack([majority, minority]) for minority in minorities]
-    in_minority = [np.arange(n + m) >= n for m in sizes]
-    flaggers = _cutoff_flaggers(config, sizes, {
+    below = _cutoff_flagger(config, sizes, {
         "in_dist": _row_cutoffs(minorities, config.alpha),
         "combined_unweighted": _row_cutoffs(pools, config.alpha)})
-    for level, (_, below) in enumerate(flaggers):
-        rules = WeightedRule._sharing([pool[level] for pool in pools], in_minority,
-                                      config.bandwidth, config.alpha, ("mean", "quantile"),
-                                      config.log_scale)
-        yield sizes, lambda rows, rules=rules, below=below: {
-            **below(rows), **_weighted_flags(rules, rows)}
+    rule = WeightedRule._stacked(majority, minorities, config.bandwidth, config.alpha,
+                                 ("mean", "quantile"), config.log_scale)
+    # the rule's row of each test score, once per minority size: its pools
+    # run size by size, then level by level
+    levels = len(config.null_levels)
+    of_set = np.repeat(np.arange(levels), [1 + len(config.alt_levels(null))
+                                           for null in config.null_levels])
+    pool_rows = (np.arange(len(sizes))[:, np.newaxis] * levels
+                 + np.repeat(of_set, config.n_test)).reshape(-1)
+    return sizes, lambda rows: {**below(rows), **_weighted_flags(rule, rows, pool_rows)}
 
 
-def _weighted_flags(rules: list[WeightedRule], rows: np.ndarray) -> dict[str, np.ndarray]:
+def _weighted_flags(rule: WeightedRule, rows: np.ndarray,
+                    pool_rows: np.ndarray) -> dict[str, np.ndarray]:
     """The weighted rules' flags of test rows against each pool, as ``(pools, rows, n_test)``.
 
-    The sorted rows are ranked once against each pool, for both rules.
+    The rows' scores are joined once per minority size, each with its pool's
+    row of the rule in ``pool_rows``. Each pool screens its level's rows below
+    one cutoff, and ranks the kept scores once, for both rules.
     """
-    weighted = np.array([rule.flags(rows.reshape(-1)) for rule in rules]).reshape(
-        len(rules), 2, *rows.shape)
-    return {"weighted_mean": weighted[:, 0], "weighted_quantile": weighted[:, 1]}
+    sizes = pool_rows.size // rows.size
+    weighted = rule.flags(np.tile(rows.reshape(-1), sizes), pool_rows)
+    return {"weighted_mean": weighted[0].reshape(sizes, *rows.shape),
+            "weighted_quantile": weighted[1].reshape(sizes, *rows.shape)}
 
 
-# scenario -> (test-row drawer, calibration pass, whether its flaggers rank
-# the test scores, the stream roles a test set draws, null_ or alt_
-# prefixed, and the (role, sizes field) a calibration draws, one stream per
-# size or, with no field, one per null level); only a flagger that ranks
-# reads the test scores' order
+# scenario -> (test-row drawer, calibration pass, the stream roles a test
+# set draws, null_ or alt_ prefixed, and the (role, sizes field) a
+# calibration draws, one stream per size or, with no field, one per null
+# level)
 _SCENARIO_RUNNERS = {
-    "standard": (_test_rows, _standard_calibrations, False, ("test",),
-                 (("cal", "cal_sizes"),)),
-    "hierarchical": (_hierarchical_test_rows, _hierarchical_calibrations, False,
+    "standard": (_test_rows, _standard_calibrations, ("test",), (("cal", "cal_sizes"),)),
+    "hierarchical": (_hierarchical_test_rows, _hierarchical_calibrations,
                      ("test", "test_effects"),
                      (("cal", "cal_sizes"), ("cal_effects", "cal_sizes"))),
-    "weighted": (partial(_test_rows, population="minority"), _weighted_calibrations, True,
+    "weighted": (partial(_test_rows, population="minority"), _weighted_calibrations,
                  ("test",), (("cal", None), ("minority_cal", "minority_sizes"))),
 }
 

@@ -268,9 +268,9 @@ class TestDetectCommand:
             calls.append(model)
             return log_evaluate(model, x)
 
-        def counting_log_sums(grid, x):
+        def counting_log_sums(grid, x, rows):
             reads.append(np.size(x))
-            return log_sums(grid, x)
+            return log_sums(grid, x, rows)
 
         monkeypatch.setattr(DensityModel, "log_evaluate", counting_log_evaluate)
         monkeypatch.setattr(_LogGrid, "log_sums", counting_log_sums)
@@ -871,6 +871,22 @@ class TestSimulateCommand:
          "invalid_config_shape: distributions must be an object, not bool"),
         ({"distributions": None},
          "invalid_config_shape: distributions must be an object, not NoneType"),
+        # a number past the range of floats once exited 1 as an internal
+        # OverflowError: each takes its field's code
+        ({"group_sigma": 10 ** 400}, "invalid_scale_parameter: group_sigma=1000"),
+        ({"intensity_logit_sigma": 10 ** 400},
+         "invalid_scale_parameter: intensity_logit_sigma=1000"),
+        ({"bleu_concentration": -10 ** 400},
+         "invalid_scale_parameter: bleu_concentration=-1000"),
+        ({"distributions": {"majority": {"1": {"family": "beta", "params": {"a": 10 ** 400}}}}},
+         "invalid_params: a=inf, b=1.0"),
+        ({"scenario": "weighted", "distributions": {"minority": {"2": {
+            "family": "logit_normal", "params": {"mu": -10 ** 400}}}}},
+         "invalid_params: mu=-inf, sigma=1.0"),
+        ({"distributions": {"majority": {"1": {"family": "mixture", "params": {"components": [
+            {"family": "uniform01", "weight": 10 ** 400}]}}}}},
+         "invalid_params: mixture weights must be positive, with a finite sum"),
+        ({"scenario": "weighted", "bandwidth": 10 ** 400}, "bandwidth_not_finite: 1000"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, config, detail):
         # each of these once escaped validation and exited 1 as an internal

@@ -79,15 +79,18 @@ class TestFitKde:
     def test_support_is_a_read_only_float64_copy(self):
         pool = np.array([0.25, -1.5, 2.0])
         rule = density.WeightedRule(pool, np.arange(3) < 2, 0.5, 0.05, ("mean",), False)
-        models = [DensityModel(pool, 0.5), rule.model_p,
-                  DensityModel(support_points=(1, 2), bandwidth=1.0)]
+        # the rule's pool KDE sums over the support its grid and exact model read
+        supports = [DensityModel(pool, 0.5).support_points, rule._grid.blocks[0][0],
+                    DensityModel(support_points=(1, 2), bandwidth=1.0).support_points]
         pool[0] = 9.0
-        for model in models:
-            assert model.support_points.dtype == np.float64
-            assert not model.support_points.flags.writeable
-        assert models[0].support_points.tolist() == [0.25, -1.5, 2.0]
-        assert models[1].support_points.tolist() == [0.25, -1.5, 2.0]
-        assert models[2].support_points.tolist() == [1.0, 2.0]
+        supports.append(rule._exact(0)[0].support_points)
+        for support in supports:
+            assert support.dtype == np.float64
+            assert not support.flags.writeable
+        assert supports[0].tolist() == [0.25, -1.5, 2.0]
+        assert supports[1].tolist() == [0.25, -1.5, 2.0]
+        assert supports[2].tolist() == [1.0, 2.0]
+        assert supports[3].tolist() == [0.25, -1.5, 2.0]
 
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_nonpositive_bandwidth_rejected(self, bad):
@@ -385,16 +388,23 @@ class TestLogRatios:
         # one call give the bits of one call per point set
         shifts = [ShiftEstimate("mean", *anchors) for anchors in maps]
         model = DensityModel(support, bandwidth)
-        grid = density._LogGrid(model.support_points, bandwidth)
+        grid = full_grid(model.support_points, bandwidth)
         x = np.array(x)
         with mock.patch.object(density, "_BLOCK_BYTES", block_bytes):
-            for log_density in (model.log_evaluate, grid.log_sums):
+            for log_density in (model.log_evaluate, lambda q: grid.log_sums(q, 0)):
                 sizes = []
                 got = density._log_ratios(
                     lambda q: sizes.append(q.size) or log_density(q), shifts, x)
                 assert sizes == [x.size * (1 + len(shifts))]
                 want = [log_density(shift.to_pool(x)) - log_density(x) for shift in shifts]
                 assert [r.tobytes() for r in got] == [r.tobytes() for r in want]
+
+
+def full_grid(support, bandwidth, shared=0):
+    """A one-row grid of ``support``, built over its whole span."""
+    grid = density._LogGrid([np.asarray(support)[np.newaxis]], bandwidth, shared)
+    grid.cover(np.array([-np.inf]), np.array([np.inf]), np.array([True]))
+    return grid
 
 
 def dense_sums(model, x):
@@ -549,22 +559,29 @@ ROUNDINGS = 16 * 2.0 ** -53
 TINY = np.finfo(float).tiny
 
 
-def exact_tables(rule):
-    """Each shift's weighted table of exact ratios."""
-    return [table for table, _ in rule._exact]
+def exact_tables(rule, r=0):
+    """Each shift's weighted table of exact ratios, of row r."""
+    return [table for table, _ in rule._exact(r)[2]]
 
 
-def assert_exact_or_within_certified_bounds(rule, tests, exact):
-    """``rule.p_values(tests)`` equals the exact masses ``exact`` with no
+def exact_p_values(rule, tests, r=0):
+    """Each shift's exact mass at ``tests``, against row r."""
+    return rule._p_values(r, tests, exact_tables(rule, r)[0].ranks(tests))
+
+
+def assert_exact_or_within_certified_bounds(rule, tests, exact, r=0):
+    """``rule.p_values(tests)`` on row r equals the exact masses ``exact`` with no
     certified tables; otherwise it and they lie within the certified bounds."""
-    got = rule.p_values(tests)
-    if rule._certified is None:
+    got = rule.p_values(tests, np.full(tests.size, r))
+    if not rule._certified[r]:
         assert [p.tobytes() for p in got] == [p.tobytes() for p in exact]
         return
-    j = rule._certified[0][0].ranks(tests)
-    log_ratios = density._log_ratios(rule._grid.log_sums, rule.shifts, rule._to_eval(tests))
-    for (table, top), log_r, want, p in zip(rule._certified, log_ratios, exact, got):
-        lo, _, hi = density._masses(table, j, log_r - top, rule._factor)
+    shifts, tables, _ = rule._row(r)
+    j = tables[0][0].ranks(tests)
+    log_ratios = density._log_ratios(lambda q: rule._grid.log_sums(q, r), shifts,
+                                     rule._to_eval(tests))
+    for (table, top), log_r, want, p in zip(tables, log_ratios, exact, got):
+        lo, _, hi = density._masses(table, j, log_r - top, rule._factor[r])
         # up to the few roundings of a bound, and a bound under the smallest
         # normal double may read 0; a NaN bound bounds nothing
         for mass in (want, p):
@@ -595,7 +612,7 @@ class TestWeightedRule:
         top = log_cal.max()
         want = weighted_p_values(pool, np.exp(log_cal - top), tests, np.exp(log_test - top))
         rule = density.WeightedRule(pool, minority, 0.5, 0.05, (shift,), log_scale)
-        (got,) = rule._p_values(tests, exact_tables(rule)[0].ranks(tests))
+        (got,) = exact_p_values(rule, tests)
         assert got.shape == (n_tests,)
         assert got.tobytes() == want.tobytes()
         assert rule.shifts[0] == est
@@ -609,7 +626,7 @@ class TestWeightedRule:
         flags = rule.flags(tests)
         tables = exact_tables(rule)
         j = tables[0].ranks(tests)
-        want = [p < 0.05 for p in rule._p_values(tests, j)]
+        want = [p < 0.05 for p in rule._p_values(0, tests, j)]
         assert [f.tolist() for f in flags] == [w.tolist() for w in want]
         # some points are flagged, and the screen drops some others
         assert any(w.any() for w in want)
@@ -632,15 +649,17 @@ class TestWeightedRule:
         # the pools' own scores (ties included), draws across them, deep tails
         tests = np.concatenate([pools[1], 1.0 / (1.0 + np.exp(-rng.normal(-1.0, 3.0, 300))),
                                 [1e-10, 1e-30, 1e-200]])
-        shared = density.WeightedRule._sharing(pools, masks, bandwidth, alpha,
-                                               ("mean", "quantile"), log_scale)
+        # one rule over both pools, which shares their majority's node sums
+        shared = density.WeightedRule._stacked(majority[np.newaxis],
+                                               [minority[np.newaxis] for minority in minorities],
+                                               bandwidth, alpha, ("mean", "quantile"), log_scale)
         alone = density.WeightedRule(pools[0], masks[0], bandwidth, alpha,
                                      ("mean", "quantile"), log_scale)
-        for rule in (*shared, alone):
-            flags = rule.flags(tests)
-            exact = rule._p_values(tests, exact_tables(rule)[0].ranks(tests))
+        for rule, r in ((shared, 0), (shared, 1), (alone, 0)):
+            flags = rule.flags(tests, np.full(tests.size, r))
+            exact = exact_p_values(rule, tests, r)
             assert [f.tolist() for f in flags] == [(p < alpha).tolist() for p in exact]
-            assert_exact_or_within_certified_bounds(rule, tests, exact)
+            assert_exact_or_within_certified_bounds(rule, tests, exact, r)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_majority=st.integers(1, 60),
@@ -672,11 +691,72 @@ class TestWeightedRule:
         shifts = ("mean", "quantile")[:2 if alpha < 0.5 else 1]
         rule = density.WeightedRule(pool, np.arange(pool.size) >= n_majority, bandwidth,
                                     alpha, shifts, log_scale)
-        exact = rule._p_values(tests, exact_tables(rule)[0].ranks(tests))
+        exact = exact_p_values(rule, tests)
         assert [f.tolist() for f in rule.flags(tests)] == [(p < alpha).tolist() for p in exact]
         # no grid, alpha >= 1/2 or a loose bound: every mass is exact
-        assert rule._certified is None or alpha < 0.5
+        assert not rule._certified[0] or alpha < 0.5
         assert_exact_or_within_certified_bounds(rule, tests, exact)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 4),
+           n_majority=st.integers(1, 40), m=st.integers(1, 10),
+           bandwidth=st.sampled_from([0.05, 0.2, 0.5, 1.5]), log_scale=st.booleans(),
+           alpha=st.sampled_from([0.05, 0.1, 0.3, 0.7]),
+           tiny=st.lists(st.booleans(), min_size=4, max_size=4))
+    # a 1e-300 score in one row: log10 of that pool spans 300 units, too wide
+    # for a grid at h = 0.05, and for its bound to decide anything at h = 0.5
+    @example(seed=3, rows=3, n_majority=30, m=6, bandwidth=0.05, log_scale=True,
+             alpha=0.05, tiny=[False, True, False, False])
+    @example(seed=3, rows=3, n_majority=30, m=6, bandwidth=0.5, log_scale=True,
+             alpha=0.05, tiny=[False, True, False, False])
+    # alpha at least 1/2: the mean shift only, every mass exact
+    @example(seed=4, rows=2, n_majority=30, m=6, bandwidth=0.5, log_scale=False,
+             alpha=0.7, tiny=[False] * 4)
+    def test_rows_decide_as_one_row_rules_bit_for_bit(self, seed, rows, n_majority, m,
+                                                      bandwidth, log_scale, alpha, tiny):
+        rng = np.random.default_rng(seed)
+        pools = 1.0 / (1.0 + np.exp(-np.concatenate(
+            [rng.normal(0.0, 1.5, (rows, n_majority)), rng.normal(-1.0, 1.5, (rows, m))],
+            axis=1)))
+        pools[np.array(tiny[:rows]), 0] = 1e-300
+        minority = np.arange(n_majority + m) >= n_majority
+        shifts = ("mean", "quantile")[:2 if alpha < 0.5 else 1]
+        # each row's own test scores, of its own number, deep tails included
+        tests = [np.concatenate([pools[r, :int(rng.integers(0, 10))], [1e-10, 1e-200][:r % 3],
+                                 1.0 / (1.0 + np.exp(-rng.normal(-1.0, 3.0,
+                                                                 int(rng.integers(0, 80)))))])
+                 for r in range(rows)]
+        values = np.concatenate(tests)
+        of_row = np.repeat(np.arange(rows), [t.size for t in tests])
+        rule = density.WeightedRule(pools, minority, bandwidth, alpha, shifts, log_scale)
+        flags, p_values = rule.flags(values, of_row), rule.p_values(values, of_row)
+        for r, mine in enumerate(tests):
+            alone = density.WeightedRule(pools[r], minority, bandwidth, alpha, shifts,
+                                         log_scale)
+            assert [shift.row(r) for shift in rule.shifts] == alone.shifts
+            assert ([f[of_row == r].tolist() for f in flags]
+                    == [f.tolist() for f in alone.flags(mine)])
+            assert ([p[of_row == r].tobytes() for p in p_values]
+                    == [p.tobytes() for p in alone.p_values(mine)])
+        if log_scale and alpha < 0.5:
+            # a 1e-300 score's pool spans 300 log10 units: a grid of over 2**14
+            # nodes at h = 0.05 or 0.2, or one whose bound decides nothing
+            assert rule._certified.tolist() == [not t for t in tiny[:rows]]
+            assert rule._grid.has_grid.tolist() == [
+                not t or bandwidth in (0.5, 1.5) for t in tiny[:rows]]
+
+    @pytest.mark.parametrize("rows, code", [([1, 0, 1], "rows_not_grouped"),
+                                            ([0, 1], "rows_not_grouped"),
+                                            ([0, 1, 2], "row_out_of_range"),
+                                            ([-1, 0, 1], "row_out_of_range")])
+    def test_test_scores_name_their_rows(self, rows, code):
+        # a score's row must be one of the rule's, and the rows come grouped
+        pool, minority, tests = logit_normal_pool(4, 15)
+        rule = density.WeightedRule(np.stack([pool, pool[::-1]]), minority, 0.5, 0.05,
+                                    ("mean",), True)
+        for method in (rule.flags, rule.p_values):
+            with pytest.raises(ValueError, match=code):
+                method(tests[:3], np.array(rows))
 
     def test_rule_keeps_its_own_read_only_pool(self):
         # reusing the caller's array after building the rule changes nothing
@@ -689,7 +769,7 @@ class TestWeightedRule:
                 == [p.tobytes() for p in want.p_values(tests)])
         assert ([f.tolist() for f in rule.flags(tests)]
                 == [f.tolist() for f in want.flags(tests)])
-        assert not rule._pool.flags.writeable
+        assert not rule._pools[0].flags.writeable
 
     @pytest.mark.parametrize("case", ["coarse_grid", "tiny_score"])
     def test_flags_equal_p_values_where_the_grid_leaves_points_open(self, monkeypatch,
@@ -705,24 +785,24 @@ class TestWeightedRule:
         rule = density.WeightedRule(pool, minority, 0.5, 0.05, ("mean", "quantile"), True)
         opened = []
         exact = rule._p_values
-        monkeypatch.setattr(rule, "_p_values",
-                            lambda values, j: opened.append(values.size) or exact(values, j))
+        monkeypatch.setattr(rule, "_p_values", lambda r, values, j: opened.append(values.size)
+                            or exact(r, values, j))
         flags = rule.flags(tests)
         # the candidates are the points the screen keeps: the certified
         # tables' at alpha * E, or the exact tables' at alpha with none
         if case == "coarse_grid":
-            (table, _), (other, _) = rule._certified
-            level = 0.05 * rule._factor
+            (table, _), (other, _) = rule._row(0)[1]
+            level = 0.05 * rule._factor[0]
         else:
-            assert rule._certified is None and 0.05 * rule._factor >= 1.0
+            assert not rule._certified[0] and 0.05 * rule._factor[0] >= 1.0
             table, other = exact_tables(rule)
             level = 0.05
         j = table.ranks(tests)
         candidates = np.count_nonzero(table.screen(j, level) | other.screen(j, level))
-        want = [p < 0.05 for p in exact(tests, j)]
+        want = [p < 0.05 for p in exact(0, tests, j)]
         assert [f.tolist() for f in flags] == [w.tolist() for w in want]
         assert any(w.any() for w in want)
-        assert rule._grid.log_sum is not None
+        assert rule._grid.has_grid[0]
         if case == "coarse_grid":
             assert 0 < opened[0] < candidates
         else:
@@ -748,9 +828,9 @@ class TestWeightedRule:
         tests = np.concatenate([tests[:40], [1e-2, 1e-5, 1e-10, 1e-25, 1e-30, 1e-60,
                                              1e-200]])
         rule = density.WeightedRule(pool, minority, 0.5, 0.05, (shift,), True)
-        (got,) = rule._p_values(tests, exact_tables(rule)[0].ranks(tests))
+        (got,) = exact_p_values(rule, tests)
         (est,) = rule.shifts
-        support = rule.model_p.support_points.tolist()
+        support = rule._grid.blocks[0][0].tolist()
 
         def log_ratio(score):
             x = math.log10(score)
@@ -788,51 +868,84 @@ class TestLogGrid:
         support = np.array(scores + scores[:duplicates])
         if log_scale:
             support = np.log10(support)
-        grid = density._LogGrid(support, bandwidth)
-        assert grid.log_sum is not None
-        lo, hi = grid.lo, grid.lo + grid.step * (grid.log_sum.size - 1)
+        grid = full_grid(support, bandwidth)
+        assert grid.has_grid[0]
+        lo, hi = grid.lo[0], grid.lo[0] + grid.step * grid.cells[0]
         # the support points, then points across the grid and a little beyond it
         x = np.concatenate([support, lo + (hi - lo) * np.array(where)])
-        y, usable = grid.read(x)
+        y, usable = grid.read(x, 0)
         assert usable[:support.size].all() and usable[(x > lo) & (x < hi)].all()
         assert not usable[(x < lo) | (x > hi)].any()
         # exact log densities, also where the density itself underflows
         exact = DensityModel(support, bandwidth).log_evaluate(x[usable]) + math.log(
             support.size * bandwidth * math.sqrt(2.0 * math.pi))
-        assert (np.abs(y[usable] - exact) <= grid.error).all()
+        assert (np.abs(y[usable] - exact) <= grid.error[0]).all()
 
     @settings(max_examples=40, deadline=None)
     @given(
         scores=st.lists(st.floats(1e-8, 1.0), min_size=2, max_size=150),
         split=st.integers(1, 149),
         bandwidth=st.floats(0.05, 2.0),
-        margin=st.integers(0, 40),
         where=st.lists(st.floats(-0.05, 1.05), max_size=200),
     )
-    def test_shared_node_sums_read_within_error(self, scores, split, bandwidth, margin,
-                                                where):
-        # a grid whose node sums combine a shared part's (held over more
-        # nodes than it needs) with the rest's, as simulate's pools do
+    def test_shared_node_sums_read_within_error(self, scores, split, bandwidth, where):
+        # a grid whose node sums combine the shared points' with the rest's,
+        # as a stack of pools with one majority does
         support = np.log10(np.array(scores))
         split = min(split, support.size - 1)
-        k_lo, k_hi = density._node_span(support, bandwidth)
-        sums = density._node_sums(support[:split], bandwidth, k_lo - margin, k_hi + margin)
-        grid = density._LogGrid(support, bandwidth,
-                                (k_lo - margin, *sums, support[split:]))
-        alone = density._LogGrid(support, bandwidth)
-        assert (grid.lo, grid.log_sum.size, grid.error) == (alone.lo, alone.log_sum.size,
-                                                            alone.error)
-        x = np.concatenate([support, grid.lo + grid.step * (grid.log_sum.size - 1)
-                            * np.array(where)])
-        y, usable = grid.read(x)
+        grid = full_grid(support, bandwidth, shared=split)
+        alone = full_grid(support, bandwidth)
+        for name in ("lo", "cells", "error"):
+            assert getattr(grid, name).tolist() == getattr(alone, name).tolist()
+        x = np.concatenate([support, grid.lo[0] + grid.step * grid.cells[0] * np.array(where)])
+        y, usable = grid.read(x, 0)
         assert usable[:support.size].all()
         exact = DensityModel(support, bandwidth).log_evaluate(x[usable]) + math.log(
             support.size * bandwidth * math.sqrt(2.0 * math.pi))
-        assert (np.abs(y[usable] - exact) <= grid.error).all()
+        assert (np.abs(y[usable] - exact) <= grid.error[0]).all()
         # outside the grid, an exact row
-        assert (np.abs(grid.log_sums(x) - DensityModel(support, bandwidth).log_evaluate(x)
+        assert (np.abs(grid.log_sums(x, 0) - DensityModel(support, bandwidth).log_evaluate(x)
                        - math.log(support.size * bandwidth * math.sqrt(2.0 * math.pi)))
-                <= grid.error).all()
+                <= grid.error[0]).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        scores=st.lists(st.floats(1e-8, 1.0), min_size=2, max_size=60),
+        rows=st.integers(1, 3),
+        split=st.integers(0, 59),
+        bandwidth=st.floats(0.05, 2.0),
+        ranges=st.lists(st.tuples(st.floats(-0.2, 1.2), st.floats(-0.2, 1.2)),
+                        min_size=1, max_size=4),
+        where=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=100),
+    )
+    def test_sub_range_and_pieces_read_the_full_grids_bits(self, scores, rows, split,
+                                                          bandwidth, ranges, where):
+        # nodes built over part of the span, then extended piece by piece,
+        # read the bits of the grid built over the whole span
+        support = np.log10(np.array(scores))
+        blocks = [np.stack([np.roll(support, r) for r in range(rows)])]
+        split = min(split, support.size - 1)
+        if split:  # every row shares its first points: one majority of a stack
+            blocks[0][:, :split] = support[:split]
+        grid = density._LogGrid(blocks, bandwidth, split)
+        full = density._LogGrid(blocks, bandwidth, split)
+        full.cover(np.full(rows, -np.inf), np.full(rows, np.inf), np.full(rows, True))
+        span_lo, span = grid.lo, grid.step * grid.cells
+        covered_lo, covered_hi = np.full(rows, np.inf), np.full(rows, -np.inf)
+        for lo, hi in ranges:  # one piece per row and call
+            lo, hi = span_lo + span * min(lo, hi), span_lo + span * max(lo, hi)
+            grid.cover(lo, hi, np.full(rows, True))
+            covered_lo, covered_hi = np.minimum(covered_lo, lo), np.maximum(covered_hi, hi)
+            for r in range(rows):
+                x = covered_lo[r] + (covered_hi[r] - covered_lo[r]) * np.array(where)
+                y, usable = grid.read(x, r)
+                want, usable_full = full.read(x, r)
+                assert usable.tolist() == usable_full.tolist()
+                assert y[usable].tobytes() == want[usable].tobytes()
+                assert (grid.log_sums(x, r).tobytes() == full.log_sums(x, r).tobytes())
+        # a sub-range holds fewer nodes than the span
+        built = sum(row[1].size for row in grid.built if row is not None)
+        assert built <= sum(row[1].size for row in full.built)
 
 
 def corrupt_ratios(monkeypatch, value):

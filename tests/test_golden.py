@@ -3,6 +3,7 @@
 ``CASES`` is the one list of golden cases. Each case runs once per session
 through the ``conformal-wm`` command, in a subprocess with
 ``PYTHONWARNINGS=error``, and must exit 0 with nothing on stderr. The
+cases start together at the first golden test, two at a time. The
 command is the script on ``PATH`` when there is one, else
 ``python -m conformal_wm.cli``; an installed package whose script is not
 on ``PATH`` fails the run. Each case names the golden it must reproduce,
@@ -39,6 +40,7 @@ import os
 import shutil
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -136,18 +138,20 @@ def run_case(name: str, work: Path) -> tuple[Path, subprocess.CompletedProcess]:
 def outputs(tmp_path_factory):
     """The output directory of a case that exited 0 with an empty stderr.
 
-    Each case runs on its first request, and later requests read its outputs.
+    Every case starts at the first request, on a pool of two workers (each
+    case is a process of its own, so two keep both cores of a small host
+    busy), in the order the tests read them; a request waits for its case.
     """
-    work, runs = tmp_path_factory.mktemp("golden"), {}
+    work = tmp_path_factory.mktemp("golden")
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        runs = {name: pool.submit(run_case, name, work) for name in (*SIMULATE, *DETECT)}
 
-    def case_output(name: str) -> Path:
-        if name not in runs:
-            runs[name] = run_case(name, work)
-        out, proc = runs[name]
-        assert (proc.returncode, proc.stderr) == (0, ""), name
-        return out
+        def case_output(name: str) -> Path:
+            out, proc = runs[name].result()
+            assert (proc.returncode, proc.stderr) == (0, ""), name
+            return out
 
-    return case_output
+        yield case_output
 
 
 def golden_bytes(name: str, suffix: str = "") -> bytes:

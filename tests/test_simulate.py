@@ -409,16 +409,33 @@ class TestDeterminism:
 
 
 def record_opened_rules(monkeypatch) -> list:
-    """Record each WeightedRule that takes exact p-values, once per call."""
+    """Record each WeightedRule and row that takes exact p-values, once per call."""
     opened = []
     p_values = density.WeightedRule._p_values
 
-    def recording(rule, values, j):
-        opened.append(rule)
-        return p_values(rule, values, j)
+    def recording(rule, r, values, j):
+        opened.append((rule, r))
+        return p_values(rule, r, values, j)
 
     monkeypatch.setattr(density.WeightedRule, "_p_values", recording)
     return opened
+
+
+def full_span_terms(config, rules) -> int:
+    """The node-sum kernel terms of the rules' pools over their whole spans: each null
+    level's majority once, over every node of its pools' spans, and each pool's
+    minority over its own span."""
+    terms = 0
+    for grid in (rule._grid for rule in rules):
+        spans = [density._node_span(grid.blocks[b][l], config.bandwidth) for b, l in grid.rows]
+        for level in range(len(grid.blocks[0])):
+            mine = [span for (_, l), span in zip(grid.rows, spans) if l == level and span]
+            terms += config.majority_cal_size * (
+                max(hi for _, hi in mine) - min(lo for lo, _ in mine) + 1)
+        terms += sum((span[1] - span[0] + 1) * (grid.blocks[b].shape[-1]
+                                                - config.majority_cal_size)
+                     for (b, _), span in zip(grid.rows, spans) if span)
+    return terms
 
 
 class TestWeightedDensityCalls:
@@ -435,36 +452,51 @@ class TestWeightedDensityCalls:
         summed = []
         node_sums = density._node_sums
 
-        def counting_node_sums(points, bandwidth, k_lo, k_hi):
-            summed.append(points.size)
-            return node_sums(points, bandwidth, k_lo, k_hi)
+        def counting_node_sums(support, bandwidth, k, rows):
+            summed.append((support.shape, k.size))
+            return node_sums(support, bandwidth, k, rows)
+
+        rules = []
+        stacked = density.WeightedRule._stacked
+
+        def recording_stacked(*args):
+            rules.append(stacked(*args))
+            return rules[-1]
 
         monkeypatch.setattr(DensityModel, "log_evaluate", counting_log_evaluate)
         monkeypatch.setattr(density, "_node_sums", counting_node_sums)
+        monkeypatch.setattr(density.WeightedRule, "_stacked", recording_stacked)
         opened = record_opened_rules(monkeypatch)
         pool_sizes = ([3 * (cfg.majority_cal_size + m) for m in cfg.minority_sizes]
                       * len(cfg.null_levels))
+        levels = len(cfg.null_levels)
         # the default grid leaves few points open or none, one node per
         # bandwidth some
         for step in (density._GRID_STEP, 1.0):
             monkeypatch.setattr(density, "_GRID_STEP", step)
-            for recorded in (calls, summed, opened):
+            for recorded in (calls, summed, opened, rules):
                 recorded.clear()
             run_scenario(cfg)
-            # one majority node sum per null level, shared by its pools, and
-            # one minority sum per pool
-            assert summed == ([cfg.majority_cal_size, *cfg.minority_sizes]
-                              * len(cfg.null_levels))
-            # p at the pool and both shifts' images of it, in one call, only
-            # for a pool with an open point
+            # one rule pass per task, and in it one node sum of each null
+            # level's majority, shared by its pools, and one of each minority
+            # size's minorities, each row over its own nodes
+            assert len(rules) == len(cfg.seeds) * cfg.n_prompts
+            assert sorted(shape for shape, _ in summed) == sorted([
+                (levels, cfg.majority_cal_size), *((levels, m) for m in cfg.minority_sizes)])
+            # the grids reach only the nodes their reads reach: at most 0.7 of
+            # the kernel terms of whole spans
+            terms = sum(shape[-1] * size for shape, size in summed)
+            assert terms <= 0.7 * full_span_terms(cfg, rules)
+            # p at the pool and both shifts' images, in one call, only for a
+            # pool with an open point
             at_pool = [size for _, size in calls if size in pool_sizes]
             assert len(at_pool) == len(opened)
-            assert len(set(map(id, opened))) == len(opened)
+            assert len(set(opened)) == len(opened)
             # exact evaluations at test points are the open points' and both
             # images', in one call
             rest = [(model, size) for model, size in calls if size not in pool_sizes]
             assert len(rest) == len(opened)
-            assert [model for model, _ in rest] == [rule.model_p for rule in opened]
+            assert [model for model, _ in rest] == [rule._exact(r)[0] for rule, r in opened]
             assert all(size % 3 == 0 for _, size in rest)
         assert opened
 
@@ -489,22 +521,32 @@ class TestWeightedTables:
             ranked.append(np.size(values))
             return ranks(table, values)
 
+        kept = []
+        evaluate = density.WeightedRule._evaluate
+
+        def recording_evaluate(rule, r, values, j):
+            kept.append(values.size)
+            return evaluate(rule, r, values, j)
+
         monkeypatch.setattr(conformal._RankTable, "ranks", counting_ranks)
+        monkeypatch.setattr(density.WeightedRule, "_evaluate", recording_evaluate)
         opened = record_opened_rules(monkeypatch)
         run_scenario(cfg)
         tasks = len(cfg.seeds) * cfg.n_prompts
-        flaggers = tasks * len(cfg.null_levels) * len(cfg.minority_sizes)
         # one standard table per standard_cutoffs call, on every null level's
-        # minority samples or pools of one size; one certified table per
-        # weighted variant and pool, and one exact table per variant for a
-        # pool with an open point
+        # minority samples or pools of one size; one certified table of every
+        # shift per task and minority size, of its pools as rows, and one exact
+        # table per variant for a pool with an open point
         assert built == {"_standard_table": 2 * len(cfg.minority_sizes) * tasks,
-                         "_weighted_table": 2 * flaggers + 2 * len(opened)}
-        # each joined array is ranked once, against the pool; the minority-only
-        # and pooled-unweighted rules compare it with their cutoffs instead
+                         "_weighted_table": len(cfg.minority_sizes) * tasks + 2 * len(opened)}
+        # each joined array is screened once against each pool, below one
+        # cutoff, and ranked only where kept, once for both rules; the
+        # minority-only and pooled-unweighted rules compare it with their
+        # cutoffs instead
+        assert ranked == kept
+        assert len(kept) == tasks * len(cfg.null_levels) * len(cfg.minority_sizes)
         joined = [cfg.n_test * (1 + len(cfg.alt_levels(null))) for null in cfg.null_levels]
-        per_task = [size for size in joined for _ in cfg.minority_sizes]
-        assert ranked == per_task * (len(cfg.seeds) * cfg.n_prompts)
+        assert 0 < sum(kept) < tasks * len(cfg.minority_sizes) * sum(joined)
 
 
 class TestRankKernelCalls:
@@ -527,72 +569,79 @@ class TestRankKernelCalls:
 
         # patched where simulate looks it up, where a tracer would wrap it
         monkeypatch.setattr(simulate, kernel, counting)
-        draw_tests, calibrations, ranks, *plan = simulate._SCENARIO_RUNNERS[scenario]
+        draw_tests, calibrations, *plan = simulate._SCENARIO_RUNNERS[scenario]
         p_values = getattr(conformal, f"{scenario}_p_values")
 
         def recording_calibrations(config, streams, prompt):
-            passed = calibrations(config, streams, prompt)
+            sizes, flagger = calibrations(config, streams, prompt)
             # the pass finds every cutoff of the task, size by size, level by level
             n_levels = len(config.null_levels)
             cals = calibrations_seen[-n_levels * len(config.cal_sizes):]
-            for level, (null, (sizes, flagger)) in enumerate(zip(config.null_levels, passed)):
+            for level in range(n_levels):
                 assert [np.hstack(cal).size for cal in cals[level::n_levels]] == list(sizes)
 
-                def recording(tests, _flagger=flagger, _cals=cals[level::n_levels],
-                              _null=null):
-                    joined_sets.append(((config, streams, prompt, _null), tests))
-                    flags = _flagger(tests)
-                    # the cutoffs' flags are the p-value kernel's, bit for bit
-                    assert flags[scenario].shape == (len(_cals), *tests.shape)
-                    for flagged, cal in zip(flags[scenario], _cals):
-                        assert (flagged == (p_values(cal, tests) <= cfg.alpha)).all()
-                    return flags
+            def recording(tests):
+                joined_sets.append(((config, streams, prompt), tests))
+                flags = flagger(tests)
+                # the cutoffs' flags are the p-value kernel's, bit for bit, for
+                # each null level's rows against each of its calibrations
+                assert flags[scenario].shape == (len(sizes), *tests.shape)
+                for level, rows in enumerate(level_rows(config)):
+                    for flagged, cal in zip(flags[scenario][:, rows], cals[level::n_levels]):
+                        assert (flagged == (p_values(cal, tests[rows]) <= cfg.alpha)).all()
+                return flags
 
-                yield sizes, recording
+            return sizes, recording
 
         monkeypatch.setitem(simulate._SCENARIO_RUNNERS, scenario,
-                            (draw_tests, recording_calibrations, ranks, *plan))
+                            (draw_tests, recording_calibrations, *plan))
         run_scenario(cfg)
         tasks = len(cfg.seeds) * cfg.n_prompts
-        # one cutoff per calibration, and one flagger call on a null level's joined rows
+        # one cutoff per calibration, and one flagger call on a task's joined rows
         assert len(calibrations_seen) == len(cfg.null_levels) * len(cfg.cal_sizes) * tasks
         assert [t.shape for _, t in joined_sets] == [
-            (1 + len(cfg.alt_levels(null)), cfg.n_test) for null in cfg.null_levels] * tasks
-        # the null set, then each alternative set, each as drawn alone: cutoffs
-        # need no order
-        assert not ranks
-        for (config, streams, prompt, null), tests in joined_sets:
+            (sum(1 + len(cfg.alt_levels(null)) for null in cfg.null_levels), cfg.n_test)] * tasks
+        # each null level's null set, then each alternative set, each as drawn
+        # alone: cutoffs need no order
+        for (config, streams, prompt), tests in joined_sets:
             drawn = [draw_tests(config, streams, prompt, [(null, alt)])
-                     for alt in (0, *config.alt_levels(null))]
+                     for null in config.null_levels for alt in (0, *config.alt_levels(null))]
             assert np.array_equal(tests, np.concatenate(drawn))
 
-    def test_weighted_flaggers_rank_sorted_test_sets(self, monkeypatch):
+    def test_weighted_flaggers_take_joined_sets_as_drawn(self, monkeypatch):
         cfg = small_config(scenario="weighted", seeds=(1,), n_prompts=2, n_test=50,
                            minority_sizes=(5, 15), null_levels=(1, 4), max_level=6)
-        draw_tests, calibrations, ranks, *plan = simulate._SCENARIO_RUNNERS["weighted"]
+        draw_tests, calibrations, *plan = simulate._SCENARIO_RUNNERS["weighted"]
         joined_sets = []
 
         def recording_calibrations(config, streams, prompt):
-            for null, (sizes, flagger) in zip(config.null_levels,
-                                              calibrations(config, streams, prompt)):
-                def recording(tests, _flagger=flagger, _null=null):
-                    joined_sets.append(((config, streams, prompt, _null), tests))
-                    flags = _flagger(tests)
-                    assert all(f.shape == (len(sizes), *tests.shape) for f in flags.values())
-                    return flags
+            sizes, flagger = calibrations(config, streams, prompt)
 
-                yield sizes, recording
+            def recording(tests):
+                joined_sets.append(((config, streams, prompt), tests))
+                flags = flagger(tests)
+                assert all(f.shape == (len(sizes), *tests.shape) for f in flags.values())
+                return flags
+
+            return sizes, recording
 
         monkeypatch.setitem(simulate._SCENARIO_RUNNERS, "weighted",
-                            (draw_tests, recording_calibrations, ranks, *plan))
+                            (draw_tests, recording_calibrations, *plan))
         run_scenario(cfg)
-        assert ranks
-        assert len(joined_sets) == len(cfg.null_levels) * len(cfg.seeds) * cfg.n_prompts
-        # the weighted rules rank the joined rows, so each set is sorted when drawn
-        for (config, streams, prompt, null), tests in joined_sets:
-            drawn = [np.sort(draw_tests(config, streams, prompt, [(null, alt)]))
-                     for alt in (0, *config.alt_levels(null))]
+        assert len(joined_sets) == len(cfg.seeds) * cfg.n_prompts
+        # the weighted rules rank only the scores their screens keep, and in
+        # any order, so each set comes as drawn
+        for (config, streams, prompt), tests in joined_sets:
+            drawn = [draw_tests(config, streams, prompt, [(null, alt)])
+                     for null in config.null_levels for alt in (0, *config.alt_levels(null))]
             assert np.array_equal(tests, np.concatenate(drawn))
+
+
+def level_rows(config) -> list[slice]:
+    """Each null level's slice of a task's rows: its null set, then its alternative sets."""
+    ends = np.cumsum([1 + len(config.alt_levels(null)) for null in config.null_levels])
+    return [slice(end - 1 - len(config.alt_levels(null)), end)
+            for null, end in zip(config.null_levels, ends.tolist())]
 
 
 class TestStreamPlan:
@@ -705,9 +754,9 @@ class TestWeightedScreen:
         queried = []
         read = density._LogGrid.read
 
-        def counting_read(grid, x):
+        def counting_read(grid, x, rows):
             queried.append(np.size(x))
-            return read(grid, x)
+            return read(grid, x, rows)
 
         monkeypatch.setattr(density._LogGrid, "read", counting_read)
         screen = conformal._RankTable.screen
@@ -733,9 +782,9 @@ class TestWeightedGrid:
         opened = []
         p_values = density.WeightedRule._p_values
 
-        def counting(rule, values, j):
+        def counting(rule, r, values, j):
             opened.append(np.size(values))
-            return p_values(rule, values, j)
+            return p_values(rule, r, values, j)
 
         monkeypatch.setattr(density.WeightedRule, "_p_values", counting)
         outputs, fallbacks = [], []
@@ -790,20 +839,21 @@ class TestCertifiedMasses:
         read = density._LogGrid.read
         evaluate, exact_masses = density.WeightedRule._evaluate, density.WeightedRule._p_values
 
-        def recording_read(grid, x):
-            y, usable = read(grid, x)
+        def recording_read(grid, x, rows):
+            y, usable = read(grid, x, rows)
             seen["reads"] += 1
             seen["outside"] += int(np.count_nonzero(~usable))
             return y, usable
 
-        def recording_evaluate(rule, values, j):
+        def recording_evaluate(rule, r, values, j):
             seen["kept"] += values.size
-            seen["ties"] += rule._pool.size - np.unique(rule._pool).size
-            return evaluate(rule, values, j)
+            b, l = rule._grid.rows[r]
+            seen["ties"] += rule._pools[b][l].size - np.unique(rule._pools[b][l]).size
+            return evaluate(rule, r, values, j)
 
-        def recording_exact(rule, values, j):
+        def recording_exact(rule, r, values, j):
             seen["open"] += values.size
-            return exact_masses(rule, values, j)
+            return exact_masses(rule, r, values, j)
 
         monkeypatch.setattr(density._LogGrid, "read", recording_read)
         monkeypatch.setattr(density.WeightedRule, "_evaluate", recording_evaluate)
@@ -812,7 +862,7 @@ class TestCertifiedMasses:
         for exact in (False, True):
             if exact:  # every kept point through the exact tables, as with no grid
                 monkeypatch.setattr(density.WeightedRule, "_certified",
-                                    property(lambda rule: None))
+                                    property(lambda rule: np.zeros(len(rule._grid.rows), bool)))
             seen.clear()
             out = tmp_path / f"exact{exact}"
             assert main(["simulate", str(path), "--out", str(out)]) == 0
