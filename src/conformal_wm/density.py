@@ -64,17 +64,12 @@ roundings, so the bounds hold as computed. The argument needs alpha under
 1/2, so a rule with a larger alpha takes every mass exact.
 
 Rows. A rule over rows runs every step of this argument row by row: a
-row's grid sums see only its own pool (or its shared majority's and its
-minority's sums, combined as :class:`_LogGrid` says), over whichever of
-its span's nodes its reads reach; its tables, screen, bounds and exact
-masses are its own, on the same operations in the same order as a rule of
-its pool alone. Sums taken along rows of an array keep a one-row sum's
-bits where each row lies contiguous in memory, which the rule ensures. So
-the argument holds for each row as for one pool. A row of whole pools gets
-a one-pool rule's flags and p-values, bit for bit; a row whose grid adds a
-shared majority's sums to its minority's may differ from that in the last
-bits of its reads, inside the slack, and its flags are still the exact
-rule's.
+row's grid sums see only its own pool, over whichever of its span's nodes
+its reads reach; its tables, screen, bounds and exact masses are its own,
+on the same operations in the same order as a rule of its pool alone. Sums
+taken along rows of an array keep a one-row sum's bits where each row lies
+contiguous in memory, which the rule ensures. So every row gets a one-pool
+rule's flags and p-values, bit for bit.
 """
 
 from __future__ import annotations
@@ -504,14 +499,6 @@ class _LogGrid:
     and the row's span. So every read has the bits of a grid built over the
     whole span, whichever nodes were built, and in whatever pieces.
 
-    With ``shared`` > 0, the first ``shared`` points of row l of every
-    block are the same (the majority of a stack of pools), and their node
-    sums are taken once per l and node, over every node some row of theirs
-    needs. Each row then sums only its other points, and the two sums
-    ``S_a``, ``S_b`` (with mean z ``m_a``, ``m_b``) combine as
-    ``log S = logaddexp(log S_a, log S_b)`` and
-    ``m = m_a exp(log S_a - log S) + m_b exp(log S_b - log S)``.
-
     Bound. With ``w_i = exp(-s_i**2 / 2h**2)``,
     ``log f(u) = -u**2 / 2h**2 + K(u / h**2) + const``, where
     ``K(t) = log sum_i w_i exp(t s_i)`` is the cumulant generating function
@@ -539,30 +526,26 @@ class _LogGrid:
     ``|log sum| <= R**2 / 2 + log N``; the constant ``log(N h sqrt(2 pi))``
     is under 800 in size; and a log ratio less the rule's maximum is under
     746 in size where its ``exp`` is neither 0 nor inf (beyond, that ``exp``
-    and the grid's saturate together). Combining shared sums adds a few
-    units of ``2**-53`` times ``R**2 / 2 + log N`` to a node's log sum
-    (``logaddexp`` of two such logs) and times ``R**3`` to its mean z (two
-    weights, each off by its log sums' roundings, times means of size at
-    most R). A cubic's coefficients are sums of three node values or
-    slopes, and Horner's rule adds a few roundings of their size: terms of
-    the kinds already counted. All of this holds row by row: a row's sums
-    see only its own points, in a one-row grid's operations, and a read
-    only its row's cells. The node count is the whole span's whatever
-    nodes are built (a read's position is taken from the span's first
-    node), so the argument covers any node range. :attr:`error` adds to
-    ``bound`` a slack of ``2**-40 * (R * (N + nodes) + R**3 + 1024)``,
-    ``2**13`` units of ``2**-53`` times the sum of those sizes, far above
-    the few dozen roundings of a few units each. (On 400 random supports
-    of 2 to 300 log10 scores, shared sums moved a node's log sum by at most
-    ``1.4e-6`` of the slack, and Horner's rule moved a read by at most
-    ``2.2e-6`` of it from the factored Hermite form.)
+    and the grid's saturate together). A cubic's coefficients are sums of
+    three node values or slopes, and Horner's rule adds a few roundings of
+    their size: terms of the kinds already counted. All of this holds row
+    by row: a row's sums see only its own points, in a one-row grid's
+    operations, and a read only its row's cells. The node count is the
+    whole span's whatever nodes are built (a read's position is taken from
+    the span's first node), so the argument covers any node range.
+    :attr:`error` adds to ``bound`` a slack of
+    ``2**-40 * (R * (N + nodes) + R**3 + 1024)``, ``2**13`` units of
+    ``2**-53`` times the sum of those sizes, far above the few dozen
+    roundings of a few units each. (On 400 random supports of 2 to 300
+    log10 scores, Horner's rule moved a read by at most ``2.2e-6`` of it
+    from the factored Hermite form.)
 
     A read is usable wherever it lies inside its row's span; :meth:`log_sums`
     takes an exact row of N terms for a read outside it. A row that
     :func:`_node_span` gives no nodes (``has_grid`` False) is never built.
     """
 
-    def __init__(self, blocks: Sequence[np.ndarray], bandwidth: float, shared: int = 0):
+    def __init__(self, blocks: Sequence[np.ndarray], bandwidth: float):
         h = float(bandwidth)
         self.blocks, self.bandwidth, self.step = blocks, h, _grid_step(h)
         self.rows = [(b, l) for b, block in enumerate(blocks) for l in range(len(block))]
@@ -582,8 +565,6 @@ class _LogGrid:
         self.lo = self.k_lo * self.step
         # per row: (first node, log sums, mean z) of the nodes built
         self.built: list = [None] * len(self.rows)
-        self._majority = np.ascontiguousarray(blocks[0][:, :shared]) if shared else None
-        self._rest = [np.ascontiguousarray(block[:, shared:]) for block in blocks]
 
     def cover(self, x_lo: np.ndarray, x_hi: np.ndarray, rows: np.ndarray) -> None:
         """Build every node that a read of row r at a point in ``[x_lo[r], x_hi[r]]`` uses.
@@ -605,39 +586,14 @@ class _LogGrid:
                 wanted[r] = a, b
         if not wanted:
             return
-        # each wanted row's sums of its points past the shared ones, one call a block
-        sums = {}
-        for b, support in enumerate(self._rest):
+        # each wanted row's sums, one call a block
+        for b, support in enumerate(self.blocks):
             mine = [r for r in wanted if self.rows[r][0] == b]
             if mine:
-                sums.update(zip(mine, _piece_sums(support, self.bandwidth, [
-                    (self.rows[r][1], *wanted[r]) for r in mine])))
-        if self._majority is not None:
-            sums = self._with_shared(wanted, sums)
-        for r, (a, _) in wanted.items():
-            self.built[r] = (a, *sums[r])
+                for r, sums in zip(mine, _piece_sums(support, self.bandwidth, [
+                        (self.rows[r][1], *wanted[r]) for r in mine])):
+                    self.built[r] = (wanted[r][0], *sums)
         self._join()
-
-    def _with_shared(self, wanted: dict, rest: dict) -> dict:
-        """Each wanted row's node sums from its ``rest`` and the shared points' sums (taken
-        once per l and node, over every node a wanted row of theirs needs)."""
-        spans: dict = {}
-        for r, (a, z) in wanted.items():
-            first, last = spans.get(self.rows[r][1], (a, z))
-            spans[self.rows[r][1]] = min(first, a), max(last, z)
-        shared = dict(zip(spans, _piece_sums(self._majority, self.bandwidth,
-                                             [(l, a, z) for l, (a, z) in spans.items()])))
-        log_a, mean_a = (np.concatenate([
-            shared[l][part][a - spans[l][0]:z - spans[l][0] + 1]
-            for r, (a, z) in wanted.items() for l in (self.rows[r][1],)]) for part in (0, 1))
-        log_b, mean_b = (np.concatenate([rest[r][part] for r in wanted]) for part in (0, 1))
-        log_sum = np.logaddexp(log_a, log_b)
-        mean_z = mean_a * np.exp(log_a - log_sum) + mean_b * np.exp(log_b - log_sum)
-        out, start = {}, 0
-        for r, (a, z) in wanted.items():
-            out[r] = log_sum[start:start + z - a + 1], mean_z[start:start + z - a + 1]
-            start += z - a + 1
-        return out
 
     def _join(self) -> None:
         """Lay every built row's nodes end to end, and each cell's cubic over them."""
@@ -719,38 +675,32 @@ class WeightedRule:
     test ratio beyond the range of floats is inf, of weighted mass 1.
     :meth:`p_values` and :meth:`flags` share one evaluator (see the module
     docstring). Every step is row by row, so each row's flags and p-values
-    are those of a rule of its pool alone, bit for bit (flags only, for the
-    rows of :meth:`_stacked`, whose grid sums a shared majority once).
+    are those of a rule of its pool alone, bit for bit.
     """
 
     def __init__(self, pool, minority, bandwidth: float, alpha: float,
                  shifts: Sequence[str], log_scale: bool):
-        pool = np.array(pool, dtype=float)
-        self._setup([np.atleast_2d(pool)], [minority], 0, bandwidth, alpha, shifts, log_scale)
-        if pool.ndim == 1:
+        self._setup([pool], [minority], bandwidth, alpha, shifts, log_scale)
+        if np.ndim(pool) == 1:
             self.shifts = [shift.row(0) for shift in self._fits]
 
     @classmethod
-    def _stacked(cls, majority: np.ndarray, minorities: Sequence[np.ndarray],
+    def _stacked(cls, pools: Sequence[np.ndarray], minorities: Sequence[np.ndarray],
                  bandwidth: float, alpha: float, shifts: Sequence[str],
                  log_scale: bool) -> WeightedRule:
-        """One rule over the pools ``[majority[l], minority[l]]`` of each minority array.
+        """One rule over the rows of every 2-D array of ``pools``, ``minorities`` their masks.
 
-        Rows run block by block: one block per array of ``minorities``, one
-        row per row l of ``majority``. The grid sums the majority points of
-        row l once for the rows of every block (:class:`_LogGrid`).
+        Rows run block by block, one block per array, whose widths may differ.
         """
-        n = majority.shape[-1]
         rule = cls.__new__(cls)
-        rule._setup([np.hstack([majority, minority]) for minority in minorities],
-                    [np.arange(n + minority.shape[-1]) >= n for minority in minorities],
-                    n, bandwidth, alpha, shifts, log_scale)
+        rule._setup(pools, minorities, bandwidth, alpha, shifts, log_scale)
         return rule
 
-    def _setup(self, pools, minorities, shared, bandwidth, alpha, shifts, log_scale):
+    def _setup(self, pools, minorities, bandwidth, alpha, shifts, log_scale):
+        pools = [np.array(pool, dtype=float, ndmin=2) for pool in pools]
         for pool in pools:
             pool.setflags(write=False)
-        self._pools, self._shared, self.alpha = pools, shared, alpha
+        self._pools, self.alpha = pools, alpha
         self._to_eval = np.log10 if log_scale else np.asarray
         self._evals = [self._to_eval(pool) for pool in pools]
         self._h = float(bandwidth)
@@ -778,7 +728,7 @@ class WeightedRule:
     @cached_property
     def _grid(self) -> _LogGrid:
         """The pools' log-density grid, a row per pool; each shift's q reads it through its map."""
-        return _LogGrid(self._evals, self._h, self._shared)
+        return _LogGrid(self._evals, self._h)
 
     @cached_property
     def _factor(self) -> np.ndarray:

@@ -76,6 +76,8 @@ _STREAMS = {
 
 _TINY = 1e-300
 _DOMINANCE_PROBE_N = 4000  # draws per (population, level) in the dominance check
+# Most bytes that ExperimentConfig.validate() lets one array of a run take
+_MAX_ARRAY_BYTES = 2 ** 31
 
 
 @dataclass(frozen=True)
@@ -242,8 +244,8 @@ class ExperimentConfig:
     max_level: int = 7
     bandwidth: float = 0.5
     log_scale: bool = True
-    # Grouped p-values live on [1/(K+1), 1], so K must exceed 1/alpha - 1
-    # before anything can be flagged; the default keeps groups small.
+    # Grouped p-values live on [1/(K+1), 1], so K must be at least
+    # 1/alpha - 1 before anything can be flagged; the default keeps groups small.
     k_groups: int = 50
     group_sigma: float = 0.5
     majority_cal_size: int = 200
@@ -339,7 +341,21 @@ class ExperimentConfig:
                 raise ValueError(f"unknown_population: {population}")
             if not 1 <= level <= 7:
                 raise ValueError(f"edit_intensity_out_of_range: {level}")
+        if (size := self._largest_array_bytes()) > _MAX_ARRAY_BYTES:
+            raise ValueError(f"config_too_large: its largest array would take about "
+                             f"{size} bytes, over {_MAX_ARRAY_BYTES}")
         self._check_intensity_dominance()
+
+    def _largest_array_bytes(self) -> int:
+        """About the bytes of a run's largest array, at 8 a float: a task's test scores,
+        joined once per calibration size; its pools, at each point and both shifted images;
+        or a seed's stream states, 4 floats' worth a stream."""
+        sets = sum(1 + len(self.alt_levels(null)) for null in self.null_levels)
+        widths = ([int(self.majority_cal_size) + int(m) for m in self.minority_sizes]
+                  if self.scenario == "weighted" else [int(n) for n in self.cal_sizes])
+        return 8 * max(len(widths) * sets * int(self.n_test),
+                       3 * len(self.null_levels) * sum(widths),
+                       4 * int(self.n_prompts) * len(_task_plan(self)))
 
     def _check_intensity_dominance(self) -> None:
         # Higher intensity must push scores stochastically lower; checked
@@ -583,8 +599,7 @@ def _weighted_calibrations(config: ExperimentConfig, streams: _Streams, prompt: 
     Per minority size, the null levels' pools are the rows of one array, so
     the minority-only and pooled-unweighted rules find their cutoffs with one
     row-wise sort each. The weighted rules of every pool of the task are one
-    :class:`WeightedRule` over rows (``WeightedRule._stacked``), which sums
-    each null level's majority once on its grid.
+    :class:`WeightedRule` over those arrays' rows (``WeightedRule._stacked``).
     """
     sizes, n = config.minority_sizes, config.majority_cal_size
     (majority,) = _calibration_draws(config, streams, prompt, (n,))
@@ -593,8 +608,9 @@ def _weighted_calibrations(config: ExperimentConfig, streams: _Streams, prompt: 
     below = _cutoff_flagger(config, sizes, {
         "in_dist": _row_cutoffs(minorities, config.alpha),
         "combined_unweighted": _row_cutoffs(pools, config.alpha)})
-    rule = WeightedRule._stacked(majority, minorities, config.bandwidth, config.alpha,
-                                 ("mean", "quantile"), config.log_scale)
+    rule = WeightedRule._stacked(pools, [np.arange(n + m) >= n for m in sizes],
+                                 config.bandwidth, config.alpha, ("mean", "quantile"),
+                                 config.log_scale)
     # the rule's row of each test score, once per minority size: its pools
     # run size by size, then level by level
     levels = len(config.null_levels)

@@ -887,6 +887,11 @@ class TestSimulateCommand:
             {"family": "uniform01", "weight": 10 ** 400}]}}}}},
          "invalid_params: mixture weights must be positive, with a finite sum"),
         ({"scenario": "weighted", "bandwidth": 10 ** 400}, "bandwidth_not_finite: 1000"),
+        # a count too large for numpy to allocate once failed every task,
+        # and exited 1 as an internal cell_failure
+        ({"n_prompts": 1, "n_test": 10 ** 30}, "config_too_large: "),
+        ({"scenario": "weighted", "n_prompts": 1, "majority_cal_size": 10 ** 30},
+         "config_too_large: "),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, config, detail):
         # each of these once escaped validation and exited 1 as an internal

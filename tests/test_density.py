@@ -400,9 +400,9 @@ class TestLogRatios:
                 assert [r.tobytes() for r in got] == [r.tobytes() for r in want]
 
 
-def full_grid(support, bandwidth, shared=0):
+def full_grid(support, bandwidth):
     """A one-row grid of ``support``, built over its whole span."""
-    grid = density._LogGrid([np.asarray(support)[np.newaxis]], bandwidth, shared)
+    grid = density._LogGrid([np.asarray(support)[np.newaxis]], bandwidth)
     grid.cover(np.array([-np.inf]), np.array([np.inf]), np.array([True]))
     return grid
 
@@ -649,17 +649,23 @@ class TestWeightedRule:
         # the pools' own scores (ties included), draws across them, deep tails
         tests = np.concatenate([pools[1], 1.0 / (1.0 + np.exp(-rng.normal(-1.0, 3.0, 300))),
                                 [1e-10, 1e-30, 1e-200]])
-        # one rule over both pools, which shares their majority's node sums
-        shared = density.WeightedRule._stacked(majority[np.newaxis],
-                                               [minority[np.newaxis] for minority in minorities],
-                                               bandwidth, alpha, ("mean", "quantile"), log_scale)
-        alone = density.WeightedRule(pools[0], masks[0], bandwidth, alpha,
-                                     ("mean", "quantile"), log_scale)
-        for rule, r in ((shared, 0), (shared, 1), (alone, 0)):
-            flags = rule.flags(tests, np.full(tests.size, r))
-            exact = exact_p_values(rule, tests, r)
-            assert [f.tolist() for f in flags] == [(p < alpha).tolist() for p in exact]
-            assert_exact_or_within_certified_bounds(rule, tests, exact, r)
+        # one rule over both pools, a block each, and a rule of each pool alone
+        stacked = density.WeightedRule._stacked([pool[np.newaxis] for pool in pools], masks,
+                                                bandwidth, alpha, ("mean", "quantile"), log_scale)
+        alone = [density.WeightedRule(pool, mask, bandwidth, alpha, ("mean", "quantile"),
+                                      log_scale) for pool, mask in zip(pools, masks)]
+        for r, one in enumerate(alone):
+            for rule, row in ((stacked, r), (one, 0)):
+                flags = rule.flags(tests, np.full(tests.size, row))
+                exact = exact_p_values(rule, tests, row)
+                assert [f.tolist() for f in flags] == [(p < alpha).tolist() for p in exact]
+                assert_exact_or_within_certified_bounds(rule, tests, exact, row)
+            # a stacked row is its pool's rule, p-values included, bit for bit
+            rows = np.full(tests.size, r)
+            assert ([p.tobytes() for p in stacked.p_values(tests, rows)]
+                    == [p.tobytes() for p in one.p_values(tests)])
+            assert ([f.tolist() for f in stacked.flags(tests, rows)]
+                    == [f.tolist() for f in one.flags(tests)])
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_majority=st.integers(1, 60),
@@ -881,54 +887,23 @@ class TestLogGrid:
             support.size * bandwidth * math.sqrt(2.0 * math.pi))
         assert (np.abs(y[usable] - exact) <= grid.error[0]).all()
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        scores=st.lists(st.floats(1e-8, 1.0), min_size=2, max_size=150),
-        split=st.integers(1, 149),
-        bandwidth=st.floats(0.05, 2.0),
-        where=st.lists(st.floats(-0.05, 1.05), max_size=200),
-    )
-    def test_shared_node_sums_read_within_error(self, scores, split, bandwidth, where):
-        # a grid whose node sums combine the shared points' with the rest's,
-        # as a stack of pools with one majority does
-        support = np.log10(np.array(scores))
-        split = min(split, support.size - 1)
-        grid = full_grid(support, bandwidth, shared=split)
-        alone = full_grid(support, bandwidth)
-        for name in ("lo", "cells", "error"):
-            assert getattr(grid, name).tolist() == getattr(alone, name).tolist()
-        x = np.concatenate([support, grid.lo[0] + grid.step * grid.cells[0] * np.array(where)])
-        y, usable = grid.read(x, 0)
-        assert usable[:support.size].all()
-        exact = DensityModel(support, bandwidth).log_evaluate(x[usable]) + math.log(
-            support.size * bandwidth * math.sqrt(2.0 * math.pi))
-        assert (np.abs(y[usable] - exact) <= grid.error[0]).all()
-        # outside the grid, an exact row
-        assert (np.abs(grid.log_sums(x, 0) - DensityModel(support, bandwidth).log_evaluate(x)
-                       - math.log(support.size * bandwidth * math.sqrt(2.0 * math.pi)))
-                <= grid.error[0]).all()
-
     @settings(max_examples=60, deadline=None)
     @given(
         scores=st.lists(st.floats(1e-8, 1.0), min_size=2, max_size=60),
         rows=st.integers(1, 3),
-        split=st.integers(0, 59),
         bandwidth=st.floats(0.05, 2.0),
         ranges=st.lists(st.tuples(st.floats(-0.2, 1.2), st.floats(-0.2, 1.2)),
                         min_size=1, max_size=4),
         where=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=100),
     )
-    def test_sub_range_and_pieces_read_the_full_grids_bits(self, scores, rows, split,
-                                                          bandwidth, ranges, where):
+    def test_sub_range_and_pieces_read_the_full_grids_bits(self, scores, rows, bandwidth,
+                                                          ranges, where):
         # nodes built over part of the span, then extended piece by piece,
         # read the bits of the grid built over the whole span
         support = np.log10(np.array(scores))
         blocks = [np.stack([np.roll(support, r) for r in range(rows)])]
-        split = min(split, support.size - 1)
-        if split:  # every row shares its first points: one majority of a stack
-            blocks[0][:, :split] = support[:split]
-        grid = density._LogGrid(blocks, bandwidth, split)
-        full = density._LogGrid(blocks, bandwidth, split)
+        grid = density._LogGrid(blocks, bandwidth)
+        full = density._LogGrid(blocks, bandwidth)
         full.cover(np.full(rows, -np.inf), np.full(rows, np.inf), np.full(rows, True))
         span_lo, span = grid.lo, grid.step * grid.cells
         covered_lo, covered_hi = np.full(rows, np.inf), np.full(rows, -np.inf)

@@ -367,6 +367,32 @@ class TestConfig:
         with pytest.raises(ValueError, match=code):
             cfg.validate()
 
+    @pytest.mark.parametrize("scenario, name, largest", [
+        # a task's 13 test sets of n scores, joined once for each of 3 sizes
+        ("standard", "n_test", lambda n: 8 * 3 * 13 * n),
+        # 3 null levels' pools of n + m points, m in (5, 15, 30), each point
+        # with its two shifted images
+        ("weighted", "majority_cal_size", lambda n: 8 * 3 * 3 * (3 * n + 50)),
+        # a seed's stream states, 32 bytes for each of a prompt's 64 streams
+        ("hierarchical", "n_prompts", lambda n: 32 * 64 * n),
+    ])
+    def test_config_past_the_array_cap_rejected_before_any_draw(self, monkeypatch, scenario,
+                                                                 name, largest):
+        # the largest count whose estimate is within the cap validates, and one
+        # more is rejected with the estimate in bytes; validate() allocates neither
+        cap = simulate._MAX_ARRAY_BYTES
+        fits = (cap - largest(0)) // (largest(1) - largest(0))
+        cfg = replace(default_config(scenario), **{name: fits})
+        assert cfg._largest_array_bytes() == largest(fits) <= cap
+        cfg.validate()
+
+        def no_draws(*args):
+            raise AssertionError("a draw ran")
+
+        monkeypatch.setattr(simulate, "_sample_joined", no_draws)
+        with pytest.raises(ValueError, match=f"config_too_large: .* {largest(fits + 1)} bytes"):
+            replace(cfg, **{name: fits + 1}).validate()
+
     def test_threads_resolution(self, monkeypatch):
         # the cap is run_scenario's argument alone, checked before any task runs
         with pytest.raises(ValueError, match="unknown_config_key: threads"):
@@ -422,19 +448,14 @@ def record_opened_rules(monkeypatch) -> list:
 
 
 def full_span_terms(config, rules) -> int:
-    """The node-sum kernel terms of the rules' pools over their whole spans: each null
-    level's majority once, over every node of its pools' spans, and each pool's
-    minority over its own span."""
+    """The node-sum kernel terms of the rules' pools over their whole spans: each row's
+    support over every node of its own span."""
     terms = 0
     for grid in (rule._grid for rule in rules):
-        spans = [density._node_span(grid.blocks[b][l], config.bandwidth) for b, l in grid.rows]
-        for level in range(len(grid.blocks[0])):
-            mine = [span for (_, l), span in zip(grid.rows, spans) if l == level and span]
-            terms += config.majority_cal_size * (
-                max(hi for _, hi in mine) - min(lo for lo, _ in mine) + 1)
-        terms += sum((span[1] - span[0] + 1) * (grid.blocks[b].shape[-1]
-                                                - config.majority_cal_size)
-                     for (b, _), span in zip(grid.rows, spans) if span)
+        for b, l in grid.rows:
+            span = density._node_span(grid.blocks[b][l], config.bandwidth)
+            if span:
+                terms += (span[1] - span[0] + 1) * grid.blocks[b].shape[-1]
     return terms
 
 
@@ -477,12 +498,11 @@ class TestWeightedDensityCalls:
             for recorded in (calls, summed, opened, rules):
                 recorded.clear()
             run_scenario(cfg)
-            # one rule pass per task, and in it one node sum of each null
-            # level's majority, shared by its pools, and one of each minority
-            # size's minorities, each row over its own nodes
+            # one rule pass per task, and in it one node sum of each minority
+            # size's pools, each row over its own nodes
             assert len(rules) == len(cfg.seeds) * cfg.n_prompts
-            assert sorted(shape for shape, _ in summed) == sorted([
-                (levels, cfg.majority_cal_size), *((levels, m) for m in cfg.minority_sizes)])
+            assert sorted(shape for shape, _ in summed) == sorted(
+                (levels, cfg.majority_cal_size + m) for m in cfg.minority_sizes)
             # the grids reach only the nodes their reads reach: at most 0.7 of
             # the kernel terms of whole spans
             terms = sum(shape[-1] * size for shape, size in summed)
@@ -1001,7 +1021,7 @@ def per_set_cells(config):
     Each test set, similarity sample and calibration is drawn alone from its
     stream, labeled with ``bleu_quantile_threshold`` and ``outlier_mask``,
     and flagged through the p-value kernels (``p <= alpha``) or
-    ``WeightedRule.flags``: no joined rows, cutoffs or shared node sums.
+    ``WeightedRule.flags``: no joined rows or cutoffs.
     """
     plan, n, alpha = simulate._task_plan(config), config.n_test, config.alpha
     population = "minority" if config.scenario == "weighted" else "majority"
