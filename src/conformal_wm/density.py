@@ -63,8 +63,8 @@ slack, at least ``2**-39 * 10 * N``, some ten thousand times these
 roundings, so the bounds hold as computed. The argument needs alpha under
 1/2, so a rule with a larger alpha takes every mass exact.
 
-Rows. A rule over rows runs every step of this argument row by row: a
-row's grid sums see only its own pool, over whichever of its span's nodes
+Rows. A rule over rows runs every step of this argument row by row: each
+row has a grid of its own pool, built over whichever of its span's nodes
 its reads reach; its tables, screen, bounds and exact masses are its own,
 on the same operations in the same order as a rule of its pool alone. Sums
 taken along rows of an array keep a one-row sum's bits where each row lies
@@ -76,7 +76,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -174,18 +174,16 @@ class ShiftEstimate:
             if (sigma <= 0).any() if isinstance(sigma, np.ndarray) else sigma <= 0:
                 raise ValueError("sigma_not_positive")
 
-    def to_pool(self, x: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    def to_pool(self, x: np.ndarray) -> np.ndarray:
         """The pool point whose density is the subgroup's at ``x``: ``scale * x + offset``.
 
         ``scale = sigma_p / sigma_q`` and ``offset = p_anchor - q_anchor * scale``
         map the subgroup's anchor to the pool's. No Jacobian factor is applied:
         weights are formed from normalized ratios, so constant factors cancel.
-        An estimate over rows maps each point of ``x`` by its row in ``rows``.
+        An estimate over rows maps ``x[r]`` by row r's map.
         """
         scale = self.sigma_p / self.sigma_q
         offset = self.p_anchor - self.q_anchor * scale
-        if rows is not None:
-            scale, offset = scale[rows], offset[rows]
         return scale * x + offset
 
     def row(self, r: int) -> ShiftEstimate:
@@ -255,21 +253,18 @@ def _as_float(value) -> float:
 
 
 def _log_kernel_sums(query: np.ndarray, support: np.ndarray, bandwidth: float,
-                     with_moment: bool = False,
-                     rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+                     with_moment: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
     """``log sum_i k_i`` at each query, with ``k_i = exp(-z_i**2 / 2)``, ``z_i = (x - s_i) / h``.
 
     With ``with_moment`` the second array is ``sum_i z_i k_i / sum_i k_i``,
-    else None. A 2-D ``support`` holds one support per row, and ``rows``
-    names each query's. Each run of queries on one support goes
-    :func:`_block_rows` at a time through two (block, N) buffers of at most
-    ``_BLOCK_BYTES`` each (one row if a row is larger), so memory does not
-    grow with the number of queries. Each row's
-    sum sees the operations of the dense ``exp(-0.5 * z * z).sum(axis=-1)``
-    over its own support in the same order, and so gets its bits. A sum
-    below the smallest normal double is taken again with its largest
-    exponent ``e`` factored out, as ``e + log sum_i (k_i / exp(e))``, so
-    every log sum is finite and as accurate as a normal float's. Queries
+    else None. The queries go :func:`_block_rows` at a time through two
+    (block, N) buffers of at most ``_BLOCK_BYTES`` each (one row if a row is
+    larger), so memory does not grow with the number of queries. Each
+    query's sum sees the operations of the dense
+    ``exp(-0.5 * z * z).sum(axis=-1)`` in the same order, and so gets its
+    bits. A sum below the smallest normal double is taken again with its
+    largest exponent ``e`` factored out, as ``e + log sum_i (k_i / exp(e))``,
+    so every log sum is finite and as accurate as a normal float's. Queries
     too far out for the bandwidth raise ``bandwidth_too_small``
     (:func:`check_bandwidth`).
     """
@@ -278,33 +273,26 @@ def _log_kernel_sums(query: np.ndarray, support: np.ndarray, bandwidth: float,
                                        float(support.max() - query.min())))
     sums = np.empty(query.size)
     moments = np.empty(query.size) if with_moment else None
-    width = support.shape[-1]
-    block = max(1, min(_block_rows(width), query.size))
-    z = np.empty((block, width))
-    kern = np.empty((block, width))
-    # runs of queries on one support
-    cuts = [0, query.size] if rows is None else [
-        0, *(np.flatnonzero(rows[1:] != rows[:-1]) + 1).tolist(), query.size]
-    for first, end in zip(cuts, cuts[1:]):
-        points = support if rows is None else support[rows[first]]
-        for start in range(first, end, block):
-            part = query[start:min(start + block, end)]
-            zb, kb = z[:part.size], kern[:part.size]
-            np.subtract(part[:, np.newaxis], points, out=zb)
-            zb /= bandwidth
-            np.multiply(zb, -0.5, out=kb)
-            kb *= zb
-            np.exp(kb, out=kb)
-            kb.sum(axis=-1, out=sums[start:start + part.size])
-            if with_moment:
-                zb *= kb
-                zb.sum(axis=-1, out=moments[start:start + part.size])
+    block = max(1, min(_block_rows(support.size), query.size))
+    z = np.empty((block, support.size))
+    kern = np.empty((block, support.size))
+    for start in range(0, query.size, block):
+        part = query[start:start + block]
+        zb, kb = z[:part.size], kern[:part.size]
+        np.subtract(part[:, np.newaxis], support, out=zb)
+        zb /= bandwidth
+        np.multiply(zb, -0.5, out=kb)
+        kb *= zb
+        np.exp(kb, out=kb)
+        kb.sum(axis=-1, out=sums[start:start + part.size])
+        if with_moment:
+            zb *= kb
+            zb.sum(axis=-1, out=moments[start:start + part.size])
     low = np.flatnonzero(sums < np.finfo(float).tiny)
     tops = np.zeros(query.size)
     for start in range(0, low.size, block):
         idx = low[start:start + block]
-        points = support if rows is None else support[rows[idx]]
-        z = (query[idx, np.newaxis] - points) / bandwidth
+        z = (query[idx, np.newaxis] - support) / bandwidth
         expo = z * -0.5 * z
         tops[idx] = expo.max(axis=-1)
         kern = np.exp(expo - tops[idx, np.newaxis])
@@ -399,21 +387,16 @@ def _samples(pool_logs, minority_logs) -> tuple[np.ndarray, np.ndarray]:
     return pool, minority
 
 
-def _log_ratios(log_density, shifts: Sequence[ShiftEstimate], x,
-                rows: np.ndarray | None = None) -> list[np.ndarray]:
+def _log_ratios(log_density, shifts: Sequence[ShiftEstimate], x) -> list[np.ndarray]:
     """``log q - log p`` at the points ``x`` for each shift's q, p read through its map.
 
     ``log_density`` gives p's log density up to a constant (exact, or a
     grid's reads), and is called once, on ``x`` and every shift's
-    :meth:`ShiftEstimate.to_pool` of it joined. With ``rows`` (estimates
-    over rows), each point is of its row, and ``log_density`` also takes
-    each query's row.
+    :meth:`ShiftEstimate.to_pool` of it joined.
     """
     x = np.asarray(x, dtype=float)
-    queries = np.concatenate([x, *(shift.to_pool(x, rows) for shift in shifts)])
-    log = (log_density(queries) if rows is None
-           else log_density(queries, np.tile(rows, 1 + len(shifts))))
-    log_p, *log_q = log.reshape(1 + len(shifts), -1)
+    queries = np.concatenate([x, *(shift.to_pool(x) for shift in shifts)])
+    log_p, *log_q = log_density(queries).reshape(1 + len(shifts), -1)
     return [log_sum - log_p for log_sum in log_q]
 
 
@@ -456,33 +439,20 @@ def _node_span(support: np.ndarray, bandwidth: float) -> tuple[int, int] | None:
     return math.floor((s_min - 8.0 * h) / step), math.ceil((s_max + 8.0 * h) / step)
 
 
-def _node_sums(support: np.ndarray, bandwidth: float, k: np.ndarray,
-               rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_log_kernel_sums`, with the moment, at lattice nodes ``k``, each of its row's
-    support."""
-    return _log_kernel_sums(_grid_step(bandwidth) * k, support, bandwidth, True, rows)
-
-
-def _piece_sums(support: np.ndarray, bandwidth: float,
-                pieces: list[tuple[int, int, int]]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """:func:`_node_sums` of each ``(row of support, first node, last node)``, in one call."""
-    sizes = [last - first + 1 for _, first, last in pieces]
-    k = np.concatenate([np.arange(first, last + 1.0) for _, first, last in pieces])
-    log_sum, mean_z = _node_sums(support, bandwidth, k,
-                                 np.repeat([row for row, _, _ in pieces], sizes))
-    starts = np.cumsum(sizes) - sizes
-    return [(log_sum[start:start + size], mean_z[start:start + size])
-            for start, size in zip(starts.tolist(), sizes)]
+def _clamped_cell(pos: float, shift: int, low: int, high: int) -> int:
+    """``floor(pos) + shift`` clamped to ``[low, high]``; +inf gives ``high``, -inf and NaN
+    ``low``."""
+    if not math.isfinite(pos):
+        return high if pos > 0 else low
+    return min(max(math.floor(pos) + shift, low), high)
 
 
 class _LogGrid:
-    """A KDE's log kernel sum on evenly spaced nodes, read by cubic Hermite interpolation.
+    """A pool KDE's log kernel sum on evenly spaced nodes, read by cubic Hermite interpolation.
 
-    One grid serves many supports, its rows: ``blocks`` holds them as the
-    rows of 2-D arrays (one width per block), numbered block by block. Row
-    r's node sums are ``log sum_i k_i`` (the KDE's log f up to the constant
+    The node sums are ``log sum_i k_i`` (the KDE's log f up to the constant
     ``log(N h sqrt(2 pi))``, which cancels in every ratio) at nodes
-    ``k * step``, for whole k in its span ``k_lo..k_lo + cells`` covering
+    ``k * step``, for whole k in the span ``k_lo..k_lo + cells`` covering
     ``[min - 8h, max + 8h]`` of the support (:func:`_node_span`). With the
     tangent, ``step`` times its slope ``-sum z k / (h sum k)``, they give
     ``cubic``, each cell's Hermite cubic in ``t = (x - node) / step``, which
@@ -492,12 +462,12 @@ class _LogGrid:
     exact float, and the nodes of every grid of one bandwidth lie on one
     lattice, the whole multiples of the step.
 
-    Nodes are built only where reads reach: :meth:`cover` extends each row
-    over every cell a read of a given range can use, piece by piece. A
-    node's sum, and so a cell's cubic, depends only on the node's lattice
-    index and the support, and a read's cell and ``t`` only on the point
-    and the row's span. So every read has the bits of a grid built over the
-    whole span, whichever nodes were built, and in whatever pieces.
+    Nodes are built only where reads reach: :meth:`cover` grows one range
+    of nodes over every cell a read of a given range can use. A node's sum,
+    and so a cell's cubic, depends only on the node's lattice index and the
+    support, and a read's cell and ``t`` only on the point and the span. So
+    every read has the bits of a grid built over the whole span, whichever
+    nodes were built, and over however many calls.
 
     Bound. With ``w_i = exp(-s_i**2 / 2h**2)``,
     ``log f(u) = -u**2 / 2h**2 + K(u / h**2) + const``, where
@@ -528,9 +498,7 @@ class _LogGrid:
     746 in size where its ``exp`` is neither 0 nor inf (beyond, that ``exp``
     and the grid's saturate together). A cubic's coefficients are sums of
     three node values or slopes, and Horner's rule adds a few roundings of
-    their size: terms of the kinds already counted. All of this holds row
-    by row: a row's sums see only its own points, in a one-row grid's
-    operations, and a read only its row's cells. The node count is the
+    their size: terms of the kinds already counted. The node count is the
     whole span's whatever nodes are built (a read's position is taken from
     the span's first node), so the argument covers any node range.
     :attr:`error` adds to ``bound`` a slack of
@@ -540,95 +508,68 @@ class _LogGrid:
     log10 scores, Horner's rule moved a read by at most ``2.2e-6`` of it
     from the factored Hermite form.)
 
-    A read is usable wherever it lies inside its row's span; :meth:`log_sums`
-    takes an exact row of N terms for a read outside it. A row that
+    A read is usable wherever it lies inside the span; :meth:`log_sums`
+    takes an exact sum of N terms for a read outside it. A support that
     :func:`_node_span` gives no nodes (``has_grid`` False) is never built.
     """
 
-    def __init__(self, blocks: Sequence[np.ndarray], bandwidth: float):
+    def __init__(self, support: np.ndarray, bandwidth: float):
         h = float(bandwidth)
-        self.blocks, self.bandwidth, self.step = blocks, h, _grid_step(h)
-        self.rows = [(b, l) for b, block in enumerate(blocks) for l in range(len(block))]
-        s_min = np.concatenate([block.min(axis=-1) for block in blocks])
-        s_max = np.concatenate([block.max(axis=-1) for block in blocks])
-        n = np.concatenate([np.full(len(block), block.shape[-1], dtype=float)
-                            for block in blocks])
-        rho = self.step / h * ((s_max - s_min) / h)
-        r = (s_max - s_min) / h + 10.0
-        nodes = (s_max - s_min + 16.0 * h) / self.step + 2.0
+        self.support, self.bandwidth, self.step = support, h, _grid_step(h)
+        width = float(support.max() - support.min())
+        rho = self.step / h * (width / h)
+        r = width / h + 10.0
+        span_nodes = (width + 16.0 * h) / self.step + 2.0
         self.error = (rho * rho * rho * rho / 3072.0
-                      + 2.0 ** -40 * (r * (n + nodes) + r * r * r + 1024.0))
-        spans = [_node_span(blocks[b][l], h) for b, l in self.rows]
-        self.has_grid = np.array([span is not None for span in spans])
-        self.k_lo = np.array([span[0] if span else 0 for span in spans])
-        self.cells = np.array([span[1] - span[0] if span else 0 for span in spans])
+                      + 2.0 ** -40 * (r * (support.size + span_nodes) + r * r * r + 1024.0))
+        span = _node_span(support, h)
+        self.has_grid = span is not None
+        self.k_lo, self.cells = (span[0], span[1] - span[0]) if span else (0, 0)
         self.lo = self.k_lo * self.step
-        # per row: (first node, log sums, mean z) of the nodes built
-        self.built: list = [None] * len(self.rows)
+        self.nodes = None  # lattice indices of the first and last node built
 
-    def cover(self, x_lo: np.ndarray, x_hi: np.ndarray, rows: np.ndarray) -> None:
-        """Build every node that a read of row r at a point in ``[x_lo[r], x_hi[r]]`` uses.
+    def cover(self, x_lo: float, x_hi: float) -> None:
+        """Build every node that a read at a point in ``[x_lo, x_hi]`` uses.
 
-        For each row where ``rows`` is True, with a cell more on each side,
-        so ends that are off by a few roundings still cover every read; an
-        empty range (``x_lo > x_hi``) needs none. A row's nodes grow to the
-        union of what it had and what it needs, summed again as a whole.
+        With a cell more on each side, so ends that are off by a few
+        roundings still cover every read; an empty range (``x_lo > x_hi``)
+        needs none. The nodes grow to the union of what they were and what
+        the range needs, summed again as a whole.
         """
-        first = np.fmin(np.fmax(np.floor((x_lo - self.lo) / self.step) - 1.0, 0.0),
-                        self.cells - 1.0)
-        last = np.fmin(np.fmax(np.floor((x_hi - self.lo) / self.step) + 2.0, 1.0), self.cells)
-        wanted = {}
-        for r in np.flatnonzero(rows & self.has_grid & (first < last)).tolist():
-            a, b, built = self.k_lo[r] + int(first[r]), self.k_lo[r] + int(last[r]), self.built[r]
-            if built is not None:
-                a, b = min(a, built[0]), max(b, built[0] + built[1].size - 1)
-            if built is None or (a, b) != (built[0], built[0] + built[1].size - 1):
-                wanted[r] = a, b
-        if not wanted:
+        if not self.has_grid:
             return
-        # each wanted row's sums, one call a block
-        for b, support in enumerate(self.blocks):
-            mine = [r for r in wanted if self.rows[r][0] == b]
-            if mine:
-                for r, sums in zip(mine, _piece_sums(support, self.bandwidth, [
-                        (self.rows[r][1], *wanted[r]) for r in mine])):
-                    self.built[r] = (wanted[r][0], *sums)
-        self._join()
-
-    def _join(self) -> None:
-        """Lay every built row's nodes end to end, and each cell's cubic over them."""
-        built = [(r, row) for r, row in enumerate(self.built) if row is not None]
-        # a row's cell i (from its span's first node) is cell i + offset of the join
-        self._offset = np.zeros(len(self.rows), dtype=np.intp)
-        self._first = np.zeros(len(self.rows))
-        start = 0
-        for r, row in built:
-            self._first[r] = row[0] - self.k_lo[r]
-            self._offset[r] = start - self._first[r]
-            start += row[1].size
-        log_sum = np.concatenate([row[1] for _, row in built])
-        tangent = np.concatenate([row[2] for _, row in built]) * (-self.step / self.bandwidth)
+        first = _clamped_cell((x_lo - self.lo) / self.step, -1, 0, self.cells - 1)
+        last = _clamped_cell((x_hi - self.lo) / self.step, 2, 1, self.cells)
+        if first >= last:
+            return
+        a, b = self.k_lo + first, self.k_lo + last
+        if self.nodes is not None:
+            a, b = min(a, self.nodes[0]), max(b, self.nodes[1])
+            if (a, b) == self.nodes:
+                return
+        self.nodes = a, b
+        log_sum, mean_z = _log_kernel_sums(self.step * np.arange(a, b + 1.0), self.support,
+                                           self.bandwidth, True)
+        tangent = mean_z * (-self.step / self.bandwidth)
         rise = np.diff(log_sum)
-        # cell k's cubic Hermite in t = (x - node_k) / step, lowest power first;
-        # the cell from a row's last node to the next row's first is never read
+        # cell k's cubic Hermite in t = (x - node_k) / step, lowest power first
         self.cubic = (log_sum[:-1], tangent[:-1],
                       3.0 * rise - 2.0 * tangent[:-1] - tangent[1:],
                       tangent[:-1] + tangent[1:] - 2.0 * rise)
 
-    def read(self, x: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``log sum_i k_i`` at each of ``x`` on its row, and where that is within :attr:`error`.
+    def read(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``log sum_i k_i`` at each of ``x``, and where that is within :attr:`error`.
 
-        ``rows`` is one row for every point, or a row per point. Only rows
-        with a grid are read, at points :meth:`cover` has covered.
+        Only a grid with nodes is read, at points :meth:`cover` has covered.
         """
-        cells = self.cells[rows]
-        pos = (x - self.lo[rows]) / self.step
-        usable = (pos >= 0.0) & (pos <= cells)
+        first = self.nodes[0] - self.k_lo
+        pos = (x - self.lo) / self.step
+        usable = (pos >= 0.0) & (pos <= self.cells)
         if not usable.all():  # a point outside reads a built cell
-            pos = np.where(usable, pos, self._first[rows])
-        i = np.minimum(pos.astype(np.intp), cells - 1)
+            pos = np.where(usable, pos, float(first))
+        i = np.minimum(pos.astype(np.intp), self.cells - 1)
         t = pos - i
-        i += self._offset[rows]
+        i -= first
         c0, c1, c2, c3 = self.cubic
         y = c3[i]  # Horner's rule, in place
         y *= t
@@ -639,17 +580,12 @@ class _LogGrid:
         y += c0[i]
         return y, usable
 
-    def log_sums(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """``log sum_i k_i`` at each of ``x`` on its row, within :attr:`error`: a read, or an
-        exact row."""
-        y, usable = self.read(x, rows)
+    def log_sums(self, x: np.ndarray) -> np.ndarray:
+        """``log sum_i k_i`` at each of ``x``, within :attr:`error`: a read, or an exact sum."""
+        y, usable = self.read(x)
         if not usable.all():
             out = np.flatnonzero(~usable)
-            rows = np.broadcast_to(rows, x.shape)
-            for r in np.unique(rows[out]).tolist():
-                mine = out[rows[out] == r]
-                b, l = self.rows[r]
-                y[mine] = _log_kernel_sums(x[mine], self.blocks[b][l], self.bandwidth)[0]
+            y[out] = _log_kernel_sums(x[out], self.support, self.bandwidth)[0]
         return y
 
 
@@ -657,18 +593,20 @@ class WeightedRule:
     """The weighted conformal rule of a calibration pool, or of rows of pools.
 
     ``pool`` is one pool, or a 2-D array whose rows are pools of one size;
-    ``minority`` masks the minority points along its last axis, and the
-    scores go through log10 once if ``log_scale``. The rule keeps a
-    read-only copy of the pools. A row's p is its pool's KDE, and the
-    attribute ``shifts`` holds one :class:`ShiftEstimate` per name in the
-    argument ``shifts`` ("mean" or "quantile"), whose q is p read through
-    its map; its fields are floats for one pool, and hold one value per
-    row for rows. Each shift has a weighted rank table of grid ratios per
-    row (certified) and, built only for a row where some point takes the
-    exact mass, one of exact ratios. Every table holds the pool sorted, so
-    one rank serves them all. The test scores of :meth:`p_values` and
-    :meth:`flags` come flat, each with the row of the pool it is ranked
-    against in ``rows`` (nondecreasing; all row 0 if not given).
+    ``minority`` is a boolean mask of the minority points, one entry per
+    point of a pool (else ``minority_not_a_mask``), and the scores go
+    through log10 once if ``log_scale``. The rule keeps a read-only copy of
+    the pools. A row's p is its pool's KDE, and the attribute ``shifts``
+    holds one :class:`ShiftEstimate` per name in the argument ``shifts``
+    ("mean" or "quantile", else ``unknown_shift``; at least one, else
+    ``no_shifts``), whose q is p read through its map; its fields are
+    floats for one pool, and hold one value per row for rows. Each shift
+    has a weighted rank table of grid ratios per row (certified) and, built
+    only for a row where some point takes the exact mass, one of exact
+    ratios. Every table holds the pool sorted, so one rank serves them all.
+    The test scores of :meth:`p_values` and :meth:`flags` come flat, each
+    with the row of the pool it is ranked against in ``rows``
+    (nondecreasing; all row 0 if not given).
 
     A shift's ratios are ``exp(log q - log p - M)``, M its largest at the
     pool: its calibration ratios lie in [0, 1] and total at least 1, and a
@@ -697,10 +635,16 @@ class WeightedRule:
         return rule
 
     def _setup(self, pools, minorities, bandwidth, alpha, shifts, log_scale):
+        if not shifts:
+            raise ValueError("no_shifts: name at least one shift")
+        for name in shifts:
+            if name not in ("mean", "quantile"):
+                raise ValueError(f"unknown_shift: {name!r}, not 'mean' or 'quantile'")
         pools = [np.array(pool, dtype=float, ndmin=2) for pool in pools]
         for pool in pools:
             pool.setflags(write=False)
         self._pools, self.alpha = pools, alpha
+        self._rows = [row for pool in pools for row in pool]
         self._to_eval = np.log10 if log_scale else np.asarray
         self._evals = [self._to_eval(pool) for pool in pools]
         self._h = float(bandwidth)
@@ -711,6 +655,10 @@ class WeightedRule:
         check_bandwidth(self._h, float(np.max(self._bounds[1] - self._bounds[0])))
         fits = []
         for e, minority in zip(self._evals, minorities):
+            minority = np.asarray(minority)
+            if minority.dtype != bool or minority.shape != e.shape[-1:]:
+                raise ValueError(f"minority_not_a_mask: want {e.shape[-1]} booleans, one per "
+                                 f"pool point; got {minority.dtype} of shape {minority.shape}")
             # row by row in memory, so each row's sums take a one-row sample's order
             samples = _samples(e, np.ascontiguousarray(e[:, minority]))
             spreads = _spreads(*samples)  # once, for every shift
@@ -726,24 +674,25 @@ class WeightedRule:
         self._exact_rows: dict = {}
 
     @cached_property
-    def _grid(self) -> _LogGrid:
-        """The pools' log-density grid, a row per pool; each shift's q reads it through its map."""
-        return _LogGrid(self._evals, self._h)
+    def _grid(self) -> list[_LogGrid]:
+        """Each row's log-density grid of its pool; each shift's q reads it through its map."""
+        return [_LogGrid(e, self._h) for evals in self._evals for e in evals]
 
     @cached_property
     def _factor(self) -> np.ndarray:
         """Each row's ``E = exp(2 eps)``, ``eps = 2 * error`` (see the module docstring)."""
         with np.errstate(over="ignore"):
-            return np.exp(4.0 * self._grid.error)
+            return np.exp(4.0 * np.array([grid.error for grid in self._grid]))
 
     @cached_property
     def _certified(self) -> np.ndarray:
         """Which rows have certified tables: none at alpha >= 1/2, and no row with no grid or
         where ``alpha * E >= 1`` lets the screen drop no point."""
-        return (self.alpha < 0.5) & self._grid.has_grid & (self.alpha * self._factor < 1)
+        return ((self.alpha < 0.5) & np.array([grid.has_grid for grid in self._grid])
+                & (self.alpha * self._factor < 1))
 
     def _cover(self, values: np.ndarray, rows: np.ndarray) -> None:
-        """Extend the certified rows' grid over the pool, ``values`` and their images."""
+        """Extend each certified row's grid over its pool, its ``values`` and their images."""
         lo, hi = (bound.copy() for bound in self._bounds)
         starts = np.searchsorted(rows, np.arange(lo.size + 1))
         present = np.flatnonzero(starts[:-1] < starts[1:])
@@ -753,47 +702,42 @@ class WeightedRule:
                                      self._to_eval(np.minimum.reduceat(values, at)))
             hi[present] = np.maximum(hi[present],
                                      self._to_eval(np.maximum.reduceat(values, at)))
-        every = np.arange(lo.size)
         # the maps rise with x, so the images of the ends bound every image
-        ends = [lo, hi, *(shift.to_pool(end, every) for shift in self._fits for end in (lo, hi))]
-        self._grid.cover(np.min(ends, axis=0), np.max(ends, axis=0), self._certified)
+        ends = [lo, hi, *(shift.to_pool(end) for shift in self._fits for end in (lo, hi))]
+        x_lo, x_hi = np.min(ends, axis=0).tolist(), np.max(ends, axis=0).tolist()
+        for r in np.flatnonzero(self._certified).tolist():
+            self._grid[r].cover(x_lo[r], x_hi[r])
 
     @cached_property
     def _by_row(self) -> list:
         """Each certified row's :meth:`_row`, built in one pass; None for another row.
 
-        The certified tables are of grid ratios, read at every certified
-        row's pool points at once, and built a block at a time.
+        The certified tables are of grid ratios, each row's read at its pool
+        points on its own grid, and built a block at a time.
         """
         certified = self._certified
         out: list = [None] * len(certified)
         if not certified.any():
             return out
         self._cover(np.empty(0), np.empty(0, dtype=np.intp))
-        blocks, first = [], 0
-        for pool, e in zip(self._pools, self._evals):
+        first = 0
+        for pool in self._pools:
             mine = certified[first:first + len(pool)]
-            blocks.append((np.flatnonzero(mine) + first, pool[mine], e[mine]))
+            rows = (np.flatnonzero(mine) + first).tolist()
             first += len(pool)
-        points = np.concatenate([e.reshape(-1) for _, _, e in blocks])
-        point_rows = np.concatenate([np.repeat(r, e.shape[-1]) for r, _, e in blocks])
-        starts = np.searchsorted(point_rows, np.flatnonzero(certified))
-        tops, ratios = [], []
-        for log_r in _log_ratios(self._grid.log_sums, self._fits, points, point_rows):
-            tops.append(np.maximum.reduceat(log_r, starts))
-            ratios.append(np.exp(log_r - np.repeat(tops[-1], np.diff([*starts, log_r.size]))))
-        ratios, at = np.array(ratios), 0
-        tops = dict(zip(np.flatnonzero(certified).tolist(), zip(*tops)))
-        for rows, pool, _ in blocks:
-            if rows.size:  # every shift's tables of the block's rows, at once
-                block = _weighted_table(pool, ratios[:, at:at + pool.size].reshape(
-                    -1, *pool.shape))
-                for i, r in enumerate(rows.tolist()):
-                    out[r] = self._screened(r, [
-                        (_RankTable(block.sorted_cal[i], mass[i]), top)
-                        for mass, top in zip(block.mass, tops[r])],
-                        self.alpha * self._factor[r])
-                at += pool.size
+            if not rows:
+                continue
+            # every shift's ratios and tables of the block's rows, at once
+            log_r = np.stack([_log_ratios(self._grid[r].log_sums,
+                                          [shift.row(r) for shift in self._fits],
+                                          self._grid[r].support) for r in rows], axis=1)
+            tops = log_r.max(axis=-1)
+            block = _weighted_table(pool[mine], np.exp(log_r - tops[..., np.newaxis]))
+            for i, r in enumerate(rows):
+                out[r] = self._screened(r, [
+                    (_RankTable(block.sorted_cal[i], mass[i]), top)
+                    for mass, top in zip(block.mass, tops[:, i])],
+                    self.alpha * self._factor[r])
         return out
 
     def _row(self, r: int) -> tuple[list[ShiftEstimate], list[tuple[_RankTable, float]], float]:
@@ -824,11 +768,10 @@ class WeightedRule:
         """Row r's pool KDE, its shifts, and each shift's exact table and top: one exact log
         density, at the pool and its images."""
         if r not in self._exact_rows:
-            b, l = self._grid.rows[r]
-            model = DensityModel(self._evals[b][l], self._h)
+            model = DensityModel(self._grid[r].support, self._h)
             shifts = [shift.row(r) for shift in self._fits]
             self._exact_rows[r] = model, shifts, [
-                (_weighted_table(self._pools[b][l], np.exp(log_r - top)), top)
+                (_weighted_table(self._rows[r], np.exp(log_r - top)), top)
                 for log_r in _log_ratios(model.log_evaluate, shifts, model.support_points)
                 for top in (log_r.max(),)]
         return self._exact_rows[r]
@@ -863,7 +806,7 @@ class WeightedRule:
         shifts, tables, _ = self._row(r)
         masses, open_ = [], np.zeros(j.shape, dtype=bool)
         for (table, top), log_r in zip(tables, _log_ratios(
-                partial(self._grid.log_sums, rows=r), shifts, self._to_eval(values))):
+                self._grid[r].log_sums, shifts, self._to_eval(values))):
             lo, p, hi = _masses(table, j, log_r - top, self._factor[r])
             open_ |= ~((hi < self.alpha * (1.0 - _SCREEN_SLACK))
                        | (lo >= self.alpha * (1.0 + _SCREEN_SLACK)))
@@ -881,10 +824,10 @@ class WeightedRule:
                 else np.asarray(rows, dtype=np.intp))
         if rows.shape != values.shape or (rows[1:] < rows[:-1]).any():
             raise ValueError("rows_not_grouped: one row per test score, nondecreasing")
-        if rows.size and not 0 <= rows[0] <= rows[-1] < len(self._grid.rows):
-            raise ValueError(f"row_out_of_range: rows run from 0 to {len(self._grid.rows) - 1}")
+        if rows.size and not 0 <= rows[0] <= rows[-1] < len(self._rows):
+            raise ValueError(f"row_out_of_range: rows run from 0 to {len(self._rows) - 1}")
         self._cover(values, rows)
-        bounds = np.searchsorted(rows, np.arange(len(self._grid.rows) + 1)).tolist()
+        bounds = np.searchsorted(rows, np.arange(len(self._rows) + 1)).tolist()
         return values, [(r, slice(start, stop)) for r, (start, stop)
                         in enumerate(zip(bounds, bounds[1:])) if start < stop]
 

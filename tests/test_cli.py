@@ -268,9 +268,9 @@ class TestDetectCommand:
             calls.append(model)
             return log_evaluate(model, x)
 
-        def counting_log_sums(grid, x, rows):
+        def counting_log_sums(grid, x):
             reads.append(np.size(x))
-            return log_sums(grid, x, rows)
+            return log_sums(grid, x)
 
         monkeypatch.setattr(DensityModel, "log_evaluate", counting_log_evaluate)
         monkeypatch.setattr(_LogGrid, "log_sums", counting_log_sums)

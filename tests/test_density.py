@@ -80,7 +80,7 @@ class TestFitKde:
         pool = np.array([0.25, -1.5, 2.0])
         rule = density.WeightedRule(pool, np.arange(3) < 2, 0.5, 0.05, ("mean",), False)
         # the rule's pool KDE sums over the support its grid and exact model read
-        supports = [DensityModel(pool, 0.5).support_points, rule._grid.blocks[0][0],
+        supports = [DensityModel(pool, 0.5).support_points, rule._grid[0].support,
                     DensityModel(support_points=(1, 2), bandwidth=1.0).support_points]
         pool[0] = 9.0
         supports.append(rule._exact(0)[0].support_points)
@@ -391,7 +391,7 @@ class TestLogRatios:
         grid = full_grid(model.support_points, bandwidth)
         x = np.array(x)
         with mock.patch.object(density, "_BLOCK_BYTES", block_bytes):
-            for log_density in (model.log_evaluate, lambda q: grid.log_sums(q, 0)):
+            for log_density in (model.log_evaluate, grid.log_sums):
                 sizes = []
                 got = density._log_ratios(
                     lambda q: sizes.append(q.size) or log_density(q), shifts, x)
@@ -401,9 +401,9 @@ class TestLogRatios:
 
 
 def full_grid(support, bandwidth):
-    """A one-row grid of ``support``, built over its whole span."""
-    grid = density._LogGrid([np.asarray(support)[np.newaxis]], bandwidth)
-    grid.cover(np.array([-np.inf]), np.array([np.inf]), np.array([True]))
+    """The grid of ``support``, built over its whole span."""
+    grid = density._LogGrid(np.asarray(support), bandwidth)
+    grid.cover(-np.inf, np.inf)
     return grid
 
 
@@ -578,7 +578,7 @@ def assert_exact_or_within_certified_bounds(rule, tests, exact, r=0):
         return
     shifts, tables, _ = rule._row(r)
     j = tables[0][0].ranks(tests)
-    log_ratios = density._log_ratios(lambda q: rule._grid.log_sums(q, r), shifts,
+    log_ratios = density._log_ratios(rule._grid[r].log_sums, shifts,
                                      rule._to_eval(tests))
     for (table, top), log_r, want, p in zip(tables, log_ratios, exact, got):
         lo, _, hi = density._masses(table, j, log_r - top, rule._factor[r])
@@ -748,7 +748,7 @@ class TestWeightedRule:
             # a 1e-300 score's pool spans 300 log10 units: a grid of over 2**14
             # nodes at h = 0.05 or 0.2, or one whose bound decides nothing
             assert rule._certified.tolist() == [not t for t in tiny[:rows]]
-            assert rule._grid.has_grid.tolist() == [
+            assert [grid.has_grid for grid in rule._grid] == [
                 not t or bandwidth in (0.5, 1.5) for t in tiny[:rows]]
 
     @pytest.mark.parametrize("rows, code", [([1, 0, 1], "rows_not_grouped"),
@@ -763,6 +763,28 @@ class TestWeightedRule:
         for method in (rule.flags, rule.p_values):
             with pytest.raises(ValueError, match=code):
                 method(tests[:3], np.array(rows))
+
+    @pytest.mark.parametrize("mask", ["ints", "short", "long", "2-D"])
+    def test_minority_must_be_one_boolean_per_pool_point(self, mask):
+        # a 0/1 integer mask would index points 0 and 1, not mask the last five
+        pool, boolean, _ = logit_normal_pool(4, 5, n_majority=15)
+        assert boolean.tolist() == (np.arange(20) >= 15).tolist()
+        minority = {"ints": (np.arange(20) >= 15).astype(int), "short": np.arange(19) >= 15,
+                    "long": np.arange(21) >= 15,
+                    "2-D": np.stack([np.arange(20) >= 15] * 2)}[mask]
+        with pytest.raises(ValueError, match="minority_not_a_mask"):
+            density.WeightedRule(pool, minority, 0.5, 0.05, ("mean",), True)
+        with pytest.raises(ValueError, match="minority_not_a_mask"):
+            density.WeightedRule._stacked([np.stack([pool, pool])], [minority], 0.5, 0.05,
+                                          ("mean",), True)
+
+    @pytest.mark.parametrize("shifts, code", [(("median",), "unknown_shift"),
+                                              (("mean", "Mean"), "unknown_shift"),
+                                              ((), "no_shifts")])
+    def test_shift_names_are_checked(self, shifts, code):
+        pool, minority, _ = logit_normal_pool(4, 15)
+        with pytest.raises(ValueError, match=code):
+            density.WeightedRule(pool, minority, 0.5, 0.05, shifts, True)
 
     def test_rule_keeps_its_own_read_only_pool(self):
         # reusing the caller's array after building the rule changes nothing
@@ -808,7 +830,7 @@ class TestWeightedRule:
         want = [p < 0.05 for p in exact(0, tests, j)]
         assert [f.tolist() for f in flags] == [w.tolist() for w in want]
         assert any(w.any() for w in want)
-        assert rule._grid.has_grid[0]
+        assert rule._grid[0].has_grid
         if case == "coarse_grid":
             assert 0 < opened[0] < candidates
         else:
@@ -836,7 +858,7 @@ class TestWeightedRule:
         rule = density.WeightedRule(pool, minority, 0.5, 0.05, (shift,), True)
         (got,) = exact_p_values(rule, tests)
         (est,) = rule.shifts
-        support = rule._grid.blocks[0][0].tolist()
+        support = rule._grid[0].support.tolist()
 
         def log_ratio(score):
             x = math.log10(score)
@@ -875,52 +897,47 @@ class TestLogGrid:
         if log_scale:
             support = np.log10(support)
         grid = full_grid(support, bandwidth)
-        assert grid.has_grid[0]
-        lo, hi = grid.lo[0], grid.lo[0] + grid.step * grid.cells[0]
+        assert grid.has_grid
+        lo, hi = grid.lo, grid.lo + grid.step * grid.cells
         # the support points, then points across the grid and a little beyond it
         x = np.concatenate([support, lo + (hi - lo) * np.array(where)])
-        y, usable = grid.read(x, 0)
+        y, usable = grid.read(x)
         assert usable[:support.size].all() and usable[(x > lo) & (x < hi)].all()
         assert not usable[(x < lo) | (x > hi)].any()
         # exact log densities, also where the density itself underflows
         exact = DensityModel(support, bandwidth).log_evaluate(x[usable]) + math.log(
             support.size * bandwidth * math.sqrt(2.0 * math.pi))
-        assert (np.abs(y[usable] - exact) <= grid.error[0]).all()
+        assert (np.abs(y[usable] - exact) <= grid.error).all()
 
     @settings(max_examples=60, deadline=None)
     @given(
         scores=st.lists(st.floats(1e-8, 1.0), min_size=2, max_size=60),
-        rows=st.integers(1, 3),
         bandwidth=st.floats(0.05, 2.0),
         ranges=st.lists(st.tuples(st.floats(-0.2, 1.2), st.floats(-0.2, 1.2)),
                         min_size=1, max_size=4),
         where=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=100),
     )
-    def test_sub_range_and_pieces_read_the_full_grids_bits(self, scores, rows, bandwidth,
-                                                          ranges, where):
-        # nodes built over part of the span, then extended piece by piece,
-        # read the bits of the grid built over the whole span
+    def test_sub_range_and_pieces_read_the_full_grids_bits(self, scores, bandwidth, ranges,
+                                                          where):
+        # nodes built over part of the span, then grown piece by piece over
+        # several calls, read the bits of the grid built over the whole span
         support = np.log10(np.array(scores))
-        blocks = [np.stack([np.roll(support, r) for r in range(rows)])]
-        grid = density._LogGrid(blocks, bandwidth)
-        full = density._LogGrid(blocks, bandwidth)
-        full.cover(np.full(rows, -np.inf), np.full(rows, np.inf), np.full(rows, True))
+        grid = density._LogGrid(support, bandwidth)
+        full = full_grid(support, bandwidth)
         span_lo, span = grid.lo, grid.step * grid.cells
-        covered_lo, covered_hi = np.full(rows, np.inf), np.full(rows, -np.inf)
-        for lo, hi in ranges:  # one piece per row and call
+        covered_lo, covered_hi = np.inf, -np.inf
+        for lo, hi in ranges:  # one piece per call
             lo, hi = span_lo + span * min(lo, hi), span_lo + span * max(lo, hi)
-            grid.cover(lo, hi, np.full(rows, True))
-            covered_lo, covered_hi = np.minimum(covered_lo, lo), np.maximum(covered_hi, hi)
-            for r in range(rows):
-                x = covered_lo[r] + (covered_hi[r] - covered_lo[r]) * np.array(where)
-                y, usable = grid.read(x, r)
-                want, usable_full = full.read(x, r)
-                assert usable.tolist() == usable_full.tolist()
-                assert y[usable].tobytes() == want[usable].tobytes()
-                assert (grid.log_sums(x, r).tobytes() == full.log_sums(x, r).tobytes())
+            grid.cover(lo, hi)
+            covered_lo, covered_hi = min(covered_lo, lo), max(covered_hi, hi)
+            x = covered_lo + (covered_hi - covered_lo) * np.array(where)
+            y, usable = grid.read(x)
+            want, usable_full = full.read(x)
+            assert usable.tolist() == usable_full.tolist()
+            assert y[usable].tobytes() == want[usable].tobytes()
+            assert grid.log_sums(x).tobytes() == full.log_sums(x).tobytes()
         # a sub-range holds fewer nodes than the span
-        built = sum(row[1].size for row in grid.built if row is not None)
-        assert built <= sum(row[1].size for row in full.built)
+        assert grid.nodes[1] - grid.nodes[0] <= full.nodes[1] - full.nodes[0]
 
 
 def corrupt_ratios(monkeypatch, value):

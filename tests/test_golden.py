@@ -66,7 +66,7 @@ CASES = {
     "simulate_hierarchical_big_seed": ("simulate_hierarchical_big_seed", [
         "simulate", {"scenario": "hierarchical", "seeds": [7, 4294967296]}]),
     "simulate_weighted": ("simulate_weighted", ["simulate", {"scenario": "weighted"}]),
-    # the five seeds' pools share their majority node sums across the two workers
+    # two workers give the one-worker bytes
     "simulate_weighted_threads2": ("simulate_weighted", [
         "simulate", {"scenario": "weighted"}, "--threads", "2"]),
     "simulate_weighted_seed1": ("simulate_weighted_seed1", [

@@ -448,14 +448,13 @@ def record_opened_rules(monkeypatch) -> list:
 
 
 def full_span_terms(config, rules) -> int:
-    """The node-sum kernel terms of the rules' pools over their whole spans: each row's
+    """The node-sum kernel terms of the rules' pools over their whole spans: each pool's
     support over every node of its own span."""
     terms = 0
-    for grid in (rule._grid for rule in rules):
-        for b, l in grid.rows:
-            span = density._node_span(grid.blocks[b][l], config.bandwidth)
-            if span:
-                terms += (span[1] - span[0] + 1) * grid.blocks[b].shape[-1]
+    for grid in (grid for rule in rules for grid in rule._grid):
+        span = density._node_span(grid.support, config.bandwidth)
+        if span:
+            terms += (span[1] - span[0] + 1) * grid.support.size
     return terms
 
 
@@ -471,11 +470,12 @@ class TestWeightedDensityCalls:
             return log_evaluate(model, x)
 
         summed = []
-        node_sums = density._node_sums
+        kernel_sums = density._log_kernel_sums
 
-        def counting_node_sums(support, bandwidth, k, rows):
-            summed.append((support.shape, k.size))
-            return node_sums(support, bandwidth, k, rows)
+        def counting_node_sums(query, support, bandwidth, with_moment=False):
+            if with_moment:  # a grid's node sums
+                summed.append((support.size, query.size))
+            return kernel_sums(query, support, bandwidth, with_moment)
 
         rules = []
         stacked = density.WeightedRule._stacked
@@ -485,7 +485,7 @@ class TestWeightedDensityCalls:
             return rules[-1]
 
         monkeypatch.setattr(DensityModel, "log_evaluate", counting_log_evaluate)
-        monkeypatch.setattr(density, "_node_sums", counting_node_sums)
+        monkeypatch.setattr(density, "_log_kernel_sums", counting_node_sums)
         monkeypatch.setattr(density.WeightedRule, "_stacked", recording_stacked)
         opened = record_opened_rules(monkeypatch)
         pool_sizes = ([3 * (cfg.majority_cal_size + m) for m in cfg.minority_sizes]
@@ -498,14 +498,14 @@ class TestWeightedDensityCalls:
             for recorded in (calls, summed, opened, rules):
                 recorded.clear()
             run_scenario(cfg)
-            # one rule pass per task, and in it one node sum of each minority
-            # size's pools, each row over its own nodes
+            # one rule pass per task, and in it one node sum of each pool, over
+            # its own pool's points and nodes
             assert len(rules) == len(cfg.seeds) * cfg.n_prompts
-            assert sorted(shape for shape, _ in summed) == sorted(
-                (levels, cfg.majority_cal_size + m) for m in cfg.minority_sizes)
+            assert sorted(width for width, _ in summed) == sorted(
+                levels * [cfg.majority_cal_size + m for m in cfg.minority_sizes])
             # the grids reach only the nodes their reads reach: at most 0.7 of
             # the kernel terms of whole spans
-            terms = sum(shape[-1] * size for shape, size in summed)
+            terms = sum(width * size for width, size in summed)
             assert terms <= 0.7 * full_span_terms(cfg, rules)
             # p at the pool and both shifts' images, in one call, only for a
             # pool with an open point
@@ -774,9 +774,9 @@ class TestWeightedScreen:
         queried = []
         read = density._LogGrid.read
 
-        def counting_read(grid, x, rows):
+        def counting_read(grid, x):
             queried.append(np.size(x))
-            return read(grid, x, rows)
+            return read(grid, x)
 
         monkeypatch.setattr(density._LogGrid, "read", counting_read)
         screen = conformal._RankTable.screen
@@ -859,16 +859,15 @@ class TestCertifiedMasses:
         read = density._LogGrid.read
         evaluate, exact_masses = density.WeightedRule._evaluate, density.WeightedRule._p_values
 
-        def recording_read(grid, x, rows):
-            y, usable = read(grid, x, rows)
+        def recording_read(grid, x):
+            y, usable = read(grid, x)
             seen["reads"] += 1
             seen["outside"] += int(np.count_nonzero(~usable))
             return y, usable
 
         def recording_evaluate(rule, r, values, j):
             seen["kept"] += values.size
-            b, l = rule._grid.rows[r]
-            seen["ties"] += rule._pools[b][l].size - np.unique(rule._pools[b][l]).size
+            seen["ties"] += rule._rows[r].size - np.unique(rule._rows[r]).size
             return evaluate(rule, r, values, j)
 
         def recording_exact(rule, r, values, j):
@@ -882,7 +881,7 @@ class TestCertifiedMasses:
         for exact in (False, True):
             if exact:  # every kept point through the exact tables, as with no grid
                 monkeypatch.setattr(density.WeightedRule, "_certified",
-                                    property(lambda rule: np.zeros(len(rule._grid.rows), bool)))
+                                    property(lambda rule: np.zeros(len(rule._grid), bool)))
             seen.clear()
             out = tmp_path / f"exact{exact}"
             assert main(["simulate", str(path), "--out", str(out)]) == 0
