@@ -60,6 +60,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _out_dir(path: str) -> Path:
+    """The directory ``--out`` names, made with its parents; ``unusable_out_dir`` where
+    it cannot be (a file, or a path through one)."""
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError("unusable_out_dir", detail=f"{path}: {exc}") from None
+    return out_dir
+
+
 # ---------------------------------------------------------------------------
 # detect
 # ---------------------------------------------------------------------------
@@ -144,8 +155,7 @@ def cmd_detect(args) -> int:
         (p,) = rule.p_values(tests)
         flagged = p < alpha
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     decisions_path = out_dir / "decisions.csv"
     io_mod.write_decisions_csv(decisions_path, test_table.essay_id, p, flagged)
     manifest = io_mod.build_manifest(
@@ -190,8 +200,7 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         raise ValidationError("invalid_config", detail=str(exc))
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     metrics_csv = out_dir / "metrics.csv"
     metrics_json = out_dir / "metrics.json"
     plot_csv = out_dir / "plot_data.csv"
@@ -218,13 +227,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bleu(args) -> int:
-    texts = []
-    for p in (args.reference_path, args.candidate_path):
-        try:
-            texts.append(io_mod.read_text(p))
-        except OSError as exc:
-            raise ValidationError("unreadable_file", detail=f"{p}: {exc}")
-    score = bleu_of_texts(texts[0], texts[1])
+    score = bleu_of_texts(io_mod.read_text(args.reference_path),
+                          io_mod.read_text(args.candidate_path))
     print(json.dumps({
         "value": score.value,
         "unigram_precision": score.unigram_precision,

@@ -14,13 +14,14 @@ only, which stay finite however deep in a tail a score lies.
 
 ``WeightedRule`` has one evaluator, which ``p_values`` (written by
 ``detect``) runs at every test score and ``flags`` (counted by
-``simulate``) at the points its screen keeps. It reads the log densities
-from one grid (:class:`_LogGrid`), whose error has a proven bound, at the
-pool as well as at the test points, and takes from each test point's grid
-ratio its grid mass and two bounds on the exact rule's mass. A point is
-open where some shift's bounds straddle alpha; an open point, and every
-point where the grid cannot serve (no grid, alpha at least 1/2, or a bound
-too loose to screen), gets the exact mass from the exact Gaussian sums.
+``simulate``) at the points its screen keeps. Each pool's KDE is one
+:class:`DensityModel`, whose grid of log densities has a proven error
+bound. The evaluator reads the grid at the pool as well as at the test
+points, and takes from each test point's grid ratio its grid mass and two
+bounds on the exact rule's mass. A point is open where some shift's bounds
+straddle alpha; an open point, and every point where the grid cannot serve
+(no grid, alpha at least 1/2, or a bound too loose to screen), gets the
+exact mass from the same model's exact Gaussian sums.
 The grid mass lies between the bounds, and so does the exact mass. So
 wherever the bounds decide, ``p < alpha`` is the exact rule's flag, and
 elsewhere p is exact: every flag equals the exact rule's, and every p lies
@@ -93,12 +94,12 @@ _GAUSS_NORM = math.sqrt(2.0 * math.pi)
 # under glibc's initial 128 KiB mmap threshold, so buffers reuse heap memory.
 _BLOCK_BYTES = 128 * 1024 - 64
 
-# Spacing of :class:`_LogGrid`'s nodes in bandwidths, before rounding down to
-# a power of two.
+# Spacing of a :class:`DensityModel`'s grid nodes in bandwidths, before
+# rounding down to a power of two.
 _GRID_STEP = 0.0625
 
-# Most nodes of a :class:`_LogGrid`. A support that needs more is over 1,000
-# bandwidths wide, where the grid's bound is too loose to pay for its cost.
+# Most nodes of a :class:`DensityModel`'s grid. A support that needs more is over
+# 1,000 bandwidths wide, where the grid's bound is too loose to pay for its cost.
 _GRID_MAX_NODES = 2 ** 14
 
 # Largest ``|z| = |x - s| / h`` a kernel may see: ``-z**2 / 2`` stays finite,
@@ -155,12 +156,7 @@ def empirical_quantile(values: Sequence[float], level: float):
 
 @dataclass(frozen=True)
 class ShiftEstimate:
-    """Anchors and spreads defining the pool-to-subgroup affine map.
-
-    A rule over rows of pools keeps one estimate per shift whose fields
-    hold one value per row (arrays; ``branch`` too), and :meth:`row` gives
-    one row's.
-    """
+    """Anchors and spreads defining the pool-to-subgroup affine map of one pool."""
 
     method: str  # "mean" or "quantile"
     q_anchor: float
@@ -171,7 +167,7 @@ class ShiftEstimate:
 
     def __post_init__(self):
         for sigma in (self.sigma_p, self.sigma_q):
-            if (sigma <= 0).any() if isinstance(sigma, np.ndarray) else sigma <= 0:
+            if not sigma > 0:  # NaN included
                 raise ValueError("sigma_not_positive")
 
     def to_pool(self, x: np.ndarray) -> np.ndarray:
@@ -180,49 +176,10 @@ class ShiftEstimate:
         ``scale = sigma_p / sigma_q`` and ``offset = p_anchor - q_anchor * scale``
         map the subgroup's anchor to the pool's. No Jacobian factor is applied:
         weights are formed from normalized ratios, so constant factors cancel.
-        An estimate over rows maps ``x[r]`` by row r's map.
         """
         scale = self.sigma_p / self.sigma_q
         offset = self.p_anchor - self.q_anchor * scale
         return scale * x + offset
-
-    def row(self, r: int) -> ShiftEstimate:
-        """Row ``r``'s estimate, with float fields, of an estimate over rows."""
-        return ShiftEstimate(self.method, float(self.q_anchor[r]), float(self.p_anchor[r]),
-                             float(self.sigma_p[r]), float(self.sigma_q[r]),
-                             None if self.branch is None else str(self.branch[r]))
-
-
-@dataclass(frozen=True, eq=False)
-class DensityModel:
-    """Gaussian KDE of the pool.
-
-    ``support_points`` is stored as a read-only float64 copy of whatever
-    sequence is passed. ``bandwidth`` is the literal kernel width. scipy's
-    gaussian_kde rescales its bandwidth by the sample deviation, which would
-    silently change the smoothing as the pool changes.
-    """
-
-    support_points: np.ndarray
-    bandwidth: float
-
-    def __post_init__(self):
-        support = np.array(self.support_points, dtype=np.float64)
-        support.setflags(write=False)
-        object.__setattr__(self, "support_points", support)
-        if support.size == 0:
-            raise ValueError("empty_support: KDE needs at least one point")
-        check_bandwidth(self.bandwidth, float(support.max() - support.min()))
-
-    def log_evaluate(self, x) -> np.ndarray:
-        """Log density at ``x`` as an array of ``x``'s shape, finite at finite ``x``.
-
-        The sum over support points is exact, not binned (:func:`_log_kernel_sums`).
-        """
-        arr = np.asarray(x, dtype=float)
-        log_sums, _ = _log_kernel_sums(arr.ravel(), self.support_points, self.bandwidth)
-        log_sums -= math.log(self.support_points.size * self.bandwidth * _GAUSS_NORM)
-        return log_sums.reshape(arr.shape)
 
 
 def check_bandwidth(bandwidth: float, reach: float) -> None:
@@ -304,7 +261,7 @@ def _log_kernel_sums(query: np.ndarray, support: np.ndarray, bandwidth: float,
 
 def mean_shift(pool_logs: Sequence[float], minority_logs: Sequence[float]) -> ShiftEstimate:
     """The shift anchored at the sample means, ``(x - mean_q) / sigma_q * sigma_p + mean_p``."""
-    return _shift("mean", *_samples(pool_logs, minority_logs), None)
+    return _shift("mean", *_samples(pool_logs, minority_logs), None)[0]
 
 
 def check_quantile_alpha(alpha: float) -> None:
@@ -329,62 +286,56 @@ def quantile_shift(pool_logs: Sequence[float], minority_logs: Sequence[float],
     matters when the subgroup shift is stronger in the tail than in the
     bulk.
     """
-    return _shift("quantile", *_samples(pool_logs, minority_logs), alpha)
+    return _shift("quantile", *_samples(pool_logs, minority_logs), alpha)[0]
 
 
-def _spreads(pool: np.ndarray, minority: np.ndarray) -> tuple:
-    """``(sigma_p, sigma_q)``: each sample's standard deviation, at least ``SIGMA_FLOOR``.
-
-    Samples are the last axis: 2-D samples give one spread per row.
-    """
-    return tuple(_field(np.maximum(np.std(sample, axis=-1), SIGMA_FLOOR))
+def _spreads(pool: np.ndarray, minority: np.ndarray) -> tuple[list, list]:
+    """``(sigma_p, sigma_q)``: each row's standard deviation, at least ``SIGMA_FLOOR``."""
+    return tuple(np.maximum(np.std(sample, axis=-1), SIGMA_FLOOR).tolist()
                  for sample in (pool, minority))
 
 
-def _field(value):
-    """A float of a 0-d result, else the array of one value per row."""
-    return float(value) if np.ndim(value) == 0 else value
-
-
 def _shift(method: str, pool: np.ndarray, minority: np.ndarray, alpha: float | None,
-           spreads: tuple | None = None) -> ShiftEstimate:
-    """:func:`mean_shift` or :func:`quantile_shift` of checked samples and their ``_spreads``.
+           spreads: tuple | None = None) -> list[ShiftEstimate]:
+    """:func:`mean_shift` or :func:`quantile_shift` of each row of checked 2-D samples.
 
-    Samples are the last axis: 2-D samples, one pool and minority per row,
-    give an estimate over rows, each row's with its own sample's bits.
+    Row r of ``pool`` and of ``minority`` are one pool and its minority;
+    ``spreads`` are their ``_spreads``. Each row's estimate has its own
+    sample's bits.
     """
-    spreads = spreads or _spreads(pool, minority)
+    sigma_p, sigma_q = spreads or _spreads(pool, minority)
     if method == "mean":
-        return ShiftEstimate("mean", _field(np.mean(minority, axis=-1)),
-                             _field(np.mean(pool, axis=-1)), *spreads)
-    check_quantile_alpha(alpha)
-    m = minority.shape[-1]
-    # Branch conditions are m <= 1/(2a) and m <= 1/a, written multiplicatively
-    # so integer boundaries (e.g. m=10 at alpha=0.05) are decided exactly.
-    if m * 2.0 * alpha <= 1.0:
-        branch = "min"
-        q_anchor = _field(np.min(minority, axis=-1))
-        p_anchor = empirical_quantile(pool, 1.0 / m)
-    elif m * alpha <= 1.0:
-        branch = "2alpha"
-        q_anchor = empirical_quantile(minority, 2.0 * alpha)
-        p_anchor = empirical_quantile(pool, 2.0 * alpha)
+        q_anchor, p_anchor, branch = np.mean(minority, axis=-1), np.mean(pool, axis=-1), None
     else:
-        branch = "alpha"
-        q_anchor = empirical_quantile(minority, alpha)
-        p_anchor = empirical_quantile(pool, alpha)
-    return ShiftEstimate("quantile", q_anchor, p_anchor, *spreads, branch)
+        check_quantile_alpha(alpha)
+        m = minority.shape[-1]
+        # Branch conditions are m <= 1/(2a) and m <= 1/a, written multiplicatively
+        # so integer boundaries (e.g. m=10 at alpha=0.05) are decided exactly.
+        if m * 2.0 * alpha <= 1.0:
+            branch = "min"
+            q_anchor = np.min(minority, axis=-1)
+            p_anchor = empirical_quantile(pool, 1.0 / m)
+        elif m * alpha <= 1.0:
+            branch = "2alpha"
+            q_anchor = empirical_quantile(minority, 2.0 * alpha)
+            p_anchor = empirical_quantile(pool, 2.0 * alpha)
+        else:
+            branch = "alpha"
+            q_anchor = empirical_quantile(minority, alpha)
+            p_anchor = empirical_quantile(pool, alpha)
+    return [ShiftEstimate(method, *fields, branch)
+            for fields in zip(q_anchor.tolist(), p_anchor.tolist(), sigma_p, sigma_q)]
 
 
 def _samples(pool_logs, minority_logs) -> tuple[np.ndarray, np.ndarray]:
-    """Both samples as float arrays; raises ``empty_pool`` or ``empty_minority``."""
+    """Both samples as float arrays of rows; raises ``empty_pool`` or ``empty_minority``."""
     pool = np.asarray(pool_logs, dtype=float)
     minority = np.asarray(minority_logs, dtype=float)
     if pool.size == 0:
         raise ValueError("empty_pool")
     if minority.size == 0:
         raise ValueError("empty_minority")
-    return pool, minority
+    return pool.reshape(-1, pool.shape[-1]), minority.reshape(-1, minority.shape[-1])
 
 
 def _log_ratios(log_density, shifts: Sequence[ShiftEstimate], x) -> list[np.ndarray]:
@@ -447,17 +398,25 @@ def _clamped_cell(pos: float, shift: int, low: int, high: int) -> int:
     return min(max(math.floor(pos) + shift, low), high)
 
 
-class _LogGrid:
-    """A pool KDE's log kernel sum on evenly spaced nodes, read by cubic Hermite interpolation.
+class DensityModel:
+    """Gaussian KDE of a pool: exact log densities, and a grid of them read by cubic Hermite
+    interpolation.
 
-    The node sums are ``log sum_i k_i`` (the KDE's log f up to the constant
-    ``log(N h sqrt(2 pi))``, which cancels in every ratio) at nodes
+    ``support_points`` is stored as a read-only float64 copy of whatever
+    sequence is passed. ``bandwidth`` is the literal kernel width. scipy's
+    gaussian_kde rescales its bandwidth by the sample deviation, which would
+    silently change the smoothing as the pool changes.
+    :meth:`log_evaluate` gives the exact log density; :meth:`cover`,
+    :meth:`read` and :meth:`log_sums` serve the grid.
+
+    The grid's node sums are ``log sum_i k_i`` (the KDE's log f up to the
+    constant ``log(N h sqrt(2 pi))``, which cancels in every ratio) at nodes
     ``k * step``, for whole k in the span ``k_lo..k_lo + cells`` covering
     ``[min - 8h, max + 8h]`` of the support (:func:`_node_span`). With the
     tangent, ``step`` times its slope ``-sum z k / (h sum k)``, they give
     ``cubic``, each cell's Hermite cubic in ``t = (x - node) / step``, which
     a read evaluates by Horner's rule. Sums and slopes come from
-    :func:`_log_kernel_sums`, as the exact rule's log densities do. The step
+    :func:`_log_kernel_sums`, as :meth:`log_evaluate`'s do. The step
     is ``_GRID_STEP * h`` rounded down to a power of two, so every node is an
     exact float, and the nodes of every grid of one bandwidth lie on one
     lattice, the whole multiples of the step.
@@ -513,10 +472,15 @@ class _LogGrid:
     :func:`_node_span` gives no nodes (``has_grid`` False) is never built.
     """
 
-    def __init__(self, support: np.ndarray, bandwidth: float):
-        h = float(bandwidth)
-        self.support, self.bandwidth, self.step = support, h, _grid_step(h)
+    def __init__(self, support_points, bandwidth: float):
+        support = np.array(support_points, dtype=np.float64)
+        support.setflags(write=False)
+        if support.size == 0:
+            raise ValueError("empty_support: KDE needs at least one point")
         width = float(support.max() - support.min())
+        check_bandwidth(bandwidth, width)
+        h = float(bandwidth)
+        self.support_points, self.bandwidth, self.step = support, h, _grid_step(h)
         rho = self.step / h * (width / h)
         r = width / h + 10.0
         span_nodes = (width + 16.0 * h) / self.step + 2.0
@@ -527,6 +491,16 @@ class _LogGrid:
         self.k_lo, self.cells = (span[0], span[1] - span[0]) if span else (0, 0)
         self.lo = self.k_lo * self.step
         self.nodes = None  # lattice indices of the first and last node built
+
+    def log_evaluate(self, x) -> np.ndarray:
+        """Log density at ``x`` as an array of ``x``'s shape, finite at finite ``x``.
+
+        The sum over support points is exact, not binned (:func:`_log_kernel_sums`).
+        """
+        arr = np.asarray(x, dtype=float)
+        log_sums, _ = _log_kernel_sums(arr.ravel(), self.support_points, self.bandwidth)
+        log_sums -= math.log(self.support_points.size * self.bandwidth * _GAUSS_NORM)
+        return log_sums.reshape(arr.shape)
 
     def cover(self, x_lo: float, x_hi: float) -> None:
         """Build every node that a read at a point in ``[x_lo, x_hi]`` uses.
@@ -548,8 +522,8 @@ class _LogGrid:
             if (a, b) == self.nodes:
                 return
         self.nodes = a, b
-        log_sum, mean_z = _log_kernel_sums(self.step * np.arange(a, b + 1.0), self.support,
-                                           self.bandwidth, True)
+        log_sum, mean_z = _log_kernel_sums(self.step * np.arange(a, b + 1.0),
+                                           self.support_points, self.bandwidth, True)
         tangent = mean_z * (-self.step / self.bandwidth)
         rise = np.diff(log_sum)
         # cell k's cubic Hermite in t = (x - node_k) / step, lowest power first
@@ -585,7 +559,7 @@ class _LogGrid:
         y, usable = self.read(x)
         if not usable.all():
             out = np.flatnonzero(~usable)
-            y[out] = _log_kernel_sums(x[out], self.support, self.bandwidth)[0]
+            y[out] = _log_kernel_sums(x[out], self.support_points, self.bandwidth)[0]
         return y
 
 
@@ -596,17 +570,17 @@ class WeightedRule:
     ``minority`` is a boolean mask of the minority points, one entry per
     point of a pool (else ``minority_not_a_mask``), and the scores go
     through log10 once if ``log_scale``. The rule keeps a read-only copy of
-    the pools. A row's p is its pool's KDE, and the attribute ``shifts``
-    holds one :class:`ShiftEstimate` per name in the argument ``shifts``
-    ("mean" or "quantile", else ``unknown_shift``; at least one, else
-    ``no_shifts``), whose q is p read through its map; its fields are
-    floats for one pool, and hold one value per row for rows. Each shift
-    has a weighted rank table of grid ratios per row (certified) and, built
-    only for a row where some point takes the exact mass, one of exact
-    ratios. Every table holds the pool sorted, so one rank serves them all.
-    The test scores of :meth:`p_values` and :meth:`flags` come flat, each
-    with the row of the pool it is ranked against in ``rows``
-    (nondecreasing; all row 0 if not given).
+    the pools. A row's p is its pool's KDE, one :class:`DensityModel`, and
+    the row has one :class:`ShiftEstimate` per name in the argument
+    ``shifts`` ("mean" or "quantile", else ``unknown_shift``; at least one,
+    else ``no_shifts``), whose q is p read through its map; a rule of one
+    pool keeps them in the attribute ``shifts``. Each shift has a weighted
+    rank table of grid ratios per row (certified) and, built only for a
+    row where some point takes the exact mass, one of exact ratios. Every
+    table holds the pool sorted, so one rank serves them all. The test
+    scores of :meth:`p_values` and :meth:`flags` come flat, each with the
+    row of the pool it is ranked against in ``rows`` (nondecreasing; all
+    row 0 if not given).
 
     A shift's ratios are ``exp(log q - log p - M)``, M its largest at the
     pool: its calibration ratios lie in [0, 1] and total at least 1, and a
@@ -620,7 +594,7 @@ class WeightedRule:
                  shifts: Sequence[str], log_scale: bool):
         self._setup([pool], [minority], bandwidth, alpha, shifts, log_scale)
         if np.ndim(pool) == 1:
-            self.shifts = [shift.row(0) for shift in self._fits]
+            self.shifts = self._shifts[0]
 
     @classmethod
     def _stacked(cls, pools: Sequence[np.ndarray], minorities: Sequence[np.ndarray],
@@ -653,7 +627,7 @@ class WeightedRule:
         self._bounds = (np.concatenate([e.min(axis=-1) for e in self._evals]),
                         np.concatenate([e.max(axis=-1) for e in self._evals]))
         check_bandwidth(self._h, float(np.max(self._bounds[1] - self._bounds[0])))
-        fits = []
+        self._shifts: list[list[ShiftEstimate]] = []  # each row's, one per name
         for e, minority in zip(self._evals, minorities):
             minority = np.asarray(minority)
             if minority.dtype != bool or minority.shape != e.shape[-1:]:
@@ -662,21 +636,14 @@ class WeightedRule:
             # row by row in memory, so each row's sums take a one-row sample's order
             samples = _samples(e, np.ascontiguousarray(e[:, minority]))
             spreads = _spreads(*samples)  # once, for every shift
-            fits.append([_shift(shift, *samples, alpha, spreads) for shift in shifts])
-        sizes = [len(e) for e in self._evals]
-        self._fits = [ShiftEstimate(by_block[0].method, *(
-            np.concatenate([getattr(fit, name) for fit in by_block])
-            for name in ("q_anchor", "p_anchor", "sigma_p", "sigma_q")),
-            None if by_block[0].branch is None
-            else np.repeat([fit.branch for fit in by_block], sizes))
-            for by_block in zip(*fits)]
-        self.shifts = self._fits
+            self._shifts += map(list, zip(*(_shift(shift, *samples, alpha, spreads)
+                                            for shift in shifts)))
         self._exact_rows: dict = {}
 
     @cached_property
-    def _grid(self) -> list[_LogGrid]:
-        """Each row's log-density grid of its pool; each shift's q reads it through its map."""
-        return [_LogGrid(e, self._h) for evals in self._evals for e in evals]
+    def _grid(self) -> list[DensityModel]:
+        """Each row's pool KDE; each shift's q reads it through its map."""
+        return [DensityModel(e, self._h) for evals in self._evals for e in evals]
 
     @cached_property
     def _factor(self) -> np.ndarray:
@@ -702,11 +669,12 @@ class WeightedRule:
                                      self._to_eval(np.minimum.reduceat(values, at)))
             hi[present] = np.maximum(hi[present],
                                      self._to_eval(np.maximum.reduceat(values, at)))
-        # the maps rise with x, so the images of the ends bound every image
-        ends = [lo, hi, *(shift.to_pool(end) for shift in self._fits for end in (lo, hi))]
-        x_lo, x_hi = np.min(ends, axis=0).tolist(), np.max(ends, axis=0).tolist()
+        lo, hi = lo.tolist(), hi.tolist()
         for r in np.flatnonzero(self._certified).tolist():
-            self._grid[r].cover(x_lo[r], x_hi[r])
+            # the maps rise with x, so the images of the ends bound every image
+            ends = [lo[r], hi[r], *(shift.to_pool(end) for shift in self._shifts[r]
+                                    for end in (lo[r], hi[r]))]
+            self._grid[r].cover(min(ends), max(ends))
 
     @cached_property
     def _by_row(self) -> list:
@@ -728,27 +696,26 @@ class WeightedRule:
             if not rows:
                 continue
             # every shift's ratios and tables of the block's rows, at once
-            log_r = np.stack([_log_ratios(self._grid[r].log_sums,
-                                          [shift.row(r) for shift in self._fits],
-                                          self._grid[r].support) for r in rows], axis=1)
+            log_r = np.stack([_log_ratios(self._grid[r].log_sums, self._shifts[r],
+                                          self._grid[r].support_points) for r in rows], axis=1)
             tops = log_r.max(axis=-1)
             block = _weighted_table(pool[mine], np.exp(log_r - tops[..., np.newaxis]))
             for i, r in enumerate(rows):
-                out[r] = self._screened(r, [
-                    (_RankTable(block.sorted_cal[i], mass[i]), top)
-                    for mass, top in zip(block.mass, tops[:, i])],
-                    self.alpha * self._factor[r])
+                out[r] = self._screened([(_RankTable(block.sorted_cal[i], mass[i]), top)
+                                         for mass, top in zip(block.mass, tops[:, i])],
+                                        self.alpha * self._factor[r])
         return out
 
-    def _row(self, r: int) -> tuple[list[ShiftEstimate], list[tuple[_RankTable, float]], float]:
-        """Row r's shifts (float fields), each shift's table and top, and its screen's cutoff:
-        the certified tables, or the exact ones in a row with none."""
+    def _row(self, r: int) -> tuple[list[tuple[_RankTable, float]], float]:
+        """Row r's tables, each shift's with its top, and its screen's cutoff: the certified
+        tables, or the exact ones in a row with none."""
         if self._by_row[r] is None:
-            self._by_row[r] = self._screened(r, self._exact(r)[2], self.alpha)
+            self._by_row[r] = self._screened(self._exact(r), self.alpha)
         return self._by_row[r]
 
-    def _screened(self, r: int, tables: list, level: float) -> tuple:
-        """Row r's shifts, its ``tables`` and the cutoff of their screen at ``level``.
+    @staticmethod
+    def _screened(tables: list, level: float) -> tuple[list, float]:
+        """``tables`` and the cutoff of their screen at ``level``.
 
         The screen keeps the ranks whose mass could fall under alpha under
         some shift: on the certified tables at ``alpha * E``, or on the
@@ -761,18 +728,17 @@ class WeightedRule:
         keep = np.zeros(ranks.size, dtype=bool)
         for table, _ in tables:
             keep |= table.screen(ranks, level)
-        return ([shift.row(r) for shift in self._fits], tables,
-                _cutoff(tables[0][0].sorted_cal, int(np.count_nonzero(keep))))
+        return tables, _cutoff(tables[0][0].sorted_cal, int(np.count_nonzero(keep)))
 
-    def _exact(self, r: int) -> tuple:
-        """Row r's pool KDE, its shifts, and each shift's exact table and top: one exact log
-        density, at the pool and its images."""
+    def _exact(self, r: int) -> list[tuple[_RankTable, float]]:
+        """Row r's exact tables, each shift's with its top: one exact log density of its pool
+        KDE, at the pool and its images."""
         if r not in self._exact_rows:
-            model = DensityModel(self._grid[r].support, self._h)
-            shifts = [shift.row(r) for shift in self._fits]
-            self._exact_rows[r] = model, shifts, [
+            model = self._grid[r]
+            self._exact_rows[r] = [
                 (_weighted_table(self._rows[r], np.exp(log_r - top)), top)
-                for log_r in _log_ratios(model.log_evaluate, shifts, model.support_points)
+                for log_r in _log_ratios(model.log_evaluate, self._shifts[r],
+                                         model.support_points)
                 for top in (log_r.max(),)]
         return self._exact_rows[r]
 
@@ -782,10 +748,9 @@ class WeightedRule:
         The mass is ``table.p_values(j, exp(log_r))``, and its limit 1 where
         that ratio overflows.
         """
-        model, shifts, tables = self._exact(r)
         masses = []
-        for (table, top), log_r in zip(tables, _log_ratios(model.log_evaluate, shifts,
-                                                           self._to_eval(values))):
+        for (table, top), log_r in zip(self._exact(r), _log_ratios(
+                self._grid[r].log_evaluate, self._shifts[r], self._to_eval(values))):
             with np.errstate(over="ignore"):
                 ratios = np.exp(log_r - top)
             over = np.isinf(ratios)
@@ -803,10 +768,10 @@ class WeightedRule:
         """
         if not self._certified[r]:
             return self._p_values(r, values, j)
-        shifts, tables, _ = self._row(r)
+        tables, _ = self._row(r)
         masses, open_ = [], np.zeros(j.shape, dtype=bool)
         for (table, top), log_r in zip(tables, _log_ratios(
-                self._grid[r].log_sums, shifts, self._to_eval(values))):
+                self._grid[r].log_sums, self._shifts[r], self._to_eval(values))):
             lo, p, hi = _masses(table, j, log_r - top, self._factor[r])
             open_ |= ~((hi < self.alpha * (1.0 - _SCREEN_SLACK))
                        | (lo >= self.alpha * (1.0 + _SCREEN_SLACK)))
@@ -837,9 +802,9 @@ class WeightedRule:
         ``rows`` gives each score's row, nondecreasing; all row 0 if not given.
         """
         values, parts = self._points(values, rows)
-        out = [np.empty(values.shape) for _ in self._fits]
+        out = [np.empty(values.shape) for _ in self._shifts[0]]
         for r, part in parts:
-            ranks = self._row(r)[1][0][0].ranks(values[part])
+            ranks = self._row(r)[0][0][0].ranks(values[part])
             for p, mass in zip(out, self._evaluate(r, values[part], ranks)):
                 p[part] = mass
         return out
@@ -854,9 +819,9 @@ class WeightedRule:
         :meth:`p_values`' evaluator, a row at a time.
         """
         values, parts = self._points(values, rows)
-        out = [np.zeros(values.shape, dtype=bool) for _ in self._fits]
+        out = [np.zeros(values.shape, dtype=bool) for _ in self._shifts[0]]
         for r, part in parts:
-            _, tables, cutoff = self._row(r)
+            tables, cutoff = self._row(r)
             keep = np.flatnonzero(values[part] < cutoff)
             kept = values[part][keep]
             for flagged, p in zip(out, self._evaluate(r, kept, tables[0][0].ranks(kept))):

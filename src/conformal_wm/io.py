@@ -167,12 +167,14 @@ def read_text(path) -> str:
     """The UTF-8 text of ``path``, less a leading byte-order mark (BOM).
 
     A byte that does not decode raises ``encoding_error``, naming its offset
-    in the file.
+    in the file, and a file that cannot be read ``unreadable_file``.
     """
     try:
         # not "utf-8-sig", whose incremental decoder reads a file holding only
         # the first byte or two of a BOM as empty text
         return Path(path).read_text(encoding="utf-8").removeprefix(_BOM)
+    except OSError as exc:  # missing, a directory, ...
+        raise ValidationError("unreadable_file", detail=f"{path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ValidationError(
             "encoding_error",
@@ -181,13 +183,15 @@ def read_text(path) -> str:
 
 
 def read_json(path):
-    """The JSON value in ``path``; raises ``encoding_error`` or ``parse_error``."""
+    """The JSON value in ``path``; raises :func:`read_text`'s codes or ``parse_error``."""
     text = read_text(path)
     try:
         return json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an int of too many digits
         raise ValidationError("parse_error", detail=str(exc),
                               line=getattr(exc, "lineno", None)) from None
+    except RecursionError as exc:  # arrays or objects nested too deep
+        raise ValidationError("parse_error", detail=str(exc)) from None
 
 
 def _csv_values(path: Path) -> Iterator[tuple[tuple, int]]:
@@ -197,11 +201,16 @@ def _csv_values(path: Path) -> Iterator[tuple[tuple, int]]:
     of duplicate header names wins, unknown columns are ignored, a short
     record reads its missing fields as None, and ``line`` is the physical
     line the record ends on. A leading byte-order mark is skipped. A byte
-    that is not UTF-8 raises ``encoding_error``, and a record the csv module
+    that is not UTF-8 raises ``encoding_error``, a record the csv module
     rejects (a field over ``csv.field_size_limit()``, or a NUL before Python
-    3.11) ``parse_error``.
+    3.11) ``parse_error``, and a file that cannot be opened
+    ``unreadable_file``.
     """
-    with path.open(newline="", encoding="utf-8") as fh:
+    try:
+        fh = path.open(newline="", encoding="utf-8")
+    except OSError as exc:  # as in read_text
+        raise ValidationError("unreadable_file", detail=f"{path}: {exc}") from None
+    with fh:
         reader = csv.reader(fh)
         try:
             if fh.read(1) != _BOM:  # as in read_text

@@ -1,6 +1,7 @@
 """Ingestion, CLI commands, exit codes, and reproducible outputs."""
 
 import csv
+import importlib.util
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 
 import conformal_wm
 from conformal_wm.cli import main
-from conformal_wm.density import DensityModel, WeightedRule, _LogGrid
+from conformal_wm.density import DensityModel, WeightedRule
 from conformal_wm import io as io_mod
 from conformal_wm import simulate as sim_mod
 from conformal_wm.evaluation import CellResult, MetricsReport, aggregate
@@ -262,7 +263,7 @@ class TestDetectCommand:
         test = write(tmp_path, "test.csv", "essay_id,score,role\n" + "".join(
             f"t{i},{0.01 + 0.03 * i:.6f},test\n" for i in range(n_tests)))
         calls, reads = [], []
-        log_evaluate, log_sums = DensityModel.log_evaluate, _LogGrid.log_sums
+        log_evaluate, log_sums = DensityModel.log_evaluate, DensityModel.log_sums
 
         def counting_log_evaluate(model, x):
             calls.append(model)
@@ -273,7 +274,7 @@ class TestDetectCommand:
             return log_sums(grid, x)
 
         monkeypatch.setattr(DensityModel, "log_evaluate", counting_log_evaluate)
-        monkeypatch.setattr(_LogGrid, "log_sums", counting_log_sums)
+        monkeypatch.setattr(DensityModel, "log_sums", counting_log_sums)
         assert main(["detect", cal, test, "--method", "weighted",
                      "--out", str(tmp_path / "out")]) == 0
         # the pool KDE's grid, once at the calibration points and their images
@@ -338,6 +339,16 @@ class TestDetectCommand:
                 assert any(run.startswith("python3 perfbench/run.py ")
                            and f"--workload {workload['name']} " in run
                            and run.endswith(f" {trace}") for run in runs)
+
+    def test_benchmark_tracer_builds_against_the_tree(self):
+        # the tracer resolves classes it wraps methods of (such as
+        # density.DensityModel) when it starts; a class gone from the tree
+        # would fail the traced benchmark runs before any workload
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        tracer.Tracer()
 
     @pytest.mark.parametrize("bandwidth, code", [
         ("inf", "bandwidth_not_finite"), ("nan", "bandwidth_not_positive"),
@@ -595,7 +606,8 @@ class TestDetectErrorLines:
 
 
 class TestUndecodableInput:
-    """A file the CLI cannot decode exits 2 with a coded error, whichever reads it."""
+    """A file the CLI cannot read or decode exits 2 with a coded error, whichever reads it,
+    and so does an ``--out`` it cannot make a directory."""
 
     def run_error(self, capsys, argv):
         assert main(argv) == 2
@@ -653,6 +665,43 @@ class TestUndecodableInput:
                                       test, "--out", str(tmp_path / "out")])
         assert (err["error"], err["line"]) == ("parse_error", 3)
         assert "field limit" in err["detail"]
+
+    @pytest.mark.parametrize("command", ["detect", "simulate"])
+    def test_json_nested_too_deep_is_a_parse_error(self, tmp_path, capsys, command):
+        # json.loads raises RecursionError here, which once exited 1 as internal
+        nested = write(tmp_path, "deep.json", "[" * 100_000 + "]" * 100_000)
+        args = ([write(tmp_path, "cal.csv", CAL_CSV), nested] if command == "detect"
+                else [nested])
+        err = self.run_error(capsys, [command, *args, "--out", str(tmp_path / "out")])
+        assert err["error"] == "parse_error"
+        assert "recursion" in err["detail"]
+
+    @pytest.mark.parametrize("name", ["cal.csv", "cal.json"])
+    def test_directory_as_detect_table(self, tmp_path, capsys, name):
+        (tmp_path / name).mkdir()
+        err = self.run_error(capsys, ["detect", str(tmp_path / name),
+                                      write(tmp_path, "test.csv", TEST_CSV),
+                                      "--out", str(tmp_path / "out")])
+        assert err["error"] == "unreadable_file"
+        assert err["detail"].startswith(f"{tmp_path / name}: ")
+
+    def test_directory_as_simulate_config(self, tmp_path, capsys):
+        (tmp_path / "config.json").mkdir()
+        err = self.run_error(capsys, ["simulate", str(tmp_path / "config.json"),
+                                      "--out", str(tmp_path / "out")])
+        assert err["error"] == "unreadable_file"
+
+    @pytest.mark.parametrize("command", ["detect", "simulate"])
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_out_through_a_file(self, tmp_path, capsys, command, out):
+        write(tmp_path, "file", "not a directory")
+        args = ([write(tmp_path, "cal.csv", CAL_CSV), write(tmp_path, "test.csv", TEST_CSV)]
+                if command == "detect"
+                else [write(tmp_path, "config.json", json.dumps(SMALL_CONFIG))])
+        err = self.run_error(capsys, [command, *args, "--out", str(tmp_path / out)])
+        assert err["error"] == "unusable_out_dir"
+        assert err["detail"].startswith(f"{tmp_path / out}: ")
+        assert (tmp_path / "file").read_text(encoding="utf-8") == "not a directory"
 
 
 BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark

@@ -79,11 +79,17 @@ class TestFitKde:
     def test_support_is_a_read_only_float64_copy(self):
         pool = np.array([0.25, -1.5, 2.0])
         rule = density.WeightedRule(pool, np.arange(3) < 2, 0.5, 0.05, ("mean",), False)
-        # the rule's pool KDE sums over the support its grid and exact model read
-        supports = [DensityModel(pool, 0.5).support_points, rule._grid[0].support,
+        # the rule's pool KDE sums over one support for its grid and exact reads
+        supports = [DensityModel(pool, 0.5).support_points, rule._grid[0].support_points,
                     DensityModel(support_points=(1, 2), bandwidth=1.0).support_points]
         pool[0] = 9.0
-        supports.append(rule._exact(0)[0].support_points)
+        read = []
+        kernel_sums = density._log_kernel_sums
+        with mock.patch.object(density, "_log_kernel_sums",
+                               lambda x, support, *rest: read.append(support)
+                               or kernel_sums(x, support, *rest)):
+            rule._exact(0)
+        supports.append(read[0])
         for support in supports:
             assert support.dtype == np.float64
             assert not support.flags.writeable
@@ -370,6 +376,28 @@ class TestShiftEstimate:
             ShiftEstimate(method="mean", q_anchor=0.0, p_anchor=0.0,
                           sigma_p=0.0, sigma_q=1.0)
 
+    @pytest.mark.parametrize("sigmas", [(math.nan, 1.0), (1.0, math.nan)])
+    def test_rejects_nan_sigma(self, sigmas):
+        # a NaN spread once passed, and its map sent every point to NaN
+        with pytest.raises(ValueError, match="sigma_not_positive"):
+            ShiftEstimate("mean", 0.0, 0.0, *sigmas)
+
+    def test_fields_are_floats_on_every_path(self):
+        pool, minority, _ = logit_normal_pool(3, 5)
+        logs = np.log10(pool)
+        one = density.WeightedRule(pool, minority, 0.5, 0.05, ("mean", "quantile"), True)
+        rows = density.WeightedRule._stacked(
+            [np.stack([pool, pool[::-1]]), pool[np.newaxis, :-1]],
+            [minority, minority[:-1]], 0.5, 0.05, ("mean", "quantile"), True)
+        estimates = [mean_shift(logs, logs[minority]),
+                     quantile_shift(logs, logs[minority], 0.05),
+                     *one.shifts, *(shift for row in rows._shifts for shift in row)]
+        assert len(rows._shifts) == 3
+        for est in estimates:
+            assert all(type(getattr(est, name)) is float
+                       for name in ("q_anchor", "p_anchor", "sigma_p", "sigma_q"))
+            assert est.branch is None if est.method == "mean" else type(est.branch) is str
+
 
 class TestLogRatios:
     @settings(max_examples=60, deadline=None)
@@ -402,7 +430,7 @@ class TestLogRatios:
 
 def full_grid(support, bandwidth):
     """The grid of ``support``, built over its whole span."""
-    grid = density._LogGrid(np.asarray(support), bandwidth)
+    grid = DensityModel(support, bandwidth)
     grid.cover(-np.inf, np.inf)
     return grid
 
@@ -561,7 +589,7 @@ TINY = np.finfo(float).tiny
 
 def exact_tables(rule, r=0):
     """Each shift's weighted table of exact ratios, of row r."""
-    return [table for table, _ in rule._exact(r)[2]]
+    return [table for table, _ in rule._exact(r)]
 
 
 def exact_p_values(rule, tests, r=0):
@@ -576,9 +604,9 @@ def assert_exact_or_within_certified_bounds(rule, tests, exact, r=0):
     if not rule._certified[r]:
         assert [p.tobytes() for p in got] == [p.tobytes() for p in exact]
         return
-    shifts, tables, _ = rule._row(r)
+    tables, _ = rule._row(r)
     j = tables[0][0].ranks(tests)
-    log_ratios = density._log_ratios(rule._grid[r].log_sums, shifts,
+    log_ratios = density._log_ratios(rule._grid[r].log_sums, rule._shifts[r],
                                      rule._to_eval(tests))
     for (table, top), log_r, want, p in zip(tables, log_ratios, exact, got):
         lo, _, hi = density._masses(table, j, log_r - top, rule._factor[r])
@@ -739,7 +767,7 @@ class TestWeightedRule:
         for r, mine in enumerate(tests):
             alone = density.WeightedRule(pools[r], minority, bandwidth, alpha, shifts,
                                          log_scale)
-            assert [shift.row(r) for shift in rule.shifts] == alone.shifts
+            assert rule._shifts[r] == alone.shifts
             assert ([f[of_row == r].tolist() for f in flags]
                     == [f.tolist() for f in alone.flags(mine)])
             assert ([p[of_row == r].tobytes() for p in p_values]
@@ -819,7 +847,7 @@ class TestWeightedRule:
         # the candidates are the points the screen keeps: the certified
         # tables' at alpha * E, or the exact tables' at alpha with none
         if case == "coarse_grid":
-            (table, _), (other, _) = rule._row(0)[1]
+            (table, _), (other, _) = rule._row(0)[0]
             level = 0.05 * rule._factor[0]
         else:
             assert not rule._certified[0] and 0.05 * rule._factor[0] >= 1.0
@@ -858,7 +886,7 @@ class TestWeightedRule:
         rule = density.WeightedRule(pool, minority, 0.5, 0.05, (shift,), True)
         (got,) = exact_p_values(rule, tests)
         (est,) = rule.shifts
-        support = rule._grid[0].support.tolist()
+        support = rule._grid[0].support_points.tolist()
 
         def log_ratio(score):
             x = math.log10(score)
@@ -922,7 +950,7 @@ class TestLogGrid:
         # nodes built over part of the span, then grown piece by piece over
         # several calls, read the bits of the grid built over the whole span
         support = np.log10(np.array(scores))
-        grid = density._LogGrid(support, bandwidth)
+        grid = DensityModel(support, bandwidth)
         full = full_grid(support, bandwidth)
         span_lo, span = grid.lo, grid.step * grid.cells
         covered_lo, covered_hi = np.inf, -np.inf

@@ -452,9 +452,9 @@ def full_span_terms(config, rules) -> int:
     support over every node of its own span."""
     terms = 0
     for grid in (grid for rule in rules for grid in rule._grid):
-        span = density._node_span(grid.support, config.bandwidth)
+        span = density._node_span(grid.support_points, config.bandwidth)
         if span:
-            terms += (span[1] - span[0] + 1) * grid.support.size
+            terms += (span[1] - span[0] + 1) * grid.support_points.size
     return terms
 
 
@@ -516,7 +516,7 @@ class TestWeightedDensityCalls:
             # images', in one call
             rest = [(model, size) for model, size in calls if size not in pool_sizes]
             assert len(rest) == len(opened)
-            assert [model for model, _ in rest] == [rule._exact(r)[0] for rule, r in opened]
+            assert [model for model, _ in rest] == [rule._grid[r] for rule, r in opened]
             assert all(size % 3 == 0 for _, size in rest)
         assert opened
 
@@ -772,13 +772,13 @@ class TestWeightedScreen:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config_to_dict(cfg)), encoding="utf-8")
         queried = []
-        read = density._LogGrid.read
+        read = density.DensityModel.read
 
         def counting_read(grid, x):
             queried.append(np.size(x))
             return read(grid, x)
 
-        monkeypatch.setattr(density._LogGrid, "read", counting_read)
+        monkeypatch.setattr(density.DensityModel, "read", counting_read)
         screen = conformal._RankTable.screen
         outputs, points = [], []
         for candidates in (screen, lambda table, j, alpha:
@@ -856,7 +856,7 @@ class TestCertifiedMasses:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(_CERTIFIED_CASES[case]), encoding="utf-8")
         seen = Counter()
-        read = density._LogGrid.read
+        read = density.DensityModel.read
         evaluate, exact_masses = density.WeightedRule._evaluate, density.WeightedRule._p_values
 
         def recording_read(grid, x):
@@ -874,7 +874,7 @@ class TestCertifiedMasses:
             seen["open"] += values.size
             return exact_masses(rule, r, values, j)
 
-        monkeypatch.setattr(density._LogGrid, "read", recording_read)
+        monkeypatch.setattr(density.DensityModel, "read", recording_read)
         monkeypatch.setattr(density.WeightedRule, "_evaluate", recording_evaluate)
         monkeypatch.setattr(density.WeightedRule, "_p_values", recording_exact)
         outputs, runs = [], []
