@@ -22,8 +22,18 @@ from .density import WeightedRule, check_quantile_alpha
 from .io import ScoreTable, ValidationError
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors exit 2 with a JSON line, like any other input's.
+
+    ``add_subparsers`` builds each command's parser from this class too.
+    """
+
+    def error(self, message):
+        raise ValidationError("invalid_argument", detail=message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="conformal-wm",
         description="Watermark-score auditing with distribution-free "
                     "false-positive-rate control.",
@@ -58,6 +68,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bleu.add_argument("candidate_path")
 
     return parser
+
+
+def _check_out_dir(path: str) -> None:
+    """Raise ``unusable_out_dir`` unless ``path``, or failing that its nearest existing
+    ancestor, is a directory. Creates nothing, so it can run before any work."""
+    out_dir = Path(path)
+    existing = next((p for p in (out_dir, *out_dir.parents) if p.exists()), out_dir)
+    if not existing.is_dir():
+        raise ValidationError("unusable_out_dir",
+                              detail=f"{path}: {existing} is not a directory")
 
 
 def _out_dir(path: str) -> Path:
@@ -111,10 +131,8 @@ def _rank_diagnostics(size_name: str, size: int, alpha: float) -> dict:
 
 
 def cmd_detect(args) -> int:
-    cal_table = _require_role(io_mod.ingest(args.cal_path), "calibration", args.cal_path)
-    test_table = _require_role(io_mod.ingest(args.test_path), "test", args.test_path)
     alpha = args.alpha
-    try:  # before any fit: the quantile shift's bound is density's
+    try:  # before any input is read: the quantile shift's bound is density's
         if not 0.0 < alpha < 1.0:
             raise ValueError
         if args.method == "weighted" and args.shift == "quantile":
@@ -122,6 +140,9 @@ def cmd_detect(args) -> int:
     except ValueError:
         raise ValidationError("alpha_out_of_range", detail=repr(alpha),
                               field_name="alpha") from None
+    _check_out_dir(args.out)
+    cal_table = _require_role(io_mod.ingest(args.cal_path), "calibration", args.cal_path)
+    test_table = _require_role(io_mod.ingest(args.test_path), "test", args.test_path)
     use_log = args.log_scale == "on"
     extra: dict = {"method": args.method, "alpha": alpha}
     diagnostics = {"edit_intensity_levels": sorted(set(cal_table.edit_intensity) - {None})}
@@ -178,6 +199,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _check_out_dir(args.out)
     if args.config_path is None:
         config = sim_mod.default_config()
         inputs: dict[str, Path] = {}
@@ -242,9 +264,8 @@ _COMMANDS = {"detect": cmd_detect, "simulate": cmd_simulate, "bleu": cmd_bleu}
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except ValidationError as exc:
         print(exc.to_json(), file=sys.stderr)

@@ -89,80 +89,6 @@ class ScoreTable:
         return len(self.essay_id)
 
 
-def _collect(rows: Iterable[tuple[tuple, int]]) -> ScoreTable:
-    """Table of ``(values, line)`` pairs, values in ``_CSV_COLUMNS`` order.
-
-    Appends to one list per column instead of transposing a list of row
-    tuples, so no row tuple outlives its row and the peak stays near the
-    size of the columns.
-    """
-    ids, scores, roles, groups, populations, intensities, lines = ([] for _ in range(7))
-    for (essay_id, score, role, group_id, population, intensity), line in rows:
-        ids.append(essay_id)
-        scores.append(score)
-        roles.append(role)
-        groups.append(group_id)
-        populations.append(population)
-        intensities.append(intensity)
-        lines.append(line)
-    return ScoreTable(essay_id=tuple(ids), score=np.array(scores, dtype=np.float64),
-                      role=tuple(roles), group_id=tuple(groups),
-                      population=tuple(populations), edit_intensity=tuple(intensities),
-                      line=tuple(lines))
-
-
-def _validate_row(raw: tuple, line: int, seen_ids: set) -> tuple:
-    """Check one row's values, given in ``_CSV_COLUMNS`` order (None if absent).
-
-    Returns the cleaned values in the same order.
-    """
-    essay_id, raw_score, role, group_id, population, intensity_raw = raw
-    essay_id = "" if essay_id is None else str(essay_id).strip()  # JSON 0 is an id
-    if not essay_id:
-        raise ValidationError("missing_essay_id", line=line, field_name="essay_id")
-    if essay_id in seen_ids:
-        raise ValidationError("duplicate_essay_id", detail=essay_id, line=line,
-                              field_name="essay_id")
-    seen_ids.add(essay_id)
-
-    try:
-        if isinstance(raw_score, bool):  # float() would read a JSON true as 1.0
-            raise TypeError
-        score = float(str(raw_score))  # as a CSV cell: a huge JSON int reads as inf
-    except (TypeError, ValueError):
-        raise ValidationError("invalid_score", detail=repr(raw_score), line=line,
-                              field_name="score") from None
-    if not 0.0 < score <= 1.0:
-        raise ValidationError("score_out_of_range", detail=repr(score), line=line,
-                              field_name="score")
-
-    role = str(role or "").strip()
-    if role not in VALID_ROLES:
-        raise ValidationError("invalid_role", detail=repr(role), line=line,
-                              field_name="role")
-    role = sys.intern(role)  # one string per role, not one per row
-
-    # an optional cell is absent when it is missing, null or only whitespace
-    group_id = None if group_id is None else str(group_id).strip() or None
-    population = None if population is None else str(population).strip() or None
-    if population is not None and population not in VALID_POPULATIONS:
-        raise ValidationError("invalid_population", detail=repr(population),
-                              line=line, field_name="population")
-
-    intensity = None if intensity_raw is None else str(intensity_raw).strip() or None
-    if intensity is not None:
-        try:
-            intensity = int(intensity)  # as a CSV cell: JSON 2.7, 3.0, true fail
-        except ValueError:
-            raise ValidationError("invalid_edit_intensity", detail=repr(intensity_raw),
-                                  line=line, field_name="edit_intensity") from None
-        if not 1 <= intensity <= 7:
-            raise ValidationError("invalid_edit_intensity", detail=repr(intensity),
-                                  line=line, field_name="edit_intensity")
-
-    return essay_id, score, role, group_id, population, intensity
-
-
 def read_text(path) -> str:
     """The UTF-8 text of ``path``, less a leading byte-order mark (BOM).
 
@@ -259,13 +185,78 @@ def _json_values(path: Path) -> Iterator[tuple[tuple, int]]:
 
 
 def ingest(path) -> ScoreTable:
-    """Read and validate a score table: JSON for a ``.json`` suffix (any case), else CSV."""
+    """Read and validate a score table: JSON for a ``.json`` suffix (any case), else CSV.
+
+    Each record is checked and its cleaned values appended to one list per
+    column, so no row tuple outlives its row and the peak stays near the size
+    of the columns.
+    """
     path = Path(path)
     if not path.exists():
         raise ValidationError("file_not_found", detail=str(path))
     records = _json_values(path) if path.suffix.lower() == ".json" else _csv_values(path)
+    ids, scores, roles, groups, populations, intensities, lines = ([] for _ in range(7))
     seen: set = set()
-    return _collect((_validate_row(raw, line, seen), line) for raw, line in records)
+    for (essay_id, raw_score, role, group_id, population, intensity_raw), line in records:
+        essay_id = "" if essay_id is None else str(essay_id).strip()  # JSON 0 is an id
+        if not essay_id:
+            raise ValidationError("missing_essay_id", line=line, field_name="essay_id")
+        if essay_id in seen:
+            raise ValidationError("duplicate_essay_id", detail=essay_id, line=line,
+                                  field_name="essay_id")
+        seen.add(essay_id)
+
+        # numbers are ASCII decimals: float() and int() would also read a JSON true
+        # as 1.0, 0.1_2 as 0.12 and Arabic-Indic digits as their value
+        text = str(raw_score)  # as a CSV cell: a huge JSON int reads as inf
+        try:
+            if isinstance(raw_score, bool) or "_" in text or not text.isascii():
+                raise ValueError
+            score = float(text)
+        except ValueError:
+            raise ValidationError("invalid_score", detail=repr(raw_score), line=line,
+                                  field_name="score") from None
+        if not 0.0 < score <= 1.0:
+            raise ValidationError("score_out_of_range", detail=repr(score), line=line,
+                                  field_name="score")
+
+        role = str(role or "").strip()
+        if role not in VALID_ROLES:
+            raise ValidationError("invalid_role", detail=repr(role), line=line,
+                                  field_name="role")
+
+        # an optional cell is absent when it is missing, null or only whitespace
+        group_id = None if group_id is None else str(group_id).strip() or None
+        population = None if population is None else str(population).strip() or None
+        if population is not None and population not in VALID_POPULATIONS:
+            raise ValidationError("invalid_population", detail=repr(population),
+                                  line=line, field_name="population")
+
+        intensity = None
+        cell = "" if intensity_raw is None else str(intensity_raw)
+        if cell.strip():
+            try:
+                if "_" in cell or not cell.isascii():
+                    raise ValueError
+                intensity = int(cell)  # as a CSV cell: JSON 2.7, 3.0, true fail
+            except ValueError:
+                raise ValidationError("invalid_edit_intensity", detail=repr(intensity_raw),
+                                      line=line, field_name="edit_intensity") from None
+            if not 1 <= intensity <= 7:
+                raise ValidationError("invalid_edit_intensity", detail=repr(intensity),
+                                      line=line, field_name="edit_intensity")
+
+        ids.append(essay_id)
+        scores.append(score)
+        roles.append(sys.intern(role))  # one string per role, not one per row
+        groups.append(group_id)
+        populations.append(population)
+        intensities.append(intensity)
+        lines.append(line)
+    return ScoreTable(essay_id=tuple(ids), score=np.array(scores, dtype=np.float64),
+                      role=tuple(roles), group_id=tuple(groups),
+                      population=tuple(populations), edit_intensity=tuple(intensities),
+                      line=tuple(lines))
 
 
 # ---------------------------------------------------------------------------

@@ -704,6 +704,64 @@ class TestUndecodableInput:
         assert (tmp_path / "file").read_text(encoding="utf-8") == "not a directory"
 
 
+class TestArgumentChecks:
+    """Bad arguments exit 2 with one JSON error line, before any input is read."""
+
+    def run_error(self, capsys, argv):
+        assert main(argv) == 2
+        return json.loads(capsys.readouterr().err.splitlines()[-1])
+
+    @pytest.mark.parametrize("argv", [
+        ["detect", "cal.csv", "test.csv", "--alpha", "abc"],
+        ["detect", "cal.csv", "test.csv", "--method", "nope"],
+        ["detect", "cal.csv"],
+        ["simulate", "--threads", "x"],
+        ["nope"],
+        [],
+    ], ids=["alpha-not-a-float", "unknown-method", "missing-table", "threads-not-an-int",
+            "unknown-command", "missing-command"])
+    def test_argument_error_is_a_json_line(self, capsys, argv):
+        # argparse once printed its usage text and exited 2 with no JSON line
+        err = self.run_error(capsys, argv)
+        assert err["error"] == "invalid_argument"
+        assert err["detail"]
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["detect", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: conformal-wm detect")
+
+    @pytest.mark.parametrize("command", ["detect", "simulate"])
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_out_is_checked_before_any_input(self, tmp_path, capsys, command, out):
+        # it was once checked only after every table was read or every cell run
+        write(tmp_path, "file", "not a directory")
+        missing = str(tmp_path / ("missing.json" if command == "simulate" else "missing.csv"))
+        args = [missing, missing] if command == "detect" else [missing]
+        err = self.run_error(capsys, [command, *args, "--out", str(tmp_path / out)])
+        assert err == {"error": "unusable_out_dir",
+                       "detail": f"{tmp_path / out}: {tmp_path / 'file'} is not a directory"}
+
+    @pytest.mark.parametrize("extra", [["--alpha", "2"], ["--alpha", "0"],
+                                       ["--method", "weighted", "--alpha", "0.5"]],
+                             ids=["above-one", "zero", "quantile-shift-at-half"])
+    def test_alpha_is_checked_before_any_input(self, tmp_path, capsys, extra):
+        missing = str(tmp_path / "missing.csv")
+        err = self.run_error(capsys, ["detect", missing, missing, *extra,
+                                      "--out", str(tmp_path / "out")])
+        assert (err["error"], err["field"]) == ("alpha_out_of_range", "alpha")
+
+    @pytest.mark.parametrize("command", ["detect", "simulate"])
+    def test_failed_validation_leaves_no_directory(self, tmp_path, capsys, command):
+        missing = str(tmp_path / ("missing.json" if command == "simulate" else "missing.csv"))
+        args = [missing, missing] if command == "detect" else [missing]
+        out = tmp_path / "new" / "out"
+        assert self.run_error(capsys, [command, *args, "--out", str(out)])["error"] == \
+            "file_not_found"
+        assert not (tmp_path / "new").exists()
+
+
 BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark
 
 

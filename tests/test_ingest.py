@@ -23,9 +23,15 @@ from conformal_wm.io import ValidationError, ingest
 # ---------------------------------------------------------------------------
 # Oracle: the row-by-row ingest, kept verbatim apart from returning lines, from
 # rejecting the JSON types a CSV cell cannot hold (a bool score, a bool or float
-# intensity), from reading a JSON id or score as its CSV text, and from reading
-# an optional cell of only whitespace as absent
+# intensity), from reading a JSON id or score as its CSV text, from reading an
+# optional cell of only whitespace as absent, and from rejecting a score or
+# intensity that is not ASCII or holds "_"
 # ---------------------------------------------------------------------------
+
+
+def _ascii_decimal(value) -> bool:
+    text = str(value)
+    return text.isascii() and "_" not in text
 
 
 def _oracle_validate_row(raw: dict, line: int, seen_ids: set) -> tuple:
@@ -40,7 +46,7 @@ def _oracle_validate_row(raw: dict, line: int, seen_ids: set) -> tuple:
 
     raw_score = raw.get("score")
     try:
-        if isinstance(raw_score, bool):
+        if isinstance(raw_score, bool) or not _ascii_decimal(raw_score):
             raise TypeError
         score = float(str(raw_score))
     except (TypeError, ValueError):
@@ -68,7 +74,7 @@ def _oracle_validate_row(raw: dict, line: int, seen_ids: set) -> tuple:
     intensity = None
     if intensity_raw is not None and str(intensity_raw).strip():
         try:
-            if isinstance(intensity_raw, (bool, float)):
+            if isinstance(intensity_raw, (bool, float)) or not _ascii_decimal(intensity_raw):
                 raise TypeError
             intensity = int(intensity_raw)
         except (TypeError, ValueError):
@@ -269,6 +275,28 @@ def test_json_value_reads_as_its_csv_cell(tmp_path, field, json_text, cell):
         assert (got[2], want[2]) == (1, 2)
 
 
+@pytest.mark.parametrize("field, cell", [
+    ("score", "0.1_2"), ("score", "5_0e-2"), ("score", "\u0660.\u0665"),
+    ("edit_intensity", "0_3"), ("edit_intensity", " 1_0 "), ("edit_intensity", "\u0663"),
+], ids=["score-underscore", "score-underscore-exponent", "score-arabic-indic",
+        "intensity-underscore", "intensity-padded-underscore", "intensity-arabic-indic"])
+def test_numeric_cell_is_an_ascii_decimal(tmp_path, field, cell):
+    # float() and int() read these as 0.12, 0.5, 0.5, 3, 10 and 3
+    code = "invalid_score" if field == "score" else "invalid_edit_intensity"
+    values = {"essay_id": "e1", "score": "0.5", "role": "test", "edit_intensity": "3",
+              field: cell}
+    csv_path = tmp_path / "table.csv"
+    csv_path.write_text(",".join(values) + "\n" + ",".join(values.values()) + "\n",
+                        encoding="utf-8")
+    json_path = tmp_path / "table.json"
+    json_path.write_text(json.dumps([values]), encoding="utf-8")
+    for path, line in ((csv_path, 2), (json_path, 1)):
+        with pytest.raises(ValidationError) as err:
+            ingest(path)
+        assert (err.value.code, err.value.line, err.value.field_name) == (code, line, field)
+        assert err.value.detail == repr(cell)
+
+
 def test_json_int_of_too_many_digits_is_a_parse_error(tmp_path):
     path = tmp_path / "table.json"
     path.write_text('[{"essay_id": "e1", "role": "test", "score": 1' + "0" * 5000 + "}]",
@@ -310,11 +338,12 @@ GOOD = {
     "note": ["", "plain", "a,b", 'say "hi"', "two\nlines", "three\n\nlines"],
 }
 BAD = {
-    "score": ["0", "1.5", "abc", "", "nan", "-0.5", "inf"],
+    "score": ["0", "1.5", "abc", "", "nan", "-0.5", "inf", "0.1_2", "5_0e-2",
+              "\u0660.\u0665"],
     "role": ["", "train", "Test"],
     "group_id": [],
     "population": ["alien", "Minority"],
-    "edit_intensity": ["0", "8", "3.0", "x"],
+    "edit_intensity": ["0", "8", "3.0", "x", "0_3", " 1_0 "],
     "note": [""],
 }
 COLUMNS = ("essay_id", "score", "role", "group_id", "population", "edit_intensity",

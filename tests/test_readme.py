@@ -7,6 +7,7 @@ import conformal_wm
 from conformal_wm import density
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src" / "conformal_wm"
 
 
 def library_use_section():
@@ -56,3 +57,17 @@ def test_library_use_blocks_import_only_public_names():
             assert not module.startswith("conformal_wm"), module
     assert "WeightedRule" in imported
     assert set(imported) <= set(conformal_wm.__all__)
+
+
+def test_every_error_code_is_documented():
+    codes = {"invalid_input"}  # the CLI's code for a ValueError raised below io
+    for path in SRC.rglob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        for code in re.findall(r'ValidationError\(\s*f?"([^"]+)"', text):
+            if code == "missing_{name}":  # the columns detect requires
+                codes.update(("missing_group_id", "missing_population"))
+            else:
+                codes.add(code)
+    assert len(codes) >= 25
+    readme = README.read_text(encoding="utf-8")
+    assert [code for code in sorted(codes) if f"`{code}`" not in readme] == []
