@@ -18,7 +18,7 @@ from . import io as io_mod
 from . import simulate as sim_mod
 from .bleu import bleu_of_texts
 from .conformal import hierarchical_p_values, standard_p_values
-from .density import WeightedRule, check_quantile_alpha
+from .density import WeightedRule, check_bandwidth, check_quantile_alpha
 from .io import ScoreTable, ValidationError
 
 
@@ -47,11 +47,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_detect.add_argument("--method", choices=["standard", "hierarchical", "weighted"],
                           default="standard")
     p_detect.add_argument("--alpha", type=float, default=0.05)
-    p_detect.add_argument("--shift", choices=["mean", "quantile"], default="quantile",
-                          help="subgroup density estimator (weighted method only)")
-    p_detect.add_argument("--bandwidth", type=float, default=0.5)
-    p_detect.add_argument("--log-scale", choices=["on", "off"], default="on",
-                          help="estimate densities on log10 scores (weighted only)")
+    # the weighted-only flags default to None, so a rank method can refuse them
+    p_detect.add_argument("--shift", choices=["mean", "quantile"],
+                          help="subgroup density estimator (weighted only; default quantile)")
+    p_detect.add_argument("--bandwidth", type=float,
+                          help="KDE bandwidth (weighted only; default 0.5)")
+    p_detect.add_argument("--log-scale", choices=["on", "off"],
+                          help="estimate densities on log10 scores (weighted only; default on)")
     p_detect.add_argument("--out", default=".", help="output directory")
 
     p_sim = sub.add_parser("simulate", help="run a synthetic scenario end to end")
@@ -130,20 +132,40 @@ def _rank_diagnostics(size_name: str, size: int, alpha: float) -> dict:
     return {size_name: size, "min_p": min_p, "can_flag": min_p <= alpha}
 
 
+# detect's weighted-only flags and their defaults
+_WEIGHTED_DEFAULTS = {"shift": "quantile", "bandwidth": 0.5, "log_scale": "on"}
+
+
+def _weighted_options(args) -> tuple[str, float, bool]:
+    """``--shift``, ``--bandwidth`` and ``--log-scale``, defaults filled in; a rank method
+    given any of them raises ``invalid_argument``."""
+    flags = {name: getattr(args, name) for name in _WEIGHTED_DEFAULTS}
+    given = [name for name, value in flags.items() if value is not None]
+    if given and args.method != "weighted":
+        raise ValidationError("invalid_argument", detail=f"weighted-only flags with --method "
+                              f"{args.method}: " + ", ".join("--" + name.replace("_", "-")
+                                                            for name in given))
+    shift, bandwidth, log_scale = (_WEIGHTED_DEFAULTS[name] if value is None else value
+                                   for name, value in flags.items())
+    return shift, bandwidth, log_scale == "on"
+
+
 def cmd_detect(args) -> int:
     alpha = args.alpha
+    shift, bandwidth, use_log = _weighted_options(args)
     try:  # before any input is read: the quantile shift's bound is density's
         if not 0.0 < alpha < 1.0:
             raise ValueError
-        if args.method == "weighted" and args.shift == "quantile":
+        if args.method == "weighted" and shift == "quantile":
             check_quantile_alpha(alpha)
     except ValueError:
         raise ValidationError("alpha_out_of_range", detail=repr(alpha),
                               field_name="alpha") from None
+    if args.method == "weighted":  # a bandwidth too small for the data shows only with it
+        check_bandwidth(bandwidth, 0.0)
     _check_out_dir(args.out)
     cal_table = _require_role(io_mod.ingest(args.cal_path), "calibration", args.cal_path)
     test_table = _require_role(io_mod.ingest(args.test_path), "test", args.test_path)
-    use_log = args.log_scale == "on"
     extra: dict = {"method": args.method, "alpha": alpha}
     diagnostics = {"edit_intensity_levels": sorted(set(cal_table.edit_intensity) - {None})}
     cal = cal_table.score
@@ -158,7 +180,6 @@ def cmd_detect(args) -> int:
         by_group: dict[str, list[int]] = {}
         for i, group in enumerate(_require_column(cal_table, "group_id")):
             by_group.setdefault(group, []).append(i)
-        extra["n_groups"] = len(by_group)
         groups = [cal[idx] for idx in by_group.values()]
         p = hierarchical_p_values(groups, tests)
         flagged = p <= alpha
@@ -169,10 +190,10 @@ def cmd_detect(args) -> int:
             [pop == "minority" for pop in _require_column(cal_table, "population")])
         if not minority.any():
             raise ValidationError("no_minority_rows", detail=args.cal_path)
-        rule = WeightedRule(cal, minority, args.bandwidth, alpha, (args.shift,), use_log)
+        rule = WeightedRule(cal, minority, bandwidth, alpha, (shift,), use_log)
         extra["shift"] = {**asdict(rule.shifts[0]),
                           "minority_size": int(minority.sum()),
-                          "bandwidth": args.bandwidth, "log_scale": use_log}
+                          "bandwidth": bandwidth, "log_scale": use_log}
         (p,) = rule.p_values(tests)
         flagged = p < alpha
 
@@ -181,8 +202,8 @@ def cmd_detect(args) -> int:
     io_mod.write_decisions_csv(decisions_path, test_table.essay_id, p, flagged)
     manifest = io_mod.build_manifest(
         command="detect",
-        params={"method": args.method, "alpha": alpha, "shift": args.shift,
-                "bandwidth": args.bandwidth, "log_scale": use_log},
+        params={"method": args.method, "alpha": alpha, "shift": shift,
+                "bandwidth": bandwidth, "log_scale": use_log},
         seeds=[],
         inputs={"calibration": Path(args.cal_path), "test": Path(args.test_path)},
         outputs={"decisions.csv": decisions_path},

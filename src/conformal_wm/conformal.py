@@ -194,18 +194,16 @@ def _hierarchical_table(groups: Sequence[np.ndarray]) -> _RankTable:
 def _weighted_table(cal_values, cal_ratios, test_ratios=()) -> _RankTable:
     """Sorted calibration scores and the prefix sums of their ratios.
 
-    Calibrations of one size may come as the rows of an array: then each
-    row's table is that calibration's own. The ratios may hold several sets
-    of weights of the calibrations (their leading axes); then ``mass`` has
-    those axes too, over one ``sorted_cal``. An empty calibration raises
-    ``empty_calibration``. Then the ratios are checked: trailing axes that
-    do not match the scores raise ``weight_length_mismatch``, then a
-    non-finite calibration or test ratio ``density_underflow``, then a
-    negative one ``negative_weight``.
+    The ratios may hold several sets of weights of the calibration (their
+    leading axes); then ``mass`` has those axes too, over one
+    ``sorted_cal``. An empty calibration raises ``empty_calibration``. Then
+    the ratios are checked: a last axis that does not match the scores
+    raises ``weight_length_mismatch``, then a non-finite calibration or test
+    ratio ``density_underflow``, then a negative one ``negative_weight``.
     """
     cal = _calibration(cal_values)
     r_cal = np.asarray(cal_ratios, dtype=float)
-    if r_cal.shape[r_cal.ndim - cal.ndim:] != cal.shape:
+    if r_cal.shape[-1:] != cal.shape:
         raise ValueError(
             f"weight_length_mismatch: {r_cal.size} calibration weights for "
             f"{cal.size} calibration scores"
@@ -215,11 +213,10 @@ def _weighted_table(cal_values, cal_ratios, test_ratios=()) -> _RankTable:
         raise ValueError("density_underflow: non-finite importance ratio")
     if any((r < 0.0).any() for r in ratios):
         raise ValueError("negative_weight: importance ratios must be nonnegative")
-    order = np.argsort(cal, axis=-1, kind="stable")
-    sums = np.cumsum(np.take_along_axis(r_cal, np.broadcast_to(order, r_cal.shape), -1),
-                     axis=-1)
-    return _RankTable(np.take_along_axis(cal, order, -1),
-                      np.concatenate([np.zeros((*r_cal.shape[:-1], 1)), sums], axis=-1))
+    order = np.argsort(cal, kind="stable")
+    sums = np.cumsum(r_cal[..., order], axis=-1)
+    return _RankTable(cal[order], np.concatenate([np.zeros((*r_cal.shape[:-1], 1)), sums],
+                                                 axis=-1))
 
 
 def standard_p_values(cal_values: np.ndarray, test_values: np.ndarray) -> np.ndarray:

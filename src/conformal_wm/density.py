@@ -7,10 +7,10 @@ through an affine map whose anchors come either from sample means ("mean
 shift") or from robust lower quantiles ("quantile shift"). The ratios q/p
 of the two densities are the importance weights of the weighted conformal
 rule, which normalizes them itself, so their common scale never matters.
-:class:`WeightedRule` assembles the whole rule for one pool, or for many
-pools as its rows; ``detect`` calls it on one pool, and ``simulate`` on
-every pool of a (seed, prompt) task at once. It works in log densities
-only, which stay finite however deep in a tail a score lies.
+:class:`WeightedRule` assembles the whole rule for one pool; ``detect``
+builds one, and ``simulate`` one per pool of a (seed, prompt) task. It
+works in log densities only, which stay finite however deep in a tail a
+score lies.
 
 ``WeightedRule`` has one evaluator, which ``p_values`` (written by
 ``detect``) runs at every test score and ``flags`` (counted by
@@ -63,14 +63,6 @@ relative ``4 n * 2**-53``. An ``exp`` that underflows to 0 loses under
 slack, at least ``2**-39 * 10 * N``, some ten thousand times these
 roundings, so the bounds hold as computed. The argument needs alpha under
 1/2, so a rule with a larger alpha takes every mass exact.
-
-Rows. A rule over rows runs every step of this argument row by row: each
-row has a grid of its own pool, built over whichever of its span's nodes
-its reads reach; its tables, screen, bounds and exact masses are its own,
-on the same operations in the same order as a rule of its pool alone. Sums
-taken along rows of an array keep a one-row sum's bits where each row lies
-contiguous in memory, which the rule ensures. So every row gets a one-pool
-rule's flags and p-values, bit for bit.
 """
 
 from __future__ import annotations
@@ -261,7 +253,7 @@ def _log_kernel_sums(query: np.ndarray, support: np.ndarray, bandwidth: float,
 
 def mean_shift(pool_logs: Sequence[float], minority_logs: Sequence[float]) -> ShiftEstimate:
     """The shift anchored at the sample means, ``(x - mean_q) / sigma_q * sigma_p + mean_p``."""
-    return _shift("mean", *_samples(pool_logs, minority_logs), None)[0]
+    return _shift("mean", *_samples(pool_logs, minority_logs), None)
 
 
 def check_quantile_alpha(alpha: float) -> None:
@@ -286,34 +278,29 @@ def quantile_shift(pool_logs: Sequence[float], minority_logs: Sequence[float],
     matters when the subgroup shift is stronger in the tail than in the
     bulk.
     """
-    return _shift("quantile", *_samples(pool_logs, minority_logs), alpha)[0]
+    return _shift("quantile", *_samples(pool_logs, minority_logs), alpha)
 
 
-def _spreads(pool: np.ndarray, minority: np.ndarray) -> tuple[list, list]:
-    """``(sigma_p, sigma_q)``: each row's standard deviation, at least ``SIGMA_FLOOR``."""
-    return tuple(np.maximum(np.std(sample, axis=-1), SIGMA_FLOOR).tolist()
-                 for sample in (pool, minority))
+def _spreads(pool: np.ndarray, minority: np.ndarray) -> tuple[float, float]:
+    """``(sigma_p, sigma_q)``: each sample's standard deviation, at least ``SIGMA_FLOOR``."""
+    return max(float(np.std(pool)), SIGMA_FLOOR), max(float(np.std(minority)), SIGMA_FLOOR)
 
 
 def _shift(method: str, pool: np.ndarray, minority: np.ndarray, alpha: float | None,
-           spreads: tuple | None = None) -> list[ShiftEstimate]:
-    """:func:`mean_shift` or :func:`quantile_shift` of each row of checked 2-D samples.
-
-    Row r of ``pool`` and of ``minority`` are one pool and its minority;
-    ``spreads`` are their ``_spreads``. Each row's estimate has its own
-    sample's bits.
-    """
+           spreads: tuple | None = None) -> ShiftEstimate:
+    """:func:`mean_shift` or :func:`quantile_shift` of checked samples, ``spreads`` their
+    ``_spreads``."""
     sigma_p, sigma_q = spreads or _spreads(pool, minority)
     if method == "mean":
-        q_anchor, p_anchor, branch = np.mean(minority, axis=-1), np.mean(pool, axis=-1), None
+        q_anchor, p_anchor, branch = float(np.mean(minority)), float(np.mean(pool)), None
     else:
         check_quantile_alpha(alpha)
-        m = minority.shape[-1]
+        m = minority.size
         # Branch conditions are m <= 1/(2a) and m <= 1/a, written multiplicatively
         # so integer boundaries (e.g. m=10 at alpha=0.05) are decided exactly.
         if m * 2.0 * alpha <= 1.0:
             branch = "min"
-            q_anchor = np.min(minority, axis=-1)
+            q_anchor = float(np.min(minority))
             p_anchor = empirical_quantile(pool, 1.0 / m)
         elif m * alpha <= 1.0:
             branch = "2alpha"
@@ -323,23 +310,22 @@ def _shift(method: str, pool: np.ndarray, minority: np.ndarray, alpha: float | N
             branch = "alpha"
             q_anchor = empirical_quantile(minority, alpha)
             p_anchor = empirical_quantile(pool, alpha)
-    return [ShiftEstimate(method, *fields, branch)
-            for fields in zip(q_anchor.tolist(), p_anchor.tolist(), sigma_p, sigma_q)]
+    return ShiftEstimate(method, q_anchor, p_anchor, sigma_p, sigma_q, branch)
 
 
 def _samples(pool_logs, minority_logs) -> tuple[np.ndarray, np.ndarray]:
-    """Both samples as float arrays of rows; raises ``empty_pool`` or ``empty_minority``."""
-    pool = np.asarray(pool_logs, dtype=float)
-    minority = np.asarray(minority_logs, dtype=float)
+    """Both samples as 1-D float arrays; raises ``empty_pool`` or ``empty_minority``."""
+    pool = np.asarray(pool_logs, dtype=float).reshape(-1)
+    minority = np.asarray(minority_logs, dtype=float).reshape(-1)
     if pool.size == 0:
         raise ValueError("empty_pool")
     if minority.size == 0:
         raise ValueError("empty_minority")
-    return pool.reshape(-1, pool.shape[-1]), minority.reshape(-1, minority.shape[-1])
+    return pool, minority
 
 
-def _log_ratios(log_density, shifts: Sequence[ShiftEstimate], x) -> list[np.ndarray]:
-    """``log q - log p`` at the points ``x`` for each shift's q, p read through its map.
+def _log_ratios(log_density, shifts: Sequence[ShiftEstimate], x) -> np.ndarray:
+    """``log q - log p`` at the points ``x``, one row per shift's q, p read through its map.
 
     ``log_density`` gives p's log density up to a constant (exact, or a
     grid's reads), and is called once, on ``x`` and every shift's
@@ -347,8 +333,8 @@ def _log_ratios(log_density, shifts: Sequence[ShiftEstimate], x) -> list[np.ndar
     """
     x = np.asarray(x, dtype=float)
     queries = np.concatenate([x, *(shift.to_pool(x) for shift in shifts)])
-    log_p, *log_q = log_density(queries).reshape(1 + len(shifts), -1)
-    return [log_sum - log_p for log_sum in log_q]
+    log_sums = log_density(queries).reshape(1 + len(shifts), -1)
+    return log_sums[1:] - log_sums[0]
 
 
 def _masses(table: _RankTable, j: np.ndarray, log_r: np.ndarray,
@@ -563,155 +549,117 @@ class DensityModel:
         return y
 
 
-class WeightedRule:
-    """The weighted conformal rule of a calibration pool, or of rows of pools.
+def _finite_ends(lo, hi) -> tuple[float, float]:
+    """The ends of a sample on the evaluation scale, as floats; ``non_finite_values`` unless
+    both are finite. A NaN carries through a min and a max, and the scale rises, so the
+    images of a sample's ends show whether all of it is finite there."""
+    lo, hi = float(lo), float(hi)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"non_finite_values: scores from {lo} to {hi} on the evaluation scale")
+    return lo, hi
 
-    ``pool`` is one pool, or a 2-D array whose rows are pools of one size;
-    ``minority`` is a boolean mask of the minority points, one entry per
-    point of a pool (else ``minority_not_a_mask``), and the scores go
-    through log10 once if ``log_scale``. The rule keeps a read-only copy of
-    the pools. A row's p is its pool's KDE, one :class:`DensityModel`, and
-    the row has one :class:`ShiftEstimate` per name in the argument
-    ``shifts`` ("mean" or "quantile", else ``unknown_shift``; at least one,
-    else ``no_shifts``), whose q is p read through its map; a rule of one
-    pool keeps them in the attribute ``shifts``. Each shift has a weighted
-    rank table of grid ratios per row (certified) and, built only for a
-    row where some point takes the exact mass, one of exact ratios. Every
-    table holds the pool sorted, so one rank serves them all. The test
-    scores of :meth:`p_values` and :meth:`flags` come flat, each with the
-    row of the pool it is ranked against in ``rows`` (nondecreasing; all
-    row 0 if not given).
+
+class WeightedRule:
+    """The weighted conformal rule of one calibration pool.
+
+    ``pool`` is a 1-D array of scores (else ``pool_not_one_dimensional``);
+    ``minority`` is a boolean mask of its minority points, one entry per
+    point (else ``minority_not_a_mask``). The scores go through log10 once
+    if ``log_scale``, and pool and test scores alike must be finite on that
+    scale (else ``non_finite_values``). The rule keeps a read-only copy of
+    the pool. Its p is the pool's KDE, one :class:`DensityModel`, and it has
+    one :class:`ShiftEstimate` per name in the argument ``shifts`` ("mean"
+    or "quantile", else ``unknown_shift``; at least one, else
+    ``no_shifts``), kept in the attribute ``shifts``, whose q is p read
+    through its map. Each shift has a weighted rank table of grid ratios
+    (certified) and, built only where some point takes the exact mass, one
+    of exact ratios. Every table holds the pool sorted, so one rank serves
+    them all.
 
     A shift's ratios are ``exp(log q - log p - M)``, M its largest at the
     pool: its calibration ratios lie in [0, 1] and total at least 1, and a
     test ratio beyond the range of floats is inf, of weighted mass 1.
     :meth:`p_values` and :meth:`flags` share one evaluator (see the module
-    docstring). Every step is row by row, so each row's flags and p-values
-    are those of a rule of its pool alone, bit for bit.
+    docstring).
     """
 
     def __init__(self, pool, minority, bandwidth: float, alpha: float,
                  shifts: Sequence[str], log_scale: bool):
-        self._setup([pool], [minority], bandwidth, alpha, shifts, log_scale)
-        if np.ndim(pool) == 1:
-            self.shifts = self._shifts[0]
-
-    @classmethod
-    def _stacked(cls, pools: Sequence[np.ndarray], minorities: Sequence[np.ndarray],
-                 bandwidth: float, alpha: float, shifts: Sequence[str],
-                 log_scale: bool) -> WeightedRule:
-        """One rule over the rows of every 2-D array of ``pools``, ``minorities`` their masks.
-
-        Rows run block by block, one block per array, whose widths may differ.
-        """
-        rule = cls.__new__(cls)
-        rule._setup(pools, minorities, bandwidth, alpha, shifts, log_scale)
-        return rule
-
-    def _setup(self, pools, minorities, bandwidth, alpha, shifts, log_scale):
         if not shifts:
             raise ValueError("no_shifts: name at least one shift")
         for name in shifts:
             if name not in ("mean", "quantile"):
                 raise ValueError(f"unknown_shift: {name!r}, not 'mean' or 'quantile'")
-        pools = [np.array(pool, dtype=float, ndmin=2) for pool in pools]
-        for pool in pools:
-            pool.setflags(write=False)
-        self._pools, self.alpha = pools, alpha
-        self._rows = [row for pool in pools for row in pool]
-        self._to_eval = np.log10 if log_scale else np.asarray
-        self._evals = [self._to_eval(pool) for pool in pools]
-        self._h = float(bandwidth)
-        if any(pool.size == 0 for pool in pools):
+        pool = np.array(pool, dtype=float)
+        pool.setflags(write=False)
+        if pool.ndim != 1:
+            raise ValueError(f"pool_not_one_dimensional: a pool of shape {pool.shape}")
+        if pool.size == 0:
             raise ValueError("empty_support: KDE needs at least one point")
-        self._bounds = (np.concatenate([e.min(axis=-1) for e in self._evals]),
-                        np.concatenate([e.max(axis=-1) for e in self._evals]))
-        check_bandwidth(self._h, float(np.max(self._bounds[1] - self._bounds[0])))
-        self._shifts: list[list[ShiftEstimate]] = []  # each row's, one per name
-        for e, minority in zip(self._evals, minorities):
-            minority = np.asarray(minority)
-            if minority.dtype != bool or minority.shape != e.shape[-1:]:
-                raise ValueError(f"minority_not_a_mask: want {e.shape[-1]} booleans, one per "
-                                 f"pool point; got {minority.dtype} of shape {minority.shape}")
-            # row by row in memory, so each row's sums take a one-row sample's order
-            samples = _samples(e, np.ascontiguousarray(e[:, minority]))
-            spreads = _spreads(*samples)  # once, for every shift
-            self._shifts += map(list, zip(*(_shift(shift, *samples, alpha, spreads)
-                                            for shift in shifts)))
-        self._exact_rows: dict = {}
+        self._pool, self.alpha = pool, alpha
+        self._to_eval = np.log10 if log_scale else np.asarray
+        with np.errstate(divide="ignore", invalid="ignore"):
+            evals = self._to_eval(pool)
+        self._bounds = _finite_ends(evals.min(), evals.max())
+        self._model = DensityModel(evals, bandwidth)
+        minority = np.asarray(minority)
+        if minority.dtype != bool or minority.shape != pool.shape:
+            raise ValueError(f"minority_not_a_mask: want {pool.size} booleans, one per "
+                             f"pool point; got {minority.dtype} of shape {minority.shape}")
+        samples = _samples(evals, evals[minority])
+        spreads = _spreads(*samples)  # once, for every shift
+        self.shifts = [_shift(name, *samples, alpha, spreads) for name in shifts]
 
     @cached_property
-    def _grid(self) -> list[DensityModel]:
-        """Each row's pool KDE; each shift's q reads it through its map."""
-        return [DensityModel(e, self._h) for evals in self._evals for e in evals]
-
-    @cached_property
-    def _factor(self) -> np.ndarray:
-        """Each row's ``E = exp(2 eps)``, ``eps = 2 * error`` (see the module docstring)."""
+    def _factor(self) -> float:
+        """``E = exp(2 eps)``, ``eps = 2 * error`` (see the module docstring)."""
         with np.errstate(over="ignore"):
-            return np.exp(4.0 * np.array([grid.error for grid in self._grid]))
+            return np.exp(4.0 * self._model.error)
 
     @cached_property
-    def _certified(self) -> np.ndarray:
-        """Which rows have certified tables: none at alpha >= 1/2, and no row with no grid or
-        where ``alpha * E >= 1`` lets the screen drop no point."""
-        return ((self.alpha < 0.5) & np.array([grid.has_grid for grid in self._grid])
-                & (self.alpha * self._factor < 1))
+    def _certified(self) -> bool:
+        """Whether the rule has certified tables: not at alpha >= 1/2, with no grid, or where
+        ``alpha * E >= 1`` lets the screen drop no point."""
+        return self.alpha < 0.5 and self._model.has_grid and self.alpha * self._factor < 1
 
-    def _cover(self, values: np.ndarray, rows: np.ndarray) -> None:
-        """Extend each certified row's grid over its pool, its ``values`` and their images."""
-        lo, hi = (bound.copy() for bound in self._bounds)
-        starts = np.searchsorted(rows, np.arange(lo.size + 1))
-        present = np.flatnonzero(starts[:-1] < starts[1:])
-        if present.size:
-            at = starts[present]
-            lo[present] = np.minimum(lo[present],
-                                     self._to_eval(np.minimum.reduceat(values, at)))
-            hi[present] = np.maximum(hi[present],
-                                     self._to_eval(np.maximum.reduceat(values, at)))
-        lo, hi = lo.tolist(), hi.tolist()
-        for r in np.flatnonzero(self._certified).tolist():
+    def _points(self, values) -> np.ndarray:
+        """The test scores ``values`` as floats, checked; a certified rule's grid is first
+        extended over the pool, the scores and their images."""
+        values = np.asarray(values, dtype=float)
+        lo, hi = self._bounds
+        if values.size:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                low, high = _finite_ends(self._to_eval(values.min()),
+                                         self._to_eval(values.max()))
+            lo, hi = min(lo, low), max(hi, high)
+        if self._certified:
             # the maps rise with x, so the images of the ends bound every image
-            ends = [lo[r], hi[r], *(shift.to_pool(end) for shift in self._shifts[r]
-                                    for end in (lo[r], hi[r]))]
-            self._grid[r].cover(min(ends), max(ends))
+            ends = [lo, hi, *(shift.to_pool(end) for shift in self.shifts for end in (lo, hi))]
+            self._model.cover(min(ends), max(ends))
+        return values
+
+    def _ratio_tables(self, log_density) -> list[tuple[_RankTable, float]]:
+        """Each shift's table with its top, of the ratios ``log_density`` gives at the pool and
+        its images."""
+        log_r = _log_ratios(log_density, self.shifts, self._model.support_points)
+        tops = log_r.max(axis=-1)
+        table = _weighted_table(self._pool, np.exp(log_r - tops[:, np.newaxis]))
+        return [(_RankTable(table.sorted_cal, mass), top) for mass, top in zip(table.mass, tops)]
 
     @cached_property
-    def _by_row(self) -> list:
-        """Each certified row's :meth:`_row`, built in one pass; None for another row.
+    def _exact(self) -> list[tuple[_RankTable, float]]:
+        """Each shift's exact table with its top: one exact log density of the pool KDE."""
+        return self._ratio_tables(self._model.log_evaluate)
 
-        The certified tables are of grid ratios, each row's read at its pool
-        points on its own grid, and built a block at a time.
-        """
-        certified = self._certified
-        out: list = [None] * len(certified)
-        if not certified.any():
-            return out
-        self._cover(np.empty(0), np.empty(0, dtype=np.intp))
-        first = 0
-        for pool in self._pools:
-            mine = certified[first:first + len(pool)]
-            rows = (np.flatnonzero(mine) + first).tolist()
-            first += len(pool)
-            if not rows:
-                continue
-            # every shift's ratios and tables of the block's rows, at once
-            log_r = np.stack([_log_ratios(self._grid[r].log_sums, self._shifts[r],
-                                          self._grid[r].support_points) for r in rows], axis=1)
-            tops = log_r.max(axis=-1)
-            block = _weighted_table(pool[mine], np.exp(log_r - tops[..., np.newaxis]))
-            for i, r in enumerate(rows):
-                out[r] = self._screened([(_RankTable(block.sorted_cal[i], mass[i]), top)
-                                         for mass, top in zip(block.mass, tops[:, i])],
-                                        self.alpha * self._factor[r])
-        return out
-
-    def _row(self, r: int) -> tuple[list[tuple[_RankTable, float]], float]:
-        """Row r's tables, each shift's with its top, and its screen's cutoff: the certified
-        tables, or the exact ones in a row with none."""
-        if self._by_row[r] is None:
-            self._by_row[r] = self._screened(self._exact(r), self.alpha)
-        return self._by_row[r]
+    @cached_property
+    def _tables(self) -> tuple[list[tuple[_RankTable, float]], float]:
+        """Each shift's table with its top, and the screen's cutoff: the certified tables, of
+        grid ratios, or the exact ones in a rule with none."""
+        if not self._certified:
+            return self._screened(self._exact, self.alpha)
+        self._points(())
+        return self._screened(self._ratio_tables(self._model.log_sums),
+                              self.alpha * self._factor)
 
     @staticmethod
     def _screened(tables: list, level: float) -> tuple[list, float]:
@@ -730,27 +678,15 @@ class WeightedRule:
             keep |= table.screen(ranks, level)
         return tables, _cutoff(tables[0][0].sorted_cal, int(np.count_nonzero(keep)))
 
-    def _exact(self, r: int) -> list[tuple[_RankTable, float]]:
-        """Row r's exact tables, each shift's with its top: one exact log density of its pool
-        KDE, at the pool and its images."""
-        if r not in self._exact_rows:
-            model = self._grid[r]
-            self._exact_rows[r] = [
-                (_weighted_table(self._rows[r], np.exp(log_r - top)), top)
-                for log_r in _log_ratios(model.log_evaluate, self._shifts[r],
-                                         model.support_points)
-                for top in (log_r.max(),)]
-        return self._exact_rows[r]
-
-    def _p_values(self, r: int, values: np.ndarray, j: np.ndarray) -> list[np.ndarray]:
-        """Each shift's exact mass at row r's test scores ``values`` of ranks ``j``.
+    def _p_values(self, values: np.ndarray, j: np.ndarray) -> list[np.ndarray]:
+        """Each shift's exact mass at test scores ``values`` of ranks ``j``.
 
         The mass is ``table.p_values(j, exp(log_r))``, and its limit 1 where
         that ratio overflows.
         """
         masses = []
-        for (table, top), log_r in zip(self._exact(r), _log_ratios(
-                self._grid[r].log_evaluate, self._shifts[r], self._to_eval(values))):
+        for (table, top), log_r in zip(self._exact, _log_ratios(
+                self._model.log_evaluate, self.shifts, self._to_eval(values))):
             with np.errstate(over="ignore"):
                 ratios = np.exp(log_r - top)
             over = np.isinf(ratios)
@@ -759,71 +695,49 @@ class WeightedRule:
             masses[-1][over] = 1.0
         return masses
 
-    def _evaluate(self, r: int, values: np.ndarray, j: np.ndarray) -> list[np.ndarray]:
-        """Each shift's mass at row r's test scores ``values`` of ranks ``j``.
+    def _evaluate(self, values: np.ndarray, j: np.ndarray) -> list[np.ndarray]:
+        """Each shift's mass at test scores ``values`` of ranks ``j``.
 
         The mass is the grid's where every shift's certified bounds decide
         ``mass < alpha``, and the exact one at a point some shift leaves
-        open, or at every point of a row with no certified tables.
+        open, or at every point of a rule with no certified tables.
         """
-        if not self._certified[r]:
-            return self._p_values(r, values, j)
-        tables, _ = self._row(r)
+        if not self._certified:
+            return self._p_values(values, j)
+        tables, _ = self._tables
         masses, open_ = [], np.zeros(j.shape, dtype=bool)
         for (table, top), log_r in zip(tables, _log_ratios(
-                self._grid[r].log_sums, self._shifts[r], self._to_eval(values))):
-            lo, p, hi = _masses(table, j, log_r - top, self._factor[r])
+                self._model.log_sums, self.shifts, self._to_eval(values))):
+            lo, p, hi = _masses(table, j, log_r - top, self._factor)
             open_ |= ~((hi < self.alpha * (1.0 - _SCREEN_SLACK))
                        | (lo >= self.alpha * (1.0 + _SCREEN_SLACK)))
             masses.append(p)
         open_ = np.flatnonzero(open_)
         if open_.size:
-            for p, exact in zip(masses, self._p_values(r, values[open_], j[open_])):
+            for p, exact in zip(masses, self._p_values(values[open_], j[open_])):
                 p[open_] = exact
         return masses
 
-    def _points(self, values, rows) -> tuple[np.ndarray, list[tuple[int, slice]]]:
-        """Test scores as floats, and each row's slice of them; the grid extended over them."""
-        values = np.asarray(values, dtype=float)
-        rows = (np.zeros(values.shape, dtype=np.intp) if rows is None
-                else np.asarray(rows, dtype=np.intp))
-        if rows.shape != values.shape or (rows[1:] < rows[:-1]).any():
-            raise ValueError("rows_not_grouped: one row per test score, nondecreasing")
-        if rows.size and not 0 <= rows[0] <= rows[-1] < len(self._rows):
-            raise ValueError(f"row_out_of_range: rows run from 0 to {len(self._rows) - 1}")
-        self._cover(values, rows)
-        bounds = np.searchsorted(rows, np.arange(len(self._rows) + 1)).tolist()
-        return values, [(r, slice(start, stop)) for r, (start, stop)
-                        in enumerate(zip(bounds, bounds[1:])) if start < stop]
+    def p_values(self, values) -> list[np.ndarray]:
+        """Each shift's weighted mass at every test score, within the certified bounds."""
+        values = self._points(values)
+        tables, _ = self._tables
+        return self._evaluate(values, tables[0][0].ranks(values))
 
-    def p_values(self, values, rows=None) -> list[np.ndarray]:
-        """Each shift's weighted mass at every test score, within the certified bounds.
-
-        ``rows`` gives each score's row, nondecreasing; all row 0 if not given.
-        """
-        values, parts = self._points(values, rows)
-        out = [np.empty(values.shape) for _ in self._shifts[0]]
-        for r, part in parts:
-            ranks = self._row(r)[0][0][0].ranks(values[part])
-            for p, mass in zip(out, self._evaluate(r, values[part], ranks)):
-                p[part] = mass
-        return out
-
-    def flags(self, values, rows=None) -> list[np.ndarray]:
+    def flags(self, values) -> list[np.ndarray]:
         """Each shift's ``mass < alpha`` at test scores ``values``, equal to the exact rule's.
 
         The screen keeps every point that could be flagged: the certified
-        tables' at ``alpha * E``, or the exact tables' at alpha in a row
-        with none, each row's below its cutoff. The others are unflagged
-        under every shift, and the kept ones take their masses from
-        :meth:`p_values`' evaluator, a row at a time.
+        tables' at ``alpha * E``, or the exact tables' at alpha in a rule
+        with none, below one cutoff. The others are unflagged under every
+        shift, and the kept ones take their masses from :meth:`p_values`'
+        evaluator.
         """
-        values, parts = self._points(values, rows)
-        out = [np.zeros(values.shape, dtype=bool) for _ in self._shifts[0]]
-        for r, part in parts:
-            tables, cutoff = self._row(r)
-            keep = np.flatnonzero(values[part] < cutoff)
-            kept = values[part][keep]
-            for flagged, p in zip(out, self._evaluate(r, kept, tables[0][0].ranks(kept))):
-                flagged[part][keep] = p < self.alpha
+        values = self._points(values)
+        tables, cutoff = self._tables
+        keep = np.flatnonzero(values < cutoff)
+        kept = values[keep]
+        out = [np.zeros(values.shape, dtype=bool) for _ in self.shifts]
+        for flagged, p in zip(out, self._evaluate(kept, tables[0][0].ranks(kept))):
+            flagged[keep] = p < self.alpha
         return out

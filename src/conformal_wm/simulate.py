@@ -26,8 +26,8 @@ the task's rows with all of their null level's calibrations at once. The
 standard and hierarchical rules, and the minority-only and
 pooled-unweighted ones of the weighted scenario, flag exactly the test
 scores below one calibration score, so all four flag through one cutoff
-flagger and rank nothing. The weighted rules of every pool of the task are
-one rule, which ranks only the test scores below its screen's cutoffs.
+flagger and rank nothing. Each pool's weighted rules are one rule, which
+ranks only the test scores below its screen's cutoff.
 Every flag ignores the order of the test scores, so no row is sorted.
 
 All randomness is derived from counter-style substreams, each keyed by
@@ -598,8 +598,9 @@ def _weighted_calibrations(config: ExperimentConfig, streams: _Streams, prompt: 
 
     Per minority size, the null levels' pools are the rows of one array, so
     the minority-only and pooled-unweighted rules find their cutoffs with one
-    row-wise sort each. The weighted rules of every pool of the task are one
-    :class:`WeightedRule` over those arrays' rows (``WeightedRule._stacked``).
+    row-wise sort each. Each pool has its own :class:`WeightedRule`, which
+    screens its null level's rows, joined, below one cutoff and ranks the
+    kept scores once, for both weighted rules.
     """
     sizes, n = config.minority_sizes, config.majority_cal_size
     (majority,) = _calibration_draws(config, streams, prompt, (n,))
@@ -608,31 +609,23 @@ def _weighted_calibrations(config: ExperimentConfig, streams: _Streams, prompt: 
     below = _cutoff_flagger(config, sizes, {
         "in_dist": _row_cutoffs(minorities, config.alpha),
         "combined_unweighted": _row_cutoffs(pools, config.alpha)})
-    rule = WeightedRule._stacked(pools, [np.arange(n + m) >= n for m in sizes],
-                                 config.bandwidth, config.alpha, ("mean", "quantile"),
-                                 config.log_scale)
-    # the rule's row of each test score, once per minority size: its pools
-    # run size by size, then level by level
-    levels = len(config.null_levels)
-    of_set = np.repeat(np.arange(levels), [1 + len(config.alt_levels(null))
-                                           for null in config.null_levels])
-    pool_rows = (np.arange(len(sizes))[:, np.newaxis] * levels
-                 + np.repeat(of_set, config.n_test)).reshape(-1)
-    return sizes, lambda rows: {**below(rows), **_weighted_flags(rule, rows, pool_rows)}
+    rules = [[WeightedRule(pool, np.arange(pool.size) >= n, config.bandwidth, config.alpha,
+                           ("mean", "quantile"), config.log_scale) for pool in block]
+             for block in pools]
+    ends = np.cumsum([0] + [1 + len(config.alt_levels(null))
+                            for null in config.null_levels]).tolist()
+    levels = [slice(start, stop) for start, stop in zip(ends, ends[1:])]
 
+    def flagger(rows: np.ndarray) -> dict[str, np.ndarray]:
+        # each weighted rule's flags as (sizes, rows, n_test)
+        flags = np.empty((2, len(sizes), *rows.shape), dtype=bool)
+        for i, block in enumerate(rules):
+            for rule, level in zip(block, levels):
+                flags[:, i, level] = np.reshape(rule.flags(rows[level].reshape(-1)),
+                                                (2, -1, rows.shape[-1]))
+        return {**below(rows), "weighted_mean": flags[0], "weighted_quantile": flags[1]}
 
-def _weighted_flags(rule: WeightedRule, rows: np.ndarray,
-                    pool_rows: np.ndarray) -> dict[str, np.ndarray]:
-    """The weighted rules' flags of test rows against each pool, as ``(pools, rows, n_test)``.
-
-    The rows' scores are joined once per minority size, each with its pool's
-    row of the rule in ``pool_rows``. Each pool screens its level's rows below
-    one cutoff, and ranks the kept scores once, for both rules.
-    """
-    sizes = pool_rows.size // rows.size
-    weighted = rule.flags(np.tile(rows.reshape(-1), sizes), pool_rows)
-    return {"weighted_mean": weighted[0].reshape(sizes, *rows.shape),
-            "weighted_quantile": weighted[1].reshape(sizes, *rows.shape)}
+    return sizes, flagger
 
 
 # scenario -> (test-row drawer, calibration pass, the stream roles a test

@@ -432,6 +432,8 @@ class TestDetectDiagnostics:
                   "outputs": manifest["outputs"]}
         assert manifest["run_hash"] == io_mod.sha256_text(io_mod.canonical_json(hashed))
         assert "diagnostics" not in manifest["extra"]
+        # K is written once, under diagnostics
+        assert "n_groups" not in manifest["extra"]
 
     def test_weighted_records_no_rank_diagnostics(self, tmp_path):
         rows = ["essay_id,score,role,population"]
@@ -751,6 +753,42 @@ class TestArgumentChecks:
         err = self.run_error(capsys, ["detect", missing, missing, *extra,
                                       "--out", str(tmp_path / "out")])
         assert (err["error"], err["field"]) == ("alpha_out_of_range", "alpha")
+
+    @pytest.mark.parametrize("bandwidth, detail", [("-1", "bandwidth_not_positive: -1.0"),
+                                                   ("nan", "bandwidth_not_positive: nan"),
+                                                   ("inf", "bandwidth_not_finite: inf")])
+    def test_weighted_bandwidth_is_checked_before_any_input(self, tmp_path, capsys, bandwidth,
+                                                            detail):
+        # it was once checked only once both tables were read: file_not_found here
+        missing = str(tmp_path / "missing.csv")
+        err = self.run_error(capsys, ["detect", missing, missing, "--method", "weighted",
+                                      "--bandwidth", bandwidth, "--out", str(tmp_path / "out")])
+        assert err == {"error": "invalid_input", "detail": detail}
+
+    @pytest.mark.parametrize("method", ["standard", "hierarchical"])
+    @pytest.mark.parametrize("flag", [["--shift", "quantile"], ["--bandwidth", "0.5"],
+                                      ["--bandwidth", "-1"], ["--log-scale", "off"]])
+    def test_rank_methods_refuse_weighted_only_flags(self, tmp_path, capsys, method, flag):
+        missing = str(tmp_path / "missing.csv")
+        err = self.run_error(capsys, ["detect", missing, missing, "--method", method, *flag,
+                                      "--out", str(tmp_path / "out")])
+        assert err == {"error": "invalid_argument",
+                       "detail": f"weighted-only flags with --method {method}: {flag[0]}"}
+
+    def test_weighted_only_flags_leave_the_default_hash(self, tmp_path, capsys):
+        # a standard run once took all three, decided as the default run did,
+        # and recorded them: another config hash for the same decisions
+        golden = Path(__file__).parent / "golden"
+        tables = [str(golden / "detect_cal.csv"), str(golden / "detect_test.csv")]
+        err = self.run_error(capsys, ["detect", *tables, "--bandwidth", "-1", "--log-scale",
+                                      "off", "--shift", "mean", "--out", str(tmp_path / "a")])
+        assert err["detail"] == ("weighted-only flags with --method standard: "
+                                 "--shift, --bandwidth, --log-scale")
+        assert not (tmp_path / "a").exists()
+        assert main(["detect", *tables, "--out", str(tmp_path / "b")]) == 0
+        manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        assert manifest["config_hash"] == (
+            "43e6c8a7eb410aabcd978885bd534e81e42947cc66d084743c78b311b9c6221b")
 
     @pytest.mark.parametrize("command", ["detect", "simulate"])
     def test_failed_validation_leaves_no_directory(self, tmp_path, capsys, command):

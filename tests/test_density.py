@@ -80,7 +80,7 @@ class TestFitKde:
         pool = np.array([0.25, -1.5, 2.0])
         rule = density.WeightedRule(pool, np.arange(3) < 2, 0.5, 0.05, ("mean",), False)
         # the rule's pool KDE sums over one support for its grid and exact reads
-        supports = [DensityModel(pool, 0.5).support_points, rule._grid[0].support_points,
+        supports = [DensityModel(pool, 0.5).support_points, rule._model.support_points,
                     DensityModel(support_points=(1, 2), bandwidth=1.0).support_points]
         pool[0] = 9.0
         read = []
@@ -88,7 +88,7 @@ class TestFitKde:
         with mock.patch.object(density, "_log_kernel_sums",
                                lambda x, support, *rest: read.append(support)
                                or kernel_sums(x, support, *rest)):
-            rule._exact(0)
+            rule._exact
         supports.append(read[0])
         for support in supports:
             assert support.dtype == np.float64
@@ -385,14 +385,13 @@ class TestShiftEstimate:
     def test_fields_are_floats_on_every_path(self):
         pool, minority, _ = logit_normal_pool(3, 5)
         logs = np.log10(pool)
-        one = density.WeightedRule(pool, minority, 0.5, 0.05, ("mean", "quantile"), True)
-        rows = density.WeightedRule._stacked(
-            [np.stack([pool, pool[::-1]]), pool[np.newaxis, :-1]],
-            [minority, minority[:-1]], 0.5, 0.05, ("mean", "quantile"), True)
+        rules = [density.WeightedRule(scores, mask, 0.5, 0.05, ("mean", "quantile"), True)
+                 for scores, mask in ((pool, minority), (pool[::-1], minority),
+                                      (pool[:-1], minority[:-1]))]
         estimates = [mean_shift(logs, logs[minority]),
                      quantile_shift(logs, logs[minority], 0.05),
-                     *one.shifts, *(shift for row in rows._shifts for shift in row)]
-        assert len(rows._shifts) == 3
+                     *(shift for rule in rules for shift in rule.shifts)]
+        assert len(estimates) == 8
         for est in estimates:
             assert all(type(getattr(est, name)) is float
                        for name in ("q_anchor", "p_anchor", "sigma_p", "sigma_q"))
@@ -587,29 +586,28 @@ ROUNDINGS = 16 * 2.0 ** -53
 TINY = np.finfo(float).tiny
 
 
-def exact_tables(rule, r=0):
-    """Each shift's weighted table of exact ratios, of row r."""
-    return [table for table, _ in rule._exact(r)]
+def exact_tables(rule):
+    """Each shift's weighted table of exact ratios."""
+    return [table for table, _ in rule._exact]
 
 
-def exact_p_values(rule, tests, r=0):
-    """Each shift's exact mass at ``tests``, against row r."""
-    return rule._p_values(r, tests, exact_tables(rule, r)[0].ranks(tests))
+def exact_p_values(rule, tests):
+    """Each shift's exact mass at ``tests``."""
+    return rule._p_values(tests, exact_tables(rule)[0].ranks(tests))
 
 
-def assert_exact_or_within_certified_bounds(rule, tests, exact, r=0):
-    """``rule.p_values(tests)`` on row r equals the exact masses ``exact`` with no
-    certified tables; otherwise it and they lie within the certified bounds."""
-    got = rule.p_values(tests, np.full(tests.size, r))
-    if not rule._certified[r]:
+def assert_exact_or_within_certified_bounds(rule, tests, exact):
+    """``rule.p_values(tests)`` equals the exact masses ``exact`` with no certified
+    tables; otherwise it and they lie within the certified bounds."""
+    got = rule.p_values(tests)
+    if not rule._certified:
         assert [p.tobytes() for p in got] == [p.tobytes() for p in exact]
         return
-    tables, _ = rule._row(r)
+    tables, _ = rule._tables
     j = tables[0][0].ranks(tests)
-    log_ratios = density._log_ratios(rule._grid[r].log_sums, rule._shifts[r],
-                                     rule._to_eval(tests))
+    log_ratios = density._log_ratios(rule._model.log_sums, rule.shifts, rule._to_eval(tests))
     for (table, top), log_r, want, p in zip(tables, log_ratios, exact, got):
-        lo, _, hi = density._masses(table, j, log_r - top, rule._factor[r])
+        lo, _, hi = density._masses(table, j, log_r - top, rule._factor)
         # up to the few roundings of a bound, and a bound under the smallest
         # normal double may read 0; a NaN bound bounds nothing
         for mass in (want, p):
@@ -654,7 +652,7 @@ class TestWeightedRule:
         flags = rule.flags(tests)
         tables = exact_tables(rule)
         j = tables[0].ranks(tests)
-        want = [p < 0.05 for p in rule._p_values(0, tests, j)]
+        want = [p < 0.05 for p in rule._p_values(tests, j)]
         assert [f.tolist() for f in flags] == [w.tolist() for w in want]
         # some points are flagged, and the screen drops some others
         assert any(w.any() for w in want)
@@ -677,23 +675,14 @@ class TestWeightedRule:
         # the pools' own scores (ties included), draws across them, deep tails
         tests = np.concatenate([pools[1], 1.0 / (1.0 + np.exp(-rng.normal(-1.0, 3.0, 300))),
                                 [1e-10, 1e-30, 1e-200]])
-        # one rule over both pools, a block each, and a rule of each pool alone
-        stacked = density.WeightedRule._stacked([pool[np.newaxis] for pool in pools], masks,
-                                                bandwidth, alpha, ("mean", "quantile"), log_scale)
-        alone = [density.WeightedRule(pool, mask, bandwidth, alpha, ("mean", "quantile"),
-                                      log_scale) for pool, mask in zip(pools, masks)]
-        for r, one in enumerate(alone):
-            for rule, row in ((stacked, r), (one, 0)):
-                flags = rule.flags(tests, np.full(tests.size, row))
-                exact = exact_p_values(rule, tests, row)
-                assert [f.tolist() for f in flags] == [(p < alpha).tolist() for p in exact]
-                assert_exact_or_within_certified_bounds(rule, tests, exact, row)
-            # a stacked row is its pool's rule, p-values included, bit for bit
-            rows = np.full(tests.size, r)
-            assert ([p.tobytes() for p in stacked.p_values(tests, rows)]
-                    == [p.tobytes() for p in one.p_values(tests)])
-            assert ([f.tolist() for f in stacked.flags(tests, rows)]
-                    == [f.tolist() for f in one.flags(tests)])
+        # a rule of each pool
+        for pool, mask in zip(pools, masks):
+            rule = density.WeightedRule(pool, mask, bandwidth, alpha, ("mean", "quantile"),
+                                        log_scale)
+            flags = rule.flags(tests)
+            exact = exact_p_values(rule, tests)
+            assert [f.tolist() for f in flags] == [(p < alpha).tolist() for p in exact]
+            assert_exact_or_within_certified_bounds(rule, tests, exact)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_majority=st.integers(1, 60),
@@ -728,69 +717,13 @@ class TestWeightedRule:
         exact = exact_p_values(rule, tests)
         assert [f.tolist() for f in rule.flags(tests)] == [(p < alpha).tolist() for p in exact]
         # no grid, alpha >= 1/2 or a loose bound: every mass is exact
-        assert not rule._certified[0] or alpha < 0.5
+        assert not rule._certified or alpha < 0.5
         assert_exact_or_within_certified_bounds(rule, tests, exact)
-
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 4),
-           n_majority=st.integers(1, 40), m=st.integers(1, 10),
-           bandwidth=st.sampled_from([0.05, 0.2, 0.5, 1.5]), log_scale=st.booleans(),
-           alpha=st.sampled_from([0.05, 0.1, 0.3, 0.7]),
-           tiny=st.lists(st.booleans(), min_size=4, max_size=4))
-    # a 1e-300 score in one row: log10 of that pool spans 300 units, too wide
-    # for a grid at h = 0.05, and for its bound to decide anything at h = 0.5
-    @example(seed=3, rows=3, n_majority=30, m=6, bandwidth=0.05, log_scale=True,
-             alpha=0.05, tiny=[False, True, False, False])
-    @example(seed=3, rows=3, n_majority=30, m=6, bandwidth=0.5, log_scale=True,
-             alpha=0.05, tiny=[False, True, False, False])
-    # alpha at least 1/2: the mean shift only, every mass exact
-    @example(seed=4, rows=2, n_majority=30, m=6, bandwidth=0.5, log_scale=False,
-             alpha=0.7, tiny=[False] * 4)
-    def test_rows_decide_as_one_row_rules_bit_for_bit(self, seed, rows, n_majority, m,
-                                                      bandwidth, log_scale, alpha, tiny):
-        rng = np.random.default_rng(seed)
-        pools = 1.0 / (1.0 + np.exp(-np.concatenate(
-            [rng.normal(0.0, 1.5, (rows, n_majority)), rng.normal(-1.0, 1.5, (rows, m))],
-            axis=1)))
-        pools[np.array(tiny[:rows]), 0] = 1e-300
-        minority = np.arange(n_majority + m) >= n_majority
-        shifts = ("mean", "quantile")[:2 if alpha < 0.5 else 1]
-        # each row's own test scores, of its own number, deep tails included
-        tests = [np.concatenate([pools[r, :int(rng.integers(0, 10))], [1e-10, 1e-200][:r % 3],
-                                 1.0 / (1.0 + np.exp(-rng.normal(-1.0, 3.0,
-                                                                 int(rng.integers(0, 80)))))])
-                 for r in range(rows)]
-        values = np.concatenate(tests)
-        of_row = np.repeat(np.arange(rows), [t.size for t in tests])
-        rule = density.WeightedRule(pools, minority, bandwidth, alpha, shifts, log_scale)
-        flags, p_values = rule.flags(values, of_row), rule.p_values(values, of_row)
-        for r, mine in enumerate(tests):
-            alone = density.WeightedRule(pools[r], minority, bandwidth, alpha, shifts,
-                                         log_scale)
-            assert rule._shifts[r] == alone.shifts
-            assert ([f[of_row == r].tolist() for f in flags]
-                    == [f.tolist() for f in alone.flags(mine)])
-            assert ([p[of_row == r].tobytes() for p in p_values]
-                    == [p.tobytes() for p in alone.p_values(mine)])
-        if log_scale and alpha < 0.5:
+        if tiny and log_scale:
             # a 1e-300 score's pool spans 300 log10 units: a grid of over 2**14
             # nodes at h = 0.05 or 0.2, or one whose bound decides nothing
-            assert rule._certified.tolist() == [not t for t in tiny[:rows]]
-            assert [grid.has_grid for grid in rule._grid] == [
-                not t or bandwidth in (0.5, 1.5) for t in tiny[:rows]]
-
-    @pytest.mark.parametrize("rows, code", [([1, 0, 1], "rows_not_grouped"),
-                                            ([0, 1], "rows_not_grouped"),
-                                            ([0, 1, 2], "row_out_of_range"),
-                                            ([-1, 0, 1], "row_out_of_range")])
-    def test_test_scores_name_their_rows(self, rows, code):
-        # a score's row must be one of the rule's, and the rows come grouped
-        pool, minority, tests = logit_normal_pool(4, 15)
-        rule = density.WeightedRule(np.stack([pool, pool[::-1]]), minority, 0.5, 0.05,
-                                    ("mean",), True)
-        for method in (rule.flags, rule.p_values):
-            with pytest.raises(ValueError, match=code):
-                method(tests[:3], np.array(rows))
+            assert not rule._certified
+            assert rule._model.has_grid == (bandwidth in (0.5, 1.5))
 
     @pytest.mark.parametrize("mask", ["ints", "short", "long", "2-D"])
     def test_minority_must_be_one_boolean_per_pool_point(self, mask):
@@ -802,9 +735,41 @@ class TestWeightedRule:
                     "2-D": np.stack([np.arange(20) >= 15] * 2)}[mask]
         with pytest.raises(ValueError, match="minority_not_a_mask"):
             density.WeightedRule(pool, minority, 0.5, 0.05, ("mean",), True)
-        with pytest.raises(ValueError, match="minority_not_a_mask"):
-            density.WeightedRule._stacked([np.stack([pool, pool])], [minority], 0.5, 0.05,
-                                          ("mean",), True)
+
+    @pytest.mark.parametrize("shape", ["one-row", "two-rows", "scalar"])
+    def test_pool_must_be_one_dimensional(self, shape):
+        # a 2-D pool once ran as rows of pools, and a 2-D mask of its shape passed
+        pool, minority, _ = logit_normal_pool(4, 5, n_majority=15)
+        pool = {"one-row": pool[np.newaxis], "two-rows": np.stack([pool, pool[::-1]]),
+                "scalar": np.float64(0.5)}[shape]
+        for mask in (minority, np.broadcast_to(minority, pool.shape) if pool.ndim else True):
+            with pytest.raises(ValueError, match="pool_not_one_dimensional"):
+                density.WeightedRule(pool, mask, 0.5, 0.05, ("mean",), True)
+
+    @pytest.mark.parametrize("log_scale", [True, False])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_scores_must_be_finite_on_the_evaluation_scale(self, log_scale, bad):
+        # a test score that is not once got p = NaN and went unflagged, or
+        # raised IndexError; such a pool point raised sigma_not_positive
+        pool, minority, tests = logit_normal_pool(4, 15, n_majority=25)
+        finite = not log_scale and math.isfinite(bad)
+        rule = density.WeightedRule(pool, minority, 0.5, 0.05, ("mean", "quantile"), log_scale)
+        values = np.concatenate([tests[:20], [bad, 2.0]])
+        for method in (rule.p_values, rule.flags):
+            if finite:
+                method(values)
+            else:
+                with pytest.raises(ValueError, match="non_finite_values"):
+                    method(values)
+        if finite:
+            assert ([f.tolist() for f in rule.flags(values)]
+                    == [(p < 0.05).tolist() for p in rule.p_values(values)])
+        pool[3] = bad
+        if finite:
+            density.WeightedRule(pool, minority, 0.5, 0.05, ("mean",), log_scale)
+        else:
+            with pytest.raises(ValueError, match="non_finite_values"):
+                density.WeightedRule(pool, minority, 0.5, 0.05, ("mean",), log_scale)
 
     @pytest.mark.parametrize("shifts, code", [(("median",), "unknown_shift"),
                                               (("mean", "Mean"), "unknown_shift"),
@@ -825,7 +790,7 @@ class TestWeightedRule:
                 == [p.tobytes() for p in want.p_values(tests)])
         assert ([f.tolist() for f in rule.flags(tests)]
                 == [f.tolist() for f in want.flags(tests)])
-        assert not rule._pools[0].flags.writeable
+        assert not rule._pool.flags.writeable
 
     @pytest.mark.parametrize("case", ["coarse_grid", "tiny_score"])
     def test_flags_equal_p_values_where_the_grid_leaves_points_open(self, monkeypatch,
@@ -841,24 +806,24 @@ class TestWeightedRule:
         rule = density.WeightedRule(pool, minority, 0.5, 0.05, ("mean", "quantile"), True)
         opened = []
         exact = rule._p_values
-        monkeypatch.setattr(rule, "_p_values", lambda r, values, j: opened.append(values.size)
-                            or exact(r, values, j))
+        monkeypatch.setattr(rule, "_p_values", lambda values, j: opened.append(values.size)
+                            or exact(values, j))
         flags = rule.flags(tests)
         # the candidates are the points the screen keeps: the certified
         # tables' at alpha * E, or the exact tables' at alpha with none
         if case == "coarse_grid":
-            (table, _), (other, _) = rule._row(0)[0]
-            level = 0.05 * rule._factor[0]
+            (table, _), (other, _) = rule._tables[0]
+            level = 0.05 * rule._factor
         else:
-            assert not rule._certified[0] and 0.05 * rule._factor[0] >= 1.0
+            assert not rule._certified and 0.05 * rule._factor >= 1.0
             table, other = exact_tables(rule)
             level = 0.05
         j = table.ranks(tests)
         candidates = np.count_nonzero(table.screen(j, level) | other.screen(j, level))
-        want = [p < 0.05 for p in exact(0, tests, j)]
+        want = [p < 0.05 for p in exact(tests, j)]
         assert [f.tolist() for f in flags] == [w.tolist() for w in want]
         assert any(w.any() for w in want)
-        assert rule._grid[0].has_grid
+        assert rule._model.has_grid
         if case == "coarse_grid":
             assert 0 < opened[0] < candidates
         else:
@@ -886,7 +851,7 @@ class TestWeightedRule:
         rule = density.WeightedRule(pool, minority, 0.5, 0.05, (shift,), True)
         (got,) = exact_p_values(rule, tests)
         (est,) = rule.shifts
-        support = rule._grid[0].support_points.tolist()
+        support = rule._model.support_points.tolist()
 
         def log_ratio(score):
             x = math.log10(score)
@@ -969,7 +934,7 @@ class TestLogGrid:
 
 
 def corrupt_ratios(monkeypatch, value):
-    """The first calibration ratio of each model is ``value`` when the rule checks it.
+    """The first shift's calibration ratios are ``value`` when the rule checks them.
 
     The rule's own ratios are ``exp`` of finite log ratios less their
     maximum, so only a corrupted ratio reaches the checks of

@@ -435,13 +435,13 @@ class TestDeterminism:
 
 
 def record_opened_rules(monkeypatch) -> list:
-    """Record each WeightedRule and row that takes exact p-values, once per call."""
+    """Record each WeightedRule that takes exact p-values, once per call."""
     opened = []
     p_values = density.WeightedRule._p_values
 
-    def recording(rule, r, values, j):
-        opened.append((rule, r))
-        return p_values(rule, r, values, j)
+    def recording(rule, values, j):
+        opened.append(rule)
+        return p_values(rule, values, j)
 
     monkeypatch.setattr(density.WeightedRule, "_p_values", recording)
     return opened
@@ -451,7 +451,7 @@ def full_span_terms(config, rules) -> int:
     """The node-sum kernel terms of the rules' pools over their whole spans: each pool's
     support over every node of its own span."""
     terms = 0
-    for grid in (grid for rule in rules for grid in rule._grid):
+    for grid in (rule._model for rule in rules):
         span = density._node_span(grid.support_points, config.bandwidth)
         if span:
             terms += (span[1] - span[0] + 1) * grid.support_points.size
@@ -478,16 +478,17 @@ class TestWeightedDensityCalls:
             return kernel_sums(query, support, bandwidth, with_moment)
 
         rules = []
-        stacked = density.WeightedRule._stacked
+        init = density.WeightedRule.__init__
 
-        def recording_stacked(*args):
-            rules.append(stacked(*args))
-            return rules[-1]
+        def recording_init(rule, *args):
+            init(rule, *args)
+            rules.append(rule)
 
         monkeypatch.setattr(DensityModel, "log_evaluate", counting_log_evaluate)
         monkeypatch.setattr(density, "_log_kernel_sums", counting_node_sums)
-        monkeypatch.setattr(density.WeightedRule, "_stacked", recording_stacked)
+        monkeypatch.setattr(density.WeightedRule, "__init__", recording_init)
         opened = record_opened_rules(monkeypatch)
+        # one size per pool: each point and both shifts' images of it
         pool_sizes = ([3 * (cfg.majority_cal_size + m) for m in cfg.minority_sizes]
                       * len(cfg.null_levels))
         levels = len(cfg.null_levels)
@@ -498,9 +499,9 @@ class TestWeightedDensityCalls:
             for recorded in (calls, summed, opened, rules):
                 recorded.clear()
             run_scenario(cfg)
-            # one rule pass per task, and in it one node sum of each pool, over
+            # one rule per pool of each task, and one node sum of each pool, over
             # its own pool's points and nodes
-            assert len(rules) == len(cfg.seeds) * cfg.n_prompts
+            assert len(rules) == len(cfg.seeds) * cfg.n_prompts * len(pool_sizes)
             assert sorted(width for width, _ in summed) == sorted(
                 levels * [cfg.majority_cal_size + m for m in cfg.minority_sizes])
             # the grids reach only the nodes their reads reach: at most 0.7 of
@@ -516,7 +517,7 @@ class TestWeightedDensityCalls:
             # images', in one call
             rest = [(model, size) for model, size in calls if size not in pool_sizes]
             assert len(rest) == len(opened)
-            assert [model for model, _ in rest] == [rule._grid[r] for rule, r in opened]
+            assert [model for model, _ in rest] == [rule._model for rule in opened]
             assert all(size % 3 == 0 for _, size in rest)
         assert opened
 
@@ -544,9 +545,9 @@ class TestWeightedTables:
         kept = []
         evaluate = density.WeightedRule._evaluate
 
-        def recording_evaluate(rule, r, values, j):
+        def recording_evaluate(rule, values, j):
             kept.append(values.size)
-            return evaluate(rule, r, values, j)
+            return evaluate(rule, values, j)
 
         monkeypatch.setattr(conformal._RankTable, "ranks", counting_ranks)
         monkeypatch.setattr(density.WeightedRule, "_evaluate", recording_evaluate)
@@ -554,11 +555,12 @@ class TestWeightedTables:
         run_scenario(cfg)
         tasks = len(cfg.seeds) * cfg.n_prompts
         # one standard table per standard_cutoffs call, on every null level's
-        # minority samples or pools of one size; one certified table of every
-        # shift per task and minority size, of its pools as rows, and one exact
-        # table per variant for a pool with an open point
+        # minority samples or pools of one size; one table of both variants'
+        # certified ratios per pool, and one of their exact ratios for a pool
+        # with an open point
+        pools = len(cfg.null_levels) * len(cfg.minority_sizes) * tasks
         assert built == {"_standard_table": 2 * len(cfg.minority_sizes) * tasks,
-                         "_weighted_table": len(cfg.minority_sizes) * tasks + 2 * len(opened)}
+                         "_weighted_table": pools + len(opened)}
         # each joined array is screened once against each pool, below one
         # cutoff, and ranked only where kept, once for both rules; the
         # minority-only and pooled-unweighted rules compare it with their
@@ -802,9 +804,9 @@ class TestWeightedGrid:
         opened = []
         p_values = density.WeightedRule._p_values
 
-        def counting(rule, r, values, j):
+        def counting(rule, values, j):
             opened.append(np.size(values))
-            return p_values(rule, r, values, j)
+            return p_values(rule, values, j)
 
         monkeypatch.setattr(density.WeightedRule, "_p_values", counting)
         outputs, fallbacks = [], []
@@ -865,14 +867,14 @@ class TestCertifiedMasses:
             seen["outside"] += int(np.count_nonzero(~usable))
             return y, usable
 
-        def recording_evaluate(rule, r, values, j):
+        def recording_evaluate(rule, values, j):
             seen["kept"] += values.size
-            seen["ties"] += rule._rows[r].size - np.unique(rule._rows[r]).size
-            return evaluate(rule, r, values, j)
+            seen["ties"] += rule._pool.size - np.unique(rule._pool).size
+            return evaluate(rule, values, j)
 
-        def recording_exact(rule, r, values, j):
+        def recording_exact(rule, values, j):
             seen["open"] += values.size
-            return exact_masses(rule, r, values, j)
+            return exact_masses(rule, values, j)
 
         monkeypatch.setattr(density.DensityModel, "read", recording_read)
         monkeypatch.setattr(density.WeightedRule, "_evaluate", recording_evaluate)
@@ -881,7 +883,7 @@ class TestCertifiedMasses:
         for exact in (False, True):
             if exact:  # every kept point through the exact tables, as with no grid
                 monkeypatch.setattr(density.WeightedRule, "_certified",
-                                    property(lambda rule: np.zeros(len(rule._grid), bool)))
+                                    property(lambda rule: False))
             seen.clear()
             out = tmp_path / f"exact{exact}"
             assert main(["simulate", str(path), "--out", str(out)]) == 0
